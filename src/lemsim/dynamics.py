@@ -21,7 +21,12 @@ Two observables are recorded per time sample:
 
 Integration uses a fixed-step classical 4th-order scheme with the noise
 held constant across each step (exact exponential updates for the
-correlated noise) and per-step renormalization of every trajectory.
+correlated noise) and per-step renormalization of every trajectory.  The
+step is matrix-free: with the noise frozen, H plus noise is a diagonal
+``E + sum_i f_i xi_i s_i`` plus one bit flip per spin with coefficient
+``c_i + g_i eta_i``.  sigma^x_i acts on all trajectories at once by
+reversing the middle axis of a ``(dim >> (i+1), 2, 1 << i, ntraj)`` view of
+the state, so no dim x dim matrix is ever built.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cluster import ClusterParams, build_hamiltonian, sign_table, validate_config
+from .cluster import ClusterParams, classical_energies, sign_table, validate_config
 from .errors import CapacityError, IntegrationError, ValidationError
 from .spectrum import (
     EigenSystem,
@@ -48,7 +53,7 @@ NORM_DRIFT_LIMIT = 1e-3
 STABILITY_LIMIT = 0.05  # time_step * eigenvalue spread must stay below this
 CONSISTENCY_WINDOW = 3.0
 MIN_FIT_QUALITY = 0.9
-_CHUNK_STEPS = 8192  # noise values drawn per trajectory in blocks of this many steps
+_CHUNK_STEPS = 512  # noise values drawn per trajectory in blocks of this many steps
 
 
 @dataclass(frozen=True)
@@ -95,7 +100,7 @@ class CoherenceTrace:
     seed: int
     time_step: float
     trajectory_count: int
-    total_steps: int
+    total_steps: int  # steps integrated, fewer than planned after an early stop
 
 
 @dataclass(frozen=True)
@@ -202,11 +207,10 @@ def evolve_superposition(
 
     dim = params.dim
     ntraj = int(tcfg.trajectory_count)
-    h = build_hamiltonian(params)
     # centering the spectrum minimizes phase advance per step (global phase only)
-    h_c = h - 0.5 * (eig.values[0] + eig.values[-1]) * np.eye(dim)
+    e_c = (classical_energies(params) - 0.5 * (eig.values[0] + eig.values[-1]))[:, None]
+    c_amp = params.tunneling[:, None]
     signs = sign_table(n)  # (dim, n)
-    flip_rows = np.stack([np.arange(dim) ^ (1 << i) for i in range(n)], axis=1)  # (dim, n)
     f_amp = tcfg.noise.z_noise[:, None]
     g_amp = tcfg.noise.x_noise[:, None]
     has_noise = bool(np.any(tcfg.noise.z_noise) or np.any(tcfg.noise.x_noise))
@@ -229,21 +233,28 @@ def evolve_superposition(
     vl = l_state.amplitudes
     psi = np.repeat(((vg + vl) / math.sqrt(2.0)).astype(complex)[:, None], ntraj, axis=1)
 
-    zdiag = np.zeros((dim, ntraj))
-    geta = np.zeros((n, ntraj))
-    k_buf = np.empty((dim, ntraj), dtype=complex)
-    acc = np.empty_like(k_buf)
-    tmp = np.empty_like(k_buf)
+    # H + noise, frozen across a step, is a diagonal plus one bit flip per spin:
+    # diag = E_c + sum_i f_i xi_i s_i and flip coefficients c_i + g_i eta_i
+    diag = np.broadcast_to(e_c, (dim, ntraj)).astype(complex)
+    coef = np.broadcast_to(c_amp, (n, ntraj)).astype(complex)
+    acc = np.empty_like(psi)
+    k_buf = np.empty_like(psi)
+    tmp = np.empty_like(psi)
 
-    def apply_generator(src, dst):
-        # dst = -i (H + noise) src, minimizing temporaries
-        np.matmul(h_c, src, out=dst)
-        if has_noise:
-            np.multiply(zdiag, src, out=tmp)
-            dst += tmp
-            # all single-flip images at once: (dim, n, ntraj) gather
-            dst += np.einsum("xnt,nt->xt", src[flip_rows], geta)
-        dst *= -1j
+    def bit_views(buf):
+        # (high bits, bit i, low bits, trajectory): reversing axis 1 applies sigma^x_i
+        return [buf.reshape(dim >> (i + 1), 2, 1 << i, ntraj) for i in range(n)]
+
+    flipped = {id(buf): [v[:, ::-1] for v in bit_views(buf)] for buf in (psi, acc)}
+    k_views = bit_views(k_buf)
+    tmp_views = bit_views(tmp)
+
+    def apply_hamiltonian(src):
+        # k_buf = (H + noise) src
+        np.multiply(diag, src, out=k_buf)
+        for i, src_flip in enumerate(flipped[id(src)]):
+            np.multiply(src_flip, coef[i], out=tmp_views[i])
+            k_views[i] += tmp_views[i]
 
     times: list[float] = []
     coh: list[float] = []
@@ -264,14 +275,15 @@ def evolve_superposition(
         floor = tcfg.early_stop_floor
         return floor is not None and c <= floor and e <= floor
 
+    # Horner stage m: acc = psi + (-i dt / m) (H + noise) src, for m = 4, 3, 2, 1
+    horner_scales = [-1j * dt / m for m in (4, 3, 2, 1)]
     block = None
     block_pos = _CHUNK_STEPS
-    stopped = False
+    done = steps  # steps actually integrated
     for step in range(steps):
-        if step % record_every == 0:
-            if record(step):
-                stopped = True
-                break
+        if step % record_every == 0 and record(step):
+            done = step
+            break
         if has_noise:
             if block_pos == _CHUNK_STEPS:
                 remaining = min(_CHUNK_STEPS, steps - step)
@@ -286,14 +298,14 @@ def evolve_superposition(
                 state += ou_kick * normals
             else:
                 np.multiply(normals, inv_sqrt_dt, out=state)
-            np.matmul(signs, f_amp * state[0], out=zdiag)
-            np.multiply(g_amp, state[1], out=geta)
+            np.add(e_c, signs @ (f_amp * state[0]), out=diag)
+            np.add(c_amp, g_amp * state[1], out=coef)
         # the generator is linear and frozen across the step, so the classical
         # 4-stage scheme collapses to its 4th-order polynomial (Horner form)
         src = psi
-        for m in (4, 3, 2, 1):
-            apply_generator(src, k_buf)
-            np.multiply(k_buf, dt / m, out=acc)
+        for scale in horner_scales:
+            apply_hamiltonian(src)
+            np.multiply(k_buf, scale, out=acc)
             acc += psi
             src = acc
         psi, acc = acc, psi
@@ -305,7 +317,7 @@ def evolve_superposition(
                 "reduce the time step"
             )
         psi /= norms
-    if not stopped:
+    else:
         record(steps)
 
     times_a = np.asarray(times)
@@ -329,7 +341,7 @@ def evolve_superposition(
         seed=int(tcfg.seed),
         time_step=dt,
         trajectory_count=ntraj,
-        total_steps=steps,
+        total_steps=done,
     )
 
 

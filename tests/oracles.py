@@ -4,7 +4,9 @@ Everything here is deliberately written along a different route than the
 library: Hamiltonians via explicit Kronecker products of 2x2 matrices,
 energies via nested Python loops, landscape detection via direct
 neighbour comparison, perturbative amplitudes by a recursion over distance
-shells, and golden-rule rates from ``numpy.linalg.eigh``.  Tests freeze expected values computed from these.
+shells, golden-rule rates from ``numpy.linalg.eigh``, and noisy trajectories
+by a dense Kronecker Hamiltonian per step.  Tests freeze expected values
+computed from these.
 """
 
 import numpy as np
@@ -106,3 +108,53 @@ def golden_rule_rates(j, b, c, f, g, tau: float):
             rates += (amp * elements) ** 2 * spectrum
     np.fill_diagonal(rates, 0.0)
     return vectors, rates
+
+
+def reference_trajectories(j, b, c, f, g, kind, tau, dt, steps, ntraj, seed, ground, lem):
+    """Coherence observables of noisy trajectories, one dense matrix per step.
+
+    Integrates (|ground'> + |lem'>)/sqrt(2) under
+    H + sum_i f_i xi_i sz_i + sum_i g_i eta_i sx_i, each term built from
+    ``kron_site_operator``.  The dressed states are the ``numpy.linalg.eigh``
+    eigenvectors with the largest amplitude on each anchor, signed so that
+    amplitude is positive; H is shifted by the midpoint of its spectrum.
+    Trajectory t draws from the t-th child of ``SeedSequence(seed)``: for
+    "ou" noise an initial (2, n) state, then (steps, 2, n) unit normals
+    advanced as x <- e^(-dt/tau) x + sqrt(1 - e^(-2 dt/tau)) w; for white
+    noise x = w / sqrt(dt).  Each step applies sum_{k<=4} (-i dt H)^k / k!
+    and renormalizes.  Returns (coherence, ensemble_coherence) at steps
+    0..steps: the mean of |a_g conj(a_l)| and the magnitude of its mean.
+    """
+    n = len(b)
+    h0 = kron_hamiltonian(j, b, c)
+    energies, vectors = np.linalg.eigh(h0)
+    h0 = h0 - 0.5 * (energies[0] + energies[-1]) * np.eye(2**n)
+
+    def dressed(anchor):
+        v = vectors[:, np.argmax(np.abs(vectors[anchor]))]
+        return v if v[anchor] > 0 else -v
+
+    vg, vl = dressed(ground), dressed(lem)
+    sz = [kron_site_operator(SZ, i, n) for i in range(n)]
+    sx = [kron_site_operator(SX, i, n) for i in range(n)]
+    decay = np.exp(-dt / tau) if kind == "ou" else 0.0
+    z = np.zeros((steps + 1, ntraj), dtype=complex)
+    for t, child in enumerate(np.random.SeedSequence(seed).spawn(ntraj)):
+        rng = np.random.default_rng(child)
+        x = rng.standard_normal((2, n)) if kind == "ou" else None
+        kicks = rng.standard_normal((steps, 2, n))
+        psi = (vg + vl).astype(complex) / np.sqrt(2.0)
+        z[0, t] = (vg @ psi) * np.conj(vl @ psi)
+        for s in range(steps):
+            if kind == "ou":
+                x = decay * x + np.sqrt(1.0 - decay**2) * kicks[s]
+            else:
+                x = kicks[s] / np.sqrt(dt)
+            h = h0 + sum(f[i] * x[0, i] * sz[i] + g[i] * x[1, i] * sx[i] for i in range(n))
+            term, nxt = psi, psi.copy()
+            for k in range(1, 5):
+                term = (-1j * dt / k) * (h @ term)
+                nxt = nxt + term
+            psi = nxt / np.linalg.norm(nxt)
+            z[s + 1, t] = (vg @ psi) * np.conj(vl @ psi)
+    return np.abs(z).mean(axis=1), np.abs(z.mean(axis=1))

@@ -194,5 +194,35 @@ anchors = 00 11
     assert run_cli("rates", "--config", cfg) == 2
 
 
+def test_norm_drift_exit_status(tmp_path, capsys):
+    # strong white tunneling noise trips the per-step norm-drift guard
+    cfg = tmp_path / "drift.cfg"
+    cfg.write_text(
+        """
+[cluster]
+n = 1
+j = 0.0
+bias = 0.5
+tunneling = 0.0
+
+[noise]
+z_noise = 0.0
+x_noise = 5.0
+kind = white
+
+[dynamics]
+time_step = 0.01
+total_time = 1.0
+trajectories = 4
+anchors = 0 1
+
+[run]
+seed = 1
+"""
+    )
+    assert run_cli("dynamics", "--config", cfg) == 2
+    assert "norm drift" in capsys.readouterr().err
+
+
 def test_help_exits_zero():
     assert main(["--help"]) == 0

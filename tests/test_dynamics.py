@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from oracles import brute_energy, reference_trajectories
+
 from lemsim import (
     ClusterParams,
     CouplingSpec,
+    IntegrationError,
     TrajectoryConfig,
     ValidationError,
     build_hamiltonian,
@@ -16,6 +19,7 @@ from lemsim import (
     evolve_superposition,
     rate_vs_prediction,
 )
+from lemsim import dynamics
 from lemsim.dynamics import MAX_STEPS
 from lemsim.sweep import uniform_ferromagnet
 
@@ -174,6 +178,117 @@ def test_norm_drift_stays_small_via_renormalization():
     trace = evolve_superposition(fam.params, eig, tcfg, fam.ground_anchor, fam.lem_anchor)
     # coherence never exceeds the initial value beyond statistical wiggle
     assert trace.coherence.max() <= 0.5 + 1e-9
+
+
+def test_norm_drift_guard_raises():
+    # strong white tunneling noise: the frozen-noise step leaves the unit sphere
+    p = single_spin(b=0.5)
+    eig = diagonalize(build_hamiltonian(p))
+    noise = CouplingSpec(z_noise=np.zeros(1), x_noise=np.array([5.0]), kind="white")
+    tcfg = TrajectoryConfig(
+        noise=noise, time_step=0.01, total_time=1.0, trajectory_count=4, seed=1
+    )
+    with pytest.raises(IntegrationError, match=r"norm drift 5\.527e-03 exceeds 0\.001 at t=0\.01"):
+        evolve_superposition(p, eig, tcfg, ground_anchor=0, lem_anchor=1)
+
+
+def test_total_steps_counts_integrated_steps():
+    fam = uniform_ferromagnet(2, 0.12)
+    eig = diagonalize(build_hamiltonian(fam.params))
+    dt = default_time_step(fam.a_typ)
+
+    def run(floor, steps):
+        tcfg = TrajectoryConfig(
+            noise=fam.coupling,
+            time_step=dt,
+            total_time=(steps - 0.5) * dt,
+            trajectory_count=16,
+            seed=4,
+            early_stop_floor=floor,
+        )
+        return evolve_superposition(fam.params, eig, tcfg, fam.ground_anchor, fam.lem_anchor)
+
+    stopped = run(0.45, 20_000)
+    full = run(0.05, 500)
+    assert (stopped.total_steps, len(stopped.times)) == (1422, 159)
+    assert full.total_steps == 500
+    for trace in (stopped, full):
+        assert trace.times[-1] == trace.total_steps * trace.time_step
+
+
+@pytest.mark.parametrize("kind", ["ou", "white"])
+def test_noise_blocks_do_not_change_the_trace(monkeypatch, kind):
+    fam = uniform_ferromagnet(2, 0.1)
+    eig = diagonalize(build_hamiltonian(fam.params))
+    noise = CouplingSpec(
+        z_noise=fam.coupling.z_noise, x_noise=fam.coupling.x_noise, kind=kind, correlation_time=2.0
+    )
+    dt = default_time_step(fam.a_typ)
+    tcfg = TrajectoryConfig(
+        noise=noise, time_step=dt, total_time=10.5 * dt, trajectory_count=5, seed=17, record_every=1
+    )
+    default = evolve_superposition(fam.params, eig, tcfg, fam.ground_anchor, fam.lem_anchor)
+    monkeypatch.setattr(dynamics, "_CHUNK_STEPS", 3)  # 11 steps cross four blocks
+    small = evolve_superposition(fam.params, eig, tcfg, fam.ground_anchor, fam.lem_anchor)
+    assert len(small.times) == 12
+    assert np.array_equal(default.coherence, small.coherence)
+    assert np.array_equal(default.ensemble_coherence, small.ensemble_coherence)
+
+
+# non-uniform clusters: every spin has its own couplings, bias, tunneling and
+# noise amplitudes, so a spin mapped to the wrong bit changes the result
+ORACLE_CLUSTERS = {
+    3: dict(
+        j_upper=[(0, 1, -0.9), (0, 2, 0.35), (1, 2, -0.6)],
+        b=[0.21, -0.13, 0.07],
+        c=[0.05, 0.11, 0.03],
+        f=[0.12, 0.04, 0.2],
+        g=[0.09, 0.17, 0.02],
+    ),
+    4: dict(
+        j_upper=[(0, 1, -0.8), (0, 2, 0.3), (0, 3, -0.45), (1, 2, -0.25), (1, 3, 0.6), (2, 3, -0.7)],
+        b=[0.15, -0.22, 0.05, 0.31],
+        c=[0.04, 0.09, 0.13, 0.06],
+        f=[0.07, 0.18, 0.03, 0.11],
+        g=[0.14, 0.02, 0.1, 0.19],
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", ["ou", "white"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_trajectories_match_kronecker_oracle(n, kind):
+    spec = ORACLE_CLUSTERS[n]
+    j = np.zeros((n, n))
+    for a, b_, v in spec["j_upper"]:
+        j[a, b_] = j[b_, a] = v
+    b, c, f, g = (np.array(spec[k]) for k in ("b", "c", "f", "g"))
+    params = ClusterParams(n=n, couplings=j, bias=b, tunneling=c)
+    eig = diagonalize(build_hamiltonian(params))
+    # anchors: the classical global minimum and the highest configuration
+    energies = [brute_energy(j, b, x) for x in range(2**n)]
+    ground, lem = int(np.argmin(energies)), int(np.argmax(energies))
+    dt = 0.04 / float(eig.values[-1] - eig.values[0])
+    steps, ntraj, seed, tau = 25, 6, 2024, 0.7
+    noise = CouplingSpec(z_noise=f, x_noise=g, kind=kind, correlation_time=tau)
+    tcfg = TrajectoryConfig(
+        noise=noise,
+        time_step=dt,
+        total_time=(steps - 0.5) * dt,
+        trajectory_count=ntraj,
+        seed=seed,
+        record_every=1,
+        early_stop_floor=None,
+    )
+    trace = evolve_superposition(params, eig, tcfg, ground, lem)
+    coherence, ensemble = reference_trajectories(
+        j, b, c, f, g, kind, tau, dt, steps, ntraj, seed, ground, lem
+    )
+    assert trace.total_steps == steps
+    assert np.abs(trace.coherence - coherence).max() <= 1e-12
+    assert np.abs(trace.ensemble_coherence - ensemble).max() <= 1e-12
+    # the noise moves the observables well beyond the tolerance
+    assert np.ptp(coherence) > 1e-6 and np.ptp(ensemble) > 1e-4
 
 
 def test_stability_criterion_enforced():
