@@ -17,7 +17,6 @@ from .cluster import (
     uniform_couplings,
 )
 from .config import RunConfig, parse_config, render_config
-from .csvout import emit_csv
 from .dynamics import (
     CoherenceTrace,
     RateComparison,
@@ -54,6 +53,7 @@ from .spectrum import (
     degeneracy_tolerance,
     diagonalize,
     dress,
+    eigenvalues,
     find_local_minima,
     overlap_decay,
     typical_level_spacing,

@@ -31,6 +31,7 @@ from .perturbation import multiphoton_path_sum, scaling_exponent
 from .spectrum import (
     diagonalize,
     dress,
+    eigenvalues,
     find_local_minima,
     overlap_decay,
     typical_level_spacing,
@@ -80,9 +81,9 @@ def _a_typ(cfg: RunConfig, params, anchor: int) -> float:
 
 def _cmd_spectrum(cfg: RunConfig, destination, args) -> None:
     params = cfg.cluster_params()
-    eig = diagonalize(build_hamiltonian(params))
-    _say(args, f"spectrum: {params.dim} levels in [{eig.values[0]:.6g}, {eig.values[-1]:.6g}]")
-    write_output(emit_eigensystem(eig, render_config(cfg), cfg.seed), destination)
+    values = eigenvalues(build_hamiltonian(params))
+    _say(args, f"spectrum: {params.dim} levels in [{values[0]:.6g}, {values[-1]:.6g}]")
+    write_output(emit_eigensystem(values, render_config(cfg), cfg.seed), destination)
 
 
 def _cmd_landscape(cfg: RunConfig, destination, args) -> None:

@@ -12,12 +12,13 @@ from __future__ import annotations
 import sys
 from typing import Iterable
 
+import numpy as np
+
 from ._version import __version__
 from .cluster import config_to_bits
 from .dynamics import CoherenceTrace
-from .errors import ValidationError
 from .perturbation import PathSumResult
-from .spectrum import EigenSystem, LandscapeReport, OverlapDecay
+from .spectrum import LandscapeReport, OverlapDecay
 from .sweep import SweepRow
 from .transition import RateReport
 
@@ -112,9 +113,9 @@ def emit_landscape(
     return "\n".join(_metadata(config_text, seed) + _table(header, records)) + "\n"
 
 
-def emit_eigensystem(eig: EigenSystem, config_text: str = "", seed: int | None = None) -> str:
+def emit_eigensystem(values: np.ndarray, config_text: str = "", seed: int | None = None) -> str:
     header = ("index", "eigenvalue")
-    records = [(k, float(v)) for k, v in enumerate(eig.values)]
+    records = [(k, float(v)) for k, v in enumerate(values)]
     return "\n".join(_metadata(config_text, seed) + _table(header, records)) + "\n"
 
 
@@ -150,24 +151,6 @@ def emit_path_sums(
         for r in results
     ]
     return "\n".join(_metadata(config_text, seed) + _table(header, records)) + "\n"
-
-
-def emit_csv(obj, config_text: str = "", seed: int | None = None, n: int | None = None) -> str:
-    """Serialize a result object to CSV text (dispatch by type)."""
-    if isinstance(obj, CoherenceTrace):
-        return emit_trace(obj, config_text, seed)
-    if isinstance(obj, RateReport):
-        return emit_rate_report(obj, config_text, seed)
-    if isinstance(obj, EigenSystem):
-        return emit_eigensystem(obj, config_text, seed)
-    if isinstance(obj, LandscapeReport):
-        if n is None:
-            raise ValidationError("landscape serialization needs the spin count n")
-        return emit_landscape(obj, n, config_text, seed)
-    if isinstance(obj, list):
-        if not obj or isinstance(obj[0], SweepRow):
-            return emit_sweep_rows(obj, config_text, seed)
-    raise ValidationError(f"no CSV emitter for {type(obj).__name__}")
 
 
 def write_output(text: str, destination: str | None) -> None:

@@ -5,6 +5,11 @@ minimum and any strict local energy minima; with weak tunneling each of
 those configurations is associated with the exact eigenstate of maximal
 overlap ("dressed" state).  The decay of dressed-state amplitudes with
 Hamming distance from the anchor is measured here as a log-linear fit.
+
+Two dense solves are offered: ``eigenvalues`` computes the spectrum alone
+(what the ``spectrum`` subcommand writes) and skips the eigenvectors and
+their back-transformation; ``diagonalize`` computes the full eigensystem
+that dressing needs.
 """
 
 from __future__ import annotations
@@ -99,33 +104,49 @@ class OverlapDecay:
     clamped_count: int
 
 
+def _spread_tolerance(energies: np.ndarray) -> float:
+    return 1e-9 * float(energies.max() - energies.min())
+
+
 def degeneracy_tolerance(params: ClusterParams) -> float:
     """Default tolerance separating true degeneracy from floating-point ties."""
-    e = classical_energies(params)
-    spread = float(e.max() - e.min())
-    return 1e-9 * spread
+    return _spread_tolerance(classical_energies(params))
 
 
-def diagonalize(h: np.ndarray) -> EigenSystem:
-    """Dense symmetric eigendecomposition with deterministic sign choice.
-
-    Each eigenvector's sign is fixed so its largest-magnitude component is
-    positive, making repeated runs byte-reproducible.
-    """
+def _checked_symmetric(h: np.ndarray) -> np.ndarray:
+    """``h`` as a float array, after checking that it is square and symmetric."""
     h = np.asarray(h, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValidationError(f"Hamiltonian must be a square matrix, got shape {h.shape}")
     scale = max(1.0, float(np.abs(h).max()))
     if float(np.abs(h - h.T).max()) > 1e-12 * scale:
         raise ValidationError("Hamiltonian is not symmetric")
+    return h
+
+
+def _eigh(h: np.ndarray, eigvals_only: bool):
     try:
-        values, vectors = scipy.linalg.eigh(h)
+        return scipy.linalg.eigh(h, eigvals_only=eigvals_only)
     except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
         raise NumericalError(f"eigensolver failed on a {h.shape[0]}x{h.shape[0]} matrix: {exc}") from exc
-    for k in range(vectors.shape[1]):
-        col = vectors[:, k]
-        if col[np.argmax(np.abs(col))] < 0:
-            vectors[:, k] = -col
+
+
+def eigenvalues(h: np.ndarray) -> np.ndarray:
+    """Eigenvalues (ascending) of a dense symmetric matrix, without eigenvectors."""
+    return _eigh(_checked_symmetric(h), eigvals_only=True)
+
+
+def diagonalize(h: np.ndarray) -> EigenSystem:
+    """Dense symmetric eigendecomposition with deterministic sign choice.
+
+    Each eigenvector's sign is fixed so its largest-magnitude component is
+    positive (the first such component on ties), making repeated runs
+    byte-reproducible.
+    """
+    values, vectors = _eigh(_checked_symmetric(h), eigvals_only=False)
+    peak = np.argmax(np.abs(vectors), axis=0)
+    flip = vectors[peak, np.arange(vectors.shape[1])] < 0
+    np.negative(vectors, out=vectors, where=flip)
     return EigenSystem(values=values, vectors=vectors)
 
 
@@ -136,9 +157,9 @@ def find_local_minima(params: ClusterParams, tolerance: float | None = None) -> 
     higher in classical energy by more than ``tolerance``.  The global
     minimum is reported separately and excluded from the local list.
     """
-    if tolerance is None:
-        tolerance = degeneracy_tolerance(params)
     e = classical_energies(params)
+    if tolerance is None:
+        tolerance = _spread_tolerance(e)
     idx = np.arange(params.dim)
     is_min = np.ones(params.dim, dtype=bool)
     for i in range(params.n):

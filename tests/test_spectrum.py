@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from lemsim import (
     ClusterParams,
@@ -16,6 +17,7 @@ from lemsim import (
     degeneracy_tolerance,
     diagonalize,
     dress,
+    eigenvalues,
     find_local_minima,
     first_order_amplitude,
     overlap_decay,
@@ -61,15 +63,18 @@ def test_diagonal_limit_reproduces_classical_multiset():
     assert np.allclose(eig.values, np.sort(classical_energies(p)), atol=1e-12)
 
 
+def _random_cluster(rng, n):
+    j = rng.normal(size=(n, n))
+    j = j + j.T
+    np.fill_diagonal(j, 0.0)
+    return j, rng.normal(size=n), rng.normal(size=n)
+
+
 def test_matches_kron_oracle_spectra():
     rng = np.random.default_rng(2024)
     for _ in range(10):
         n = int(rng.integers(1, 5))
-        j = rng.normal(size=(n, n))
-        j = j + j.T
-        np.fill_diagonal(j, 0.0)
-        b = rng.normal(size=n)
-        c = rng.normal(size=n)
+        j, b, c = _random_cluster(rng, n)
         p = ClusterParams(n=n, couplings=j, bias=b, tunneling=c)
         eig = diagonalize(build_hamiltonian(p))
         oracle = np.linalg.eigvalsh(kron_hamiltonian(j, b, c))
@@ -98,6 +103,83 @@ def test_diagonalize_rejects_asymmetric():
     m = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValidationError):
         diagonalize(m)
+
+
+def test_eigenvalues_match_kron_oracle_and_diagonalize():
+    rng = np.random.default_rng(77)
+    for n in (3, 4, 5, 6, 7, 8):
+        j, b, c = _random_cluster(rng, n)
+        h = build_hamiltonian(ClusterParams(n=n, couplings=j, bias=b, tunneling=c))
+        values = eigenvalues(h)
+        tol = 100 * np.finfo(float).eps * np.linalg.norm(h, 2)
+        assert values.shape == (2**n,)
+        assert np.all(np.diff(values) >= 0)
+        assert np.abs(values - np.linalg.eigvalsh(kron_hamiltonian(j, b, c))).max() <= tol
+        assert np.abs(values - diagonalize(h).values).max() <= tol
+
+
+@pytest.mark.parametrize(
+    "m",
+    [np.zeros((2, 3)), np.zeros(4), np.array([[0.0, 1.0], [0.0, 0.0]])],
+    ids=["non-square", "vector", "asymmetric"],
+)
+def test_eigenvalues_rejects_like_diagonalize(m):
+    with pytest.raises(ValidationError) as full:
+        diagonalize(m)
+    with pytest.raises(ValidationError) as only:
+        eigenvalues(m)
+    assert str(only.value) == str(full.value)
+
+
+def test_eigenvalues_rejects_nan():
+    h = build_hamiltonian(make_params(3, b=0.1, c=0.05))
+    h[2, 2] = np.nan
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        eigenvalues(h)
+
+
+def _reference_signs(h):
+    """The per-column sign fix, one column at a time."""
+    values, vectors = scipy.linalg.eigh(h)
+    for k in range(vectors.shape[1]):
+        col = vectors[:, k]
+        if col[np.argmax(np.abs(col))] < 0:
+            vectors[:, k] = -col
+    return values, vectors
+
+
+def test_sign_fix_matches_per_column_reference_bit_for_bit():
+    rng = np.random.default_rng(5)
+    matrices = []
+    for dim in (5, 16, 40):
+        a = rng.normal(size=(dim, dim))
+        matrices.append(a + a.T)
+    for n in (4, 5, 6):
+        for c in (0.3, 1.0):
+            matrices.append(build_hamiltonian(make_params(n, c=c)))
+    mixed_sign_ties = 0
+    for h in matrices:
+        values, vectors = _reference_signs(h)
+        eig = diagonalize(h)
+        assert np.array_equal(eig.values, values)
+        assert np.array_equal(eig.vectors, vectors)
+        mags = np.abs(vectors)
+        for k in range(vectors.shape[1]):
+            tied = vectors[mags[:, k] == mags[:, k].max(), k]
+            mixed_sign_ties += bool(tied.min() < 0 < tied.max())
+    # the ferromagnets' +/- symmetric eigenvectors tie exactly in magnitude
+    assert mixed_sign_ties > 0
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_solvers_leave_input_unmodified(order):
+    # LAPACK works in place on a Fortran-ordered array it is allowed to overwrite
+    h = np.asarray(build_hamiltonian(make_params(5, b=0.1, c=0.07)), order=order)
+    before = h.copy()
+    diagonalize(h)
+    assert np.array_equal(h, before)
+    eigenvalues(h)
+    assert np.array_equal(h, before)
 
 
 # ---------------------------------------------------------------- landscape
@@ -275,3 +357,12 @@ def test_degeneracy_tolerance_scales_with_spread():
     p = make_params(3, b=0.1)
     spread = classical_energies(p).max() - classical_energies(p).min()
     assert degeneracy_tolerance(p) == pytest.approx(1e-9 * spread)
+
+
+def test_landscape_tolerance_is_the_default_tolerance():
+    rng = np.random.default_rng(31)
+    for n in (2, 5, 9):
+        j, b, _ = _random_cluster(rng, n)
+        p = ClusterParams(n=n, couplings=j, bias=b, tunneling=np.zeros(n))
+        assert find_local_minima(p).tolerance == degeneracy_tolerance(p)
+        assert find_local_minima(p, tolerance=0.25).tolerance == 0.25
