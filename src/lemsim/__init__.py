@@ -50,6 +50,8 @@ from .spectrum import (
     LandscapeReport,
     LocalMinimum,
     OverlapDecay,
+    cluster_eigensystem,
+    cluster_eigenvalues,
     degeneracy_tolerance,
     diagonalize,
     dress,

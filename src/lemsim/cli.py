@@ -13,7 +13,7 @@ import argparse
 import sys
 
 from ._version import __version__
-from .cluster import bits_to_config, build_hamiltonian, config_to_bits
+from .cluster import bits_to_config, config_to_bits
 from .config import RunConfig, parse_config, render_config, with_overrides
 from .csvout import (
     emit_eigensystem,
@@ -29,9 +29,9 @@ from .dynamics import TrajectoryConfig, default_time_step, evolve_superposition
 from .errors import SimulationError, ValidationError
 from .perturbation import multiphoton_path_sum, scaling_exponent
 from .spectrum import (
-    diagonalize,
+    cluster_eigensystem,
+    cluster_eigenvalues,
     dress,
-    eigenvalues,
     find_local_minima,
     overlap_decay,
     typical_level_spacing,
@@ -62,26 +62,29 @@ def _load_config(args) -> RunConfig:
 
 
 def _anchor_pair(cfg: RunConfig, params):
-    """Ground and local-minimum anchors, explicit or from the landscape."""
+    """Ground and local-minimum anchors, explicit or from the landscape, and
+    the landscape's degeneracy tolerance (None when the anchors are explicit)."""
     if cfg.anchors is not None:
         ground = bits_to_config(cfg.anchors[0])
         lem = bits_to_config(cfg.anchors[1])
-        return ground, lem
+        return ground, lem, None
     landscape = find_local_minima(params)
     if not landscape.local_minima:
         raise ValidationError(
             "landscape has no local minimum; set dynamics.anchors explicitly"
         )
-    return landscape.global_config, landscape.local_minima[0].config
+    return landscape.global_config, landscape.local_minima[0].config, landscape.tolerance
 
 
-def _a_typ(cfg: RunConfig, params, anchor: int) -> float:
-    return cfg.a_typ if cfg.a_typ is not None else typical_level_spacing(params, anchor)
+def _a_typ(cfg: RunConfig, params, anchor: int, tolerance: float | None) -> float:
+    if cfg.a_typ is not None:
+        return cfg.a_typ
+    return typical_level_spacing(params, anchor, tolerance)
 
 
 def _cmd_spectrum(cfg: RunConfig, destination, args) -> None:
     params = cfg.cluster_params()
-    values = eigenvalues(build_hamiltonian(params))
+    values = cluster_eigenvalues(params)
     _say(args, f"spectrum: {params.dim} levels in [{values[0]:.6g}, {values[-1]:.6g}]")
     write_output(emit_eigensystem(values, render_config(cfg), cfg.seed), destination)
 
@@ -102,8 +105,8 @@ def _cmd_landscape(cfg: RunConfig, destination, args) -> None:
 
 def _cmd_overlaps(cfg: RunConfig, destination, args) -> None:
     params = cfg.cluster_params()
-    ground, lem = _anchor_pair(cfg, params)
-    eig = diagonalize(build_hamiltonian(params))
+    ground, lem, _ = _anchor_pair(cfg, params)
+    eig = cluster_eigensystem(params)
     decays = [overlap_decay(dress(eig, ground)), overlap_decay(dress(eig, lem))]
     _say(
         args,
@@ -122,10 +125,10 @@ def _cmd_overlaps(cfg: RunConfig, destination, args) -> None:
 def _cmd_rates(cfg: RunConfig, destination, args) -> None:
     params = cfg.cluster_params()
     coupling = cfg.coupling_spec()
-    ground, lem = _anchor_pair(cfg, params)
-    eig = diagonalize(build_hamiltonian(params))
+    ground, lem, tolerance = _anchor_pair(cfg, params)
+    eig = cluster_eigensystem(params)
     report = matrix_element(dress(eig, ground), dress(eig, lem), coupling)
-    a_typ = _a_typ(cfg, params, lem)
+    a_typ = _a_typ(cfg, params, lem, tolerance)
     report = check_bound(report, params, coupling, anchor=lem, a_typ=a_typ)
     ratio = max(float(abs(params.tunneling).max()), float(coupling.x_noise.max())) / a_typ
     extension = lifetime_extension(params.n, ratio) if 0 < ratio < 1 else None
@@ -141,7 +144,7 @@ def _cmd_rates(cfg: RunConfig, destination, args) -> None:
 def _cmd_pathsum(cfg: RunConfig, destination, args) -> None:
     params = cfg.cluster_params()
     coupling = cfg.coupling_spec()
-    ground, lem = _anchor_pair(cfg, params)
+    ground, lem, _ = _anchor_pair(cfg, params)
     results = []
     diff = [i for i in range(params.n) if (ground ^ lem) >> i & 1]
     for d in range(1, len(diff) + 1):
@@ -167,9 +170,9 @@ def _cmd_pathsum(cfg: RunConfig, destination, args) -> None:
 def _cmd_dynamics(cfg: RunConfig, destination, args) -> None:
     params = cfg.cluster_params()
     coupling = cfg.coupling_spec()
-    ground, lem = _anchor_pair(cfg, params)
-    eig = diagonalize(build_hamiltonian(params))
-    a_typ = _a_typ(cfg, params, lem)
+    ground, lem, tolerance = _anchor_pair(cfg, params)
+    eig = cluster_eigensystem(params)
+    a_typ = _a_typ(cfg, params, lem, tolerance)
     tcfg = TrajectoryConfig(
         noise=coupling,
         time_step=cfg.time_step if cfg.time_step is not None else default_time_step(a_typ),

@@ -33,9 +33,14 @@ from .errors import (
     ValidationError,
 )
 from .perturbation import PATH_SUM_MAX_SPINS, multiphoton_path_sum, scaling_exponent
-from .spectrum import diagonalize, dress, find_local_minima, overlap_decay, typical_level_spacing
+from .spectrum import (
+    cluster_eigensystem,
+    dress,
+    find_local_minima,
+    overlap_decay,
+    typical_level_spacing,
+)
 from .transition import CouplingSpec, check_bound, matrix_element
-from .cluster import build_hamiltonian
 
 CHANNELS = ("overlaps", "rates", "pathsum", "dynamics")
 
@@ -151,7 +156,7 @@ def uniform_ferromagnet(
         )
     ground = landscape.global_config
     lem = landscape.local_minima[0].config
-    a_typ = typical_level_spacing(bare, lem)
+    a_typ = typical_level_spacing(bare, lem, landscape.tolerance)
     amp = ratio * a_typ
     params = replace(bare, tunneling=np.full(n, amp))
     coupling = CouplingSpec(
@@ -213,7 +218,7 @@ def run_sweep(grid: SweepGrid, master_seed: int = 0) -> list[SweepRow]:
         def _dressed():
             nonlocal eig, dressed_ground, dressed_lem
             if eig is None:
-                eig = diagonalize(build_hamiltonian(fam.params))
+                eig = cluster_eigensystem(fam.params)
             if dressed_ground is None:
                 dressed_ground = dress(eig, fam.ground_anchor)
             if dressed_lem is None:
@@ -261,7 +266,7 @@ def run_sweep(grid: SweepGrid, master_seed: int = 0) -> list[SweepRow]:
                 if n > MAX_DYNAMICS_SPINS:
                     raise CapacityError(f"dynamics channel limited to n<={MAX_DYNAMICS_SPINS}")
                 if eig is None:
-                    eig = diagonalize(build_hamiltonian(fam.params))
+                    eig = cluster_eigensystem(fam.params)
                 tcfg = TrajectoryConfig(
                     noise=fam.coupling,
                     time_step=default_time_step(fam.a_typ),

@@ -1,7 +1,10 @@
 """Command-line surface: pipelines, exit statuses, output determinism."""
 
+import tracemalloc
+
 import pytest
 
+import lemsim.spectrum
 from lemsim.cli import main
 
 FERRO3 = """
@@ -174,6 +177,36 @@ def test_capacity_error_exit_status(tmp_path, capsys):
     big = tmp_path / "big.cfg"
     big.write_text("[cluster]\nn = 15\nj = -1.0\nbias = 0.1\n")
     assert run_cli("landscape", "--config", big) == 3
+
+
+def test_memory_preflight_exit_status(tmp_path, capsys, monkeypatch):
+    # the solve is refused before H is assembled: nothing near one n=12 matrix is allocated
+    cfg = tmp_path / "ferro12.cfg"
+    cfg.write_text("[cluster]\nn = 12\nj = -1.0\nbias = 0.1\ntunneling = 0.01\n")
+    monkeypatch.setattr(lemsim.spectrum, "_available_memory", lambda: 10**8)
+    tracemalloc.start()
+    try:
+        status = run_cli("rates", "--config", cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 3
+    assert peak < 0.01 * 8 * 4096**2
+    err = capsys.readouterr().err
+    assert "eigensystem of a 12-spin cluster needs" in err
+    assert "100000000 bytes of memory available" in err
+
+
+@pytest.mark.parametrize("command", ["rates", "dynamics"])
+def test_landscape_tolerance_is_reused(tmp_path, monkeypatch, command):
+    # the landscape's tolerance reaches typical_level_spacing, so no second table is built
+    def refuse(params):
+        raise AssertionError("degeneracy tolerance recomputed")
+
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text(FERRO3 + "\n[dynamics]\ntotal_time = 10.0\ntrajectories = 4\n")
+    monkeypatch.setattr(lemsim.spectrum, "degeneracy_tolerance", refuse)
+    assert run_cli(command, "--config", cfg, "--out", tmp_path / "out.csv", "--quiet") == 0
 
 
 def test_numerical_error_exit_status(tmp_path, capsys):

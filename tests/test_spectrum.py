@@ -1,12 +1,15 @@
 """Diagonalization, landscape detection, dressed states, overlap decay."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import lemsim.spectrum
 from lemsim import (
+    CapacityError,
     ClusterParams,
     DegeneracyError,
     StrongMixingError,
@@ -14,6 +17,8 @@ from lemsim import (
     bits_to_config,
     build_hamiltonian,
     classical_energies,
+    cluster_eigensystem,
+    cluster_eigenvalues,
     degeneracy_tolerance,
     diagonalize,
     dress,
@@ -180,6 +185,152 @@ def test_solvers_leave_input_unmodified(order):
     assert np.array_equal(h, before)
     eigenvalues(h)
     assert np.array_equal(h, before)
+
+
+def _bit_identity_clusters():
+    rng = np.random.default_rng(404)
+    for n in range(1, 10):
+        j, b, c = _random_cluster(rng, n)
+        yield ClusterParams(n=n, couplings=j, bias=b, tunneling=c)
+    for n in (4, 5, 6):
+        # the unbiased ferromagnets' eigenvectors tie exactly in magnitude
+        yield make_params(n, c=0.3)
+
+
+def test_hamiltonian_is_exactly_symmetric():
+    # the in-place cluster solves hand LAPACK H.T in place of H
+    for p in _bit_identity_clusters():
+        h = build_hamiltonian(p)
+        assert np.array_equal(h, h.T)
+
+
+def test_cluster_solves_match_public_solves_bit_for_bit():
+    for p in _bit_identity_clusters():
+        full = diagonalize(build_hamiltonian(p))
+        eig = cluster_eigensystem(p)
+        assert np.array_equal(eig.values, full.values)
+        assert np.array_equal(eig.vectors, full.vectors)
+        assert np.array_equal(cluster_eigenvalues(p), eigenvalues(build_hamiltonian(p)))
+
+
+def test_asymmetry_in_the_last_row_band_is_found():
+    # 32 rows make bands of 2: the skewed pair (31, 30)/(30, 31) sits in the last one
+    rng = np.random.default_rng(8)
+    a = rng.normal(size=(32, 32))
+    h = a + a.T
+    h[31, 30] += 1e-6
+    for solve in (diagonalize, eigenvalues):
+        with pytest.raises(ValidationError, match="not symmetric"):
+            solve(h)
+
+
+def test_scale_from_the_last_row_band_sets_the_symmetry_tolerance():
+    # 33 rows make bands of 2 and a last band of one row, which holds the only
+    # large entry: a skew of 5e-11 passes under 1e-12 * 100, not under 1e-12 * 1
+    rng = np.random.default_rng(9)
+    a = rng.uniform(-0.4, 0.4, size=(33, 33))
+    h = a + a.T
+    h[32, 32] = 100.0
+    h[1, 0] += 5e-11
+    assert np.abs(np.delete(h, 32, axis=0)).max() < 1.0
+    diagonalize(h)
+    eigenvalues(h)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_entry_in_the_last_row_band_raises(bad):
+    h = build_hamiltonian(make_params(5, b=0.1, c=0.05))
+    h[-1, -1] = bad
+    for solve in (diagonalize, eigenvalues):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            solve(h)
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_cluster_solves_hold_at_most_one_or_two_dense_arrays(n):
+    # tracemalloc sees numpy's buffers, f2py's copies and the LAPACK workspace
+    p = uniform_ferromagnet(n, 0.01).params
+    matrix = 8 * p.dim**2
+    assert _traced_peak(cluster_eigensystem, p) <= 2.1 * matrix
+    assert _traced_peak(cluster_eigenvalues, p) <= 1.1 * matrix
+
+
+def test_capacity_preflight_raises_before_assembly(monkeypatch):
+    p = make_params(6, b=0.1, c=0.05)
+    monkeypatch.setattr(lemsim.spectrum, "_available_memory", lambda: 8 * p.dim**2)
+    # the eigenvalues need one dense array and the symmetry check's band of
+    # 64/16 rows, the eigenvectors two arrays and the band
+    with pytest.raises(CapacityError, match="needs 34816 bytes, 32768 bytes of memory available"):
+        cluster_eigenvalues(p)
+    with pytest.raises(CapacityError, match="eigensystem of a 6-spin cluster"):
+        cluster_eigensystem(p)
+    monkeypatch.setattr(lemsim.spectrum, "_available_memory", lambda: 3 * 8 * p.dim**2)
+    assert np.array_equal(cluster_eigenvalues(p), eigenvalues(build_hamiltonian(p)))
+    cluster_eigensystem(p)
+
+
+def test_unknown_available_memory_skips_the_preflight(monkeypatch):
+    monkeypatch.setattr(lemsim.spectrum, "_available_memory", lambda: None)
+    p = make_params(4, b=0.1, c=0.05)
+    assert np.array_equal(cluster_eigensystem(p).vectors, diagonalize(build_hamiltonian(p)).vectors)
+
+
+def test_available_memory_probe_reads_a_byte_count_or_nothing():
+    available = lemsim.spectrum._available_memory()
+    assert available is None or (isinstance(available, int) and available > 0)
+
+
+def _fake_kernel(tmp_path, cgroup_lines, files):
+    """A /proc and a cgroup mount under tmp_path: MemAvailable of 1000 kB,
+    the given /proc/self/cgroup lines and cgroup files {relative path: text}."""
+    proc, cgroup_fs = tmp_path / "proc", tmp_path / "cgroup"
+    (proc / "self").mkdir(parents=True)
+    (proc / "meminfo").write_text("MemTotal:  4000 kB\nMemAvailable:  1000 kB\n")
+    (proc / "self" / "cgroup").write_text("".join(line + "\n" for line in cgroup_lines))
+    for rel, text in files.items():
+        path = cgroup_fs / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text + "\n")
+    return lemsim.spectrum._available_memory(str(proc), str(cgroup_fs))
+
+
+@pytest.mark.parametrize("mount", ["", "unified/"])  # unified-only and hybrid layouts
+def test_available_memory_is_lowered_to_a_cgroup_v2_limit(tmp_path, mount):
+    files = {f"{mount}job/memory.max": "600000", f"{mount}job/memory.current": "100000"}
+    assert _fake_kernel(tmp_path, ["0::/job"], files) == 500000
+
+
+def test_available_memory_sees_a_cgroup_v1_limit_on_an_ancestor(tmp_path):
+    files = {
+        "memory/a/memory.limit_in_bytes": "300000",
+        "memory/a/memory.usage_in_bytes": "100000",
+        "memory/a/b/memory.limit_in_bytes": "9223372036854771712",
+        "memory/a/b/memory.usage_in_bytes": "50000",
+    }
+    lines = ["5:cpu,cpuacct:/a/b", "4:memory:/a/b", "0::/"]
+    assert _fake_kernel(tmp_path, lines, files) == 200000
+
+
+def test_available_memory_without_a_cgroup_limit_is_mem_available(tmp_path):
+    files = {"job/memory.max": "max", "job/memory.current": "100000"}
+    assert _fake_kernel(tmp_path, ["0::/job"], files) == 1000 * 1024
+    # a limit above MemAvailable does not raise it
+    files = {"job/memory.max": "9000000", "job/memory.current": "0"}
+    assert _fake_kernel(tmp_path / "hybrid", ["0::/job"], files) == 1000 * 1024
+
+
+def test_available_memory_is_unknown_without_kernel_files(tmp_path):
+    assert lemsim.spectrum._available_memory(str(tmp_path / "proc"), str(tmp_path / "cgroup")) is None
 
 
 # ---------------------------------------------------------------- landscape
