@@ -25,6 +25,14 @@ from .errors import CapacityError, ValidationError
 
 MAX_SPINS = 14  # dense 2^n x 2^n storage budget
 
+# _energy_kernel's largest intermediate, s.J.s, is at most sum_{i!=j} |J_ij|;
+# every classical energy lies within sum_{i<j} |J_ij| + sum |b_i| of zero,
+# and the spectrum of H within a further sum |c_i| (Gershgorin).  So the
+# kernel, every energy difference and the spectral spread stay below twice
+# S = sum_{i<j} |J_ij| + sum |b_i| + sum |c_i|.  Capping S at a quarter of
+# the largest double keeps 2 S finite with a factor 2 to spare for rounding.
+ENERGY_SCALE_LIMIT = np.finfo(float).max / 4
+
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
@@ -71,6 +79,13 @@ class ClusterParams:
             raise ValidationError("couplings matrix must be symmetric")
         if np.any(np.diag(j) != 0.0):
             raise ValidationError("couplings matrix must have zero diagonal")
+        with np.errstate(over="ignore"):
+            scale = np.abs(np.triu(j)).sum() + np.abs(b).sum() + np.abs(c).sum()
+        if not scale <= ENERGY_SCALE_LIMIT:
+            raise ValidationError(
+                f"sum of |couplings| (i<j), |bias| and |tunneling| is {scale:.6g}, over the "
+                f"{ENERGY_SCALE_LIMIT:.6g} that keeps energies and their spread finite"
+            )
         object.__setattr__(self, "couplings", j)
         object.__setattr__(self, "bias", b)
         object.__setattr__(self, "tunneling", c)

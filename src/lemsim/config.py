@@ -2,19 +2,26 @@
 
 Format: ``[section]`` headers, ``key = value`` lines, ``#`` comments,
 whitespace-separated vectors, scalars broadcast to length n where a vector
-is expected.  Unknown sections or keys are hard errors.  Rendering emits
-every resolved value (defaults included) so an output header fully
-reproduces the run.
+is expected.  Unknown sections or keys are hard errors.
+
+One table, ``_SCHEMA``, gives each key's section, ``RunConfig`` field and
+parser; ``parse_config`` checks values in its order.  ``render_config``
+writes [noise], [dynamics] and [run] always, any other section when one of
+its fields differs from its default, and in each section every field that
+is not None (``auto`` for the three deferred floats), so every parsed key
+is echoed and an output header reproduces the run.  A ``cluster.n`` over
+``MAX_SPINS`` raises ``CapacityError`` as soon as it is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Any, Callable
 
 import numpy as np
 
-from .cluster import ClusterParams, uniform_couplings
-from .errors import ConfigError
+from .cluster import MAX_SPINS, ClusterParams, uniform_couplings
+from .errors import CapacityError, ConfigError
 from .sweep import CHANNELS, SweepGrid
 from .transition import NOISE_KINDS, CouplingSpec
 
@@ -56,16 +63,8 @@ class RunConfig:
     # [run]
     seed: int = 0
 
-    @property
-    def has_cluster(self) -> bool:
-        return self.n is not None
-
-    @property
-    def has_sweep(self) -> bool:
-        return self.sweep_n is not None or self.sweep_ratios is not None
-
     def cluster_params(self) -> ClusterParams:
-        if not self.has_cluster:
+        if self.n is None:
             raise ConfigError("configuration has no [cluster] section")
         n = self.n
         if self.j_upper is not None:
@@ -85,7 +84,7 @@ class RunConfig:
         )
 
     def coupling_spec(self) -> CouplingSpec:
-        if not self.has_cluster:
+        if self.n is None:
             raise ConfigError("configuration has no [cluster] section")
         return CouplingSpec(
             z_noise=np.array(self.z_noise if self.z_noise is not None else [0.0] * self.n),
@@ -107,45 +106,130 @@ class RunConfig:
         )
 
 
-_SECTIONS = ("cluster", "noise", "dynamics", "sweep", "output", "run")
-_KEYS = {
-    "cluster": ("n", "j", "j_upper", "bias", "tunneling", "a_typ"),
-    "noise": ("z_noise", "x_noise", "kind", "tau"),
-    "dynamics": ("time_step", "total_time", "trajectories", "anchors"),
-    "sweep": ("n_values", "ratios", "channels", "bias", "j"),
-    "output": ("path",),
-    "run": ("seed",),
+Parser = Callable[[str, str, dict], Any]  # (raw text, "line L: section.key", fields so far)
+
+
+def _text(raw: str, where: str, values: dict) -> str:
+    return raw
+
+
+def _number(convert: Callable[[str], Any], noun: str) -> Parser:
+    def parse_number(raw: str, where: str, values: dict):
+        try:
+            return convert(raw)
+        except ValueError:
+            raise ConfigError(f"{where}: not {noun}: {raw!r}") from None
+
+    return parse_number
+
+
+_float = _number(float, "a number")
+_int = _number(lambda raw: int(raw, 0), "an integer")
+
+
+def _each(parse: Parser) -> Parser:
+    return lambda raw, where, values: tuple(parse(p, where, values) for p in raw.split())
+
+
+def _checked(parse: Parser, ok: Callable[[Any], bool], problem: str) -> Parser:
+    def parse_checked(raw: str, where: str, values: dict):
+        value = parse(raw, where, values)
+        if not ok(value):
+            raise ConfigError(f"{where} {problem}")
+        return value
+
+    return parse_checked
+
+
+def _positive(parse: Parser) -> Parser:
+    return _checked(parse, lambda v: v > 0, "must be positive")
+
+
+def _cluster_size(raw: str, where: str, values: dict) -> int:
+    n = _positive(_int)(raw, where, values)
+    if n > MAX_SPINS:
+        raise CapacityError(f"{where} = {n} exceeds the dense budget of {MAX_SPINS} spins")
+    return n
+
+
+def _upper_triangle(raw: str, where: str, values: dict) -> tuple[float, ...]:
+    n = values["n"]
+    want, got = n * (n - 1) // 2, len(raw.split())
+    if got != want:
+        raise ConfigError(
+            f"{where.split(':')[0]}: j_upper needs {want} entries "
+            f"(row-major upper triangle for n={n}), got {got}"
+        )
+    return _each(_float)(raw, where, values)
+
+
+def _vector(raw: str, where: str, values: dict) -> tuple[float, ...]:
+    n = values.get("n")
+    if n is None:
+        raise ConfigError(f"{where} requires a [cluster] section for its length")
+    vector = _each(_float)(raw, where, values)
+    if len(vector) == 1:
+        return vector * n  # scalar broadcast
+    if len(vector) != n:
+        raise ConfigError(f"{where}: expected 1 or {n} values, got {len(vector)}")
+    return vector
+
+
+def _channels(raw: str, where: str, values: dict) -> tuple[str, ...]:
+    for ch in raw.split():
+        if ch not in CHANNELS:
+            raise ConfigError(
+                f"{where.split(':')[0]}: unknown sweep channel {ch!r}; choose from {CHANNELS}"
+            )
+    return tuple(raw.split())
+
+
+@dataclass(frozen=True)
+class _Key:
+    """One configuration key: where it lives, the field it sets, how it parses."""
+
+    section: str
+    key: str
+    field: str
+    parse: Parser
+    auto: bool = False  # "auto" reads as None and None renders as "auto"
+    fill: str | None = None  # text parsed when absent, under a [cluster], with no excluded key
+    excludes: str | None = None  # a key of the same section that may not appear too
+    required: bool = False  # needed whenever its section has any key
+
+
+_SCHEMA = (
+    _Key("cluster", "n", "n", _cluster_size, required=True),
+    _Key("cluster", "j_upper", "j_upper", _upper_triangle, excludes="j"),
+    _Key("cluster", "j", "j_uniform", _float, fill="0", excludes="j_upper"),
+    _Key("cluster", "bias", "bias", _vector, fill="0"),
+    _Key("cluster", "tunneling", "tunneling", _vector, fill="0"),
+    _Key("cluster", "a_typ", "a_typ", _positive(_float)),
+    _Key("noise", "z_noise", "z_noise", _vector, fill="0"),
+    _Key("noise", "x_noise", "x_noise", _vector, fill="0"),
+    _Key("noise", "kind", "noise_kind",
+         _checked(_text, lambda v: v in NOISE_KINDS, f"must be one of {NOISE_KINDS}")),
+    _Key("noise", "tau", "noise_tau", _positive(_float), auto=True),
+    _Key("dynamics", "time_step", "time_step", _positive(_float), auto=True),
+    _Key("dynamics", "total_time", "total_time", _positive(_float), auto=True),
+    _Key("dynamics", "trajectories", "trajectories", _positive(_int)),
+    _Key("dynamics", "anchors", "anchors",
+         _checked(_each(_text), lambda w: len(w) == 2 and all(set(b) <= set("01") for b in w),
+                  "needs two bitstrings (ground lem)")),
+    _Key("sweep", "n_values", "sweep_n", _each(_int)),
+    _Key("sweep", "ratios", "sweep_ratios", _each(_float)),
+    _Key("sweep", "channels", "sweep_channels", _channels),
+    _Key("sweep", "bias", "sweep_bias", _float),
+    _Key("sweep", "j", "sweep_j", _float),
+    _Key("output", "path", "output_path", _text),
+    _Key("run", "seed", "seed",
+         _checked(_int, lambda s: 0 <= s < 2**64, "must fit in 64 unsigned bits")),
+)
+_SECTIONS = {  # section -> {key: _Key}, both in table order
+    s: {k.key: k for k in _SCHEMA if k.section == s}
+    for s in dict.fromkeys(k.section for k in _SCHEMA)
 }
-
-
-def _parse_float(raw: str, where: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"{where}: not a number: {raw!r}") from None
-
-
-def _parse_int(raw: str, where: str) -> int:
-    try:
-        return int(raw, 0)
-    except ValueError:
-        raise ConfigError(f"{where}: not an integer: {raw!r}") from None
-
-
-def _parse_vector(raw: str, n: int, where: str) -> tuple[float, ...]:
-    parts = raw.split()
-    values = tuple(_parse_float(p, where) for p in parts)
-    if len(values) == 1:
-        return values * n  # scalar broadcast
-    if len(values) != n:
-        raise ConfigError(f"{where}: expected 1 or {n} values, got {len(values)}")
-    return values
-
-
-def _parse_auto_float(raw: str, where: str) -> float | None:
-    if raw == "auto":
-        return None
-    return _parse_float(raw, where)
+_DEFAULTS = vars(RunConfig())  # field name -> default value
 
 
 def parse_config(text: str) -> RunConfig:
@@ -169,215 +253,48 @@ def parse_config(text: str) -> RunConfig:
         if section is None:
             raise ConfigError(f"line {lineno}: key outside any [section]")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _KEYS[section]:
+        if key not in _SECTIONS[section]:
             raise ConfigError(f"line {lineno}: unknown key {key!r} in section [{section}]")
         if (section, key) in entries:
             raise ConfigError(f"line {lineno}: duplicate key {key!r} in section [{section}]")
         entries[(section, key)] = (value, lineno)
 
-    def take(section: str, key: str) -> tuple[str, int] | None:
-        return entries.pop((section, key), None)
-
-    cfg = {}
-
-    got = take("cluster", "n")
-    has_cluster = got is not None or any(sec == "cluster" for sec, _ in entries)
-    if has_cluster:
+    values: dict[str, Any] = {}
+    for k in _SCHEMA:
+        got = entries.get((k.section, k.key))
         if got is None:
-            raise ConfigError("section [cluster] is missing the required key 'n'")
-        n = _parse_int(got[0], f"line {got[1]}: cluster.n")
-        if n < 1:
-            raise ConfigError(f"line {got[1]}: cluster.n must be positive")
-        cfg["n"] = n
-        got_j = take("cluster", "j")
-        got_ju = take("cluster", "j_upper")
-        if got_j is not None and got_ju is not None:
-            raise ConfigError(f"line {got_ju[1]}: give either 'j' or 'j_upper', not both")
-        if got_ju is not None:
-            want = n * (n - 1) // 2
-            parts = got_ju[0].split()
-            if len(parts) != want:
-                raise ConfigError(
-                    f"line {got_ju[1]}: j_upper needs {want} entries "
-                    f"(row-major upper triangle for n={n}), got {len(parts)}"
-                )
-            cfg["j_upper"] = tuple(
-                _parse_float(p, f"line {got_ju[1]}: cluster.j_upper") for p in parts
-            )
-        else:
-            cfg["j_uniform"] = (
-                _parse_float(got_j[0], f"line {got_j[1]}: cluster.j") if got_j else 0.0
-            )
-        for key, field_name in (("bias", "bias"), ("tunneling", "tunneling")):
-            got_v = take("cluster", key)
-            if got_v is None:
-                cfg[field_name] = (0.0,) * n
-            else:
-                cfg[field_name] = _parse_vector(
-                    got_v[0], n, f"line {got_v[1]}: cluster.{key}"
-                )
-        got_a = take("cluster", "a_typ")
-        if got_a is not None:
-            a = _parse_float(got_a[0], f"line {got_a[1]}: cluster.a_typ")
-            if not a > 0:
-                raise ConfigError(f"line {got_a[1]}: cluster.a_typ must be positive")
-            cfg["a_typ"] = a
-        for key in ("z_noise", "x_noise"):
-            got_v = take("noise", key)
-            if got_v is None:
-                cfg[key] = (0.0,) * n
-            else:
-                cfg[key] = _parse_vector(got_v[0], n, f"line {got_v[1]}: noise.{key}")
-    else:
-        for key in ("z_noise", "x_noise"):
-            got_v = take("noise", key)
-            if got_v is not None:
-                raise ConfigError(
-                    f"line {got_v[1]}: noise.{key} requires a [cluster] section for its length"
-                )
-
-    got = take("noise", "kind")
-    if got is not None:
-        if got[0] not in NOISE_KINDS:
-            raise ConfigError(f"line {got[1]}: noise.kind must be one of {NOISE_KINDS}")
-        cfg["noise_kind"] = got[0]
-    got = take("noise", "tau")
-    if got is not None:
-        tau = _parse_auto_float(got[0], f"line {got[1]}: noise.tau")
-        if tau is not None and not tau > 0:
-            raise ConfigError(f"line {got[1]}: noise.tau must be positive")
-        cfg["noise_tau"] = tau
-
-    got = take("dynamics", "time_step")
-    if got is not None:
-        ts = _parse_auto_float(got[0], f"line {got[1]}: dynamics.time_step")
-        if ts is not None and not ts > 0:
-            raise ConfigError(f"line {got[1]}: dynamics.time_step must be positive")
-        cfg["time_step"] = ts
-    got = take("dynamics", "total_time")
-    if got is not None:
-        tt = _parse_auto_float(got[0], f"line {got[1]}: dynamics.total_time")
-        if tt is not None and not tt > 0:
-            raise ConfigError(f"line {got[1]}: dynamics.total_time must be positive")
-        cfg["total_time"] = tt
-    got = take("dynamics", "trajectories")
-    if got is not None:
-        count = _parse_int(got[0], f"line {got[1]}: dynamics.trajectories")
-        if count < 1:
-            raise ConfigError(f"line {got[1]}: dynamics.trajectories must be positive")
-        cfg["trajectories"] = count
-    got = take("dynamics", "anchors")
-    if got is not None:
-        parts = got[0].split()
-        if len(parts) != 2 or any(set(p) - set("01") for p in parts):
-            raise ConfigError(
-                f"line {got[1]}: dynamics.anchors needs two bitstrings (ground lem)"
-            )
-        cfg["anchors"] = (parts[0], parts[1])
-
-    got = take("sweep", "n_values")
-    if got is not None:
-        cfg["sweep_n"] = tuple(
-            _parse_int(p, f"line {got[1]}: sweep.n_values") for p in got[0].split()
-        )
-    got = take("sweep", "ratios")
-    if got is not None:
-        cfg["sweep_ratios"] = tuple(
-            _parse_float(p, f"line {got[1]}: sweep.ratios") for p in got[0].split()
-        )
-    got = take("sweep", "channels")
-    if got is not None:
-        channels = tuple(got[0].split())
-        for ch in channels:
-            if ch not in CHANNELS:
-                raise ConfigError(
-                    f"line {got[1]}: unknown sweep channel {ch!r}; choose from {CHANNELS}"
-                )
-        cfg["sweep_channels"] = channels
-    got = take("sweep", "bias")
-    if got is not None:
-        cfg["sweep_bias"] = _parse_float(got[0], f"line {got[1]}: sweep.bias")
-    got = take("sweep", "j")
-    if got is not None:
-        cfg["sweep_j"] = _parse_float(got[0], f"line {got[1]}: sweep.j")
-
-    got = take("output", "path")
-    if got is not None:
-        cfg["output_path"] = got[0]
-    got = take("run", "seed")
-    if got is not None:
-        seed = _parse_int(got[0], f"line {got[1]}: run.seed")
-        if not 0 <= seed < 2**64:
-            raise ConfigError(f"line {got[1]}: run.seed must fit in 64 unsigned bits")
-        cfg["seed"] = seed
-
-    if entries:
-        (sec, key), (_, lineno) = next(iter(entries.items()))
-        raise ConfigError(f"line {lineno}: key {key!r} is not allowed in section [{sec}]")
-    return RunConfig(**cfg)
+            if k.required and any(sec == k.section for sec, _ in entries):
+                raise ConfigError(f"section [{k.section}] is missing the required key {k.key!r}")
+            if k.fill is not None and "n" in values and (k.section, k.excludes) not in entries:
+                values[k.field] = k.parse(k.fill, "", values)
+            continue
+        raw, lineno = got
+        if (k.section, k.excludes) in entries:
+            raise ConfigError(f"line {lineno}: give either {k.excludes!r} or {k.key!r}, not both")
+        where = f"line {lineno}: {k.section}.{k.key}"
+        values[k.field] = None if k.auto and raw == "auto" else k.parse(raw, where, values)
+    return RunConfig(**values)
 
 
 def _fmt(value) -> str:
     if value is None:
         return "auto"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    if isinstance(value, tuple):
+        return " ".join(map(_fmt, value))
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def render_config(cfg: RunConfig) -> str:
     """Canonical text form listing every resolved value; parses back equal."""
-    lines: list[str] = []
-    if cfg.has_cluster:
-        lines.append("[cluster]")
-        lines.append(f"n = {cfg.n}")
-        if cfg.j_upper is not None:
-            lines.append("j_upper = " + " ".join(repr(v) for v in cfg.j_upper))
-        else:
-            lines.append(f"j = {_fmt(cfg.j_uniform)}")
-        lines.append("bias = " + " ".join(repr(v) for v in cfg.bias))
-        lines.append("tunneling = " + " ".join(repr(v) for v in cfg.tunneling))
-        if cfg.a_typ is not None:
-            lines.append(f"a_typ = {_fmt(cfg.a_typ)}")
-        lines.append("")
-    lines.append("[noise]")
-    if cfg.has_cluster:
-        lines.append("z_noise = " + " ".join(repr(v) for v in cfg.z_noise))
-        lines.append("x_noise = " + " ".join(repr(v) for v in cfg.x_noise))
-    lines.append(f"kind = {cfg.noise_kind}")
-    lines.append(f"tau = {_fmt(cfg.noise_tau)}")
-    lines.append("")
-    lines.append("[dynamics]")
-    lines.append(f"time_step = {_fmt(cfg.time_step)}")
-    lines.append(f"total_time = {_fmt(cfg.total_time)}")
-    lines.append(f"trajectories = {cfg.trajectories}")
-    if cfg.anchors is not None:
-        lines.append(f"anchors = {cfg.anchors[0]} {cfg.anchors[1]}")
-    lines.append("")
-    if cfg.has_sweep:
-        lines.append("[sweep]")
-        if cfg.sweep_n is not None:
-            lines.append("n_values = " + " ".join(str(v) for v in cfg.sweep_n))
-        if cfg.sweep_ratios is not None:
-            lines.append("ratios = " + " ".join(repr(v) for v in cfg.sweep_ratios))
-        lines.append("channels = " + " ".join(cfg.sweep_channels))
-        lines.append(f"bias = {_fmt(cfg.sweep_bias)}")
-        lines.append(f"j = {_fmt(cfg.sweep_j)}")
-        lines.append("")
-    if cfg.output_path is not None:
-        lines.append("[output]")
-        lines.append(f"path = {cfg.output_path}")
-        lines.append("")
-    lines.append("[run]")
-    lines.append(f"seed = {cfg.seed}")
-    return "\n".join(lines) + "\n"
+    blocks = []
+    for section, keys in _SECTIONS.items():
+        keys = [(k, getattr(cfg, k.field)) for k in keys.values()]
+        if section in ("noise", "dynamics", "run") or any(v != _DEFAULTS[k.field] for k, v in keys):
+            lines = [f"{k.key} = {_fmt(v)}" for k, v in keys if k.auto or v is not None]
+            blocks.append("\n".join([f"[{section}]", *lines]))
+    return "\n\n".join(blocks) + "\n"
 
 
-def with_overrides(cfg: RunConfig, seed: int | None = None, output_path: str | None = None) -> RunConfig:
+def with_overrides(cfg: RunConfig, seed: int | None = None) -> RunConfig:
     """Apply command-line overrides on top of a parsed configuration."""
-    changes = {}
-    if seed is not None:
-        changes["seed"] = seed
-    if output_path is not None:
-        changes["output_path"] = output_path
-    return replace(cfg, **changes) if changes else cfg
+    return cfg if seed is None else replace(cfg, seed=seed)

@@ -23,15 +23,7 @@ from .dynamics import (
     default_time_step,
     evolve_superposition,
 )
-from .errors import (
-    CapacityError,
-    DegeneracyError,
-    InsufficientDataError,
-    NumericalError,
-    SimulationError,
-    StrongMixingError,
-    ValidationError,
-)
+from .errors import CapacityError, InsufficientDataError, SimulationError, ValidationError
 from .perturbation import PATH_SUM_MAX_SPINS, multiphoton_path_sum, scaling_exponent
 from .spectrum import (
     cluster_eigensystem,
@@ -175,20 +167,6 @@ def uniform_ferromagnet(
     )
 
 
-def _error_code(exc: SimulationError) -> str:
-    if isinstance(exc, DegeneracyError):
-        return "degeneracy"
-    if isinstance(exc, StrongMixingError):
-        return "strong_mixing"
-    if isinstance(exc, CapacityError):
-        return "capacity"
-    if isinstance(exc, InsufficientDataError):
-        return "insufficient_data"
-    if isinstance(exc, NumericalError):
-        return "numerical"
-    return "validation"
-
-
 def run_sweep(grid: SweepGrid, master_seed: int = 0) -> list[SweepRow]:
     """Evaluate every grid point, recording per-row error codes on failure.
 
@@ -207,7 +185,7 @@ def run_sweep(grid: SweepGrid, master_seed: int = 0) -> list[SweepRow]:
         try:
             fam = uniform_ferromagnet(n, ratio, bias=grid.bias, coupling_j=grid.coupling_j)
         except SimulationError as exc:
-            rows.append(replace(row, error=f"family:{_error_code(exc)}"))
+            rows.append(replace(row, error=f"family:{exc.code}"))
             continue
         row = replace(row, a_typ=fam.a_typ)
 
@@ -230,7 +208,7 @@ def run_sweep(grid: SweepGrid, master_seed: int = 0) -> list[SweepRow]:
                 dg, _ = _dressed()
                 row = replace(row, overlap_slope=overlap_decay(dg).slope)
             except SimulationError as exc:
-                errors.append(f"overlaps:{_error_code(exc)}")
+                errors.append(f"overlaps:{exc.code}")
         if "rates" in grid.channels:
             try:
                 dg, dl = _dressed()
@@ -246,7 +224,7 @@ def run_sweep(grid: SweepGrid, master_seed: int = 0) -> list[SweepRow]:
                     bound_margin=report.bound_margin,
                 )
             except SimulationError as exc:
-                errors.append(f"rates:{_error_code(exc)}")
+                errors.append(f"rates:{exc.code}")
         if "pathsum" in grid.channels:
             try:
                 if n > PATH_SUM_MAX_SPINS:
@@ -260,7 +238,7 @@ def run_sweep(grid: SweepGrid, master_seed: int = 0) -> list[SweepRow]:
                     points_d.append((d, res.amplitude))
                 row = replace(row, pathsum_slope=scaling_exponent(points_d))
             except SimulationError as exc:
-                errors.append(f"pathsum:{_error_code(exc)}")
+                errors.append(f"pathsum:{exc.code}")
         if "dynamics" in grid.channels:
             try:
                 if n > MAX_DYNAMICS_SPINS:
@@ -278,7 +256,7 @@ def run_sweep(grid: SweepGrid, master_seed: int = 0) -> list[SweepRow]:
                 )
                 row = replace(row, fitted_dynamics_rate=trace.fitted_rate)
             except SimulationError as exc:
-                errors.append(f"dynamics:{_error_code(exc)}")
+                errors.append(f"dynamics:{exc.code}")
         rows.append(replace(row, error=";".join(errors)))
     return rows
 

@@ -179,6 +179,48 @@ def test_capacity_error_exit_status(tmp_path, capsys):
     assert run_cli("landscape", "--config", big) == 3
 
 
+def test_oversize_cluster_fails_at_parse_time(tmp_path, capsys):
+    big = tmp_path / "huge.cfg"
+    big.write_text(f"[cluster]\nn = {2**64 - 1}\nj = -1.0\nbias = 0.1\n")
+    assert run_cli("landscape", "--config", big) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error [landscape]: line 2: cluster.n")
+
+
+def test_oversize_cluster_allocates_no_vectors(tmp_path, capsys):
+    # refused before bias, tunneling and both noise vectors are broadcast to length n
+    big = tmp_path / "big.cfg"
+    big.write_text(f"[cluster]\nn = {10**6}\nj = -1.0\nbias = 0.1\n")
+    tracemalloc.start()
+    try:
+        status = run_cli("spectrum", "--config", big)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 3
+    assert peak < 10**6
+
+
+@pytest.mark.parametrize("command", ["landscape", "spectrum"])
+def test_energy_overflow_exit_status(tmp_path, capsys, command):
+    cfg = tmp_path / "huge_j.cfg"
+    cfg.write_text("[cluster]\nn = 3\nj = 1e308\nbias = 0.1\ntunneling = 0.01\n")
+    assert run_cli(command, "--config", cfg) == 1
+    assert capsys.readouterr().err.startswith(f"error [{command}]: sum of |couplings|")
+    cfg.write_text("[cluster]\nn = 3\nj = 1e300\nbias = 0.1\ntunneling = 0.01\n")
+    out = tmp_path / "out.csv"
+    assert run_cli(command, "--config", cfg, "--out", out, "--quiet") == 0
+    assert "inf" not in out.read_text()
+
+
+def test_partial_sweep_section_is_echoed(ferro3_cfg, tmp_path):
+    cfg = tmp_path / "partial.cfg"
+    cfg.write_text(ferro3_cfg.read_text() + "\n[sweep]\nchannels = overlaps\nbias = 0.3\n")
+    out = tmp_path / "landscape.csv"
+    assert run_cli("landscape", "--config", cfg, "--out", out, "--quiet") == 0
+    assert "# [sweep]\n# channels = overlaps\n# bias = 0.3\n" in out.read_text()
+
+
 def test_memory_preflight_exit_status(tmp_path, capsys, monkeypatch):
     # the solve is refused before H is assembled: nothing near one n=12 matrix is allocated
     cfg = tmp_path / "ferro12.cfg"

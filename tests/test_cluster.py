@@ -65,6 +65,21 @@ def test_params_over_capacity():
         make_params(15)
 
 
+def test_params_reject_energy_scale_that_could_overflow():
+    # n=3, j=1e308: s.J.s = 6e308 overflows inside the energy kernel
+    with pytest.raises(ValidationError, match="keeps energies and their spread finite"):
+        make_params(3, j=1e308)
+    # S = 3 * 1.5e307 = 4.5e307 is just over max/4; the spread 2S is still finite
+    with pytest.raises(ValidationError):
+        make_params(3, j=1.5e307)
+    # just under the limit every energy and the spread stay finite
+    params = make_params(3, j=-1.4e307, b=1e305, c=1e305)
+    energies = classical_energies(params)
+    assert np.all(np.isfinite(energies))
+    assert np.isfinite(energies.max() - energies.min())
+    assert np.all(np.isfinite(build_hamiltonian(params)))
+
+
 # ---------------------------------------------------------- classical energy
 
 

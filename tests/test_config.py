@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lemsim import ConfigError, parse_config, render_config
 from lemsim.csvout import format_value
+from lemsim.sweep import CHANNELS
 
 MINIMAL = """
 [cluster]
@@ -199,3 +202,179 @@ def test_csv_reals_parse_back_exactly():
     data = [l for l in text.splitlines() if not l.startswith("#")][1:]
     parsed = [float(line.split(",")[2]) for line in data]
     assert parsed == values
+
+
+CLUSTER = "[cluster]\nn = 3\n"
+
+# One input per ConfigError template, plus inputs with two faults whose
+# message shows which check runs first.  The messages are pinned verbatim.
+ERROR_CASES = [
+    ("[cluster\n", "line 1: malformed section header: '[cluster'"),
+    ("[clutter]\n", "line 1: unknown section [clutter]"),
+    ("[cluster]\nn 3\n", "line 2: expected 'key = value', got 'n 3'"),
+    ("n = 3\n", "line 1: key outside any [section]"),
+    ("[cluster]\nbiass = 0.1\n", "line 2: unknown key 'biass' in section [cluster]"),
+    ("[cluster]\nn = 3\nn = 4\n", "line 3: duplicate key 'n' in section [cluster]"),
+    ("[cluster]\nbias = 0.1\n", "section [cluster] is missing the required key 'n'"),
+    ("[cluster]\nn = three\n", "line 2: cluster.n: not an integer: 'three'"),
+    ("[cluster]\nn = 0\n", "line 2: cluster.n must be positive"),
+    (CLUSTER + "j = -1\nj_upper = 1 2 3\n", "line 4: give either 'j' or 'j_upper', not both"),
+    (
+        CLUSTER + "j_upper = 1 2\n",
+        "line 3: j_upper needs 3 entries (row-major upper triangle for n=3), got 2",
+    ),
+    (CLUSTER + "j_upper = 1 x 3\n", "line 3: cluster.j_upper: not a number: 'x'"),
+    (CLUSTER + "j = strong\n", "line 3: cluster.j: not a number: 'strong'"),
+    (CLUSTER + "bias = 0.1 0.2\n", "line 3: cluster.bias: expected 1 or 3 values, got 2"),
+    (CLUSTER + "tunneling = 0.1 x 0.3\n", "line 3: cluster.tunneling: not a number: 'x'"),
+    (CLUSTER + "a_typ = 0\n", "line 3: cluster.a_typ must be positive"),
+    (CLUSTER + "a_typ = auto\n", "line 3: cluster.a_typ: not a number: 'auto'"),
+    (
+        "[noise]\nz_noise = 0.1\n",
+        "line 2: noise.z_noise requires a [cluster] section for its length",
+    ),
+    (CLUSTER + "[noise]\nx_noise = 1 2\n", "line 4: noise.x_noise: expected 1 or 3 values, got 2"),
+    ("[noise]\nkind = pink\n", "line 2: noise.kind must be one of ('ou', 'white')"),
+    ("[noise]\ntau = -1\n", "line 2: noise.tau must be positive"),
+    ("[noise]\ntau = soon\n", "line 2: noise.tau: not a number: 'soon'"),
+    ("[dynamics]\ntime_step = 0\n", "line 2: dynamics.time_step must be positive"),
+    ("[dynamics]\ntotal_time = -5\n", "line 2: dynamics.total_time must be positive"),
+    ("[dynamics]\ntrajectories = 0\n", "line 2: dynamics.trajectories must be positive"),
+    ("[dynamics]\ntrajectories = 1.5\n", "line 2: dynamics.trajectories: not an integer: '1.5'"),
+    ("[dynamics]\nanchors = 000\n", "line 2: dynamics.anchors needs two bitstrings (ground lem)"),
+    (
+        "[dynamics]\nanchors = 000 121\n",
+        "line 2: dynamics.anchors needs two bitstrings (ground lem)",
+    ),
+    ("[sweep]\nn_values = 2 x\n", "line 2: sweep.n_values: not an integer: 'x'"),
+    ("[sweep]\nratios = 0.1 y\n", "line 2: sweep.ratios: not a number: 'y'"),
+    (
+        "[sweep]\nchannels = overlaps spin\n",
+        f"line 2: unknown sweep channel 'spin'; choose from {CHANNELS}",
+    ),
+    ("[sweep]\nbias = b\n", "line 2: sweep.bias: not a number: 'b'"),
+    ("[sweep]\nj = q\n", "line 2: sweep.j: not a number: 'q'"),
+    ("[run]\nseed = -1\n", "line 2: run.seed must fit in 64 unsigned bits"),
+    ("[run]\nseed = 18446744073709551616\n", "line 2: run.seed must fit in 64 unsigned bits"),
+    ("[run]\nseed = 0.5\n", "line 2: run.seed: not an integer: '0.5'"),
+    # check order
+    ("[cluster]\nn = x\nn = 3\n", "line 3: duplicate key 'n' in section [cluster]"),
+    (CLUSTER + "j = bad\nj_upper = 1 2\n", "line 4: give either 'j' or 'j_upper', not both"),
+    (
+        "[cluster]\nbias = 1 2\n[noise]\nkind = pink\n",
+        "section [cluster] is missing the required key 'n'",
+    ),
+    (
+        "[noise]\nkind = pink\nz_noise = 1\n",
+        "line 3: noise.z_noise requires a [cluster] section for its length",
+    ),
+    ("[run]\nseed = -1\n[cluster]\nn = 0\n", "line 4: cluster.n must be positive"),
+    ("[sweep]\nj = x\n[cluster]\nn = 3\nj = y\n", "line 5: cluster.j: not a number: 'y'"),
+    (
+        CLUSTER + "bias = 1 2\nj_upper = 1 2\n",
+        "line 4: j_upper needs 3 entries (row-major upper triangle for n=3), got 2",
+    ),
+    (
+        CLUSTER + "a_typ = 0\ntunneling = 1 2\n",
+        "line 4: cluster.tunneling: expected 1 or 3 values, got 2",
+    ),
+    ("[dynamics]\ntrajectories = 0\n[noise]\ntau = 0\n", "line 4: noise.tau must be positive"),
+]
+
+
+@pytest.mark.parametrize("text, message", ERROR_CASES)
+def test_config_error_messages(text, message):
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, method, message",
+    [
+        ("[run]\nseed = 1\n", "cluster_params", "configuration has no [cluster] section"),
+        ("[run]\nseed = 1\n", "coupling_spec", "configuration has no [cluster] section"),
+        ("[sweep]\nratios = 0.1\n", "sweep_grid", "configuration has no complete [sweep] section"),
+    ],
+)
+def test_missing_section_messages(text, method, message):
+    cfg = parse_config(text)
+    with pytest.raises(ConfigError) as info:
+        getattr(cfg, method)()
+    assert str(info.value) == message
+
+
+_reals = st.floats(allow_nan=False, allow_infinity=False)
+_positive = st.floats(min_value=1e-300, max_value=1e300)
+_deferred = st.one_of(st.just("auto"), _positive.map(repr))
+
+
+def _words(values) -> str:
+    return " ".join(map(str, values))  # str(float) is its shortest round-tripping repr
+
+
+def _reals_of_length(size):
+    return st.lists(_reals, min_size=size, max_size=size).map(_words)
+
+
+@st.composite
+def config_texts(draw) -> str:
+    """Config text with every section and key independently present or absent."""
+    sections = {}
+
+    def put(section, key, value):
+        sections.setdefault(section, []).append(f"{key} = {value}")
+
+    def maybe(strategy):
+        return draw(st.one_of(st.none(), strategy))
+
+    n = maybe(st.integers(1, 6))
+    if n is not None:
+        put("cluster", "n", n)
+        form = draw(st.sampled_from(["j", "j_upper", None]))
+        if form == "j":
+            put("cluster", "j", repr(draw(_reals)))
+        elif form == "j_upper":
+            put("cluster", "j_upper", draw(_reals_of_length(n * (n - 1) // 2)))
+        for section, key in (
+            ("cluster", "bias"),
+            ("cluster", "tunneling"),
+            ("noise", "z_noise"),
+            ("noise", "x_noise"),
+        ):
+            if (size := maybe(st.sampled_from([1, n]))) is not None:
+                put(section, key, draw(_reals_of_length(size)))
+        if (a_typ := maybe(_positive)) is not None:
+            put("cluster", "a_typ", repr(a_typ))
+    optional = [
+        ("noise", "kind", st.sampled_from(["ou", "white"])),
+        ("noise", "tau", _deferred),
+        ("dynamics", "time_step", _deferred),
+        ("dynamics", "total_time", _deferred),
+        ("dynamics", "trajectories", st.integers(1, 10**6)),
+        ("dynamics", "anchors", st.integers(1, 6).flatmap(
+            lambda k: st.lists(st.text("01", min_size=k, max_size=k), min_size=2, max_size=2)
+        ).map(" ".join)),
+        ("sweep", "n_values", st.lists(st.integers(1, 14), max_size=4).map(_words)),
+        ("sweep", "ratios", st.lists(_positive, max_size=3).map(_words)),
+        ("sweep", "channels", st.lists(st.sampled_from(CHANNELS), max_size=4).map(" ".join)),
+        ("sweep", "bias", _reals.map(repr)),
+        ("sweep", "j", _reals.map(repr)),
+        ("output", "path", st.text("abc./_-0123", max_size=12)),
+        ("run", "seed", st.integers(0, 2**64 - 1)),
+    ]
+    for section, key, strategy in optional:
+        if (value := maybe(strategy)) is not None:
+            put(section, key, value)
+    order = draw(st.permutations(sorted(sections)))
+    return "".join(f"[{name}]\n" + "\n".join(sections[name]) + "\n\n" for name in order)
+
+
+@settings(max_examples=300, deadline=None)
+@given(config_texts())
+@example(MINIMAL + "\n[sweep]\nchannels = overlaps\nbias = 0.3\n")  # a [sweep] without its grid
+def test_render_round_trips_and_is_idempotent(text):
+    cfg = parse_config(text)
+    rendered = render_config(cfg)
+    assert parse_config(rendered) == cfg
+    assert render_config(parse_config(rendered)) == rendered

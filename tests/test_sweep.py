@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from lemsim import (
+    CapacityError,
+    ConfigError,
+    DegeneracyError,
     InsufficientDataError,
+    IntegrationError,
+    NumericalError,
+    SimulationError,
+    StrongMixingError,
     SweepGrid,
     SweepRow,
     ValidationError,
@@ -91,6 +98,25 @@ def test_capacity_limited_channels_record_errors():
     grid = SweepGrid(n_values=(9,), ratio_values=(0.05,), channels=("pathsum", "dynamics"))
     rows = run_sweep(grid, master_seed=5)
     assert rows[0].error == "pathsum:capacity;dynamics:capacity"
+
+
+@pytest.mark.parametrize(
+    "cls, code",
+    [
+        (SimulationError, "validation"),
+        (ValidationError, "validation"),
+        (ConfigError, "validation"),
+        (InsufficientDataError, "insufficient_data"),
+        (NumericalError, "numerical"),
+        (IntegrationError, "numerical"),
+        (DegeneracyError, "degeneracy"),
+        (StrongMixingError, "strong_mixing"),
+        (CapacityError, "capacity"),
+    ],
+)
+def test_error_classes_carry_row_codes(cls, code):
+    assert cls.code == code
+    assert cls("x").code == code
 
 
 def test_fit_size_scaling_synthetic_exact():
