@@ -61,7 +61,7 @@ from .spectrum import (
     typical_level_spacing,
 )
 from .sweep import (
-    FamilyPoint,
+    ClusterProblem,
     ScalingFit,
     SweepGrid,
     SweepRow,

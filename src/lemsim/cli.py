@@ -13,7 +13,7 @@ import argparse
 import sys
 
 from ._version import __version__
-from .cluster import bits_to_config, config_to_bits
+from .cluster import config_to_bits
 from .config import RunConfig, parse_config, render_config, with_overrides
 from .csvout import (
     emit_eigensystem,
@@ -25,19 +25,11 @@ from .csvout import (
     emit_trace,
     write_output,
 )
-from .dynamics import TrajectoryConfig, default_time_step, evolve_superposition
 from .errors import SimulationError, ValidationError
-from .perturbation import multiphoton_path_sum, scaling_exponent
-from .spectrum import (
-    cluster_eigensystem,
-    cluster_eigenvalues,
-    dress,
-    find_local_minima,
-    overlap_decay,
-    typical_level_spacing,
-)
-from .sweep import run_sweep
-from .transition import check_bound, lifetime_extension, matrix_element
+from .perturbation import scaling_exponent
+from .spectrum import cluster_eigenvalues, find_local_minima, overlap_decay
+from .sweep import ClusterProblem, run_sweep
+from .transition import lifetime_extension
 
 SUBCOMMANDS = ("spectrum", "landscape", "overlaps", "rates", "pathsum", "dynamics", "sweep")
 
@@ -61,25 +53,11 @@ def _load_config(args) -> RunConfig:
     return cfg, destination
 
 
-def _anchor_pair(cfg: RunConfig, params):
-    """Ground and local-minimum anchors, explicit or from the landscape, and
-    the landscape's degeneracy tolerance (None when the anchors are explicit)."""
-    if cfg.anchors is not None:
-        ground = bits_to_config(cfg.anchors[0])
-        lem = bits_to_config(cfg.anchors[1])
-        return ground, lem, None
-    landscape = find_local_minima(params)
-    if not landscape.local_minima:
-        raise ValidationError(
-            "landscape has no local minimum; set dynamics.anchors explicitly"
-        )
-    return landscape.global_config, landscape.local_minima[0].config, landscape.tolerance
-
-
-def _a_typ(cfg: RunConfig, params, anchor: int, tolerance: float | None) -> float:
-    if cfg.a_typ is not None:
-        return cfg.a_typ
-    return typical_level_spacing(params, anchor, tolerance)
+def _problem(cfg: RunConfig, noise: bool = True) -> ClusterProblem:
+    """The configured cluster and anchors; ``noise=False`` leaves [noise] unread."""
+    params = cfg.cluster_params()
+    coupling = cfg.coupling_spec() if noise else None
+    return ClusterProblem.anchored(params, coupling, cfg.anchors, cfg.a_typ)
 
 
 def _cmd_spectrum(cfg: RunConfig, destination, args) -> None:
@@ -104,33 +82,26 @@ def _cmd_landscape(cfg: RunConfig, destination, args) -> None:
 
 
 def _cmd_overlaps(cfg: RunConfig, destination, args) -> None:
-    params = cfg.cluster_params()
-    ground, lem, _ = _anchor_pair(cfg, params)
-    eig = cluster_eigensystem(params)
-    decays = [overlap_decay(dress(eig, ground)), overlap_decay(dress(eig, lem))]
+    problem = _problem(cfg, noise=False)
+    n = problem.params.n
+    decays = [overlap_decay(problem.dressed_ground), overlap_decay(problem.dressed_lem)]
     _say(
         args,
         "overlaps: slopes "
         + ", ".join(
-            f"{config_to_bits(d.anchor, params.n)}: "
+            f"{config_to_bits(d.anchor, n)}: "
             + (f"{d.slope:.4f}" if d.slope is not None else "n/a")
             for d in decays
         ),
     )
-    write_output(
-        emit_overlap_decay(decays, params.n, render_config(cfg), cfg.seed), destination
-    )
+    write_output(emit_overlap_decay(decays, n, render_config(cfg), cfg.seed), destination)
 
 
 def _cmd_rates(cfg: RunConfig, destination, args) -> None:
-    params = cfg.cluster_params()
-    coupling = cfg.coupling_spec()
-    ground, lem, tolerance = _anchor_pair(cfg, params)
-    eig = cluster_eigensystem(params)
-    report = matrix_element(dress(eig, ground), dress(eig, lem), coupling)
-    a_typ = _a_typ(cfg, params, lem, tolerance)
-    report = check_bound(report, params, coupling, anchor=lem, a_typ=a_typ)
-    ratio = max(float(abs(params.tunneling).max()), float(coupling.x_noise.max())) / a_typ
+    problem = _problem(cfg)
+    report = problem.rates()
+    params, coupling = problem.params, problem.coupling
+    ratio = max(float(abs(params.tunneling).max()), float(coupling.x_noise.max())) / problem.a_typ
     extension = lifetime_extension(params.n, ratio) if 0 < ratio < 1 else None
     _say(
         args,
@@ -142,16 +113,8 @@ def _cmd_rates(cfg: RunConfig, destination, args) -> None:
 
 
 def _cmd_pathsum(cfg: RunConfig, destination, args) -> None:
-    params = cfg.cluster_params()
-    coupling = cfg.coupling_spec()
-    ground, lem, _ = _anchor_pair(cfg, params)
-    results = []
-    diff = [i for i in range(params.n) if (ground ^ lem) >> i & 1]
-    for d in range(1, len(diff) + 1):
-        target = ground
-        for i in diff[:d]:
-            target ^= 1 << i
-        results.append(multiphoton_path_sum(params, coupling.x_noise, ground, target))
+    problem = _problem(cfg)
+    results = problem.path_sums()
     try:
         slope = scaling_exponent([(r.order, r.amplitude) for r in results])
     except SimulationError:
@@ -162,25 +125,13 @@ def _cmd_pathsum(cfg: RunConfig, destination, args) -> None:
         + (f"{slope:.4f}" if slope is not None else "n/a"),
     )
     write_output(
-        emit_path_sums(results, params.n, slope, render_config(cfg), cfg.seed),
+        emit_path_sums(results, problem.params.n, slope, render_config(cfg), cfg.seed),
         destination,
     )
 
 
 def _cmd_dynamics(cfg: RunConfig, destination, args) -> None:
-    params = cfg.cluster_params()
-    coupling = cfg.coupling_spec()
-    ground, lem, tolerance = _anchor_pair(cfg, params)
-    eig = cluster_eigensystem(params)
-    a_typ = _a_typ(cfg, params, lem, tolerance)
-    tcfg = TrajectoryConfig(
-        noise=coupling,
-        time_step=cfg.time_step if cfg.time_step is not None else default_time_step(a_typ),
-        total_time=cfg.total_time,
-        trajectory_count=cfg.trajectories,
-        seed=cfg.seed,
-    )
-    trace = evolve_superposition(params, eig, tcfg, ground, lem)
+    trace = _problem(cfg).trajectories(cfg.trajectories, cfg.seed, cfg.time_step, cfg.total_time)
     _say(
         args,
         f"dynamics: {trace.trajectory_count} trajectories, {trace.total_steps} steps, "

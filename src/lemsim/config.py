@@ -296,5 +296,8 @@ def render_config(cfg: RunConfig) -> str:
 
 
 def with_overrides(cfg: RunConfig, seed: int | None = None) -> RunConfig:
-    """Apply command-line overrides on top of a parsed configuration."""
-    return cfg if seed is None else replace(cfg, seed=seed)
+    """Apply command-line overrides on top of a parsed configuration, each
+    checked by its key's schema row."""
+    if seed is None:
+        return cfg
+    return replace(cfg, seed=_SECTIONS["run"]["seed"].parse(str(seed), "--seed", {}))

@@ -38,12 +38,8 @@ import numpy as np
 
 from .cluster import ClusterParams, classical_energies, sign_table, validate_config
 from .errors import CapacityError, IntegrationError, ValidationError
-from .spectrum import (
-    EigenSystem,
-    dress,
-    find_local_minima,
-    typical_level_spacing,
-)
+from .fitting import fit_line
+from .spectrum import EigenSystem, dress
 from .transition import CouplingSpec, RateReport
 
 MAX_DYNAMICS_SPINS = 8
@@ -142,14 +138,8 @@ def _fit_log_decay(times: np.ndarray, values: np.ndarray) -> tuple[float, float,
         if values[0] > 0 and values[-1] > 0 and values[-1] < values[0] and times[-1] > times[0]:
             rate = math.log(values[0] / values[-1]) / float(times[-1] - times[0])
         return rate, 0.0, True
-    x = times[mask]
-    y = np.log(values[mask])
-    slope, intercept = np.polyfit(x, y, 1)
-    pred = slope * x + intercept
-    ss_res = float(((y - pred) ** 2).sum())
-    ss_tot = float(((y - y.mean()) ** 2).sum())
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
-    return float(-slope), float(r2), False
+    slope, _, r2 = fit_line(times[mask], np.log(values[mask]))
+    return -slope, 0.0 if r2 is None else r2, False
 
 
 def _mean(values: np.ndarray) -> float:
@@ -161,14 +151,14 @@ def evolve_superposition(
     params: ClusterParams,
     eig: EigenSystem,
     tcfg: TrajectoryConfig,
-    ground_anchor: int | None = None,
-    lem_anchor: int | None = None,
+    ground_anchor: int,
+    lem_anchor: int,
 ) -> CoherenceTrace:
     """Integrate noisy trajectories of (|ground'> + |min'>)/sqrt(2).
 
-    Anchors default to the classical landscape: the global minimum and the
-    lowest local minimum.  Landscapes without a local minimum require
-    explicit anchors.
+    The caller names both anchors, and OU noise must carry its correlation
+    time; ``ClusterProblem.trajectories`` supplies the landscape's anchors
+    and the default 10 / A_typ.
     """
     n = params.n
     if n > MAX_DYNAMICS_SPINS:
@@ -177,16 +167,9 @@ def evolve_superposition(
         )
     if tcfg.noise.n != n:
         raise ValidationError(f"noise coupling is for {tcfg.noise.n} spins, cluster has {n}")
-    if ground_anchor is None or lem_anchor is None:
-        landscape = find_local_minima(params)
-        if ground_anchor is None:
-            ground_anchor = landscape.global_config
-        if lem_anchor is None:
-            if not landscape.local_minima:
-                raise ValidationError(
-                    "landscape has no local minimum; pass lem_anchor explicitly"
-                )
-            lem_anchor = landscape.local_minima[0].config
+    has_noise = bool(np.any(tcfg.noise.z_noise) or np.any(tcfg.noise.x_noise))
+    if has_noise and tcfg.noise.kind == "ou" and tcfg.noise.correlation_time is None:
+        raise ValidationError("OU noise needs a correlation time")
     ground_anchor = validate_config(n, ground_anchor, "ground anchor")
     lem_anchor = validate_config(n, lem_anchor, "lem anchor")
     g_state = dress(eig, ground_anchor)
@@ -213,13 +196,9 @@ def evolve_superposition(
     signs = sign_table(n)  # (dim, n)
     f_amp = tcfg.noise.z_noise[:, None]
     g_amp = tcfg.noise.x_noise[:, None]
-    has_noise = bool(np.any(tcfg.noise.z_noise) or np.any(tcfg.noise.x_noise))
 
     if has_noise and tcfg.noise.kind == "ou":
-        tau = tcfg.noise.correlation_time
-        if tau is None:
-            tau = 10.0 / typical_level_spacing(params, lem_anchor)
-        ou_decay = math.exp(-dt / tau)
+        ou_decay = math.exp(-dt / tcfg.noise.correlation_time)
         ou_kick = math.sqrt(1.0 - ou_decay**2)
     inv_sqrt_dt = 1.0 / math.sqrt(dt)
 

@@ -27,6 +27,7 @@ from .errors import (
     InsufficientDataError,
     ValidationError,
 )
+from .fitting import fit_line
 
 PATH_SUM_MAX_SPINS = 8  # d! path enumeration budget
 
@@ -171,8 +172,4 @@ def scaling_exponent(points) -> float:
         for y in usable[d]:
             xs.append(d)
             ys.append(y)
-    xbar = sum(xs) / len(xs)
-    ybar = sum(ys) / len(ys)
-    sxx = sum((x - xbar) ** 2 for x in xs)
-    sxy = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
-    return sxy / sxx
+    return fit_line(xs, ys)[0]

@@ -48,6 +48,7 @@ from .errors import (
     StrongMixingError,
     ValidationError,
 )
+from .fitting import fit_line
 
 AMPLITUDE_FLOOR = 1e-300  # amplitudes below this are clamped out of fits
 OVERLAP_THRESHOLD = 0.5  # below this the anchor label is meaningless
@@ -399,9 +400,7 @@ def overlap_decay(dressed: DressedState) -> OverlapDecay:
             continue
         used.append(k)
         logs.append(math.log10(maxima[k]))
-    slope = None
-    if len(used) >= 2:
-        slope = float(np.polyfit(used, logs, 1)[0])
+    slope = fit_line(used, logs)[0] if len(used) >= 2 else None
     return OverlapDecay(
         anchor=dressed.anchor,
         distances=tuple(range(n + 1)),

@@ -5,48 +5,141 @@ small uniform bias: the two fully polarized configurations are then the
 global and the local minimum, and all couplings are set to a fixed fraction
 of the typical level spacing so a single dimensionless ratio labels each
 grid point.  Per-point failures are recorded inline as error codes; a sweep
-never aborts half way.
+never aborts half way.  Each grid point is a ``ClusterProblem``, the object
+the command line runs its channels on too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import product
 
 import numpy as np
 
-from .cluster import ClusterParams, MAX_SPINS, uniform_couplings
+from .cluster import MAX_SPINS, ClusterParams, bits_to_config, uniform_couplings
 from .dynamics import (
     MAX_DYNAMICS_SPINS,
+    CoherenceTrace,
     TrajectoryConfig,
     default_time_step,
     evolve_superposition,
 )
 from .errors import CapacityError, InsufficientDataError, SimulationError, ValidationError
-from .perturbation import PATH_SUM_MAX_SPINS, multiphoton_path_sum, scaling_exponent
+from .fitting import fit_line
+from .perturbation import PathSumResult, multiphoton_path_sum, scaling_exponent
 from .spectrum import (
+    DressedState,
+    EigenSystem,
     cluster_eigensystem,
+    degeneracy_tolerance,
     dress,
     find_local_minima,
     overlap_decay,
     typical_level_spacing,
 )
-from .transition import CouplingSpec, check_bound, matrix_element
+from .transition import CouplingSpec, RateReport, check_bound, matrix_element
 
 CHANNELS = ("overlaps", "rates", "pathsum", "dynamics")
 
 
-@dataclass(frozen=True)
-class FamilyPoint:
-    """One concrete cluster plus coupling realization of the sweep family."""
+@dataclass(eq=False)
+class ClusterProblem:
+    """One cluster, its noise coupling and its ground and local-minimum anchors.
+
+    The typical level spacing ``a_typ`` at the LEM anchor, the degeneracy
+    ``tolerance``, the eigensystem and the two dressed states are computed on
+    first use and kept.  A spacing or tolerance already known (an override,
+    a landscape's tolerance) is given as ``known_a_typ``/``known_tolerance``.
+    """
 
     params: ClusterParams
-    coupling: CouplingSpec
+    coupling: CouplingSpec | None  # None for a problem that runs no noise channel
     ground_anchor: int
     lem_anchor: int
-    a_typ: float
-    ratio: float
+    known_a_typ: float | None = None
+    known_tolerance: float | None = None
+
+    @classmethod
+    def anchored(cls, params, coupling, anchors=None, a_typ=None) -> ClusterProblem:
+        """The problem on explicit ``(ground, lem)`` bitstrings or, when
+        ``anchors`` is None, on the landscape's global and lowest local minimum."""
+        if anchors is not None:
+            ground, lem = (bits_to_config(bits) for bits in anchors)
+            return cls(params, coupling, ground, lem, a_typ)
+        landscape = find_local_minima(params)
+        if not landscape.local_minima:
+            raise ValidationError(
+                "landscape has no local minimum; set dynamics.anchors explicitly"
+            )
+        lem = landscape.local_minima[0].config
+        return cls(params, coupling, landscape.global_config, lem, a_typ, landscape.tolerance)
+
+    @cached_property
+    def tolerance(self) -> float:
+        if self.known_tolerance is not None:
+            return self.known_tolerance
+        return degeneracy_tolerance(self.params)
+
+    @cached_property
+    def a_typ(self) -> float:
+        if self.known_a_typ is not None:
+            return self.known_a_typ
+        return typical_level_spacing(self.params, self.lem_anchor, self.tolerance)
+
+    @cached_property
+    def eigensystem(self) -> EigenSystem:
+        return cluster_eigensystem(self.params)
+
+    @cached_property
+    def dressed_ground(self) -> DressedState:
+        return dress(self.eigensystem, self.ground_anchor)
+
+    @cached_property
+    def dressed_lem(self) -> DressedState:
+        return dress(self.eigensystem, self.lem_anchor)
+
+    def rates(self) -> RateReport:
+        """Golden-rule matrix element between the dressed anchors, with the size bound."""
+        report = matrix_element(self.dressed_ground, self.dressed_lem, self.coupling)
+        return check_bound(
+            report, self.params, self.coupling, anchor=self.lem_anchor, a_typ=self.a_typ
+        )
+
+    def path_sums(self) -> list[PathSumResult]:
+        """Path sums from the ground anchor, one per order d: the target flips
+        the first d spins, in index order, on which the two anchors differ."""
+        results = []
+        target = self.ground_anchor
+        for i in range(self.params.n):
+            if (self.ground_anchor ^ self.lem_anchor) >> i & 1:
+                target ^= 1 << i
+                results.append(
+                    multiphoton_path_sum(
+                        self.params, self.coupling.x_noise, self.ground_anchor, target, self.tolerance
+                    )
+                )
+        return results
+
+    def trajectories(
+        self, trajectory_count: int, seed: int, time_step=None, total_time=None
+    ) -> CoherenceTrace:
+        """Noisy trajectories of the anchors' superposition.  ``time_step`` None
+        is 0.01 / A_typ, and OU noise with no correlation time gets 10 / A_typ."""
+        eig = self.eigensystem
+        a_typ = self.a_typ
+        noise = self.coupling
+        if noise.kind == "ou" and noise.correlation_time is None:
+            noise = replace(noise, correlation_time=10.0 / a_typ)
+        tcfg = TrajectoryConfig(
+            noise=noise,
+            time_step=default_time_step(a_typ) if time_step is None else time_step,
+            total_time=total_time,
+            trajectory_count=trajectory_count,
+            seed=seed,
+        )
+        return evolve_superposition(self.params, eig, tcfg, self.ground_anchor, self.lem_anchor)
 
 
 @dataclass(frozen=True)
@@ -128,7 +221,7 @@ class ScalingFit:
 
 def uniform_ferromagnet(
     n: int, ratio: float, bias: float = 0.1, coupling_j: float = -1.0
-) -> FamilyPoint:
+) -> ClusterProblem:
     """Fully connected ferromagnet with all couplings a fixed fraction of A_typ.
 
     The typical level spacing is evaluated at the local-minimum anchor on
@@ -157,14 +250,9 @@ def uniform_ferromagnet(
         kind="ou",
         correlation_time=10.0 / a_typ,
     )
-    return FamilyPoint(
-        params=params,
-        coupling=coupling,
-        ground_anchor=ground,
-        lem_anchor=lem,
-        a_typ=a_typ,
-        ratio=float(ratio),
-    )
+    # the landscape's tolerance holds for params too: tunneling leaves the
+    # classical energies unchanged
+    return ClusterProblem(params, coupling, ground, lem, a_typ, landscape.tolerance)
 
 
 def run_sweep(grid: SweepGrid, master_seed: int = 0) -> list[SweepRow]:
@@ -172,6 +260,7 @@ def run_sweep(grid: SweepGrid, master_seed: int = 0) -> list[SweepRow]:
 
     Point sub-seeds derive deterministically from the master seed and the
     grid position, so identical grids and seeds reproduce rows bit for bit.
+    Every channel of a point runs on the point's one ``ClusterProblem``.
     """
     if not isinstance(master_seed, (int, np.integer)) or not 0 <= int(master_seed) < 2**64:
         raise ValidationError("master seed must be an unsigned 64-bit integer")
@@ -189,33 +278,14 @@ def run_sweep(grid: SweepGrid, master_seed: int = 0) -> list[SweepRow]:
             continue
         row = replace(row, a_typ=fam.a_typ)
 
-        eig = None
-        dressed_ground = None
-        dressed_lem = None
-
-        def _dressed():
-            nonlocal eig, dressed_ground, dressed_lem
-            if eig is None:
-                eig = cluster_eigensystem(fam.params)
-            if dressed_ground is None:
-                dressed_ground = dress(eig, fam.ground_anchor)
-            if dressed_lem is None:
-                dressed_lem = dress(eig, fam.lem_anchor)
-            return dressed_ground, dressed_lem
-
         if "overlaps" in grid.channels:
             try:
-                dg, _ = _dressed()
-                row = replace(row, overlap_slope=overlap_decay(dg).slope)
+                row = replace(row, overlap_slope=overlap_decay(fam.dressed_ground).slope)
             except SimulationError as exc:
                 errors.append(f"overlaps:{exc.code}")
         if "rates" in grid.channels:
             try:
-                dg, dl = _dressed()
-                report = matrix_element(dg, dl, fam.coupling)
-                report = check_bound(
-                    report, fam.params, fam.coupling, anchor=fam.lem_anchor, a_typ=fam.a_typ
-                )
+                report = fam.rates()
                 row = replace(
                     row,
                     matrix_element=report.matrix_element,
@@ -227,33 +297,16 @@ def run_sweep(grid: SweepGrid, master_seed: int = 0) -> list[SweepRow]:
                 errors.append(f"rates:{exc.code}")
         if "pathsum" in grid.channels:
             try:
-                if n > PATH_SUM_MAX_SPINS:
-                    raise CapacityError(f"pathsum channel limited to n<={PATH_SUM_MAX_SPINS}")
-                points_d = []
-                for d in range(1, n + 1):
-                    target = fam.ground_anchor ^ ((1 << d) - 1)
-                    res = multiphoton_path_sum(
-                        fam.params, fam.coupling.x_noise, fam.ground_anchor, target
-                    )
-                    points_d.append((d, res.amplitude))
+                points_d = [(r.order, r.amplitude) for r in fam.path_sums()]
                 row = replace(row, pathsum_slope=scaling_exponent(points_d))
             except SimulationError as exc:
                 errors.append(f"pathsum:{exc.code}")
         if "dynamics" in grid.channels:
             try:
                 if n > MAX_DYNAMICS_SPINS:
+                    # refused before the eigensystem is solved
                     raise CapacityError(f"dynamics channel limited to n<={MAX_DYNAMICS_SPINS}")
-                if eig is None:
-                    eig = cluster_eigensystem(fam.params)
-                tcfg = TrajectoryConfig(
-                    noise=fam.coupling,
-                    time_step=default_time_step(fam.a_typ),
-                    trajectory_count=grid.trajectory_count,
-                    seed=point_seed,
-                )
-                trace = evolve_superposition(
-                    fam.params, eig, tcfg, fam.ground_anchor, fam.lem_anchor
-                )
+                trace = fam.trajectories(grid.trajectory_count, point_seed)
                 row = replace(row, fitted_dynamics_rate=trace.fitted_rate)
             except SimulationError as exc:
                 errors.append(f"dynamics:{exc.code}")
@@ -290,17 +343,11 @@ def fit_size_scaling(rows, column: str) -> ScalingFit:
             f"size-scaling fit needs at least 3 distinct sizes with usable values, "
             f"got {len(set(xs))} ({excluded} rows excluded)"
         )
-    xarr = np.asarray(xs, dtype=float)
-    yarr = np.asarray(ys, dtype=float)
-    slope, intercept = np.polyfit(xarr, yarr, 1)
-    pred = slope * xarr + intercept
-    ss_res = float(((yarr - pred) ** 2).sum())
-    ss_tot = float(((yarr - yarr.mean()) ** 2).sum())
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    slope, intercept, r2 = fit_line(xs, ys)
     return ScalingFit(
-        slope=float(slope),
-        intercept=float(intercept),
-        r_squared=r2,
+        slope=slope,
+        intercept=intercept,
+        r_squared=1.0 if r2 is None else r2,
         points_used=len(xs),
         points_excluded=excluded,
     )

@@ -35,8 +35,8 @@ class CouplingSpec:
             (sigma^x channel).
         kind: "ou" for exponentially correlated unit-variance noise,
             "white" for delta-correlated noise of unit strength.
-        correlation_time: correlation time for the "ou" kind; None selects
-            the default 10 / (typical level spacing) at run time.
+        correlation_time: correlation time for the "ou" kind; None is
+            10 / A_typ, filled in by ``ClusterProblem.trajectories``.
     """
 
     z_noise: np.ndarray = field(repr=False)

@@ -5,6 +5,7 @@ import tracemalloc
 import pytest
 
 import lemsim.spectrum
+import lemsim.sweep
 from lemsim.cli import main
 
 FERRO3 = """
@@ -248,7 +249,89 @@ def test_landscape_tolerance_is_reused(tmp_path, monkeypatch, command):
     cfg = tmp_path / "short.cfg"
     cfg.write_text(FERRO3 + "\n[dynamics]\ntotal_time = 10.0\ntrajectories = 4\n")
     monkeypatch.setattr(lemsim.spectrum, "degeneracy_tolerance", refuse)
+    monkeypatch.setattr(lemsim.sweep, "degeneracy_tolerance", refuse)
     assert run_cli(command, "--config", cfg, "--out", tmp_path / "out.csv", "--quiet") == 0
+
+
+def test_pathsum_builds_the_tolerance_at_most_once(tmp_path, monkeypatch):
+    calls = []
+    original = lemsim.sweep.degeneracy_tolerance
+
+    def counted(params):
+        calls.append(params.n)
+        return original(params)
+
+    monkeypatch.setattr(lemsim.sweep, "degeneracy_tolerance", counted)
+    monkeypatch.setattr(lemsim.spectrum, "degeneracy_tolerance", counted)
+    cfg = tmp_path / "anchored.cfg"
+    for extra, expected in (("", []), ("\n[dynamics]\nanchors = 000 111\n", [3])):
+        cfg.write_text(FERRO3 + extra)
+        calls.clear()
+        assert run_cli("pathsum", "--config", cfg, "--out", tmp_path / "out.csv", "--quiet") == 0
+        assert calls == expected
+
+
+def test_auto_tau_follows_the_a_typ_override(tmp_path):
+    # tau = auto is 10 / a_typ, the override included: a_typ = 0.5 runs as tau = 20
+    dyn = "\n[dynamics]\ntime_step = 0.002\ntotal_time = 5.0\ntrajectories = 8\n"
+    override = FERRO3.replace("tunneling = 0.038", "tunneling = 0.038\na_typ = 0.5")
+    texts = {
+        "auto": override.replace("tau = 2.6", "tau = auto"),
+        "tau20": FERRO3.replace("tau = 2.6", "tau = 20.0"),
+    }
+    rows = {}
+    for name, text in texts.items():
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(text + dyn)
+        out = tmp_path / f"{name}.csv"
+        assert run_cli("dynamics", "--config", cfg, "--out", out, "--quiet") == 0
+        rows[name] = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+    assert rows["auto"] == rows["tau20"]
+
+
+def test_a_typ_override_replaces_a_degenerate_spacing(tmp_path, capsys):
+    # the LEM 11 has a zero single-flip gap on spin 0, which carries no tunneling
+    text = """
+[cluster]
+n = 2
+j = -0.5
+bias = 0.5 0.1
+tunneling = 0.0 0.01
+a_typ = 0.4
+
+[noise]
+z_noise = 0.01
+x_noise = 0.01
+
+[dynamics]
+time_step = 0.01
+total_time = 5.0
+trajectories = 4
+anchors = 00 11
+"""
+    cfg = tmp_path / "degen.cfg"
+    for command in ("rates", "dynamics"):
+        cfg.write_text(text)
+        assert run_cli(command, "--config", cfg, "--out", tmp_path / "out.csv", "--quiet") == 0
+        cfg.write_text(text.replace("a_typ = 0.4\n", ""))
+        assert run_cli(command, "--config", cfg, "--out", tmp_path / "out.csv", "--quiet") == 2
+        assert "single-flip gap on spin 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_override_is_range_checked(ferro3_cfg, tmp_path, capsys, seed):
+    out = tmp_path / "spec.csv"
+    assert run_cli("spectrum", "--config", ferro3_cfg, "--out", out, "--seed", seed) == 1
+    assert "--seed must fit in 64 unsigned bits" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["overlaps", "rates", "pathsum", "dynamics"])
+def test_missing_local_minimum_exit_status(tmp_path, capsys, command):
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text("[cluster]\nn = 1\nbias = 0.5\n")
+    assert run_cli(command, "--config", cfg) == 1
+    assert "landscape has no local minimum" in capsys.readouterr().err
 
 
 def test_numerical_error_exit_status(tmp_path, capsys):

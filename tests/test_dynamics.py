@@ -302,12 +302,13 @@ def test_stability_criterion_enforced():
         evolve_superposition(fam.params, eig, tcfg, fam.ground_anchor, fam.lem_anchor)
 
 
-def test_missing_local_minimum_needs_explicit_anchors():
+def test_ou_noise_needs_a_correlation_time():
     p = single_spin(b=0.5)
     eig = diagonalize(build_hamiltonian(p))
-    tcfg = TrajectoryConfig(noise=zero_noise(1), time_step=0.01, total_time=1.0, trajectory_count=1, seed=0)
-    with pytest.raises(ValidationError, match="local minimum"):
-        evolve_superposition(p, eig, tcfg)
+    noise = CouplingSpec(z_noise=np.array([0.1]), x_noise=np.zeros(1), kind="ou")
+    tcfg = TrajectoryConfig(noise=noise, time_step=0.01, total_time=1.0, trajectory_count=1, seed=0)
+    with pytest.raises(ValidationError, match="correlation time"):
+        evolve_superposition(p, eig, tcfg, ground_anchor=0, lem_anchor=1)
 
 
 def test_upper_limit_flag_when_no_decay():

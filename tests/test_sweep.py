@@ -5,8 +5,11 @@ import dataclasses
 import numpy as np
 import pytest
 
+import lemsim.sweep
 from lemsim import (
     CapacityError,
+    ClusterParams,
+    ClusterProblem,
     ConfigError,
     DegeneracyError,
     InsufficientDataError,
@@ -21,6 +24,7 @@ from lemsim import (
     run_sweep,
     uniform_ferromagnet,
 )
+from lemsim.sweep import CHANNELS
 
 
 def test_family_construction():
@@ -32,6 +36,33 @@ def test_family_construction():
     assert np.allclose(fam.coupling.x_noise, 0.01 * fam.a_typ)
     assert np.allclose(fam.coupling.z_noise, 0.01 * fam.a_typ)
     assert fam.coupling.correlation_time == pytest.approx(10.0 / fam.a_typ)
+
+
+def test_missing_local_minimum_needs_explicit_anchors():
+    p = ClusterParams(n=1, couplings=np.zeros((1, 1)), bias=np.array([0.5]), tunneling=np.zeros(1))
+    with pytest.raises(ValidationError, match="local minimum"):
+        ClusterProblem.anchored(p, None)
+    problem = ClusterProblem.anchored(p, None, anchors=("0", "1"))
+    assert (problem.ground_anchor, problem.lem_anchor) == (0, 1)
+
+
+def test_one_row_solves_and_enumerates_once(monkeypatch):
+    # all four channels of a grid point share the point's eigensystem and landscape
+    calls = {"cluster_eigensystem": 0, "find_local_minima": 0}
+    for name in calls:
+        original = getattr(lemsim.sweep, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(lemsim.sweep, name, counted)
+    grid = SweepGrid(n_values=(3,), ratio_values=(0.3,), channels=CHANNELS, trajectory_count=4)
+    rows = run_sweep(grid, master_seed=2)
+    assert rows[0].error == ""
+    assert None not in (rows[0].overlap_slope, rows[0].rate_ratio, rows[0].pathsum_slope)
+    assert rows[0].fitted_dynamics_rate is not None
+    assert calls == {"cluster_eigensystem": 1, "find_local_minima": 1}
 
 
 def test_grid_validation():
@@ -92,6 +123,14 @@ def test_pathsum_insufficient_orders_recorded_inline():
     assert rows[0].pathsum_slope is None
     assert rows[1].error == ""
     assert rows[1].pathsum_slope is not None
+
+
+def test_overlaps_channel_needs_only_the_ground_state():
+    # at n=8, ratio 0.275 the LEM mixes strongly but the ground state dresses
+    grid = SweepGrid(n_values=(8,), ratio_values=(0.275,), channels=("overlaps", "rates"))
+    rows = run_sweep(grid, master_seed=0)
+    assert rows[0].overlap_slope is not None
+    assert rows[0].error == "rates:strong_mixing"
 
 
 def test_capacity_limited_channels_record_errors():
