@@ -17,6 +17,8 @@ from .cluster import (
     uniform_couplings,
 )
 from .config import RunConfig, parse_config, render_config
+# after .config, which imports .dynamics first (see .sweep)
+from .collective import block_eigenvalues, collective_form, symmetric_dressed
 from .dynamics import (
     CoherenceTrace,
     RateComparison,

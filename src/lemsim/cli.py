@@ -14,6 +14,7 @@ import sys
 
 from ._version import __version__
 from .cluster import config_to_bits
+from .collective import block_eigenvalues, collective_form
 from .config import RunConfig, parse_config, render_config, with_overrides
 from .csvout import (
     emit_eigensystem,
@@ -62,7 +63,8 @@ def _problem(cfg: RunConfig, noise: bool = True) -> ClusterProblem:
 
 def _cmd_spectrum(cfg: RunConfig, destination, args) -> None:
     params = cfg.cluster_params()
-    values = cluster_eigenvalues(params)
+    form = collective_form(params)
+    values = cluster_eigenvalues(params) if form is None else block_eigenvalues(params.n, *form)
     _say(args, f"spectrum: {params.dim} levels in [{values[0]:.6g}, {values[-1]:.6g}]")
     write_output(emit_eigensystem(values, render_config(cfg), cfg.seed), destination)
 

@@ -175,6 +175,23 @@ def _vector(raw: str, where: str, values: dict) -> tuple[float, ...]:
     return vector
 
 
+def _amplitudes(raw: str, where: str, values: dict) -> tuple[float, ...]:
+    vector = _vector(raw, where, values)
+    if any(v < 0 for v in vector):
+        raise ConfigError(f"{where} amplitudes must be non-negative")
+    return vector
+
+
+def _anchors(raw: str, where: str, values: dict) -> tuple[str, ...]:
+    words = tuple(raw.split())
+    if len(words) != 2 or not all(set(w) <= set("01") for w in words):
+        raise ConfigError(f"{where} needs two bitstrings (ground lem)")
+    n = values.get("n")
+    if n is not None and any(len(w) != n for w in words):
+        raise ConfigError(f"{where} needs bitstrings of cluster.n = {n} spins, got {raw!r}")
+    return words
+
+
 def _channels(raw: str, where: str, values: dict) -> tuple[str, ...]:
     for ch in raw.split():
         if ch not in CHANNELS:
@@ -205,17 +222,15 @@ _SCHEMA = (
     _Key("cluster", "bias", "bias", _vector, fill="0"),
     _Key("cluster", "tunneling", "tunneling", _vector, fill="0"),
     _Key("cluster", "a_typ", "a_typ", _positive(_float)),
-    _Key("noise", "z_noise", "z_noise", _vector, fill="0"),
-    _Key("noise", "x_noise", "x_noise", _vector, fill="0"),
+    _Key("noise", "z_noise", "z_noise", _amplitudes, fill="0"),
+    _Key("noise", "x_noise", "x_noise", _amplitudes, fill="0"),
     _Key("noise", "kind", "noise_kind",
          _checked(_text, lambda v: v in NOISE_KINDS, f"must be one of {NOISE_KINDS}")),
     _Key("noise", "tau", "noise_tau", _positive(_float), auto=True),
     _Key("dynamics", "time_step", "time_step", _positive(_float), auto=True),
     _Key("dynamics", "total_time", "total_time", _positive(_float), auto=True),
     _Key("dynamics", "trajectories", "trajectories", _positive(_int)),
-    _Key("dynamics", "anchors", "anchors",
-         _checked(_each(_text), lambda w: len(w) == 2 and all(set(b) <= set("01") for b in w),
-                  "needs two bitstrings (ground lem)")),
+    _Key("dynamics", "anchors", "anchors", _anchors),
     _Key("sweep", "n_values", "sweep_n", _each(_int)),
     _Key("sweep", "ratios", "sweep_ratios", _each(_float)),
     _Key("sweep", "channels", "sweep_channels", _channels),

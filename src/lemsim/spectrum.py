@@ -7,9 +7,11 @@ overlap ("dressed" state).  The decay of dressed-state amplitudes with
 Hamming distance from the anchor is measured here as a log-linear fit.
 
 Dense solves come in two pairs.  ``cluster_eigenvalues(params)`` computes
-the spectrum alone (what the ``spectrum`` subcommand writes) and skips the
-eigenvectors and their back-transformation; ``cluster_eigensystem(params)``
-computes the full eigensystem that dressing needs.  Both assemble H once and
+the spectrum alone (what the ``spectrum`` subcommand writes for a cluster
+that is not collective; ``collective.block_eigenvalues`` serves the others)
+and skips the eigenvectors and their back-transformation;
+``cluster_eigensystem(params)`` computes the full eigensystem that dressing
+needs.  Both assemble H once and
 solve it through ``eigenvalues``/``diagonalize``, marked as scratch that
 LAPACK may overwrite in place, so they hold one (values) or two (vectors)
 dim x dim arrays at their peak, 8·4^n or 16·4^n bytes, and they raise
@@ -354,6 +356,15 @@ def find_local_minima(params: ClusterParams, tolerance: float | None = None) -> 
     )
 
 
+def require_dominant_overlap(overlap_sq: float, anchor: int, n: int) -> None:
+    """Raise StrongMixingError when the best overlap^2 with an anchor is below 0.5."""
+    if overlap_sq < OVERLAP_THRESHOLD:
+        raise StrongMixingError(
+            f"anchor {config_to_bits(anchor, n)} mixes strongly: "
+            f"best overlap^2 = {overlap_sq:.6f} < {OVERLAP_THRESHOLD}"
+        )
+
+
 def dress(eig: EigenSystem, anchor: int) -> DressedState:
     """Return the eigenstate with maximal overlap on the anchor configuration.
 
@@ -365,11 +376,7 @@ def dress(eig: EigenSystem, anchor: int) -> DressedState:
     overlaps = eig.vectors[anchor, :]
     k = int(np.argmax(np.abs(overlaps)))
     overlap_sq = float(overlaps[k] ** 2)
-    if overlap_sq < OVERLAP_THRESHOLD:
-        raise StrongMixingError(
-            f"anchor {config_to_bits(anchor, eig.n)} mixes strongly: "
-            f"best overlap^2 = {overlap_sq:.6f} < {OVERLAP_THRESHOLD}"
-        )
+    require_dominant_overlap(overlap_sq, anchor, eig.n)
     amps = eig.vectors[:, k].copy()
     if amps[anchor] < 0:
         amps = -amps

@@ -7,6 +7,15 @@ of the typical level spacing so a single dimensionless ratio labels each
 grid point.  Per-point failures are recorded inline as error codes; a sweep
 never aborts half way.  Each grid point is a ``ClusterProblem``, the object
 the command line runs its channels on too.
+
+The family is permutation symmetric and both anchors are fully polarized,
+so ``uniform_ferromagnet`` marks its problems ``symmetric`` and their dressed
+states come from the (n+1)-dimensional symmetric sector
+(``collective.symmetric_dressed``): the ``overlaps`` and ``rates`` channels
+solve no 2^n x 2^n eigensystem, need no dense memory budget, and print
+matrix elements at full relative precision far below the dense eigensolver's
+absolute floor.  The ``dynamics`` channel still solves the dense
+eigensystem, because independent noise on each spin breaks the symmetry.
 """
 
 from __future__ import annotations
@@ -41,6 +50,11 @@ from .spectrum import (
 )
 from .transition import CouplingSpec, RateReport, check_bound, matrix_element
 
+# after .dynamics: when .collective brings in .spectrum and scipy.linalg
+# ahead of it, start-up takes about 12 ms and 0.5 MB more (measured on a
+# 2-core Xeon; the benchmark's set-up time and peak RSS)
+from .collective import symmetric_dressed
+
 CHANNELS = ("overlaps", "rates", "pathsum", "dynamics")
 
 
@@ -52,6 +66,9 @@ class ClusterProblem:
     ``tolerance``, the eigensystem and the two dressed states are computed on
     first use and kept.  A spacing or tolerance already known (an override,
     a landscape's tolerance) is given as ``known_a_typ``/``known_tolerance``.
+    A ``symmetric`` problem (a collective cluster) whose anchors are the two
+    fully polarized configurations dresses both in the symmetric sector;
+    every other problem dresses both from the dense eigensystem.
     """
 
     params: ClusterParams
@@ -60,6 +77,7 @@ class ClusterProblem:
     lem_anchor: int
     known_a_typ: float | None = None
     known_tolerance: float | None = None
+    symmetric: bool = False  # every spin permutation leaves H unchanged
 
     @classmethod
     def anchored(cls, params, coupling, anchors=None, a_typ=None) -> ClusterProblem:
@@ -92,13 +110,19 @@ class ClusterProblem:
     def eigensystem(self) -> EigenSystem:
         return cluster_eigensystem(self.params)
 
+    def _dressed(self, anchor: int) -> DressedState:
+        # both anchors in the symmetric sector, or both dense: never one of each
+        if self.symmetric and {self.ground_anchor, self.lem_anchor} == {0, self.params.dim - 1}:
+            return symmetric_dressed(self.params, anchor)
+        return dress(self.eigensystem, anchor)
+
     @cached_property
     def dressed_ground(self) -> DressedState:
-        return dress(self.eigensystem, self.ground_anchor)
+        return self._dressed(self.ground_anchor)
 
     @cached_property
     def dressed_lem(self) -> DressedState:
-        return dress(self.eigensystem, self.lem_anchor)
+        return self._dressed(self.lem_anchor)
 
     def rates(self) -> RateReport:
         """Golden-rule matrix element between the dressed anchors, with the size bound."""
@@ -252,7 +276,7 @@ def uniform_ferromagnet(
     )
     # the landscape's tolerance holds for params too: tunneling leaves the
     # classical energies unchanged
-    return ClusterProblem(params, coupling, ground, lem, a_typ, landscape.tolerance)
+    return ClusterProblem(params, coupling, ground, lem, a_typ, landscape.tolerance, symmetric=True)
 
 
 def run_sweep(grid: SweepGrid, master_seed: int = 0) -> list[SweepRow]:

@@ -4,10 +4,13 @@ Everything here is deliberately written along a different route than the
 library: Hamiltonians via explicit Kronecker products of 2x2 matrices,
 energies via nested Python loops, landscape detection via direct
 neighbour comparison, perturbative amplitudes by a recursion over distance
-shells, golden-rule rates from ``numpy.linalg.eigh``, and noisy trajectories
-by a dense Kronecker Hamiltonian per step.  Tests freeze expected values
-computed from these.
+shells, golden-rule rates from ``numpy.linalg.eigh``, noisy trajectories
+by a dense Kronecker Hamiltonian per step, and the uniform ferromagnet's
+dressed states by a Brillouin-Wigner iteration on its symmetric chain.
+Tests freeze expected values computed from these.
 """
+
+import math
 
 import numpy as np
 
@@ -158,3 +161,63 @@ def reference_trajectories(j, b, c, f, g, kind, tau, dt, steps, ntraj, seed, gro
             psi = nxt / np.linalg.norm(nxt)
             z[s + 1, t] = (vg @ psi) * np.conj(vl @ psi)
     return np.abs(z).mean(axis=1), np.abs(z.mean(axis=1))
+
+
+def dicke_chain(n: int, j: float, b: float, c: float):
+    """(diagonal, off-diagonal) of a uniform cluster in the symmetric basis.
+
+    State k is the normalised sum of the configurations with k up spins.
+    Its energy counts aligned minus anti-aligned pairs; sum_i c sigma^x_i
+    links k and k+1 with c sqrt((k+1)(n-k)).
+    """
+    k = np.arange(n + 1)
+    aligned = k * (k - 1) / 2 + (n - k) * (n - k - 1) / 2
+    diagonal = j * (aligned - k * (n - k)) + b * (2 * k - n)
+    off = c * np.sqrt((k[:-1] + 1) * (n - k[:-1]))
+    return diagonal, off
+
+
+def dicke_dressed(diagonal, off, anchor_site: int, sweeps: int = 100):
+    """(energy, unit amplitudes) of the chain eigenstate grown from one end site.
+
+    Brillouin-Wigner: with the anchor amplitude held at 1, the other rows of
+    (H - E) a = 0 form a tridiagonal system, solved densely; the anchor row
+    then gives E = D_anchor + t a_neighbour.  Iterated from E = D_anchor until
+    E stops moving.
+    """
+    size = len(diagonal)
+    others = [k for k in range(size) if k != anchor_site]
+    h = np.diag(diagonal) + np.diag(off, 1) + np.diag(off, -1)
+    energy = diagonal[anchor_site]
+    for _ in range(sweeps):
+        system = h[np.ix_(others, others)] - energy * np.eye(size - 1)
+        rest = np.linalg.solve(system, -h[others, anchor_site])
+        amps = np.insert(rest, anchor_site, 1.0)
+        update = float(h[anchor_site] @ amps)
+        if update == energy:
+            break
+        energy = update
+    return energy, amps / math.sqrt(math.fsum(amps**2))
+
+
+def dicke_observables(n: int, j: float, b: float, c: float, noise: float):
+    """Ground/LEM matrix element and the ground's overlap-decay slope of a
+    uniform cluster with both noise channels at amplitude ``noise``.
+
+    The anchors are the two fully polarized states (chain sites 0 and n).
+    The element is <G| f sum sigma^z + g sum sigma^x |L> in the chain basis;
+    the largest amplitude at distance d from all-down is |G_d| / sqrt(C(n, d)),
+    and the slope is a ``numpy.polyfit`` of its log10 over d = 1..n.
+    """
+    diagonal, off = dicke_chain(n, j, b, c)
+    links = off / c if c else np.sqrt(np.arange(1, n + 1) * np.arange(n, 0, -1))
+    _, ground = dicke_dressed(diagonal, off, 0)
+    _, lem = dicke_dressed(diagonal, off, n)
+    terms = [noise * ground[k] * lem[k] * (2 * k - n) for k in range(n + 1)]
+    terms += [
+        noise * links[k] * (ground[k] * lem[k + 1] + ground[k + 1] * lem[k]) for k in range(n)
+    ]
+    distances = np.arange(1, n + 1)
+    maxima = [abs(ground[d]) / math.sqrt(math.comb(n, d)) for d in distances]
+    slope = np.polyfit(distances, np.log10(maxima), 1)[0]
+    return math.fsum(terms), float(slope)

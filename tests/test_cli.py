@@ -214,6 +214,30 @@ def test_energy_overflow_exit_status(tmp_path, capsys, command):
     assert "inf" not in out.read_text()
 
 
+@pytest.mark.parametrize("command", ["overlaps", "rates", "pathsum", "dynamics"])
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("seed = 7", "seed = 7\n[dynamics]\nanchors = 0000 1111",
+         "dynamics.anchors needs bitstrings of cluster.n = 3 spins, got '0000 1111'"),
+        ("seed = 7", "seed = 7\n[dynamics]\nanchors = 00 11",
+         "dynamics.anchors needs bitstrings of cluster.n = 3 spins, got '00 11'"),
+        ("z_noise = 0.038", "z_noise = -1", "noise.z_noise amplitudes must be non-negative"),
+        ("x_noise = 0.038", "x_noise = 0.038 -0.038 0.038",
+         "noise.x_noise amplitudes must be non-negative"),
+    ],
+)
+def test_bad_anchors_and_noise_fail_at_parse_time(tmp_path, capsys, command, old, new, message):
+    # every pipeline refuses the config the same way, before any cluster is built
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(FERRO3.replace(old, new))
+    out = tmp_path / "out.csv"
+    assert run_cli(command, "--config", cfg, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error [{command}]: line ") and message in err
+    assert not out.exists()
+
+
 def test_partial_sweep_section_is_echoed(ferro3_cfg, tmp_path):
     cfg = tmp_path / "partial.cfg"
     cfg.write_text(ferro3_cfg.read_text() + "\n[sweep]\nchannels = overlaps\nbias = 0.3\n")

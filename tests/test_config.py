@@ -243,6 +243,19 @@ ERROR_CASES = [
     ("[dynamics]\ntrajectories = 1.5\n", "line 2: dynamics.trajectories: not an integer: '1.5'"),
     ("[dynamics]\nanchors = 000\n", "line 2: dynamics.anchors needs two bitstrings (ground lem)"),
     (
+        CLUSTER + "[dynamics]\nanchors = 0000 1111\n",
+        "line 4: dynamics.anchors needs bitstrings of cluster.n = 3 spins, got '0000 1111'",
+    ),
+    (
+        CLUSTER + "[dynamics]\nanchors = 00 11\n",
+        "line 4: dynamics.anchors needs bitstrings of cluster.n = 3 spins, got '00 11'",
+    ),
+    (CLUSTER + "[noise]\nz_noise = -1\n", "line 4: noise.z_noise amplitudes must be non-negative"),
+    (
+        CLUSTER + "[noise]\nx_noise = 0.1 -0.2 0.3\n",
+        "line 4: noise.x_noise amplitudes must be non-negative",
+    ),
+    (
         "[dynamics]\nanchors = 000 121\n",
         "line 2: dynamics.anchors needs two bitstrings (ground lem)",
     ),
@@ -279,6 +292,14 @@ ERROR_CASES = [
         "line 4: cluster.tunneling: expected 1 or 3 values, got 2",
     ),
     ("[dynamics]\ntrajectories = 0\n[noise]\ntau = 0\n", "line 4: noise.tau must be positive"),
+    (
+        CLUSTER + "[noise]\nz_noise = -1 2\n",
+        "line 4: noise.z_noise: expected 1 or 3 values, got 2",
+    ),
+    (
+        CLUSTER + "[dynamics]\nanchors = 0000 121\n",
+        "line 4: dynamics.anchors needs two bitstrings (ground lem)",
+    ),
 ]
 
 
@@ -306,6 +327,7 @@ def test_missing_section_messages(text, method, message):
 
 _reals = st.floats(allow_nan=False, allow_infinity=False)
 _positive = st.floats(min_value=1e-300, max_value=1e300)
+_amplitudes = st.floats(min_value=0.0, allow_infinity=False)
 _deferred = st.one_of(st.just("auto"), _positive.map(repr))
 
 
@@ -313,8 +335,8 @@ def _words(values) -> str:
     return " ".join(map(str, values))  # str(float) is its shortest round-tripping repr
 
 
-def _reals_of_length(size):
-    return st.lists(_reals, min_size=size, max_size=size).map(_words)
+def _reals_of_length(size, reals=_reals):
+    return st.lists(reals, min_size=size, max_size=size).map(_words)
 
 
 @st.composite
@@ -336,14 +358,14 @@ def config_texts(draw) -> str:
             put("cluster", "j", repr(draw(_reals)))
         elif form == "j_upper":
             put("cluster", "j_upper", draw(_reals_of_length(n * (n - 1) // 2)))
-        for section, key in (
-            ("cluster", "bias"),
-            ("cluster", "tunneling"),
-            ("noise", "z_noise"),
-            ("noise", "x_noise"),
+        for section, key, reals in (
+            ("cluster", "bias", _reals),
+            ("cluster", "tunneling", _reals),
+            ("noise", "z_noise", _amplitudes),
+            ("noise", "x_noise", _amplitudes),
         ):
             if (size := maybe(st.sampled_from([1, n]))) is not None:
-                put(section, key, draw(_reals_of_length(size)))
+                put(section, key, draw(_reals_of_length(size, reals)))
         if (a_typ := maybe(_positive)) is not None:
             put("cluster", "a_typ", repr(a_typ))
     optional = [
@@ -352,7 +374,7 @@ def config_texts(draw) -> str:
         ("dynamics", "time_step", _deferred),
         ("dynamics", "total_time", _deferred),
         ("dynamics", "trajectories", st.integers(1, 10**6)),
-        ("dynamics", "anchors", st.integers(1, 6).flatmap(
+        ("dynamics", "anchors", (st.integers(1, 6) if n is None else st.just(n)).flatmap(
             lambda k: st.lists(st.text("01", min_size=k, max_size=k), min_size=2, max_size=2)
         ).map(" ".join)),
         ("sweep", "n_values", st.lists(st.integers(1, 14), max_size=4).map(_words)),

@@ -1,10 +1,12 @@
 """Sweep orchestration: grids, rows, error codes, size-scaling fits."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import lemsim.spectrum
 import lemsim.sweep
 from lemsim import (
     CapacityError,
@@ -20,6 +22,8 @@ from lemsim import (
     SweepGrid,
     SweepRow,
     ValidationError,
+    cluster_eigensystem,
+    dress,
     fit_size_scaling,
     run_sweep,
     uniform_ferromagnet,
@@ -63,6 +67,59 @@ def test_one_row_solves_and_enumerates_once(monkeypatch):
     assert None not in (rows[0].overlap_slope, rows[0].rate_ratio, rows[0].pathsum_slope)
     assert rows[0].fitted_dynamics_rate is not None
     assert calls == {"cluster_eigensystem": 1, "find_local_minima": 1}
+
+
+def _count_eigensystems(monkeypatch):
+    calls = []
+    original = lemsim.sweep.cluster_eigensystem
+
+    def counted(params):
+        calls.append(params.n)
+        return original(params)
+
+    monkeypatch.setattr(lemsim.sweep, "cluster_eigensystem", counted)
+    return calls
+
+
+def test_overlaps_and_rates_rows_need_no_eigensystem(monkeypatch):
+    # the uniform family's anchors are both polarized: the symmetric sector dresses them
+    calls = _count_eigensystems(monkeypatch)
+    grid = SweepGrid(n_values=(2, 5), ratio_values=(0.01, 0.05), channels=("overlaps", "rates"))
+    rows = run_sweep(grid, master_seed=3)
+    assert [row.error for row in rows] == [""] * 4
+    assert calls == []
+
+
+def test_symmetric_problem_with_unpolarized_anchors_dresses_densely(monkeypatch):
+    calls = _count_eigensystems(monkeypatch)
+    family = uniform_ferromagnet(3, 0.05)
+    assert family.symmetric
+    problem = dataclasses.replace(family, lem_anchor=0b011)
+    eig = cluster_eigensystem(problem.params)
+    assert np.array_equal(problem.dressed_ground.amplitudes, dress(eig, 0).amplitudes)
+    assert problem.dressed_ground.eigenindex == dress(eig, 0).eigenindex
+    # the three one-down configurations are degenerate, so 011 mixes strongly, densely
+    with pytest.raises(StrongMixingError) as info:
+        problem.dressed_lem
+    with pytest.raises(StrongMixingError) as dense:
+        dress(eig, 0b011)
+    assert str(info.value) == str(dense.value)
+    assert calls == [3]
+
+
+def test_n14_rates_row_fits_without_a_dense_budget(monkeypatch):
+    # a dense n=14 eigensystem would need 4.3 GB; the row needs no N^2 array at all
+    monkeypatch.setattr(lemsim.spectrum, "_available_memory", lambda: 10**8)
+    grid = SweepGrid(n_values=(14,), ratio_values=(0.01,), channels=("rates",))
+    tracemalloc.start()
+    try:
+        rows = run_sweep(grid, master_seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows[0].error == ""
+    assert rows[0].matrix_element < 0
+    assert peak < 0.01 * 8 * (2**14) ** 2
 
 
 def test_grid_validation():
