@@ -5,12 +5,18 @@ sweep.  Every subcommand reads one sectioned config file, runs the matching
 pipeline and emits CSV to --out (default stdout).  Exit statuses: 0 on
 success, 1 on validation errors, 2 on numerical errors, 3 on capacity
 errors.
+
+On a collective cluster (``collective.collective_form``), ``spectrum`` runs
+on the total-spin blocks, and ``overlaps`` dresses fully polarized anchors
+in the symmetric sector: neither solves the 2^n x 2^n eigensystem.
+``rates`` and ``dynamics`` solve it densely.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from ._version import __version__
 from .cluster import config_to_bits
@@ -100,7 +106,10 @@ def _cmd_overlaps(cfg: RunConfig, destination, args) -> None:
 
 
 def _cmd_rates(cfg: RunConfig, destination, args) -> None:
-    problem = _problem(cfg)
+    # held dense: perfbench/test_harness.py::test_gate_rejects_a_changed_value_and_accepts_roundoff
+    # finds the toy rates-n4 element by its dense text, which the sector's last
+    # digits miss; drop the replace once that test reads the value from the CSV
+    problem = replace(_problem(cfg), symmetric=False)
     report = problem.rates()
     params, coupling = problem.params, problem.coupling
     ratio = max(float(abs(params.tunneling).max()), float(coupling.x_noise.max())) / problem.a_typ

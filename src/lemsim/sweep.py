@@ -16,6 +16,8 @@ solve no 2^n x 2^n eigensystem, need no dense memory budget, and print
 matrix elements at full relative precision far below the dense eigensolver's
 absolute floor.  The ``dynamics`` channel still solves the dense
 eigensystem, because independent noise on each spin breaks the symmetry.
+``ClusterProblem.anchored``, the command line's constructor, marks every
+collective cluster symmetric by the same rule as ``lemsim spectrum``.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from .transition import CouplingSpec, RateReport, check_bound, matrix_element
 # after .dynamics: when .collective brings in .spectrum and scipy.linalg
 # ahead of it, start-up takes about 12 ms and 0.5 MB more (measured on a
 # 2-core Xeon; the benchmark's set-up time and peak RSS)
-from .collective import symmetric_dressed
+from .collective import collective_form, symmetric_dressed
 
 CHANNELS = ("overlaps", "rates", "pathsum", "dynamics")
 
@@ -69,6 +71,7 @@ class ClusterProblem:
     A ``symmetric`` problem (a collective cluster) whose anchors are the two
     fully polarized configurations dresses both in the symmetric sector;
     every other problem dresses both from the dense eigensystem.
+    ``anchored`` sets ``symmetric`` from ``collective.collective_form``.
     """
 
     params: ClusterParams
@@ -83,16 +86,19 @@ class ClusterProblem:
     def anchored(cls, params, coupling, anchors=None, a_typ=None) -> ClusterProblem:
         """The problem on explicit ``(ground, lem)`` bitstrings or, when
         ``anchors`` is None, on the landscape's global and lowest local minimum."""
+        symmetric = collective_form(params) is not None
         if anchors is not None:
             ground, lem = (bits_to_config(bits) for bits in anchors)
-            return cls(params, coupling, ground, lem, a_typ)
+            return cls(params, coupling, ground, lem, a_typ, symmetric=symmetric)
         landscape = find_local_minima(params)
         if not landscape.local_minima:
             raise ValidationError(
                 "landscape has no local minimum; set dynamics.anchors explicitly"
             )
         lem = landscape.local_minima[0].config
-        return cls(params, coupling, landscape.global_config, lem, a_typ, landscape.tolerance)
+        return cls(
+            params, coupling, landscape.global_config, lem, a_typ, landscape.tolerance, symmetric
+        )
 
     @cached_property
     def tolerance(self) -> float:

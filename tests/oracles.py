@@ -201,13 +201,16 @@ def dicke_dressed(diagonal, off, anchor_site: int, sweeps: int = 100):
 
 
 def dicke_observables(n: int, j: float, b: float, c: float, noise: float):
-    """Ground/LEM matrix element and the ground's overlap-decay slope of a
+    """Ground/LEM matrix element and both anchors' overlap decays of a
     uniform cluster with both noise channels at amplitude ``noise``.
 
     The anchors are the two fully polarized states (chain sites 0 and n).
-    The element is <G| f sum sigma^z + g sum sigma^x |L> in the chain basis;
-    the largest amplitude at distance d from all-down is |G_d| / sqrt(C(n, d)),
-    and the slope is a ``numpy.polyfit`` of its log10 over d = 1..n.
+    The element is <G| f sum sigma^z + g sum sigma^x |L> in the chain basis.
+    Returns ``(element, ground, lem)``, each anchor's decay a pair
+    ``(maxima, slope)``: maxima[d], d = 0..n, is the largest amplitude at
+    distance d from the anchor, |a_k| / sqrt(C(n, d)) with k the chain site
+    d flips away, and the slope is a ``numpy.polyfit`` of log10 maxima over
+    d = 1..n.
     """
     diagonal, off = dicke_chain(n, j, b, c)
     links = off / c if c else np.sqrt(np.arange(1, n + 1) * np.arange(n, 0, -1))
@@ -217,7 +220,10 @@ def dicke_observables(n: int, j: float, b: float, c: float, noise: float):
     terms += [
         noise * links[k] * (ground[k] * lem[k + 1] + ground[k + 1] * lem[k]) for k in range(n)
     ]
-    distances = np.arange(1, n + 1)
-    maxima = [abs(ground[d]) / math.sqrt(math.comb(n, d)) for d in distances]
-    slope = np.polyfit(distances, np.log10(maxima), 1)[0]
-    return math.fsum(terms), float(slope)
+    distances = np.arange(n + 1)
+    decays = []
+    for amps in (ground, lem[::-1]):  # site d is d flips from the anchor
+        maxima = [abs(amps[d]) / math.sqrt(math.comb(n, d)) for d in distances]
+        slope = np.polyfit(distances[1:], np.log10(maxima[1:]), 1)[0]
+        decays.append((maxima, float(slope)))
+    return math.fsum(terms), decays[0], decays[1]

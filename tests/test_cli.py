@@ -6,7 +6,11 @@ import pytest
 
 import lemsim.spectrum
 import lemsim.sweep
+from lemsim import cluster_eigensystem, dress, overlap_decay, parse_config, render_config
 from lemsim.cli import main
+from lemsim.csvout import emit_overlap_decay
+
+from conftest import count_calls
 
 FERRO3 = """
 [cluster]
@@ -246,6 +250,51 @@ def test_partial_sweep_section_is_echoed(ferro3_cfg, tmp_path):
     assert "# [sweep]\n# channels = overlaps\n# bias = 0.3\n" in out.read_text()
 
 
+def _collective(n, bias="0.1", extra=""):
+    # the sweep family at ratio 0.01: tunneling is 0.01 * A_typ at the all-up LEM
+    amp = 0.01 * (2 * (n - 1) - 0.2)
+    return f"[cluster]\nn = {n}\nj = -1.0\nbias = {bias}\ntunneling = {amp!r}\n{extra}"
+
+
+@pytest.mark.parametrize("n", [2, 10])
+def test_collective_overlaps_solve_no_eigensystem(tmp_path, monkeypatch, n):
+    # both polarized anchors are dressed in the symmetric sector; one bias off
+    # by 1e-15 makes the cluster non-collective and the solve dense
+    calls = count_calls(monkeypatch, lemsim.sweep, "cluster_eigensystem")
+    cfg = tmp_path / "c.cfg"
+    nudged = " ".join(["0.1"] * (n - 1) + [repr(0.1 + 1e-15)])
+    for bias, expected in (("0.1", []), (nudged, [n])):
+        cfg.write_text(_collective(n, bias))
+        calls.clear()
+        assert run_cli("overlaps", "--config", cfg, "--out", tmp_path / "o.csv", "--quiet") == 0
+        assert calls == expected
+
+
+def test_collective_overlaps_on_unpolarized_anchors_stay_dense(tmp_path, monkeypatch):
+    calls = count_calls(monkeypatch, lemsim.sweep, "cluster_eigensystem")
+    text = _collective(3, extra="[dynamics]\nanchors = 000 011\n")
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "o.csv"
+    assert run_cli("overlaps", "--config", cfg, "--out", out, "--quiet") == 0
+    assert calls == [3]
+    run_cfg = parse_config(text)
+    eig = cluster_eigensystem(run_cfg.cluster_params())
+    decays = [overlap_decay(dress(eig, anchor)) for anchor in (0b000, 0b110)]
+    assert out.read_text() == emit_overlap_decay(decays, 3, render_config(run_cfg), run_cfg.seed)
+
+
+def test_collective_rates_are_held_dense(tmp_path, monkeypatch):
+    # the hold in cli._cmd_rates: perfbench/test_harness.py::
+    # test_gate_rejects_a_changed_value_and_accepts_roundoff finds the toy
+    # rates-n4 element by its dense text, which the sector's digits would miss
+    calls = count_calls(monkeypatch, lemsim.sweep, "cluster_eigensystem")
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(_collective(3, extra="[noise]\nz_noise = 0.038\nx_noise = 0.038\n"))
+    assert run_cli("rates", "--config", cfg, "--out", tmp_path / "r.csv", "--quiet") == 0
+    assert calls == [3]
+
+
 def test_memory_preflight_exit_status(tmp_path, capsys, monkeypatch):
     # the solve is refused before H is assembled: nothing near one n=12 matrix is allocated
     cfg = tmp_path / "ferro12.cfg"
@@ -278,15 +327,8 @@ def test_landscape_tolerance_is_reused(tmp_path, monkeypatch, command):
 
 
 def test_pathsum_builds_the_tolerance_at_most_once(tmp_path, monkeypatch):
-    calls = []
-    original = lemsim.sweep.degeneracy_tolerance
-
-    def counted(params):
-        calls.append(params.n)
-        return original(params)
-
-    monkeypatch.setattr(lemsim.sweep, "degeneracy_tolerance", counted)
-    monkeypatch.setattr(lemsim.spectrum, "degeneracy_tolerance", counted)
+    calls = count_calls(monkeypatch, lemsim.sweep, "degeneracy_tolerance")
+    count_calls(monkeypatch, lemsim.spectrum, "degeneracy_tolerance", calls)
     cfg = tmp_path / "anchored.cfg"
     for extra, expected in (("", []), ("\n[dynamics]\nanchors = 000 111\n", [3])):
         cfg.write_text(FERRO3 + extra)

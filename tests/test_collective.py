@@ -1,12 +1,14 @@
 """Collective clusters: total-spin blocks and symmetric-sector dressed states."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 
 import lemsim.cli
+import lemsim.spectrum
 from lemsim import (
     ClusterParams,
     StrongMixingError,
@@ -26,6 +28,7 @@ from lemsim import (
 from lemsim.cli import main
 from lemsim.sweep import uniform_ferromagnet
 
+from conftest import count_calls
 from oracles import dicke_chain, dicke_dressed, dicke_observables, kron_hamiltonian
 
 EPS = np.finfo(float).eps
@@ -77,7 +80,7 @@ def test_dicke_oracle_matches_80_digit_eigsy(n, ratio):
             _, got = dicke_dressed(diagonal, off, site)
             for k in range(n + 1):
                 assert abs(got[k] / float(want[k]) - 1) <= 1e-13, (site, k)
-        element, _ = dicke_observables(n, J, BIAS, c, c)
+        element, _, _ = dicke_observables(n, J, BIAS, c, c)
         assert abs(element / float(exact) - 1) <= 1e-13
 
 
@@ -104,13 +107,78 @@ def test_sweep_rows_match_the_dicke_oracle():
         assert row.error == ""
         assert row.a_typ == pytest.approx(family_a_typ(row.n), rel=1e-15)
         c = row.ratio * row.a_typ
-        element, slope = dicke_observables(row.n, J, BIAS, c, c)
+        element, (_, slope), _ = dicke_observables(row.n, J, BIAS, c, c)
         assert abs(row.matrix_element / element - 1) <= 1e-12, (row.n, row.ratio)
         assert abs(row.overlap_slope / slope - 1) <= 1e-12, (row.n, row.ratio)
     by_point = {(row.n, row.ratio): row.matrix_element for row in rows}
     # far below the dense floor of about 1e-19: a dense solve gets these wrong
     assert by_point[12, 0.0025] == pytest.approx(-1.1727e-24, rel=1e-4)
     assert by_point[14, 0.0025] == pytest.approx(-8.0304e-29, rel=1e-4)
+
+
+def _cli_overlaps(tmp_path, n, c):
+    cfg = tmp_path / f"n{n}.cfg"
+    cfg.write_text(f"[cluster]\nn = {n}\nj = {J!r}\nbias = {BIAS!r}\ntunneling = {c!r}\n")
+    out = tmp_path / f"n{n}.csv"
+    status = main(["overlaps", "--config", str(cfg), "--out", str(out), "--quiet"])
+    return status, out
+
+
+def _decays(csv_text):
+    """{anchor: (maxima by distance, slope)} from an ``overlaps`` CSV."""
+    rows = [line.split(",") for line in csv_text.splitlines() if not line.startswith("#")]
+    decays = {}
+    for anchor, _, amplitude, slope in rows[1:]:
+        maxima, _ = decays.setdefault(anchor, ([], float(slope)))
+        maxima.append(float(amplitude))
+    return decays
+
+
+def test_cli_overlaps_match_the_dicke_oracle(tmp_path):
+    for n in range(2, 15):
+        for ratio in (0.0025, 0.01, 0.05):
+            c = ratio * family_a_typ(n)
+            status, out = _cli_overlaps(tmp_path, n, c)
+            assert status == 0
+            _, ground, lem = dicke_observables(n, J, BIAS, c, c)
+            got = _decays(out.read_text())
+            assert list(got) == ["0" * n, "1" * n]
+            for (maxima, slope), (want_maxima, want_slope) in zip(got.values(), (ground, lem)):
+                assert len(maxima) == n + 1
+                for d, (value, want) in enumerate(zip(maxima, want_maxima)):
+                    assert abs(value / want - 1) <= 1e-12, (n, ratio, d)
+                assert abs(slope / want_slope - 1) <= 1e-12, (n, ratio)
+
+
+def test_n14_cli_overlaps_fit_without_a_dense_budget(tmp_path, monkeypatch):
+    # a dense n=14 eigensystem would need 4.3 GB; the run holds no N^2 array
+    monkeypatch.setattr(lemsim.spectrum, "_available_memory", lambda: 10**8)
+    tracemalloc.start()
+    try:
+        status, _ = _cli_overlaps(tmp_path, 14, 0.01 * family_a_typ(14))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 0
+    assert peak < 0.01 * 8 * 4**14
+
+
+@pytest.mark.parametrize("n", [4, 8, 12, 14])
+def test_halving_r_scales_each_channel_up_to_r_squared(n):
+    # halving r scales the x channel by 2^-n and the z channel, one order
+    # higher in r, by 2^-(n+1), each up to a relative O(r^2) deviation; the
+    # whole element mixes the two orders, so its own deviation is only O(r)
+    ratios = (0.02, 0.01, 0.005, 0.0025)
+    reports = [uniform_ferromagnet(n, r).rates() for r in ratios]
+    for channel, power in (("x_channel", n), ("z_channel", n + 1)):
+        sums = [math.fsum(getattr(report, channel)) for report in reports]
+        deviations = [2**power * small / big - 1 for big, small in zip(sums, sums[1:])]
+        for big, small in zip(deviations, deviations[1:]):
+            assert 3.5 <= big / small <= 4.5, (channel, big, small)
+    elements = [report.matrix_element for report in reports]
+    deviations = [2**n * small / big - 1 for big, small in zip(elements, elements[1:])]
+    for big, small in zip(deviations, deviations[1:]):
+        assert 2.0 <= big / small <= 3.0, (big, small)
 
 
 def test_unbiased_family_rows_print_no_nan():
@@ -215,14 +283,7 @@ def test_block_levels_repeat_by_multiplicity():
 
 
 def _spectrum_csv(tmp_path, text, monkeypatch):
-    calls = []
-    dense = lemsim.cli.cluster_eigenvalues
-
-    def counted(params):
-        calls.append(params.n)
-        return dense(params)
-
-    monkeypatch.setattr(lemsim.cli, "cluster_eigenvalues", counted)
+    calls = count_calls(monkeypatch, lemsim.cli, "cluster_eigenvalues")
     cfg = tmp_path / "c.cfg"
     cfg.write_text(text)
     out = tmp_path / "spectrum.csv"

@@ -30,6 +30,8 @@ from lemsim import (
 )
 from lemsim.sweep import CHANNELS
 
+from conftest import count_calls
+
 
 def test_family_construction():
     fam = uniform_ferromagnet(3, 0.01)
@@ -52,38 +54,24 @@ def test_missing_local_minimum_needs_explicit_anchors():
 
 def test_one_row_solves_and_enumerates_once(monkeypatch):
     # all four channels of a grid point share the point's eigensystem and landscape
-    calls = {"cluster_eigensystem": 0, "find_local_minima": 0}
-    for name in calls:
-        original = getattr(lemsim.sweep, name)
-
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(lemsim.sweep, name, counted)
+    calls = {
+        name: count_calls(monkeypatch, lemsim.sweep, name)
+        for name in ("cluster_eigensystem", "find_local_minima")
+    }
     grid = SweepGrid(n_values=(3,), ratio_values=(0.3,), channels=CHANNELS, trajectory_count=4)
     rows = run_sweep(grid, master_seed=2)
     assert rows[0].error == ""
     assert None not in (rows[0].overlap_slope, rows[0].rate_ratio, rows[0].pathsum_slope)
     assert rows[0].fitted_dynamics_rate is not None
-    assert calls == {"cluster_eigensystem": 1, "find_local_minima": 1}
-
-
-def _count_eigensystems(monkeypatch):
-    calls = []
-    original = lemsim.sweep.cluster_eigensystem
-
-    def counted(params):
-        calls.append(params.n)
-        return original(params)
-
-    monkeypatch.setattr(lemsim.sweep, "cluster_eigensystem", counted)
-    return calls
+    assert {name: len(sizes) for name, sizes in calls.items()} == {
+        "cluster_eigensystem": 1,
+        "find_local_minima": 1,
+    }
 
 
 def test_overlaps_and_rates_rows_need_no_eigensystem(monkeypatch):
     # the uniform family's anchors are both polarized: the symmetric sector dresses them
-    calls = _count_eigensystems(monkeypatch)
+    calls = count_calls(monkeypatch, lemsim.sweep, "cluster_eigensystem")
     grid = SweepGrid(n_values=(2, 5), ratio_values=(0.01, 0.05), channels=("overlaps", "rates"))
     rows = run_sweep(grid, master_seed=3)
     assert [row.error for row in rows] == [""] * 4
@@ -91,7 +79,7 @@ def test_overlaps_and_rates_rows_need_no_eigensystem(monkeypatch):
 
 
 def test_symmetric_problem_with_unpolarized_anchors_dresses_densely(monkeypatch):
-    calls = _count_eigensystems(monkeypatch)
+    calls = count_calls(monkeypatch, lemsim.sweep, "cluster_eigensystem")
     family = uniform_ferromagnet(3, 0.05)
     assert family.symmetric
     problem = dataclasses.replace(family, lem_anchor=0b011)
