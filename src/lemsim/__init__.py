@@ -6,8 +6,6 @@ from ._version import __version__
 from .cluster import (
     ClusterParams,
     MAX_SPINS,
-    apply_sigma_x,
-    apply_sigma_z,
     bits_to_config,
     build_hamiltonian,
     classical_energies,
@@ -25,7 +23,6 @@ from .dynamics import (
     TrajectoryConfig,
     calibrate_rate_constant,
     default_time_step,
-    default_total_time,
     evolve_superposition,
     rate_vs_prediction,
 )

@@ -7,9 +7,10 @@ success, 1 on validation errors, 2 on numerical errors, 3 on capacity
 errors.
 
 On a collective cluster (``collective.collective_form``), ``spectrum`` runs
-on the total-spin blocks, and ``overlaps`` dresses fully polarized anchors
-in the symmetric sector: neither solves the 2^n x 2^n eigensystem.
-``rates`` and ``dynamics`` solve it densely.
+on the total-spin blocks, and ``overlaps`` and ``dynamics`` dress fully
+polarized anchors in the symmetric sector: none of them solves the
+2^n x 2^n eigensystem.  ``rates`` solves it densely.  ``dynamics`` refuses a
+cluster over ``dynamics.MAX_DYNAMICS_SPINS`` before any solve.
 """
 
 from __future__ import annotations
@@ -37,8 +38,6 @@ from .perturbation import scaling_exponent
 from .spectrum import cluster_eigenvalues, find_local_minima, overlap_decay
 from .sweep import ClusterProblem, run_sweep
 from .transition import lifetime_extension
-
-SUBCOMMANDS = ("spectrum", "landscape", "overlaps", "rates", "pathsum", "dynamics", "sweep")
 
 
 def _say(args, message: str) -> None:
@@ -169,6 +168,7 @@ _HANDLERS = {
     "dynamics": _cmd_dynamics,
     "sweep": _cmd_sweep,
 }
+SUBCOMMANDS = tuple(_HANDLERS)
 
 
 def _build_parser() -> argparse.ArgumentParser:

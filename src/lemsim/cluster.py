@@ -1,5 +1,6 @@
 """Pseudo-spin cluster model: parameters, number-state basis, classical
-energies, Hamming distance and dense Hamiltonian assembly.
+energies and the degeneracy tolerance built from them, Hamming distance and
+dense Hamiltonian assembly.
 
 Conventions used throughout the package:
 
@@ -143,28 +144,9 @@ def popcounts(values: np.ndarray, n: int) -> np.ndarray:
     return bits.sum(axis=-1)
 
 
-def hamming_distance(x: int, y: int, n: int | None = None) -> int:
+def hamming_distance(x: int, y: int) -> int:
     """Number of spins on which two configurations differ."""
-    if n is not None:
-        validate_config(n, x, "first configuration")
-        validate_config(n, y, "second configuration")
     return int(x ^ y).bit_count()
-
-
-def apply_sigma_z(i: int, config: int, n: int) -> tuple[int, int]:
-    """sigma^z on spin i: returns (sign, configuration). The state is unchanged."""
-    if not 0 <= i < n:
-        raise ValidationError(f"spin index {i} out of range for n={n}")
-    config = validate_config(n, config)
-    return (1 if (config >> i) & 1 else -1), config
-
-
-def apply_sigma_x(i: int, config: int, n: int) -> int:
-    """sigma^x on spin i: returns the configuration with bit i flipped."""
-    if not 0 <= i < n:
-        raise ValidationError(f"spin index {i} out of range for n={n}")
-    config = validate_config(n, config)
-    return config ^ (1 << i)
 
 
 def _energy_kernel(couplings: np.ndarray, bias: np.ndarray, s: np.ndarray) -> float:
@@ -190,6 +172,15 @@ def classical_energies(params: ClusterParams) -> np.ndarray:
     )
 
 
+def _spread_tolerance(energies: np.ndarray) -> float:
+    return 1e-9 * float(energies.max() - energies.min())
+
+
+def degeneracy_tolerance(params: ClusterParams) -> float:
+    """Default tolerance separating true degeneracy from floating-point ties."""
+    return _spread_tolerance(classical_energies(params))
+
+
 def build_hamiltonian(params: ClusterParams) -> np.ndarray:
     """Assemble the dense symmetric Hamiltonian matrix.
 
@@ -197,8 +188,6 @@ def build_hamiltonian(params: ClusterParams) -> np.ndarray:
     configurations differing only on spin i is the tunneling amplitude of
     spin i; all other entries vanish.
     """
-    if params.n > MAX_SPINS:
-        raise CapacityError(f"cluster size {params.n} exceeds the dense budget of {MAX_SPINS} spins")
     dim = params.dim
     h = np.zeros((dim, dim))
     idx = np.arange(dim)

@@ -5,7 +5,10 @@ the dressed local-minimum state is integrated under the cluster Hamiltonian
 plus fluctuating on-site (sigma^z) and tunneling (sigma^x) couplings with
 independent unit-variance noise processes per spin and channel.  The
 trajectory-averaged magnitude of the ground/minimum coherence is fitted to
-an exponential to extract a decoherence rate.
+an exponential to extract a decoherence rate.  The two dressed states are
+the caller's: ``ClusterProblem`` dresses one pair for all its channels, in
+the symmetric sector when it can, since independent noise on each spin
+breaks the symmetry of the evolution but not of the two starting states.
 
 Two observables are recorded per time sample:
 
@@ -36,10 +39,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cluster import ClusterParams, classical_energies, sign_table, validate_config
+from .cluster import ClusterParams, classical_energies, sign_table
 from .errors import CapacityError, IntegrationError, ValidationError
 from .fitting import fit_line
-from .spectrum import EigenSystem, dress
+from .spectrum import DressedState
 from .transition import CouplingSpec, RateReport
 
 MAX_DYNAMICS_SPINS = 8
@@ -116,14 +119,6 @@ def default_time_step(a_typ: float) -> float:
     return 0.01 / a_typ
 
 
-def default_total_time(time_step: float, predicted_rate: float | None = None) -> float:
-    """Twenty predicted decay times, capped at the step budget."""
-    cap = time_step * MAX_STEPS
-    if predicted_rate is not None and predicted_rate > 0:
-        return min(20.0 / predicted_rate, cap)
-    return cap
-
-
 def _fit_log_decay(times: np.ndarray, values: np.ndarray) -> tuple[float, float, bool]:
     """Exponential-decay fit over the window where values lie in FIT_WINDOW.
 
@@ -149,15 +144,17 @@ def _mean(values: np.ndarray) -> float:
 
 def evolve_superposition(
     params: ClusterParams,
-    eig: EigenSystem,
+    ground: DressedState,
+    lem: DressedState,
+    levels: np.ndarray,
     tcfg: TrajectoryConfig,
-    ground_anchor: int,
-    lem_anchor: int,
 ) -> CoherenceTrace:
     """Integrate noisy trajectories of (|ground'> + |min'>)/sqrt(2).
 
-    The caller names both anchors, and OU noise must carry its correlation
-    time; ``ClusterProblem.trajectories`` supplies the landscape's anchors
+    ``ground`` and ``lem`` are the two dressed states, integrated as given;
+    ``levels``, the ascending spectrum of ``params``, sets only the stability
+    check and the centring shift.  OU noise must carry its correlation time.
+    ``ClusterProblem.trajectories`` supplies its own dressed pair and levels
     and the default 10 / A_typ.
     """
     n = params.n
@@ -170,15 +167,11 @@ def evolve_superposition(
     has_noise = bool(np.any(tcfg.noise.z_noise) or np.any(tcfg.noise.x_noise))
     if has_noise and tcfg.noise.kind == "ou" and tcfg.noise.correlation_time is None:
         raise ValidationError("OU noise needs a correlation time")
-    ground_anchor = validate_config(n, ground_anchor, "ground anchor")
-    lem_anchor = validate_config(n, lem_anchor, "lem anchor")
-    g_state = dress(eig, ground_anchor)
-    l_state = dress(eig, lem_anchor)
-    if g_state.eigenindex == l_state.eigenindex:
+    if ground.eigenindex == lem.eigenindex:
         raise ValidationError("both anchors dress to the same eigenstate")
 
     dt = float(tcfg.time_step)
-    spread = float(eig.values[-1] - eig.values[0])
+    spread = float(levels[-1] - levels[0])
     if dt * spread > STABILITY_LIMIT:
         raise ValidationError(
             f"time step {dt:.3e} violates the stability criterion: "
@@ -191,7 +184,7 @@ def evolve_superposition(
     dim = params.dim
     ntraj = int(tcfg.trajectory_count)
     # centering the spectrum minimizes phase advance per step (global phase only)
-    e_c = (classical_energies(params) - 0.5 * (eig.values[0] + eig.values[-1]))[:, None]
+    e_c = (classical_energies(params) - 0.5 * (levels[0] + levels[-1]))[:, None]
     c_amp = params.tunneling[:, None]
     signs = sign_table(n)  # (dim, n)
     f_amp = tcfg.noise.z_noise[:, None]
@@ -208,8 +201,8 @@ def evolve_superposition(
     if has_noise and tcfg.noise.kind == "ou":
         state = np.stack([r.standard_normal((2, n)) for r in rngs], axis=-1)
 
-    vg = g_state.amplitudes
-    vl = l_state.amplitudes
+    vg = ground.amplitudes
+    vl = lem.amplitudes
     psi = np.repeat(((vg + vl) / math.sqrt(2.0)).astype(complex)[:, None], ntraj, axis=1)
 
     # H + noise, frozen across a step, is a diagonal plus one bit flip per spin:
@@ -314,9 +307,9 @@ def evolve_superposition(
         ensemble_rate=e_rate,
         ensemble_fit_quality=e_quality,
         ensemble_rate_is_upper_limit=e_upper,
-        ground_anchor=g_state.anchor,
-        lem_anchor=l_state.anchor,
-        splitting=l_state.energy - g_state.energy,
+        ground_anchor=ground.anchor,
+        lem_anchor=lem.anchor,
+        splitting=lem.energy - ground.energy,
         seed=int(tcfg.seed),
         time_step=dt,
         trajectory_count=ntraj,

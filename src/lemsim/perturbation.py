@@ -18,6 +18,7 @@ from .cluster import (
     ClusterParams,
     classical_energy,
     config_to_bits,
+    degeneracy_tolerance,
     hamming_distance,
     validate_config,
 )
@@ -61,8 +62,6 @@ def first_order_amplitude(
             f"{hamming_distance(anchor, z)}"
         )
     if tolerance is None:
-        from .spectrum import degeneracy_tolerance
-
         tolerance = degeneracy_tolerance(params)
     i = (anchor ^ z).bit_length() - 1
     denom = classical_energy(params, anchor) - classical_energy(params, z)
@@ -105,8 +104,6 @@ def multiphoton_path_sum(
     if d < 1:
         raise ValidationError("source and target must differ on at least one spin")
     if tolerance is None:
-        from .spectrum import degeneracy_tolerance
-
         tolerance = degeneracy_tolerance(params)
 
     flips = [i for i in range(params.n) if (source ^ target) >> i & 1]

@@ -35,10 +35,12 @@ import scipy.linalg
 
 from .cluster import (
     ClusterParams,
+    _spread_tolerance,
     build_hamiltonian,
     classical_energies,
     classical_energy,
     config_to_bits,
+    degeneracy_tolerance,
     hamming_distance,
     popcounts,
     validate_config,
@@ -118,15 +120,6 @@ class OverlapDecay:
     slope: float | None  # None when fewer than two usable distances
     used_distances: tuple[int, ...]
     clamped_count: int
-
-
-def _spread_tolerance(energies: np.ndarray) -> float:
-    return 1e-9 * float(energies.max() - energies.min())
-
-
-def degeneracy_tolerance(params: ClusterParams) -> float:
-    """Default tolerance separating true degeneracy from floating-point ties."""
-    return _spread_tolerance(classical_energies(params))
 
 
 def _read_int(path: str) -> int | None:

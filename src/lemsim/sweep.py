@@ -11,11 +11,13 @@ the command line runs its channels on too.
 The family is permutation symmetric and both anchors are fully polarized,
 so ``uniform_ferromagnet`` marks its problems ``symmetric`` and their dressed
 states come from the (n+1)-dimensional symmetric sector
-(``collective.symmetric_dressed``): the ``overlaps`` and ``rates`` channels
-solve no 2^n x 2^n eigensystem, need no dense memory budget, and print
+(``collective.symmetric_dressed``), their spectrum from the total-spin blocks
+(``collective.block_eigenvalues``): no channel solves the 2^n x 2^n
+eigensystem or needs a dense memory budget, and the ``rates`` channel prints
 matrix elements at full relative precision far below the dense eigensolver's
-absolute floor.  The ``dynamics`` channel still solves the dense
-eigensystem, because independent noise on each spin breaks the symmetry.
+absolute floor.  The ``dynamics`` channel integrates the same two dressed
+states: independent noise on each spin breaks the symmetry of the
+evolution, which runs on the full 2^n basis, not of the starting states.
 ``ClusterProblem.anchored``, the command line's constructor, marks every
 collective cluster symmetric by the same rule as ``lemsim spectrum``.
 """
@@ -23,7 +25,7 @@ collective cluster symmetric by the same rule as ``lemsim spectrum``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from itertools import product
 
@@ -55,7 +57,7 @@ from .transition import CouplingSpec, RateReport, check_bound, matrix_element
 # after .dynamics: when .collective brings in .spectrum and scipy.linalg
 # ahead of it, start-up takes about 12 ms and 0.5 MB more (measured on a
 # 2-core Xeon; the benchmark's set-up time and peak RSS)
-from .collective import collective_form, symmetric_dressed
+from .collective import block_eigenvalues, collective_form, symmetric_dressed
 
 CHANNELS = ("overlaps", "rates", "pathsum", "dynamics")
 
@@ -65,12 +67,15 @@ class ClusterProblem:
     """One cluster, its noise coupling and its ground and local-minimum anchors.
 
     The typical level spacing ``a_typ`` at the LEM anchor, the degeneracy
-    ``tolerance``, the eigensystem and the two dressed states are computed on
-    first use and kept.  A spacing or tolerance already known (an override,
-    a landscape's tolerance) is given as ``known_a_typ``/``known_tolerance``.
-    A ``symmetric`` problem (a collective cluster) whose anchors are the two
-    fully polarized configurations dresses both in the symmetric sector;
-    every other problem dresses both from the dense eigensystem.
+    ``tolerance``, the eigensystem, the ascending spectrum ``levels`` and the
+    two dressed states are computed on first use and kept.  A spacing or
+    tolerance already known (an override, a landscape's tolerance) is given
+    as ``known_a_typ``/``known_tolerance``.  A ``symmetric`` problem (a
+    collective cluster) whose anchors are the two fully polarized
+    configurations dresses both in the symmetric sector and takes its levels
+    from the total-spin blocks; every other problem takes both states and its
+    levels from the dense eigensystem.  Every channel reads the same dressed
+    pair, so none learns which route ran.
     ``anchored`` sets ``symmetric`` from ``collective.collective_form``.
     """
 
@@ -116,9 +121,21 @@ class ClusterProblem:
     def eigensystem(self) -> EigenSystem:
         return cluster_eigensystem(self.params)
 
-    def _dressed(self, anchor: int) -> DressedState:
+    @cached_property
+    def _in_sector(self) -> bool:
         # both anchors in the symmetric sector, or both dense: never one of each
-        if self.symmetric and {self.ground_anchor, self.lem_anchor} == {0, self.params.dim - 1}:
+        polarized = {0, self.params.dim - 1}
+        return self.symmetric and {self.ground_anchor, self.lem_anchor} == polarized
+
+    @cached_property
+    def levels(self) -> np.ndarray:
+        """The ascending spectrum, on the same route as the dressed states."""
+        if self._in_sector:
+            return block_eigenvalues(self.params.n, *collective_form(self.params))
+        return self.eigensystem.values
+
+    def _dressed(self, anchor: int) -> DressedState:
+        if self._in_sector:
             return symmetric_dressed(self.params, anchor)
         return dress(self.eigensystem, anchor)
 
@@ -155,9 +172,15 @@ class ClusterProblem:
     def trajectories(
         self, trajectory_count: int, seed: int, time_step=None, total_time=None
     ) -> CoherenceTrace:
-        """Noisy trajectories of the anchors' superposition.  ``time_step`` None
-        is 0.01 / A_typ, and OU noise with no correlation time gets 10 / A_typ."""
-        eig = self.eigensystem
+        """Noisy trajectories of the superposition of the two dressed states.
+        ``time_step`` None is 0.01 / A_typ, and OU noise with no correlation
+        time gets 10 / A_typ.  A cluster over ``MAX_DYNAMICS_SPINS`` is refused
+        before anything is dressed."""
+        if self.params.n > MAX_DYNAMICS_SPINS:
+            raise CapacityError(
+                f"trajectory evolution supports up to {MAX_DYNAMICS_SPINS} spins, "
+                f"got n={self.params.n}"
+            )
         a_typ = self.a_typ
         noise = self.coupling
         if noise.kind == "ou" and noise.correlation_time is None:
@@ -169,7 +192,9 @@ class ClusterProblem:
             trajectory_count=trajectory_count,
             seed=seed,
         )
-        return evolve_superposition(self.params, eig, tcfg, self.ground_anchor, self.lem_anchor)
+        return evolve_superposition(
+            self.params, self.dressed_ground, self.dressed_lem, self.levels, tcfg
+        )
 
 
 @dataclass(frozen=True)
@@ -179,7 +204,6 @@ class SweepGrid:
     n_values: tuple[int, ...]
     ratio_values: tuple[float, ...]
     channels: tuple[str, ...] = ("overlaps", "rates", "pathsum")
-    family: str = "uniform"
     bias: float = 0.1
     coupling_j: float = -1.0
     trajectory_count: int = 200
@@ -201,8 +225,6 @@ class SweepGrid:
         for ch in self.channels:
             if ch not in CHANNELS:
                 raise ValidationError(f"unknown channel {ch!r}; choose from {CHANNELS}")
-        if self.family != "uniform":
-            raise ValidationError(f"unknown sweep family {self.family!r}")
 
 
 @dataclass(frozen=True)
@@ -224,20 +246,7 @@ class SweepRow:
 
     @staticmethod
     def columns() -> tuple[str, ...]:
-        return (
-            "n",
-            "ratio",
-            "a_typ",
-            "matrix_element",
-            "rate_ratio",
-            "rate_bound",
-            "bound_margin",
-            "overlap_slope",
-            "pathsum_slope",
-            "fitted_dynamics_rate",
-            "seed",
-            "error",
-        )
+        return tuple(f.name for f in fields(SweepRow))
 
 
 @dataclass(frozen=True)
@@ -333,9 +342,6 @@ def run_sweep(grid: SweepGrid, master_seed: int = 0) -> list[SweepRow]:
                 errors.append(f"pathsum:{exc.code}")
         if "dynamics" in grid.channels:
             try:
-                if n > MAX_DYNAMICS_SPINS:
-                    # refused before the eigensystem is solved
-                    raise CapacityError(f"dynamics channel limited to n<={MAX_DYNAMICS_SPINS}")
                 trace = fam.trajectories(grid.trajectory_count, point_seed)
                 row = replace(row, fitted_dynamics_rate=trace.fitted_rate)
             except SimulationError as exc:

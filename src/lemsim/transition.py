@@ -82,7 +82,6 @@ class RateReport:
     bound: float | None = None
     bound_satisfied: bool | None = None
     bound_margin: float | None = None
-    safety_factor: float | None = None
 
 
 def matrix_element(
@@ -129,34 +128,28 @@ def check_bound(
     coupling: CouplingSpec,
     anchor: int,
     a_typ: float | None = None,
-    safety_factor: float = DEFAULT_SAFETY_FACTOR,
 ) -> RateReport:
     """Fill in the size bound (max(C_typ, g_typ) / A_typ)^n and its verdict.
 
     C_typ is the largest |tunneling| entry, g_typ the largest sigma^x noise
     amplitude, and A_typ the typical level spacing at the given anchor
     (overridable).  The bound is an order-of-magnitude statement, so the
-    verdict allows a safety factor; the margin is log10(bound / rate_ratio).
+    verdict allows a factor of ``DEFAULT_SAFETY_FACTOR``; the margin is
+    log10(bound / rate_ratio).
     """
     if a_typ is None:
         a_typ = typical_level_spacing(params, anchor)
     c_typ = float(np.abs(params.tunneling).max())
     g_typ = float(coupling.x_noise.max())
     bound = (max(c_typ, g_typ) / a_typ) ** params.n
-    satisfied = bool(report.rate_ratio <= bound * safety_factor)
+    satisfied = bool(report.rate_ratio <= bound * DEFAULT_SAFETY_FACTOR)
     if report.rate_ratio == 0.0:
         margin = math.inf
     elif bound == 0.0:
         margin = -math.inf
     else:
         margin = math.log10(bound / report.rate_ratio)
-    return replace(
-        report,
-        bound=bound,
-        bound_satisfied=satisfied,
-        bound_margin=margin,
-        safety_factor=safety_factor,
-    )
+    return replace(report, bound=bound, bound_satisfied=satisfied, bound_margin=margin)
 
 
 def lifetime_extension(n: int, ratio: float) -> float:

@@ -355,7 +355,7 @@ def test_criterion_7_dynamics_consistency():
             seed=42,
         )
         trace = evolve_superposition(
-            fam.params, eig, tcfg, fam.ground_anchor, fam.lem_anchor
+            fam.params, fam.dressed_ground, fam.dressed_lem, fam.levels, tcfg
         )
         # the coherence observable decays when population leaks out of either
         # anchored eigenstate, so the prediction is their mean out-rate
@@ -372,7 +372,6 @@ def test_criterion_7_dynamics_consistency():
     )
 
     fam3 = uniform_ferromagnet(3, 0.05)
-    eig3 = diagonalize(build_hamiltonian(fam3.params))
     quiet = TrajectoryConfig(
         noise=CouplingSpec(z_noise=np.zeros(3), x_noise=np.zeros(3)),
         time_step=default_time_step(fam3.a_typ),
@@ -380,7 +379,9 @@ def test_criterion_7_dynamics_consistency():
         trajectory_count=8,
         seed=1,
     )
-    flat = evolve_superposition(fam3.params, eig3, quiet, fam3.ground_anchor, fam3.lem_anchor)
+    flat = evolve_superposition(
+        fam3.params, fam3.dressed_ground, fam3.dressed_lem, fam3.levels, quiet
+    )
     flat_ok = float(np.abs(flat.coherence - 0.5).max()) <= 1e-6
 
     calibration_ok = reference.ratio == pytest.approx(1.0)

@@ -4,6 +4,7 @@ import tracemalloc
 
 import pytest
 
+import lemsim.perturbation
 import lemsim.spectrum
 import lemsim.sweep
 from lemsim import cluster_eigensystem, dress, overlap_decay, parse_config, render_config
@@ -139,6 +140,20 @@ def test_sweep_pipeline_byte_identical(sweep_cfg, tmp_path):
     lines = [l for l in a.read_text().splitlines() if not l.startswith("#")]
     assert lines[0].startswith("n,ratio,a_typ")
     assert len(lines) == 1 + 3
+
+
+def test_sweep_header_and_subcommand_list_are_unchanged(sweep_cfg, tmp_path, capsys):
+    # both lists are derived: the header from SweepRow's fields, the
+    # subcommands from the handler table
+    out = tmp_path / "sweep.csv"
+    assert run_cli("sweep", "--config", sweep_cfg, "--out", out, "--quiet") == 0
+    header = next(l for l in out.read_text().splitlines() if not l.startswith("#"))
+    assert header == (
+        "n,ratio,a_typ,matrix_element,rate_ratio,rate_bound,bound_margin,"
+        "overlap_slope,pathsum_slope,fitted_dynamics_rate,seed,error"
+    )
+    assert main(["--help"]) == 0
+    assert "spectrum|landscape|overlaps|rates|pathsum|dynamics|sweep" in capsys.readouterr().out
 
 
 def test_seed_override_changes_metadata(sweep_cfg, tmp_path):
@@ -295,6 +310,30 @@ def test_collective_rates_are_held_dense(tmp_path, monkeypatch):
     assert calls == [3]
 
 
+def test_collective_dynamics_solve_no_eigensystem(tmp_path, monkeypatch):
+    # FERRO3's polarized anchors are dressed in the symmetric sector; one bias
+    # off by 1e-15 makes the cluster non-collective and the dressing dense
+    calls = count_calls(monkeypatch, lemsim.sweep, "cluster_eigensystem")
+    cfg = tmp_path / "dyn.cfg"
+    dyn = "\n[dynamics]\ntotal_time = 10.0\ntrajectories = 4\n"
+    nudged = FERRO3.replace("bias = 0.1", f"bias = 0.1 0.1 {0.1 + 1e-15!r}")
+    for text, expected in ((FERRO3, []), (nudged, [3])):
+        cfg.write_text(text + dyn)
+        calls.clear()
+        assert run_cli("dynamics", "--config", cfg, "--out", tmp_path / "d.csv", "--quiet") == 0
+        assert calls == expected
+
+
+def test_oversize_dynamics_is_refused_before_any_solve(tmp_path, capsys, monkeypatch):
+    calls = count_calls(monkeypatch, lemsim.sweep, "cluster_eigensystem")
+    nudged = " ".join(["0.1"] * 9 + [repr(0.1 + 1e-15)])
+    cfg = tmp_path / "ferro10.cfg"
+    cfg.write_text(_collective(10, nudged))
+    assert run_cli("dynamics", "--config", cfg) == 3
+    assert "trajectory evolution supports up to 8 spins, got n=10" in capsys.readouterr().err
+    assert calls == []
+
+
 def test_memory_preflight_exit_status(tmp_path, capsys, monkeypatch):
     # the solve is refused before H is assembled: nothing near one n=12 matrix is allocated
     cfg = tmp_path / "ferro12.cfg"
@@ -328,7 +367,8 @@ def test_landscape_tolerance_is_reused(tmp_path, monkeypatch, command):
 
 def test_pathsum_builds_the_tolerance_at_most_once(tmp_path, monkeypatch):
     calls = count_calls(monkeypatch, lemsim.sweep, "degeneracy_tolerance")
-    count_calls(monkeypatch, lemsim.spectrum, "degeneracy_tolerance", calls)
+    for module in (lemsim.spectrum, lemsim.perturbation):
+        count_calls(monkeypatch, module, "degeneracy_tolerance", calls)
     cfg = tmp_path / "anchored.cfg"
     for extra, expected in (("", []), ("\n[dynamics]\nanchors = 000 111\n", [3])):
         cfg.write_text(FERRO3 + extra)

@@ -7,8 +7,6 @@ from lemsim import (
     CapacityError,
     ClusterParams,
     ValidationError,
-    apply_sigma_x,
-    apply_sigma_z,
     bits_to_config,
     build_hamiltonian,
     classical_energies,
@@ -160,47 +158,6 @@ def test_hamming_symmetry_and_triangle():
         x, y, z = (int(v) for v in rng.integers(0, 1 << 8, size=3))
         assert hamming_distance(x, y) == hamming_distance(y, x)
         assert hamming_distance(x, z) <= hamming_distance(x, y) + hamming_distance(y, z)
-
-
-def test_hamming_width_check():
-    with pytest.raises(ValidationError):
-        hamming_distance(0b111, 0b1, n=2)
-
-
-# ------------------------------------------------------------ spin operators
-
-
-def test_sigma_z_signs():
-    sign, config = apply_sigma_z(0, bits_to_config("10"), 2)
-    assert (sign, config) == (1, 0b01)
-    sign, config = apply_sigma_z(1, bits_to_config("10"), 2)
-    assert (sign, config) == (-1, 0b01)
-
-
-def test_sigma_z_involution():
-    for config in range(8):
-        s1, c1 = apply_sigma_z(1, config, 3)
-        s2, c2 = apply_sigma_z(1, c1, 3)
-        assert s1 * s2 == 1 and c2 == config
-
-
-def test_sigma_x_flips():
-    assert apply_sigma_x(0, bits_to_config("000"), 3) == bits_to_config("100")
-    assert apply_sigma_x(2, bits_to_config("111"), 3) == bits_to_config("110")
-
-
-def test_sigma_x_involution_and_distance():
-    for config in range(8):
-        flipped = apply_sigma_x(1, config, 3)
-        assert hamming_distance(config, flipped) == 1
-        assert apply_sigma_x(1, flipped, 3) == config
-
-
-def test_spin_index_range():
-    with pytest.raises(ValidationError):
-        apply_sigma_x(3, 0, 3)
-    with pytest.raises(ValidationError):
-        apply_sigma_z(-1, 0, 3)
 
 
 def test_bitstring_round_trip():

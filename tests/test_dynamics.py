@@ -14,13 +14,12 @@ from lemsim import (
     build_hamiltonian,
     calibrate_rate_constant,
     default_time_step,
-    default_total_time,
     diagonalize,
+    dress,
     evolve_superposition,
     rate_vs_prediction,
 )
 from lemsim import dynamics
-from lemsim.dynamics import MAX_STEPS
 from lemsim.sweep import uniform_ferromagnet
 
 
@@ -36,7 +35,6 @@ def single_spin(b=0.5):
 
 def test_zero_noise_coherence_is_flat():
     fam = uniform_ferromagnet(3, 0.05)
-    eig = diagonalize(build_hamiltonian(fam.params))
     tcfg = TrajectoryConfig(
         noise=zero_noise(3),
         time_step=default_time_step(fam.a_typ),
@@ -44,7 +42,7 @@ def test_zero_noise_coherence_is_flat():
         trajectory_count=4,
         seed=3,
     )
-    trace = evolve_superposition(fam.params, eig, tcfg, fam.ground_anchor, fam.lem_anchor)
+    trace = evolve_superposition(fam.params, fam.dressed_ground, fam.dressed_lem, fam.levels, tcfg)
     assert np.abs(trace.coherence - 0.5).max() <= 1e-6
     assert np.abs(trace.ensemble_coherence - 0.5).max() <= 1e-6
     assert trace.coherence[0] == pytest.approx(0.5, abs=1e-12)
@@ -52,7 +50,6 @@ def test_zero_noise_coherence_is_flat():
 
 def test_trace_is_bit_reproducible():
     fam = uniform_ferromagnet(2, 0.1)
-    eig = diagonalize(build_hamiltonian(fam.params))
     tcfg = TrajectoryConfig(
         noise=fam.coupling,
         time_step=default_time_step(fam.a_typ),
@@ -60,8 +57,8 @@ def test_trace_is_bit_reproducible():
         trajectory_count=16,
         seed=909,
     )
-    a = evolve_superposition(fam.params, eig, tcfg, fam.ground_anchor, fam.lem_anchor)
-    b = evolve_superposition(fam.params, eig, tcfg, fam.ground_anchor, fam.lem_anchor)
+    a = evolve_superposition(fam.params, fam.dressed_ground, fam.dressed_lem, fam.levels, tcfg)
+    b = evolve_superposition(fam.params, fam.dressed_ground, fam.dressed_lem, fam.levels, tcfg)
     assert np.array_equal(a.coherence, b.coherence)
     assert np.array_equal(a.ensemble_coherence, b.ensemble_coherence)
     assert a.fitted_rate == b.fitted_rate
@@ -69,7 +66,6 @@ def test_trace_is_bit_reproducible():
 
 def test_different_seeds_differ():
     fam = uniform_ferromagnet(2, 0.1)
-    eig = diagonalize(build_hamiltonian(fam.params))
     kw = dict(
         noise=fam.coupling,
         time_step=default_time_step(fam.a_typ),
@@ -77,10 +73,10 @@ def test_different_seeds_differ():
         trajectory_count=8,
     )
     a = evolve_superposition(
-        fam.params, eig, TrajectoryConfig(seed=1, **kw), fam.ground_anchor, fam.lem_anchor
+        fam.params, fam.dressed_ground, fam.dressed_lem, fam.levels, TrajectoryConfig(seed=1, **kw)
     )
     b = evolve_superposition(
-        fam.params, eig, TrajectoryConfig(seed=2, **kw), fam.ground_anchor, fam.lem_anchor
+        fam.params, fam.dressed_ground, fam.dressed_lem, fam.levels, TrajectoryConfig(seed=2, **kw)
     )
     assert not np.array_equal(a.coherence, b.coherence)
 
@@ -100,7 +96,7 @@ def test_single_spin_dephasing_rate_matches_oracle():
         seed=5,
         early_stop_floor=None,
     )
-    trace = evolve_superposition(p, eig, tcfg, ground_anchor=0, lem_anchor=1)
+    trace = evolve_superposition(p, dress(eig, 0), dress(eig, 1), eig.values, tcfg)
     analytic = 2 * f * f
     assert not trace.ensemble_rate_is_upper_limit
     assert analytic / 2 <= trace.ensemble_rate <= analytic * 2
@@ -112,7 +108,6 @@ def test_step_halving_changes_rate_little():
     # halving the step changes only the discretization; the residual
     # realization noise is averaged down over a few fixed seeds
     fam = uniform_ferromagnet(2, 0.12)
-    eig = diagonalize(build_hamiltonian(fam.params))
     dt = default_time_step(fam.a_typ)
     means = []
     for step in (dt, dt / 2):
@@ -127,7 +122,7 @@ def test_step_halving_changes_rate_little():
                 early_stop_floor=None,
             )
             trace = evolve_superposition(
-                fam.params, eig, tcfg, fam.ground_anchor, fam.lem_anchor
+                fam.params, fam.dressed_ground, fam.dressed_lem, fam.levels, tcfg
             )
             assert not trace.rate_is_upper_limit
             rates.append(trace.fitted_rate)
@@ -154,7 +149,7 @@ def test_monte_carlo_error_shrinks_with_ensemble():
                 seed=seed,
                 early_stop_floor=None,
             )
-            tr = evolve_superposition(p, eig, tcfg, ground_anchor=0, lem_anchor=1)
+            tr = evolve_superposition(p, dress(eig, 0), dress(eig, 1), eig.values, tcfg)
             out.append(tr.ensemble_coherence[-1])
         return np.std(out)
 
@@ -167,7 +162,6 @@ def test_monte_carlo_error_shrinks_with_ensemble():
 
 def test_norm_drift_stays_small_via_renormalization():
     fam = uniform_ferromagnet(2, 0.1)
-    eig = diagonalize(build_hamiltonian(fam.params))
     tcfg = TrajectoryConfig(
         noise=fam.coupling,
         time_step=default_time_step(fam.a_typ),
@@ -175,7 +169,7 @@ def test_norm_drift_stays_small_via_renormalization():
         trajectory_count=8,
         seed=6,
     )
-    trace = evolve_superposition(fam.params, eig, tcfg, fam.ground_anchor, fam.lem_anchor)
+    trace = evolve_superposition(fam.params, fam.dressed_ground, fam.dressed_lem, fam.levels, tcfg)
     # coherence never exceeds the initial value beyond statistical wiggle
     assert trace.coherence.max() <= 0.5 + 1e-9
 
@@ -189,12 +183,11 @@ def test_norm_drift_guard_raises():
         noise=noise, time_step=0.01, total_time=1.0, trajectory_count=4, seed=1
     )
     with pytest.raises(IntegrationError, match=r"norm drift 5\.527e-03 exceeds 0\.001 at t=0\.01"):
-        evolve_superposition(p, eig, tcfg, ground_anchor=0, lem_anchor=1)
+        evolve_superposition(p, dress(eig, 0), dress(eig, 1), eig.values, tcfg)
 
 
 def test_total_steps_counts_integrated_steps():
     fam = uniform_ferromagnet(2, 0.12)
-    eig = diagonalize(build_hamiltonian(fam.params))
     dt = default_time_step(fam.a_typ)
 
     def run(floor, steps):
@@ -206,7 +199,9 @@ def test_total_steps_counts_integrated_steps():
             seed=4,
             early_stop_floor=floor,
         )
-        return evolve_superposition(fam.params, eig, tcfg, fam.ground_anchor, fam.lem_anchor)
+        return evolve_superposition(
+            fam.params, fam.dressed_ground, fam.dressed_lem, fam.levels, tcfg
+        )
 
     stopped = run(0.45, 20_000)
     full = run(0.05, 500)
@@ -219,7 +214,6 @@ def test_total_steps_counts_integrated_steps():
 @pytest.mark.parametrize("kind", ["ou", "white"])
 def test_noise_blocks_do_not_change_the_trace(monkeypatch, kind):
     fam = uniform_ferromagnet(2, 0.1)
-    eig = diagonalize(build_hamiltonian(fam.params))
     noise = CouplingSpec(
         z_noise=fam.coupling.z_noise, x_noise=fam.coupling.x_noise, kind=kind, correlation_time=2.0
     )
@@ -227,9 +221,11 @@ def test_noise_blocks_do_not_change_the_trace(monkeypatch, kind):
     tcfg = TrajectoryConfig(
         noise=noise, time_step=dt, total_time=10.5 * dt, trajectory_count=5, seed=17, record_every=1
     )
-    default = evolve_superposition(fam.params, eig, tcfg, fam.ground_anchor, fam.lem_anchor)
+    default = evolve_superposition(
+        fam.params, fam.dressed_ground, fam.dressed_lem, fam.levels, tcfg
+    )
     monkeypatch.setattr(dynamics, "_CHUNK_STEPS", 3)  # 11 steps cross four blocks
-    small = evolve_superposition(fam.params, eig, tcfg, fam.ground_anchor, fam.lem_anchor)
+    small = evolve_superposition(fam.params, fam.dressed_ground, fam.dressed_lem, fam.levels, tcfg)
     assert len(small.times) == 12
     assert np.array_equal(default.coherence, small.coherence)
     assert np.array_equal(default.ensemble_coherence, small.ensemble_coherence)
@@ -280,7 +276,7 @@ def test_trajectories_match_kronecker_oracle(n, kind):
         record_every=1,
         early_stop_floor=None,
     )
-    trace = evolve_superposition(params, eig, tcfg, ground, lem)
+    trace = evolve_superposition(params, dress(eig, ground), dress(eig, lem), eig.values, tcfg)
     coherence, ensemble = reference_trajectories(
         j, b, c, f, g, kind, tau, dt, steps, ntraj, seed, ground, lem
     )
@@ -293,13 +289,12 @@ def test_trajectories_match_kronecker_oracle(n, kind):
 
 def test_stability_criterion_enforced():
     fam = uniform_ferromagnet(3, 0.05)
-    eig = diagonalize(build_hamiltonian(fam.params))
-    spread = float(eig.values[-1] - eig.values[0])
+    spread = float(fam.levels[-1] - fam.levels[0])
     tcfg = TrajectoryConfig(
         noise=fam.coupling, time_step=0.06 / spread * 1.2, total_time=1.0, trajectory_count=2, seed=1
     )
     with pytest.raises(ValidationError, match="stability"):
-        evolve_superposition(fam.params, eig, tcfg, fam.ground_anchor, fam.lem_anchor)
+        evolve_superposition(fam.params, fam.dressed_ground, fam.dressed_lem, fam.levels, tcfg)
 
 
 def test_ou_noise_needs_a_correlation_time():
@@ -308,12 +303,11 @@ def test_ou_noise_needs_a_correlation_time():
     noise = CouplingSpec(z_noise=np.array([0.1]), x_noise=np.zeros(1), kind="ou")
     tcfg = TrajectoryConfig(noise=noise, time_step=0.01, total_time=1.0, trajectory_count=1, seed=0)
     with pytest.raises(ValidationError, match="correlation time"):
-        evolve_superposition(p, eig, tcfg, ground_anchor=0, lem_anchor=1)
+        evolve_superposition(p, dress(eig, 0), dress(eig, 1), eig.values, tcfg)
 
 
 def test_upper_limit_flag_when_no_decay():
     fam = uniform_ferromagnet(2, 0.01)
-    eig = diagonalize(build_hamiltonian(fam.params))
     tcfg = TrajectoryConfig(
         noise=fam.coupling,
         time_step=default_time_step(fam.a_typ),
@@ -321,15 +315,13 @@ def test_upper_limit_flag_when_no_decay():
         trajectory_count=8,
         seed=10,
     )
-    trace = evolve_superposition(fam.params, eig, tcfg, fam.ground_anchor, fam.lem_anchor)
+    trace = evolve_superposition(fam.params, fam.dressed_ground, fam.dressed_lem, fam.levels, tcfg)
     assert trace.rate_is_upper_limit
     assert trace.fit_quality == 0.0
 
 
 def test_default_budgets():
     assert default_time_step(4.0) == pytest.approx(0.0025)
-    assert default_total_time(0.01) == pytest.approx(0.01 * MAX_STEPS)
-    assert default_total_time(0.01, predicted_rate=1.0) == pytest.approx(20.0)
 
 
 def test_rate_comparison_verdicts():
@@ -342,9 +334,9 @@ def test_rate_comparison_verdicts():
         trajectory_count=2,
         seed=0,
     )
-    flat = evolve_superposition(fam.params, eig, tcfg, fam.ground_anchor, fam.lem_anchor)
+    flat = evolve_superposition(fam.params, fam.dressed_ground, fam.dressed_lem, fam.levels, tcfg)
     from lemsim import CouplingSpec as CS
-    from lemsim import matrix_element, dress
+    from lemsim import matrix_element
 
     zero_report = matrix_element(
         dress(eig, fam.ground_anchor),

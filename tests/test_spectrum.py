@@ -510,6 +510,17 @@ def test_degeneracy_tolerance_scales_with_spread():
     assert degeneracy_tolerance(p) == pytest.approx(1e-9 * spread)
 
 
+def test_one_degeneracy_tolerance_serves_spectrum_and_perturbation():
+    # it lives in cluster, so perturbation imports nothing from spectrum, and it
+    # stays importable from spectrum, where tracers look it up
+    import lemsim.cluster
+    import lemsim.perturbation
+
+    tolerance = lemsim.cluster.degeneracy_tolerance
+    assert lemsim.spectrum.degeneracy_tolerance is tolerance
+    assert lemsim.perturbation.degeneracy_tolerance is tolerance
+
+
 def test_landscape_tolerance_is_the_default_tolerance():
     rng = np.random.default_rng(31)
     for n in (2, 5, 9):

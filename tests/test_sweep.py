@@ -13,6 +13,7 @@ from lemsim import (
     ClusterParams,
     ClusterProblem,
     ConfigError,
+    CouplingSpec,
     DegeneracyError,
     InsufficientDataError,
     IntegrationError,
@@ -21,9 +22,11 @@ from lemsim import (
     StrongMixingError,
     SweepGrid,
     SweepRow,
+    TrajectoryConfig,
     ValidationError,
     cluster_eigensystem,
     dress,
+    evolve_superposition,
     fit_size_scaling,
     run_sweep,
     uniform_ferromagnet,
@@ -53,10 +56,11 @@ def test_missing_local_minimum_needs_explicit_anchors():
 
 
 def test_one_row_solves_and_enumerates_once(monkeypatch):
-    # all four channels of a grid point share the point's eigensystem and landscape
+    # all four channels of a grid point share the point's landscape and its one
+    # dressed pair, both states from the symmetric sector: no eigensystem is solved
     calls = {
         name: count_calls(monkeypatch, lemsim.sweep, name)
-        for name in ("cluster_eigensystem", "find_local_minima")
+        for name in ("cluster_eigensystem", "find_local_minima", "symmetric_dressed", "dress")
     }
     grid = SweepGrid(n_values=(3,), ratio_values=(0.3,), channels=CHANNELS, trajectory_count=4)
     rows = run_sweep(grid, master_seed=2)
@@ -64,9 +68,32 @@ def test_one_row_solves_and_enumerates_once(monkeypatch):
     assert None not in (rows[0].overlap_slope, rows[0].rate_ratio, rows[0].pathsum_slope)
     assert rows[0].fitted_dynamics_rate is not None
     assert {name: len(sizes) for name, sizes in calls.items()} == {
-        "cluster_eigensystem": 1,
+        "cluster_eigensystem": 0,
         "find_local_minima": 1,
+        "symmetric_dressed": 2,
+        "dress": 0,
     }
+
+
+def test_dense_trajectories_integrate_the_dense_dressed_pair():
+    # a non-collective cluster: the trajectories run on dress(eig, .) and eig.values
+    params = ClusterParams(
+        n=3,
+        couplings=np.array([[0.0, -0.9, 0.35], [-0.9, 0.0, -0.6], [0.35, -0.6, 0.0]]),
+        bias=np.array([0.21, -0.13, 0.07]),
+        tunneling=np.array([0.05, 0.11, 0.03]),
+    )
+    coupling = CouplingSpec(z_noise=np.full(3, 0.04), x_noise=np.full(3, 0.04), correlation_time=2.0)
+    problem = ClusterProblem.anchored(params, coupling, anchors=("010", "101"))
+    assert not problem.symmetric
+    trace = problem.trajectories(6, 11, time_step=0.01, total_time=2.0)
+    eig = cluster_eigensystem(params)
+    tcfg = TrajectoryConfig(
+        noise=coupling, time_step=0.01, total_time=2.0, trajectory_count=6, seed=11
+    )
+    direct = evolve_superposition(params, dress(eig, 0b010), dress(eig, 0b101), eig.values, tcfg)
+    for field in dataclasses.fields(trace):
+        assert np.array_equal(getattr(trace, field.name), getattr(direct, field.name)), field.name
 
 
 def test_overlaps_and_rates_rows_need_no_eigensystem(monkeypatch):
@@ -117,8 +144,6 @@ def test_grid_validation():
         SweepGrid(n_values=(2,), ratio_values=(1.5,))
     with pytest.raises(ValidationError):
         SweepGrid(n_values=(2,), ratio_values=(0.01,), channels=("nope",))
-    with pytest.raises(ValidationError):
-        SweepGrid(n_values=(2,), ratio_values=(0.01,), family="chain")
 
 
 def test_empty_channel_set_populates_mandatory_columns():

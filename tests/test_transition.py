@@ -8,6 +8,7 @@ import pytest
 from lemsim import (
     ClusterParams,
     CouplingSpec,
+    RateReport,
     ValidationError,
     build_hamiltonian,
     check_bound,
@@ -19,6 +20,7 @@ from lemsim import (
     uniform_couplings,
 )
 from lemsim.sweep import uniform_ferromagnet
+from lemsim.transition import DEFAULT_SAFETY_FACTOR
 
 
 def make_params(n, j=-1.0, b=0.0, c=0.0):
@@ -193,6 +195,22 @@ def test_bound_margin_on_family_points():
         assert report.bound == pytest.approx(0.01**n, rel=1e-12)
         assert report.bound_margin >= -2.0
         assert report.bound_satisfied
+
+
+def test_bound_verdict_allows_the_default_safety_factor():
+    # bound = (0.1 / 1)^2; the verdict passes up to DEFAULT_SAFETY_FACTOR times it
+    p = make_params(2, b=0.1, c=0.1)
+    spec = coupling(2, f=0.1, g=0.1)
+    bound = 0.1**2
+    for factor, satisfied in ((0.5, True), (0.99, True), (1.01, False), (3.0, False)):
+        rate_ratio = factor * DEFAULT_SAFETY_FACTOR * bound
+        report = RateReport(
+            matrix_element=math.sqrt(rate_ratio), rate_ratio=rate_ratio, z_channel=(), x_channel=()
+        )
+        report = check_bound(report, p, spec, anchor=0b11, a_typ=1.0)
+        assert report.bound == pytest.approx(bound, rel=1e-15)
+        assert report.bound_satisfied is satisfied
+        assert report.bound_margin == pytest.approx(-math.log10(factor * DEFAULT_SAFETY_FACTOR))
 
 
 # ---------------------------------------------------------------- extension
