@@ -9,8 +9,11 @@ errors.
 On a collective cluster (``collective.collective_form``), ``spectrum`` runs
 on the total-spin blocks, and ``overlaps`` and ``dynamics`` dress fully
 polarized anchors in the symmetric sector: none of them solves the
-2^n x 2^n eigensystem.  ``rates`` solves it densely.  ``dynamics`` refuses a
-cluster over ``dynamics.MAX_DYNAMICS_SPINS`` before any solve.
+2^n x 2^n eigensystem.  ``rates`` solves it densely.  The stderr summaries
+of ``overlaps``, ``rates`` and ``dynamics`` end with the route that dressed
+the pair: ``sector``, or the dense tridiagonal solver, ``mrrr`` or
+``bisection`` (``ClusterProblem.route``).  ``dynamics`` refuses a cluster
+over ``dynamics.MAX_DYNAMICS_SPINS`` before any solve.
 """
 
 from __future__ import annotations
@@ -99,7 +102,8 @@ def _cmd_overlaps(cfg: RunConfig, destination, args) -> None:
             f"{config_to_bits(d.anchor, n)}: "
             + (f"{d.slope:.4f}" if d.slope is not None else "n/a")
             for d in decays
-        ),
+        )
+        + f" route={problem.route}",
     )
     write_output(emit_overlap_decay(decays, n, render_config(cfg), cfg.seed), destination)
 
@@ -117,7 +121,8 @@ def _cmd_rates(cfg: RunConfig, destination, args) -> None:
         args,
         f"rates: element={report.matrix_element:.6e} ratio={report.rate_ratio:.6e} "
         f"bound={report.bound:.6e} margin={report.bound_margin:.3f}"
-        + (f" extension={extension:.3f} orders" if extension is not None else ""),
+        + (f" extension={extension:.3f} orders" if extension is not None else "")
+        + f" route={problem.route}",
     )
     write_output(emit_rate_report(report, render_config(cfg), cfg.seed), destination)
 
@@ -141,12 +146,14 @@ def _cmd_pathsum(cfg: RunConfig, destination, args) -> None:
 
 
 def _cmd_dynamics(cfg: RunConfig, destination, args) -> None:
-    trace = _problem(cfg).trajectories(cfg.trajectories, cfg.seed, cfg.time_step, cfg.total_time)
+    problem = _problem(cfg)
+    trace = problem.trajectories(cfg.trajectories, cfg.seed, cfg.time_step, cfg.total_time)
     _say(
         args,
         f"dynamics: {trace.trajectory_count} trajectories, {trace.total_steps} steps, "
         f"fitted_rate={trace.fitted_rate:.6e} "
-        f"(quality={trace.fit_quality:.3f}, upper_limit={trace.rate_is_upper_limit})",
+        f"(quality={trace.fit_quality:.3f}, upper_limit={trace.rate_is_upper_limit}) "
+        f"route={problem.route}",
     )
     write_output(emit_trace(trace, render_config(cfg), cfg.seed), destination)
 

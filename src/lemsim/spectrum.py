@@ -9,19 +9,29 @@ Hamming distance from the anchor is measured here as a log-linear fit.
 Dense solves come in two pairs.  ``cluster_eigenvalues(params)`` computes
 the spectrum alone (what the ``spectrum`` subcommand writes for a cluster
 that is not collective; ``collective.block_eigenvalues`` serves the others)
-and skips the eigenvectors and their back-transformation;
-``cluster_eigensystem(params)`` computes the full eigensystem that dressing
-needs.  Both assemble H once and
-solve it through ``eigenvalues``/``diagonalize``, marked as scratch that
-LAPACK may overwrite in place, so they hold one (values) or two (vectors)
-dim x dim arrays at their peak, 8·4^n or 16·4^n bytes, and they raise
-CapacityError before assembly when that footprint exceeds the memory
-available (``MemAvailable``, lowered to any memory cgroup limit's
-headroom).  ``eigenvalues(h)`` and ``diagonalize(h)`` called on a matrix
-the caller built leave it unmodified, at the cost of one copy; on a cluster
-Hamiltonian they agree bit for bit with the cluster solves.  All four check
-that the matrix is square, finite and symmetric over row bands, without a
-second dim x dim array.
+through ``eigenvalues``, a values-only ``scipy.linalg.eigh``.
+``cluster_eigensystem(params)`` computes the eigensystem that dressing needs
+through ``diagonalize``, which runs the steps of LAPACK's ``dsyevr`` (the
+routine behind ``eigh``) one by one and stops before the last: it reduces H
+to a tridiagonal T = Qᵀ H Q with ``dsytrd``, solves T with ``dstemr``
+(MRRR) or, where that fails, with ``dstebz`` and ``dstein`` (bisection and
+inverse iteration), and keeps Q as its Householder reflectors.  ``dress``
+then needs one row and one column of the eigenvector matrix, O(N²) each
+through ``dormqr``, where the full back-transformation costs 2N³; the
+``EigenSystem.vectors`` that tests and callers may ask for are
+back-transformed on first access and agree bit for bit with ``eigh``.
+
+Both cluster solves assemble H once, marked as scratch that LAPACK may
+overwrite in place, so they hold one (values) or two (H holding the
+reflectors, and the eigenvectors of T) dim x dim arrays at their peak,
+8·4^n or 16·4^n bytes, and they raise CapacityError before assembly when
+that footprint exceeds the memory available (``MemAvailable``, lowered to
+any memory cgroup limit's headroom).  ``eigenvalues(h)`` and
+``diagonalize(h)`` called on a matrix the caller built leave it
+unmodified, at the cost of one copy; on a cluster Hamiltonian they agree
+bit for bit with the cluster solves.  All four check that the matrix is
+square, non-empty, finite and symmetric over row bands, without a second
+dim x dim array.
 """
 
 from __future__ import annotations
@@ -29,9 +39,11 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 from .cluster import (
     ClusterParams,
@@ -58,12 +70,33 @@ AMPLITUDE_FLOOR = 1e-300  # amplitudes below this are clamped out of fits
 OVERLAP_THRESHOLD = 0.5  # below this the anchor label is meaningless
 
 
-@dataclass(frozen=True)
+# dsyevr's scaling range for max |H_ij| (DLAMCH's safe minimum and precision)
+_SMLNUM = np.finfo(float).tiny / np.finfo(float).eps
+_RMIN = math.sqrt(_SMLNUM)
+_RMAX = min(math.sqrt(1.0 / _SMLNUM), 1.0 / math.sqrt(math.sqrt(np.finfo(float).tiny)))
+
+
+@dataclass(frozen=True, eq=False)
 class EigenSystem:
-    """Eigenvalues (ascending) and orthonormal eigenvectors (columns)."""
+    """Eigenvalues (ascending) of a dense symmetric H and its eigenvectors,
+    held as LAPACK's tridiagonal reduction H = Q T Qᵀ.
+
+    ``z`` holds the eigenvectors of T in the order the tridiagonal solver
+    returned them; ``swaps`` are the column swaps of ``dsyevr``'s closing
+    selection sort, which bring them into the order of ``values``.  Q is
+    ``diag(1, Q')``, with Q' the product of the Householder reflectors in
+    ``reflectors`` (rows 2..N of the reduced matrix, a view into H's buffer
+    with leading dimension N) and ``tau``.  ``route`` names the tridiagonal
+    solver that ran: "mrrr" (``dstemr``) or "bisection" (``dstebz`` and
+    ``dstein``, ``dsyevr``'s fallback when ``dstemr`` fails).
+    """
 
     values: np.ndarray = field(repr=False)
-    vectors: np.ndarray = field(repr=False)
+    route: str
+    z: np.ndarray = field(repr=False)
+    swaps: tuple[tuple[int, int], ...] = field(repr=False)
+    reflectors: np.ndarray = field(repr=False)
+    tau: np.ndarray = field(repr=False)
 
     @property
     def dim(self) -> int:
@@ -72,6 +105,75 @@ class EigenSystem:
     @property
     def n(self) -> int:
         return self.dim.bit_length() - 1
+
+    @cached_property
+    def _columns(self) -> np.ndarray:
+        """The column of ``z`` that belongs to each of ``values``."""
+        columns = np.arange(self.dim)
+        for j, i in self.swaps:
+            columns[[j, i]] = columns[[i, j]]
+        return columns
+
+    def _apply_q(self, rest: np.ndarray, trans: str) -> np.ndarray:
+        """Q' (``trans`` "N") or Q'ᵀ ("T") applied in place to ``rest``, rows
+        2..N of some columns as a Fortran-ordered (N-1) x m array."""
+        if self.dim == 1:
+            return rest
+        lwork = _syevr_lwork(self.dim) - 2 * self.dim  # what dsyevr gives dormtr
+        out, _, info = lapack.dormqr("L", trans, self.reflectors, self.tau, rest, lwork, overwrite_c=1)
+        if info != 0:
+            raise NumericalError(f"dormqr failed on a {self.dim}x{self.dim} matrix: info {info}")
+        return out
+
+    def row(self, index: int) -> np.ndarray:
+        """Row ``index`` of the eigenvector matrix, each column's sign as LAPACK
+        left it: zᵀ (Qᵀ e_index), O(N²)."""
+        unit = np.zeros(self.dim)
+        unit[index] = 1.0
+        unit[1:] = self._apply_q(unit[1:, None], "T")[:, 0]
+        return (self.z.T @ unit)[self._columns]
+
+    def column(self, k: int) -> np.ndarray:
+        """Eigenvector ``k`` with the sign LAPACK left it: Q z_k, O(N²)."""
+        vector = self.z[:, self._columns[k]].copy()
+        vector[1:] = self._apply_q(vector[1:, None], "N")[:, 0]
+        return vector
+
+    @cached_property
+    def vectors(self) -> np.ndarray:
+        """All eigenvectors (columns), equal bit for bit to ``scipy.linalg.eigh``'s
+        (the same ``dormtr`` step, then the same sort), each sign fixed so its
+        largest-magnitude component is positive (the first such component on
+        ties), making repeated runs byte-reproducible.
+
+        The 2N³ back-transformation runs on first access, in one new dim x dim
+        array: rows 2..N are transformed packed to leading dimension N-1, the
+        only one scipy's ``dormqr`` takes, and then spread out in place.
+        """
+        dim = self.dim
+        flat = np.empty(dim * dim)
+        rest = flat[: (dim - 1) * dim].reshape((dim - 1, dim), order="F")
+        rest[...] = self.z[1:]
+        self._apply_q(rest, "N")
+        first = self.z[0].copy()
+        for j in reversed(range(dim)):
+            # column j's rows 2..N sit at j(dim-1), below every later column's
+            flat[j * dim + 1 : (j + 1) * dim] = flat[j * (dim - 1) : (j + 1) * (dim - 1)]
+            flat[j * dim] = first[j]
+        vectors = flat.reshape((dim, dim), order="F")
+        for j, i in self.swaps:
+            vectors[:, [j, i]] = vectors[:, [i, j]]
+        # a column's peak is its maximum or its minimum; on a magnitude tie the
+        # first index wins, as argmax(abs(vectors), axis=0) would choose, but
+        # without a dim x dim abs copy
+        cols = np.arange(dim)
+        top = np.argmax(vectors, axis=0)
+        bottom = np.argmin(vectors, axis=0)
+        high = vectors[top, cols]
+        low = -vectors[bottom, cols]
+        flip = (low > high) | ((low == high) & (bottom < top))
+        np.negative(vectors, out=vectors, where=flip)
+        return vectors
 
 
 @dataclass(frozen=True)
@@ -197,8 +299,8 @@ def _band_rows(dim: int) -> int:
 def _require_memory(params: ClusterParams, vectors: bool) -> None:
     """Raise CapacityError when a dense solve of ``params`` cannot fit in memory.
 
-    The footprint is the Hamiltonian (8·4^n bytes), the eigenvector matrix
-    when asked for (another 8·4^n) and the symmetry check's band buffer
+    The footprint is the Hamiltonian (8·4^n bytes), the tridiagonal's
+    eigenvectors when asked for (another 8·4^n) and the symmetry check's band buffer
     (4^n/2); LAPACK's workspace, O(2^n), is left out.
     """
     dim = params.dim
@@ -220,8 +322,9 @@ class _Scratch(np.ndarray):
     """
 
 
-def _checked_symmetric(h: np.ndarray) -> np.ndarray:
-    """``h`` as a float array, after checking that it is square, finite and symmetric.
+def _checked_symmetric(h: np.ndarray) -> tuple[np.ndarray, float]:
+    """``h`` as a float array and its largest magnitude, after checking that
+    it is square, non-empty, finite and symmetric.
 
     The check runs over row bands of dim/16 rows with one band-sized buffer,
     so it never holds a second dim x dim array.
@@ -230,6 +333,8 @@ def _checked_symmetric(h: np.ndarray) -> np.ndarray:
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValidationError(f"Hamiltonian must be a square matrix, got shape {h.shape}")
     dim = h.shape[0]
+    if dim == 0:
+        raise ValidationError("Hamiltonian must not be empty")
     band = _band_rows(dim)
     buf = np.empty((band, dim))
     peak = skew = 0.0
@@ -247,20 +352,7 @@ def _checked_symmetric(h: np.ndarray) -> np.ndarray:
         skew = max(skew, float(np.abs(out, out=out).max()))
     if skew > 1e-12 * max(1.0, peak):
         raise ValidationError("Hamiltonian is not symmetric")
-    return h
-
-
-def _eigh(h: np.ndarray, eigvals_only: bool):
-    scratch = isinstance(h, _Scratch)
-    h = _checked_symmetric(h)
-    if scratch:
-        # exactly symmetric, so its F-contiguous transpose is H itself, which
-        # LAPACK may overwrite without the copy f2py makes of C-ordered input
-        h = h.T
-    try:
-        return scipy.linalg.eigh(h, eigvals_only=eigvals_only, overwrite_a=scratch, check_finite=False)
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
-        raise NumericalError(f"eigensolver failed on a {h.shape[0]}x{h.shape[0]} matrix: {exc}") from exc
+    return h, peak
 
 
 def eigenvalues(h: np.ndarray) -> np.ndarray:
@@ -268,28 +360,95 @@ def eigenvalues(h: np.ndarray) -> np.ndarray:
 
     ``h`` is left unmodified.
     """
-    return _eigh(h, eigvals_only=True)
+    scratch = isinstance(h, _Scratch)
+    h, _ = _checked_symmetric(h)
+    if scratch:
+        # exactly symmetric, so its F-contiguous transpose is H itself, which
+        # LAPACK may overwrite without the copy f2py makes of C-ordered input
+        h = h.T
+    try:
+        return scipy.linalg.eigh(h, eigvals_only=True, overwrite_a=scratch, check_finite=False)
+    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
+        raise NumericalError(f"eigensolver failed on a {h.shape[0]}x{h.shape[0]} matrix: {exc}") from exc
+
+
+def _syevr_lwork(dim: int) -> int:
+    """The workspace ``scipy.linalg.eigh`` hands ``dsyevr``; its steps get parts of it."""
+    return int(lapack.dsyevr_lwork(dim)[0])
+
+
+def _selection_sort(values: np.ndarray) -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:
+    """``dsyevr``'s closing sort: the ascending values and its column swaps.
+
+    Each step swaps in the first smallest later value when it is strictly
+    smaller, so exactly repeated levels keep the solver's order; a stable
+    argsort would reorder them.
+    """
+    values = values.copy()
+    swaps = []
+    for j in range(len(values) - 1):
+        i = j + 1 + int(np.argmin(values[j + 1 :]))
+        if values[i] < values[j]:
+            values[[j, i]] = values[[i, j]]
+            swaps.append((j, i))
+    return values, tuple(swaps)
+
+
+def _solve_tridiagonal(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray, str]:
+    """Eigenvalues, eigenvectors and route of the tridiagonal (d, e), as
+    ``dsyevr`` computes them: ``dstemr``, or ``dstebz`` (block order) and
+    ``dstein`` when ``dstemr`` fails."""
+    dim = len(d)
+    e_work = np.append(e, 0.0)  # dstemr takes N entries and works in the last
+    _, values, z, info = lapack.dstemr(d, e_work, 0, 0.0, 0.0, 0, 0)
+    if info == 0:
+        return values, z, "mrrr"
+    del z  # before dstein allocates its own dim x dim array
+    m, values, block, split, info = lapack.dstebz(d, e, 0, 0.0, 0.0, 0, 0, 0.0, "B")
+    if info == 0:
+        z, info = lapack.dstein(d, e, values[:m], block, split)
+    if info != 0:
+        raise NumericalError(f"eigensolver failed on a {dim}x{dim} matrix: bisection info {info}")
+    return values[:m], z, "bisection"
 
 
 def diagonalize(h: np.ndarray) -> EigenSystem:
-    """Dense symmetric eigendecomposition with deterministic sign choice.
+    """Dense symmetric eigensystem by ``dsyevr``'s steps, stopped before the
+    back-transformation (see the module docstring).
 
-    Each eigenvector's sign is fixed so its largest-magnitude component is
-    positive (the first such component on ties), making repeated runs
-    byte-reproducible.  ``h`` is left unmodified.
+    The values are ``scipy.linalg.eigh``'s bit for bit, scaling included when
+    max |h_ij| leaves ``dsyevr``'s range.  ``h`` is left unmodified; the
+    cluster solves' scratch H is overwritten and holds the reflectors.
     """
-    values, vectors = _eigh(h, eigvals_only=False)
-    # a column's peak is its maximum or its minimum; on a magnitude tie the
-    # first index wins, as argmax(abs(vectors), axis=0) would choose, but
-    # without a dim x dim abs copy
-    cols = np.arange(vectors.shape[1])
-    top = np.argmax(vectors, axis=0)
-    bottom = np.argmin(vectors, axis=0)
-    high = vectors[top, cols]
-    low = -vectors[bottom, cols]
-    flip = (low > high) | ((low == high) & (bottom < top))
-    np.negative(vectors, out=vectors, where=flip)
-    return EigenSystem(values=values, vectors=vectors)
+    scratch = isinstance(h, _Scratch)
+    h, peak = _checked_symmetric(h)
+    dim = h.shape[0]
+    # the lower triangle, column-major: H itself when exactly symmetric
+    a = h.T if scratch else np.array(h, order="F")
+    sigma = None
+    if dim > 1:  # dsyevr returns a 1x1 matrix unscaled
+        # dsyevr's norm is max |h_ij| over the lower triangle, the whole
+        # matrix's when it is exactly symmetric
+        norm = peak if scratch else max(float(np.abs(a[j:, j]).max()) for j in range(dim))
+        if 0.0 < norm < _RMIN:
+            sigma = _RMIN / norm
+        elif norm > _RMAX:
+            sigma = _RMAX / norm
+    if sigma is not None:
+        a *= sigma
+    lwork = _syevr_lwork(dim)
+    a, d, e, tau, info = lapack.dsytrd(a, lower=1, lwork=lwork - 5 * dim, overwrite_a=1)
+    if info != 0:
+        raise NumericalError(f"dsytrd failed on a {dim}x{dim} matrix: info {info}")
+    values, z, route = _solve_tridiagonal(d, e)
+    if sigma is not None:
+        values *= 1.0 / sigma
+    values, swaps = _selection_sort(values)
+    # the reflectors below row 1, addressed in place with leading dimension N
+    reflectors = a.reshape(-1, order="F")[1 : 1 + dim * (dim - 1)].reshape((dim, dim - 1), order="F")
+    return EigenSystem(
+        values=values, route=route, z=z, swaps=swaps, reflectors=reflectors, tau=tau
+    )
 
 
 def cluster_eigenvalues(params: ClusterParams) -> np.ndarray:
@@ -304,12 +463,14 @@ def cluster_eigenvalues(params: ClusterParams) -> np.ndarray:
 
 
 def cluster_eigensystem(params: ClusterParams) -> EigenSystem:
-    """Eigensystem of the cluster Hamiltonian, signs fixed as in ``diagonalize``.
+    """Eigensystem of the cluster Hamiltonian, as ``diagonalize`` returns it.
 
     Equal bit for bit to ``diagonalize(build_hamiltonian(params))``, but it
     holds at most two dim x dim arrays: the Hamiltonian, which LAPACK
-    overwrites, and the eigenvectors.  Raises CapacityError before assembly
-    when they do not fit in memory.
+    overwrites with the reflectors, and the eigenvectors of the tridiagonal.
+    Dressing adds O(dim) arrays; ``vectors`` would add a third dim x dim
+    array.  Raises CapacityError before assembly when the two do not fit in
+    memory.
     """
     _require_memory(params, vectors=True)
     return diagonalize(build_hamiltonian(params).view(_Scratch))
@@ -361,18 +522,20 @@ def require_dominant_overlap(overlap_sq: float, anchor: int, n: int) -> None:
 def dress(eig: EigenSystem, anchor: int) -> DressedState:
     """Return the eigenstate with maximal overlap on the anchor configuration.
 
+    It reads one row and one column of the eigenvector matrix (``eig.row``,
+    ``eig.column``), never the full back-transformed ``eig.vectors``.
     Raises StrongMixingError when the best overlap^2 falls below 0.5: the
     anchor label then no longer identifies a single eigenstate and all
     perturbative scaling statements are void.
     """
     anchor = validate_config(eig.n, anchor, "anchor")
-    overlaps = eig.vectors[anchor, :]
+    overlaps = eig.row(anchor)
     k = int(np.argmax(np.abs(overlaps)))
     overlap_sq = float(overlaps[k] ** 2)
     require_dominant_overlap(overlap_sq, anchor, eig.n)
-    amps = eig.vectors[:, k].copy()
+    amps = eig.column(k)
     if amps[anchor] < 0:
-        amps = -amps
+        np.negative(amps, out=amps)
     amps.setflags(write=False)
     return DressedState(
         anchor=anchor,

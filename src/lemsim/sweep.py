@@ -28,6 +28,7 @@ import math
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,7 +45,6 @@ from .fitting import fit_line
 from .perturbation import PathSumResult, multiphoton_path_sum, scaling_exponent
 from .spectrum import (
     DressedState,
-    EigenSystem,
     cluster_eigensystem,
     degeneracy_tolerance,
     dress,
@@ -62,20 +62,31 @@ from .collective import block_eigenvalues, collective_form, symmetric_dressed
 CHANNELS = ("overlaps", "rates", "pathsum", "dynamics")
 
 
+class _DenseSolve(NamedTuple):
+    """What a problem keeps of its dense solve, whose two dim x dim arrays it
+    drops: the levels, the LAPACK route and each anchor's dressed state, or
+    the error dressing it raised, raised again when that state is read."""
+
+    levels: np.ndarray
+    route: str
+    dressed: dict[int, DressedState | SimulationError]
+
+
 @dataclass(eq=False)
 class ClusterProblem:
     """One cluster, its noise coupling and its ground and local-minimum anchors.
 
     The typical level spacing ``a_typ`` at the LEM anchor, the degeneracy
-    ``tolerance``, the eigensystem, the ascending spectrum ``levels`` and the
-    two dressed states are computed on first use and kept.  A spacing or
-    tolerance already known (an override, a landscape's tolerance) is given
-    as ``known_a_typ``/``known_tolerance``.  A ``symmetric`` problem (a
+    ``tolerance``, the ascending spectrum ``levels`` and the two dressed
+    states are computed on first use and kept; a dense eigensystem is dropped
+    once both anchors are dressed from it.  A spacing or tolerance already
+    known (an override, a landscape's tolerance) is given as
+    ``known_a_typ``/``known_tolerance``.  A ``symmetric`` problem (a
     collective cluster) whose anchors are the two fully polarized
     configurations dresses both in the symmetric sector and takes its levels
     from the total-spin blocks; every other problem takes both states and its
-    levels from the dense eigensystem.  Every channel reads the same dressed
-    pair, so none learns which route ran.
+    levels from one dense eigensystem.  Every channel reads the same dressed
+    pair, so none learns which route ran; ``route`` names it for the logs.
     ``anchored`` sets ``symmetric`` from ``collective.collective_form``.
     """
 
@@ -118,26 +129,43 @@ class ClusterProblem:
         return typical_level_spacing(self.params, self.lem_anchor, self.tolerance)
 
     @cached_property
-    def eigensystem(self) -> EigenSystem:
-        return cluster_eigensystem(self.params)
-
-    @cached_property
     def _in_sector(self) -> bool:
         # both anchors in the symmetric sector, or both dense: never one of each
         polarized = {0, self.params.dim - 1}
         return self.symmetric and {self.ground_anchor, self.lem_anchor} == polarized
 
     @cached_property
+    def _dense(self) -> _DenseSolve:
+        eig = cluster_eigensystem(self.params)
+        dressed: dict[int, DressedState | SimulationError] = {}
+        for anchor in (self.ground_anchor, self.lem_anchor):
+            try:
+                dressed[anchor] = dress(eig, anchor)
+            except SimulationError as exc:
+                # its traceback would keep the eigensystem alive
+                dressed[anchor] = exc.with_traceback(None)
+        return _DenseSolve(eig.values, eig.route, dressed)
+
+    @cached_property
     def levels(self) -> np.ndarray:
         """The ascending spectrum, on the same route as the dressed states."""
         if self._in_sector:
             return block_eigenvalues(self.params.n, *collective_form(self.params))
-        return self.eigensystem.values
+        return self._dense.levels
+
+    @property
+    def route(self) -> str:
+        """The route that dressed the pair: "sector", or the dense solve's
+        tridiagonal solver, "mrrr" or "bisection"."""
+        return "sector" if self._in_sector else self._dense.route
 
     def _dressed(self, anchor: int) -> DressedState:
         if self._in_sector:
             return symmetric_dressed(self.params, anchor)
-        return dress(self.eigensystem, anchor)
+        state = self._dense.dressed[anchor]
+        if isinstance(state, SimulationError):
+            raise state
+        return state
 
     @cached_property
     def dressed_ground(self) -> DressedState:
@@ -174,20 +202,21 @@ class ClusterProblem:
     ) -> CoherenceTrace:
         """Noisy trajectories of the superposition of the two dressed states.
         ``time_step`` None is 0.01 / A_typ, and OU noise with no correlation
-        time gets 10 / A_typ.  A cluster over ``MAX_DYNAMICS_SPINS`` is refused
-        before anything is dressed."""
+        time gets 10 / A_typ; A_typ is not evaluated when neither is None.
+        A cluster over ``MAX_DYNAMICS_SPINS`` is refused before anything is
+        dressed."""
         if self.params.n > MAX_DYNAMICS_SPINS:
             raise CapacityError(
                 f"trajectory evolution supports up to {MAX_DYNAMICS_SPINS} spins, "
                 f"got n={self.params.n}"
             )
-        a_typ = self.a_typ
         noise = self.coupling
+        # A_typ only where it sets something: it is undefined on a zero gap
         if noise.kind == "ou" and noise.correlation_time is None:
-            noise = replace(noise, correlation_time=10.0 / a_typ)
+            noise = replace(noise, correlation_time=10.0 / self.a_typ)
         tcfg = TrajectoryConfig(
             noise=noise,
-            time_step=default_time_step(a_typ) if time_step is None else time_step,
+            time_step=default_time_step(self.a_typ) if time_step is None else time_step,
             total_time=total_time,
             trajectory_count=trajectory_count,
             seed=seed,

@@ -424,6 +424,55 @@ anchors = 00 11
         assert "single-flip gap on spin 0" in capsys.readouterr().err
 
 
+def test_dynamics_with_time_step_and_tau_never_reads_a_typ(tmp_path):
+    # the LEM 11 has a zero single-flip gap on spin 0; A_typ sets neither dt nor tau
+    cfg = tmp_path / "degen.cfg"
+    cfg.write_text(
+        """
+[cluster]
+n = 2
+j_upper = 0.0
+bias = 0.0 0.4
+tunneling = 0.0 0.01
+
+[noise]
+z_noise = 0.01
+x_noise = 0.01
+tau = 2.0
+
+[dynamics]
+time_step = 0.01
+total_time = 2.0
+trajectories = 4
+anchors = 00 11
+"""
+    )
+    assert run_cli("dynamics", "--config", cfg, "--out", tmp_path / "out.csv", "--quiet") == 0
+
+
+@pytest.mark.parametrize(
+    "command, text, route",
+    [
+        ("rates", FERRO3, "mrrr"),  # CLI rates stays dense on a collective cluster
+        ("overlaps", FERRO3, "sector"),
+        ("dynamics", FERRO3 + "\n[dynamics]\ntotal_time = 2.0\ntrajectories = 4\n", "sector"),
+        (
+            "dynamics",
+            FERRO3.replace("bias = 0.1", "bias = 0.1 0.1 0.1000001")
+            + "\n[dynamics]\ntotal_time = 2.0\ntrajectories = 4\n",
+            "mrrr",
+        ),
+        ("rates", _collective(9, extra="[noise]\nz_noise = 0.01\nx_noise = 0.01\n"), "bisection"),
+    ],
+)
+def test_summaries_name_the_route(tmp_path, capsys, command, text, route):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(text)
+    assert run_cli(command, "--config", cfg, "--out", tmp_path / "out.csv") == 0
+    summary = capsys.readouterr().err.splitlines()
+    assert len(summary) == 1 and summary[0].endswith(f" route={route}")
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_seed_override_is_range_checked(ferro3_cfg, tmp_path, capsys, seed):
     out = tmp_path / "spec.csv"

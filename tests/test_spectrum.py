@@ -176,6 +176,78 @@ def test_sign_fix_matches_per_column_reference_bit_for_bit():
     assert mixed_sign_ties > 0
 
 
+def _route_cases():
+    # ferromagnets at r = 0.01, n = 8 and 9: dstemr fails and dsyevr falls
+    # back to bisection, on exactly repeated levels; the others run MRRR
+    for n in (8, 9):
+        yield f"ferromagnet n={n}", build_hamiltonian(uniform_ferromagnet(n, 0.01).params)
+    yield "ferromagnet n=6", build_hamiltonian(uniform_ferromagnet(6, 0.05).params)
+    rng = np.random.default_rng(12)
+    for n in (3, 7):
+        j, b, c = _random_cluster(rng, n)
+        yield f"random n={n}", build_hamiltonian(ClusterParams(n=n, couplings=j, bias=b, tunneling=c))
+
+
+def test_both_lapack_routes_match_eigh_bit_for_bit():
+    routes = set()
+    repeated = False
+    for name, h in _route_cases():
+        values, vectors = _reference_signs(h)
+        eig = diagonalize(h)
+        assert np.array_equal(eig.values, values), name
+        assert np.array_equal(eig.vectors, vectors), name
+        routes.add(eig.route)
+        repeated |= eig.route == "bisection" and bool(np.any(np.diff(values) == 0))
+    assert routes == {"mrrr", "bisection"}
+    assert repeated
+
+
+@pytest.mark.parametrize("scale", [1e100, 1e-150], ids=["above", "below"])
+def test_scaled_matrices_match_eigh_bit_for_bit(scale):
+    # max |h_ij| outside dsyevr's range [sqrt(tiny/eps), tiny^-1/4]: scaled in and out
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(24, 24))
+    h = (a + a.T) * scale
+    values, vectors = _reference_signs(h)
+    eig = diagonalize(h)
+    assert np.array_equal(eig.values, values)
+    assert np.array_equal(eig.vectors, vectors)
+
+
+@pytest.mark.parametrize("entry", [-0.7, 1e200])
+def test_one_by_one_matches_eigh(entry):
+    h = np.array([[entry]])
+    eig = diagonalize(h)
+    assert eig.values.tolist() == [entry] == scipy.linalg.eigh(h)[0].tolist()
+    assert eig.vectors.tolist() == [[1.0]]
+    assert dress(eig, 0).amplitudes.tolist() == [1.0]
+
+
+def test_empty_matrix_is_refused():
+    for solve in (diagonalize, eigenvalues):
+        with pytest.raises(ValidationError, match="must not be empty"):
+            solve(np.zeros((0, 0)))
+
+
+def test_dress_reads_one_column_of_the_full_vectors():
+    eps = np.finfo(float).eps
+    for name, h in _route_cases():
+        eig = diagonalize(h)
+        states = []
+        for anchor in (0, 1, h.shape[0] // 3, h.shape[0] - 1):
+            try:
+                states.append(dress(eig, anchor))
+            except StrongMixingError:
+                pass
+        assert states, name
+        assert "vectors" not in vars(eig), name  # no full back-transform ran
+        for state in states:
+            column = eig.vectors[:, state.eigenindex]
+            assert state.eigenindex == int(np.argmax(np.abs(eig.vectors[state.anchor]))), name
+            gap = np.abs(state.amplitudes - column * np.sign(column[state.anchor])).max()
+            assert gap <= 8 * eps, name
+
+
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_solvers_leave_input_unmodified(order):
     # LAPACK works in place on a Fortran-ordered array it is allowed to overwrite
@@ -263,6 +335,13 @@ def test_cluster_solves_hold_at_most_one_or_two_dense_arrays(n):
     matrix = 8 * p.dim**2
     assert _traced_peak(cluster_eigensystem, p) <= 2.1 * matrix
     assert _traced_peak(cluster_eigenvalues, p) <= 1.1 * matrix
+
+    def solve_and_dress(params):
+        eig = cluster_eigensystem(params)
+        dress(eig, 0)
+        dress(eig, params.dim - 1)
+
+    assert _traced_peak(solve_and_dress, p) <= 2.1 * matrix
 
 
 def test_capacity_preflight_raises_before_assembly(monkeypatch):

@@ -122,6 +122,28 @@ def test_symmetric_problem_with_unpolarized_anchors_dresses_densely(monkeypatch)
     assert calls == [3]
 
 
+@pytest.mark.parametrize("lem_anchor", [2**9 - 1, 1], ids=["dressed", "strong-mixing"])
+def test_dense_problem_drops_its_eigensystem_once_dressed(lem_anchor):
+    # a one-flip LEM mixes strongly with its degenerate partners; the error
+    # kept for it must not keep the solve's two dim x dim arrays alive either
+    family = uniform_ferromagnet(9, 0.05)
+    problem = dataclasses.replace(family, lem_anchor=lem_anchor, symmetric=False)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert problem.dressed_ground.eigenindex == 0
+        try:
+            problem.dressed_lem
+        except StrongMixingError:
+            assert lem_anchor == 1
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert problem.route == "bisection"
+    assert len(problem.levels) == 2**9
+    assert held < 0.1 * 8 * (2**9) ** 2
+
+
 def test_n14_rates_row_fits_without_a_dense_budget(monkeypatch):
     # a dense n=14 eigensystem would need 4.3 GB; the row needs no N^2 array at all
     monkeypatch.setattr(lemsim.spectrum, "_available_memory", lambda: 10**8)
