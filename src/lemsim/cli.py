@@ -153,7 +153,7 @@ def _cmd_dynamics(cfg: RunConfig, destination, args) -> None:
         f"dynamics: {trace.trajectory_count} trajectories, {trace.total_steps} steps, "
         f"fitted_rate={trace.fitted_rate:.6e} "
         f"(quality={trace.fit_quality:.3f}, upper_limit={trace.rate_is_upper_limit}) "
-        f"route={problem.route}",
+        f"max_drift={trace.max_drift:.3e} route={problem.route}",
     )
     write_output(emit_trace(trace, render_config(cfg), cfg.seed), destination)
 

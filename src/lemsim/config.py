@@ -15,6 +15,7 @@ is echoed and an output header reproduces the run.  A ``cluster.n`` over
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Any, Callable
 
@@ -123,10 +124,6 @@ def _number(convert: Callable[[str], Any], noun: str) -> Parser:
     return parse_number
 
 
-_float = _number(float, "a number")
-_int = _number(lambda raw: int(raw, 0), "an integer")
-
-
 def _each(parse: Parser) -> Parser:
     return lambda raw, where, values: tuple(parse(p, where, values) for p in raw.split())
 
@@ -139,6 +136,10 @@ def _checked(parse: Parser, ok: Callable[[Any], bool], problem: str) -> Parser:
         return value
 
     return parse_checked
+
+
+_float = _checked(_number(float, "a number"), math.isfinite, "must be finite")
+_int = _number(lambda raw: int(raw, 0), "an integer")
 
 
 def _positive(parse: Parser) -> Parser:

@@ -30,6 +30,19 @@ step is matrix-free: with the noise frozen, H plus noise is a diagonal
 ``c_i + g_i eta_i``.  sigma^x_i acts on all trajectories at once by
 reversing the middle axis of a ``(dim >> (i+1), 2, 1 << i, ntraj)`` view of
 the state, so no dim x dim matrix is ever built.
+
+A run holds a fixed set of buffers, allocated before the first step: five
+dim x ntraj complex arrays (the state, the Horner accumulator, the
+Hamiltonian product, its scratch and the noisy diagonal) and one
+trajectory-major noise block ``(ntraj, _CHUNK_STEPS, 2, n)``.  Every
+``_CHUNK_STEPS`` steps each trajectory's Generator refills its own row of
+the block in place, and a step reads its normals as a ``(2, n, ntraj)``
+view, so each trajectory's stream is the same whatever the block size.  The
+norm, the renormalization and the sigma^z field are computed into these
+buffers, so a step allocates nothing of size dim x ntraj and the memory does
+not grow with the step count.  ``evolve_superposition`` raises
+``CapacityError`` before the first Generator exists when that footprint
+exceeds the memory available.
 """
 
 from __future__ import annotations
@@ -39,6 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import spectrum
 from .cluster import ClusterParams, classical_energies, sign_table
 from .errors import CapacityError, IntegrationError, ValidationError
 from .fitting import fit_line
@@ -52,7 +66,10 @@ NORM_DRIFT_LIMIT = 1e-3
 STABILITY_LIMIT = 0.05  # time_step * eigenvalue spread must stay below this
 CONSISTENCY_WINDOW = 3.0
 MIN_FIT_QUALITY = 0.9
-_CHUNK_STEPS = 512  # noise values drawn per trajectory in blocks of this many steps
+_CHUNK_STEPS = 128  # noise values drawn per trajectory in blocks of this many steps
+# resident bytes of one trajectory's Generator and SeedSequence child: 1.0-1.3 KB
+# measured (RSS, numpy 2.4, 10^5 trajectories), rounded up
+_GENERATOR_BYTES = 2048
 
 
 @dataclass(frozen=True)
@@ -68,10 +85,12 @@ class TrajectoryConfig:
     early_stop_floor: float | None = 0.05  # stop once both observables sink below
 
     def __post_init__(self):
-        if not self.time_step > 0:
-            raise ValidationError(f"time step must be positive, got {self.time_step!r}")
-        if self.total_time is not None and not self.total_time > 0:
-            raise ValidationError(f"total time must be positive, got {self.total_time!r}")
+        if not 0 < self.time_step < math.inf:
+            raise ValidationError(f"time step must be positive and finite, got {self.time_step!r}")
+        if self.total_time is not None and not 0 < self.total_time < math.inf:
+            raise ValidationError(
+                f"total time must be positive and finite, got {self.total_time!r}"
+            )
         if not isinstance(self.trajectory_count, (int, np.integer)) or self.trajectory_count < 1:
             raise ValidationError("trajectory count must be a positive integer")
         if not isinstance(self.seed, (int, np.integer)) or not 0 <= int(self.seed) < 2**64:
@@ -100,6 +119,7 @@ class CoherenceTrace:
     time_step: float
     trajectory_count: int
     total_steps: int  # steps integrated, fewer than planned after an early stop
+    max_drift: float  # largest |norm - 1| of any trajectory before a renormalization
 
 
 @dataclass(frozen=True)
@@ -140,6 +160,24 @@ def _fit_log_decay(times: np.ndarray, values: np.ndarray) -> tuple[float, float,
 def _mean(values: np.ndarray) -> float:
     # compensated summation: the average is independent of trajectory order
     return math.fsum(values.tolist()) / len(values)
+
+
+def _require_memory(n: int, ntraj: int, chunk: int) -> None:
+    """Raise CapacityError when a run's buffers cannot fit in memory.
+
+    The footprint is five dim x ntraj complex buffers and, for a noise block
+    of ``chunk`` steps (0: a noise-free run, which draws nothing), the block
+    and one Generator per trajectory.
+    """
+    needed = 5 * 16 * (1 << n) * ntraj
+    if chunk:
+        needed += 8 * ntraj * chunk * 2 * n + _GENERATOR_BYTES * ntraj
+    available = spectrum._available_memory()
+    if available is not None and needed > available:
+        raise CapacityError(
+            f"{ntraj} trajectories of a {n}-spin cluster need {needed} bytes, "
+            f"{available} bytes of memory available"
+        )
 
 
 def evolve_superposition(
@@ -183,23 +221,28 @@ def evolve_superposition(
 
     dim = params.dim
     ntraj = int(tcfg.trajectory_count)
+    chunk = min(_CHUNK_STEPS, steps)
+    _require_memory(n, ntraj, chunk if has_noise else 0)
     # centering the spectrum minimizes phase advance per step (global phase only)
     e_c = (classical_energies(params) - 0.5 * (levels[0] + levels[-1]))[:, None]
     c_amp = params.tunneling[:, None]
     signs = sign_table(n)  # (dim, n)
-    f_amp = tcfg.noise.z_noise[:, None]
-    g_amp = tcfg.noise.x_noise[:, None]
 
-    if has_noise and tcfg.noise.kind == "ou":
-        ou_decay = math.exp(-dt / tcfg.noise.correlation_time)
-        ou_kick = math.sqrt(1.0 - ou_decay**2)
-    inv_sqrt_dt = 1.0 / math.sqrt(dt)
-
-    rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(int(tcfg.seed)).spawn(ntraj)]
     # noise state, both channels together: [0] drives sigma^z, [1] sigma^x
     state = np.zeros((2, n, ntraj))
-    if has_noise and tcfg.noise.kind == "ou":
-        state = np.stack([r.standard_normal((2, n)) for r in rngs], axis=-1)
+    if has_noise:
+        children = np.random.SeedSequence(int(tcfg.seed)).spawn(ntraj)
+        rngs = [np.random.default_rng(c) for c in children]
+        if tcfg.noise.kind == "ou":
+            ou_decay = math.exp(-dt / tcfg.noise.correlation_time)
+            kick = math.sqrt(1.0 - ou_decay**2)
+            state = np.stack([r.standard_normal((2, n)) for r in rngs], axis=-1)
+        else:
+            kick = 1.0 / math.sqrt(dt)
+        # trajectory-major, so each Generator fills its own contiguous row in place
+        block = np.empty((ntraj, chunk, 2, n))
+        amps = np.stack([tcfg.noise.z_noise, tcfg.noise.x_noise])[:, :, None]
+        scaled = np.empty_like(state)
 
     vg = ground.amplitudes
     vl = lem.amplitudes
@@ -212,12 +255,19 @@ def evolve_superposition(
     acc = np.empty_like(psi)
     k_buf = np.empty_like(psi)
     tmp = np.empty_like(psi)
+    # between steps k_buf and tmp are free: k_buf holds the norm's products and
+    # the first half of tmp's bytes the sigma^z field
+    field = tmp.reshape(-1).view(float)[: dim * ntraj].reshape(dim, ntraj)
+    norms = np.empty(ntraj)
+    inv_norms = np.empty(ntraj)
 
     def bit_views(buf):
         # (high bits, bit i, low bits, trajectory): reversing axis 1 applies sigma^x_i
         return [buf.reshape(dim >> (i + 1), 2, 1 << i, ntraj) for i in range(n)]
 
     flipped = {id(buf): [v[:, ::-1] for v in bit_views(buf)] for buf in (psi, acc)}
+    # (dim, ntraj, 2) float views: a trajectory's real and imaginary parts side by side
+    planes = {id(buf): buf.view(float).reshape(dim, ntraj, 2) for buf in (psi, acc)}
     k_views = bit_views(k_buf)
     tmp_views = bit_views(tmp)
 
@@ -249,29 +299,29 @@ def evolve_superposition(
 
     # Horner stage m: acc = psi + (-i dt / m) (H + noise) src, for m = 4, 3, 2, 1
     horner_scales = [-1j * dt / m for m in (4, 3, 2, 1)]
-    block = None
-    block_pos = _CHUNK_STEPS
     done = steps  # steps actually integrated
+    max_drift = 0.0
     for step in range(steps):
         if step % record_every == 0 and record(step):
             done = step
             break
         if has_noise:
-            if block_pos == _CHUNK_STEPS:
+            pos = step % _CHUNK_STEPS
+            if pos == 0:
                 remaining = min(_CHUNK_STEPS, steps - step)
-                block = np.stack(
-                    [r.standard_normal((remaining, 2, n)) for r in rngs], axis=-1
-                )
-                block_pos = 0
-            normals = block[block_pos]
-            block_pos += 1
+                for t, r in enumerate(rngs):
+                    r.standard_normal(out=block[t, :remaining])
+                block[:, :remaining] *= kick
+            kicks = block[:, pos].transpose(1, 2, 0)  # (2, n, ntraj)
             if tcfg.noise.kind == "ou":
                 state *= ou_decay
-                state += ou_kick * normals
+                state += kicks
             else:
-                np.multiply(normals, inv_sqrt_dt, out=state)
-            np.add(e_c, signs @ (f_amp * state[0]), out=diag)
-            np.add(c_amp, g_amp * state[1], out=coef)
+                np.copyto(state, kicks)
+            np.multiply(amps, state, out=scaled)
+            np.matmul(signs, scaled[0], out=field)
+            np.add(e_c, field, out=diag)
+            np.add(c_amp, scaled[1], out=coef)
         # the generator is linear and frozen across the step, so the classical
         # 4-stage scheme collapses to its 4th-order polynomial (Horner form)
         src = psi
@@ -281,14 +331,23 @@ def evolve_superposition(
             acc += psi
             src = acc
         psi, acc = acc, psi
-        norms = np.linalg.norm(psi, axis=0)
-        drift = float(np.abs(norms - 1.0).max())
+        # np.linalg.norm(psi, axis=0) in its own steps:
+        # sqrt(add.reduce(real(conj(psi) * psi)))
+        np.conjugate(psi, out=k_buf)
+        k_buf *= psi
+        np.add.reduce(k_buf.real, axis=0, out=norms)
+        np.sqrt(norms, out=norms)
+        np.subtract(norms, 1.0, out=inv_norms)  # |norms - 1| first, then 1 / norms
+        drift = float(np.abs(inv_norms, out=inv_norms).max())
         if drift > NORM_DRIFT_LIMIT:
             raise IntegrationError(
                 f"norm drift {drift:.3e} exceeds {NORM_DRIFT_LIMIT} at t={step * dt:.4g}; "
                 "reduce the time step"
             )
-        psi /= norms
+        max_drift = max(max_drift, drift)
+        # numpy divides a complex by a real b as (re, im) * (1 / b): psi /= norms
+        np.divide(1.0, norms, out=inv_norms)
+        planes[id(psi)] *= inv_norms[:, None]
     else:
         record(steps)
 
@@ -314,6 +373,7 @@ def evolve_superposition(
         time_step=dt,
         trajectory_count=ntraj,
         total_steps=done,
+        max_drift=max_drift,
     )
 
 

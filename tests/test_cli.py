@@ -1,7 +1,9 @@
 """Command-line surface: pipelines, exit statuses, output determinism."""
 
+import re
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import lemsim.perturbation
@@ -332,6 +334,43 @@ def test_oversize_dynamics_is_refused_before_any_solve(tmp_path, capsys, monkeyp
     assert run_cli("dynamics", "--config", cfg) == 3
     assert "trajectory evolution supports up to 8 spins, got n=10" in capsys.readouterr().err
     assert calls == []
+
+
+def test_oversize_trajectory_count_exits_3_before_any_generator(tmp_path, capsys, monkeypatch):
+    def no_generators(*args):
+        raise AssertionError("a Generator was made")
+
+    monkeypatch.setattr(np.random, "SeedSequence", no_generators)
+    monkeypatch.setattr(lemsim.spectrum, "_available_memory", lambda: 2**33)
+    cfg = tmp_path / "many.cfg"
+    cfg.write_text(FERRO3 + "\n[dynamics]\ntrajectories = 100000000000\n")
+    assert run_cli("dynamics", "--config", cfg) == 3
+    assert re.fullmatch(
+        r"error \[dynamics\]: 100000000000 trajectories of a 3-spin cluster need \d{15} bytes, "
+        r"8589934592 bytes of memory available\n",
+        capsys.readouterr().err,
+    )
+
+
+def test_infinite_total_time_exits_1_with_a_message(tmp_path, capsys):
+    cfg = tmp_path / "forever.cfg"
+    cfg.write_text(FERRO3 + "\n[dynamics]\ntotal_time = inf\n")
+    assert run_cli("dynamics", "--config", cfg) == 1
+    assert re.fullmatch(
+        r"error \[dynamics\]: line \d+: dynamics.total_time must be finite\n",
+        capsys.readouterr().err,
+    )
+
+
+def test_dynamics_summary_reports_the_largest_norm_drift(tmp_path, capsys):
+    cfg = tmp_path / "dyn.cfg"
+    cfg.write_text(FERRO3 + "\n[dynamics]\ntotal_time = 2.0\ntrajectories = 4\n")
+    out = tmp_path / "out.csv"
+    assert run_cli("dynamics", "--config", cfg, "--out", out) == 0
+    summary = capsys.readouterr().err
+    match = re.search(r" max_drift=(\S+) route=sector\n$", summary)
+    assert match and 0 <= float(match.group(1)) < 1e-12
+    assert "drift" not in out.read_text()
 
 
 def test_memory_preflight_exit_status(tmp_path, capsys, monkeypatch):

@@ -239,6 +239,9 @@ ERROR_CASES = [
     ("[noise]\ntau = soon\n", "line 2: noise.tau: not a number: 'soon'"),
     ("[dynamics]\ntime_step = 0\n", "line 2: dynamics.time_step must be positive"),
     ("[dynamics]\ntotal_time = -5\n", "line 2: dynamics.total_time must be positive"),
+    ("[dynamics]\ntotal_time = inf\n", "line 2: dynamics.total_time must be finite"),
+    ("[dynamics]\ntime_step = -inf\n", "line 2: dynamics.time_step must be finite"),
+    (CLUSTER + "j = nan\n", "line 3: cluster.j must be finite"),
     ("[dynamics]\ntrajectories = 0\n", "line 2: dynamics.trajectories must be positive"),
     ("[dynamics]\ntrajectories = 1.5\n", "line 2: dynamics.trajectories: not an integer: '1.5'"),
     ("[dynamics]\nanchors = 000\n", "line 2: dynamics.anchors needs two bitstrings (ground lem)"),

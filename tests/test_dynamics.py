@@ -1,11 +1,15 @@
 """Trajectory evolution: determinism, conservation laws, rate fitting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from oracles import brute_energy, reference_trajectories
 
+import lemsim.spectrum
 from lemsim import (
+    CapacityError,
     ClusterParams,
     CouplingSpec,
     IntegrationError,
@@ -231,6 +235,96 @@ def test_noise_blocks_do_not_change_the_trace(monkeypatch, kind):
     assert np.array_equal(default.ensemble_coherence, small.ensemble_coherence)
 
 
+def _ou(fam):
+    return CouplingSpec(
+        z_noise=fam.coupling.z_noise, x_noise=fam.coupling.x_noise, kind="ou", correlation_time=2.0
+    )
+
+
+def test_memory_is_the_buffers_whatever_the_step_count():
+    fam = uniform_ferromagnet(6, 0.02)
+    dt = default_time_step(fam.a_typ)
+    ntraj, chunk = 200, dynamics._CHUNK_STEPS
+
+    def peak(steps):
+        tcfg = TrajectoryConfig(
+            noise=_ou(fam), time_step=dt, total_time=(steps - 0.5) * dt, trajectory_count=ntraj,
+            seed=8, record_every=steps, early_stop_floor=None,
+        )
+        tracemalloc.start()
+        try:
+            evolve_superposition(fam.params, fam.dressed_ground, fam.dressed_lem, fam.levels, tcfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(3)  # first-call caches
+    short, long = peak(2 * chunk + 1), peak(4 * chunk + 2)
+    # state, Horner accumulator, Hamiltonian product, its scratch and the diagonal
+    buffers = 5 * 16 * fam.params.dim * ntraj
+    noise_block = 8 * ntraj * chunk * 2 * 6
+    # the slack holds the Generators (about 1 KB each) and numpy's iteration buffers
+    assert short <= buffers + noise_block + 2**20
+    assert abs(long - short) <= 1024
+
+
+def test_capacity_preflight_raises_before_any_generator(monkeypatch):
+    fam = uniform_ferromagnet(3, 0.05)
+    dt = default_time_step(fam.a_typ)
+    steps, ntraj = 20, 7
+
+    def run(noise):
+        tcfg = TrajectoryConfig(
+            noise=noise, time_step=dt, total_time=(steps - 0.5) * dt, trajectory_count=ntraj,
+            seed=5,
+        )
+        return evolve_superposition(
+            fam.params, fam.dressed_ground, fam.dressed_lem, fam.levels, tcfg
+        )
+
+    def no_generators(*args):
+        raise AssertionError("a Generator was made")
+
+    # five (8, 7) complex buffers, a (7, 20, 2, 3) noise block and seven Generators
+    state = 5 * 16 * 8 * ntraj
+    needed = state + 8 * ntraj * steps * 2 * 3 + dynamics._GENERATOR_BYTES * ntraj
+    monkeypatch.setattr(lemsim.spectrum, "_available_memory", lambda: needed - 1)
+    with monkeypatch.context() as m:
+        m.setattr(np.random, "SeedSequence", no_generators)
+        with pytest.raises(
+            CapacityError,
+            match=f"^7 trajectories of a 3-spin cluster need {needed} bytes, "
+            f"{needed - 1} bytes of memory available$",
+        ):
+            run(_ou(fam))
+    # without noise there is no noise block and no Generator
+    monkeypatch.setattr(lemsim.spectrum, "_available_memory", lambda: state)
+    assert run(zero_noise(3)).total_steps == steps
+    monkeypatch.setattr(lemsim.spectrum, "_available_memory", lambda: needed)
+    assert run(_ou(fam)).total_steps == steps
+
+
+def test_max_drift_is_the_largest_norm_drift(monkeypatch):
+    p = single_spin(b=0.5)
+    eig = diagonalize(build_hamiltonian(p))
+    noise = CouplingSpec(z_noise=np.zeros(1), x_noise=np.array([1.0]), kind="white")
+    tcfg = TrajectoryConfig(
+        noise=noise, time_step=0.01, total_time=1.0, trajectory_count=4, seed=1
+    )
+
+    def run():
+        return evolve_superposition(p, dress(eig, 0), dress(eig, 1), eig.values, tcfg)
+
+    drift = run().max_drift
+    assert 1e-6 < drift < dynamics.NORM_DRIFT_LIMIT
+    # the guard passes at a limit of exactly max_drift and trips one ulp below it
+    monkeypatch.setattr(dynamics, "NORM_DRIFT_LIMIT", drift)
+    assert run().max_drift == drift
+    monkeypatch.setattr(dynamics, "NORM_DRIFT_LIMIT", np.nextafter(drift, 0.0))
+    with pytest.raises(IntegrationError, match=f"^norm drift {drift:.3e} exceeds"):
+        run()
+
+
 # non-uniform clusters: every spin has its own couplings, bias, tunneling and
 # noise amplitudes, so a spin mapped to the wrong bit changes the result
 ORACLE_CLUSTERS = {
@@ -295,6 +389,15 @@ def test_stability_criterion_enforced():
     )
     with pytest.raises(ValidationError, match="stability"):
         evolve_superposition(fam.params, fam.dressed_ground, fam.dressed_lem, fam.levels, tcfg)
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+@pytest.mark.parametrize("name", ["time_step", "total_time"])
+def test_times_must_be_finite(name, value):
+    times = {"time_step": 0.01, "total_time": 1.0, name: value}
+    message = f"{name.replace('_', ' ')} must be positive and finite"
+    with pytest.raises(ValidationError, match=message):
+        TrajectoryConfig(noise=zero_noise(1), trajectory_count=1, **times)
 
 
 def test_ou_noise_needs_a_correlation_time():
