@@ -12,18 +12,31 @@ that is not collective; ``collective.block_eigenvalues`` serves the others)
 through ``eigenvalues``, a values-only ``scipy.linalg.eigh``.
 ``cluster_eigensystem(params)`` computes the eigensystem that dressing needs
 through ``diagonalize``, which runs the steps of LAPACK's ``dsyevr`` (the
-routine behind ``eigh``) one by one and stops before the last: it reduces H
-to a tridiagonal T = Qᵀ H Q with ``dsytrd``, solves T with ``dstemr``
-(MRRR) or, where that fails, with ``dstebz`` and ``dstein`` (bisection and
-inverse iteration), and keeps Q as its Householder reflectors.  ``dress``
-then needs one row and one column of the eigenvector matrix, O(N²) each
-through ``dormqr``, where the full back-transformation costs 2N³; the
-``EigenSystem.vectors`` that tests and callers may ask for are
-back-transformed on first access and agree bit for bit with ``eigh``.
+routine behind ``eigh``) one by one and stops early: it reduces H to a
+tridiagonal T = Qᵀ H Q with ``dsytrd``, keeping Q as its Householder
+reflectors, and solves T with ``dstemr`` (MRRR, all eigenvectors of T in
+O(N²)) or, where that fails, with ``dstebz`` (bisection, values only).  The
+eigenvectors of T that ``dsyevr`` would then compute by inverse iteration
+(``dstein``) are computed only where they are read.
+
+``dress`` reads one eigenvector: the one whose overlap² with the anchor is
+at least ½.  For u = Qᵀ e_anchor and any centre ρ, ‖(T − ρ)u‖² =
+Σ_k (z_kᵀu)² (λ_k − ρ)² over T's eigenpairs, so with ρ = uᵀTu and
+s = ‖(T − ρ)u‖ such a vector's level lies within √2·s of ρ (Parlett, *The
+Symmetric Eigenvalue Problem*, §4 and §11).  ``dress`` takes the
+eigenvectors of T for the levels in that window only (a slice of MRRR's, or
+``dstein`` on the window's values), picks the best overlap, and
+back-transforms that one column in O(N²) through ``dormqr``, where the full
+back-transformation costs 2N³.  It falls back to every eigenvector of T
+where the window cannot stand for the full run: when no vector in it is
+dominant, or when the dominant one belongs to a cluster of levels whose
+vectors ``dstein`` computes together.  The ``EigenSystem.vectors`` that
+tests and callers may ask for run ``dstein`` on every value and the full
+back-transformation on first access, and agree bit for bit with ``eigh``.
 
 Both cluster solves assemble H once, marked as scratch that LAPACK may
 overwrite in place, so they hold one (values) or two (H holding the
-reflectors, and the eigenvectors of T) dim x dim arrays at their peak,
+reflectors, and ``dstemr``'s eigenvectors of T) dim x dim arrays at their peak,
 8·4^n or 16·4^n bytes, and they raise CapacityError before assembly when
 that footprint exceeds the memory available (``MemAvailable``, lowered to
 any memory cgroup limit's headroom).  ``eigenvalues(h)`` and
@@ -76,27 +89,58 @@ _RMIN = math.sqrt(_SMLNUM)
 _RMAX = min(math.sqrt(1.0 / _SMLNUM), 1.0 / math.sqrt(math.sqrt(np.finfo(float).tiny)))
 
 
+def _row_sums(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Each row's |d_i| + |e_{i-1}| + |e_i| for the tridiagonal (d, e): their
+    maximum is the Gershgorin (and 1-) norm that ``dstebz`` and ``dstein`` use."""
+    sums = np.abs(d)
+    sums[:-1] += np.abs(e)
+    sums[1:] += np.abs(e)
+    return sums
+
+
+def _gamma(k: int) -> float:
+    """Higham's γ_k = k·u/(1 − k·u), u the unit roundoff: the relative error
+    bound of k successive roundings."""
+    unit = np.finfo(float).eps / 2
+    return k * unit / (1 - k * unit)
+
+
 @dataclass(frozen=True, eq=False)
 class EigenSystem:
     """Eigenvalues (ascending) of a dense symmetric H and its eigenvectors,
     held as LAPACK's tridiagonal reduction H = Q T Qᵀ.
 
-    ``z`` holds the eigenvectors of T in the order the tridiagonal solver
-    returned them; ``swaps`` are the column swaps of ``dsyevr``'s closing
-    selection sort, which bring them into the order of ``values``.  Q is
-    ``diag(1, Q')``, with Q' the product of the Householder reflectors in
-    ``reflectors`` (rows 2..N of the reduced matrix, a view into H's buffer
-    with leading dimension N) and ``tau``.  ``route`` names the tridiagonal
-    solver that ran: "mrrr" (``dstemr``) or "bisection" (``dstebz`` and
-    ``dstein``, ``dsyevr``'s fallback when ``dstemr`` fails).
+    T has diagonal ``d`` and off-diagonal ``e``; it is the reduction of H
+    times ``scale`` when ``dsyevr`` scaled H into its range (None when it
+    did not).  ``solver_values`` are T's eigenvalues in the order the
+    tridiagonal solver returned them, and ``swaps`` are the column swaps of
+    ``dsyevr``'s closing selection sort, which bring them, unscaled, into
+    the order of ``values``.  Q is ``diag(1, Q')``, with Q' the product of
+    the Householder reflectors in ``reflectors`` (rows 2..N of the reduced
+    matrix, a view into H's buffer with leading dimension N) and ``tau``.
+
+    ``route`` names the tridiagonal solver that ran: "mrrr" (``dstemr``,
+    whose eigenvectors of T are ``mrrr_z``) or "bisection" (``dstebz``,
+    ``dsyevr``'s fallback when ``dstemr`` fails, which orders the values by
+    the diagonal ``block`` of T they belong to; ``split`` ends each block).
+    On the bisection route no eigenvector of T exists until one is read:
+    ``z``, all of them in solver order, runs ``dsyevr``'s ``dstein`` call on
+    every value on first access, and ``dress`` runs ``dstein`` on the
+    values of its window only.
     """
 
     values: np.ndarray = field(repr=False)
     route: str
-    z: np.ndarray = field(repr=False)
     swaps: tuple[tuple[int, int], ...] = field(repr=False)
     reflectors: np.ndarray = field(repr=False)
     tau: np.ndarray = field(repr=False)
+    d: np.ndarray = field(repr=False)
+    e: np.ndarray = field(repr=False)
+    scale: float | None
+    solver_values: np.ndarray = field(repr=False)
+    mrrr_z: np.ndarray | None = field(repr=False)
+    block: np.ndarray | None = field(repr=False)
+    split: np.ndarray | None = field(repr=False)
 
     @property
     def dim(self) -> int:
@@ -108,11 +152,39 @@ class EigenSystem:
 
     @cached_property
     def _columns(self) -> np.ndarray:
-        """The column of ``z`` that belongs to each of ``values``."""
+        """The solver position (column of ``z``) of each of ``values``."""
         columns = np.arange(self.dim)
         for j, i in self.swaps:
             columns[[j, i]] = columns[[i, j]]
         return columns
+
+    @cached_property
+    def _levels(self) -> np.ndarray:
+        """The index into ``values`` of each solver position."""
+        levels = np.empty(self.dim, dtype=np.intp)
+        levels[self._columns] = np.arange(self.dim)
+        return levels
+
+    def _tridiagonal_vectors(self, positions: np.ndarray) -> np.ndarray:
+        """Eigenvectors of T for ascending solver positions, one per column:
+        MRRR's, or ``dstein`` on those values alone, each in its block."""
+        if self.mrrr_z is not None:
+            return self.mrrr_z[:, positions]
+        block = np.zeros_like(self.block)  # dstein reads its first len(positions) entries
+        block[: len(positions)] = self.block[positions]
+        z, info = lapack.dstein(self.d, self.e, self.solver_values[positions], block, self.split)
+        if info != 0:
+            dim = self.dim
+            raise NumericalError(f"eigensolver failed on a {dim}x{dim} matrix: bisection info {info}")
+        return z
+
+    @cached_property
+    def z(self) -> np.ndarray:
+        """All eigenvectors of T in solver order: ``mrrr_z``, or ``dstein`` on
+        every value as ``dsyevr`` runs it, in one new dim x dim array."""
+        if self.mrrr_z is not None:
+            return self.mrrr_z
+        return self._tridiagonal_vectors(np.arange(self.dim))
 
     def _apply_q(self, rest: np.ndarray, trans: str) -> np.ndarray:
         """Q' (``trans`` "N") or Q'ᵀ ("T") applied in place to ``rest``, rows
@@ -125,19 +197,92 @@ class EigenSystem:
             raise NumericalError(f"dormqr failed on a {self.dim}x{self.dim} matrix: info {info}")
         return out
 
-    def row(self, index: int) -> np.ndarray:
-        """Row ``index`` of the eigenvector matrix, each column's sign as LAPACK
-        left it: zᵀ (Qᵀ e_index), O(N²)."""
+    def _rotated(self, index: int) -> np.ndarray:
+        """Qᵀ e_index, O(N²)."""
         unit = np.zeros(self.dim)
         unit[index] = 1.0
         unit[1:] = self._apply_q(unit[1:, None], "T")[:, 0]
-        return (self.z.T @ unit)[self._columns]
+        return unit
 
-    def column(self, k: int) -> np.ndarray:
-        """Eigenvector ``k`` with the sign LAPACK left it: Q z_k, O(N²)."""
-        vector = self.z[:, self._columns[k]].copy()
+    def _back_transformed(self, z_column: np.ndarray) -> np.ndarray:
+        """Q z for one eigenvector z of T, as a new array, O(N²)."""
+        vector = z_column.copy()
         vector[1:] = self._apply_q(vector[1:, None], "N")[:, 0]
         return vector
+
+    def row(self, index: int) -> np.ndarray:
+        """Row ``index`` of the eigenvector matrix, each column's sign as LAPACK
+        left it: zᵀ (Qᵀ e_index), O(N²) once ``z`` exists."""
+        return (self.z.T @ self._rotated(index))[self._columns]
+
+    def column(self, k: int) -> np.ndarray:
+        """Eigenvector ``k`` with the sign LAPACK left it: Q z_k, O(N²) once
+        ``z`` exists."""
+        return self._back_transformed(self.z[:, self._columns[k]])
+
+    def _window(self, u: np.ndarray) -> np.ndarray:
+        """Ascending solver positions of every level whose eigenvector of T can
+        have overlap² ≥ ½ with u = Qᵀ e_anchor, in O(N).
+
+        For any centre ρ and any u, ‖(T − ρ)u‖² = Σ_k (z_kᵀu)² (λ_k − ρ)²
+        over T's exact eigenpairs, so a level whose vector has (z_kᵀu)² ≥ ½
+        lies within √2·‖(T − ρ)u‖ of ρ; ρ = uᵀTu makes that radius smallest,
+        and neither ρ's rounding nor u's from unit length needs a term.  The
+        slack covers two errors:
+
+        - the computed s: each entry of (T − ρ)u is a sum of four products,
+          within γ₄ of ((|T| + |ρ|)|u|)_i, and ‖·‖ adds a sum of N squares
+          and a square root, within γ_{N+1} of s (Higham's γ_k);
+        - ``dstebz``'s values, each within 7·ulp·‖T‖ of an eigenvalue of T,
+          ‖T‖ bounded by its Gershgorin norm: the midpoint of a last
+          interval no wider than 2·ulp·‖T‖ (ulp·‖T‖), the off-diagonals it
+          drops as negligible (ulp·‖T‖), and Sturm counts that are exact for
+          off-diagonals perturbed by 2.5 ulp (Kahan; 5·ulp·‖T‖).
+
+        The window is taken in T's units, against the solver's own values,
+        so the unscaling of ``values`` adds no rounding to it.
+        """
+        d, e = self.d, self.e
+        r = d * u
+        r[:-1] += e * u[1:]
+        r[1:] += e * u[:-1]
+        rho = float(u @ r)
+        r -= rho * u
+        s = float(np.linalg.norm(r))
+        tnorm = float(_row_sums(d, e).max())
+        ds = _gamma(4) * (tnorm + abs(rho)) * float(np.linalg.norm(u)) + _gamma(self.dim + 1) * s
+        ulp = np.finfo(float).eps
+        # (1 + γ₄): the rounding of the radius itself and of each |λ − ρ|
+        radius = (math.sqrt(2.0) * (s + ds) + 7 * ulp * tnorm) * (1 + _gamma(4))
+        return np.flatnonzero(np.abs(self.solver_values - rho) <= radius)
+
+    def _alone(self, position: int) -> bool:
+        """Whether ``dstein`` computes the eigenvector at this solver position
+        on its own: the neighbouring values in its block lie more than twice
+        ``dstein``'s reorthogonalization distance (10⁻³ of the block's
+        1-norm) away.  Then no Gram–Schmidt step or value perturbation
+        touches it and inverse iteration converges from any starting vector,
+        so the window's run and the full run give the same vector up to
+        rounding.  A level in a cluster gets a vector that depends on the
+        other vectors of the run, its random start among them."""
+        if self.mrrr_z is not None:
+            return True
+        block = self.block[position]
+        start = self.split[block - 2] if block > 1 else 0
+        stop = self.split[block - 1]
+        reach = 2 * 1e-3 * float(_row_sums(self.d[start:stop], self.e[start : stop - 1]).max())
+        value = self.solver_values[position]
+        return all(
+            abs(self.solver_values[p] - value) > reach
+            for p in (position - 1, position + 1)
+            if 0 <= p < self.dim and self.block[p] == block
+        )
+
+    def window(self, index: int) -> np.ndarray:
+        """Ascending indices into ``values`` of every level whose eigenvector can
+        have overlap² ≥ ½ with basis state ``index``: the levels ``dress``
+        computes eigenvectors for."""
+        return np.sort(self._levels[self._window(self._rotated(index))])
 
     @cached_property
     def vectors(self) -> np.ndarray:
@@ -146,9 +291,10 @@ class EigenSystem:
         largest-magnitude component is positive (the first such component on
         ties), making repeated runs byte-reproducible.
 
-        The 2N³ back-transformation runs on first access, in one new dim x dim
-        array: rows 2..N are transformed packed to leading dimension N-1, the
-        only one scipy's ``dormqr`` takes, and then spread out in place.
+        The 2N³ back-transformation runs on first access (after ``z``), in
+        one new dim x dim array: rows 2..N are transformed packed to leading
+        dimension N-1, the only one scipy's ``dormqr`` takes, and then spread
+        out in place.
         """
         dim = self.dim
         flat = np.empty(dim * dim)
@@ -394,27 +540,27 @@ def _selection_sort(values: np.ndarray) -> tuple[np.ndarray, tuple[tuple[int, in
     return values, tuple(swaps)
 
 
-def _solve_tridiagonal(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray, str]:
-    """Eigenvalues, eigenvectors and route of the tridiagonal (d, e), as
-    ``dsyevr`` computes them: ``dstemr``, or ``dstebz`` (block order) and
-    ``dstein`` when ``dstemr`` fails."""
+def _solve_tridiagonal(
+    d: np.ndarray, e: np.ndarray
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None, np.ndarray | None]:
+    """Eigenvalues of the tridiagonal (d, e) as ``dsyevr`` computes them, with
+    ``dstemr``'s eigenvectors, or, where ``dstemr`` fails, ``dstebz``'s values
+    (block order) with their blocks and splits and no eigenvectors."""
     dim = len(d)
     e_work = np.append(e, 0.0)  # dstemr takes N entries and works in the last
     _, values, z, info = lapack.dstemr(d, e_work, 0, 0.0, 0.0, 0, 0)
     if info == 0:
-        return values, z, "mrrr"
-    del z  # before dstein allocates its own dim x dim array
+        return values, z, None, None
+    del z  # before the caller holds anything else
     m, values, block, split, info = lapack.dstebz(d, e, 0, 0.0, 0.0, 0, 0, 0.0, "B")
-    if info == 0:
-        z, info = lapack.dstein(d, e, values[:m], block, split)
     if info != 0:
         raise NumericalError(f"eigensolver failed on a {dim}x{dim} matrix: bisection info {info}")
-    return values[:m], z, "bisection"
+    return values[:m], None, block, split
 
 
 def diagonalize(h: np.ndarray) -> EigenSystem:
-    """Dense symmetric eigensystem by ``dsyevr``'s steps, stopped before the
-    back-transformation (see the module docstring).
+    """Dense symmetric eigensystem by ``dsyevr``'s steps, stopped before
+    ``dstein`` and the back-transformation (see the module docstring).
 
     The values are ``scipy.linalg.eigh``'s bit for bit, scaling included when
     max |h_ij| leaves ``dsyevr``'s range.  ``h`` is left unmodified; the
@@ -440,14 +586,24 @@ def diagonalize(h: np.ndarray) -> EigenSystem:
     a, d, e, tau, info = lapack.dsytrd(a, lower=1, lwork=lwork - 5 * dim, overwrite_a=1)
     if info != 0:
         raise NumericalError(f"dsytrd failed on a {dim}x{dim} matrix: info {info}")
-    values, z, route = _solve_tridiagonal(d, e)
-    if sigma is not None:
-        values *= 1.0 / sigma
+    solver_values, z, block, split = _solve_tridiagonal(d, e)
+    values = solver_values if sigma is None else solver_values * (1.0 / sigma)
     values, swaps = _selection_sort(values)
     # the reflectors below row 1, addressed in place with leading dimension N
     reflectors = a.reshape(-1, order="F")[1 : 1 + dim * (dim - 1)].reshape((dim, dim - 1), order="F")
     return EigenSystem(
-        values=values, route=route, z=z, swaps=swaps, reflectors=reflectors, tau=tau
+        values=values,
+        route="mrrr" if z is not None else "bisection",
+        swaps=swaps,
+        reflectors=reflectors,
+        tau=tau,
+        d=d,
+        e=e,
+        scale=sigma,
+        solver_values=solver_values,
+        mrrr_z=z,
+        block=block,
+        split=split,
     )
 
 
@@ -467,10 +623,11 @@ def cluster_eigensystem(params: ClusterParams) -> EigenSystem:
 
     Equal bit for bit to ``diagonalize(build_hamiltonian(params))``, but it
     holds at most two dim x dim arrays: the Hamiltonian, which LAPACK
-    overwrites with the reflectors, and the eigenvectors of the tridiagonal.
-    Dressing adds O(dim) arrays; ``vectors`` would add a third dim x dim
-    array.  Raises CapacityError before assembly when the two do not fit in
-    memory.
+    overwrites with the reflectors, and ``dstemr``'s eigenvectors of the
+    tridiagonal, which the bisection route releases.  Dressing adds a dim x
+    (window) array; ``z`` on the bisection route adds a dim x dim array, and
+    ``vectors`` one more.  Raises CapacityError before assembly when the two
+    do not fit in memory.
     """
     _require_memory(params, vectors=True)
     return diagonalize(build_hamiltonian(params).view(_Scratch))
@@ -522,18 +679,34 @@ def require_dominant_overlap(overlap_sq: float, anchor: int, n: int) -> None:
 def dress(eig: EigenSystem, anchor: int) -> DressedState:
     """Return the eigenstate with maximal overlap on the anchor configuration.
 
-    It reads one row and one column of the eigenvector matrix (``eig.row``,
-    ``eig.column``), never the full back-transformed ``eig.vectors``.
-    Raises StrongMixingError when the best overlap^2 falls below 0.5: the
+    It computes the eigenvectors of T only for the levels in the anchor's
+    window (``eig.window``), takes the one of largest overlap (the lowest
+    level on a tie) and back-transforms that one column; it never reads
+    ``eig.z`` or the full back-transformed ``eig.vectors``, unless no vector
+    in the window reaches overlap² ½, or the one that does belongs to a
+    cluster of levels whose vectors ``dstein`` computes together.  Then it
+    takes the best of all of ``eig.z``, as ``eigh`` would, and raises
+    StrongMixingError, reporting that overlap², when it falls below 0.5: the
     anchor label then no longer identifies a single eigenstate and all
     perturbative scaling statements are void.
     """
     anchor = validate_config(eig.n, anchor, "anchor")
-    overlaps = eig.row(anchor)
-    k = int(np.argmax(np.abs(overlaps)))
-    overlap_sq = float(overlaps[k] ** 2)
-    require_dominant_overlap(overlap_sq, anchor, eig.n)
-    amps = eig.column(k)
+    u = eig._rotated(anchor)
+    positions = eig._window(u)
+    z = eig._tridiagonal_vectors(positions)
+    overlaps = z.T @ u
+    levels = eig._levels[positions]
+    best = min(range(len(positions)), key=lambda j: (-abs(overlaps[j]), levels[j]), default=None)
+    if best is not None and overlaps[best] ** 2 >= OVERLAP_THRESHOLD and eig._alone(positions[best]):
+        k = int(levels[best])
+        overlap_sq = float(overlaps[best] ** 2)
+        amps = eig._back_transformed(z[:, best])
+    else:
+        overlaps = eig.row(anchor)
+        k = int(np.argmax(np.abs(overlaps)))
+        overlap_sq = float(overlaps[k] ** 2)
+        require_dominant_overlap(overlap_sq, anchor, eig.n)
+        amps = eig.column(k)
     if amps[anchor] < 0:
         np.negative(amps, out=amps)
     amps.setflags(write=False)

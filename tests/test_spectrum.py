@@ -6,12 +6,16 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import lapack
 
 import lemsim.spectrum
 from lemsim import (
     CapacityError,
     ClusterParams,
     DegeneracyError,
+    EigenSystem,
     StrongMixingError,
     ValidationError,
     bits_to_config,
@@ -246,6 +250,181 @@ def test_dress_reads_one_column_of_the_full_vectors():
             assert state.eigenindex == int(np.argmax(np.abs(eig.vectors[state.anchor]))), name
             gap = np.abs(state.amplitudes - column * np.sign(column[state.anchor])).max()
             assert gap <= 8 * eps, name
+
+
+@pytest.fixture
+def dstein_sizes(monkeypatch):
+    """The number of values each ``dstein`` call is given, in call order."""
+    sizes = []
+    dstein = lapack.dstein
+
+    def counted(d, e, w, *rest):
+        sizes.append(len(w))
+        return dstein(d, e, w, *rest)
+
+    monkeypatch.setattr(lapack, "dstein", counted)
+    return sizes
+
+
+@pytest.fixture
+def failing_dstemr(monkeypatch):
+    """``dstemr`` reporting the failure it gives on exactly repeated levels,
+    so that ``diagonalize`` takes ``dsyevr``'s bisection route."""
+    dstemr = lapack.dstemr
+
+    def failing(*args):
+        m, w, z, _ = dstemr(*args)
+        return m, w, z, 22
+
+    monkeypatch.setattr(lapack, "dstemr", failing)
+
+
+def _dominant_anchors(h):
+    """The first and last basis states whose best overlap² is at least ½."""
+    vectors = diagonalize(h).vectors
+    dominant = np.flatnonzero((vectors**2).max(axis=1) >= 0.5)
+    return int(dominant[0]), int(dominant[-1])
+
+
+def _check_windowed_dressing(name, eig, anchors, dstein_sizes):
+    """Dress each anchor, then check it against the argmax over all of ``z``:
+    same level, energy and overlap², amplitudes within 8 eps, and no
+    eigenvector of T computed outside the windows."""
+    dstein_sizes.clear()
+    states = [dress(eig, anchor) for anchor in anchors]
+    assert "z" not in vars(eig), name  # no dressing fell back to every vector
+    windows = [eig.window(anchor) for anchor in anchors]
+    assert len(dstein_sizes) == (len(anchors) if eig.route == "bisection" else 0), name
+    for size, window in zip(dstein_sizes, windows):
+        assert size <= len(window), name
+    eps = np.finfo(float).eps
+    for state, window in zip(states, windows):
+        overlaps = eig.row(state.anchor)
+        k = int(np.argmax(np.abs(overlaps)))
+        assert state.eigenindex == k and k in window, name
+        assert state.energy == eig.values[k], name
+        assert state.overlap_sq == overlaps[k] ** 2, name
+        column = eig.column(k)
+        gap = np.abs(state.amplitudes - column * np.sign(column[state.anchor])).max()
+        assert gap <= 8 * eps, name
+
+
+def test_ferromagnet_dressing_runs_inverse_iteration_only_in_its_window(dstein_sizes):
+    routes = []
+    for n in (8, 9, 10, 11):
+        for r in (0.01, 0.05):
+            p = uniform_ferromagnet(n, r).params
+            eig = cluster_eigensystem(p)
+            routes.append(eig.route)
+            _check_windowed_dressing(f"n={n} r={r}", eig, (0, p.dim - 1), dstein_sizes)
+    # n = 9..11 take the bisection route on one BLAS thread and on two
+    assert routes.count("bisection") >= 6
+
+
+def test_route_cases_dress_inside_their_windows(dstein_sizes):
+    routes = set()
+    for name, h in _route_cases():
+        eig = diagonalize(h)
+        routes.add(eig.route)
+        _check_windowed_dressing(name, eig, _dominant_anchors(h), dstein_sizes)
+    assert routes == {"mrrr", "bisection"}
+
+
+@pytest.mark.parametrize("scale", [1e100, 1e-150], ids=["above", "below"])
+def test_scaled_bisection_windows_are_taken_in_the_units_of_t(scale, dstein_sizes, request):
+    # dstemr does not fail on the copies scaled below dsyevr's range, so it is
+    # made to report its failure there
+    if scale < 1:
+        request.getfixturevalue("failing_dstemr")
+    h = build_hamiltonian(uniform_ferromagnet(9, 0.01).params) * scale
+    eig = diagonalize(h)
+    assert eig.route == "bisection" and eig.scale is not None
+    _check_windowed_dressing(f"x{scale}", eig, (0, h.shape[0] - 1), dstein_sizes)
+
+
+# the best overlap² over every eigenvector of T, as dressing reported it before
+# the window existed; a window that holds no dominant vector cannot give it
+_MIXED_MESSAGES = {
+    0: "anchor 000000000 mixes strongly: best overlap^2 = 0.393952 < 0.5",
+    511: "anchor 111111111 mixes strongly: best overlap^2 = 0.384886 < 0.5",
+}
+
+
+def test_strong_mixing_falls_back_to_every_vector_of_t(dstein_sizes):
+    eig = cluster_eigensystem(uniform_ferromagnet(9, 0.3).params)
+    assert eig.route == "bisection"
+    for anchor, message in _MIXED_MESSAGES.items():
+        window = eig.window(anchor)
+        assert 0 < len(window) < eig.dim  # vectors in the window, none dominant
+        dstein_sizes.clear()
+        with pytest.raises(StrongMixingError) as err:
+            dress(eig, anchor)
+        assert str(err.value) == message
+        # the window's vectors, then every vector once; z is then cached
+        assert dstein_sizes == ([len(window), eig.dim] if anchor == 0 else [len(window)])
+
+
+def test_empty_window_falls_back_to_every_vector_of_t(monkeypatch):
+    eig = cluster_eigensystem(uniform_ferromagnet(9, 0.3).params)
+    windowed = dress(diagonalize(build_hamiltonian(uniform_ferromagnet(9, 0.01).params)), 0)
+    monkeypatch.setattr(EigenSystem, "_window", lambda self, u: np.arange(0))
+    for anchor, message in _MIXED_MESSAGES.items():
+        with pytest.raises(StrongMixingError) as err:
+            dress(eig, anchor)
+        assert str(err.value) == message
+    # a dominant anchor dresses from all of z instead, to the same state
+    eig = diagonalize(build_hamiltonian(uniform_ferromagnet(9, 0.01).params))
+    fallback = dress(eig, 0)
+    assert "z" in vars(eig)
+    assert (fallback.eigenindex, fallback.overlap_sq) == (windowed.eigenindex, windowed.overlap_sq)
+    assert np.abs(fallback.amplitudes - windowed.amplitudes).max() <= 8 * np.finfo(float).eps
+
+
+def test_clustered_levels_dress_from_every_vector_of_t(monkeypatch, dstein_sizes):
+    p = uniform_ferromagnet(9, 0.01).params
+    eig = cluster_eigensystem(p)
+    assert eig.route == "bisection"
+    # dstein computes exactly repeated values of one block together
+    repeated = [
+        q
+        for q in range(eig.dim - 1)
+        if eig.block[q] == eig.block[q + 1] and eig.solver_values[q] == eig.solver_values[q + 1]
+    ]
+    assert repeated and not any(eig._alone(q) or eig._alone(q + 1) for q in repeated)
+    windowed = [dress(eig, anchor) for anchor in (0, p.dim - 1)]
+    assert all(eig._alone(eig._columns[state.eigenindex]) for state in windowed)
+    monkeypatch.setattr(EigenSystem, "_alone", lambda self, position: False)
+    for state in windowed:
+        eig = cluster_eigensystem(p)
+        dstein_sizes.clear()
+        full = dress(eig, state.anchor)
+        assert dstein_sizes == [len(eig.window(state.anchor)), p.dim]
+        assert (full.eigenindex, full.overlap_sq) == (state.eigenindex, state.overlap_sq)
+        assert np.abs(full.amplitudes - state.amplitudes).max() <= 8 * np.finfo(float).eps
+
+
+@st.composite
+def _diagonal_heavy_matrices(draw):
+    """Small symmetric matrices whose diagonal spread competes with their
+    off-diagonal part, so some basis states dominate an eigenvector and some
+    do not; a few exactly repeated diagonal entries."""
+    dim = draw(st.integers(1, 12))
+    diagonal = draw(st.lists(st.integers(-4, 4), min_size=dim, max_size=dim))
+    seed = draw(st.integers(0, 2**32 - 1))
+    strength = draw(st.sampled_from([0.0, 1e-9, 0.01, 0.1, 0.5, 2.0]))
+    scale = draw(st.sampled_from([1.0, 1e-3, 1e100, 1e-160]))
+    a = np.random.default_rng(seed).normal(size=(dim, dim))
+    return (np.diag(np.array(diagonal, dtype=float)) + strength * (a + a.T) / 2) * scale
+
+
+@settings(max_examples=200, deadline=None)
+@given(_diagonal_heavy_matrices())
+def test_every_dominant_eigh_vector_lies_inside_the_window(h):
+    _, vectors = scipy.linalg.eigh(h)
+    eig = diagonalize(h)
+    for index in range(h.shape[0]):
+        dominant = np.flatnonzero(vectors[index] ** 2 >= 0.5)
+        assert set(dominant.tolist()) <= set(eig.window(index).tolist())
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
