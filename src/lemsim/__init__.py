@@ -19,12 +19,9 @@ from .config import RunConfig, parse_config, render_config
 from .collective import block_eigenvalues, collective_form, symmetric_dressed
 from .dynamics import (
     CoherenceTrace,
-    RateComparison,
     TrajectoryConfig,
-    calibrate_rate_constant,
     default_time_step,
     evolve_superposition,
-    rate_vs_prediction,
 )
 from .errors import (
     CapacityError,
@@ -39,7 +36,6 @@ from .errors import (
 )
 from .perturbation import (
     PathSumResult,
-    first_order_amplitude,
     multiphoton_path_sum,
     scaling_exponent,
 )

@@ -57,15 +57,13 @@ from .cluster import ClusterParams, classical_energies, sign_table
 from .errors import CapacityError, IntegrationError, ValidationError
 from .fitting import fit_line
 from .spectrum import DressedState
-from .transition import CouplingSpec, RateReport
+from .transition import CouplingSpec
 
 MAX_DYNAMICS_SPINS = 8
 MAX_STEPS = 1_000_000
 FIT_WINDOW = (0.1, 0.45)
 NORM_DRIFT_LIMIT = 1e-3
 STABILITY_LIMIT = 0.05  # time_step * eigenvalue spread must stay below this
-CONSISTENCY_WINDOW = 3.0
-MIN_FIT_QUALITY = 0.9
 _CHUNK_STEPS = 128  # noise values drawn per trajectory in blocks of this many steps
 # resident bytes of one trajectory's Generator and SeedSequence child: 1.0-1.3 KB
 # measured (RSS, numpy 2.4, 10^5 trajectories), rounded up
@@ -120,18 +118,6 @@ class CoherenceTrace:
     trajectory_count: int
     total_steps: int  # steps integrated, fewer than planned after an early stop
     max_drift: float  # largest |norm - 1| of any trajectory before a renormalization
-
-
-@dataclass(frozen=True)
-class RateComparison:
-    """Fitted trajectory rate against the calibrated golden-rule prediction."""
-
-    fitted_rate: float
-    predicted_rate: float
-    ratio: float
-    verdict: str  # "consistent" | "inconsistent" | "inconclusive"
-    consistent: bool | None
-    window: float = CONSISTENCY_WINDOW
 
 
 def default_time_step(a_typ: float) -> float:
@@ -374,54 +360,4 @@ def evolve_superposition(
         trajectory_count=ntraj,
         total_steps=done,
         max_drift=max_drift,
-    )
-
-
-def calibrate_rate_constant(reference: CoherenceTrace, report: RateReport) -> float:
-    """Pin the overall rate constant from one reference trajectory run."""
-    if reference.rate_is_upper_limit or reference.fit_quality < MIN_FIT_QUALITY:
-        raise ValidationError(
-            f"reference trace is unusable for calibration "
-            f"(upper_limit={reference.rate_is_upper_limit}, "
-            f"fit_quality={reference.fit_quality:.3f})"
-        )
-    if not reference.fitted_rate > 0 or not report.rate_ratio > 0:
-        raise ValidationError("calibration needs strictly positive reference rates")
-    return reference.fitted_rate / report.rate_ratio
-
-
-def rate_vs_prediction(
-    trace: CoherenceTrace, report: RateReport, rate_constant: float
-) -> RateComparison:
-    """Compare a fitted trajectory rate with the calibrated golden-rule rate.
-
-    A poor fit never produces a false pass: the verdict degrades to
-    "inconclusive" when the decay window was not resolved cleanly.
-    """
-    predicted = rate_constant * report.rate_ratio
-    if predicted == 0.0 and (trace.fitted_rate == 0.0 or trace.rate_is_upper_limit):
-        return RateComparison(
-            fitted_rate=trace.fitted_rate,
-            predicted_rate=0.0,
-            ratio=1.0,
-            verdict="consistent",
-            consistent=True,
-        )
-    if trace.rate_is_upper_limit or trace.fit_quality < MIN_FIT_QUALITY:
-        ratio = trace.fitted_rate / predicted if predicted > 0 else math.inf
-        return RateComparison(
-            fitted_rate=trace.fitted_rate,
-            predicted_rate=predicted,
-            ratio=ratio,
-            verdict="inconclusive",
-            consistent=None,
-        )
-    ratio = trace.fitted_rate / predicted if predicted > 0 else math.inf
-    consistent = 1.0 / CONSISTENCY_WINDOW <= ratio <= CONSISTENCY_WINDOW
-    return RateComparison(
-        fitted_rate=trace.fitted_rate,
-        predicted_rate=predicted,
-        ratio=ratio,
-        verdict="consistent" if consistent else "inconsistent",
-        consistent=consistent,
     )

@@ -1,10 +1,9 @@
 """Stationary perturbation theory cross-checks.
 
-Two independent estimators live here, both built from classical energies
-only (no eigensolver): the first-order mixing amplitude between single-flip
-neighbours, and the d-th order multiphoton path sum whose size governs the
-rate of a d-spin transition.  They exist to cross-check the exact
-diagonalization results, so they deliberately share no code with
+The d-th order multiphoton path sum, whose size governs the rate of a
+d-spin transition, lives here with the fit of its decay with d.  The sum is
+built from classical energies only (no eigensolver) to cross-check the
+exact diagonalization results, so it deliberately shares no code with
 ``spectrum``.
 """
 
@@ -43,34 +42,6 @@ class PathSumResult:
     amplitude: float
     path_count: int
     rate_ratio: float  # amplitude^2 / g_typ^2, dimensionless
-
-
-def first_order_amplitude(
-    params: ClusterParams, anchor: int, z: int, tolerance: float | None = None
-) -> float:
-    """First-order mixing amplitude C_i / (E(anchor) - E(z)) for a single flip.
-
-    Requires Hamming distance exactly 1; the differing spin supplies the
-    tunneling amplitude in the numerator.
-    """
-    anchor = validate_config(params.n, anchor, "anchor")
-    z = validate_config(params.n, z, "target")
-    if hamming_distance(anchor, z) != 1:
-        raise ValidationError(
-            f"first-order amplitude needs distance 1, got "
-            f"D({config_to_bits(anchor, params.n)}, {config_to_bits(z, params.n)}) = "
-            f"{hamming_distance(anchor, z)}"
-        )
-    if tolerance is None:
-        tolerance = degeneracy_tolerance(params)
-    i = (anchor ^ z).bit_length() - 1
-    denom = classical_energy(params, anchor) - classical_energy(params, z)
-    if abs(denom) <= tolerance:
-        raise DegeneracyError(
-            f"degenerate denominator between {config_to_bits(anchor, params.n)} "
-            f"and {config_to_bits(z, params.n)}: {denom:.3e}"
-        )
-    return float(params.tunneling[i]) / denom
 
 
 def multiphoton_path_sum(

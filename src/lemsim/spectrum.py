@@ -27,12 +27,12 @@ Symmetric Eigenvalue Problem*, §4 and §11).  ``dress`` takes the
 eigenvectors of T for the levels in that window only (a slice of MRRR's, or
 ``dstein`` on the window's values), picks the best overlap, and
 back-transforms that one column in O(N²) through ``dormqr``, where the full
-back-transformation costs 2N³.  It falls back to every eigenvector of T
-where the window cannot stand for the full run: when no vector in it is
-dominant, or when the dominant one belongs to a cluster of levels whose
-vectors ``dstein`` computes together.  The ``EigenSystem.vectors`` that
-tests and callers may ask for run ``dstein`` on every value and the full
-back-transformation on first access, and agree bit for bit with ``eigh``.
+back-transformation costs 2N³.  It takes the best of every eigenvector of
+T instead where the window cannot stand for the full run: when no vector in
+it is dominant, or when the dominant one belongs to a cluster of levels
+whose vectors ``dstein`` computes together.  No eigenvector matrix of H is
+ever formed; each dressed state lies within 8·eps of the matching column
+of ``scipy.linalg.eigh``.
 
 Both cluster solves assemble H once, marked as scratch that LAPACK may
 overwrite in place, so they hold one (values) or two (H holding the
@@ -111,9 +111,9 @@ class EigenSystem:
     held as LAPACK's tridiagonal reduction H = Q T Qᵀ.
 
     T has diagonal ``d`` and off-diagonal ``e``; it is the reduction of H
-    times ``scale`` when ``dsyevr`` scaled H into its range (None when it
-    did not).  ``solver_values`` are T's eigenvalues in the order the
-    tridiagonal solver returned them, and ``swaps`` are the column swaps of
+    times ``dsyevr``'s scale factor when H's entries leave its range.
+    ``solver_values`` are T's eigenvalues in the order the tridiagonal
+    solver returned them, and ``swaps`` are the column swaps of
     ``dsyevr``'s closing selection sort, which bring them, unscaled, into
     the order of ``values``.  Q is ``diag(1, Q')``, with Q' the product of
     the Householder reflectors in ``reflectors`` (rows 2..N of the reduced
@@ -136,7 +136,6 @@ class EigenSystem:
     tau: np.ndarray = field(repr=False)
     d: np.ndarray = field(repr=False)
     e: np.ndarray = field(repr=False)
-    scale: float | None
     solver_values: np.ndarray = field(repr=False)
     mrrr_z: np.ndarray | None = field(repr=False)
     block: np.ndarray | None = field(repr=False)
@@ -151,18 +150,13 @@ class EigenSystem:
         return self.dim.bit_length() - 1
 
     @cached_property
-    def _columns(self) -> np.ndarray:
-        """The solver position (column of ``z``) of each of ``values``."""
-        columns = np.arange(self.dim)
+    def _levels(self) -> np.ndarray:
+        """The index into ``values`` of each solver position (column of ``z``)."""
+        columns = np.arange(self.dim)  # the solver position of each of ``values``
         for j, i in self.swaps:
             columns[[j, i]] = columns[[i, j]]
-        return columns
-
-    @cached_property
-    def _levels(self) -> np.ndarray:
-        """The index into ``values`` of each solver position."""
         levels = np.empty(self.dim, dtype=np.intp)
-        levels[self._columns] = np.arange(self.dim)
+        levels[columns] = np.arange(self.dim)
         return levels
 
     def _tridiagonal_vectors(self, positions: np.ndarray) -> np.ndarray:
@@ -209,16 +203,6 @@ class EigenSystem:
         vector = z_column.copy()
         vector[1:] = self._apply_q(vector[1:, None], "N")[:, 0]
         return vector
-
-    def row(self, index: int) -> np.ndarray:
-        """Row ``index`` of the eigenvector matrix, each column's sign as LAPACK
-        left it: zᵀ (Qᵀ e_index), O(N²) once ``z`` exists."""
-        return (self.z.T @ self._rotated(index))[self._columns]
-
-    def column(self, k: int) -> np.ndarray:
-        """Eigenvector ``k`` with the sign LAPACK left it: Q z_k, O(N²) once
-        ``z`` exists."""
-        return self._back_transformed(self.z[:, self._columns[k]])
 
     def _window(self, u: np.ndarray) -> np.ndarray:
         """Ascending solver positions of every level whose eigenvector of T can
@@ -283,43 +267,6 @@ class EigenSystem:
         have overlap² ≥ ½ with basis state ``index``: the levels ``dress``
         computes eigenvectors for."""
         return np.sort(self._levels[self._window(self._rotated(index))])
-
-    @cached_property
-    def vectors(self) -> np.ndarray:
-        """All eigenvectors (columns), equal bit for bit to ``scipy.linalg.eigh``'s
-        (the same ``dormtr`` step, then the same sort), each sign fixed so its
-        largest-magnitude component is positive (the first such component on
-        ties), making repeated runs byte-reproducible.
-
-        The 2N³ back-transformation runs on first access (after ``z``), in
-        one new dim x dim array: rows 2..N are transformed packed to leading
-        dimension N-1, the only one scipy's ``dormqr`` takes, and then spread
-        out in place.
-        """
-        dim = self.dim
-        flat = np.empty(dim * dim)
-        rest = flat[: (dim - 1) * dim].reshape((dim - 1, dim), order="F")
-        rest[...] = self.z[1:]
-        self._apply_q(rest, "N")
-        first = self.z[0].copy()
-        for j in reversed(range(dim)):
-            # column j's rows 2..N sit at j(dim-1), below every later column's
-            flat[j * dim + 1 : (j + 1) * dim] = flat[j * (dim - 1) : (j + 1) * (dim - 1)]
-            flat[j * dim] = first[j]
-        vectors = flat.reshape((dim, dim), order="F")
-        for j, i in self.swaps:
-            vectors[:, [j, i]] = vectors[:, [i, j]]
-        # a column's peak is its maximum or its minimum; on a magnitude tie the
-        # first index wins, as argmax(abs(vectors), axis=0) would choose, but
-        # without a dim x dim abs copy
-        cols = np.arange(dim)
-        top = np.argmax(vectors, axis=0)
-        bottom = np.argmin(vectors, axis=0)
-        high = vectors[top, cols]
-        low = -vectors[bottom, cols]
-        flip = (low > high) | ((low == high) & (bottom < top))
-        np.negative(vectors, out=vectors, where=flip)
-        return vectors
 
 
 @dataclass(frozen=True)
@@ -599,7 +546,6 @@ def diagonalize(h: np.ndarray) -> EigenSystem:
         tau=tau,
         d=d,
         e=e,
-        scale=sigma,
         solver_values=solver_values,
         mrrr_z=z,
         block=block,
@@ -625,9 +571,8 @@ def cluster_eigensystem(params: ClusterParams) -> EigenSystem:
     holds at most two dim x dim arrays: the Hamiltonian, which LAPACK
     overwrites with the reflectors, and ``dstemr``'s eigenvectors of the
     tridiagonal, which the bisection route releases.  Dressing adds a dim x
-    (window) array; ``z`` on the bisection route adds a dim x dim array, and
-    ``vectors`` one more.  Raises CapacityError before assembly when the two
-    do not fit in memory.
+    (window) array; ``z`` on the bisection route adds a dim x dim array.
+    Raises CapacityError before assembly when the two do not fit in memory.
     """
     _require_memory(params, vectors=True)
     return diagonalize(build_hamiltonian(params).view(_Scratch))
@@ -681,32 +626,28 @@ def dress(eig: EigenSystem, anchor: int) -> DressedState:
 
     It computes the eigenvectors of T only for the levels in the anchor's
     window (``eig.window``), takes the one of largest overlap (the lowest
-    level on a tie) and back-transforms that one column; it never reads
-    ``eig.z`` or the full back-transformed ``eig.vectors``, unless no vector
-    in the window reaches overlap² ½, or the one that does belongs to a
-    cluster of levels whose vectors ``dstein`` computes together.  Then it
-    takes the best of all of ``eig.z``, as ``eigh`` would, and raises
-    StrongMixingError, reporting that overlap², when it falls below 0.5: the
-    anchor label then no longer identifies a single eigenstate and all
-    perturbative scaling statements are void.
+    level on a tie) and back-transforms that one column.  It reads ``eig.z``
+    and takes the best of all of it by the same rule, as ``eigh`` would,
+    only when no vector in the window reaches overlap² ½, or the one that
+    does belongs to a cluster of levels whose vectors ``dstein`` computes
+    together.  It raises StrongMixingError, reporting the best overlap²,
+    when that falls below 0.5: the anchor label then no longer identifies
+    a single eigenstate and all perturbative scaling statements are void.
     """
     anchor = validate_config(eig.n, anchor, "anchor")
     u = eig._rotated(anchor)
-    positions = eig._window(u)
-    z = eig._tridiagonal_vectors(positions)
-    overlaps = z.T @ u
-    levels = eig._levels[positions]
-    best = min(range(len(positions)), key=lambda j: (-abs(overlaps[j]), levels[j]), default=None)
-    if best is not None and overlaps[best] ** 2 >= OVERLAP_THRESHOLD and eig._alone(positions[best]):
-        k = int(levels[best])
-        overlap_sq = float(overlaps[best] ** 2)
-        amps = eig._back_transformed(z[:, best])
-    else:
-        overlaps = eig.row(anchor)
-        k = int(np.argmax(np.abs(overlaps)))
-        overlap_sq = float(overlaps[k] ** 2)
-        require_dominant_overlap(overlap_sq, anchor, eig.n)
-        amps = eig.column(k)
+    for full in (False, True):
+        positions = np.arange(eig.dim) if full else eig._window(u)
+        z = eig.z if full else eig._tridiagonal_vectors(positions)
+        overlaps = z.T @ u
+        levels = eig._levels[positions]
+        best = min(range(len(positions)), key=lambda j: (-abs(overlaps[j]), levels[j]), default=None)
+        if best is not None and overlaps[best] ** 2 >= OVERLAP_THRESHOLD and eig._alone(positions[best]):
+            break
+    k = int(levels[best])
+    overlap_sq = float(overlaps[best] ** 2)
+    require_dominant_overlap(overlap_sq, anchor, eig.n)
+    amps = eig._back_transformed(z[:, best])
     if amps[anchor] < 0:
         np.negative(amps, out=amps)
     amps.setflags(write=False)

@@ -228,7 +228,10 @@ class ClusterProblem:
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """Grid of cluster sizes and coupling ratios with requested channels."""
+    """Grid of cluster sizes and coupling ratios with requested channels.
+
+    A size above ``MAX_SPINS`` raises CapacityError, as ``cluster.n`` does.
+    """
 
     n_values: tuple[int, ...]
     ratio_values: tuple[float, ...]
@@ -246,8 +249,10 @@ class SweepGrid:
         if not self.ratio_values:
             raise ValidationError("sweep grid needs at least one coupling ratio")
         for n in self.n_values:
-            if n < 1 or n > MAX_SPINS:
-                raise ValidationError(f"cluster size {n} outside 1..{MAX_SPINS}")
+            if n < 1:
+                raise ValidationError(f"cluster size {n} must be at least 1")
+            if n > MAX_SPINS:
+                raise CapacityError(f"cluster size {n} exceeds the limit of {MAX_SPINS} spins")
         for r in self.ratio_values:
             if not 0.0 < r < 1.0:
                 raise ValidationError(f"coupling ratio {r} must lie strictly in (0, 1)")

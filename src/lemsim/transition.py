@@ -4,8 +4,8 @@ The transition rate between two dressed states under fluctuating on-site
 (sigma^z channel) and tunneling (sigma^x channel) couplings is proportional
 to the squared static matrix element evaluated with unit-amplitude noise.
 All rates are dimensionless ratios to an overall constant that absorbs the
-noise spectral weight; see ``dynamics.calibrate_rate_constant`` for how the
-constant is pinned against a trajectory simulation.
+noise spectral weight; the acceptance suite pins that constant against a
+trajectory simulation (``tests/calibration.py``, criterion 7).
 """
 
 from __future__ import annotations

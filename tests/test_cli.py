@@ -201,6 +201,15 @@ def test_capacity_error_exit_status(tmp_path, capsys):
     assert run_cli("landscape", "--config", big) == 3
 
 
+def test_oversize_sweep_size_exits_3(tmp_path, capsys):
+    cfg = tmp_path / "big_sweep.cfg"
+    cfg.write_text(SWEEP.replace("n_values = 2 3 4", "n_values = 3 15"))
+    assert run_cli("sweep", "--config", cfg) == 3
+    assert "cluster size 15 exceeds the limit of 14 spins" in capsys.readouterr().err
+    cfg.write_text(SWEEP.replace("n_values = 2 3 4", "n_values = 0 3"))
+    assert run_cli("sweep", "--config", cfg) == 1
+
+
 def test_oversize_cluster_fails_at_parse_time(tmp_path, capsys):
     big = tmp_path / "huge.cfg"
     big.write_text(f"[cluster]\nn = {2**64 - 1}\nj = -1.0\nbias = 0.1\n")

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from calibration import calibrate_rate_constant, rate_vs_prediction
 from oracles import brute_energy, reference_trajectories
 
 import lemsim.spectrum
@@ -16,12 +17,10 @@ from lemsim import (
     TrajectoryConfig,
     ValidationError,
     build_hamiltonian,
-    calibrate_rate_constant,
     default_time_step,
     diagonalize,
     dress,
     evolve_superposition,
-    rate_vs_prediction,
 )
 from lemsim import dynamics
 from lemsim.sweep import uniform_ferromagnet

@@ -1,4 +1,4 @@
-"""First-order amplitudes, multiphoton path sums, scaling exponents."""
+"""Path sums, scaling exponents and first-order amplitudes against exact eigenstates."""
 
 import math
 
@@ -14,7 +14,6 @@ from lemsim import (
     build_hamiltonian,
     diagonalize,
     dress,
-    first_order_amplitude,
     multiphoton_path_sum,
     scaling_exponent,
     uniform_couplings,
@@ -31,54 +30,6 @@ def make_params(n, j=-1.0, b=0.0, c=0.0):
         bias=np.full(n, float(b)),
         tunneling=np.full(n, float(c)),
     )
-
-
-# --------------------------------------------------------------- first order
-
-
-def test_first_order_single_spin():
-    b, c = 0.4, 0.05
-    p = ClusterParams(
-        n=1, couplings=np.zeros((1, 1)), bias=np.array([b]), tunneling=np.array([c])
-    )
-    assert first_order_amplitude(p, 1, 0) == pytest.approx(c / (2 * b))
-
-
-def test_first_order_three_spin_ferromagnet():
-    # brute-force energies: E(000) = -3.3, one flip = 0.9, so C / (E0 - E1) = -0.01/4.2
-    p = make_params(3, b=0.1, c=0.01)
-    j = p.couplings
-    b = p.bias
-    e0 = brute_energy(j, b, 0b000)
-    e1 = brute_energy(j, b, 0b100)
-    assert (e0, e1) == (pytest.approx(-3.3), pytest.approx(0.9))
-    expected = 0.01 / (e0 - e1)
-    assert expected == pytest.approx(-0.01 / 4.2)
-    assert first_order_amplitude(p, 0b000, 0b100) == pytest.approx(expected)
-
-
-def test_first_order_zero_tunneling():
-    p = make_params(3, b=0.1, c=0.0)
-    for i in range(3):
-        assert first_order_amplitude(p, 0, 1 << i) == 0.0
-
-
-def test_first_order_rejects_wrong_distance():
-    p = make_params(3, b=0.1, c=0.01)
-    with pytest.raises(ValidationError):
-        first_order_amplitude(p, 0b000, 0b011)
-
-
-def test_first_order_degenerate_denominator():
-    # spin 0 unbiased and uncoupled: flipping it costs nothing
-    p = ClusterParams(
-        n=2,
-        couplings=np.zeros((2, 2)),
-        bias=np.array([0.0, 0.3]),
-        tunneling=np.array([0.01, 0.01]),
-    )
-    with pytest.raises(DegeneracyError):
-        first_order_amplitude(p, 0b00, 0b01)
 
 
 # ----------------------------------------------------------------- path sums
@@ -219,18 +170,19 @@ def test_first_order_matches_exact_eigenvector():
         p = fam.params
         eig = diagonalize(build_hamiltonian(p))
         d = dress(eig, fam.ground_anchor)
+        rs = rs_amplitudes(p.couplings, p.bias, p.tunneling, fam.ground_anchor)
         tol = 10.0 * r**2
         for i in range(4):
             z = fam.ground_anchor ^ (1 << i)
             exact = d.amplitude(z) / d.amplitude(fam.ground_anchor)
-            predicted = first_order_amplitude(p, fam.ground_anchor, z)
+            predicted = rs[z]
             assert abs(exact - predicted) / abs(predicted) <= tol
 
 
 # ------------------------------------------ agreement with the RS oracle
 
 
-def test_rs_oracle_matches_first_order_and_path_sum():
+def test_rs_oracle_matches_path_sum():
     # two routes to the same lowest-order amplitudes: the oracle's recursion
     # over distance shells against the library's per-ordering enumeration
     rng = np.random.default_rng(97)
@@ -246,8 +198,6 @@ def test_rs_oracle_matches_first_order_and_path_sum():
             d = bin(z ^ anchor).count("1")
             if d == 0:
                 continue
-            if d == 1:
-                assert amps[z] == pytest.approx(first_order_amplitude(p, anchor, z), rel=1e-12)
             path = multiphoton_path_sum(p, p.tunneling, anchor, z).amplitude
             final = e_a - brute_energy(p.couplings, p.bias, z)
             assert amps[z] * final == pytest.approx(path, rel=1e-10, abs=1e-14)

@@ -168,6 +168,14 @@ def test_grid_validation():
         SweepGrid(n_values=(2,), ratio_values=(0.01,), channels=("nope",))
 
 
+def test_grid_size_cap_is_a_capacity_error():
+    with pytest.raises(CapacityError, match="cluster size 15 exceeds the limit of 14 spins"):
+        SweepGrid(n_values=(3, 15), ratio_values=(0.01,))
+    with pytest.raises(ValidationError, match="cluster size 0 must be at least 1"):
+        SweepGrid(n_values=(0, 3), ratio_values=(0.01,))
+    assert SweepGrid(n_values=(1, 14), ratio_values=(0.01,)).n_values == (1, 14)
+
+
 def test_empty_channel_set_populates_mandatory_columns():
     grid = SweepGrid(n_values=(2, 3), ratio_values=(0.05,), channels=())
     rows = run_sweep(grid, master_seed=1)
