@@ -53,6 +53,7 @@ from .spectrum import (
     eigenvalues,
     find_local_minima,
     overlap_decay,
+    require_own_vector,
     typical_level_spacing,
 )
 from .sweep import (

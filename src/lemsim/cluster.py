@@ -26,8 +26,9 @@ from .errors import CapacityError, ValidationError
 
 MAX_SPINS = 14  # dense 2^n x 2^n storage budget
 
-# _energy_kernel's largest intermediate, s.J.s, is at most sum_{i!=j} |J_ij|;
-# every classical energy lies within sum_{i<j} |J_ij| + sum |b_i| of zero,
+# _energy_kernel's intermediates are partial sums: of an entry of s.J, at most
+# sum_i |J_ij|; of s.J.s, at most sum_{i!=j} |J_ij|; of b.s, at most sum |b_i|.
+# Every classical energy lies within sum_{i<j} |J_ij| + sum |b_i| of zero,
 # and the spectrum of H within a further sum |c_i| (Gershgorin).  So the
 # kernel, every energy difference and the spectral spread stay below twice
 # S = sum_{i<j} |J_ij| + sum |b_i| + sum |c_i|.  Capping S at a quarter of
@@ -124,17 +125,24 @@ def validate_config(n: int, config: int, what: str = "configuration") -> int:
     return config
 
 
-def spin_values(n: int, config: int) -> np.ndarray:
-    """Vector of sigma^z eigenvalues (+1/-1) for a configuration."""
-    bits = (config >> np.arange(n)) & 1
-    return 2.0 * bits - 1.0
+def spin_values(n: int, configs) -> np.ndarray:
+    """sigma^z eigenvalues (+1/-1) of a configuration, shape (n,), or of an
+    array of configurations, one row each.
+
+    Filled one spin at a time, so nothing else of the table's size is held.
+    """
+    configs = np.asarray(configs, dtype=np.int64)
+    s = np.empty(configs.shape + (n,))
+    for i in range(n):
+        s[..., i] = (configs >> i) & 1
+    s *= 2.0
+    s -= 1.0
+    return s
 
 
 def sign_table(n: int) -> np.ndarray:
     """(2^n, n) table of sigma^z eigenvalues for every basis configuration."""
-    idx = np.arange(1 << n, dtype=np.int64)
-    bits = (idx[:, None] >> np.arange(n)) & 1
-    return 2.0 * bits - 1.0
+    return spin_values(n, np.arange(1 << n, dtype=np.int64))
 
 
 def popcounts(values: np.ndarray, n: int) -> np.ndarray:
@@ -149,27 +157,63 @@ def hamming_distance(x: int, y: int) -> int:
     return int(x ^ y).bit_count()
 
 
-def _energy_kernel(couplings: np.ndarray, bias: np.ndarray, s: np.ndarray) -> float:
-    # couplings has zero diagonal, so 0.5 * s.J.s counts each pair once
-    return float(0.5 * (s @ couplings @ s) + bias @ s)
+_KERNEL_BLOCK = 1 << 14  # entries per block of rows: the kernel's scratch
+
+
+def _energy_kernel(couplings: np.ndarray, bias: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Energies 0.5·(s·J·s) + b·s of the rows of the (m, n) sigma^z table s.
+
+    Every sum runs left to right from 0: each entry of s·J over ascending
+    i, then the quadratic sum over ascending columns, then b·s.  The
+    products s_i·J_ij and s_j·(s·J)_j are exact, and all arithmetic is
+    elementwise across rows, so a row's energy never depends on which rows
+    go through with it.  Rows go in blocks of about 2^14 entries, so the
+    scratch never approaches the size of s.
+    """
+    m, n = s.shape
+    energies = np.empty(m)
+    rows_per_block = max(1, _KERNEL_BLOCK // n)
+    for start in range(0, m, rows_per_block):
+        st = s[start : start + rows_per_block].T.copy()  # (n, rows): one spin per row
+        rows = st.shape[1]
+        sj = np.zeros(st.shape)
+        term = np.empty(st.shape)
+        for i in range(n):
+            sj += np.multiply(couplings[i][:, None], st[i], out=term)
+        np.multiply(sj, st, out=sj)
+        quad = np.zeros(rows)
+        for j in range(n):
+            quad += sj[j]
+        np.multiply(bias[:, None], st, out=term)
+        lin = np.zeros(rows)
+        for i in range(n):
+            lin += term[i]
+        # couplings has zero diagonal, so 0.5 * s.J.s counts each pair once
+        np.add(np.multiply(0.5, quad, out=quad), lin, out=energies[start : start + rows])
+    return energies
 
 
 def classical_energy(params: ClusterParams, config: int) -> float:
     """Diagonal energy sum_{i<j} J_ij s_i s_j + sum_i B_i s_i of one configuration."""
     config = validate_config(params.n, config)
-    return _energy_kernel(params.couplings, params.bias, spin_values(params.n, config))
+    return float(configuration_energies(params, [config])[0])
+
+
+def configuration_energies(params: ClusterParams, configs) -> np.ndarray:
+    """Classical energies of the given configurations, in one kernel call.
+
+    Each entry equals ``classical_energy`` of its configuration bit for bit.
+    """
+    return _energy_kernel(params.couplings, params.bias, spin_values(params.n, configs))
 
 
 def classical_energies(params: ClusterParams) -> np.ndarray:
     """Classical energies of all 2^n configurations, indexed by basis index.
 
-    Each entry goes through the same scalar kernel as classical_energy, so
-    the two agree bit for bit.
+    One kernel call over ``sign_table``; each entry equals
+    ``classical_energy`` of its configuration bit for bit.
     """
-    signs = sign_table(params.n)
-    return np.array(
-        [_energy_kernel(params.couplings, params.bias, signs[x]) for x in range(params.dim)]
-    )
+    return _energy_kernel(params.couplings, params.bias, sign_table(params.n))
 
 
 def _spread_tolerance(energies: np.ndarray) -> float:
@@ -189,9 +233,10 @@ def build_hamiltonian(params: ClusterParams) -> np.ndarray:
     spin i; all other entries vanish.
     """
     dim = params.dim
+    energies = classical_energies(params)  # its scratch is gone before H exists
     h = np.zeros((dim, dim))
     idx = np.arange(dim)
-    h[idx, idx] = classical_energies(params)
+    h[idx, idx] = energies
     for i in range(params.n):
         h[idx, idx ^ (1 << i)] = params.tunneling[i]
     return h

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
+from functools import cache
+
+import numpy as np
 
 from .cluster import (
     ClusterParams,
-    classical_energy,
     config_to_bits,
+    configuration_energies,
     degeneracy_tolerance,
     hamming_distance,
     validate_config,
@@ -30,6 +32,24 @@ from .errors import (
 from .fitting import fit_line
 
 PATH_SUM_MAX_SPINS = 8  # d! path enumeration budget
+
+
+@cache
+def _orderings(d: int) -> np.ndarray:
+    """All orderings of range(d) as a read-only int8 (d!, d) table, in the
+    order of ``itertools.permutations(range(d))``.
+
+    The orderings of range(k) starting with f are f followed by those of
+    range(k - 1), relabelled onto the other k - 1 labels in ascending order.
+    """
+    table = np.zeros((1, 0), dtype=np.int8)
+    for k in range(1, d + 1):
+        prev, table = table, np.empty((k * len(table), k), dtype=np.int8)
+        for first, block in enumerate(np.split(table, k)):
+            block[:, 0] = first
+            block[:, 1:] = np.delete(np.arange(k, dtype=np.int8), first)[prev]
+    table.setflags(write=False)
+    return table
 
 
 @dataclass(frozen=True)
@@ -78,34 +98,30 @@ def multiphoton_path_sum(
         tolerance = degeneracy_tolerance(params)
 
     flips = [i for i in range(params.n) if (source ^ target) >> i & 1]
-    e_src = classical_energy(params, source)
-    energy_cache: dict[int, float] = {}
+    # energies of source ^ (the flips in subset S), S a d-bit mask; S = 0 is the source
+    subsets = np.arange(1 << d)
+    configs = np.full(1 << d, source)
+    for b, spin in enumerate(flips):
+        configs ^= (subsets >> b & 1) << spin
+    energies = configuration_energies(params, configs)
+    gaps = energies[0] - energies
+    degenerate = np.abs(gaps) <= tolerance
+    orders = _orderings(d)
+    if degenerate[1:-1].any():  # an intermediate: neither the source nor the target
+        _raise_first_degenerate(params.n, orders, flips, configs, gaps, degenerate)
 
-    def energy(cfg: int) -> float:
-        if cfg not in energy_cache:
-            energy_cache[cfg] = classical_energy(params, cfg)
-        return energy_cache[cfg]
-
-    terms = []
-    for perm in permutations(flips):
-        numer = 1.0
-        denom = 1.0
-        cfg = source
-        for k, bit in enumerate(perm):
-            numer *= g[bit]
-            cfg ^= 1 << bit
-            if k == d - 1:
-                break  # final state carries no resolvent
-            gap = e_src - energy(cfg)
-            if abs(gap) <= tolerance:
-                raise DegeneracyError(
-                    f"degenerate intermediate energy on path {list(perm)} at "
-                    f"configuration {config_to_bits(cfg, params.n)}: "
-                    f"denominator {gap:.3e}"
-                )
-            denom *= gap
-        terms.append(numer / denom)
-    amplitude = math.fsum(terms)  # fixed enumeration order: deterministic
+    # each ordering's numerator and denominator, multiplied in path order
+    coupling = np.array([g[spin] for spin in flips])
+    masks = 1 << np.arange(d)
+    numer = coupling[orders[:, 0]]
+    denom = np.ones(len(orders))
+    subset = np.zeros(len(orders), dtype=np.intp)
+    for k in range(1, d):
+        subset |= masks[orders[:, k - 1]]
+        denom *= gaps[subset]  # final state carries no resolvent
+        numer *= coupling[orders[:, k]]
+    np.divide(numer, denom, out=numer)
+    amplitude = math.fsum(memoryview(numer))  # exactly rounded: independent of order
     g_typ = max(abs(v) for v in g)
     rate_ratio = (amplitude / g_typ) ** 2 if g_typ > 0 else 0.0
     return PathSumResult(
@@ -116,6 +132,21 @@ def multiphoton_path_sum(
         path_count=math.factorial(d),
         rate_ratio=rate_ratio,
     )
+
+
+def _raise_first_degenerate(n, orders, flips, configs, gaps, degenerate) -> None:
+    """Raise DegeneracyError at the first ordering, in enumeration order, that
+    passes a degenerate intermediate, and at its first such step."""
+    for order in orders:
+        subset = 0
+        for b in order[:-1]:
+            subset |= 1 << int(b)
+            if degenerate[subset]:
+                raise DegeneracyError(
+                    f"degenerate intermediate energy on path {[flips[b] for b in order]} at "
+                    f"configuration {config_to_bits(int(configs[subset]), n)}: "
+                    f"denominator {gaps[subset]:.3e}"
+                )
 
 
 def scaling_exponent(points) -> float:

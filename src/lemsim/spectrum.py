@@ -63,8 +63,8 @@ from .cluster import (
     _spread_tolerance,
     build_hamiltonian,
     classical_energies,
-    classical_energy,
     config_to_bits,
+    configuration_energies,
     degeneracy_tolerance,
     hamming_distance,
     popcounts,
@@ -81,6 +81,7 @@ from .fitting import fit_line
 
 AMPLITUDE_FLOOR = 1e-300  # amplitudes below this are clamped out of fits
 OVERLAP_THRESHOLD = 0.5  # below this the anchor label is meaningless
+REPEATED_LEVEL_WEIGHT = 1e-9  # anchor overlap^2 a repeated level may carry off its chosen vector
 
 
 # dsyevr's scaling range for max |H_ij| (DLAMCH's safe minimum and precision)
@@ -633,6 +634,8 @@ def dress(eig: EigenSystem, anchor: int) -> DressedState:
     together.  It raises StrongMixingError, reporting the best overlap²,
     when that falls below 0.5: the anchor label then no longer identifies
     a single eigenstate and all perturbative scaling statements are void.
+    On a repeated level the vector is one of the solver's basis of that
+    eigenspace; ``require_own_vector`` tells whether that choice matters.
     """
     anchor = validate_config(eig.n, anchor, "anchor")
     u = eig._rotated(anchor)
@@ -658,6 +661,39 @@ def dress(eig: EigenSystem, anchor: int) -> DressedState:
         energy=float(eig.values[k]),
         amplitudes=amps,
     )
+
+
+def require_own_vector(eig: EigenSystem, dressed: DressedState) -> None:
+    """Raise DegeneracyError when the dressed level is repeated and the anchor
+    has weight on the repeated level beyond its own vector.
+
+    Levels within the degeneracy tolerance of the dressed one (1e-9 of the
+    spread of ``values``, as for classical energies) form one eigenspace,
+    whose basis the solver picks at will.  The anchor's weight on it,
+    Σ (z_pᵀu)² over its vectors, does not depend on that basis; when it
+    exceeds the dressed overlap² by more than ``REPEATED_LEVEL_WEIGHT``,
+    another basis gives another dressed state.  An anchor whose weight lies
+    all on one vector, as at zero tunneling, passes.  A simple level costs
+    two comparisons.
+    """
+    values, k = eig.values, dressed.eigenindex
+    tolerance = _spread_tolerance(values)
+    lo = hi = k
+    while lo > 0 and values[k] - values[lo - 1] <= tolerance:
+        lo -= 1
+    while hi + 1 < eig.dim and values[hi + 1] - values[k] <= tolerance:
+        hi += 1
+    if lo == hi:
+        return
+    positions = np.flatnonzero((eig._levels >= lo) & (eig._levels <= hi))
+    overlaps = eig._tridiagonal_vectors(positions).T @ eig._rotated(dressed.anchor)
+    rest = float(overlaps @ overlaps) - dressed.overlap_sq
+    if rest > REPEATED_LEVEL_WEIGHT:
+        raise DegeneracyError(
+            f"anchor {config_to_bits(dressed.anchor, eig.n)} dresses onto level {k} at "
+            f"{values[k]:.8f}, repeated at levels {lo}..{hi} within tol {tolerance:.3e}; "
+            f"the rest of that eigenspace carries overlap^2 {rest:.6f}"
+        )
 
 
 def overlap_decay(dressed: DressedState) -> OverlapDecay:
@@ -699,10 +735,8 @@ def typical_level_spacing(
     anchor = validate_config(params.n, anchor, "anchor")
     if tolerance is None:
         tolerance = degeneracy_tolerance(params)
-    e0 = classical_energy(params, anchor)
-    gaps = np.array(
-        [abs(classical_energy(params, anchor ^ (1 << i)) - e0) for i in range(params.n)]
-    )
+    energies = configuration_energies(params, [anchor] + [anchor ^ (1 << i) for i in range(params.n)])
+    gaps = np.abs(energies[1:] - energies[0])
     if np.any(gaps <= tolerance):
         i = int(np.argmin(gaps))
         raise DegeneracyError(

@@ -50,6 +50,7 @@ from .spectrum import (
     dress,
     find_local_minima,
     overlap_decay,
+    require_own_vector,
     typical_level_spacing,
 )
 from .transition import CouplingSpec, RateReport, check_bound, matrix_element
@@ -141,6 +142,7 @@ class ClusterProblem:
         for anchor in (self.ground_anchor, self.lem_anchor):
             try:
                 dressed[anchor] = dress(eig, anchor)
+                require_own_vector(eig, dressed[anchor])
             except SimulationError as exc:
                 # its traceback would keep the eigensystem alive
                 dressed[anchor] = exc.with_traceback(None)

@@ -2,14 +2,18 @@
 
 Everything here is deliberately written along a different route than the
 library: Hamiltonians via explicit Kronecker products of 2x2 matrices,
-energies via nested Python loops, landscape detection via direct
-neighbour comparison, perturbative amplitudes by a recursion over distance
-shells, golden-rule rates from ``numpy.linalg.eigh``, noisy trajectories
-by a dense Kronecker Hamiltonian per step, and the uniform ferromagnet's
-dressed states by a Brillouin-Wigner iteration on its symmetric chain.
+energies via nested Python loops (one of them in the package's own
+summation order, to pin its bits), path sums one ordering at a time,
+landscape detection via direct neighbour comparison, perturbative
+amplitudes by a recursion over distance shells, golden-rule rates from
+``numpy.linalg.eigh``, noisy trajectories by a dense Kronecker Hamiltonian
+per step, and the uniform ferromagnet's dressed states by a
+Brillouin-Wigner iteration on its symmetric chain.
 Tests freeze expected values computed from these.
 """
 
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -53,6 +57,60 @@ def brute_energy(j: np.ndarray, b: np.ndarray, config: int) -> float:
     for i in range(n):
         total += b[i] * s[i]
     return total
+
+
+def left_to_right_energy(j: np.ndarray, b: np.ndarray, config: int) -> float:
+    """Classical energy 0.5·(s·J·s) + b·s in Python floats, every sum left to
+    right from 0.0: each (s·J)_k over ascending i, then the quadratic sum
+    over ascending k, then b·s.  This is the summation order the package
+    promises, so its energies must equal these bit for bit."""
+    n = len(b)
+    s = [1.0 if (config >> i) & 1 else -1.0 for i in range(n)]
+    quad = 0.0
+    for k in range(n):
+        sj = 0.0
+        for i in range(n):
+            sj += s[i] * float(j[i, k])
+        quad += sj * s[k]
+    lin = 0.0
+    for i in range(n):
+        lin += float(b[i]) * s[i]
+    return 0.5 * quad + lin
+
+
+def path_sum_by_orderings(j, b, g, source: int, target: int, tolerance: float) -> float:
+    """d-th order path sum, one ``itertools.permutations`` ordering at a time.
+
+    Each ordering contributes the product of its couplings over the product
+    of its d - 1 intermediate gaps E_source - E, both multiplied in path
+    order, and ``math.fsum`` adds the contributions.  A gap within
+    ``tolerance`` raises ValueError with the message the package gives.
+    """
+    n = len(b)
+    flips = [i for i in range(n) if (source ^ target) >> i & 1]
+    d = len(flips)
+    energy = functools.cache(lambda cfg: left_to_right_energy(j, b, cfg))
+    e_src = energy(source)
+    terms = []
+    for perm in itertools.permutations(flips):
+        numer = 1.0
+        denom = 1.0
+        cfg = source
+        for k, bit in enumerate(perm):
+            numer *= g[bit]
+            cfg ^= 1 << bit
+            if k == d - 1:
+                break  # final state carries no resolvent
+            gap = e_src - energy(cfg)
+            if abs(gap) <= tolerance:
+                bits = "".join("1" if cfg >> i & 1 else "0" for i in range(n))
+                raise ValueError(
+                    f"degenerate intermediate energy on path {list(perm)} at "
+                    f"configuration {bits}: denominator {gap:.3e}"
+                )
+            denom *= gap
+        terms.append(numer / denom)
+    return math.fsum(terms)
 
 
 def brute_landscape(j: np.ndarray, b: np.ndarray):

@@ -9,9 +9,14 @@ import pytest
 import lemsim.perturbation
 import lemsim.spectrum
 import lemsim.sweep
-from lemsim import cluster_eigensystem, dress, overlap_decay, parse_config, render_config
+from lemsim import (
+    DegeneracyError,
+    cluster_eigensystem,
+    dress,
+    parse_config,
+    require_own_vector,
+)
 from lemsim.cli import main
-from lemsim.csvout import emit_overlap_decay
 
 from conftest import count_calls
 
@@ -296,18 +301,28 @@ def test_collective_overlaps_solve_no_eigensystem(tmp_path, monkeypatch, n):
         assert calls == expected
 
 
-def test_collective_overlaps_on_unpolarized_anchors_stay_dense(tmp_path, monkeypatch):
+@pytest.mark.parametrize("command", ["overlaps", "rates"])
+def test_collective_unpolarized_anchors_stay_dense_and_refuse_a_repeated_level(
+    tmp_path, monkeypatch, capsys, command
+):
+    # 011 dresses onto an S=1/2 level that repeats at 1.10697663; the other
+    # vector of that plane also overlaps 011, so no vector is its own
     calls = count_calls(monkeypatch, lemsim.sweep, "cluster_eigensystem")
-    text = _collective(3, extra="[dynamics]\nanchors = 000 011\n")
+    text = _collective(3, extra="[noise]\nx_noise = 0.038\n[dynamics]\nanchors = 000 011\n")
     cfg = tmp_path / "c.cfg"
     cfg.write_text(text)
     out = tmp_path / "o.csv"
-    assert run_cli("overlaps", "--config", cfg, "--out", out, "--quiet") == 0
+    assert run_cli(command, "--config", cfg, "--out", out, "--quiet") == 2
     assert calls == [3]
-    run_cfg = parse_config(text)
-    eig = cluster_eigensystem(run_cfg.cluster_params())
-    decays = [overlap_decay(dress(eig, anchor)) for anchor in (0b000, 0b110)]
-    assert out.read_text() == emit_overlap_decay(decays, 3, render_config(run_cfg), run_cfg.seed)
+    assert not out.exists()
+    eig = cluster_eigensystem(parse_config(text).cluster_params())
+    require_own_vector(eig, dress(eig, 0b000))
+    with pytest.raises(DegeneracyError) as info:
+        require_own_vector(eig, dress(eig, 0b110))
+    # which of the two levels LAPACK's basis puts first can change with the BLAS build
+    expected = r"anchor 011 dresses onto level [56] at 1\.10697663, repeated at levels 5\.\.6"
+    assert re.match(expected, str(info.value))
+    assert capsys.readouterr().err == f"error [{command}]: {info.value}\n"
 
 
 def test_collective_rates_are_held_dense(tmp_path, monkeypatch):

@@ -1,5 +1,7 @@
 """Cluster model: classical energies, bit operations, Hamiltonian assembly."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,9 @@ from lemsim import (
     uniform_couplings,
 )
 
-from oracles import brute_energy
+from lemsim.cluster import configuration_energies, sign_table
+
+from oracles import brute_energy, left_to_right_energy
 
 
 def make_params(n, j=-1.0, b=0.0, c=0.0):
@@ -111,6 +115,41 @@ def test_classical_energy_matches_brute_force():
             assert classical_energy(p, config) == pytest.approx(
                 brute_energy(j, b, config), abs=1e-12
             )
+
+
+def _random_params(n, rng):
+    j = np.triu(rng.normal(size=(n, n)), 1)
+    return ClusterParams(n=n, couplings=j + j.T, bias=rng.normal(size=n), tunneling=rng.normal(size=n))
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_energies_sum_left_to_right_bit_for_bit(n):
+    # the whole table up to n = 10, then 2000 drawn configurations; every
+    # way into the kernel gives the oracle's bits, whichever rows go along
+    rng = np.random.default_rng(1000 + n)
+    clusters = [_random_params(n, rng), make_params(n, j=-1.0, b=0.1), make_params(n, j=1.0, b=0.3)]
+    for p in clusters:
+        table = classical_energies(p)
+        configs = np.arange(p.dim) if n <= 10 else rng.integers(p.dim, size=2000)
+        ref = np.array([left_to_right_energy(p.couplings, p.bias, int(x)) for x in configs])
+        assert table[configs].tobytes() == ref.tobytes()
+        assert configuration_energies(p, configs).tobytes() == ref.tobytes()
+        shuffled = rng.permutation(len(configs))[: rng.integers(1, len(configs) + 1)]
+        assert configuration_energies(p, configs[shuffled]).tobytes() == ref[shuffled].tobytes()
+        for k in rng.integers(len(configs), size=8):
+            assert classical_energy(p, int(configs[k])) == ref[k]
+
+
+def test_energy_table_holds_little_beyond_the_sign_table():
+    p = make_params(14, b=0.1)
+    classical_energies(p)
+    tracemalloc.start()
+    try:
+        classical_energies(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= sign_table(14).nbytes + (1 << 20)
 
 
 def test_classical_energy_rejects_wide_config():

@@ -1,6 +1,8 @@
 """Path sums, scaling exponents and first-order amplitudes against exact eigenstates."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,9 +20,11 @@ from lemsim import (
     scaling_exponent,
     uniform_couplings,
 )
+from lemsim.cluster import degeneracy_tolerance
+from lemsim.perturbation import _orderings
 from lemsim.sweep import uniform_ferromagnet
 
-from oracles import brute_energy, rs_amplitudes
+from oracles import brute_energy, left_to_right_energy, path_sum_by_orderings, rs_amplitudes
 
 
 def make_params(n, j=-1.0, b=0.0, c=0.0):
@@ -81,17 +85,73 @@ def test_path_sum_permutation_symmetry():
     assert res.amplitude == pytest.approx(math.factorial(d) * single, rel=1e-12)
 
 
-def test_path_sum_degenerate_intermediate_names_path():
-    # flipping the free spin first passes through a configuration degenerate
-    # with the source
-    p = ClusterParams(
-        n=2,
-        couplings=np.zeros((2, 2)),
-        bias=np.array([0.0, 0.4]),
-        tunneling=np.zeros(2),
-    )
-    with pytest.raises(DegeneracyError, match="path"):
-        multiphoton_path_sum(p, [0.1, 0.1], 0b00, 0b11)
+@pytest.mark.parametrize(
+    "bias, source, target",
+    [
+        # flipping the free spin first passes through a configuration
+        # degenerate with the source: the first ordering, at its first step
+        ([0.0, 0.4], 0b00, 0b11),
+        # only the flips {1, 2} together return to the source energy: the
+        # fourth ordering, (1, 2, 0), at its second step
+        ([0.5, 0.3, -0.3], 0b000, 0b111),
+    ],
+)
+def test_path_sum_degenerate_intermediate_names_path(bias, source, target):
+    n = len(bias)
+    p = ClusterParams(n=n, couplings=np.zeros((n, n)), bias=np.array(bias), tunneling=np.zeros(n))
+    g = [0.1] * n
+    with pytest.raises(DegeneracyError, match="path") as exc:
+        multiphoton_path_sum(p, g, source, target)
+    with pytest.raises(ValueError) as ref:
+        path_sum_by_orderings(p.couplings, p.bias, g, source, target, degeneracy_tolerance(p))
+    assert str(exc.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_ordering_table_is_itertools_permutations(d):
+    table = _orderings(d)
+    assert table.dtype == np.int8 and table.shape == (math.factorial(d), d)
+    assert not table.flags.writeable
+    assert list(map(tuple, table.tolist())) == list(itertools.permutations(range(d)))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_path_sum_matches_the_per_ordering_loop_bit_for_bit(n):
+    rng = np.random.default_rng(2000 + n)
+    mixed = 0
+    for trial in range(6):
+        j = np.triu(rng.normal(size=(n, n)), 1)
+        p = ClusterParams(n=n, couplings=j + j.T, bias=rng.normal(size=n), tunneling=np.zeros(n))
+        g = list(rng.normal(size=n))
+        source = int(rng.integers(p.dim))
+        # every spin flipped on the first trial, a random set on the others
+        target = source ^ (p.dim - 1 if trial == 0 else int(rng.integers(1, p.dim)))
+        tolerance = degeneracy_tolerance(p)
+        expected = path_sum_by_orderings(p.couplings, p.bias, g, source, target, tolerance)
+        assert multiphoton_path_sum(p, g, source, target, tolerance).amplitude == expected
+        e_src = left_to_right_energy(p.couplings, p.bias, source)
+        flips = source ^ target
+        signs = {
+            e_src > left_to_right_energy(p.couplings, p.bias, source ^ sub)
+            for sub in range(1, flips)
+            if sub & flips == sub
+        }
+        mixed += len(signs) == 2
+    if n >= 3:
+        assert mixed  # some source sits between its intermediates
+
+
+def test_path_sum_memory_at_eight_spins():
+    p = make_params(8, b=0.3, c=0.134)
+    _orderings.cache_clear()  # the table's own construction is counted too
+    tracemalloc.start()
+    try:
+        result = multiphoton_path_sum(p, p.tunneling, 0, 255)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.path_count == 40320
+    assert peak <= 2.5 * (1 << 20)
 
 
 def test_path_sum_capacity():

@@ -23,12 +23,14 @@ from lemsim import (
     classical_energies,
     cluster_eigensystem,
     cluster_eigenvalues,
+    config_to_bits,
     degeneracy_tolerance,
     diagonalize,
     dress,
     eigenvalues,
     find_local_minima,
     overlap_decay,
+    require_own_vector,
     typical_level_spacing,
     uniform_couplings,
 )
@@ -728,6 +730,27 @@ def test_dress_strong_mixing_error_reports_overlap():
     eig = diagonalize(build_hamiltonian(p))
     with pytest.raises(StrongMixingError, match="overlap"):
         dress(eig, 0)
+
+
+@pytest.mark.parametrize("c, owned", [(0.038, (0b000, 0b111)), (0.0, tuple(range(8)))])
+def test_require_own_vector_refuses_a_shared_repeated_level(c, owned):
+    # c > 0: the S=1/2 levels repeat, and the anchors that dress onto them
+    # overlap both vectors of their plane; the polarized anchors sit on simple
+    # levels.  c = 0: every level with k up spins repeats, but each anchor is
+    # its own eigenvector
+    p = make_params(3, j=-1.0, b=0.1, c=c)
+    eig = cluster_eigensystem(p)
+    for anchor in range(8):
+        try:
+            dressed = dress(eig, anchor)
+        except StrongMixingError:
+            assert anchor not in owned
+            continue
+        if anchor in owned:
+            require_own_vector(eig, dressed)
+        else:
+            with pytest.raises(DegeneracyError, match=f"anchor {config_to_bits(anchor, 3)} dresses"):
+                require_own_vector(eig, dressed)
 
 
 # ------------------------------------------------------------ overlap decay
