@@ -41,7 +41,6 @@ from .perturbation import (
 )
 from .spectrum import (
     DressedState,
-    EigenSystem,
     LandscapeReport,
     LocalMinimum,
     OverlapDecay,
@@ -54,6 +53,7 @@ from .spectrum import (
     find_local_minima,
     overlap_decay,
     require_own_vector,
+    same_eigenstate,
     typical_level_spacing,
 )
 from .sweep import (

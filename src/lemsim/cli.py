@@ -9,11 +9,11 @@ errors.
 On a collective cluster (``collective.collective_form``), ``spectrum`` runs
 on the total-spin blocks, and ``overlaps`` and ``dynamics`` dress fully
 polarized anchors in the symmetric sector: none of them solves the
-2^n x 2^n eigensystem.  ``rates`` solves it densely.  The stderr summaries
-of ``overlaps``, ``rates`` and ``dynamics`` end with the route that dressed
-the pair: ``sector``, or the dense tridiagonal solver, ``mrrr`` or
-``bisection`` (``ClusterProblem.route``).  ``dynamics`` refuses a cluster
-over ``dynamics.MAX_DYNAMICS_SPINS`` before any solve.
+2^n x 2^n eigensystem.  ``rates`` dresses densely, both anchors from one
+``spectrum.diagonalize`` solve.  The stderr summaries of ``overlaps``,
+``rates`` and ``dynamics`` end with the route that dressed the pair,
+``sector`` or ``dense`` (``ClusterProblem.route``).  ``dynamics`` refuses a
+cluster over ``dynamics.MAX_DYNAMICS_SPINS`` before any solve.
 """
 
 from __future__ import annotations

@@ -56,7 +56,7 @@ from . import spectrum
 from .cluster import ClusterParams, classical_energies, sign_table
 from .errors import CapacityError, IntegrationError, ValidationError
 from .fitting import fit_line
-from .spectrum import DressedState
+from .spectrum import DressedState, same_eigenstate
 from .transition import CouplingSpec
 
 MAX_DYNAMICS_SPINS = 8
@@ -191,7 +191,7 @@ def evolve_superposition(
     has_noise = bool(np.any(tcfg.noise.z_noise) or np.any(tcfg.noise.x_noise))
     if has_noise and tcfg.noise.kind == "ou" and tcfg.noise.correlation_time is None:
         raise ValidationError("OU noise needs a correlation time")
-    if ground.eigenindex == lem.eigenindex:
+    if same_eigenstate(ground, lem):
         raise ValidationError("both anchors dress to the same eigenstate")
 
     dt = float(tcfg.time_step)

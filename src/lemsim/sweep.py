@@ -19,7 +19,9 @@ absolute floor.  The ``dynamics`` channel integrates the same two dressed
 states: independent noise on each spin breaks the symmetry of the
 evolution, which runs on the full 2^n basis, not of the starting states.
 ``ClusterProblem.anchored``, the command line's constructor, marks every
-collective cluster symmetric by the same rule as ``lemsim spectrum``.
+collective cluster symmetric by the same rule as ``lemsim spectrum``.  Any
+other problem dresses both anchors from one dense solve
+(``spectrum.cluster_eigensystem``).
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ import math
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from itertools import product
-from typing import NamedTuple
 
 import numpy as np
 
@@ -46,6 +47,7 @@ from .perturbation import PathSumResult, multiphoton_path_sum, scaling_exponent
 from .spectrum import (
     DressedState,
     cluster_eigensystem,
+    cluster_eigenvalues,
     degeneracy_tolerance,
     dress,
     find_local_minima,
@@ -63,31 +65,23 @@ from .collective import block_eigenvalues, collective_form, symmetric_dressed
 CHANNELS = ("overlaps", "rates", "pathsum", "dynamics")
 
 
-class _DenseSolve(NamedTuple):
-    """What a problem keeps of its dense solve, whose two dim x dim arrays it
-    drops: the levels, the LAPACK route and each anchor's dressed state, or
-    the error dressing it raised, raised again when that state is read."""
-
-    levels: np.ndarray
-    route: str
-    dressed: dict[int, DressedState | SimulationError]
-
-
 @dataclass(eq=False)
 class ClusterProblem:
     """One cluster, its noise coupling and its ground and local-minimum anchors.
 
     The typical level spacing ``a_typ`` at the LEM anchor, the degeneracy
     ``tolerance``, the ascending spectrum ``levels`` and the two dressed
-    states are computed on first use and kept; a dense eigensystem is dropped
-    once both anchors are dressed from it.  A spacing or tolerance already
+    states are computed on first use and kept; a dense solve is dropped once
+    both anchors are dressed from it.  A spacing or tolerance already
     known (an override, a landscape's tolerance) is given as
     ``known_a_typ``/``known_tolerance``.  A ``symmetric`` problem (a
     collective cluster) whose anchors are the two fully polarized
     configurations dresses both in the symmetric sector and takes its levels
-    from the total-spin blocks; every other problem takes both states and its
-    levels from one dense eigensystem.  Every channel reads the same dressed
-    pair, so none learns which route ran; ``route`` names it for the logs.
+    from the total-spin blocks; every other problem dresses both states from
+    one dense value-subset solve, and takes its levels, which only the
+    trajectories read, from a values-only one.  Every channel reads the same
+    dressed pair, so none learns which route ran; ``route`` names it for the
+    logs.
     ``anchored`` sets ``symmetric`` from ``collective.collective_form``.
     """
 
@@ -136,35 +130,38 @@ class ClusterProblem:
         return self.symmetric and {self.ground_anchor, self.lem_anchor} == polarized
 
     @cached_property
-    def _dense(self) -> _DenseSolve:
-        eig = cluster_eigensystem(self.params)
+    def _dense(self) -> dict[int, DressedState | SimulationError]:
+        """Each anchor's dressed state from one dense solve for both, or the
+        error dressing it raised, raised again when that state is read."""
+        anchors = (self.ground_anchor, self.lem_anchor)
+        eig = cluster_eigensystem(self.params, anchors)
         dressed: dict[int, DressedState | SimulationError] = {}
-        for anchor in (self.ground_anchor, self.lem_anchor):
+        for anchor in anchors:
             try:
                 dressed[anchor] = dress(eig, anchor)
                 require_own_vector(eig, dressed[anchor])
             except SimulationError as exc:
-                # its traceback would keep the eigensystem alive
+                # its traceback would keep the solved levels alive
                 dressed[anchor] = exc.with_traceback(None)
-        return _DenseSolve(eig.values, eig.route, dressed)
+        return dressed
 
     @cached_property
     def levels(self) -> np.ndarray:
-        """The ascending spectrum, on the same route as the dressed states."""
+        """The ascending spectrum: the total-spin blocks' on the sector route,
+        a values-only dense solve otherwise."""
         if self._in_sector:
             return block_eigenvalues(self.params.n, *collective_form(self.params))
-        return self._dense.levels
+        return cluster_eigenvalues(self.params)
 
     @property
     def route(self) -> str:
-        """The route that dressed the pair: "sector", or the dense solve's
-        tridiagonal solver, "mrrr" or "bisection"."""
-        return "sector" if self._in_sector else self._dense.route
+        """The route that dressed the pair: "sector" or "dense"."""
+        return "sector" if self._in_sector else "dense"
 
     def _dressed(self, anchor: int) -> DressedState:
         if self._in_sector:
             return symmetric_dressed(self.params, anchor)
-        state = self._dense.dressed[anchor]
+        state = self._dense[anchor]
         if isinstance(state, SimulationError):
             raise state
         return state

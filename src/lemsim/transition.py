@@ -17,7 +17,7 @@ import numpy as np
 
 from .cluster import ClusterParams, sign_table
 from .errors import ValidationError
-from .spectrum import DressedState, typical_level_spacing
+from .spectrum import DressedState, same_eigenstate, typical_level_spacing
 
 DEFAULT_SAFETY_FACTOR = 100.0  # the size bound carries an unspecified prefactor
 
@@ -94,13 +94,13 @@ def matrix_element(
     square.  The per-spin contributions of both channels are reported and
     sum to the total by construction.
     """
-    if ground.eigenindex == lem.eigenindex:
-        raise ValidationError(
-            f"both dressed states map to eigenindex {ground.eigenindex}; "
-            "the transition element needs two distinct eigenstates"
-        )
     if len(ground.amplitudes) != len(lem.amplitudes):
         raise ValidationError("dressed states live in different Hilbert spaces")
+    if same_eigenstate(ground, lem):
+        raise ValidationError(
+            f"both dressed states are the eigenstate at {ground.energy:.8f}; "
+            "the transition element needs two distinct eigenstates"
+        )
     n = ground.n
     if coupling.n != n:
         raise ValidationError(f"coupling is for {coupling.n} spins, states have {n}")

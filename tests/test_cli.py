@@ -315,12 +315,11 @@ def test_collective_unpolarized_anchors_stay_dense_and_refuse_a_repeated_level(
     assert run_cli(command, "--config", cfg, "--out", out, "--quiet") == 2
     assert calls == [3]
     assert not out.exists()
-    eig = cluster_eigensystem(parse_config(text).cluster_params())
+    eig = cluster_eigensystem(parse_config(text).cluster_params(), (0b000, 0b110))
     require_own_vector(eig, dress(eig, 0b000))
     with pytest.raises(DegeneracyError) as info:
         require_own_vector(eig, dress(eig, 0b110))
-    # which of the two levels LAPACK's basis puts first can change with the BLAS build
-    expected = r"anchor 011 dresses onto level [56] at 1\.10697663, repeated at levels 5\.\.6"
+    expected = r"anchor 011 dresses onto a level at 1\.10697663 of multiplicity 2 within tol "
     assert re.match(expected, str(info.value))
     assert capsys.readouterr().err == f"error [{command}]: {info.value}\n"
 
@@ -516,16 +515,16 @@ anchors = 00 11
 @pytest.mark.parametrize(
     "command, text, route",
     [
-        ("rates", FERRO3, "mrrr"),  # CLI rates stays dense on a collective cluster
+        ("rates", FERRO3, "dense"),  # CLI rates stays dense on a collective cluster
         ("overlaps", FERRO3, "sector"),
         ("dynamics", FERRO3 + "\n[dynamics]\ntotal_time = 2.0\ntrajectories = 4\n", "sector"),
         (
             "dynamics",
             FERRO3.replace("bias = 0.1", "bias = 0.1 0.1 0.1000001")
             + "\n[dynamics]\ntotal_time = 2.0\ntrajectories = 4\n",
-            "mrrr",
+            "dense",
         ),
-        ("rates", _collective(9, extra="[noise]\nz_noise = 0.01\nx_noise = 0.01\n"), "bisection"),
+        ("rates", _collective(9, extra="[noise]\nz_noise = 0.01\nx_noise = 0.01\n"), "dense"),
     ],
 )
 def test_summaries_name_the_route(tmp_path, capsys, command, text, route):

@@ -195,7 +195,7 @@ def test_unbiased_family_rows_print_no_nan():
 @pytest.mark.parametrize("n, ratio", [(3, 0.01), (5, 0.05), (6, 0.2)])
 def test_sector_states_match_dense_states(n, ratio):
     problem = uniform_ferromagnet(n, ratio)
-    eig = cluster_eigensystem(problem.params)
+    eig = cluster_eigensystem(problem.params, (problem.ground_anchor, problem.lem_anchor))
     for anchor in (problem.ground_anchor, problem.lem_anchor):
         sector = symmetric_dressed(problem.params, anchor)
         dense = dress(eig, anchor)
@@ -212,7 +212,7 @@ def test_sector_states_match_dense_states(n, ratio):
 def test_sector_strong_mixing_matches_dense():
     # at n=8, ratio 0.275 the LEM mixes strongly and the ground state does not
     problem = uniform_ferromagnet(8, 0.275)
-    eig = cluster_eigensystem(problem.params)
+    eig = cluster_eigensystem(problem.params, (problem.ground_anchor, problem.lem_anchor))
     with pytest.raises(StrongMixingError) as dense:
         dress(eig, problem.lem_anchor)
     with pytest.raises(StrongMixingError) as sector:

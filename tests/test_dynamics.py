@@ -20,6 +20,7 @@ from lemsim import (
     default_time_step,
     diagonalize,
     dress,
+    eigenvalues,
     evolve_superposition,
 )
 from lemsim import dynamics
@@ -28,6 +29,14 @@ from lemsim.sweep import uniform_ferromagnet
 
 def zero_noise(n):
     return CouplingSpec(z_noise=np.zeros(n), x_noise=np.zeros(n))
+
+
+def dense_pair(params, ground=0, lem=1):
+    """The dressed pair and the spectrum that a dense ``ClusterProblem``
+    hands ``evolve_superposition``."""
+    h = build_hamiltonian(params)
+    eig = diagonalize(h, (ground, lem))
+    return dress(eig, ground), dress(eig, lem), eigenvalues(h)
 
 
 def single_spin(b=0.5):
@@ -88,7 +97,6 @@ def test_single_spin_dephasing_rate_matches_oracle():
     # white on-site noise of strength f dephases at 2 f^2 (phase variance
     # grows as 4 f^2 t, the ensemble coherence is exp(-variance/2))
     p = single_spin(b=0.5)
-    eig = diagonalize(build_hamiltonian(p))
     f = 0.2
     noise = CouplingSpec(z_noise=np.array([f]), x_noise=np.zeros(1), kind="white")
     tcfg = TrajectoryConfig(
@@ -99,7 +107,7 @@ def test_single_spin_dephasing_rate_matches_oracle():
         seed=5,
         early_stop_floor=None,
     )
-    trace = evolve_superposition(p, dress(eig, 0), dress(eig, 1), eig.values, tcfg)
+    trace = evolve_superposition(p, *dense_pair(p), tcfg)
     analytic = 2 * f * f
     assert not trace.ensemble_rate_is_upper_limit
     assert analytic / 2 <= trace.ensemble_rate <= analytic * 2
@@ -137,7 +145,6 @@ def test_monte_carlo_error_shrinks_with_ensemble():
     # spread of independent batch means falls off like the square root of
     # the batch size
     p = single_spin(b=0.5)
-    eig = diagonalize(build_hamiltonian(p))
     f = 0.3
     noise = CouplingSpec(z_noise=np.array([f]), x_noise=np.zeros(1), kind="white")
 
@@ -152,7 +159,7 @@ def test_monte_carlo_error_shrinks_with_ensemble():
                 seed=seed,
                 early_stop_floor=None,
             )
-            tr = evolve_superposition(p, dress(eig, 0), dress(eig, 1), eig.values, tcfg)
+            tr = evolve_superposition(p, *dense_pair(p), tcfg)
             out.append(tr.ensemble_coherence[-1])
         return np.std(out)
 
@@ -180,13 +187,12 @@ def test_norm_drift_stays_small_via_renormalization():
 def test_norm_drift_guard_raises():
     # strong white tunneling noise: the frozen-noise step leaves the unit sphere
     p = single_spin(b=0.5)
-    eig = diagonalize(build_hamiltonian(p))
     noise = CouplingSpec(z_noise=np.zeros(1), x_noise=np.array([5.0]), kind="white")
     tcfg = TrajectoryConfig(
         noise=noise, time_step=0.01, total_time=1.0, trajectory_count=4, seed=1
     )
     with pytest.raises(IntegrationError, match=r"norm drift 5\.527e-03 exceeds 0\.001 at t=0\.01"):
-        evolve_superposition(p, dress(eig, 0), dress(eig, 1), eig.values, tcfg)
+        evolve_superposition(p, *dense_pair(p), tcfg)
 
 
 def test_total_steps_counts_integrated_steps():
@@ -305,14 +311,13 @@ def test_capacity_preflight_raises_before_any_generator(monkeypatch):
 
 def test_max_drift_is_the_largest_norm_drift(monkeypatch):
     p = single_spin(b=0.5)
-    eig = diagonalize(build_hamiltonian(p))
     noise = CouplingSpec(z_noise=np.zeros(1), x_noise=np.array([1.0]), kind="white")
     tcfg = TrajectoryConfig(
         noise=noise, time_step=0.01, total_time=1.0, trajectory_count=4, seed=1
     )
 
     def run():
-        return evolve_superposition(p, dress(eig, 0), dress(eig, 1), eig.values, tcfg)
+        return evolve_superposition(p, *dense_pair(p), tcfg)
 
     drift = run().max_drift
     assert 1e-6 < drift < dynamics.NORM_DRIFT_LIMIT
@@ -353,11 +358,11 @@ def test_trajectories_match_kronecker_oracle(n, kind):
         j[a, b_] = j[b_, a] = v
     b, c, f, g = (np.array(spec[k]) for k in ("b", "c", "f", "g"))
     params = ClusterParams(n=n, couplings=j, bias=b, tunneling=c)
-    eig = diagonalize(build_hamiltonian(params))
     # anchors: the classical global minimum and the highest configuration
     energies = [brute_energy(j, b, x) for x in range(2**n)]
     ground, lem = int(np.argmin(energies)), int(np.argmax(energies))
-    dt = 0.04 / float(eig.values[-1] - eig.values[0])
+    pair = dense_pair(params, ground, lem)
+    dt = 0.04 / float(pair[2][-1] - pair[2][0])
     steps, ntraj, seed, tau = 25, 6, 2024, 0.7
     noise = CouplingSpec(z_noise=f, x_noise=g, kind=kind, correlation_time=tau)
     tcfg = TrajectoryConfig(
@@ -369,7 +374,7 @@ def test_trajectories_match_kronecker_oracle(n, kind):
         record_every=1,
         early_stop_floor=None,
     )
-    trace = evolve_superposition(params, dress(eig, ground), dress(eig, lem), eig.values, tcfg)
+    trace = evolve_superposition(params, *pair, tcfg)
     coherence, ensemble = reference_trajectories(
         j, b, c, f, g, kind, tau, dt, steps, ntraj, seed, ground, lem
     )
@@ -399,13 +404,25 @@ def test_times_must_be_finite(name, value):
         TrajectoryConfig(noise=zero_noise(1), trajectory_count=1, **times)
 
 
+def test_one_eigenstate_dressed_by_two_solves_is_refused():
+    # each solve numbers its own levels; the states are compared by vector
+    fam = uniform_ferromagnet(5, 0.05)
+    h = build_hamiltonian(fam.params)
+    ground = dress(diagonalize(h, (0,)), 0)
+    again = dress(diagonalize(h, (0, 31)), 0)
+    tcfg = TrajectoryConfig(noise=zero_noise(5), time_step=0.001, total_time=0.01, trajectory_count=1, seed=0)
+    with pytest.raises(ValidationError, match="same eigenstate"):
+        evolve_superposition(fam.params, ground, again, fam.levels, tcfg)
+    lem = dress(diagonalize(h, (31,)), 31)
+    evolve_superposition(fam.params, ground, lem, fam.levels, tcfg)
+
+
 def test_ou_noise_needs_a_correlation_time():
     p = single_spin(b=0.5)
-    eig = diagonalize(build_hamiltonian(p))
     noise = CouplingSpec(z_noise=np.array([0.1]), x_noise=np.zeros(1), kind="ou")
     tcfg = TrajectoryConfig(noise=noise, time_step=0.01, total_time=1.0, trajectory_count=1, seed=0)
     with pytest.raises(ValidationError, match="correlation time"):
-        evolve_superposition(p, dress(eig, 0), dress(eig, 1), eig.values, tcfg)
+        evolve_superposition(p, *dense_pair(p), tcfg)
 
 
 def test_upper_limit_flag_when_no_decay():
@@ -428,7 +445,7 @@ def test_default_budgets():
 
 def test_rate_comparison_verdicts():
     fam = uniform_ferromagnet(2, 0.05)
-    eig = diagonalize(build_hamiltonian(fam.params))
+    eig = diagonalize(build_hamiltonian(fam.params), (fam.ground_anchor, fam.lem_anchor))
     tcfg = TrajectoryConfig(
         noise=zero_noise(2),
         time_step=default_time_step(fam.a_typ),

@@ -228,7 +228,7 @@ def test_first_order_matches_exact_eigenvector():
     for r in (0.1, 0.03, 0.01, 0.001):
         fam = uniform_ferromagnet(4, r)
         p = fam.params
-        eig = diagonalize(build_hamiltonian(p))
+        eig = diagonalize(build_hamiltonian(p), (fam.ground_anchor,))
         d = dress(eig, fam.ground_anchor)
         rs = rs_amplitudes(p.couplings, p.bias, p.tunneling, fam.ground_anchor)
         tol = 10.0 * r**2

@@ -8,14 +8,12 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import lapack
 
 import lemsim.spectrum
 from lemsim import (
     CapacityError,
     ClusterParams,
     DegeneracyError,
-    EigenSystem,
     StrongMixingError,
     ValidationError,
     bits_to_config,
@@ -55,21 +53,48 @@ def test_single_spin_eigenvalues():
     p = ClusterParams(
         n=1, couplings=np.zeros((1, 1)), bias=np.array([0.3]), tunneling=np.array([0.4])
     )
-    eig = diagonalize(build_hamiltonian(p))
+    eig = diagonalize(build_hamiltonian(p), (0, 1))
     assert eig.values == pytest.approx([-0.5, 0.5], abs=1e-12)
 
 
 def test_two_spin_low_splitting_is_second_order():
-    # J12=-1, B=0, C=0.1: the two lowest levels split by about 2*C^2
+    # J12=-1, B=0, C=0.1: the two lowest levels split by about 2*C^2; a
+    # matrix this small is solved whole
     p = make_params(2, c=0.1)
-    eig = diagonalize(build_hamiltonian(p))
+    eig = diagonalize(build_hamiltonian(p), (0b00, 0b11))
+    assert len(eig.values) == 4
     split = eig.values[1] - eig.values[0]
     assert 0.01 <= split <= 0.04
 
 
+def test_polarized_windows_hold_the_two_lowest_levels_only():
+    # five spins, past WHOLE_SOLVE_ROWS: the polarized anchors' windows, ±0.32
+    # wide, hold the split pair near -10 and none of the one-flip levels near -2
+    p = make_params(5, c=0.1)
+    assert p.dim > lemsim.spectrum.WHOLE_SOLVE_ROWS
+    eig = diagonalize(build_hamiltonian(p), (0, p.dim - 1))
+    assert len(eig.values) == 2
+    assert 0 < eig.values[1] - eig.values[0] <= 0.01
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_small_matrices_solve_whole_as_eigh_does(n):
+    # up to WHOLE_SOLVE_ROWS rows every level is solved, bit for bit as
+    # eigh's whole (MRRR) solve gives it; past that, a value subset
+    h = build_hamiltonian(make_params(n, b=0.1, c=0.058))
+    eig = diagonalize(h, (0,))
+    if len(h) > lemsim.spectrum.WHOLE_SOLVE_ROWS:
+        assert len(eig.values) < len(h)
+        return
+    values, vectors = scipy.linalg.eigh(h)
+    assert np.array_equal(eig.values, values)
+    assert np.array_equal(eig.vectors, vectors)
+
+
 def test_diagonal_limit_reproduces_classical_multiset():
+    # without tunneling each window is one level wide, repeats included
     p = make_params(3, b=0.2, c=0.0)
-    eig = diagonalize(build_hamiltonian(p))
+    eig = diagonalize(build_hamiltonian(p), range(p.dim))
     assert np.allclose(eig.values, np.sort(classical_energies(p)), atol=1e-12)
 
 
@@ -80,15 +105,21 @@ def _random_cluster(rng, n):
     return j, rng.normal(size=n), rng.normal(size=n)
 
 
+def _nearest(values, reference):
+    """How far each of ``values`` lies from the nearest of ``reference``."""
+    return np.abs(np.asarray(values)[:, None] - reference).min(axis=1)
+
+
 def test_matches_kron_oracle_spectra():
     rng = np.random.default_rng(2024)
     for _ in range(10):
         n = int(rng.integers(1, 5))
         j, b, c = _random_cluster(rng, n)
         p = ClusterParams(n=n, couplings=j, bias=b, tunneling=c)
-        eig = diagonalize(build_hamiltonian(p))
+        eig = diagonalize(build_hamiltonian(p), range(p.dim))
         oracle = np.linalg.eigvalsh(kron_hamiltonian(j, b, c))
-        assert np.allclose(eig.values, oracle, atol=1e-10)
+        assert np.all(np.diff(eig.values) >= 0)
+        assert _nearest(eig.values, oracle).max() <= 1e-10
 
 
 def _dress_or_message(eig, anchor):
@@ -104,7 +135,7 @@ def test_eigen_residuals_and_orthonormality():
     # and the distinct ones are orthonormal
     p = make_params(5, b=0.1, c=0.07)
     h = build_hamiltonian(p)
-    eig = diagonalize(h)
+    eig = diagonalize(h, range(p.dim))
     scale = np.abs(h).max()
     states = [_dress_or_message(eig, anchor) for anchor in range(p.dim)]
     states = [state for state in states if not isinstance(state, str)]
@@ -122,14 +153,26 @@ def test_eigen_residuals_and_orthonormality():
 
 def test_variational_bound():
     p = make_params(4, b=0.1, c=0.3)
-    eig = diagonalize(build_hamiltonian(p))
-    assert eig.values[0] <= classical_energies(p).min() + 1e-12
+    assert eigenvalues(build_hamiltonian(p))[0] <= classical_energies(p).min() + 1e-12
 
 
 def test_diagonalize_rejects_asymmetric():
     m = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValidationError):
-        diagonalize(m)
+        diagonalize(m, (0,))
+
+
+@pytest.mark.parametrize("anchor", [2, -1, 0.0])
+def test_diagonalize_refuses_an_anchor_outside_the_basis(anchor):
+    with pytest.raises(ValidationError, match="is not a basis index of a 2x2 matrix"):
+        diagonalize(np.eye(2), (0, anchor))
+
+
+def test_dress_refuses_an_anchor_it_was_not_solved_for():
+    eig = diagonalize(build_hamiltonian(make_params(3, b=0.1, c=0.01)), (0b000,))
+    dress(eig, 0b000)
+    with pytest.raises(ValidationError, match="not one the eigensystem was solved for"):
+        dress(eig, 0b111)
 
 
 def test_eigenvalues_match_kron_oracle_and_diagonalize():
@@ -142,7 +185,12 @@ def test_eigenvalues_match_kron_oracle_and_diagonalize():
         assert values.shape == (2**n,)
         assert np.all(np.diff(values) >= 0)
         assert np.abs(values - np.linalg.eigvalsh(kron_hamiltonian(j, b, c))).max() <= tol
-        assert np.abs(values - diagonalize(h).values).max() <= tol
+        assert _nearest(diagonalize(h, range(2**n)).values, values).max() <= tol
+
+
+def _solve(h):
+    """``diagonalize`` for basis state 0; the matrix checks run first."""
+    return diagonalize(h, (0,))
 
 
 @pytest.mark.parametrize(
@@ -152,7 +200,7 @@ def test_eigenvalues_match_kron_oracle_and_diagonalize():
 )
 def test_eigenvalues_rejects_like_diagonalize(m):
     with pytest.raises(ValidationError) as full:
-        diagonalize(m)
+        _solve(m)
     with pytest.raises(ValidationError) as only:
         eigenvalues(m)
     assert str(only.value) == str(full.value)
@@ -165,19 +213,9 @@ def test_eigenvalues_rejects_nan():
         eigenvalues(h)
 
 
-def _reference_signs(h):
-    """The per-column sign fix, one column at a time."""
-    values, vectors = scipy.linalg.eigh(h)
-    for k in range(vectors.shape[1]):
-        col = vectors[:, k]
-        if col[np.argmax(np.abs(col))] < 0:
-            vectors[:, k] = -col
-    return values, vectors
-
-
 def _route_cases():
-    # ferromagnets at r = 0.01, n = 8 and 9: dstemr fails and dsyevr falls
-    # back to bisection, on exactly repeated levels; the others run MRRR
+    # ferromagnets at r = 0.01, n = 8 and 9, whose spectra repeat levels
+    # exactly; a ferromagnet at r = 0.05 and two random clusters
     for n in (8, 9):
         yield f"ferromagnet n={n}", build_hamiltonian(uniform_ferromagnet(n, 0.01).params)
     yield "ferromagnet n=6", build_hamiltonian(uniform_ferromagnet(6, 0.05).params)
@@ -187,283 +225,163 @@ def _route_cases():
         yield f"random n={n}", build_hamiltonian(ClusterParams(n=n, couplings=j, bias=b, tunneling=c))
 
 
-def test_both_lapack_routes_match_eigh_bit_for_bit():
-    routes = set()
-    repeated = False
+EPS = np.finfo(float).eps
+# c of the Davis–Kahan bound c·eps·‖H‖₁/gap on a dressed state's distance from
+# eigh's column, and of c·eps·‖H‖₁ on its energy's; over 30,000 random inputs
+# like the hypothesis sweep's the largest ratios were 23 and 39
+DAVIS_KAHAN = 128
+
+
+def _gaps(values):
+    """Each level's distance to its nearest other level."""
+    gaps = np.full(len(values), np.inf)
+    if len(values) > 1:
+        steps = np.diff(values)
+        gaps[:-1] = steps
+        gaps[1:] = np.minimum(gaps[1:], steps)
+    return gaps
+
+
+def _davis_kahan(norm, gap):
+    return DAVIS_KAHAN * EPS * norm / gap if gap > 0 else math.inf
+
+
+def _assert_davis_kahan(name, h, anchors, scale=1.0):
+    """Dress ``anchors`` from one solve of h·scale and compare each with
+    ``scipy.linalg.eigh`` of h: the level of eigh's largest overlap, within
+    c·eps·‖H‖₁ of its value, and on a simple level within c·eps·‖H‖₁/gap of
+    its column (Davis–Kahan: sin θ ≤ ‖r‖/gap, ‖r‖ ≲ eps·‖H‖ for either
+    solver).  An anchor that mixes strongly has no overlap² clear of ½ by
+    that bound.  Returns how many anchors dressed."""
+    values, vectors = scipy.linalg.eigh(h)
+    gaps = _gaps(values)
+    norm = float(np.abs(h).sum(axis=0).max())
+    eig = diagonalize(h * scale, anchors)
+    dressed = 0
+    for anchor in anchors:
+        k = int(np.argmax(np.abs(vectors[anchor])))
+        bound = _davis_kahan(norm, gaps[k])
+        state = _dress_or_message(eig, anchor)
+        if isinstance(state, str):
+            assert vectors[anchor, k] ** 2 < 0.5 + lemsim.spectrum.OVERLAP_ROUNDING + 2 * bound, name
+            continue
+        dressed += 1
+        assert abs(state.energy / scale - values[k]) <= DAVIS_KAHAN * EPS * norm, name
+        column = vectors[:, k] * np.sign(vectors[anchor, k])
+        assert np.linalg.norm(state.amplitudes - column) <= bound, name
+    return dressed
+
+
+def test_route_cases_dress_within_davis_kahan_of_eigh():
     for name, h in _route_cases():
-        values = scipy.linalg.eigh(h)[0]
-        eig = diagonalize(h)
-        assert np.array_equal(eig.values, values), name
-        routes.add(eig.route)
-        repeated |= eig.route == "bisection" and bool(np.any(np.diff(values) == 0))
-    assert routes == {"mrrr", "bisection"}
-    assert repeated
+        anchors = (0, 1, h.shape[0] // 3, h.shape[0] - 1)
+        assert _assert_davis_kahan(name, h, anchors), name
 
 
-@pytest.mark.parametrize("scale", [1e100, 1e-150], ids=["above", "below"])
-def test_scaled_matrices_match_eigh_bit_for_bit(scale):
-    # max |h_ij| outside dsyevr's range [sqrt(tiny/eps), tiny^-1/4]: scaled in and out
+def test_every_anchor_of_small_clusters_dresses_within_davis_kahan_of_eigh():
+    for p in _bit_identity_clusters():
+        _assert_davis_kahan(f"n={p.n}", build_hamiltonian(p), range(p.dim))
+
+
+@pytest.mark.parametrize("exponent", [-600, 0, 600])
+def test_power_of_two_scaling_is_exact(exponent):
+    # H enters the solve scaled into [1/2, 1) by a power of two, so 2^k·H
+    # solves to 2^k times the same values and to the same vectors
+    h = build_hamiltonian(uniform_ferromagnet(6, 0.05).params)
+    anchors = (0, h.shape[0] - 1)
+    eig, scaled = diagonalize(h, anchors), diagonalize(np.ldexp(h, exponent), anchors)
+    assert np.array_equal(np.ldexp(eig.values, exponent), scaled.values)
+    assert np.array_equal(eig.vectors, scaled.vectors)
+
+
+@pytest.mark.parametrize("scale", [1e100, 1e300, 1e-150])
+def test_scaled_matrices_dress_within_davis_kahan_of_eigh(scale):
+    # H is scaled by a power of two into [1/2, 1) before the solve, so no
+    # scaling inside dsyevr touches it
     rng = np.random.default_rng(3)
     a = rng.normal(size=(24, 24))
-    h = (a + a.T) * scale
-    eig = diagonalize(h)
-    assert np.array_equal(eig.values, scipy.linalg.eigh(h)[0])
+    assert _assert_davis_kahan("random", np.diag(np.arange(24.0)) + 0.1 * (a + a.T), range(24), scale)
+    h = build_hamiltonian(uniform_ferromagnet(9, 0.01).params)
+    assert _assert_davis_kahan("ferromagnet n=9", h, (0, h.shape[0] - 1), scale) == 2
 
 
-@pytest.mark.parametrize("entry", [-0.7, 1e200])
+@pytest.mark.parametrize("entry", [-0.7, 1e200, 0.0])
 def test_one_by_one_matches_eigh(entry):
     h = np.array([[entry]])
-    eig = diagonalize(h)
+    eig = diagonalize(h, (0,))
     assert eig.values.tolist() == [entry] == scipy.linalg.eigh(h)[0].tolist()
     assert dress(eig, 0).amplitudes.tolist() == [1.0]
 
 
+def test_zero_matrix_solves_every_level():
+    eig = diagonalize(np.zeros((4, 4)), range(4))
+    assert eig.values.tolist() == [0.0] * 4
+    for anchor in range(4):
+        state = dress(eig, anchor)
+        assert state.overlap_sq == 1.0
+        require_own_vector(eig, state)
+
+
 def test_empty_matrix_is_refused():
-    for solve in (diagonalize, eigenvalues):
+    for solve in (_solve, eigenvalues):
         with pytest.raises(ValidationError, match="must not be empty"):
             solve(np.zeros((0, 0)))
 
 
-def _assert_dressed_like_eigh(name, h, eig, anchors):
-    """Each anchor that dresses takes the column of ``eigh`` of largest
-    overlap (the first on a tie) and lies within 8 eps of it; returns how
-    many dressed."""
-    _, vectors = _reference_signs(h)
-    eps = np.finfo(float).eps
-    dressed = 0
-    for anchor in anchors:
-        state = _dress_or_message(eig, anchor)
-        if isinstance(state, str):
-            continue
-        dressed += 1
-        column = vectors[:, state.eigenindex]
-        assert state.eigenindex == int(np.argmax(np.abs(vectors[anchor]))), name
-        gap = np.abs(state.amplitudes - column * np.sign(column[anchor])).max()
-        assert gap <= 8 * eps, name
-    return dressed
-
-
-def test_dress_matches_one_column_of_eigh():
-    for name, h in _route_cases():
-        eig = diagonalize(h)
-        anchors = (0, 1, h.shape[0] // 3, h.shape[0] - 1)
-        assert _assert_dressed_like_eigh(name, h, eig, anchors), name
-
-
-@pytest.fixture
-def dstein_sizes(monkeypatch):
-    """The number of values each ``dstein`` call is given, in call order."""
-    sizes = []
-    dstein = lapack.dstein
-
-    def counted(d, e, w, *rest):
-        sizes.append(len(w))
-        return dstein(d, e, w, *rest)
-
-    monkeypatch.setattr(lapack, "dstein", counted)
-    return sizes
-
-
-@pytest.fixture
-def failing_dstemr(monkeypatch):
-    """``dstemr`` reporting the failure it gives on exactly repeated levels,
-    so that ``diagonalize`` takes ``dsyevr``'s bisection route."""
-    dstemr = lapack.dstemr
-
-    def failing(*args):
-        m, w, z, _ = dstemr(*args)
-        return m, w, z, 22
-
-    monkeypatch.setattr(lapack, "dstemr", failing)
-
-
-def _dominant_anchors(h):
-    """The first and last basis states whose best overlap² is at least ½."""
-    _, vectors = scipy.linalg.eigh(h)
-    dominant = np.flatnonzero((vectors**2).max(axis=1) >= 0.5)
-    return int(dominant[0]), int(dominant[-1])
-
-
-def _check_windowed_dressing(name, eig, anchors, dstein_sizes, monkeypatch):
-    """Dress each anchor, then check it against the full run, which an empty
-    window forces to take the best of all of ``z``: same level, energy and
-    overlap², amplitudes within 8 eps, and no eigenvector of T computed
-    outside the windows."""
-    dstein_sizes.clear()
-    states = [dress(eig, anchor) for anchor in anchors]
-    assert "z" not in vars(eig), name  # no dressing fell back to every vector
-    windows = [eig.window(anchor) for anchor in anchors]
-    assert len(dstein_sizes) == (len(anchors) if eig.route == "bisection" else 0), name
-    for size, window in zip(dstein_sizes, windows):
-        assert size <= len(window), name
-    with monkeypatch.context() as patch:
-        patch.setattr(EigenSystem, "_window", lambda self, u: np.arange(0))
-        full_runs = [dress(eig, anchor) for anchor in anchors]
-    assert "z" in vars(eig), name
-    eps = np.finfo(float).eps
-    for state, full, window in zip(states, full_runs, windows):
-        k = full.eigenindex
-        assert state.eigenindex == k and k in window, name
-        assert state.energy == full.energy == eig.values[k], name
-        assert state.overlap_sq == full.overlap_sq, name
-        assert np.abs(state.amplitudes - full.amplitudes).max() <= 8 * eps, name
-
-
-def test_ferromagnet_dressing_runs_inverse_iteration_only_in_its_window(dstein_sizes, monkeypatch):
-    routes = []
-    for n in (8, 9, 10, 11):
-        for r in (0.01, 0.05):
-            p = uniform_ferromagnet(n, r).params
-            eig = cluster_eigensystem(p)
-            routes.append(eig.route)
-            _check_windowed_dressing(f"n={n} r={r}", eig, (0, p.dim - 1), dstein_sizes, monkeypatch)
-    # n = 9..11 take the bisection route on one BLAS thread and on two
-    assert routes.count("bisection") >= 6
-
-
-def test_route_cases_dress_inside_their_windows(dstein_sizes, monkeypatch):
-    routes = set()
-    for name, h in _route_cases():
-        eig = diagonalize(h)
-        routes.add(eig.route)
-        _check_windowed_dressing(name, eig, _dominant_anchors(h), dstein_sizes, monkeypatch)
-    assert routes == {"mrrr", "bisection"}
-
-
-@pytest.mark.parametrize("scale", [1e100, 1e-150], ids=["above", "below"])
-def test_scaled_bisection_windows_are_taken_in_the_units_of_t(scale, dstein_sizes, request, monkeypatch):
-    # dstemr does not fail on the copies scaled below dsyevr's range, so it is
-    # made to report its failure there
-    if scale < 1:
-        request.getfixturevalue("failing_dstemr")
-    h = build_hamiltonian(uniform_ferromagnet(9, 0.01).params) * scale
-    eig = diagonalize(h)
-    assert eig.route == "bisection"
-    # T is the reduction of H scaled into dsyevr's range
-    ratio = np.abs(eig.solver_values).max() / np.abs(eig.values).max()
-    assert ratio < 1e-20 if scale > 1 else ratio > 10
-    anchors = (0, h.shape[0] - 1)
-    _check_windowed_dressing(f"x{scale}", eig, anchors, dstein_sizes, monkeypatch)
-    assert _assert_dressed_like_eigh(f"x{scale}", h, eig, anchors) == 2
-
-
-@pytest.mark.parametrize("case", ["mrrr", "bisection", "above", "below"])
-def test_windowed_dress_equals_the_full_run_on_many_anchors(case, request, monkeypatch):
-    # the full run is forced by an empty window: dress then takes the best of all
-    # of z.  On the MRRR route the window's overlaps come from a slice of z and
-    # the full run's from all of it, two BLAS calls whose sums may round apart:
-    # overlap² then differs in its last few bits
-    if case == "mrrr":
-        j, b, c = _random_cluster(np.random.default_rng(12), 7)
-        h = build_hamiltonian(ClusterParams(n=7, couplings=j, bias=b, tunneling=0.1 * c))
-    else:
-        if case == "below":
-            request.getfixturevalue("failing_dstemr")
-        scale = {"bisection": 1.0, "above": 1e100, "below": 1e-150}[case]
-        h = build_hamiltonian(uniform_ferromagnet(9, 0.01).params) * scale
-    eig = diagonalize(h)
-    assert eig.route == ("mrrr" if case == "mrrr" else "bisection")
-    anchors = [*range(0, eig.dim, 8), eig.dim - 1]
-    windowed = [_dress_or_message(eig, anchor) for anchor in anchors]
-    monkeypatch.setattr(EigenSystem, "_window", lambda self, u: np.arange(0))
-    full_runs = [_dress_or_message(eig, anchor) for anchor in anchors]
-    eps = np.finfo(float).eps
-    dressed = 0
-    for state, full in zip(windowed, full_runs):
-        if isinstance(full, str):
-            assert state == full
-            continue
-        dressed += 1
-        assert state.eigenindex == full.eigenindex
-        assert abs(state.overlap_sq - full.overlap_sq) <= 8 * eps
-        assert np.abs(state.amplitudes - full.amplitudes).max() <= 8 * eps
-    assert dressed >= 2
-
-
-# the best overlap² over every eigenvector of T, as dressing reported it before
-# the window existed; a window that holds no dominant vector cannot give it
+# the best overlap² over every eigenvector, as dressing reported it when it
+# read them all; the anchor's window holds that vector too
 _MIXED_MESSAGES = {
     0: "anchor 000000000 mixes strongly: best overlap^2 = 0.393952 < 0.5",
     511: "anchor 111111111 mixes strongly: best overlap^2 = 0.384886 < 0.5",
 }
 
 
-def test_strong_mixing_falls_back_to_every_vector_of_t(dstein_sizes):
-    eig = cluster_eigensystem(uniform_ferromagnet(9, 0.3).params)
-    assert eig.route == "bisection"
-    for anchor, message in _MIXED_MESSAGES.items():
-        window = eig.window(anchor)
-        assert 0 < len(window) < eig.dim  # vectors in the window, none dominant
-        dstein_sizes.clear()
-        with pytest.raises(StrongMixingError) as err:
-            dress(eig, anchor)
-        assert str(err.value) == message
-        # the window's vectors, then every vector once; z is then cached
-        assert dstein_sizes == ([len(window), eig.dim] if anchor == 0 else [len(window)])
-
-
-def test_empty_window_falls_back_to_every_vector_of_t(monkeypatch):
-    eig = cluster_eigensystem(uniform_ferromagnet(9, 0.3).params)
-    windowed = dress(diagonalize(build_hamiltonian(uniform_ferromagnet(9, 0.01).params)), 0)
-    monkeypatch.setattr(EigenSystem, "_window", lambda self, u: np.arange(0))
-    for anchor, message in _MIXED_MESSAGES.items():
-        with pytest.raises(StrongMixingError) as err:
-            dress(eig, anchor)
-        assert str(err.value) == message
-    # a dominant anchor dresses from all of z instead, to the same state
-    eig = diagonalize(build_hamiltonian(uniform_ferromagnet(9, 0.01).params))
-    fallback = dress(eig, 0)
-    assert "z" in vars(eig)
-    assert (fallback.eigenindex, fallback.overlap_sq) == (windowed.eigenindex, windowed.overlap_sq)
-    assert np.abs(fallback.amplitudes - windowed.amplitudes).max() <= 8 * np.finfo(float).eps
-
-
-def test_clustered_levels_dress_from_every_vector_of_t(monkeypatch, dstein_sizes):
-    p = uniform_ferromagnet(9, 0.01).params
-    eig = cluster_eigensystem(p)
-    assert eig.route == "bisection"
-    # dstein computes exactly repeated values of one block together
-    repeated = [
-        q
-        for q in range(eig.dim - 1)
-        if eig.block[q] == eig.block[q + 1] and eig.solver_values[q] == eig.solver_values[q + 1]
-    ]
-    assert repeated and not any(eig._alone(q) or eig._alone(q + 1) for q in repeated)
-    windowed = [dress(eig, anchor) for anchor in (0, p.dim - 1)]
-    positions = [int(np.flatnonzero(eig._levels == state.eigenindex)[0]) for state in windowed]
-    assert all(eig._alone(position) for position in positions)
-    monkeypatch.setattr(EigenSystem, "_alone", lambda self, position: False)
-    for state in windowed:
-        eig = cluster_eigensystem(p)
-        dstein_sizes.clear()
-        full = dress(eig, state.anchor)
-        assert dstein_sizes == [len(eig.window(state.anchor)), p.dim]
-        assert (full.eigenindex, full.overlap_sq) == (state.eigenindex, state.overlap_sq)
-        assert np.abs(full.amplitudes - state.amplitudes).max() <= 8 * np.finfo(float).eps
+@pytest.mark.parametrize("anchor", list(_MIXED_MESSAGES))
+def test_strong_mixing_reports_the_best_overlap_of_every_level(anchor):
+    p = uniform_ferromagnet(9, 0.3).params
+    eig = cluster_eigensystem(p, (anchor,))
+    assert 0 < len(eig.values) < p.dim
+    with pytest.raises(StrongMixingError) as err:
+        dress(eig, anchor)
+    assert str(err.value) == _MIXED_MESSAGES[anchor]
 
 
 @st.composite
 def _diagonal_heavy_matrices(draw):
     """Small symmetric matrices whose diagonal spread competes with their
     off-diagonal part, so some basis states dominate an eigenvector and some
-    do not; a few exactly repeated diagonal entries."""
-    dim = draw(st.integers(1, 12))
+    do not; a few exactly repeated diagonal entries.  Returns the matrix and
+    a scale to solve it at."""
+    dim = draw(st.integers(1, 32))  # past WHOLE_SOLVE_ROWS, windows decide
     diagonal = draw(st.lists(st.integers(-4, 4), min_size=dim, max_size=dim))
     seed = draw(st.integers(0, 2**32 - 1))
     strength = draw(st.sampled_from([0.0, 1e-9, 0.01, 0.1, 0.5, 2.0]))
     scale = draw(st.sampled_from([1.0, 1e-3, 1e100, 1e-160]))
     a = np.random.default_rng(seed).normal(size=(dim, dim))
-    return (np.diag(np.array(diagonal, dtype=float)) + strength * (a + a.T) / 2) * scale
+    return np.diag(np.array(diagonal, dtype=float)) + strength * (a + a.T) / 2, scale
 
 
 @settings(max_examples=200, deadline=None)
 @given(_diagonal_heavy_matrices())
-def test_every_dominant_eigh_vector_lies_inside_the_window(h):
-    _, vectors = scipy.linalg.eigh(h)
-    eig = diagonalize(h)
+def test_every_dominant_eigh_vector_lies_inside_the_window(case):
+    # each basis state solved on its own: the level of any eigh vector it
+    # dominates, by more than the Davis–Kahan bound, is solved, and dress
+    # finds that vector
+    h, scale = case
+    values, vectors = scipy.linalg.eigh(h)
+    gaps = _gaps(values)
+    norm = float(np.abs(h).sum(axis=0).max())
     for index in range(h.shape[0]):
-        dominant = np.flatnonzero(vectors[index] ** 2 >= 0.5)
-        assert set(dominant.tolist()) <= set(eig.window(index).tolist())
+        k = int(np.argmax(np.abs(vectors[index])))
+        bound = _davis_kahan(norm, gaps[k])
+        if vectors[index, k] ** 2 < 0.5 + lemsim.spectrum.OVERLAP_ROUNDING + 2 * bound:
+            continue
+        eig = diagonalize(h * scale, (index,))
+        assert _nearest([values[k]], eig.values / scale)[0] <= DAVIS_KAHAN * EPS * norm
+        state = dress(eig, index)
+        assert abs(state.energy / scale - values[k]) <= DAVIS_KAHAN * EPS * norm
+        column = vectors[:, k] * np.sign(vectors[index, k])
+        assert np.linalg.norm(state.amplitudes - column) <= bound
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
@@ -471,7 +389,7 @@ def test_solvers_leave_input_unmodified(order):
     # LAPACK works in place on a Fortran-ordered array it is allowed to overwrite
     h = np.asarray(build_hamiltonian(make_params(5, b=0.1, c=0.07)), order=order)
     before = h.copy()
-    diagonalize(h)
+    diagonalize(h, (0, 31))
     assert np.array_equal(h, before)
     eigenvalues(h)
     assert np.array_equal(h, before)
@@ -496,8 +414,9 @@ def test_hamiltonian_is_exactly_symmetric():
 
 def _assert_same_dressing(eig, other):
     """Every anchor dresses to the same state, bit for bit, or fails with the
-    same message, on both eigensystems."""
-    for anchor in range(eig.dim):
+    same message, on both solves."""
+    assert eig.anchors == other.anchors
+    for anchor in eig.anchors:
         state, twin = _dress_or_message(eig, anchor), _dress_or_message(other, anchor)
         if isinstance(state, str):
             assert state == twin
@@ -508,9 +427,11 @@ def _assert_same_dressing(eig, other):
 
 def test_cluster_solves_match_public_solves_bit_for_bit():
     for p in _bit_identity_clusters():
-        full = diagonalize(build_hamiltonian(p))
-        eig = cluster_eigensystem(p)
+        anchors = range(p.dim)
+        full = diagonalize(build_hamiltonian(p), anchors)
+        eig = cluster_eigensystem(p, anchors)
         assert np.array_equal(eig.values, full.values)
+        assert eig.tolerance == full.tolerance == degeneracy_tolerance(p)
         _assert_same_dressing(eig, full)
         assert np.array_equal(cluster_eigenvalues(p), eigenvalues(build_hamiltonian(p)))
 
@@ -521,7 +442,7 @@ def test_asymmetry_in_the_last_row_band_is_found():
     a = rng.normal(size=(32, 32))
     h = a + a.T
     h[31, 30] += 1e-6
-    for solve in (diagonalize, eigenvalues):
+    for solve in (_solve, eigenvalues):
         with pytest.raises(ValidationError, match="not symmetric"):
             solve(h)
 
@@ -535,7 +456,7 @@ def test_scale_from_the_last_row_band_sets_the_symmetry_tolerance():
     h[32, 32] = 100.0
     h[1, 0] += 5e-11
     assert np.abs(np.delete(h, 32, axis=0)).max() < 1.0
-    diagonalize(h)
+    _solve(h)
     eigenvalues(h)
 
 
@@ -543,7 +464,7 @@ def test_scale_from_the_last_row_band_sets_the_symmetry_tolerance():
 def test_non_finite_entry_in_the_last_row_band_raises(bad):
     h = build_hamiltonian(make_params(5, b=0.1, c=0.05))
     h[-1, -1] = bad
-    for solve in (diagonalize, eigenvalues):
+    for solve in (_solve, eigenvalues):
         with pytest.raises(ValueError, match="infs or NaNs"):
             solve(h)
 
@@ -563,15 +484,19 @@ def test_cluster_solves_hold_at_most_one_or_two_dense_arrays(n):
     # tracemalloc sees numpy's buffers, f2py's copies and the LAPACK workspace
     p = uniform_ferromagnet(n, 0.01).params
     matrix = 8 * p.dim**2
-    assert _traced_peak(cluster_eigensystem, p) <= 2.1 * matrix
+    anchors = (0, p.dim - 1)
+    assert _traced_peak(cluster_eigensystem, p, anchors) <= 2.1 * matrix
     assert _traced_peak(cluster_eigenvalues, p) <= 1.1 * matrix
 
     def solve_and_dress(params):
-        eig = cluster_eigensystem(params)
+        eig = cluster_eigensystem(params, anchors)
         dress(eig, 0)
         dress(eig, params.dim - 1)
 
     assert _traced_peak(solve_and_dress, p) <= 2.1 * matrix
+    # the solve keeps its two columns, not the dim x dim array eigh filled
+    vectors = cluster_eigensystem(p, anchors).vectors
+    assert vectors.shape == (p.dim, 2) and vectors.flags.owndata
 
 
 def test_capacity_preflight_raises_before_assembly(monkeypatch):
@@ -582,16 +507,17 @@ def test_capacity_preflight_raises_before_assembly(monkeypatch):
     with pytest.raises(CapacityError, match="needs 34816 bytes, 32768 bytes of memory available"):
         cluster_eigenvalues(p)
     with pytest.raises(CapacityError, match="eigensystem of a 6-spin cluster"):
-        cluster_eigensystem(p)
+        cluster_eigensystem(p, (0,))
     monkeypatch.setattr(lemsim.spectrum, "_available_memory", lambda: 3 * 8 * p.dim**2)
     assert np.array_equal(cluster_eigenvalues(p), eigenvalues(build_hamiltonian(p)))
-    cluster_eigensystem(p)
+    cluster_eigensystem(p, (0,))
 
 
 def test_unknown_available_memory_skips_the_preflight(monkeypatch):
     monkeypatch.setattr(lemsim.spectrum, "_available_memory", lambda: None)
     p = make_params(4, b=0.1, c=0.05)
-    eig, full = cluster_eigensystem(p), diagonalize(build_hamiltonian(p))
+    anchors = (0, p.dim - 1)
+    eig, full = cluster_eigensystem(p, anchors), diagonalize(build_hamiltonian(p), anchors)
     assert np.array_equal(eig.values, full.values)
     _assert_same_dressing(eig, full)
 
@@ -698,7 +624,7 @@ def test_landscape_matches_enumeration_oracle():
 
 def test_dress_diagonal_limit_is_delta():
     p = make_params(3, b=0.1, c=0.0)
-    eig = diagonalize(build_hamiltonian(p))
+    eig = diagonalize(build_hamiltonian(p), (bits_to_config("111"),))
     d = dress(eig, bits_to_config("111"))
     assert d.overlap_sq == pytest.approx(1.0, abs=1e-12)
     expected = np.zeros(8)
@@ -708,7 +634,7 @@ def test_dress_diagonal_limit_is_delta():
 
 def test_dress_four_spin_weak_tunneling():
     p = make_params(4, b=0.1, c=0.01)
-    eig = diagonalize(build_hamiltonian(p))
+    eig = diagonalize(build_hamiltonian(p), (bits_to_config("1111"), bits_to_config("0000")))
     d = dress(eig, bits_to_config("1111"))
     assert d.overlap_sq >= 0.999
     g = dress(eig, bits_to_config("0000"))
@@ -718,17 +644,35 @@ def test_dress_four_spin_weak_tunneling():
 
 def test_dress_normalization():
     p = make_params(4, b=0.1, c=0.05)
-    eig = diagonalize(build_hamiltonian(p))
+    eig = diagonalize(build_hamiltonian(p), (0,))
     d = dress(eig, 0)
     assert math.fsum((d.amplitudes**2).tolist()) == pytest.approx(1.0, abs=1e-10)
     assert d.amplitude(d.anchor) > 0
 
 
-def test_dress_strong_mixing_error_reports_overlap():
-    # large tunneling destroys the perturbative anchor labelling
-    p = make_params(2, j=-0.01, b=0.0, c=5.0)
-    eig = diagonalize(build_hamiltonian(p))
-    with pytest.raises(StrongMixingError, match="overlap"):
+@pytest.mark.parametrize("n, overlap", [(2, "0.500000"), (3, "0.375")])
+def test_dress_strong_mixing_error_reports_overlap(n, overlap):
+    # large tunneling destroys the perturbative anchor labelling: the best
+    # overlap² is about 0.375 at n=3, and exactly 1/2 at n=2, refused on
+    # whichever side of 1/2 rounding puts it
+    p = make_params(n, j=-0.01, b=0.0, c=5.0)
+    eig = diagonalize(build_hamiltonian(p), (0,))
+    with pytest.raises(StrongMixingError, match=rf"overlap\^2 = {overlap}"):
+        dress(eig, 0)
+
+
+@pytest.mark.parametrize("coupling", [1.0, 3.0])
+def test_an_exactly_half_mixed_anchor_is_refused_on_a_value_subset(coupling):
+    # basis states 0 and 1, both at energy 0, mix half and half, far from
+    # the other 22 levels; rounding leaves overlap² just under ½ at one
+    # coupling and just over it at the other
+    h = np.diag(np.concatenate([[0.0, 0.0], np.arange(1.0, 23.0) * 10]))
+    h[0, 1] = h[1, 0] = coupling
+    eig = diagonalize(h, (0,))
+    assert len(eig.values) == 2
+    for overlap_sq in eig.vectors[0] ** 2:
+        assert abs(overlap_sq - 0.5) <= 1e-15
+    with pytest.raises(StrongMixingError, match=r"overlap\^2 = 0\.500000"):
         dress(eig, 0)
 
 
@@ -739,7 +683,7 @@ def test_require_own_vector_refuses_a_shared_repeated_level(c, owned):
     # levels.  c = 0: every level with k up spins repeats, but each anchor is
     # its own eigenvector
     p = make_params(3, j=-1.0, b=0.1, c=c)
-    eig = cluster_eigensystem(p)
+    eig = cluster_eigensystem(p, range(8))
     for anchor in range(8):
         try:
             dressed = dress(eig, anchor)
@@ -753,12 +697,41 @@ def test_require_own_vector_refuses_a_shared_repeated_level(c, owned):
                 require_own_vector(eig, dressed)
 
 
+def test_an_anchor_window_holds_every_repeat_of_its_level():
+    # 011 dresses onto an S=1/2 level that repeats; solved on its own, its
+    # window still holds both copies, so require_own_vector sees the repeat
+    p = make_params(3, j=-1.0, b=0.1, c=0.038)
+    eig = cluster_eigensystem(p, (0b110,))
+    state = dress(eig, 0b110)
+    assert np.count_nonzero(np.abs(eig.values - state.energy) <= eig.tolerance) == 2
+    with pytest.raises(DegeneracyError, match="at 1.10697663 of multiplicity 2"):
+        require_own_vector(eig, state)
+
+
+def test_a_window_past_whole_solve_size_holds_every_repeat_of_its_level():
+    # five spins: each one-flip anchor weighs 4/5 on an S=3/2 level repeated
+    # four times; solved on its own, its window holds all four copies, so
+    # require_own_vector sees the repeat whichever vector the solver picked
+    p = make_params(5, j=-1.0, b=0.1, c=0.038)
+    assert p.dim > lemsim.spectrum.WHOLE_SOLVE_ROWS
+    for anchor in [1 << i for i in range(5)] + [31 ^ (1 << i) for i in range(5)]:
+        eig = cluster_eigensystem(p, (anchor,))
+        counts = [np.count_nonzero(np.abs(eig.values - v) <= eig.tolerance) for v in eig.values]
+        assert max(counts) == 4 and len(eig.values) < p.dim
+        try:
+            state = dress(eig, anchor)
+        except StrongMixingError:
+            continue
+        with pytest.raises(DegeneracyError, match="of multiplicity 4"):
+            require_own_vector(eig, state)
+
+
 # ------------------------------------------------------------ overlap decay
 
 
 def test_overlap_decay_zero_tunneling():
     p = make_params(3, b=0.1, c=0.0)
-    eig = diagonalize(build_hamiltonian(p))
+    eig = diagonalize(build_hamiltonian(p), (0,))
     decay = overlap_decay(dress(eig, 0))
     assert decay.max_amplitudes[0] == pytest.approx(1.0)
     assert all(a == pytest.approx(0.0, abs=1e-12) for a in decay.max_amplitudes[1:])
@@ -767,7 +740,7 @@ def test_overlap_decay_zero_tunneling():
 def test_overlap_decay_first_order_amplitude():
     # the distance-1 maximum matches the first-order perturbative estimate
     p = make_params(3, b=0.1, c=0.01)
-    eig = diagonalize(build_hamiltonian(p))
+    eig = diagonalize(build_hamiltonian(p), (0,))
     decay = overlap_decay(dress(eig, 0))
     predicted = abs(rs_amplitudes(p.couplings, p.bias, p.tunneling, 0)[1])
     assert decay.max_amplitudes[1] == pytest.approx(predicted, rel=5e-3)
@@ -776,7 +749,7 @@ def test_overlap_decay_first_order_amplitude():
 def test_overlap_decay_slope_tracks_coupling_ratio():
     # fixed absolute tunneling well below the level spacing
     p = make_params(4, b=0.1, c=0.01)
-    eig = diagonalize(build_hamiltonian(p))
+    eig = diagonalize(build_hamiltonian(p), (bits_to_config("1111"),))
     decay = overlap_decay(dress(eig, bits_to_config("1111")))
     a_typ = typical_level_spacing(p, bits_to_config("1111"))
     target = math.log10(0.01 / a_typ)
@@ -787,7 +760,7 @@ def test_overlap_decay_steepens_as_tunneling_shrinks():
     slopes = []
     for r in (0.1, 0.03, 0.01):
         fam = uniform_ferromagnet(4, r)
-        eig = diagonalize(build_hamiltonian(fam.params))
+        eig = diagonalize(build_hamiltonian(fam.params), (fam.ground_anchor,))
         slopes.append(overlap_decay(dress(eig, fam.ground_anchor)).slope)
     assert slopes[0] > slopes[1] > slopes[2]
 
@@ -797,7 +770,7 @@ def test_amplitude_bounded_by_minimum_gap_power():
     for n in (3, 4, 5):
         fam = uniform_ferromagnet(n, 0.01)
         p = fam.params
-        eig = diagonalize(build_hamiltonian(p))
+        eig = diagonalize(build_hamiltonian(p), (fam.ground_anchor,))
         decay = overlap_decay(dress(eig, fam.ground_anchor))
         energies = classical_energies(p)
         e0 = energies[fam.ground_anchor]

@@ -25,6 +25,7 @@ from lemsim import (
     TrajectoryConfig,
     ValidationError,
     cluster_eigensystem,
+    cluster_eigenvalues,
     dress,
     evolve_superposition,
     fit_size_scaling,
@@ -76,7 +77,8 @@ def test_one_row_solves_and_enumerates_once(monkeypatch):
 
 
 def test_dense_trajectories_integrate_the_dense_dressed_pair():
-    # a non-collective cluster: the trajectories run on dress(eig, .) and eig.values
+    # a non-collective cluster: the trajectories run on the dense dressed pair
+    # and the values-only spectrum
     params = ClusterParams(
         n=3,
         couplings=np.array([[0.0, -0.9, 0.35], [-0.9, 0.0, -0.6], [0.35, -0.6, 0.0]]),
@@ -87,11 +89,12 @@ def test_dense_trajectories_integrate_the_dense_dressed_pair():
     problem = ClusterProblem.anchored(params, coupling, anchors=("010", "101"))
     assert not problem.symmetric
     trace = problem.trajectories(6, 11, time_step=0.01, total_time=2.0)
-    eig = cluster_eigensystem(params)
+    eig = cluster_eigensystem(params, (0b010, 0b101))
     tcfg = TrajectoryConfig(
         noise=coupling, time_step=0.01, total_time=2.0, trajectory_count=6, seed=11
     )
-    direct = evolve_superposition(params, dress(eig, 0b010), dress(eig, 0b101), eig.values, tcfg)
+    levels = cluster_eigenvalues(params)
+    direct = evolve_superposition(params, dress(eig, 0b010), dress(eig, 0b101), levels, tcfg)
     for field in dataclasses.fields(trace):
         assert np.array_equal(getattr(trace, field.name), getattr(direct, field.name)), field.name
 
@@ -110,7 +113,7 @@ def test_symmetric_problem_with_unpolarized_anchors_dresses_densely(monkeypatch)
     family = uniform_ferromagnet(3, 0.05)
     assert family.symmetric
     problem = dataclasses.replace(family, lem_anchor=0b011)
-    eig = cluster_eigensystem(problem.params)
+    eig = cluster_eigensystem(problem.params, (0, 0b011))
     assert np.array_equal(problem.dressed_ground.amplitudes, dress(eig, 0).amplitudes)
     assert problem.dressed_ground.eigenindex == dress(eig, 0).eigenindex
     # the three one-down configurations are degenerate, so 011 mixes strongly, densely
@@ -120,6 +123,26 @@ def test_symmetric_problem_with_unpolarized_anchors_dresses_densely(monkeypatch)
         dress(eig, 0b011)
     assert str(info.value) == str(dense.value)
     assert calls == [3]
+
+
+def test_dense_problem_solves_once_for_both_anchors(monkeypatch):
+    # one value-subset solve dresses the pair; at n=10, r=0.01 it holds the
+    # two levels of the polarized anchors and no other
+    solves = []
+    diagonalize = lemsim.spectrum.diagonalize
+
+    def counted(h, anchors):
+        eig = diagonalize(h, anchors)
+        solves.append((anchors, len(eig.values)))
+        return eig
+
+    monkeypatch.setattr(lemsim.spectrum, "diagonalize", counted)
+    calls = count_calls(monkeypatch, lemsim.sweep, "cluster_eigensystem")
+    problem = dataclasses.replace(uniform_ferromagnet(10, 0.01), symmetric=False)
+    problem.rates()
+    assert problem.route == "dense"
+    assert calls == [10]
+    assert solves == [((0, 2**10 - 1), 2)]
 
 
 @pytest.mark.parametrize("lem_anchor", [2**9 - 1, 1], ids=["dressed", "strong-mixing"])
@@ -139,7 +162,7 @@ def test_dense_problem_drops_its_eigensystem_once_dressed(lem_anchor):
         held = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
-    assert problem.route == "bisection"
+    assert problem.route == "dense"
     assert len(problem.levels) == 2**9
     assert held < 0.1 * 8 * (2**9) ** 2
 

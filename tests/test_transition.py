@@ -43,7 +43,7 @@ def test_z_channel_vanishes_between_number_states():
     # no tunneling: dressed states are orthogonal number states and the
     # diagonal channel cannot connect them
     p = make_params(3, b=0.1, c=0.0)
-    eig = diagonalize(build_hamiltonian(p))
+    eig = diagonalize(build_hamiltonian(p), (0b000, 0b111))
     g = dress(eig, 0b000)
     l = dress(eig, 0b111)
     report = matrix_element(g, l, coupling(3, f=0.7, g=0.0))
@@ -53,7 +53,7 @@ def test_z_channel_vanishes_between_number_states():
 
 def test_x_channel_vanishes_beyond_single_flip():
     p = make_params(3, b=0.1, c=0.0)
-    eig = diagonalize(build_hamiltonian(p))
+    eig = diagonalize(build_hamiltonian(p), (0b000, 0b011))
     g = dress(eig, 0b000)
     l = dress(eig, 0b011)  # distance 2
     report = matrix_element(g, l, coupling(3, f=0.0, g=0.9))
@@ -62,7 +62,7 @@ def test_x_channel_vanishes_beyond_single_flip():
 
 def test_x_channel_single_flip_is_bare_amplitude():
     p = make_params(3, b=0.1, c=0.0)
-    eig = diagonalize(build_hamiltonian(p))
+    eig = diagonalize(build_hamiltonian(p), (0b000, 0b010))
     g = dress(eig, 0b000)
     l = dress(eig, 0b010)
     report = matrix_element(g, l, coupling(3, f=0.0, g=0.25))
@@ -74,7 +74,7 @@ def test_x_channel_single_flip_is_bare_amplitude():
 
 def test_channel_breakdown_sums_to_total():
     fam = uniform_ferromagnet(4, 0.05)
-    eig = diagonalize(build_hamiltonian(fam.params))
+    eig = diagonalize(build_hamiltonian(fam.params), (fam.ground_anchor, fam.lem_anchor))
     g = dress(eig, fam.ground_anchor)
     l = dress(eig, fam.lem_anchor)
     report = matrix_element(g, l, fam.coupling)
@@ -87,7 +87,7 @@ def test_channel_breakdown_sums_to_total():
 
 def test_bilinearity_in_each_channel():
     fam = uniform_ferromagnet(3, 0.05)
-    eig = diagonalize(build_hamiltonian(fam.params))
+    eig = diagonalize(build_hamiltonian(fam.params), (fam.ground_anchor, fam.lem_anchor))
     g = dress(eig, fam.ground_anchor)
     l = dress(eig, fam.lem_anchor)
     n = 3
@@ -108,7 +108,7 @@ def test_weak_coupling_element_scale():
     # four spins, absolute couplings well under the level spacing: the element
     # carries three powers of the small ratio
     p = make_params(4, b=0.1, c=0.01)
-    eig = diagonalize(build_hamiltonian(p))
+    eig = diagonalize(build_hamiltonian(p), (0b0000, 0b1111))
     g = dress(eig, 0b0000)
     l = dress(eig, 0b1111)
     report = matrix_element(g, l, coupling(4, f=0.01, g=0.01))
@@ -119,10 +119,26 @@ def test_weak_coupling_element_scale():
 
 def test_identical_eigenindices_rejected():
     p = make_params(3, b=0.1, c=0.01)
-    eig = diagonalize(build_hamiltonian(p))
+    eig = diagonalize(build_hamiltonian(p), (0b000,))
     g = dress(eig, 0b000)
     with pytest.raises(ValidationError):
         matrix_element(g, g, coupling(3, f=0.1, g=0.1))
+
+
+def test_states_from_separate_solves_are_told_apart_by_their_vectors():
+    # each anchor solved on its own: both states are level 0 of their solve,
+    # yet distinct; the same state from two solves is refused
+    p = make_params(5, b=0.1, c=0.05)
+    h = build_hamiltonian(p)
+    g = dress(diagonalize(h, (0,)), 0)
+    lem = dress(diagonalize(h, (31,)), 31)
+    assert g.eigenindex == lem.eigenindex == 0
+    both = diagonalize(h, (0, 31))
+    spec = coupling(5, f=0.1, g=0.1)
+    joint = matrix_element(dress(both, 0), dress(both, 31), spec).matrix_element
+    assert matrix_element(g, lem, spec).matrix_element == pytest.approx(joint, rel=1e-9)
+    with pytest.raises(ValidationError, match="both dressed states are the eigenstate"):
+        matrix_element(g, dress(both, 0), spec)
 
 
 def test_element_size_scaling_with_cluster_size():
@@ -134,7 +150,7 @@ def test_element_size_scaling_with_cluster_size():
     logs = []
     for n in sizes:
         fam = uniform_ferromagnet(n, 0.01)
-        eig = diagonalize(build_hamiltonian(fam.params))
+        eig = diagonalize(build_hamiltonian(fam.params), (fam.ground_anchor, fam.lem_anchor))
         g = dress(eig, fam.ground_anchor)
         l = dress(eig, fam.lem_anchor)
         rep = matrix_element(g, l, fam.coupling)
@@ -160,7 +176,7 @@ def test_bound_values_for_simple_ratios():
             bias=np.full(n, 1.0),
             tunneling=np.full(n, c_val),
         )
-        eig = diagonalize(build_hamiltonian(p))
+        eig = diagonalize(build_hamiltonian(p), (0, (1 << n) - 1))
         g = dress(eig, 0)
         l = dress(eig, (1 << n) - 1)
         report = matrix_element(g, l, coupling(n, f=0.0, g=c_val))
@@ -171,7 +187,7 @@ def test_bound_values_for_simple_ratios():
 
 def test_bound_trivial_when_couplings_vanish():
     p = make_params(3, b=0.1, c=0.0)
-    eig = diagonalize(build_hamiltonian(p))
+    eig = diagonalize(build_hamiltonian(p), (0b000, 0b111))
     g = dress(eig, 0b000)
     l = dress(eig, 0b111)
     spec = coupling(3, f=0.0, g=0.0)
@@ -185,7 +201,7 @@ def test_bound_trivial_when_couplings_vanish():
 def test_bound_margin_on_family_points():
     for n in (2, 3, 4):
         fam = uniform_ferromagnet(n, 0.01)
-        eig = diagonalize(build_hamiltonian(fam.params))
+        eig = diagonalize(build_hamiltonian(fam.params), (fam.ground_anchor, fam.lem_anchor))
         g = dress(eig, fam.ground_anchor)
         l = dress(eig, fam.lem_anchor)
         report = matrix_element(g, l, fam.coupling)
