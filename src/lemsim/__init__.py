@@ -2,10 +2,11 @@
 quantum information stored in the ground state and a local energy minimum
 of a small interacting pseudo-spin cluster."""
 
+from types import ModuleType as _ModuleType
+
 from ._version import __version__
 from .cluster import (
     ClusterParams,
-    MAX_SPINS,
     bits_to_config,
     build_hamiltonian,
     classical_energies,
@@ -14,9 +15,10 @@ from .cluster import (
     hamming_distance,
     uniform_couplings,
 )
-from .config import RunConfig, parse_config, render_config
-# after .config, which imports .dynamics first (see .sweep)
-from .collective import block_eigenvalues, collective_form, symmetric_dressed
+from .config import parse_config, render_config
+# after .config, which imports .dynamics first: importing .collective
+# ahead of it raises the start-up peak RSS by 0.3 MB (see .sweep)
+from .collective import block_eigenvalues, cluster_levels, collective_form, symmetric_dressed
 from .dynamics import (
     CoherenceTrace,
     TrajectoryConfig,
@@ -34,16 +36,8 @@ from .errors import (
     StrongMixingError,
     ValidationError,
 )
-from .perturbation import (
-    PathSumResult,
-    multiphoton_path_sum,
-    scaling_exponent,
-)
+from .perturbation import multiphoton_path_sum, scaling_exponent
 from .spectrum import (
-    DressedState,
-    LandscapeReport,
-    LocalMinimum,
-    OverlapDecay,
     cluster_eigensystem,
     cluster_eigenvalues,
     degeneracy_tolerance,
@@ -52,13 +46,10 @@ from .spectrum import (
     eigenvalues,
     find_local_minima,
     overlap_decay,
-    require_own_vector,
-    same_eigenstate,
     typical_level_spacing,
 )
 from .sweep import (
     ClusterProblem,
-    ScalingFit,
     SweepGrid,
     SweepRow,
     fit_size_scaling,
@@ -73,4 +64,9 @@ from .transition import (
     matrix_element,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the re-exported names, not the submodules that importing them binds here
+__all__ = [
+    name
+    for name, value in sorted(globals().items())
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+]

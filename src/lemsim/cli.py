@@ -7,13 +7,13 @@ success, 1 on validation errors, 2 on numerical errors, 3 on capacity
 errors.
 
 On a collective cluster (``collective.collective_form``), ``spectrum`` runs
-on the total-spin blocks, and ``overlaps`` and ``dynamics`` dress fully
-polarized anchors in the symmetric sector: none of them solves the
-2^n x 2^n eigensystem.  ``rates`` dresses densely, both anchors from one
-``spectrum.diagonalize`` solve.  The stderr summaries of ``overlaps``,
-``rates`` and ``dynamics`` end with the route that dressed the pair,
-``sector`` or ``dense`` (``ClusterProblem.route``).  ``dynamics`` refuses a
-cluster over ``dynamics.MAX_DYNAMICS_SPINS`` before any solve.
+on the total-spin blocks (``collective.cluster_levels``), and ``overlaps``
+and ``dynamics`` dress fully polarized anchors in the symmetric sector: none
+of them solves the 2^n x 2^n eigensystem.  ``rates`` dresses densely, both
+anchors from one ``spectrum.diagonalize`` solve.  The stderr summaries of
+``overlaps``, ``rates`` and ``dynamics`` end with the route that dressed
+the pair, ``sector`` or ``dense`` (``ClusterProblem.route``).  ``dynamics``
+refuses a cluster over ``dynamics.MAX_DYNAMICS_SPINS`` before any solve.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import replace
 
 from ._version import __version__
 from .cluster import config_to_bits
-from .collective import block_eigenvalues, collective_form
+from .collective import cluster_levels
 from .config import RunConfig, parse_config, render_config, with_overrides
 from .csvout import (
     emit_eigensystem,
@@ -38,7 +38,7 @@ from .csvout import (
 )
 from .errors import SimulationError, ValidationError
 from .perturbation import scaling_exponent
-from .spectrum import cluster_eigenvalues, find_local_minima, overlap_decay
+from .spectrum import find_local_minima, overlap_decay
 from .sweep import ClusterProblem, run_sweep
 from .transition import lifetime_extension
 
@@ -48,7 +48,7 @@ def _say(args, message: str) -> None:
         print(message, file=sys.stderr)
 
 
-def _load_config(args) -> RunConfig:
+def _load_config(args) -> tuple[RunConfig, str | None]:
     try:
         with open(args.config, encoding="utf-8") as fh:
             text = fh.read()
@@ -71,8 +71,7 @@ def _problem(cfg: RunConfig, noise: bool = True) -> ClusterProblem:
 
 def _cmd_spectrum(cfg: RunConfig, destination, args) -> None:
     params = cfg.cluster_params()
-    form = collective_form(params)
-    values = cluster_eigenvalues(params) if form is None else block_eigenvalues(params.n, *form)
+    values = cluster_levels(params)
     _say(args, f"spectrum: {params.dim} levels in [{values[0]:.6g}, {values[-1]:.6g}]")
     write_output(emit_eigensystem(values, render_config(cfg), cfg.seed), destination)
 

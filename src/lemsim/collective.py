@@ -12,7 +12,9 @@ block is a (2S+1)-dimensional tridiagonal in m = -S..S with diagonal
 j/2 (4m^2 - n) + 2 b m and off-diagonal c sqrt(S(S+1) - m(m+1)), and it
 occurs C(n, k) - C(n, k-1) times, k = n/2 - S.  ``block_eigenvalues``
 assembles all 2^n levels from these blocks, exact multiplets included,
-without a 2^n x 2^n matrix.
+without a 2^n x 2^n matrix.  ``cluster_levels`` gives any cluster's
+spectrum: the blocks' when the cluster is collective, a dense values-only
+solve otherwise.
 
 The S = n/2 block is the symmetric (Dicke) chain.  Its state k, k = 0..n,
 is the normalised sum of the C(n, k) configurations with k up spins, so both
@@ -41,7 +43,7 @@ import scipy.linalg
 
 from .cluster import ClusterParams, popcounts, validate_config
 from .errors import ValidationError
-from .spectrum import DressedState, require_dominant_overlap
+from .spectrum import DressedState, cluster_eigenvalues, require_dominant_overlap
 
 
 def collective_form(params: ClusterParams) -> tuple[float, float, float] | None:
@@ -77,6 +79,14 @@ def block_eigenvalues(n: int, j: float, b: float, c: float) -> np.ndarray:
     return np.sort(np.concatenate(levels))
 
 
+def cluster_levels(params: ClusterParams) -> np.ndarray:
+    """All 2^n eigenvalues (ascending) of the cluster: from the total-spin
+    blocks when it is collective, from ``spectrum.cluster_eigenvalues``
+    otherwise."""
+    form = collective_form(params)
+    return cluster_eigenvalues(params) if form is None else block_eigenvalues(params.n, *form)
+
+
 def _chain_amplitudes(diagonal: np.ndarray, off: np.ndarray, energy: float, end: int) -> np.ndarray:
     """Unit eigenvector of the chain at ``energy``, positive at chain end ``end``.
 
@@ -103,7 +113,6 @@ def symmetric_dressed(params: ClusterParams, anchor: int) -> DressedState:
     """The dressed state of a fully polarized anchor of a collective cluster,
     solved in the (n+1)-dimensional symmetric sector.
 
-    ``eigenindex`` counts the chain's levels, not the 2^n spectrum's.
     Raises StrongMixingError, as ``dress`` does, when the best overlap^2 with
     the anchor is below 0.5.
     """
@@ -130,7 +139,6 @@ def symmetric_dressed(params: ClusterParams, anchor: int) -> DressedState:
     amps.setflags(write=False)
     return DressedState(
         anchor=anchor,
-        eigenindex=index,
         overlap_sq=float(chain[end] ** 2),
         energy=float(values[index]),
         amplitudes=amps,

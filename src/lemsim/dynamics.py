@@ -54,6 +54,7 @@ import numpy as np
 
 from . import spectrum
 from .cluster import ClusterParams, classical_energies, sign_table
+from .collective import cluster_levels
 from .errors import CapacityError, IntegrationError, ValidationError
 from .fitting import fit_line
 from .spectrum import DressedState, same_eigenstate
@@ -170,16 +171,16 @@ def evolve_superposition(
     params: ClusterParams,
     ground: DressedState,
     lem: DressedState,
-    levels: np.ndarray,
     tcfg: TrajectoryConfig,
 ) -> CoherenceTrace:
     """Integrate noisy trajectories of (|ground'> + |min'>)/sqrt(2).
 
-    ``ground`` and ``lem`` are the two dressed states, integrated as given;
-    ``levels``, the ascending spectrum of ``params``, sets only the stability
+    ``ground`` and ``lem`` are the two dressed states, integrated as given.
+    The spectrum of ``params`` (``collective.cluster_levels``: the
+    total-spin blocks' on a collective cluster) sets only the stability
     check and the centring shift.  OU noise must carry its correlation time.
-    ``ClusterProblem.trajectories`` supplies its own dressed pair and levels
-    and the default 10 / A_typ.
+    ``ClusterProblem.trajectories`` supplies its own dressed pair and the
+    default 10 / A_typ.
     """
     n = params.n
     if n > MAX_DYNAMICS_SPINS:
@@ -195,6 +196,7 @@ def evolve_superposition(
         raise ValidationError("both anchors dress to the same eigenstate")
 
     dt = float(tcfg.time_step)
+    levels = cluster_levels(params)
     spread = float(levels[-1] - levels[0])
     if dt * spread > STABILITY_LIMIT:
         raise ValidationError(

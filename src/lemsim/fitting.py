@@ -1,8 +1,26 @@
-"""The least-squares line behind every log-linear fit in the package."""
+"""The least-squares line behind every log-linear fit in the package, and
+the one rule for which values such a fit can use."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+LOG_FLOOR = 1e-300  # values smaller in size are left out of log fits
+
+
+def log10_points(xs, values) -> tuple[list, list[float], int]:
+    """The xs whose value a log fit can use and their log10|value|, in input
+    order, with the count left out: a value is left out when it is None,
+    not finite, or below ``LOG_FLOOR`` in size."""
+    used, logs = [], []
+    for x, value in zip(xs, values):
+        if value is None or not math.isfinite(value) or abs(value) < LOG_FLOOR:
+            continue
+        used.append(x)
+        logs.append(math.log10(abs(value)))
+    return used, logs, len(values) - len(used)
 
 
 def fit_line(x, y) -> tuple[float, float, float | None]:

@@ -29,7 +29,7 @@ from .errors import (
     InsufficientDataError,
     ValidationError,
 )
-from .fitting import fit_line
+from .fitting import fit_line, log10_points
 
 PATH_SUM_MAX_SPINS = 8  # d! path enumeration budget
 
@@ -150,25 +150,17 @@ def _raise_first_degenerate(n, orders, flips, configs, gaps, degenerate) -> None
 
 
 def scaling_exponent(points) -> float:
-    """Least-squares slope of log10|amplitude| against order d.
+    """Least-squares slope of log10|amplitude| against order d, over the
+    points sorted by order.
 
-    Zero or sub-floor amplitudes are excluded; at least three distinct
-    orders must survive.
+    Amplitudes a log fit cannot use (``fitting.log10_points``) are excluded;
+    at least three distinct orders must survive.
     """
-    usable: dict[int, list[float]] = {}
-    for d, amp in points:
-        a = abs(float(amp))
-        if not math.isfinite(a) or a < 1e-300:
-            continue
-        usable.setdefault(int(d), []).append(math.log10(a))
-    if len(usable) < 3:
+    points = sorted(((int(d), float(amp)) for d, amp in points), key=lambda point: point[0])
+    xs, ys, _ = log10_points([d for d, _ in points], [amp for _, amp in points])
+    if len(set(xs)) < 3:
         raise InsufficientDataError(
             f"scaling fit needs at least 3 distinct orders with nonzero amplitude, "
-            f"got {len(usable)}"
+            f"got {len(set(xs))}"
         )
-    xs, ys = [], []
-    for d in sorted(usable):
-        for y in usable[d]:
-            xs.append(d)
-            ys.append(y)
     return fit_line(xs, ys)[0]

@@ -7,11 +7,14 @@ overlap ("dressed" state).  The decay of dressed-state amplitudes with
 Hamming distance from the anchor is measured here as a log-linear fit.
 
 ``cluster_eigenvalues(params)`` computes the spectrum alone through
-``eigenvalues``, a values-only ``scipy.linalg.eigh`` (the ``spectrum``
-subcommand's route off collective clusters).  ``cluster_eigensystem(params,
-anchors)`` computes what dressing needs through ``diagonalize``: the levels
-whose eigenvector can have overlap² ≥ ½ with an anchor, and their vectors,
-in one ``scipy.linalg.eigh(h, subset_by_value=...)`` call.  For u = e_a and
+``eigenvalues``, a values-only ``scipy.linalg.eigh`` (the route of
+``collective.cluster_levels`` off collective clusters).
+``cluster_eigensystem(params, anchors)`` computes what dressing needs
+through ``diagonalize``: the levels whose eigenvector can have overlap² ≥ ½
+with an anchor, and their vectors, in one
+``scipy.linalg.eigh(h, subset_by_value=...)`` call.  ``dress`` picks an
+anchor's state from them and refuses strong mixing and a shared repeated
+level.  For u = e_a and
 ρ = h_aa, ‖(H − ρ)u‖² = Σ_k (v_kᵀu)² (λ_k − ρ)², so such a level lies within
 √2·s of ρ, s the norm of row a off the diagonal (Parlett, *The Symmetric
 Eigenvalue Problem*, §4 and §11).  Matrices of at most ``WHOLE_SOLVE_ROWS``
@@ -57,9 +60,8 @@ from .errors import (
     StrongMixingError,
     ValidationError,
 )
-from .fitting import fit_line
+from .fitting import fit_line, log10_points
 
-AMPLITUDE_FLOOR = 1e-300  # amplitudes below this are clamped out of fits
 OVERLAP_THRESHOLD = 0.5  # below this the anchor label is meaningless
 OVERLAP_ROUNDING = 1e-9  # overlap^2 this close above the threshold is refused too
 REPEATED_LEVEL_WEIGHT = 1e-9  # anchor overlap^2 a repeated level may carry off its chosen vector
@@ -109,7 +111,6 @@ class DressedState:
     """Exact eigenstate anchored to a classical configuration by maximal overlap."""
 
     anchor: int
-    eigenindex: int
     overlap_sq: float
     energy: float
     amplitudes: np.ndarray = field(repr=False)  # real, sign fixed so anchor amplitude > 0
@@ -117,9 +118,6 @@ class DressedState:
     @property
     def n(self) -> int:
         return len(self.amplitudes).bit_length() - 1
-
-    def amplitude(self, config: int) -> float:
-        return float(self.amplitudes[config])
 
 
 @dataclass(frozen=True)
@@ -337,16 +335,15 @@ def cluster_eigensystem(params: ClusterParams, anchors) -> SolvedLevels:
     return diagonalize(build_hamiltonian(params).view(_Scratch), anchors)
 
 
-def find_local_minima(params: ClusterParams, tolerance: float | None = None) -> LandscapeReport:
+def find_local_minima(params: ClusterParams) -> LandscapeReport:
     """Enumerate all 2^n configurations and classify strict single-flip minima.
 
     A configuration is a local minimum iff every single-flip neighbour lies
-    higher in classical energy by more than ``tolerance``.  The global
-    minimum is reported separately and excluded from the local list.
+    higher in classical energy by more than the degeneracy tolerance.  The
+    global minimum is reported separately and excluded from the local list.
     """
     e = classical_energies(params)
-    if tolerance is None:
-        tolerance = _spread_tolerance(e)
+    tolerance = _spread_tolerance(e)
     idx = np.arange(params.dim)
     is_min = np.ones(params.dim, dtype=bool)
     for i in range(params.n):
@@ -393,10 +390,17 @@ def dress(eig: SolvedLevels, anchor: int) -> DressedState:
     that overlap² is not clear of 0.5: the anchor label then identifies no
     single eigenstate and all perturbative scaling statements are void.  The
     overlap² reported is the best among the solved levels; one of overlap²
-    w < ½ may lie s/√w from h_aa, outside the windows.  ``eigenindex`` counts
-    the solved levels; ``same_eigenstate`` compares dressed states.  On a
-    repeated level the vector is one of the solver's basis of that
-    eigenspace; ``require_own_vector`` tells whether that choice matters.
+    w < ½ may lie s/√w from h_aa, outside the windows.
+
+    It then raises DegeneracyError when the level is repeated and the anchor
+    has weight on it beyond its own vector.  Solved levels within
+    ``eig.tolerance`` of the dressed one form one eigenspace, whose basis
+    the solver picks at will; the anchor's window holds all of them.  The
+    anchor's weight on it, Σ (v_pᵀe_anchor)² over its vectors, does not
+    depend on that basis; when it exceeds the dressed overlap² by more than
+    ``REPEATED_LEVEL_WEIGHT``, another basis gives another dressed state.
+    An anchor whose weight lies all on one vector, as at zero tunneling,
+    dresses.  ``same_eigenstate`` compares dressed states.
     """
     if anchor not in eig.anchors:
         raise ValidationError(f"anchor {anchor!r} is not one the eigensystem was solved for")
@@ -405,17 +409,22 @@ def dress(eig: SolvedLevels, anchor: int) -> DressedState:
     k = int(np.argmax(np.abs(overlaps)))
     overlap_sq = float(overlaps[k] ** 2)
     require_dominant_overlap(overlap_sq, anchor, eig.n)
+    energy = float(eig.values[k])
+    repeated = np.flatnonzero(np.abs(eig.values - energy) <= eig.tolerance)
+    if len(repeated) > 1:
+        weights = overlaps[repeated]
+        rest = float(weights @ weights) - overlap_sq
+        if rest > REPEATED_LEVEL_WEIGHT:
+            raise DegeneracyError(
+                f"anchor {config_to_bits(anchor, eig.n)} dresses onto a level at "
+                f"{energy:.8f} of multiplicity {len(repeated)} within tol {eig.tolerance:.3e}; "
+                f"the rest of that eigenspace carries overlap^2 {rest:.6f}"
+            )
     amps = eig.vectors[:, k].copy()
     if amps[anchor] < 0:
         np.negative(amps, out=amps)
     amps.setflags(write=False)
-    return DressedState(
-        anchor=anchor,
-        eigenindex=k,
-        overlap_sq=overlap_sq,
-        energy=float(eig.values[k]),
-        amplitudes=amps,
-    )
+    return DressedState(anchor=anchor, overlap_sq=overlap_sq, energy=energy, amplitudes=amps)
 
 
 def same_eigenstate(first: DressedState, second: DressedState) -> bool:
@@ -424,48 +433,17 @@ def same_eigenstate(first: DressedState, second: DressedState) -> bool:
     return abs(float(first.amplitudes @ second.amplitudes)) > 0.5
 
 
-def require_own_vector(eig: SolvedLevels, dressed: DressedState) -> None:
-    """Raise DegeneracyError when the dressed level is repeated and the anchor
-    has weight on the repeated level beyond its own vector.
-
-    Solved levels within ``eig.tolerance`` of the dressed one form one
-    eigenspace, whose basis the solver picks at will; the anchor's window
-    holds all of them.  The anchor's weight on it, Σ (v_pᵀe_anchor)² over
-    its vectors, does not depend on that basis; when it exceeds the dressed
-    overlap² by more than ``REPEATED_LEVEL_WEIGHT``, another basis gives
-    another dressed state.  An anchor whose weight lies all on one vector,
-    as at zero tunneling, passes.
-    """
-    repeated = np.flatnonzero(np.abs(eig.values - dressed.energy) <= eig.tolerance)
-    if len(repeated) == 1:
-        return
-    weights = eig.vectors[dressed.anchor, repeated]
-    rest = float(weights @ weights) - dressed.overlap_sq
-    if rest > REPEATED_LEVEL_WEIGHT:
-        raise DegeneracyError(
-            f"anchor {config_to_bits(dressed.anchor, eig.n)} dresses onto a level at "
-            f"{dressed.energy:.8f} of multiplicity {len(repeated)} within tol {eig.tolerance:.3e}; "
-            f"the rest of that eigenspace carries overlap^2 {rest:.6f}"
-        )
-
-
 def overlap_decay(dressed: DressedState) -> OverlapDecay:
     """Group dressed amplitudes by Hamming distance from the anchor and fit
     the least-squares slope of log10(max |amplitude|) against distance over
-    distances 1..n.  Amplitudes below the clamp floor are excluded."""
+    distances 1..n.  Maxima a log fit cannot use (``fitting.log10_points``)
+    are excluded and counted."""
     n = dressed.n
     dist = popcounts(np.arange(len(dressed.amplitudes)) ^ dressed.anchor, n)
     maxima = []
     for k in range(n + 1):
         maxima.append(float(np.abs(dressed.amplitudes[dist == k]).max()))
-    used, logs = [], []
-    clamped = 0
-    for k in range(1, n + 1):
-        if maxima[k] < AMPLITUDE_FLOOR:
-            clamped += 1
-            continue
-        used.append(k)
-        logs.append(math.log10(maxima[k]))
+    used, logs, clamped = log10_points(range(1, n + 1), maxima[1:])
     slope = fit_line(used, logs)[0] if len(used) >= 2 else None
     return OverlapDecay(
         anchor=dressed.anchor,

@@ -11,13 +11,13 @@ the command line runs its channels on too.
 The family is permutation symmetric and both anchors are fully polarized,
 so ``uniform_ferromagnet`` marks its problems ``symmetric`` and their dressed
 states come from the (n+1)-dimensional symmetric sector
-(``collective.symmetric_dressed``), their spectrum from the total-spin blocks
-(``collective.block_eigenvalues``): no channel solves the 2^n x 2^n
+(``collective.symmetric_dressed``): no channel solves the 2^n x 2^n
 eigensystem or needs a dense memory budget, and the ``rates`` channel prints
 matrix elements at full relative precision far below the dense eigensolver's
 absolute floor.  The ``dynamics`` channel integrates the same two dressed
 states: independent noise on each spin breaks the symmetry of the
 evolution, which runs on the full 2^n basis, not of the starting states.
+Its spectrum comes from the total-spin blocks (``collective.cluster_levels``).
 ``ClusterProblem.anchored``, the command line's constructor, marks every
 collective cluster symmetric by the same rule as ``lemsim spectrum``.  Any
 other problem dresses both anchors from one dense solve
@@ -26,7 +26,6 @@ other problem dresses both anchors from one dense solve
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from itertools import product
@@ -42,25 +41,24 @@ from .dynamics import (
     evolve_superposition,
 )
 from .errors import CapacityError, InsufficientDataError, SimulationError, ValidationError
-from .fitting import fit_line
+from .fitting import fit_line, log10_points
 from .perturbation import PathSumResult, multiphoton_path_sum, scaling_exponent
 from .spectrum import (
     DressedState,
     cluster_eigensystem,
-    cluster_eigenvalues,
     degeneracy_tolerance,
     dress,
     find_local_minima,
     overlap_decay,
-    require_own_vector,
     typical_level_spacing,
 )
 from .transition import CouplingSpec, RateReport, check_bound, matrix_element
 
-# after .dynamics: when .collective brings in .spectrum and scipy.linalg
-# ahead of it, start-up takes about 12 ms and 0.5 MB more (measured on a
-# 2-core Xeon; the benchmark's set-up time and peak RSS)
-from .collective import block_eigenvalues, collective_form, symmetric_dressed
+# after .dynamics, which imports .collective itself: importing .collective
+# here first raises the peak RSS of ``import lemsim.cli`` from 56.6 to
+# 57.0 MB (median of 30 alternating runs on a 2-core Xeon; the import time
+# did not differ beyond the runs' spread)
+from .collective import collective_form, symmetric_dressed
 
 CHANNELS = ("overlaps", "rates", "pathsum", "dynamics")
 
@@ -70,18 +68,15 @@ class ClusterProblem:
     """One cluster, its noise coupling and its ground and local-minimum anchors.
 
     The typical level spacing ``a_typ`` at the LEM anchor, the degeneracy
-    ``tolerance``, the ascending spectrum ``levels`` and the two dressed
-    states are computed on first use and kept; a dense solve is dropped once
-    both anchors are dressed from it.  A spacing or tolerance already
-    known (an override, a landscape's tolerance) is given as
-    ``known_a_typ``/``known_tolerance``.  A ``symmetric`` problem (a
-    collective cluster) whose anchors are the two fully polarized
-    configurations dresses both in the symmetric sector and takes its levels
-    from the total-spin blocks; every other problem dresses both states from
-    one dense value-subset solve, and takes its levels, which only the
-    trajectories read, from a values-only one.  Every channel reads the same
-    dressed pair, so none learns which route ran; ``route`` names it for the
-    logs.
+    ``tolerance`` and the two dressed states are computed on first use and
+    kept; a dense solve is dropped once both anchors are dressed from it.
+    A spacing or tolerance already known (an override, a landscape's
+    tolerance) is given as ``known_a_typ``/``known_tolerance``.  A
+    ``symmetric`` problem (a collective cluster) whose anchors are the two
+    fully polarized configurations dresses both in the symmetric sector;
+    every other problem dresses both states from one dense value-subset
+    solve.  Every channel reads the same dressed pair, so none learns which
+    route ran; ``route`` names it for the logs.
     ``anchored`` sets ``symmetric`` from ``collective.collective_form``.
     """
 
@@ -139,19 +134,10 @@ class ClusterProblem:
         for anchor in anchors:
             try:
                 dressed[anchor] = dress(eig, anchor)
-                require_own_vector(eig, dressed[anchor])
             except SimulationError as exc:
                 # its traceback would keep the solved levels alive
                 dressed[anchor] = exc.with_traceback(None)
         return dressed
-
-    @cached_property
-    def levels(self) -> np.ndarray:
-        """The ascending spectrum: the total-spin blocks' on the sector route,
-        a values-only dense solve otherwise."""
-        if self._in_sector:
-            return block_eigenvalues(self.params.n, *collective_form(self.params))
-        return cluster_eigenvalues(self.params)
 
     @property
     def route(self) -> str:
@@ -177,9 +163,7 @@ class ClusterProblem:
     def rates(self) -> RateReport:
         """Golden-rule matrix element between the dressed anchors, with the size bound."""
         report = matrix_element(self.dressed_ground, self.dressed_lem, self.coupling)
-        return check_bound(
-            report, self.params, self.coupling, anchor=self.lem_anchor, a_typ=self.a_typ
-        )
+        return check_bound(report, self.params, self.coupling, self.a_typ)
 
     def path_sums(self) -> list[PathSumResult]:
         """Path sums from the ground anchor, one per order d: the target flips
@@ -220,9 +204,7 @@ class ClusterProblem:
             trajectory_count=trajectory_count,
             seed=seed,
         )
-        return evolve_superposition(
-            self.params, self.dressed_ground, self.dressed_lem, self.levels, tcfg
-        )
+        return evolve_superposition(self.params, self.dressed_ground, self.dressed_lem, tcfg)
 
 
 @dataclass(frozen=True)
@@ -386,9 +368,9 @@ def run_sweep(grid: SweepGrid, master_seed: int = 0) -> list[SweepRow]:
 def fit_size_scaling(rows, column: str) -> ScalingFit:
     """Least-squares fit of log10(column) against cluster size n.
 
-    Rows must share a single coupling ratio; rows with missing, zero or
-    non-finite values are excluded and counted.  At least three distinct
-    sizes must survive.
+    Rows must share a single coupling ratio; rows whose value a log fit
+    cannot use (``fitting.log10_points``) are excluded and counted.  At
+    least three distinct sizes must survive.
     """
     rows = list(rows)
     if not rows:
@@ -398,15 +380,7 @@ def fit_size_scaling(rows, column: str) -> ScalingFit:
     ratios = {row.ratio for row in rows}
     if len(ratios) != 1:
         raise ValidationError(f"size-scaling fit needs rows sharing one ratio, got {sorted(ratios)}")
-    xs, ys = [], []
-    excluded = 0
-    for row in rows:
-        value = getattr(row, column)
-        if value is None or not math.isfinite(value) or abs(value) < 1e-300:
-            excluded += 1
-            continue
-        xs.append(row.n)
-        ys.append(math.log10(abs(value)))
+    xs, ys, excluded = log10_points([row.n for row in rows], [getattr(row, column) for row in rows])
     if len(set(xs)) < 3:
         raise InsufficientDataError(
             f"size-scaling fit needs at least 3 distinct sizes with usable values, "

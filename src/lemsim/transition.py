@@ -17,7 +17,7 @@ import numpy as np
 
 from .cluster import ClusterParams, sign_table
 from .errors import ValidationError
-from .spectrum import DressedState, same_eigenstate, typical_level_spacing
+from .spectrum import DressedState, same_eigenstate
 
 DEFAULT_SAFETY_FACTOR = 100.0  # the size bound carries an unspecified prefactor
 
@@ -123,22 +123,16 @@ def matrix_element(
 
 
 def check_bound(
-    report: RateReport,
-    params: ClusterParams,
-    coupling: CouplingSpec,
-    anchor: int,
-    a_typ: float | None = None,
+    report: RateReport, params: ClusterParams, coupling: CouplingSpec, a_typ: float
 ) -> RateReport:
     """Fill in the size bound (max(C_typ, g_typ) / A_typ)^n and its verdict.
 
     C_typ is the largest |tunneling| entry, g_typ the largest sigma^x noise
-    amplitude, and A_typ the typical level spacing at the given anchor
-    (overridable).  The bound is an order-of-magnitude statement, so the
-    verdict allows a factor of ``DEFAULT_SAFETY_FACTOR``; the margin is
-    log10(bound / rate_ratio).
+    amplitude, and ``a_typ`` the typical level spacing A_typ
+    (``ClusterProblem.a_typ``, at the LEM anchor).  The bound is an
+    order-of-magnitude statement, so the verdict allows a factor of
+    ``DEFAULT_SAFETY_FACTOR``; the margin is log10(bound / rate_ratio).
     """
-    if a_typ is None:
-        a_typ = typical_level_spacing(params, anchor)
     c_typ = float(np.abs(params.tunneling).max())
     g_typ = float(coupling.x_noise.max())
     bound = (max(c_typ, g_typ) / a_typ) ** params.n

@@ -291,7 +291,7 @@ def test_criterion_6_perturbation_cross_checks():
         tol = 10.0 * r * r
         for i in range(4):
             z = fam.ground_anchor ^ (1 << i)
-            exact = d.amplitude(z) / d.amplitude(fam.ground_anchor)
+            exact = d.amplitudes[z] / d.amplitudes[fam.ground_anchor]
             predicted = rs[z]
             rel = abs(exact - predicted) / abs(predicted)
             worst_rel = max(worst_rel, rel / tol)
@@ -354,9 +354,7 @@ def test_criterion_7_dynamics_consistency():
             trajectory_count=200,
             seed=42,
         )
-        trace = evolve_superposition(
-            fam.params, fam.dressed_ground, fam.dressed_lem, fam.levels, tcfg
-        )
+        trace = evolve_superposition(fam.params, fam.dressed_ground, fam.dressed_lem, tcfg)
         # the coherence observable decays when population leaks out of either
         # anchored eigenstate, so the prediction is their mean out-rate
         leak, share = _out_rate_report(fam)
@@ -379,9 +377,7 @@ def test_criterion_7_dynamics_consistency():
         trajectory_count=8,
         seed=1,
     )
-    flat = evolve_superposition(
-        fam3.params, fam3.dressed_ground, fam3.dressed_lem, fam3.levels, quiet
-    )
+    flat = evolve_superposition(fam3.params, fam3.dressed_ground, fam3.dressed_lem, quiet)
     flat_ok = float(np.abs(flat.coherence - 0.5).max()) <= 1e-6
 
     calibration_ok = reference.ratio == pytest.approx(1.0)

@@ -1,6 +1,7 @@
 """Command-line surface: pipelines, exit statuses, output determinism."""
 
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -14,7 +15,6 @@ from lemsim import (
     cluster_eigensystem,
     dress,
     parse_config,
-    require_own_vector,
 )
 from lemsim.cli import main
 
@@ -316,9 +316,9 @@ def test_collective_unpolarized_anchors_stay_dense_and_refuse_a_repeated_level(
     assert calls == [3]
     assert not out.exists()
     eig = cluster_eigensystem(parse_config(text).cluster_params(), (0b000, 0b110))
-    require_own_vector(eig, dress(eig, 0b000))
+    dress(eig, 0b000)
     with pytest.raises(DegeneracyError) as info:
-        require_own_vector(eig, dress(eig, 0b110))
+        dress(eig, 0b110)
     expected = r"anchor 011 dresses onto a level at 1\.10697663 of multiplicity 2 within tol "
     assert re.match(expected, str(info.value))
     assert capsys.readouterr().err == f"error [{command}]: {info.value}\n"
@@ -347,6 +347,28 @@ def test_collective_dynamics_solve_no_eigensystem(tmp_path, monkeypatch):
         calls.clear()
         assert run_cli("dynamics", "--config", cfg, "--out", tmp_path / "d.csv", "--quiet") == 0
         assert calls == expected
+
+
+def test_collective_dynamics_take_the_block_spectrum_whatever_the_anchors(
+    tmp_path, monkeypatch, capsys
+):
+    # unpolarized anchors at zero tunneling dress densely, each its own
+    # eigenvector; the stability check and centring shift still read the
+    # total-spin blocks, so no dense values-only solve runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense values-only solve")
+
+    for original in (lemsim.spectrum.eigenvalues, lemsim.spectrum.cluster_eigenvalues):
+        for name, module in list(sys.modules.items()):
+            if name == "lemsim" or name.startswith("lemsim."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, refuse)
+    cfg = tmp_path / "dyn.cfg"
+    dyn = "\n[dynamics]\nanchors = 000 011\ntime_step = 0.005\ntotal_time = 10.0\ntrajectories = 4\n"
+    cfg.write_text(FERRO3.replace("tunneling = 0.038", "tunneling = 0.0") + dyn)
+    assert run_cli("dynamics", "--config", cfg, "--out", tmp_path / "d.csv") == 0
+    assert capsys.readouterr().err.endswith(" route=dense\n")
 
 
 def test_oversize_dynamics_is_refused_before_any_solve(tmp_path, capsys, monkeypatch):

@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
-import lemsim.cli
+import lemsim.collective
 import lemsim.spectrum
 from lemsim import (
     ClusterParams,
@@ -206,7 +206,7 @@ def test_sector_states_match_dense_states(n, ratio):
         assert sector.overlap_sq == pytest.approx(dense.overlap_sq, abs=1e-13)
         assert np.linalg.norm(sector.amplitudes) == pytest.approx(1.0, abs=1e-14)
         assert overlap_decay(sector).slope == pytest.approx(overlap_decay(dense).slope, rel=1e-6)
-    assert problem.dressed_ground.eigenindex != problem.dressed_lem.eigenindex
+    assert problem.dressed_ground.energy < problem.dressed_lem.energy
 
 
 def test_sector_strong_mixing_matches_dense():
@@ -283,7 +283,7 @@ def test_block_levels_repeat_by_multiplicity():
 
 
 def _spectrum_csv(tmp_path, text, monkeypatch):
-    calls = count_calls(monkeypatch, lemsim.cli, "cluster_eigenvalues")
+    calls = count_calls(monkeypatch, lemsim.collective, "cluster_eigenvalues")
     cfg = tmp_path / "c.cfg"
     cfg.write_text(text)
     out = tmp_path / "spectrum.csv"

@@ -17,10 +17,10 @@ from lemsim import (
     TrajectoryConfig,
     ValidationError,
     build_hamiltonian,
+    cluster_levels,
     default_time_step,
     diagonalize,
     dress,
-    eigenvalues,
     evolve_superposition,
 )
 from lemsim import dynamics
@@ -32,11 +32,10 @@ def zero_noise(n):
 
 
 def dense_pair(params, ground=0, lem=1):
-    """The dressed pair and the spectrum that a dense ``ClusterProblem``
-    hands ``evolve_superposition``."""
-    h = build_hamiltonian(params)
-    eig = diagonalize(h, (ground, lem))
-    return dress(eig, ground), dress(eig, lem), eigenvalues(h)
+    """The dressed pair that a dense ``ClusterProblem`` hands
+    ``evolve_superposition``."""
+    eig = diagonalize(build_hamiltonian(params), (ground, lem))
+    return dress(eig, ground), dress(eig, lem)
 
 
 def single_spin(b=0.5):
@@ -54,7 +53,7 @@ def test_zero_noise_coherence_is_flat():
         trajectory_count=4,
         seed=3,
     )
-    trace = evolve_superposition(fam.params, fam.dressed_ground, fam.dressed_lem, fam.levels, tcfg)
+    trace = evolve_superposition(fam.params, fam.dressed_ground, fam.dressed_lem, tcfg)
     assert np.abs(trace.coherence - 0.5).max() <= 1e-6
     assert np.abs(trace.ensemble_coherence - 0.5).max() <= 1e-6
     assert trace.coherence[0] == pytest.approx(0.5, abs=1e-12)
@@ -69,8 +68,8 @@ def test_trace_is_bit_reproducible():
         trajectory_count=16,
         seed=909,
     )
-    a = evolve_superposition(fam.params, fam.dressed_ground, fam.dressed_lem, fam.levels, tcfg)
-    b = evolve_superposition(fam.params, fam.dressed_ground, fam.dressed_lem, fam.levels, tcfg)
+    a = evolve_superposition(fam.params, fam.dressed_ground, fam.dressed_lem, tcfg)
+    b = evolve_superposition(fam.params, fam.dressed_ground, fam.dressed_lem, tcfg)
     assert np.array_equal(a.coherence, b.coherence)
     assert np.array_equal(a.ensemble_coherence, b.ensemble_coherence)
     assert a.fitted_rate == b.fitted_rate
@@ -85,10 +84,10 @@ def test_different_seeds_differ():
         trajectory_count=8,
     )
     a = evolve_superposition(
-        fam.params, fam.dressed_ground, fam.dressed_lem, fam.levels, TrajectoryConfig(seed=1, **kw)
+        fam.params, fam.dressed_ground, fam.dressed_lem, TrajectoryConfig(seed=1, **kw)
     )
     b = evolve_superposition(
-        fam.params, fam.dressed_ground, fam.dressed_lem, fam.levels, TrajectoryConfig(seed=2, **kw)
+        fam.params, fam.dressed_ground, fam.dressed_lem, TrajectoryConfig(seed=2, **kw)
     )
     assert not np.array_equal(a.coherence, b.coherence)
 
@@ -132,9 +131,7 @@ def test_step_halving_changes_rate_little():
                 seed=seed,
                 early_stop_floor=None,
             )
-            trace = evolve_superposition(
-                fam.params, fam.dressed_ground, fam.dressed_lem, fam.levels, tcfg
-            )
+            trace = evolve_superposition(fam.params, fam.dressed_ground, fam.dressed_lem, tcfg)
             assert not trace.rate_is_upper_limit
             rates.append(trace.fitted_rate)
         means.append(np.mean(rates))
@@ -179,7 +176,7 @@ def test_norm_drift_stays_small_via_renormalization():
         trajectory_count=8,
         seed=6,
     )
-    trace = evolve_superposition(fam.params, fam.dressed_ground, fam.dressed_lem, fam.levels, tcfg)
+    trace = evolve_superposition(fam.params, fam.dressed_ground, fam.dressed_lem, tcfg)
     # coherence never exceeds the initial value beyond statistical wiggle
     assert trace.coherence.max() <= 0.5 + 1e-9
 
@@ -208,9 +205,7 @@ def test_total_steps_counts_integrated_steps():
             seed=4,
             early_stop_floor=floor,
         )
-        return evolve_superposition(
-            fam.params, fam.dressed_ground, fam.dressed_lem, fam.levels, tcfg
-        )
+        return evolve_superposition(fam.params, fam.dressed_ground, fam.dressed_lem, tcfg)
 
     stopped = run(0.45, 20_000)
     full = run(0.05, 500)
@@ -230,11 +225,9 @@ def test_noise_blocks_do_not_change_the_trace(monkeypatch, kind):
     tcfg = TrajectoryConfig(
         noise=noise, time_step=dt, total_time=10.5 * dt, trajectory_count=5, seed=17, record_every=1
     )
-    default = evolve_superposition(
-        fam.params, fam.dressed_ground, fam.dressed_lem, fam.levels, tcfg
-    )
+    default = evolve_superposition(fam.params, fam.dressed_ground, fam.dressed_lem, tcfg)
     monkeypatch.setattr(dynamics, "_CHUNK_STEPS", 3)  # 11 steps cross four blocks
-    small = evolve_superposition(fam.params, fam.dressed_ground, fam.dressed_lem, fam.levels, tcfg)
+    small = evolve_superposition(fam.params, fam.dressed_ground, fam.dressed_lem, tcfg)
     assert len(small.times) == 12
     assert np.array_equal(default.coherence, small.coherence)
     assert np.array_equal(default.ensemble_coherence, small.ensemble_coherence)
@@ -258,7 +251,7 @@ def test_memory_is_the_buffers_whatever_the_step_count():
         )
         tracemalloc.start()
         try:
-            evolve_superposition(fam.params, fam.dressed_ground, fam.dressed_lem, fam.levels, tcfg)
+            evolve_superposition(fam.params, fam.dressed_ground, fam.dressed_lem, tcfg)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -283,9 +276,7 @@ def test_capacity_preflight_raises_before_any_generator(monkeypatch):
             noise=noise, time_step=dt, total_time=(steps - 0.5) * dt, trajectory_count=ntraj,
             seed=5,
         )
-        return evolve_superposition(
-            fam.params, fam.dressed_ground, fam.dressed_lem, fam.levels, tcfg
-        )
+        return evolve_superposition(fam.params, fam.dressed_ground, fam.dressed_lem, tcfg)
 
     def no_generators(*args):
         raise AssertionError("a Generator was made")
@@ -362,7 +353,8 @@ def test_trajectories_match_kronecker_oracle(n, kind):
     energies = [brute_energy(j, b, x) for x in range(2**n)]
     ground, lem = int(np.argmin(energies)), int(np.argmax(energies))
     pair = dense_pair(params, ground, lem)
-    dt = 0.04 / float(pair[2][-1] - pair[2][0])
+    levels = cluster_levels(params)
+    dt = 0.04 / float(levels[-1] - levels[0])
     steps, ntraj, seed, tau = 25, 6, 2024, 0.7
     noise = CouplingSpec(z_noise=f, x_noise=g, kind=kind, correlation_time=tau)
     tcfg = TrajectoryConfig(
@@ -387,12 +379,13 @@ def test_trajectories_match_kronecker_oracle(n, kind):
 
 def test_stability_criterion_enforced():
     fam = uniform_ferromagnet(3, 0.05)
-    spread = float(fam.levels[-1] - fam.levels[0])
+    levels = cluster_levels(fam.params)
+    spread = float(levels[-1] - levels[0])
     tcfg = TrajectoryConfig(
         noise=fam.coupling, time_step=0.06 / spread * 1.2, total_time=1.0, trajectory_count=2, seed=1
     )
     with pytest.raises(ValidationError, match="stability"):
-        evolve_superposition(fam.params, fam.dressed_ground, fam.dressed_lem, fam.levels, tcfg)
+        evolve_superposition(fam.params, fam.dressed_ground, fam.dressed_lem, tcfg)
 
 
 @pytest.mark.parametrize("value", [np.inf, np.nan])
@@ -405,16 +398,16 @@ def test_times_must_be_finite(name, value):
 
 
 def test_one_eigenstate_dressed_by_two_solves_is_refused():
-    # each solve numbers its own levels; the states are compared by vector
+    # the states come from two solves and are compared by vector
     fam = uniform_ferromagnet(5, 0.05)
     h = build_hamiltonian(fam.params)
     ground = dress(diagonalize(h, (0,)), 0)
     again = dress(diagonalize(h, (0, 31)), 0)
     tcfg = TrajectoryConfig(noise=zero_noise(5), time_step=0.001, total_time=0.01, trajectory_count=1, seed=0)
     with pytest.raises(ValidationError, match="same eigenstate"):
-        evolve_superposition(fam.params, ground, again, fam.levels, tcfg)
+        evolve_superposition(fam.params, ground, again, tcfg)
     lem = dress(diagonalize(h, (31,)), 31)
-    evolve_superposition(fam.params, ground, lem, fam.levels, tcfg)
+    evolve_superposition(fam.params, ground, lem, tcfg)
 
 
 def test_ou_noise_needs_a_correlation_time():
@@ -434,7 +427,7 @@ def test_upper_limit_flag_when_no_decay():
         trajectory_count=8,
         seed=10,
     )
-    trace = evolve_superposition(fam.params, fam.dressed_ground, fam.dressed_lem, fam.levels, tcfg)
+    trace = evolve_superposition(fam.params, fam.dressed_ground, fam.dressed_lem, tcfg)
     assert trace.rate_is_upper_limit
     assert trace.fit_quality == 0.0
 
@@ -453,7 +446,7 @@ def test_rate_comparison_verdicts():
         trajectory_count=2,
         seed=0,
     )
-    flat = evolve_superposition(fam.params, fam.dressed_ground, fam.dressed_lem, fam.levels, tcfg)
+    flat = evolve_superposition(fam.params, fam.dressed_ground, fam.dressed_lem, tcfg)
     from lemsim import CouplingSpec as CS
     from lemsim import matrix_element
 

@@ -21,6 +21,7 @@ from lemsim import (
     uniform_couplings,
 )
 from lemsim.cluster import degeneracy_tolerance
+from lemsim.fitting import LOG_FLOOR, fit_line, log10_points
 from lemsim.perturbation import _orderings
 from lemsim.sweep import uniform_ferromagnet
 
@@ -208,6 +209,21 @@ def test_scaling_exponent_needs_three_orders():
         scaling_exponent([(1, 0.1), (2, 0.0), (3, 0.0)])
 
 
+def test_scaling_exponent_fits_points_sorted_by_order():
+    # the fit sees the usable points ordered by d, ties in input order, so
+    # the slope does not depend on the order the points come in
+    pts = [(3, -2e-6), (1, 0.011), (2, float("nan")), (3, 1.5e-6), (2, 1.2e-4), (4, 0.0), (1, 0.009)]
+    ordered = [(1, 0.011), (1, 0.009), (2, 1.2e-4), (3, -2e-6), (3, 1.5e-6)]
+    expected = fit_line([d for d, _ in ordered], [math.log10(abs(a)) for _, a in ordered])[0]
+    assert scaling_exponent(pts) == expected
+
+
+def test_log10_points_leaves_out_what_a_log_fit_cannot_use():
+    xs = [0, 1, 2, 3, 4, 5, 6, 7]
+    values = [None, -0.01, math.inf, 1e-301, 0.0, math.nan, LOG_FLOOR, 100]
+    assert log10_points(xs, values) == ([1, 6, 7], [-2.0, -300.0, 2.0], 5)
+
+
 def test_path_sum_slope_five_spin_ferromagnet():
     # slope of log10|amplitude| against order is near log10(g / A_typ)
     fam = uniform_ferromagnet(5, 0.01)
@@ -234,7 +250,7 @@ def test_first_order_matches_exact_eigenvector():
         tol = 10.0 * r**2
         for i in range(4):
             z = fam.ground_anchor ^ (1 << i)
-            exact = d.amplitude(z) / d.amplitude(fam.ground_anchor)
+            exact = d.amplitudes[z] / d.amplitudes[fam.ground_anchor]
             predicted = rs[z]
             assert abs(exact - predicted) / abs(predicted) <= tol
 

@@ -28,7 +28,6 @@ from lemsim import (
     eigenvalues,
     find_local_minima,
     overlap_decay,
-    require_own_vector,
     typical_level_spacing,
     uniform_couplings,
 )
@@ -122,28 +121,32 @@ def test_matches_kron_oracle_spectra():
         assert _nearest(eig.values, oracle).max() <= 1e-10
 
 
-def _dress_or_message(eig, anchor):
-    """The anchor's dressed state, or the message of its StrongMixingError."""
+def _dress_or_refusal(eig, anchor):
+    """The anchor's dressed state, or the StrongMixingError or DegeneracyError
+    with which ``dress`` refuses it."""
     try:
         return dress(eig, anchor)
-    except StrongMixingError as err:
-        return str(err)
+    except (StrongMixingError, DegeneracyError) as err:
+        return err
 
 
 def test_eigen_residuals_and_orthonormality():
     # every dominant anchor's dressed state is an eigenvector of its level,
-    # and the distinct ones are orthonormal
+    # and the distinct ones are orthonormal; so is every solved column,
+    # those of the repeated levels that dress refuses included
     p = make_params(5, b=0.1, c=0.07)
     h = build_hamiltonian(p)
     eig = diagonalize(h, range(p.dim))
     scale = np.abs(h).max()
-    states = [_dress_or_message(eig, anchor) for anchor in range(p.dim)]
-    states = [state for state in states if not isinstance(state, str)]
+    assert np.abs(h @ eig.vectors - eig.vectors * eig.values).max() <= 1e-10 * scale
+    assert np.abs(eig.vectors.T @ eig.vectors - np.eye(p.dim)).max() <= 1e-10
+    states = [_dress_or_refusal(eig, anchor) for anchor in range(p.dim)]
+    states = [state for state in states if not isinstance(state, Exception)]
     assert len(states) >= 2
     for state in states:
         residual = np.abs(h @ state.amplitudes - state.energy * state.amplitudes).max()
         assert residual <= 1e-10 * scale
-    distinct = {state.eigenindex: state.amplitudes for state in states}
+    distinct = {state.energy: state.amplitudes for state in states}
     vectors = np.column_stack(list(distinct.values()))
     assert len(distinct) >= 2
     gram = vectors.T @ vectors
@@ -252,7 +255,9 @@ def _assert_davis_kahan(name, h, anchors, scale=1.0):
     c·eps·‖H‖₁ of its value, and on a simple level within c·eps·‖H‖₁/gap of
     its column (Davis–Kahan: sin θ ≤ ‖r‖/gap, ‖r‖ ≲ eps·‖H‖ for either
     solver).  An anchor that mixes strongly has no overlap² clear of ½ by
-    that bound.  Returns how many anchors dressed."""
+    that bound, and one refused for a shared repeated level has its eigh
+    level solved and repeated within the solve's tolerance.  Returns how
+    many anchors dressed."""
     values, vectors = scipy.linalg.eigh(h)
     gaps = _gaps(values)
     norm = float(np.abs(h).sum(axis=0).max())
@@ -261,9 +266,13 @@ def _assert_davis_kahan(name, h, anchors, scale=1.0):
     for anchor in anchors:
         k = int(np.argmax(np.abs(vectors[anchor])))
         bound = _davis_kahan(norm, gaps[k])
-        state = _dress_or_message(eig, anchor)
-        if isinstance(state, str):
+        state = _dress_or_refusal(eig, anchor)
+        if isinstance(state, StrongMixingError):
             assert vectors[anchor, k] ** 2 < 0.5 + lemsim.spectrum.OVERLAP_ROUNDING + 2 * bound, name
+            continue
+        if isinstance(state, DegeneracyError):
+            assert gaps[k] <= eig.tolerance / scale, name
+            assert _nearest([values[k]], eig.values / scale)[0] <= DAVIS_KAHAN * EPS * norm, name
             continue
         dressed += 1
         assert abs(state.energy / scale - values[k]) <= DAVIS_KAHAN * EPS * norm, name
@@ -317,9 +326,8 @@ def test_zero_matrix_solves_every_level():
     eig = diagonalize(np.zeros((4, 4)), range(4))
     assert eig.values.tolist() == [0.0] * 4
     for anchor in range(4):
-        state = dress(eig, anchor)
-        assert state.overlap_sq == 1.0
-        require_own_vector(eig, state)
+        # one level repeated four times, each anchor its own vector
+        assert dress(eig, anchor).overlap_sq == 1.0
 
 
 def test_empty_matrix_is_refused():
@@ -366,7 +374,8 @@ def _diagonal_heavy_matrices(draw):
 def test_every_dominant_eigh_vector_lies_inside_the_window(case):
     # each basis state solved on its own: the level of any eigh vector it
     # dominates, by more than the Davis–Kahan bound, is solved, and dress
-    # finds that vector
+    # finds that vector, or refuses it as a level repeated within the
+    # solve's tolerance
     h, scale = case
     values, vectors = scipy.linalg.eigh(h)
     gaps = _gaps(values)
@@ -378,7 +387,11 @@ def test_every_dominant_eigh_vector_lies_inside_the_window(case):
             continue
         eig = diagonalize(h * scale, (index,))
         assert _nearest([values[k]], eig.values / scale)[0] <= DAVIS_KAHAN * EPS * norm
-        state = dress(eig, index)
+        try:
+            state = dress(eig, index)
+        except DegeneracyError:
+            assert gaps[k] <= eig.tolerance / scale + 2 * DAVIS_KAHAN * EPS * norm
+            continue
         assert abs(state.energy / scale - values[k]) <= DAVIS_KAHAN * EPS * norm
         column = vectors[:, k] * np.sign(vectors[index, k])
         assert np.linalg.norm(state.amplitudes - column) <= bound
@@ -413,15 +426,15 @@ def test_hamiltonian_is_exactly_symmetric():
 
 
 def _assert_same_dressing(eig, other):
-    """Every anchor dresses to the same state, bit for bit, or fails with the
-    same message, on both solves."""
+    """Every anchor dresses to the same state, bit for bit, or is refused with
+    the same error and message, on both solves."""
     assert eig.anchors == other.anchors
     for anchor in eig.anchors:
-        state, twin = _dress_or_message(eig, anchor), _dress_or_message(other, anchor)
-        if isinstance(state, str):
-            assert state == twin
+        state, twin = _dress_or_refusal(eig, anchor), _dress_or_refusal(other, anchor)
+        if isinstance(state, Exception):
+            assert (type(state), str(state)) == (type(twin), str(twin))
             continue
-        assert (state.eigenindex, state.overlap_sq) == (twin.eigenindex, twin.overlap_sq)
+        assert (state.energy, state.overlap_sq) == (twin.energy, twin.overlap_sq)
         assert np.array_equal(state.amplitudes, twin.amplitudes)
 
 
@@ -638,8 +651,7 @@ def test_dress_four_spin_weak_tunneling():
     d = dress(eig, bits_to_config("1111"))
     assert d.overlap_sq >= 0.999
     g = dress(eig, bits_to_config("0000"))
-    assert g.eigenindex == 0
-    assert g.eigenindex != d.eigenindex
+    assert g.energy == eig.values[0] < d.energy
 
 
 def test_dress_normalization():
@@ -647,7 +659,7 @@ def test_dress_normalization():
     eig = diagonalize(build_hamiltonian(p), (0,))
     d = dress(eig, 0)
     assert math.fsum((d.amplitudes**2).tolist()) == pytest.approx(1.0, abs=1e-10)
-    assert d.amplitude(d.anchor) > 0
+    assert d.amplitudes[d.anchor] > 0
 
 
 @pytest.mark.parametrize("n, overlap", [(2, "0.500000"), (3, "0.375")])
@@ -677,7 +689,7 @@ def test_an_exactly_half_mixed_anchor_is_refused_on_a_value_subset(coupling):
 
 
 @pytest.mark.parametrize("c, owned", [(0.038, (0b000, 0b111)), (0.0, tuple(range(8)))])
-def test_require_own_vector_refuses_a_shared_repeated_level(c, owned):
+def test_dress_refuses_a_shared_repeated_level(c, owned):
     # c > 0: the S=1/2 levels repeat, and the anchors that dress onto them
     # overlap both vectors of their plane; the polarized anchors sit on simple
     # levels.  c = 0: every level with k up spins repeats, but each anchor is
@@ -686,44 +698,41 @@ def test_require_own_vector_refuses_a_shared_repeated_level(c, owned):
     eig = cluster_eigensystem(p, range(8))
     for anchor in range(8):
         try:
-            dressed = dress(eig, anchor)
+            dress(eig, anchor)
         except StrongMixingError:
             assert anchor not in owned
-            continue
-        if anchor in owned:
-            require_own_vector(eig, dressed)
+        except DegeneracyError as err:
+            assert anchor not in owned
+            assert str(err).startswith(f"anchor {config_to_bits(anchor, 3)} dresses")
         else:
-            with pytest.raises(DegeneracyError, match=f"anchor {config_to_bits(anchor, 3)} dresses"):
-                require_own_vector(eig, dressed)
+            assert anchor in owned
 
 
 def test_an_anchor_window_holds_every_repeat_of_its_level():
     # 011 dresses onto an S=1/2 level that repeats; solved on its own, its
-    # window still holds both copies, so require_own_vector sees the repeat
+    # window still holds both copies, so dress sees the repeat
     p = make_params(3, j=-1.0, b=0.1, c=0.038)
     eig = cluster_eigensystem(p, (0b110,))
-    state = dress(eig, 0b110)
-    assert np.count_nonzero(np.abs(eig.values - state.energy) <= eig.tolerance) == 2
+    level = eig.values[np.argmax(np.abs(eig.vectors[0b110]))]
+    assert np.count_nonzero(np.abs(eig.values - level) <= eig.tolerance) == 2
     with pytest.raises(DegeneracyError, match="at 1.10697663 of multiplicity 2"):
-        require_own_vector(eig, state)
+        dress(eig, 0b110)
 
 
 def test_a_window_past_whole_solve_size_holds_every_repeat_of_its_level():
     # five spins: each one-flip anchor weighs 4/5 on an S=3/2 level repeated
     # four times; solved on its own, its window holds all four copies, so
-    # require_own_vector sees the repeat whichever vector the solver picked
+    # dress sees the repeat whichever vector the solver picked
     p = make_params(5, j=-1.0, b=0.1, c=0.038)
     assert p.dim > lemsim.spectrum.WHOLE_SOLVE_ROWS
     for anchor in [1 << i for i in range(5)] + [31 ^ (1 << i) for i in range(5)]:
         eig = cluster_eigensystem(p, (anchor,))
         counts = [np.count_nonzero(np.abs(eig.values - v) <= eig.tolerance) for v in eig.values]
         assert max(counts) == 4 and len(eig.values) < p.dim
-        try:
-            state = dress(eig, anchor)
-        except StrongMixingError:
-            continue
-        with pytest.raises(DegeneracyError, match="of multiplicity 4"):
-            require_own_vector(eig, state)
+        with pytest.raises((StrongMixingError, DegeneracyError)) as info:
+            dress(eig, anchor)
+        if info.errisinstance(DegeneracyError):
+            assert "of multiplicity 4" in str(info.value)
 
 
 # ------------------------------------------------------------ overlap decay
@@ -832,4 +841,3 @@ def test_landscape_tolerance_is_the_default_tolerance():
         j, b, _ = _random_cluster(rng, n)
         p = ClusterParams(n=n, couplings=j, bias=b, tunneling=np.zeros(n))
         assert find_local_minima(p).tolerance == degeneracy_tolerance(p)
-        assert find_local_minima(p, tolerance=0.25).tolerance == 0.25

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import lemsim.collective
 import lemsim.spectrum
 import lemsim.sweep
 from lemsim import (
@@ -25,7 +26,7 @@ from lemsim import (
     TrajectoryConfig,
     ValidationError,
     cluster_eigensystem,
-    cluster_eigenvalues,
+    cluster_levels,
     dress,
     evolve_superposition,
     fit_size_scaling,
@@ -76,9 +77,10 @@ def test_one_row_solves_and_enumerates_once(monkeypatch):
     }
 
 
-def test_dense_trajectories_integrate_the_dense_dressed_pair():
+def test_dense_trajectories_integrate_the_dense_dressed_pair(monkeypatch):
     # a non-collective cluster: the trajectories run on the dense dressed pair
     # and the values-only spectrum
+    spectra = count_calls(monkeypatch, lemsim.collective, "cluster_eigenvalues")
     params = ClusterParams(
         n=3,
         couplings=np.array([[0.0, -0.9, 0.35], [-0.9, 0.0, -0.6], [0.35, -0.6, 0.0]]),
@@ -93,10 +95,10 @@ def test_dense_trajectories_integrate_the_dense_dressed_pair():
     tcfg = TrajectoryConfig(
         noise=coupling, time_step=0.01, total_time=2.0, trajectory_count=6, seed=11
     )
-    levels = cluster_eigenvalues(params)
-    direct = evolve_superposition(params, dress(eig, 0b010), dress(eig, 0b101), levels, tcfg)
+    direct = evolve_superposition(params, dress(eig, 0b010), dress(eig, 0b101), tcfg)
     for field in dataclasses.fields(trace):
         assert np.array_equal(getattr(trace, field.name), getattr(direct, field.name)), field.name
+    assert spectra == [3, 3]
 
 
 def test_overlaps_and_rates_rows_need_no_eigensystem(monkeypatch):
@@ -115,7 +117,7 @@ def test_symmetric_problem_with_unpolarized_anchors_dresses_densely(monkeypatch)
     problem = dataclasses.replace(family, lem_anchor=0b011)
     eig = cluster_eigensystem(problem.params, (0, 0b011))
     assert np.array_equal(problem.dressed_ground.amplitudes, dress(eig, 0).amplitudes)
-    assert problem.dressed_ground.eigenindex == dress(eig, 0).eigenindex
+    assert problem.dressed_ground.energy == dress(eig, 0).energy
     # the three one-down configurations are degenerate, so 011 mixes strongly, densely
     with pytest.raises(StrongMixingError) as info:
         problem.dressed_lem
@@ -154,7 +156,7 @@ def test_dense_problem_drops_its_eigensystem_once_dressed(lem_anchor):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        assert problem.dressed_ground.eigenindex == 0
+        ground = problem.dressed_ground
         try:
             problem.dressed_lem
         except StrongMixingError:
@@ -163,7 +165,7 @@ def test_dense_problem_drops_its_eigensystem_once_dressed(lem_anchor):
     finally:
         tracemalloc.stop()
     assert problem.route == "dense"
-    assert len(problem.levels) == 2**9
+    assert ground.energy == pytest.approx(cluster_levels(problem.params)[0], abs=1e-12)
     assert held < 0.1 * 8 * (2**9) ** 2
 
 

@@ -126,13 +126,14 @@ def test_identical_eigenindices_rejected():
 
 
 def test_states_from_separate_solves_are_told_apart_by_their_vectors():
-    # each anchor solved on its own: both states are level 0 of their solve,
-    # yet distinct; the same state from two solves is refused
+    # each anchor solved on its own: both states are the lowest level of
+    # their solve, yet distinct; the same state from two solves is refused
     p = make_params(5, b=0.1, c=0.05)
     h = build_hamiltonian(p)
     g = dress(diagonalize(h, (0,)), 0)
-    lem = dress(diagonalize(h, (31,)), 31)
-    assert g.eigenindex == lem.eigenindex == 0
+    lem_eig = diagonalize(h, (31,))
+    lem = dress(lem_eig, 31)
+    assert lem.energy == lem_eig.values[0] > g.energy
     both = diagonalize(h, (0, 31))
     spec = coupling(5, f=0.1, g=0.1)
     joint = matrix_element(dress(both, 0), dress(both, 31), spec).matrix_element
@@ -180,7 +181,8 @@ def test_bound_values_for_simple_ratios():
         g = dress(eig, 0)
         l = dress(eig, (1 << n) - 1)
         report = matrix_element(g, l, coupling(n, f=0.0, g=c_val))
-        report = check_bound(report, p, coupling(n, f=0.0, g=c_val), anchor=(1 << n) - 1)
+        a_typ = typical_level_spacing(p, (1 << n) - 1)
+        report = check_bound(report, p, coupling(n, f=0.0, g=c_val), a_typ)
         assert report.bound == pytest.approx(expected, rel=1e-12)
         assert report.bound_satisfied
 
@@ -192,7 +194,7 @@ def test_bound_trivial_when_couplings_vanish():
     l = dress(eig, 0b111)
     spec = coupling(3, f=0.0, g=0.0)
     report = matrix_element(g, l, spec)
-    report = check_bound(report, p, spec, anchor=0b111)
+    report = check_bound(report, p, spec, typical_level_spacing(p, 0b111))
     assert report.rate_ratio == 0.0
     assert report.bound_satisfied
     assert report.bound_margin == math.inf
@@ -205,9 +207,7 @@ def test_bound_margin_on_family_points():
         g = dress(eig, fam.ground_anchor)
         l = dress(eig, fam.lem_anchor)
         report = matrix_element(g, l, fam.coupling)
-        report = check_bound(
-            report, fam.params, fam.coupling, anchor=fam.lem_anchor, a_typ=fam.a_typ
-        )
+        report = check_bound(report, fam.params, fam.coupling, fam.a_typ)
         assert report.bound == pytest.approx(0.01**n, rel=1e-12)
         assert report.bound_margin >= -2.0
         assert report.bound_satisfied
@@ -223,7 +223,7 @@ def test_bound_verdict_allows_the_default_safety_factor():
         report = RateReport(
             matrix_element=math.sqrt(rate_ratio), rate_ratio=rate_ratio, z_channel=(), x_channel=()
         )
-        report = check_bound(report, p, spec, anchor=0b11, a_typ=1.0)
+        report = check_bound(report, p, spec, 1.0)
         assert report.bound == pytest.approx(bound, rel=1e-15)
         assert report.bound_satisfied is satisfied
         assert report.bound_margin == pytest.approx(-math.log10(factor * DEFAULT_SAFETY_FACTOR))
