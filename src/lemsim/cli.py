@@ -62,11 +62,10 @@ def _load_config(args) -> tuple[RunConfig, str | None]:
     return cfg, destination
 
 
-def _problem(cfg: RunConfig, noise: bool = True) -> ClusterProblem:
-    """The configured cluster and anchors; ``noise=False`` leaves [noise] unread."""
+def _problem(cfg: RunConfig) -> ClusterProblem:
+    """The configured cluster, noise coupling and anchors."""
     params = cfg.cluster_params()
-    coupling = cfg.coupling_spec() if noise else None
-    return ClusterProblem.anchored(params, coupling, cfg.anchors, cfg.a_typ)
+    return ClusterProblem.anchored(params, cfg.coupling_spec(), cfg.anchors, cfg.a_typ)
 
 
 def _cmd_spectrum(cfg: RunConfig, destination, args) -> None:
@@ -91,7 +90,7 @@ def _cmd_landscape(cfg: RunConfig, destination, args) -> None:
 
 
 def _cmd_overlaps(cfg: RunConfig, destination, args) -> None:
-    problem = _problem(cfg, noise=False)
+    problem = _problem(cfg)
     n = problem.params.n
     decays = [overlap_decay(problem.dressed_ground), overlap_decay(problem.dressed_lem)]
     _say(

@@ -33,35 +33,27 @@ def format_value(value) -> str:
     return str(value)
 
 
-def _metadata(config_text: str, seed: int | None) -> list[str]:
-    lines = [f"# lemsim {__version__}"]
-    if seed is not None:
-        lines.append(f"# seed = {seed}")
-    if config_text:
-        lines.append("# config-begin")
-        for line in config_text.rstrip("\n").splitlines():
-            lines.append(f"# {line}" if line else "#")
-        lines.append("# config-end")
-    return lines
-
-
-def _table(header: Iterable[str], records: Iterable[Iterable]) -> list[str]:
-    lines = [",".join(header)]
+def _document(
+    header: Iterable[str], records: Iterable[Iterable], config_text: str, seed: int
+) -> str:
+    """The metadata block (version, seed, config echo), the header row and
+    one row per record."""
+    lines = [f"# lemsim {__version__}", f"# seed = {seed}", "# config-begin"]
+    for line in config_text.rstrip("\n").splitlines():
+        lines.append(f"# {line}" if line else "#")
+    lines += ["# config-end", ",".join(header)]
     for record in records:
         lines.append(",".join(format_value(v) for v in record))
-    return lines
+    return "\n".join(lines) + "\n"
 
 
-def emit_sweep_rows(rows: list[SweepRow], config_text: str = "", seed: int | None = None) -> str:
+def emit_sweep_rows(rows: list[SweepRow], config_text: str, seed: int) -> str:
     header = SweepRow.columns()
-    records = [
-        [getattr(row, col) for col in header]
-        for row in rows
-    ]
-    return "\n".join(_metadata(config_text, seed) + _table(header, records)) + "\n"
+    records = [[getattr(row, col) for col in header] for row in rows]
+    return _document(header, records, config_text, seed)
 
 
-def emit_trace(trace: CoherenceTrace, config_text: str = "", seed: int | None = None) -> str:
+def emit_trace(trace: CoherenceTrace, config_text: str, seed: int) -> str:
     header = (
         "time",
         "coherence",
@@ -85,10 +77,10 @@ def emit_trace(trace: CoherenceTrace, config_text: str = "", seed: int | None = 
         )
         for t, c, e in zip(trace.times, trace.coherence, trace.ensemble_coherence)
     ]
-    return "\n".join(_metadata(config_text, seed) + _table(header, records)) + "\n"
+    return _document(header, records, config_text, seed)
 
 
-def emit_rate_report(report: RateReport, config_text: str = "", seed: int | None = None) -> str:
+def emit_rate_report(report: RateReport, config_text: str, seed: int) -> str:
     n = len(report.z_channel)
     header = (
         ["matrix_element", "rate_ratio", "rate_bound", "bound_satisfied", "bound_margin"]
@@ -100,42 +92,34 @@ def emit_rate_report(report: RateReport, config_text: str = "", seed: int | None
         + list(report.z_channel)
         + list(report.x_channel)
     )
-    return "\n".join(_metadata(config_text, seed) + _table(header, [record])) + "\n"
+    return _document(header, [record], config_text, seed)
 
 
-def emit_landscape(
-    report: LandscapeReport, n: int, config_text: str = "", seed: int | None = None
-) -> str:
+def emit_landscape(report: LandscapeReport, n: int, config_text: str, seed: int) -> str:
     header = ("configuration", "energy", "distance_to_global", "is_global")
     records = [(config_to_bits(report.global_config, n), report.global_energy, 0, True)]
     for m in report.local_minima:
         records.append((config_to_bits(m.config, n), m.energy, m.distance_to_global, False))
-    return "\n".join(_metadata(config_text, seed) + _table(header, records)) + "\n"
+    return _document(header, records, config_text, seed)
 
 
-def emit_eigensystem(values: np.ndarray, config_text: str = "", seed: int | None = None) -> str:
+def emit_eigensystem(values: np.ndarray, config_text: str, seed: int) -> str:
     header = ("index", "eigenvalue")
     records = [(k, float(v)) for k, v in enumerate(values)]
-    return "\n".join(_metadata(config_text, seed) + _table(header, records)) + "\n"
+    return _document(header, records, config_text, seed)
 
 
-def emit_overlap_decay(
-    decays: list[OverlapDecay], n: int, config_text: str = "", seed: int | None = None
-) -> str:
+def emit_overlap_decay(decays: list[OverlapDecay], n: int, config_text: str, seed: int) -> str:
     header = ("anchor", "distance", "max_amplitude", "fitted_slope")
     records = []
     for decay in decays:
         for k, amp in zip(decay.distances, decay.max_amplitudes):
             records.append((config_to_bits(decay.anchor, n), k, amp, decay.slope))
-    return "\n".join(_metadata(config_text, seed) + _table(header, records)) + "\n"
+    return _document(header, records, config_text, seed)
 
 
 def emit_path_sums(
-    results: list[PathSumResult],
-    n: int,
-    slope: float | None,
-    config_text: str = "",
-    seed: int | None = None,
+    results: list[PathSumResult], n: int, slope: float | None, config_text: str, seed: int
 ) -> str:
     header = ("order", "source", "target", "amplitude", "path_count", "rate_ratio", "fitted_slope")
     records = [
@@ -150,7 +134,7 @@ def emit_path_sums(
         )
         for r in results
     ]
-    return "\n".join(_metadata(config_text, seed) + _table(header, records)) + "\n"
+    return _document(header, records, config_text, seed)
 
 
 def write_output(text: str, destination: str | None) -> None:

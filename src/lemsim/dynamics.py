@@ -22,6 +22,12 @@ Two observables are recorded per time sample:
   ground/minimum splitting frequency drops out of the magnitude, so no
   explicit frame rotation is needed before fitting.
 
+A run records the two every ``max(1, steps // RECORD_SAMPLES)`` steps and
+stops at the first record where both have sunk to ``EARLY_STOP_FLOOR``.
+Each decay rate is fitted over the samples inside ``FIT_WINDOW``; when the
+window holds too few samples, or its fit does not decay, the rate is the
+endpoint estimate, flagged as an upper limit.
+
 Integration uses a fixed-step classical 4th-order scheme with the noise
 held constant across each step (exact exponential updates for the
 correlated noise) and per-step renormalization of every trajectory.  The
@@ -65,6 +71,8 @@ MAX_STEPS = 1_000_000
 FIT_WINDOW = (0.1, 0.45)
 NORM_DRIFT_LIMIT = 1e-3
 STABILITY_LIMIT = 0.05  # time_step * eigenvalue spread must stay below this
+RECORD_SAMPLES = 2048  # a run records every max(1, steps // RECORD_SAMPLES) steps
+EARLY_STOP_FLOOR = 0.05  # a run stops once both observables sink to this
 _CHUNK_STEPS = 128  # noise values drawn per trajectory in blocks of this many steps
 # resident bytes of one trajectory's Generator and SeedSequence child: 1.0-1.3 KB
 # measured (RSS, numpy 2.4, 10^5 trajectories), rounded up
@@ -80,8 +88,6 @@ class TrajectoryConfig:
     total_time: float | None = None  # None: run up to the step cap
     trajectory_count: int = 200
     seed: int = 0
-    record_every: int | None = None  # None: about 2048 samples per run
-    early_stop_floor: float | None = 0.05  # stop once both observables sink below
 
     def __post_init__(self):
         if not 0 < self.time_step < math.inf:
@@ -94,8 +100,6 @@ class TrajectoryConfig:
             raise ValidationError("trajectory count must be a positive integer")
         if not isinstance(self.seed, (int, np.integer)) or not 0 <= int(self.seed) < 2**64:
             raise ValidationError("seed must be an unsigned 64-bit integer")
-        if self.record_every is not None and self.record_every < 1:
-            raise ValidationError("record_every must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -111,9 +115,6 @@ class CoherenceTrace:
     ensemble_rate: float
     ensemble_fit_quality: float
     ensemble_rate_is_upper_limit: bool
-    ground_anchor: int
-    lem_anchor: int
-    splitting: float
     seed: int
     time_step: float
     trajectory_count: int
@@ -130,18 +131,20 @@ def _fit_log_decay(times: np.ndarray, values: np.ndarray) -> tuple[float, float,
     """Exponential-decay fit over the window where values lie in FIT_WINDOW.
 
     Returns (rate, r_squared, is_upper_limit).  With fewer than three
-    samples in the window no decay was resolved and the rate is reported as
-    an upper limit derived from the endpoints.
+    samples in the window, or a window fit whose slope is not negative, no
+    decay was resolved and the rate is reported as an upper limit derived
+    from the endpoints.
     """
     lo, hi = FIT_WINDOW
     mask = (values >= lo) & (values <= hi)
-    if int(mask.sum()) < 3:
-        rate = 0.0
-        if values[0] > 0 and values[-1] > 0 and values[-1] < values[0] and times[-1] > times[0]:
-            rate = math.log(values[0] / values[-1]) / float(times[-1] - times[0])
-        return rate, 0.0, True
-    slope, _, r2 = fit_line(times[mask], np.log(values[mask]))
-    return -slope, 0.0 if r2 is None else r2, False
+    if int(mask.sum()) >= 3:
+        slope, _, r2 = fit_line(times[mask], np.log(values[mask]))
+        if slope < 0:
+            return -slope, 0.0 if r2 is None else r2, False
+    rate = 0.0
+    if values[0] > 0 and values[-1] > 0 and values[-1] < values[0] and times[-1] > times[0]:
+        rate = math.log(values[0] / values[-1]) / float(times[-1] - times[0])
+    return rate, 0.0, True
 
 
 def _mean(values: np.ndarray) -> float:
@@ -205,7 +208,7 @@ def evolve_superposition(
         )
     total = tcfg.total_time if tcfg.total_time is not None else dt * MAX_STEPS
     steps = min(MAX_STEPS, max(1, math.ceil(total / dt)))
-    record_every = tcfg.record_every or max(1, steps // 2048)
+    record_every = max(1, steps // RECORD_SAMPLES)
 
     dim = params.dim
     ntraj = int(tcfg.trajectory_count)
@@ -282,8 +285,7 @@ def evolve_superposition(
         times.append(t)
         coh.append(c)
         ens.append(e)
-        floor = tcfg.early_stop_floor
-        return floor is not None and c <= floor and e <= floor
+        return c <= EARLY_STOP_FLOOR and e <= EARLY_STOP_FLOOR
 
     # Horner stage m: acc = psi + (-i dt / m) (H + noise) src, for m = 4, 3, 2, 1
     horner_scales = [-1j * dt / m for m in (4, 3, 2, 1)]
@@ -354,9 +356,6 @@ def evolve_superposition(
         ensemble_rate=e_rate,
         ensemble_fit_quality=e_quality,
         ensemble_rate_is_upper_limit=e_upper,
-        ground_anchor=ground.anchor,
-        lem_anchor=lem.anchor,
-        splitting=lem.energy - ground.energy,
         seed=int(tcfg.seed),
         time_step=dt,
         trajectory_count=ntraj,

@@ -128,8 +128,6 @@ class OverlapDecay:
     distances: tuple[int, ...]  # 0..n
     max_amplitudes: tuple[float, ...]
     slope: float | None  # None when fewer than two usable distances
-    used_distances: tuple[int, ...]
-    clamped_count: int
 
 
 def _read_int(path: str) -> int | None:
@@ -437,21 +435,19 @@ def overlap_decay(dressed: DressedState) -> OverlapDecay:
     """Group dressed amplitudes by Hamming distance from the anchor and fit
     the least-squares slope of log10(max |amplitude|) against distance over
     distances 1..n.  Maxima a log fit cannot use (``fitting.log10_points``)
-    are excluded and counted."""
+    are excluded."""
     n = dressed.n
     dist = popcounts(np.arange(len(dressed.amplitudes)) ^ dressed.anchor, n)
     maxima = []
     for k in range(n + 1):
         maxima.append(float(np.abs(dressed.amplitudes[dist == k]).max()))
-    used, logs, clamped = log10_points(range(1, n + 1), maxima[1:])
+    used, logs, _ = log10_points(range(1, n + 1), maxima[1:])
     slope = fit_line(used, logs)[0] if len(used) >= 2 else None
     return OverlapDecay(
         anchor=dressed.anchor,
         distances=tuple(range(n + 1)),
         max_amplitudes=tuple(maxima),
         slope=slope,
-        used_distances=tuple(used),
-        clamped_count=clamped,
     )
 
 

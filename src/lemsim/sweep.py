@@ -45,6 +45,7 @@ from .fitting import fit_line, log10_points
 from .perturbation import PathSumResult, multiphoton_path_sum, scaling_exponent
 from .spectrum import (
     DressedState,
+    SolvedLevels,
     cluster_eigensystem,
     degeneracy_tolerance,
     dress,
@@ -69,19 +70,21 @@ class ClusterProblem:
 
     The typical level spacing ``a_typ`` at the LEM anchor, the degeneracy
     ``tolerance`` and the two dressed states are computed on first use and
-    kept; a dense solve is dropped once both anchors are dressed from it.
+    kept; a dense solve keeps only the m levels it solved and their columns.
     A spacing or tolerance already known (an override, a landscape's
     tolerance) is given as ``known_a_typ``/``known_tolerance``.  A
     ``symmetric`` problem (a collective cluster) whose anchors are the two
     fully polarized configurations dresses both in the symmetric sector;
     every other problem dresses both states from one dense value-subset
-    solve.  Every channel reads the same dressed pair, so none learns which
-    route ran; ``route`` names it for the logs.
+    solve.  A state that does not dress raises its error on every read, so
+    it fails only the channels that read it.  Every channel reads the same
+    dressed pair, so none learns which route ran; ``route`` names it for the
+    logs.
     ``anchored`` sets ``symmetric`` from ``collective.collective_form``.
     """
 
     params: ClusterParams
-    coupling: CouplingSpec | None  # None for a problem that runs no noise channel
+    coupling: CouplingSpec
     ground_anchor: int
     lem_anchor: int
     known_a_typ: float | None = None
@@ -125,19 +128,9 @@ class ClusterProblem:
         return self.symmetric and {self.ground_anchor, self.lem_anchor} == polarized
 
     @cached_property
-    def _dense(self) -> dict[int, DressedState | SimulationError]:
-        """Each anchor's dressed state from one dense solve for both, or the
-        error dressing it raised, raised again when that state is read."""
-        anchors = (self.ground_anchor, self.lem_anchor)
-        eig = cluster_eigensystem(self.params, anchors)
-        dressed: dict[int, DressedState | SimulationError] = {}
-        for anchor in anchors:
-            try:
-                dressed[anchor] = dress(eig, anchor)
-            except SimulationError as exc:
-                # its traceback would keep the solved levels alive
-                dressed[anchor] = exc.with_traceback(None)
-        return dressed
+    def _solved(self) -> SolvedLevels:
+        """One dense solve for both anchors."""
+        return cluster_eigensystem(self.params, (self.ground_anchor, self.lem_anchor))
 
     @property
     def route(self) -> str:
@@ -147,10 +140,7 @@ class ClusterProblem:
     def _dressed(self, anchor: int) -> DressedState:
         if self._in_sector:
             return symmetric_dressed(self.params, anchor)
-        state = self._dense[anchor]
-        if isinstance(state, SimulationError):
-            raise state
-        return state
+        return dress(self._solved, anchor)
 
     @cached_property
     def dressed_ground(self) -> DressedState:
@@ -267,7 +257,6 @@ class SweepRow:
 @dataclass(frozen=True)
 class ScalingFit:
     slope: float
-    intercept: float
     r_squared: float
     points_used: int
     points_excluded: int
@@ -358,7 +347,10 @@ def run_sweep(grid: SweepGrid, master_seed: int = 0) -> list[SweepRow]:
         if "dynamics" in grid.channels:
             try:
                 trace = fam.trajectories(grid.trajectory_count, point_seed)
-                row = replace(row, fitted_dynamics_rate=trace.fitted_rate)
+                if trace.rate_is_upper_limit:  # no decay resolved: not a fitted rate
+                    errors.append(f"dynamics:{InsufficientDataError.code}")
+                else:
+                    row = replace(row, fitted_dynamics_rate=trace.fitted_rate)
             except SimulationError as exc:
                 errors.append(f"dynamics:{exc.code}")
         rows.append(replace(row, error=";".join(errors)))
@@ -386,10 +378,9 @@ def fit_size_scaling(rows, column: str) -> ScalingFit:
             f"size-scaling fit needs at least 3 distinct sizes with usable values, "
             f"got {len(set(xs))} ({excluded} rows excluded)"
         )
-    slope, intercept, r2 = fit_line(xs, ys)
+    slope, _, r2 = fit_line(xs, ys)
     return ScalingFit(
         slope=slope,
-        intercept=intercept,
         r_squared=1.0 if r2 is None else r2,
         points_used=len(xs),
         points_excluded=excluded,

@@ -1,5 +1,19 @@
 """Helpers shared by the test modules."""
 
+import numpy as np
+
+from lemsim import ClusterParams, uniform_couplings
+
+
+def make_params(n, j=-1.0, b=0.0, c=0.0):
+    """A fully connected cluster with uniform coupling, bias and tunneling."""
+    return ClusterParams(
+        n=n,
+        couplings=uniform_couplings(n, j),
+        bias=np.full(n, float(b)),
+        tunneling=np.full(n, float(c)),
+    )
+
 
 def count_calls(monkeypatch, module, name, calls=None):
     """Wrap ``module.name``, a function whose first argument is a

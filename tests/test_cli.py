@@ -1,5 +1,6 @@
 """Command-line surface: pipelines, exit statuses, output determinism."""
 
+import os
 import re
 import sys
 import tracemalloc
@@ -18,6 +19,7 @@ from lemsim import (
 )
 from lemsim.cli import main
 
+import csv_digests
 from conftest import count_calls
 
 FERRO3 = """
@@ -623,3 +625,11 @@ seed = 1
 
 def test_help_exits_zero():
     assert main(["--help"]) == 0
+
+
+def test_cli_outputs_match_the_recorded_digests(capsys):
+    # a change that moves an output re-records the file and names the moved lines
+    csv_digests.main()
+    got = capsys.readouterr().out.splitlines()
+    with open(os.path.join(os.path.dirname(__file__), "csv_digests.txt"), encoding="utf-8") as fh:
+        assert got == fh.read().splitlines()

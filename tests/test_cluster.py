@@ -22,14 +22,7 @@ from lemsim.cluster import configuration_energies, sign_table
 
 from oracles import brute_energy, left_to_right_energy
 
-
-def make_params(n, j=-1.0, b=0.0, c=0.0):
-    return ClusterParams(
-        n=n,
-        couplings=uniform_couplings(n, j),
-        bias=np.full(n, float(b)),
-        tunneling=np.full(n, float(c)),
-    )
+from conftest import make_params
 
 
 # ---------------------------------------------------------------- parameters

@@ -181,7 +181,7 @@ def test_csv_single_row_has_all_columns_in_order():
     from lemsim.sweep import SweepRow
 
     row = SweepRow(n=3, ratio=0.01, a_typ=3.8, rate_ratio=1e-9, seed=7)
-    text = emit_sweep_rows([row])
+    text = emit_sweep_rows([row], "[run]\nseed = 7\n", 7)
     data = [l for l in text.splitlines() if not l.startswith("#")]
     assert len(data) == 2
     header = data[0].split(",")
@@ -198,7 +198,7 @@ def test_csv_reals_parse_back_exactly():
 
     values = [1.0 / 3.0, 2.0**-40 * 1.7, 3.141592653589793e-17]
     rows = [SweepRow(n=2, ratio=0.01, a_typ=v) for v in values]
-    text = emit_sweep_rows(rows)
+    text = emit_sweep_rows(rows, "[run]\nseed = 0\n", 0)
     data = [l for l in text.splitlines() if not l.startswith("#")][1:]
     parsed = [float(line.split(",")[2]) for line in data]
     assert parsed == values

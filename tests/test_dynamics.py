@@ -92,9 +92,10 @@ def test_different_seeds_differ():
     assert not np.array_equal(a.coherence, b.coherence)
 
 
-def test_single_spin_dephasing_rate_matches_oracle():
+def test_single_spin_dephasing_rate_matches_oracle(monkeypatch):
     # white on-site noise of strength f dephases at 2 f^2 (phase variance
     # grows as 4 f^2 t, the ensemble coherence is exp(-variance/2))
+    monkeypatch.setattr(dynamics, "EARLY_STOP_FLOOR", -1.0)  # no early stop
     p = single_spin(b=0.5)
     f = 0.2
     noise = CouplingSpec(z_noise=np.array([f]), x_noise=np.zeros(1), kind="white")
@@ -104,7 +105,6 @@ def test_single_spin_dephasing_rate_matches_oracle():
         total_time=40.0,
         trajectory_count=400,
         seed=5,
-        early_stop_floor=None,
     )
     trace = evolve_superposition(p, *dense_pair(p), tcfg)
     analytic = 2 * f * f
@@ -114,9 +114,10 @@ def test_single_spin_dephasing_rate_matches_oracle():
     assert np.abs(trace.coherence - 0.5).max() <= 1e-6
 
 
-def test_step_halving_changes_rate_little():
+def test_step_halving_changes_rate_little(monkeypatch):
     # halving the step changes only the discretization; the residual
     # realization noise is averaged down over a few fixed seeds
+    monkeypatch.setattr(dynamics, "EARLY_STOP_FLOOR", -1.0)  # no early stop
     fam = uniform_ferromagnet(2, 0.12)
     dt = default_time_step(fam.a_typ)
     means = []
@@ -129,7 +130,6 @@ def test_step_halving_changes_rate_little():
                 total_time=100.0,
                 trajectory_count=128,
                 seed=seed,
-                early_stop_floor=None,
             )
             trace = evolve_superposition(fam.params, fam.dressed_ground, fam.dressed_lem, tcfg)
             assert not trace.rate_is_upper_limit
@@ -138,9 +138,10 @@ def test_step_halving_changes_rate_little():
     assert abs(means[1] - means[0]) / means[0] < 0.10
 
 
-def test_monte_carlo_error_shrinks_with_ensemble():
+def test_monte_carlo_error_shrinks_with_ensemble(monkeypatch):
     # spread of independent batch means falls off like the square root of
     # the batch size
+    monkeypatch.setattr(dynamics, "EARLY_STOP_FLOOR", -1.0)  # no early stop
     p = single_spin(b=0.5)
     f = 0.3
     noise = CouplingSpec(z_noise=np.array([f]), x_noise=np.zeros(1), kind="white")
@@ -154,7 +155,6 @@ def test_monte_carlo_error_shrinks_with_ensemble():
                 total_time=6.0,
                 trajectory_count=count,
                 seed=seed,
-                early_stop_floor=None,
             )
             tr = evolve_superposition(p, *dense_pair(p), tcfg)
             out.append(tr.ensemble_coherence[-1])
@@ -192,18 +192,18 @@ def test_norm_drift_guard_raises():
         evolve_superposition(p, *dense_pair(p), tcfg)
 
 
-def test_total_steps_counts_integrated_steps():
+def test_total_steps_counts_integrated_steps(monkeypatch):
     fam = uniform_ferromagnet(2, 0.12)
     dt = default_time_step(fam.a_typ)
 
     def run(floor, steps):
+        monkeypatch.setattr(dynamics, "EARLY_STOP_FLOOR", floor)
         tcfg = TrajectoryConfig(
             noise=fam.coupling,
             time_step=dt,
             total_time=(steps - 0.5) * dt,
             trajectory_count=16,
             seed=4,
-            early_stop_floor=floor,
         )
         return evolve_superposition(fam.params, fam.dressed_ground, fam.dressed_lem, tcfg)
 
@@ -223,7 +223,7 @@ def test_noise_blocks_do_not_change_the_trace(monkeypatch, kind):
     )
     dt = default_time_step(fam.a_typ)
     tcfg = TrajectoryConfig(
-        noise=noise, time_step=dt, total_time=10.5 * dt, trajectory_count=5, seed=17, record_every=1
+        noise=noise, time_step=dt, total_time=10.5 * dt, trajectory_count=5, seed=17
     )
     default = evolve_superposition(fam.params, fam.dressed_ground, fam.dressed_lem, tcfg)
     monkeypatch.setattr(dynamics, "_CHUNK_STEPS", 3)  # 11 steps cross four blocks
@@ -239,7 +239,9 @@ def _ou(fam):
     )
 
 
-def test_memory_is_the_buffers_whatever_the_step_count():
+def test_memory_is_the_buffers_whatever_the_step_count(monkeypatch):
+    monkeypatch.setattr(dynamics, "RECORD_SAMPLES", 1)  # record the first and last states only
+    monkeypatch.setattr(dynamics, "EARLY_STOP_FLOOR", -1.0)  # no early stop
     fam = uniform_ferromagnet(6, 0.02)
     dt = default_time_step(fam.a_typ)
     ntraj, chunk = 200, dynamics._CHUNK_STEPS
@@ -247,7 +249,7 @@ def test_memory_is_the_buffers_whatever_the_step_count():
     def peak(steps):
         tcfg = TrajectoryConfig(
             noise=_ou(fam), time_step=dt, total_time=(steps - 0.5) * dt, trajectory_count=ntraj,
-            seed=8, record_every=steps, early_stop_floor=None,
+            seed=8,
         )
         tracemalloc.start()
         try:
@@ -342,7 +344,8 @@ ORACLE_CLUSTERS = {
 
 @pytest.mark.parametrize("kind", ["ou", "white"])
 @pytest.mark.parametrize("n", [3, 4])
-def test_trajectories_match_kronecker_oracle(n, kind):
+def test_trajectories_match_kronecker_oracle(monkeypatch, n, kind):
+    monkeypatch.setattr(dynamics, "EARLY_STOP_FLOOR", -1.0)  # no early stop
     spec = ORACLE_CLUSTERS[n]
     j = np.zeros((n, n))
     for a, b_, v in spec["j_upper"]:
@@ -363,8 +366,6 @@ def test_trajectories_match_kronecker_oracle(n, kind):
         total_time=(steps - 0.5) * dt,
         trajectory_count=ntraj,
         seed=seed,
-        record_every=1,
-        early_stop_floor=None,
     )
     trace = evolve_superposition(params, *pair, tcfg)
     coherence, ensemble = reference_trajectories(
@@ -430,6 +431,14 @@ def test_upper_limit_flag_when_no_decay():
     trace = evolve_superposition(fam.params, fam.dressed_ground, fam.dressed_lem, tcfg)
     assert trace.rate_is_upper_limit
     assert trace.fit_quality == 0.0
+
+
+def test_rising_window_fit_is_no_resolved_decay():
+    # five samples inside FIT_WINDOW that grow as exp(0.01 t): the window fit's
+    # slope is positive, which is no decay rate
+    times = np.arange(5.0)
+    values = 0.2 * np.exp(0.01 * times)
+    assert dynamics._fit_log_decay(times, values) == (0.0, 0.0, True)
 
 
 def test_default_budgets():

@@ -18,7 +18,6 @@ from lemsim import (
     dress,
     multiphoton_path_sum,
     scaling_exponent,
-    uniform_couplings,
 )
 from lemsim.cluster import degeneracy_tolerance
 from lemsim.fitting import LOG_FLOOR, fit_line, log10_points
@@ -27,14 +26,7 @@ from lemsim.sweep import uniform_ferromagnet
 
 from oracles import brute_energy, left_to_right_energy, path_sum_by_orderings, rs_amplitudes
 
-
-def make_params(n, j=-1.0, b=0.0, c=0.0):
-    return ClusterParams(
-        n=n,
-        couplings=uniform_couplings(n, j),
-        bias=np.full(n, float(b)),
-        tunneling=np.full(n, float(c)),
-    )
+from conftest import make_params
 
 
 # ----------------------------------------------------------------- path sums

@@ -29,20 +29,12 @@ from lemsim import (
     find_local_minima,
     overlap_decay,
     typical_level_spacing,
-    uniform_couplings,
 )
 from lemsim.sweep import uniform_ferromagnet
 
 from oracles import brute_landscape, kron_hamiltonian, rs_amplitudes
 
-
-def make_params(n, j=-1.0, b=0.0, c=0.0):
-    return ClusterParams(
-        n=n,
-        couplings=uniform_couplings(n, j),
-        bias=np.full(n, float(b)),
-        tunneling=np.full(n, float(c)),
-    )
+from conftest import make_params
 
 
 # ------------------------------------------------------------- diagonalize

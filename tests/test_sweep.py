@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import lemsim.collective
+import lemsim.dynamics
 import lemsim.spectrum
 import lemsim.sweep
 from lemsim import (
@@ -51,9 +52,10 @@ def test_family_construction():
 
 def test_missing_local_minimum_needs_explicit_anchors():
     p = ClusterParams(n=1, couplings=np.zeros((1, 1)), bias=np.array([0.5]), tunneling=np.zeros(1))
+    quiet = CouplingSpec(z_noise=np.zeros(1), x_noise=np.zeros(1))
     with pytest.raises(ValidationError, match="local minimum"):
-        ClusterProblem.anchored(p, None)
-    problem = ClusterProblem.anchored(p, None, anchors=("0", "1"))
+        ClusterProblem.anchored(p, quiet)
+    problem = ClusterProblem.anchored(p, quiet, anchors=("0", "1"))
     assert (problem.ground_anchor, problem.lem_anchor) == (0, 1)
 
 
@@ -148,9 +150,10 @@ def test_dense_problem_solves_once_for_both_anchors(monkeypatch):
 
 
 @pytest.mark.parametrize("lem_anchor", [2**9 - 1, 1], ids=["dressed", "strong-mixing"])
-def test_dense_problem_drops_its_eigensystem_once_dressed(lem_anchor):
-    # a one-flip LEM mixes strongly with its degenerate partners; the error
-    # kept for it must not keep the solve's two dim x dim arrays alive either
+def test_dense_problem_keeps_only_its_solved_columns(lem_anchor):
+    # the problem keeps its value-subset solve, never a dim x dim array; a
+    # one-flip LEM mixes strongly with its degenerate partners, so its
+    # window holds more columns
     family = uniform_ferromagnet(9, 0.05)
     problem = dataclasses.replace(family, lem_anchor=lem_anchor, symmetric=False)
     tracemalloc.start()
@@ -167,6 +170,16 @@ def test_dense_problem_drops_its_eigensystem_once_dressed(lem_anchor):
     assert problem.route == "dense"
     assert ground.energy == pytest.approx(cluster_levels(problem.params)[0], abs=1e-12)
     assert held < 0.1 * 8 * (2**9) ** 2
+
+
+def test_unresolved_dynamics_rate_is_not_a_fitted_rate(monkeypatch):
+    # too few steps for the coherence to reach the fit window: the trace's
+    # rate is an upper limit, which the row must not print as a fitted rate
+    monkeypatch.setattr(lemsim.dynamics, "MAX_STEPS", 20)
+    grid = SweepGrid(n_values=(2,), ratio_values=(0.3,), channels=("dynamics",), trajectory_count=4)
+    (row,) = run_sweep(grid, master_seed=0)
+    assert row.fitted_dynamics_rate is None
+    assert row.error == "dynamics:insufficient_data"
 
 
 def test_n14_rates_row_fits_without_a_dense_budget(monkeypatch):

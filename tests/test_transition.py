@@ -17,19 +17,11 @@ from lemsim import (
     lifetime_extension,
     matrix_element,
     typical_level_spacing,
-    uniform_couplings,
 )
 from lemsim.sweep import uniform_ferromagnet
 from lemsim.transition import DEFAULT_SAFETY_FACTOR
 
-
-def make_params(n, j=-1.0, b=0.0, c=0.0):
-    return ClusterParams(
-        n=n,
-        couplings=uniform_couplings(n, j),
-        bias=np.full(n, float(b)),
-        tunneling=np.full(n, float(c)),
-    )
+from conftest import make_params
 
 
 def coupling(n, f=0.0, g=0.0, **kw):
