@@ -35,11 +35,22 @@ step is matrix-free: with the noise frozen, H plus noise is a diagonal
 ``E + sum_i f_i xi_i s_i`` plus one bit flip per spin with coefficient
 ``c_i + g_i eta_i``.  sigma^x_i acts on all trajectories at once by
 reversing the middle axis of a ``(dim >> (i+1), 2, 1 << i, ntraj)`` view of
-the state, so no dim x dim matrix is ever built.
+the state, so no dim x dim matrix is ever built.  The flip coefficients
+live in one ``(dim - 1, ntraj)`` buffer in which coefficient i fills the
+``1 << i`` rows from ``(1 << i) - 1``, so the flipped view is multiplied
+by a ``(1 << i, ntraj)`` block whose rows run contiguously, not by a
+broadcast ``(ntraj,)`` row.  The noise rewrites only the real parts of the
+diagonal and the coefficients, and the renormalization multiplies every
+real and imaginary part by a ``(ntraj, 2)`` row holding each 1 / norm
+twice.  The steps run under a ``_UFUNC_BUFFER``-element numpy ufunc buffer,
+restored when the run ends, so numpy reads these operands in place instead
+of copying them through its buffer.  Each of these forms does the same
+products and sums as the plain one, so the trace is unchanged bit for bit.
 
 A run holds a fixed set of buffers, allocated before the first step: five
 dim x ntraj complex arrays (the state, the Horner accumulator, the
-Hamiltonian product, its scratch and the noisy diagonal) and one
+Hamiltonian product, its scratch and the noisy diagonal), the
+``(dim - 1) x ntraj`` complex flip coefficients and one
 trajectory-major noise block ``(ntraj, _CHUNK_STEPS, 2, n)``.  Every
 ``_CHUNK_STEPS`` steps each trajectory's Generator refills its own row of
 the block in place, and a step reads its normals as a ``(2, n, ntraj)``
@@ -77,6 +88,12 @@ _CHUNK_STEPS = 128  # noise values drawn per trajectory in blocks of this many s
 # resident bytes of one trajectory's Generator and SeedSequence child: 1.0-1.3 KB
 # measured (RSS, numpy 2.4, 10^5 trajectories), rounded up
 _GENERATOR_BYTES = 2048
+# elements in numpy's ufunc buffer during the steps.  Under the default 8192
+# a ufunc copies an operand whose contiguous runs are shorter than about a
+# quarter of the buffer through it, which doubled the cost of the flip
+# products and of the renormalization (numpy 2.4); at 64, runs of more than
+# 16 trajectories are read in place.  Only the copies change, not the results.
+_UFUNC_BUFFER = 64
 
 
 @dataclass(frozen=True)
@@ -155,11 +172,12 @@ def _mean(values: np.ndarray) -> float:
 def _require_memory(n: int, ntraj: int, chunk: int) -> None:
     """Raise CapacityError when a run's buffers cannot fit in memory.
 
-    The footprint is five dim x ntraj complex buffers and, for a noise block
-    of ``chunk`` steps (0: a noise-free run, which draws nothing), the block
-    and one Generator per trajectory.
+    The footprint is five dim x ntraj complex buffers, the (dim - 1) x ntraj
+    complex flip coefficients and, for a noise block of ``chunk`` steps (0:
+    a noise-free run, which draws nothing), the block and one Generator per
+    trajectory.
     """
-    needed = 5 * 16 * (1 << n) * ntraj
+    needed = 5 * 16 * (1 << n) * ntraj + 16 * ((1 << n) - 1) * ntraj
     if chunk:
         needed += 8 * ntraj * chunk * 2 * n + _GENERATOR_BYTES * ntraj
     available = spectrum._available_memory()
@@ -240,9 +258,14 @@ def evolve_superposition(
     psi = np.repeat(((vg + vl) / math.sqrt(2.0)).astype(complex)[:, None], ntraj, axis=1)
 
     # H + noise, frozen across a step, is a diagonal plus one bit flip per spin:
-    # diag = E_c + sum_i f_i xi_i s_i and flip coefficients c_i + g_i eta_i
+    # diag = E_c + sum_i f_i xi_i s_i and flip coefficients c_i + g_i eta_i,
+    # coefficient i repeated over the 1 << i rows of coef_rows[i]; the noise
+    # rewrites only their real parts, so the imaginary parts stay 0
     diag = np.broadcast_to(e_c, (dim, ntraj)).astype(complex)
-    coef = np.broadcast_to(c_amp, (n, ntraj)).astype(complex)
+    rows = np.repeat(
+        np.broadcast_to(c_amp, (n, ntraj)).astype(complex), [1 << i for i in range(n)], axis=0
+    )
+    coef_rows = [rows[(1 << i) - 1 : (2 << i) - 1] for i in range(n)]
     acc = np.empty_like(psi)
     k_buf = np.empty_like(psi)
     tmp = np.empty_like(psi)
@@ -250,7 +273,8 @@ def evolve_superposition(
     # the first half of tmp's bytes the sigma^z field
     field = tmp.reshape(-1).view(float)[: dim * ntraj].reshape(dim, ntraj)
     norms = np.empty(ntraj)
-    inv_norms = np.empty(ntraj)
+    # each trajectory's value twice, once for the real and once for the imaginary part
+    pairs = np.empty((ntraj, 2))
 
     def bit_views(buf):
         # (high bits, bit i, low bits, trajectory): reversing axis 1 applies sigma^x_i
@@ -259,15 +283,14 @@ def evolve_superposition(
     flipped = {id(buf): [v[:, ::-1] for v in bit_views(buf)] for buf in (psi, acc)}
     # (dim, ntraj, 2) float views: a trajectory's real and imaginary parts side by side
     planes = {id(buf): buf.view(float).reshape(dim, ntraj, 2) for buf in (psi, acc)}
-    k_views = bit_views(k_buf)
     tmp_views = bit_views(tmp)
 
     def apply_hamiltonian(src):
         # k_buf = (H + noise) src
         np.multiply(diag, src, out=k_buf)
         for i, src_flip in enumerate(flipped[id(src)]):
-            np.multiply(src_flip, coef[i], out=tmp_views[i])
-            k_views[i] += tmp_views[i]
+            np.multiply(src_flip, coef_rows[i], out=tmp_views[i])
+            np.add(k_buf, tmp, out=k_buf)
 
     times: list[float] = []
     coh: list[float] = []
@@ -291,55 +314,61 @@ def evolve_superposition(
     horner_scales = [-1j * dt / m for m in (4, 3, 2, 1)]
     done = steps  # steps actually integrated
     max_drift = 0.0
-    for step in range(steps):
-        if step % record_every == 0 and record(step):
-            done = step
-            break
-        if has_noise:
-            pos = step % _CHUNK_STEPS
-            if pos == 0:
-                remaining = min(_CHUNK_STEPS, steps - step)
-                for t, r in enumerate(rngs):
-                    r.standard_normal(out=block[t, :remaining])
-                block[:, :remaining] *= kick
-            kicks = block[:, pos].transpose(1, 2, 0)  # (2, n, ntraj)
-            if tcfg.noise.kind == "ou":
-                state *= ou_decay
-                state += kicks
-            else:
-                np.copyto(state, kicks)
-            np.multiply(amps, state, out=scaled)
-            np.matmul(signs, scaled[0], out=field)
-            np.add(e_c, field, out=diag)
-            np.add(c_amp, scaled[1], out=coef)
-        # the generator is linear and frozen across the step, so the classical
-        # 4-stage scheme collapses to its 4th-order polynomial (Horner form)
-        src = psi
-        for scale in horner_scales:
-            apply_hamiltonian(src)
-            np.multiply(k_buf, scale, out=acc)
-            acc += psi
-            src = acc
-        psi, acc = acc, psi
-        # np.linalg.norm(psi, axis=0) in its own steps:
-        # sqrt(add.reduce(real(conj(psi) * psi)))
-        np.conjugate(psi, out=k_buf)
-        k_buf *= psi
-        np.add.reduce(k_buf.real, axis=0, out=norms)
-        np.sqrt(norms, out=norms)
-        np.subtract(norms, 1.0, out=inv_norms)  # |norms - 1| first, then 1 / norms
-        drift = float(np.abs(inv_norms, out=inv_norms).max())
-        if drift > NORM_DRIFT_LIMIT:
-            raise IntegrationError(
-                f"norm drift {drift:.3e} exceeds {NORM_DRIFT_LIMIT} at t={step * dt:.4g}; "
-                "reduce the time step"
-            )
-        max_drift = max(max_drift, drift)
-        # numpy divides a complex by a real b as (re, im) * (1 / b): psi /= norms
-        np.divide(1.0, norms, out=inv_norms)
-        planes[id(psi)] *= inv_norms[:, None]
-    else:
-        record(steps)
+    old_bufsize = np.setbufsize(_UFUNC_BUFFER)
+    try:
+        for step in range(steps):
+            if step % record_every == 0 and record(step):
+                done = step
+                break
+            if has_noise:
+                pos = step % _CHUNK_STEPS
+                if pos == 0:
+                    remaining = min(_CHUNK_STEPS, steps - step)
+                    for t, r in enumerate(rngs):
+                        r.standard_normal(out=block[t, :remaining])
+                    block[:, :remaining] *= kick
+                kicks = block[:, pos].transpose(1, 2, 0)  # (2, n, ntraj)
+                if tcfg.noise.kind == "ou":
+                    state *= ou_decay
+                    state += kicks
+                else:
+                    np.copyto(state, kicks)
+                np.multiply(amps, state, out=scaled)
+                np.matmul(signs, scaled[0], out=field)
+                np.add(e_c, field, out=diag.real)
+                coef = np.add(c_amp, scaled[1], out=scaled[1])
+                for i, coef_row in enumerate(coef_rows):
+                    np.copyto(coef_row.real, coef[i])
+            # the generator is linear and frozen across the step, so the classical
+            # 4-stage scheme collapses to its 4th-order polynomial (Horner form)
+            src = psi
+            for scale in horner_scales:
+                apply_hamiltonian(src)
+                np.multiply(k_buf, scale, out=acc)
+                acc += psi
+                src = acc
+            psi, acc = acc, psi
+            # np.linalg.norm(psi, axis=0) in its own steps:
+            # sqrt(add.reduce(real(conj(psi) * psi)))
+            np.conjugate(psi, out=k_buf)
+            k_buf *= psi
+            np.add.reduce(k_buf.real, axis=0, out=norms)
+            np.sqrt(norms, out=norms)
+            np.subtract(norms[:, None], 1.0, out=pairs)  # |norms - 1| first, then 1 / norms
+            drift = float(np.abs(pairs, out=pairs).max())
+            if drift > NORM_DRIFT_LIMIT:
+                raise IntegrationError(
+                    f"norm drift {drift:.3e} exceeds {NORM_DRIFT_LIMIT} at t={step * dt:.4g}; "
+                    "reduce the time step"
+                )
+            max_drift = max(max_drift, drift)
+            # numpy divides a complex by a real b as (re, im) * (1 / b): psi /= norms
+            np.divide(1.0, norms[:, None], out=pairs)
+            planes[id(psi)] *= pairs
+        else:
+            record(steps)
+    finally:
+        np.setbufsize(old_bufsize)
 
     times_a = np.asarray(times)
     coh_a = np.asarray(coh)

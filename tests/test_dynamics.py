@@ -188,8 +188,11 @@ def test_norm_drift_guard_raises():
     tcfg = TrajectoryConfig(
         noise=noise, time_step=0.01, total_time=1.0, trajectory_count=4, seed=1
     )
+    bufsize = np.getbufsize()
     with pytest.raises(IntegrationError, match=r"norm drift 5\.527e-03 exceeds 0\.001 at t=0\.01"):
         evolve_superposition(p, *dense_pair(p), tcfg)
+    # the steps' smaller ufunc buffer does not outlive the run
+    assert np.getbufsize() == bufsize
 
 
 def test_total_steps_counts_integrated_steps(monkeypatch):
@@ -260,8 +263,9 @@ def test_memory_is_the_buffers_whatever_the_step_count(monkeypatch):
 
     peak(3)  # first-call caches
     short, long = peak(2 * chunk + 1), peak(4 * chunk + 2)
-    # state, Horner accumulator, Hamiltonian product, its scratch and the diagonal
-    buffers = 5 * 16 * fam.params.dim * ntraj
+    # state, Horner accumulator, Hamiltonian product, its scratch and the
+    # diagonal, then the flip coefficients
+    buffers = 5 * 16 * fam.params.dim * ntraj + 16 * (fam.params.dim - 1) * ntraj
     noise_block = 8 * ntraj * chunk * 2 * 6
     # the slack holds the Generators (about 1 KB each) and numpy's iteration buffers
     assert short <= buffers + noise_block + 2**20
@@ -283,8 +287,9 @@ def test_capacity_preflight_raises_before_any_generator(monkeypatch):
     def no_generators(*args):
         raise AssertionError("a Generator was made")
 
-    # five (8, 7) complex buffers, a (7, 20, 2, 3) noise block and seven Generators
-    state = 5 * 16 * 8 * ntraj
+    # five (8, 7) complex buffers, the (7, 7) complex flip coefficients, a
+    # (7, 20, 2, 3) noise block and seven Generators
+    state = 5 * 16 * 8 * ntraj + 16 * 7 * ntraj
     needed = state + 8 * ntraj * steps * 2 * 3 + dynamics._GENERATOR_BYTES * ntraj
     monkeypatch.setattr(lemsim.spectrum, "_available_memory", lambda: needed - 1)
     with monkeypatch.context() as m:
@@ -339,11 +344,23 @@ ORACLE_CLUSTERS = {
         f=[0.07, 0.18, 0.03, 0.11],
         g=[0.14, 0.02, 0.1, 0.19],
     ),
+    # bits 4 and 5 flip with coefficients repeated over 16 and 32 rows
+    6: dict(
+        j_upper=[
+            (0, 1, -0.7), (0, 2, 0.25), (0, 3, -0.4), (0, 4, 0.15), (0, 5, -0.55),
+            (1, 2, -0.35), (1, 3, 0.5), (1, 4, -0.2), (1, 5, 0.3), (2, 3, -0.65),
+            (2, 4, 0.45), (2, 5, -0.1), (3, 4, -0.75), (3, 5, 0.2), (4, 5, -0.6),
+        ],
+        b=[0.18, -0.11, 0.06, 0.27, -0.09, 0.14],
+        c=[0.03, 0.08, 0.05, 0.12, 0.07, 0.1],
+        f=[0.09, 0.15, 0.05, 0.13, 0.2, 0.06],
+        g=[0.11, 0.04, 0.16, 0.08, 0.18, 0.13],
+    ),
 }
 
 
 @pytest.mark.parametrize("kind", ["ou", "white"])
-@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("n", [3, 4, 6])
 def test_trajectories_match_kronecker_oracle(monkeypatch, n, kind):
     monkeypatch.setattr(dynamics, "EARLY_STOP_FLOOR", -1.0)  # no early stop
     spec = ORACLE_CLUSTERS[n]
