@@ -63,8 +63,9 @@ def emit_trace(trace: CoherenceTrace, config_text: str, seed: int) -> str:
         "rate_is_upper_limit",
         "ensemble_rate",
         "ensemble_fit_quality",
+        "ensemble_rate_is_upper_limit",
     )
-    records = [
+    records = (
         (
             float(t),
             float(c),
@@ -74,9 +75,10 @@ def emit_trace(trace: CoherenceTrace, config_text: str, seed: int) -> str:
             trace.rate_is_upper_limit,
             trace.ensemble_rate,
             trace.ensemble_fit_quality,
+            trace.ensemble_rate_is_upper_limit,
         )
         for t, c, e in zip(trace.times, trace.coherence, trace.ensemble_coherence)
-    ]
+    )
     return _document(header, records, config_text, seed)
 
 

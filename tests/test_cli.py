@@ -136,8 +136,13 @@ trajectories = 8
     assert run_cli("dynamics", "--config", cfg, "--out", b, "--quiet") == 0
     assert a.read_bytes() == b.read_bytes()
     lines = [l for l in a.read_text().splitlines() if not l.startswith("#")]
-    assert lines[0].split(",")[:3] == ["time", "coherence", "ensemble_coherence"]
-    assert float(lines[1].split(",")[1]) == pytest.approx(0.5, abs=1e-12)
+    header, first = lines[0].split(","), lines[1].split(",")
+    assert header[:3] == ["time", "coherence", "ensemble_coherence"]
+    assert float(first[1]) == pytest.approx(0.5, abs=1e-12)
+    # in a run this short only the dephasing-sensitive ensemble coherence
+    # falls into FIT_WINDOW: its rate is fitted, the other is an upper limit
+    assert header[-1] == "ensemble_rate_is_upper_limit"
+    assert (first[header.index("rate_is_upper_limit")], first[-1]) == ("true", "false")
 
 
 def test_sweep_pipeline_byte_identical(sweep_cfg, tmp_path):
