@@ -12,8 +12,12 @@ output::
 The configs cover the seven pipelines on collective and non-collective
 clusters, OU and white noise, the sector and dense routes, explicit
 unpolarized anchors at zero tunneling, both refusals of a dressed state, a
-sweep, and every op of the benchmark's toy scale (``perfbench/workloads.py``).
-Every run gets ``--seed 7``.  Pytest does not collect this file.
+non-collective 9-spin cluster and a strongly mixed 7-spin one on the dense
+route, a sweep, and every op of the benchmark's toy scale (``perfbench/workloads.py``).
+Every run gets ``--seed 7``.  BLAS runs on one thread unless
+``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS`` say
+otherwise: a dense solve of 512 rows rounds differently on two threads, and
+the recorded digests are those of one.  Pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 ALL = ("spectrum", "landscape", "overlaps", "rates", "pathsum", "dynamics")
 DYNAMICS = "[dynamics]\ntotal_time = {time}\ntrajectories = 4\n"
@@ -43,6 +48,23 @@ GLASS6 = (
 NUDGED5 = (
     "[cluster]\nn = 5\nj = -1.0\nbias = 0.1 0.1 0.1 0.1 0.10000000000000009\n"
     "tunneling = 0.039\n"
+)
+GLASS9 = (
+    "[cluster]\nn = 9\n"
+    "j_upper = -0.83 -0.53 0.6 0.16 -0.81 -0.13 -0.04 -0.68 0.47 -0.77 -0.22 0.03 -0.14 0.17 "
+    "0.48 0.91 -0.43 0.3 0.39 -0.41 -1 0.95 -0.4 -0.37 0.78 0.17 -0.06 0.55 -0.94 0.41 -0.25 "
+    "-0.82 0.32 0.86 -0.59 0.26\n"
+    "bias = -0.12 0.15 0.13 -0.17 0.2 0.09 0.11 0.19 -0.04\n"
+    "tunneling = 0.044 0.047 0.028 0.046 0.035 0.037 0.029 0.042 0.032\n"
+)
+# tunneling near half the couplings: the anchors' overlap^2 is 0.55 and 0.60,
+# and their windows hold 18 levels
+GLASS7_MIXED = (
+    "[cluster]\nn = 7\n"
+    "j_upper = 0.66 -0.28 0.41 0.72 0.28 0.1 0.52 0.43 -0.07 0.14 0.49 -0.87 0.29 0.47 -0.2 "
+    "0.01 -0.54 0.3 0.94 -0.4 -0.07\n"
+    "bias = 0.23 0.03 -0.05 0.1 -0.28 -0.21 0.22\n"
+    "tunneling = 0.29 0.257 0.482 0.438 0.494 0.44 0.481\n"
 )
 SWEEP = "[sweep]\nn_values = {n}\nratios = {ratios}\nchannels = {channels}\n"
 ALL_CHANNELS = "overlaps rates pathsum dynamics"
@@ -71,6 +93,8 @@ CONFIGS = [
     ("ferro4-a-typ", ("rates", "pathsum", "dynamics"), "[cluster]\nn = 4\nj = -1.0\nbias = 0.1\n"
      "tunneling = 0.06\na_typ = 4.0\n" + NOISE.format(f=0.06, g=0.06, kind="ou")
      + DYNAMICS.format(time=2.0)),
+    ("glass9-dense", ("overlaps", "rates"), GLASS9 + NOISE.format(f=0.03, g=0.03, kind="ou")),
+    ("glass7-mixed", ("overlaps", "rates"), GLASS7_MIXED + NOISE.format(f=0.1, g=0.1, kind="ou")),
     ("sweep", ("sweep",), SWEEP.format(n="2 3 4 5 6", ratios="0.01 0.05 0.3",
      channels="overlaps rates pathsum")),
     ("sweep-dynamics", ("sweep",), SWEEP.format(n="3", ratios="0.3", channels=ALL_CHANNELS)
@@ -116,4 +140,6 @@ def main() -> None:
 
 
 if __name__ == "__main__":
+    for var in THREAD_VARS:  # before numpy loads BLAS
+        os.environ.setdefault(var, "1")
     main()

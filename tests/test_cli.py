@@ -2,6 +2,7 @@
 
 import os
 import re
+import subprocess
 import sys
 import tracemalloc
 
@@ -632,9 +633,16 @@ def test_help_exits_zero():
     assert main(["--help"]) == 0
 
 
-def test_cli_outputs_match_the_recorded_digests(capsys):
-    # a change that moves an output re-records the file and names the moved lines
-    csv_digests.main()
-    got = capsys.readouterr().out.splitlines()
+def test_cli_outputs_match_the_recorded_digests():
+    # a change that moves an output re-records the file and names the moved
+    # lines; a fresh process, so BLAS starts on the one thread they were
+    # recorded on
+    src = os.path.join(csv_digests.ROOT, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.update({var: "1" for var in csv_digests.THREAD_VARS})
+    run = subprocess.run(
+        [sys.executable, csv_digests.__file__], env=env, capture_output=True, text=True, check=True
+    )
+    got = run.stdout.splitlines()
     with open(os.path.join(os.path.dirname(__file__), "csv_digests.txt"), encoding="utf-8") as fh:
         assert got == fh.read().splitlines()
