@@ -41,7 +41,7 @@ import math
 import numpy as np
 import scipy.linalg
 
-from .cluster import ClusterParams, popcounts, validate_config
+from .cluster import ClusterParams, config_to_bits, popcounts, validate_config
 from .errors import ValidationError
 from .spectrum import DressedState, cluster_eigenvalues, require_dominant_overlap
 
@@ -127,7 +127,7 @@ def symmetric_dressed(params: ClusterParams, anchor: int) -> DressedState:
     values, vectors = scipy.linalg.eigh_tridiagonal(diagonal, off)
     end = 0 if anchor == 0 else n
     index = int(np.argmax(np.abs(vectors[end])))
-    require_dominant_overlap(float(vectors[end, index] ** 2), anchor, n)
+    require_dominant_overlap(float(vectors[end, index] ** 2), config_to_bits(anchor, n))
     with np.errstate(divide="ignore", invalid="ignore"):
         chain = _chain_amplitudes(diagonal, off, float(values[index]), end)
     if not np.all(np.isfinite(chain)):

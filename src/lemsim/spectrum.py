@@ -11,25 +11,28 @@ Hamming distance from the anchor is measured here as a log-linear fit.
 ``collective.cluster_levels`` off collective clusters).
 ``cluster_eigensystem(params, anchors)`` computes what dressing needs
 through ``diagonalize``: the levels whose eigenvector can have overlap² ≥ ½
-with an anchor, and their vectors, in one
-``scipy.linalg.eigh(h, subset_by_value=...)`` call.  ``dress`` picks an
-anchor's state from them and refuses strong mixing and a shared repeated
-level.  For u = e_a and
+with an anchor, and their vectors.  ``diagonalize`` runs the steps ``dsyevr``
+takes for a value range (``dsytrd``, ``dstebz``, ``dstein``, ``dormqr`` on
+the m solved columns, then its selection sort), so its levels and vectors
+are ``scipy.linalg.eigh(h, subset_by_value=...)``'s bit for bit, without the
+dim x dim eigenvector array scipy's wrapper allocates for a value range.
+``dress`` picks an anchor's state from them and refuses strong mixing and a
+shared repeated level.  For u = e_a and
 ρ = h_aa, ‖(H − ρ)u‖² = Σ_k (v_kᵀu)² (λ_k − ρ)², so such a level lies within
 √2·s of ρ, s the norm of row a off the diagonal (Parlett, *The Symmetric
 Eigenvalue Problem*, §4 and §11).  Matrices of at most ``WHOLE_SOLVE_ROWS``
 rows are solved whole.
 
-The cluster solves assemble H once, as scratch LAPACK may overwrite.  They
-hold one dim x dim array (values) or two (H and the eigenvector array
-``eigh`` allocates at full size for a value subset too), 8·4^n or 16·4^n
-bytes, and raise CapacityError before assembly when that exceeds the memory
-available (``MemAvailable``, lowered to any memory cgroup limit's headroom).
-A solve keeps only its m solved columns.  ``eigenvalues`` and
-``diagonalize`` leave a caller's matrix unmodified, at the cost of one copy,
-and agree bit for bit with the cluster solves.  All four check that the
-matrix is square, non-empty, finite and symmetric over row bands, without a
-second dim x dim array.
+The cluster solves assemble H once, as scratch LAPACK overwrites.  They
+hold one dim x dim array, 8·4^n bytes, and raise CapacityError before
+assembly when H and the symmetry check's buffer exceed the memory available
+(``MemAvailable``, lowered to any memory cgroup limit's headroom).  A value
+range's m columns, 16·2^n·m bytes with the copy ``dormqr`` works in, are
+checked once bisection has counted them, before they are allocated.
+``eigenvalues`` and ``diagonalize`` leave a caller's matrix unmodified, at
+the cost of one copy, and agree bit for bit with the cluster solves.  All
+four check that the matrix is square, non-empty, finite and symmetric over
+row bands, without a second dim x dim array.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 from .cluster import (
     ClusterParams,
@@ -83,9 +87,12 @@ class SolvedLevels:
     anchors: tuple[int, ...]
     tolerance: float
 
-    @property
-    def n(self) -> int:
-        return len(self.vectors).bit_length() - 1
+    def label(self, anchor: int) -> str:
+        """The anchor's configuration bitstring when H has 2^n rows, its
+        basis index otherwise."""
+        dim = len(self.vectors)
+        n = dim.bit_length() - 1
+        return config_to_bits(anchor, n) if dim == 1 << n else str(anchor)
 
 
 @dataclass(frozen=True)
@@ -202,20 +209,20 @@ def _band_rows(dim: int) -> int:
     return max(1, dim // 16)
 
 
-def _require_memory(params: ClusterParams, vectors: bool) -> None:
-    """Raise CapacityError when a dense solve of ``params`` cannot fit in
-    memory: H (8·4^n bytes), the eigenvector array when asked for (8·4^n,
-    whatever the subset) and the symmetry check's band (4^n/2); LAPACK's
-    O(2^n) workspace is left out."""
-    dim = params.dim
-    needed = 8 * dim * dim * (2 if vectors else 1) + 8 * dim * _band_rows(dim)
+def _require_memory(needed: int, what: str) -> None:
+    """Raise CapacityError when ``what`` needs more than the memory available."""
     available = _available_memory()
     if available is not None and needed > available:
-        what = "eigensystem" if vectors else "eigenvalues"
-        raise CapacityError(
-            f"dense {what} of a {params.n}-spin cluster needs {needed} bytes, "
-            f"{available} bytes of memory available"
-        )
+        raise CapacityError(f"{what} needs {needed} bytes, {available} bytes of memory available")
+
+
+def _require_matrix_memory(params: ClusterParams, what: str) -> None:
+    """Raise CapacityError, before assembly, when a dense solve of ``params``
+    cannot hold H (8·4^n bytes) and the symmetry check's band (4^n/2);
+    LAPACK's O(2^n) workspace is left out, and a value range's columns are
+    checked by ``_solve_window``."""
+    dim = params.dim
+    _require_memory(8 * dim * dim + 8 * dim * _band_rows(dim), f"dense {what} of a {params.n}-spin cluster")
 
 
 class _Scratch(np.ndarray):
@@ -266,6 +273,49 @@ def _eigh(a: np.ndarray, **options):
         raise NumericalError(f"eigensolver failed on a {len(a)}x{len(a)} matrix: {exc}") from exc
 
 
+def _check_info(routine: str, info: int, dim: int) -> None:
+    if info != 0:
+        raise NumericalError(f"{routine} failed on a {dim}x{dim} matrix: info {info}")
+
+
+def _solve_window(a: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """The levels of ``a`` in (lo, hi], ascending, and their eigenvectors as
+    the columns of a dim x m array, by the steps ``dsyevr`` takes for a value
+    range: bit for bit ``scipy.linalg.eigh(a, subset_by_value=(lo, hi))``.
+
+    ``a``'s lower triangle is reduced in place, and its Householder
+    reflectors are applied to the m columns alone.  The columns, 16·dim·m
+    bytes with ``dormqr``'s copy of them, are checked against the memory
+    available before ``dstein`` allocates them.
+    """
+    dim = len(a)
+    # dsyevr's workspace, shared out as dsyevr does: another size changes
+    # dsytrd's block size, and with it the bits
+    lwork = int(lapack.dsyevr_lwork(dim, lower=1)[0])
+    a, d, e, tau, info = lapack.dsytrd(a, lower=1, lwork=lwork - 5 * dim, overwrite_a=1)
+    _check_info("dsytrd", info, dim)
+    m, values, block, split, info = lapack.dstebz(d, e, 1, lo, hi, 0, 0, 0.0, "B")
+    _check_info("dstebz", info, dim)
+    _require_memory(16 * dim * m, f"a window of {m} eigenvectors of a {dim}x{dim} matrix")
+    values = values[:m]
+    vectors, info = lapack.dstein(d, e, values, block, split)
+    _check_info("dstein", info, dim)
+    # the reflectors below row 1, addressed in H's buffer with leading
+    # dimension dim: f2py would copy a sliced view
+    reflectors = a.reshape(-1, order="F")[1 : 1 + dim * (dim - 1)].reshape((dim, dim - 1), order="F")
+    rest, _, info = lapack.dormqr("L", "N", reflectors, tau, vectors[1:], lwork - 2 * dim, overwrite_c=1)
+    _check_info("dormqr", info, dim)
+    vectors[1:] = rest
+    # dsyevr's closing selection sort: strict <, so exactly repeated levels
+    # keep bisection's order, and the columns move with their levels
+    for j in range(m - 1):
+        i = j + 1 + int(np.argmin(values[j + 1 :]))
+        if values[i] < values[j]:
+            values[[j, i]] = values[[i, j]]
+            vectors[:, [j, i]] = vectors[:, [i, j]]
+    return values, vectors
+
+
 def eigenvalues(h: np.ndarray) -> np.ndarray:
     """Eigenvalues (ascending) of a dense symmetric matrix; ``h`` is left unmodified."""
     return _eigh(_checked_symmetric(h)[0], eigvals_only=True)
@@ -274,16 +324,19 @@ def eigenvalues(h: np.ndarray) -> np.ndarray:
 def diagonalize(h: np.ndarray, anchors) -> SolvedLevels:
     """The levels of a dense symmetric H that can carry a dressed state of one
     of ``anchors`` (basis indices), with their eigenvectors, from one
-    ``scipy.linalg.eigh`` value-subset solve (see the module docstring).
+    value-range solve (``_solve_window``; see the module docstring).
 
     H is first scaled by a power of two, which is exact, so that max |h_ij|
-    lies in [1/2, 1) and ``dsyevr`` never scales it itself.  Anchor a's window
-    is h_aa ± (√2·s + slack + tolerance), s the norm of row a off the
+    lies in [1/2, 1) and ``dsyevr``'s steps never scale it.  Anchor a's
+    window is h_aa ± (√2·s + slack + tolerance), s the norm of row a off the
     diagonal; the slack, 4·N·eps·‖H‖_F with ‖H‖_F ≥ ‖H‖₂, bounds the
     solver's backward error and the rounding of s.  The tolerance keeps
     every level that repeats the dominant one inside the window.  A matrix
-    of at most ``WHOLE_SOLVE_ROWS`` rows has every level solved.  ``h`` is
-    left unmodified; the cluster solves' scratch H is overwritten.
+    of at most ``WHOLE_SOLVE_ROWS`` rows has every level solved by
+    ``scipy.linalg.eigh``.  The solve holds H and the m solved columns
+    twice (16·N·m bytes), which CapacityError refuses, before they are
+    allocated, when they do not fit.  ``h`` is left unmodified; the cluster
+    solves' scratch H is overwritten.
     """
     a, peak = _checked_symmetric(h)
     dim, anchors = len(a), tuple(anchors)
@@ -302,9 +355,7 @@ def diagonalize(h: np.ndarray, anchors) -> SolvedLevels:
         row[anchor] = 0.0
         radius = math.sqrt(2.0) * float(np.linalg.norm(row)) + slack + math.ldexp(tolerance, -exponent)
         lo, hi = min(lo, rho - radius), max(hi, rho + radius)
-    values, vectors = _eigh(a, subset_by_value=None if dim <= WHOLE_SOLVE_ROWS else (lo, hi))
-    # the m columns, apart from the dim x dim array eigh fills
-    vectors = vectors.copy(order="F")
+    values, vectors = _eigh(a) if dim <= WHOLE_SOLVE_ROWS else _solve_window(a, lo, hi)
     return SolvedLevels(np.ldexp(values, exponent), vectors, tuple(map(int, anchors)), tolerance)
 
 
@@ -315,7 +366,7 @@ def cluster_eigenvalues(params: ClusterParams) -> np.ndarray:
     only dim x dim array it holds is the Hamiltonian, which LAPACK overwrites.
     Raises CapacityError before assembly when that does not fit in memory.
     """
-    _require_memory(params, vectors=False)
+    _require_matrix_memory(params, "eigenvalues")
     return eigenvalues(build_hamiltonian(params).view(_Scratch))
 
 
@@ -324,12 +375,12 @@ def cluster_eigensystem(params: ClusterParams, anchors) -> SolvedLevels:
     ``diagonalize`` returns them.
 
     Equal bit for bit to ``diagonalize(build_hamiltonian(params), anchors)``,
-    but the only dim x dim arrays it holds are the Hamiltonian, which LAPACK
-    overwrites, and the eigenvector array ``eigh`` allocates at full size
-    for a value subset too.  Raises CapacityError before assembly when the
-    two do not fit in memory.
+    but the only dim x dim array it holds is the Hamiltonian, which LAPACK
+    overwrites; the solved columns add 16·dim·m bytes.  Raises CapacityError
+    before assembly when H does not fit in memory, and before the columns
+    are allocated when they do not.
     """
-    _require_memory(params, vectors=True)
+    _require_matrix_memory(params, "eigensystem")
     return diagonalize(build_hamiltonian(params).view(_Scratch), anchors)
 
 
@@ -366,14 +417,15 @@ def find_local_minima(params: ClusterParams) -> LandscapeReport:
     )
 
 
-def require_dominant_overlap(overlap_sq: float, anchor: int, n: int) -> None:
-    """Raise StrongMixingError when the best overlap^2 with an anchor is below
-    0.5, or above it by no more than ``OVERLAP_ROUNDING``: an anchor mixed
-    half and half is refused whichever side rounding puts it on."""
+def require_dominant_overlap(overlap_sq: float, label: str) -> None:
+    """Raise StrongMixingError when the best overlap^2 with an anchor, named
+    ``label``, is below 0.5, or above it by no more than
+    ``OVERLAP_ROUNDING``: an anchor mixed half and half is refused whichever
+    side rounding puts it on."""
     if overlap_sq < OVERLAP_THRESHOLD + OVERLAP_ROUNDING:
         relation = "<" if overlap_sq < OVERLAP_THRESHOLD else "within rounding of"
         raise StrongMixingError(
-            f"anchor {config_to_bits(anchor, n)} mixes strongly: "
+            f"anchor {label} mixes strongly: "
             f"best overlap^2 = {overlap_sq:.6f} {relation} {OVERLAP_THRESHOLD}"
         )
 
@@ -406,7 +458,7 @@ def dress(eig: SolvedLevels, anchor: int) -> DressedState:
     overlaps = eig.vectors[anchor]
     k = int(np.argmax(np.abs(overlaps)))
     overlap_sq = float(overlaps[k] ** 2)
-    require_dominant_overlap(overlap_sq, anchor, eig.n)
+    require_dominant_overlap(overlap_sq, eig.label(anchor))
     energy = float(eig.values[k])
     repeated = np.flatnonzero(np.abs(eig.values - energy) <= eig.tolerance)
     if len(repeated) > 1:
@@ -414,7 +466,7 @@ def dress(eig: SolvedLevels, anchor: int) -> DressedState:
         rest = float(weights @ weights) - overlap_sq
         if rest > REPEATED_LEVEL_WEIGHT:
             raise DegeneracyError(
-                f"anchor {config_to_bits(anchor, eig.n)} dresses onto a level at "
+                f"anchor {eig.label(anchor)} dresses onto a level at "
                 f"{energy:.8f} of multiplicity {len(repeated)} within tol {eig.tolerance:.3e}; "
                 f"the rest of that eigenspace carries overlap^2 {rest:.6f}"
             )

@@ -14,6 +14,7 @@ from lemsim import (
     CapacityError,
     ClusterParams,
     DegeneracyError,
+    NumericalError,
     StrongMixingError,
     ValidationError,
     bits_to_config,
@@ -410,6 +411,48 @@ def _bit_identity_clusters():
         yield make_params(n, c=0.3)
 
 
+def _window_cases():
+    """(name, cluster, anchors) solved on a value range: polarized pairs of
+    ferromagnets at n = 5 to 11, random clusters at n = 5 to 9, and
+    ferromagnets up to r = 1 and unbiased ones with three anchor sets each,
+    whose windows hold up to hundreds of levels, exact repeats among them."""
+    for n in (5, 6, 8, 9, 10, 11):
+        for r in (0.01, 0.05):
+            p = uniform_ferromagnet(n, r).params
+            yield f"ferromagnet n={n} r={r}", p, (0, p.dim - 1)
+    rng = np.random.default_rng(48)
+    for n in (5, 6, 7, 8, 9) * 2 + (7, 9):
+        j, b, c = _random_cluster(rng, n)
+        yield f"random n={n}", ClusterParams(n=n, couplings=j, bias=b, tunneling=c), (0, 2**n // 3)
+    clusters = [(f"ferromagnet n={n} r={r}", uniform_ferromagnet(n, r).params)
+                for n in (7, 8, 9) for r in (0.01, 0.3, 1.0)]
+    clusters += [(f"unbiased n={n}", make_params(n, c=0.3)) for n in (6, 7, 8)]
+    for name, p in clusters:
+        for anchors in ((0,), (p.dim - 1,), (1, p.dim // 3)):
+            yield name, p, anchors
+
+
+def test_window_solve_is_eighs_value_subset_bit_for_bit(monkeypatch):
+    # the same scaled matrix and window handed to scipy.linalg.eigh: the
+    # levels, and the columns of exactly repeated levels too, are its bits
+    solve_window = lemsim.spectrum._solve_window
+    widths, repeats = [], 0
+
+    def compared(a, lo, hi):
+        values, vectors = scipy.linalg.eigh(a.copy(order="F"), subset_by_value=(lo, hi))
+        got = solve_window(a, lo, hi)
+        assert np.array_equal(got[0], values), name
+        assert np.array_equal(got[1], vectors), name
+        widths.append(len(values))
+        return got
+
+    monkeypatch.setattr(lemsim.spectrum, "_solve_window", compared)
+    for name, p, anchors in _window_cases():
+        eig = cluster_eigensystem(p, anchors)
+        repeats += int(np.any(np.diff(eig.values) == 0))
+    assert len(widths) == 60 and max(widths) > 400 and repeats >= 10
+
+
 def test_hamiltonian_is_exactly_symmetric():
     # the in-place cluster solves hand LAPACK H.T in place of H
     for p in _bit_identity_clusters():
@@ -485,12 +528,12 @@ def _traced_peak(fn, *args):
 
 
 @pytest.mark.parametrize("n", [9, 10])
-def test_cluster_solves_hold_at_most_one_or_two_dense_arrays(n):
+def test_cluster_solves_hold_at_most_one_dense_array(n):
     # tracemalloc sees numpy's buffers, f2py's copies and the LAPACK workspace
     p = uniform_ferromagnet(n, 0.01).params
     matrix = 8 * p.dim**2
     anchors = (0, p.dim - 1)
-    assert _traced_peak(cluster_eigensystem, p, anchors) <= 2.1 * matrix
+    assert _traced_peak(cluster_eigensystem, p, anchors) <= 1.1 * matrix
     assert _traced_peak(cluster_eigenvalues, p) <= 1.1 * matrix
 
     def solve_and_dress(params):
@@ -498,8 +541,8 @@ def test_cluster_solves_hold_at_most_one_or_two_dense_arrays(n):
         dress(eig, 0)
         dress(eig, params.dim - 1)
 
-    assert _traced_peak(solve_and_dress, p) <= 2.1 * matrix
-    # the solve keeps its two columns, not the dim x dim array eigh filled
+    assert _traced_peak(solve_and_dress, p) <= 1.1 * matrix
+    # the solve keeps its two columns, in an array of their own
     vectors = cluster_eigensystem(p, anchors).vectors
     assert vectors.shape == (p.dim, 2) and vectors.flags.owndata
 
@@ -507,15 +550,53 @@ def test_cluster_solves_hold_at_most_one_or_two_dense_arrays(n):
 def test_capacity_preflight_raises_before_assembly(monkeypatch):
     p = make_params(6, b=0.1, c=0.05)
     monkeypatch.setattr(lemsim.spectrum, "_available_memory", lambda: 8 * p.dim**2)
-    # the eigenvalues need one dense array and the symmetry check's band of
-    # 64/16 rows, the eigenvectors two arrays and the band
+    # either solve needs one dense array and the symmetry check's band of
+    # 64/16 rows
     with pytest.raises(CapacityError, match="needs 34816 bytes, 32768 bytes of memory available"):
         cluster_eigenvalues(p)
-    with pytest.raises(CapacityError, match="eigensystem of a 6-spin cluster"):
+    with pytest.raises(CapacityError, match="eigensystem of a 6-spin cluster needs 34816 bytes"):
         cluster_eigensystem(p, (0,))
     monkeypatch.setattr(lemsim.spectrum, "_available_memory", lambda: 3 * 8 * p.dim**2)
     assert np.array_equal(cluster_eigenvalues(p), eigenvalues(build_hamiltonian(p)))
     cluster_eigensystem(p, (0,))
+
+
+def test_eigensystem_fits_in_little_more_than_one_dense_array(monkeypatch):
+    # H, the band and two columns fit in 1.2 matrices
+    p = uniform_ferromagnet(10, 0.01).params
+    monkeypatch.setattr(lemsim.spectrum, "_available_memory", lambda: int(1.2 * 8 * p.dim**2))
+    eig = cluster_eigensystem(p, (0, p.dim - 1))
+    assert eig.vectors.shape == (p.dim, 2)
+
+
+def test_window_too_wide_for_its_columns_is_refused_before_they_exist(monkeypatch):
+    # the n=9 ferromagnet's anchors 1 and 170 span a window of 501 levels:
+    # H and the band (2228224 bytes) fit, the columns (16·512·501) do not
+    p = uniform_ferromagnet(9, 0.01).params
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dstein ran")
+
+    monkeypatch.setattr(lemsim.spectrum, "_available_memory", lambda: 3_000_000)
+    monkeypatch.setattr(lemsim.spectrum.lapack, "dstein", forbidden)
+    with pytest.raises(CapacityError) as err:
+        cluster_eigensystem(p, (1, 170))
+    assert str(err.value) == (
+        "a window of 501 eigenvectors of a 512x512 matrix needs 4104192 bytes, "
+        "3000000 bytes of memory available"
+    )
+
+
+@pytest.mark.parametrize("routine", ["dsytrd", "dstebz", "dstein", "dormqr"])
+def test_window_solve_failures_raise_numerical_error(monkeypatch, routine):
+    original = getattr(lemsim.spectrum.lapack, routine)
+
+    def failing(*args, **kwargs):
+        return (*original(*args, **kwargs)[:-1], 1)
+
+    monkeypatch.setattr(lemsim.spectrum.lapack, routine, failing)
+    with pytest.raises(NumericalError, match=f"^{routine} failed on a 32x32 matrix: info 1$"):
+        cluster_eigensystem(make_params(5, b=0.1, c=0.05), (0, 31))
 
 
 def test_unknown_available_memory_skips_the_preflight(monkeypatch):
@@ -652,6 +733,26 @@ def test_dress_normalization():
     d = dress(eig, 0)
     assert math.fsum((d.amplitudes**2).tolist()) == pytest.approx(1.0, abs=1e-10)
     assert d.amplitudes[d.anchor] > 0
+
+
+def _star(dim):
+    """A basis state coupled to every other, with unequal diagonal entries."""
+    h = np.diag([0.3, -0.2, 0.1, -0.4, 0.0][: dim - 1] + [0.0])
+    h[-1, :-1] = h[:-1, -1] = 1.0
+    return h
+
+
+@pytest.mark.parametrize(
+    "dim, message",
+    [
+        (3, "anchor 2 mixes strongly: best overlap^2 = 0.494056 < 0.5"),
+        (5, "anchor 4 mixes strongly: best overlap^2 = 0.497362 < 0.5"),
+    ],
+)
+def test_anchors_of_matrices_without_2n_rows_are_named_by_index(dim, message):
+    with pytest.raises(StrongMixingError) as err:
+        dress(diagonalize(_star(dim), (dim - 1,)), dim - 1)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("n, overlap", [(2, "0.500000"), (3, "0.375")])
