@@ -274,6 +274,7 @@ def _eigh(a: np.ndarray, **options):
 
 
 def _check_info(routine: str, info: int, dim: int) -> None:
+    """Raise NumericalError when LAPACK's ``routine`` returned a nonzero ``info``."""
     if info != 0:
         raise NumericalError(f"{routine} failed on a {dim}x{dim} matrix: info {info}")
 
@@ -333,13 +334,15 @@ def diagonalize(h: np.ndarray, anchors) -> SolvedLevels:
     solver's backward error and the rounding of s.  The tolerance keeps
     every level that repeats the dominant one inside the window.  A matrix
     of at most ``WHOLE_SOLVE_ROWS`` rows has every level solved by
-    ``scipy.linalg.eigh``.  The solve holds H and the m solved columns
-    twice (16·N·m bytes), which CapacityError refuses, before they are
-    allocated, when they do not fit.  ``h`` is left unmodified; the cluster
-    solves' scratch H is overwritten.
+    ``scipy.linalg.eigh``.  A value range adds its m solved columns, twice
+    while ``dormqr`` works on them (16·N·m bytes), and raises CapacityError
+    before allocating them when they do not fit.  ``h`` is left unmodified;
+    the cluster solves' scratch H is overwritten.
     """
     a, peak = _checked_symmetric(h)
     dim, anchors = len(a), tuple(anchors)
+    if not anchors:
+        raise ValidationError("no anchor to solve for")
     for anchor in anchors:
         if not isinstance(anchor, (int, np.integer)) or not 0 <= anchor < dim:
             raise ValidationError(f"anchor {anchor!r} is not a basis index of a {dim}x{dim} matrix")

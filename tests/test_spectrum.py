@@ -164,6 +164,12 @@ def test_diagonalize_refuses_an_anchor_outside_the_basis(anchor):
         diagonalize(np.eye(2), (0, anchor))
 
 
+@pytest.mark.parametrize("dim", [2, 20])  # a whole solve and a value range
+def test_diagonalize_refuses_no_anchors(dim):
+    with pytest.raises(ValidationError, match="no anchor to solve for"):
+        diagonalize(np.eye(dim), ())
+
+
 def test_dress_refuses_an_anchor_it_was_not_solved_for():
     eig = diagonalize(build_hamiltonian(make_params(3, b=0.1, c=0.01)), (0b000,))
     dress(eig, 0b000)
@@ -737,7 +743,7 @@ def test_dress_normalization():
 
 def _star(dim):
     """A basis state coupled to every other, with unequal diagonal entries."""
-    h = np.diag([0.3, -0.2, 0.1, -0.4, 0.0][: dim - 1] + [0.0])
+    h = np.diag([0.3, -0.2, 0.1, -0.4][: dim - 1] + [0.0])
     h[-1, :-1] = h[:-1, -1] = 1.0
     return h
 
