@@ -16,8 +16,10 @@ non-collective 9-spin cluster and a strongly mixed 7-spin one on the dense
 route, a sweep, and every op of the benchmark's toy scale (``perfbench/workloads.py``).
 Every run gets ``--seed 7``.  BLAS runs on one thread unless
 ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS`` say
-otherwise: a dense solve of 512 rows rounds differently on two threads, and
-the recorded digests are those of one.  Pytest does not collect this file.
+otherwise: a dense solve of 512 rows (``THREAD_SENSITIVE``) rounds
+differently on two threads, and the recorded digests are those of one.  Every
+other line is the same on any thread count.  Pytest does not collect this
+file.
 """
 
 from __future__ import annotations
@@ -57,6 +59,8 @@ GLASS9 = (
     "bias = -0.12 0.15 0.13 -0.17 0.2 0.09 0.11 0.19 -0.04\n"
     "tunneling = 0.044 0.047 0.028 0.046 0.035 0.037 0.029 0.042 0.032\n"
 )
+# configs whose dense solve rounds differently on one and on two BLAS threads
+THREAD_SENSITIVE = ("glass9-dense",)
 # tunneling near half the couplings: the anchors' overlap^2 is 0.55 and 0.60,
 # and their windows hold 18 levels
 GLASS7_MIXED = (
