@@ -24,7 +24,10 @@ import numpy as np
 
 from .errors import CapacityError, ValidationError
 
-MAX_SPINS = 14  # dense 2^n x 2^n storage budget
+# bounds the matrix-free routes' 2^n tables, the config's scalar broadcast and
+# the 8^n dense solve time; dense storage is checked against the memory
+# available (ROADMAP item 6 moves this cap into the dense solvers)
+MAX_SPINS = 14
 
 # _energy_kernel's intermediates are partial sums: of an entry of s.J, at most
 # sum_i |J_ij|; of s.J.s, at most sum_{i!=j} |J_ij|; of b.s, at most sum |b_i|.

@@ -180,12 +180,7 @@ def _require_memory(n: int, ntraj: int, chunk: int) -> None:
     needed = 5 * 16 * (1 << n) * ntraj + 16 * ((1 << n) - 1) * ntraj
     if chunk:
         needed += 8 * ntraj * chunk * 2 * n + _GENERATOR_BYTES * ntraj
-    available = spectrum._available_memory()
-    if available is not None and needed > available:
-        raise CapacityError(
-            f"{ntraj} trajectories of a {n}-spin cluster need {needed} bytes, "
-            f"{available} bytes of memory available"
-        )
+    spectrum._require_memory(needed, f"a run of {ntraj} trajectories of a {n}-spin cluster")
 
 
 def evolve_superposition(

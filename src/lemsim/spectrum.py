@@ -25,14 +25,14 @@ rows are solved whole.
 
 The cluster solves assemble H once, as scratch LAPACK overwrites.  They
 hold one dim x dim array, 8·4^n bytes, and raise CapacityError before
-assembly when H and the symmetry check's buffer exceed the memory available
-(``MemAvailable``, lowered to any memory cgroup limit's headroom).  A value
-range's m columns, 16·2^n·m bytes with the copy ``dormqr`` works in, are
-checked once bisection has counted them, before they are allocated.
-``eigenvalues`` and ``diagonalize`` leave a caller's matrix unmodified, at
-the cost of one copy, and agree bit for bit with the cluster solves.  All
-four check that the matrix is square, non-empty, finite and symmetric over
-row bands, without a second dim x dim array.
+assembly when H alone exceeds the memory available (``MemAvailable``,
+lowered to any memory cgroup limit's headroom).  A value range's m columns,
+16·2^n·m bytes with the copy ``dormqr`` works in, are checked once
+bisection has counted them, before they are allocated.  The scratch H is
+symmetric and finite by construction and goes to LAPACK unchecked.
+``eigenvalues`` and ``diagonalize`` copy a caller's matrix, leaving it
+unmodified, check that the copy is real, square, non-empty, finite and
+symmetric, and agree bit for bit with the cluster solves.
 """
 
 from __future__ import annotations
@@ -204,11 +204,6 @@ def _available_memory(proc: str = "/proc", cgroup_fs: str = "/sys/fs/cgroup") ->
     return min(figures) if figures else None
 
 
-def _band_rows(dim: int) -> int:
-    """Rows per band of the symmetry check: its one buffer is 1/16 of a dim x dim array."""
-    return max(1, dim // 16)
-
-
 def _require_memory(needed: int, what: str) -> None:
     """Raise CapacityError when ``what`` needs more than the memory available."""
     available = _available_memory()
@@ -216,52 +211,40 @@ def _require_memory(needed: int, what: str) -> None:
         raise CapacityError(f"{what} needs {needed} bytes, {available} bytes of memory available")
 
 
-def _require_matrix_memory(params: ClusterParams, what: str) -> None:
-    """Raise CapacityError, before assembly, when a dense solve of ``params``
-    cannot hold H (8·4^n bytes) and the symmetry check's band (4^n/2);
-    LAPACK's O(2^n) workspace is left out, and a value range's columns are
-    checked by ``_solve_window``."""
-    dim = params.dim
-    _require_memory(8 * dim * dim + 8 * dim * _band_rows(dim), f"dense {what} of a {params.n}-spin cluster")
-
-
 class _Scratch(np.ndarray):
-    """A freshly assembled, exactly symmetric matrix that the solve may
-    overwrite: the cluster solves' H, which LAPACK then works in uncopied."""
+    """A freshly assembled matrix that the solve may overwrite: the cluster
+    solves' H, which LAPACK then works in uncopied and unchecked.
+    ``build_hamiltonian`` assembles it exactly symmetric, and
+    ``cluster.ENERGY_SCALE_LIMIT`` keeps its entries finite."""
 
 
 def _checked_symmetric(h: np.ndarray) -> tuple[np.ndarray, float]:
     """``h`` as a column-major float array that LAPACK may overwrite, and its
-    largest magnitude, after checking that it is square, non-empty, finite
-    and symmetric over row bands of dim/16 rows, with one band-sized buffer.
-    The array is a copy of ``h``, or for the cluster solves' scratch H its
-    F-contiguous transpose, which is H: the scratch H is exactly symmetric.
+    largest magnitude.  For the cluster solves' scratch H the array is its
+    F-contiguous transpose, which is H, unchecked (see ``_Scratch``).  A
+    caller's matrix is refused when complex, then copied, and the copy is
+    checked to be square, non-empty, finite and symmetric.
     """
-    scratch = isinstance(h, _Scratch)
-    h = np.asarray(h, dtype=float)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValidationError(f"Hamiltonian must be a square matrix, got shape {h.shape}")
-    dim = h.shape[0]
-    if dim == 0:
+    if isinstance(h, _Scratch):
+        a = np.asarray(h).T
+        return a, max(float(a.max()), -float(a.min()))
+    h = np.asarray(h)
+    if np.iscomplexobj(h):
+        raise ValidationError(f"Hamiltonian must be real, got {h.dtype}")
+    a = np.array(h, dtype=float, order="F")
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValidationError(f"Hamiltonian must be a square matrix, got shape {a.shape}")
+    if a.size == 0:
         raise ValidationError("Hamiltonian must not be empty")
-    band = _band_rows(dim)
-    buf = np.empty((band, dim))
-    peak = skew = 0.0
-    for start in range(0, dim, band):
-        rows = h[start : start + band]
-        out = buf[: len(rows)]
-        band_peak = float(np.abs(rows, out=out).max())
-        if not math.isfinite(band_peak):
-            # the message scipy's check_finite gives, without its dim x dim mask
-            raise ValueError("array must not contain infs or NaNs")
-        peak = max(peak, band_peak)
-        # copied first: a ufunc would buffer this strided input in chunks
-        out[...] = h[:, start : start + band].T
-        np.subtract(rows, out, out=out)
-        skew = max(skew, float(np.abs(out, out=out).max()))
-    if skew > 1e-12 * max(1.0, peak):
+    # a NaN makes both reductions NaN, and with them the peak
+    peak = max(float(a.max()), -float(a.min()))
+    if not math.isfinite(peak):
+        # the message scipy's check_finite gives
+        raise ValueError("array must not contain infs or NaNs")
+    skew = a - a.T
+    if float(np.abs(skew, out=skew).max()) > 1e-12 * max(1.0, peak):
         raise ValidationError("Hamiltonian is not symmetric")
-    return (h.T if scratch else np.array(h, order="F")), peak
+    return a, peak
 
 
 def _eigh(a: np.ndarray, **options):
@@ -318,7 +301,7 @@ def _solve_window(a: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, np.n
 
 
 def eigenvalues(h: np.ndarray) -> np.ndarray:
-    """Eigenvalues (ascending) of a dense symmetric matrix; ``h`` is left unmodified."""
+    """Eigenvalues (ascending) of a dense real symmetric matrix; ``h`` is left unmodified."""
     return _eigh(_checked_symmetric(h)[0], eigvals_only=True)
 
 
@@ -336,8 +319,9 @@ def diagonalize(h: np.ndarray, anchors) -> SolvedLevels:
     of at most ``WHOLE_SOLVE_ROWS`` rows has every level solved by
     ``scipy.linalg.eigh``.  A value range adds its m solved columns, twice
     while ``dormqr`` works on them (16·N·m bytes), and raises CapacityError
-    before allocating them when they do not fit.  ``h`` is left unmodified;
-    the cluster solves' scratch H is overwritten.
+    before allocating them when they do not fit.  A caller's ``h`` is
+    checked on a copy and left unmodified; the cluster solves' scratch H is
+    overwritten unchecked.
     """
     a, peak = _checked_symmetric(h)
     dim, anchors = len(a), tuple(anchors)
@@ -366,10 +350,11 @@ def cluster_eigenvalues(params: ClusterParams) -> np.ndarray:
     """Eigenvalues (ascending) of the cluster Hamiltonian.
 
     Equal bit for bit to ``eigenvalues(build_hamiltonian(params))``, but the
-    only dim x dim array it holds is the Hamiltonian, which LAPACK overwrites.
-    Raises CapacityError before assembly when that does not fit in memory.
+    only dim x dim array it holds is the Hamiltonian, which LAPACK overwrites
+    unchecked.  Raises CapacityError before assembly when H alone, 8·4^n
+    bytes, does not fit in memory.
     """
-    _require_matrix_memory(params, "eigenvalues")
+    _require_memory(8 * params.dim**2, f"dense eigenvalues of a {params.n}-spin cluster")
     return eigenvalues(build_hamiltonian(params).view(_Scratch))
 
 
@@ -379,11 +364,11 @@ def cluster_eigensystem(params: ClusterParams, anchors) -> SolvedLevels:
 
     Equal bit for bit to ``diagonalize(build_hamiltonian(params), anchors)``,
     but the only dim x dim array it holds is the Hamiltonian, which LAPACK
-    overwrites; the solved columns add 16·dim·m bytes.  Raises CapacityError
-    before assembly when H does not fit in memory, and before the columns
-    are allocated when they do not.
+    overwrites unchecked; the solved columns add 16·dim·m bytes.  Raises
+    CapacityError before assembly when H alone, 8·4^n bytes, does not fit in
+    memory, and before the columns are allocated when they do not.
     """
-    _require_matrix_memory(params, "eigensystem")
+    _require_memory(8 * params.dim**2, f"dense eigensystem of a {params.n}-spin cluster")
     return diagonalize(build_hamiltonian(params).view(_Scratch), anchors)
 
 

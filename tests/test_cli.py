@@ -399,7 +399,7 @@ def test_oversize_trajectory_count_exits_3_before_any_generator(tmp_path, capsys
     cfg.write_text(FERRO3 + "\n[dynamics]\ntrajectories = 100000000000\n")
     assert run_cli("dynamics", "--config", cfg) == 3
     assert re.fullmatch(
-        r"error \[dynamics\]: 100000000000 trajectories of a 3-spin cluster need \d{15} bytes, "
+        r"error \[dynamics\]: a run of 100000000000 trajectories of a 3-spin cluster needs \d{15} bytes, "
         r"8589934592 bytes of memory available\n",
         capsys.readouterr().err,
     )

@@ -296,7 +296,7 @@ def test_capacity_preflight_raises_before_any_generator(monkeypatch):
         m.setattr(np.random, "SeedSequence", no_generators)
         with pytest.raises(
             CapacityError,
-            match=f"^7 trajectories of a 3-spin cluster need {needed} bytes, "
+            match=f"^a run of 7 trajectories of a 3-spin cluster needs {needed} bytes, "
             f"{needed - 1} bytes of memory available$",
         ):
             run(_ou(fam))

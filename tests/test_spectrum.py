@@ -335,6 +335,16 @@ def test_empty_matrix_is_refused():
             solve(np.zeros((0, 0)))
 
 
+@pytest.mark.parametrize(
+    "h", [np.array([[1, 0.5j], [-0.5j, 1]]), [[1, 0.5j], [-0.5j, 1]]], ids=["array", "list"]
+)
+def test_complex_matrix_is_refused_not_truncated(h):
+    # a cast to float would drop the imaginary part: levels [1, 1], not [0.5, 1.5]
+    for solve in (_solve, eigenvalues):
+        with pytest.raises(ValidationError, match="^Hamiltonian must be real, got complex128$"):
+            solve(h)
+
+
 # the best overlap² over every eigenvector, as dressing reported it when it
 # read them all; the anchor's window holds that vector too
 _MIXED_MESSAGES = {
@@ -555,20 +565,19 @@ def test_cluster_solves_hold_at_most_one_dense_array(n):
 
 def test_capacity_preflight_raises_before_assembly(monkeypatch):
     p = make_params(6, b=0.1, c=0.05)
-    monkeypatch.setattr(lemsim.spectrum, "_available_memory", lambda: 8 * p.dim**2)
-    # either solve needs one dense array and the symmetry check's band of
-    # 64/16 rows
-    with pytest.raises(CapacityError, match="needs 34816 bytes, 32768 bytes of memory available"):
+    # either solve needs one dense array, H, and nothing more before assembly
+    monkeypatch.setattr(lemsim.spectrum, "_available_memory", lambda: 8 * p.dim**2 - 1)
+    with pytest.raises(CapacityError, match="needs 32768 bytes, 32767 bytes of memory available"):
         cluster_eigenvalues(p)
-    with pytest.raises(CapacityError, match="eigensystem of a 6-spin cluster needs 34816 bytes"):
+    with pytest.raises(CapacityError, match="eigensystem of a 6-spin cluster needs 32768 bytes"):
         cluster_eigensystem(p, (0,))
-    monkeypatch.setattr(lemsim.spectrum, "_available_memory", lambda: 3 * 8 * p.dim**2)
+    monkeypatch.setattr(lemsim.spectrum, "_available_memory", lambda: 8 * p.dim**2)
     assert np.array_equal(cluster_eigenvalues(p), eigenvalues(build_hamiltonian(p)))
     cluster_eigensystem(p, (0,))
 
 
 def test_eigensystem_fits_in_little_more_than_one_dense_array(monkeypatch):
-    # H, the band and two columns fit in 1.2 matrices
+    # H and two columns fit in 1.2 matrices
     p = uniform_ferromagnet(10, 0.01).params
     monkeypatch.setattr(lemsim.spectrum, "_available_memory", lambda: int(1.2 * 8 * p.dim**2))
     eig = cluster_eigensystem(p, (0, p.dim - 1))
@@ -577,7 +586,7 @@ def test_eigensystem_fits_in_little_more_than_one_dense_array(monkeypatch):
 
 def test_window_too_wide_for_its_columns_is_refused_before_they_exist(monkeypatch):
     # the n=9 ferromagnet's anchors 1 and 170 span a window of 501 levels:
-    # H and the band (2228224 bytes) fit, the columns (16·512·501) do not
+    # H (2097152 bytes) fits, the columns (16·512·501) do not
     p = uniform_ferromagnet(9, 0.01).params
 
     def forbidden(*args, **kwargs):
