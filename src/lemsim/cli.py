@@ -9,8 +9,10 @@ errors.
 On a collective cluster (``collective.collective_form``), ``spectrum`` runs
 on the total-spin blocks (``collective.cluster_levels``), and ``overlaps``
 and ``dynamics`` dress fully polarized anchors in the symmetric sector: none
-of them solves the 2^n x 2^n eigensystem.  ``rates`` dresses densely, both
-anchors from one ``spectrum.diagonalize`` solve.  The stderr summaries of
+of them solves the 2^n x 2^n eigensystem.  ``rates`` takes the same sector
+route above ``spectrum.WHOLE_SOLVE_ROWS`` rows; a collective cluster of at
+most that many rows (n <= 4) is held dense, both anchors from one
+``spectrum.diagonalize`` solve.  The stderr summaries of
 ``overlaps``, ``rates`` and ``dynamics`` end with the route that dressed
 the pair, ``sector`` or ``dense`` (``ClusterProblem.route``).  ``dynamics``
 refuses a cluster over ``dynamics.MAX_DYNAMICS_SPINS`` before any solve.
@@ -38,7 +40,7 @@ from .csvout import (
 )
 from .errors import SimulationError, ValidationError
 from .perturbation import scaling_exponent
-from .spectrum import find_local_minima, overlap_decay
+from .spectrum import WHOLE_SOLVE_ROWS, find_local_minima, overlap_decay
 from .sweep import ClusterProblem, run_sweep
 from .transition import lifetime_extension
 
@@ -107,10 +109,13 @@ def _cmd_overlaps(cfg: RunConfig, destination, args) -> None:
 
 
 def _cmd_rates(cfg: RunConfig, destination, args) -> None:
-    # held dense: perfbench/test_harness.py::test_gate_rejects_a_changed_value_and_accepts_roundoff
-    # finds the toy rates-n4 element by its dense text, which the sector's last
-    # digits miss; drop the replace once that test reads the value from the CSV
-    problem = replace(_problem(cfg), symmetric=False)
+    # collective clusters of at most WHOLE_SOLVE_ROWS rows are held dense:
+    # perfbench/test_harness.py::test_gate_rejects_a_changed_value_and_accepts_roundoff
+    # finds the toy rates-n4 element (16 rows) by its dense text, which the
+    # sector's last digits miss; drop the hold once that test reads the CSV
+    problem = _problem(cfg)
+    if problem.params.dim <= WHOLE_SOLVE_ROWS:
+        problem = replace(problem, symmetric=False)
     report = problem.rates()
     params, coupling = problem.params, problem.coupling
     ratio = max(float(abs(params.tunneling).max()), float(coupling.x_noise.max())) / problem.a_typ

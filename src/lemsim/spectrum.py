@@ -69,9 +69,11 @@ from .fitting import fit_line, log10_points
 OVERLAP_THRESHOLD = 0.5  # below this the anchor label is meaningless
 OVERLAP_ROUNDING = 1e-9  # overlap^2 this close above the threshold is refused too
 REPEATED_LEVEL_WEIGHT = 1e-9  # anchor overlap^2 a repeated level may carry off its chosen vector
-# solved whole up to this size: perfbench/test_harness.py finds the toy rates-n4
-# element (16 rows) by the reference's text, the last digits of dsyevr's whole
-# (MRRR) solve; drop once that test reads the value from the CSV
+# solved whole up to this size, and CLI rates holds collective clusters of at
+# most this size dense (cli._cmd_rates): perfbench/test_harness.py finds the
+# toy rates-n4 element (16 rows) by the reference's text, the last digits of
+# dsyevr's whole (MRRR) solve; once that test reads the value from the CSV,
+# both holds go with this constant (ROADMAP item 1a)
 WHOLE_SOLVE_ROWS = 16
 
 

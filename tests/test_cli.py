@@ -1,5 +1,6 @@
 """Command-line surface: pipelines, exit statuses, output determinism."""
 
+import math
 import os
 import re
 import subprocess
@@ -332,15 +333,22 @@ def test_collective_unpolarized_anchors_stay_dense_and_refuse_a_repeated_level(
     assert capsys.readouterr().err == f"error [{command}]: {info.value}\n"
 
 
-def test_collective_rates_are_held_dense(tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "n, expected, route", [(3, [3], "dense"), (4, [4], "dense"), (5, [], "sector")]
+)
+def test_collective_rates_are_held_dense_up_to_16_rows(
+    tmp_path, monkeypatch, capsys, n, expected, route
+):
     # the hold in cli._cmd_rates: perfbench/test_harness.py::
     # test_gate_rejects_a_changed_value_and_accepts_roundoff finds the toy
-    # rates-n4 element by its dense text, which the sector's digits would miss
+    # rates-n4 element (16 rows) by its dense text, which the sector's digits
+    # would miss; larger collective clusters take the sector
     calls = count_calls(monkeypatch, lemsim.sweep, "cluster_eigensystem")
     cfg = tmp_path / "c.cfg"
-    cfg.write_text(_collective(3, extra="[noise]\nz_noise = 0.038\nx_noise = 0.038\n"))
-    assert run_cli("rates", "--config", cfg, "--out", tmp_path / "r.csv", "--quiet") == 0
-    assert calls == [3]
+    cfg.write_text(_collective(n, extra="[noise]\nz_noise = 0.038\nx_noise = 0.038\n"))
+    assert run_cli("rates", "--config", cfg, "--out", tmp_path / "r.csv") == 0
+    assert calls == expected
+    assert capsys.readouterr().err.endswith(f" route={route}\n")
 
 
 def test_collective_dynamics_solve_no_eigensystem(tmp_path, monkeypatch):
@@ -427,9 +435,11 @@ def test_dynamics_summary_reports_the_largest_norm_drift(tmp_path, capsys):
 
 
 def test_memory_preflight_exit_status(tmp_path, capsys, monkeypatch):
-    # the solve is refused before H is assembled: nothing near one n=12 matrix is allocated
+    # the solve is refused before H is assembled: nothing near one n=12 matrix is
+    # allocated; one bias an ulp off keeps the cluster off the symmetric sector
+    nudged = " ".join(["0.1"] * 11 + [repr(math.nextafter(0.1, 1.0))])
     cfg = tmp_path / "ferro12.cfg"
-    cfg.write_text("[cluster]\nn = 12\nj = -1.0\nbias = 0.1\ntunneling = 0.01\n")
+    cfg.write_text(f"[cluster]\nn = 12\nj = -1.0\nbias = {nudged}\ntunneling = 0.01\n")
     monkeypatch.setattr(lemsim.spectrum, "_available_memory", lambda: 10**8)
     tracemalloc.start()
     try:
@@ -545,7 +555,7 @@ anchors = 00 11
 @pytest.mark.parametrize(
     "command, text, route",
     [
-        ("rates", FERRO3, "dense"),  # CLI rates stays dense on a collective cluster
+        ("rates", FERRO3, "dense"),  # CLI rates holds collective clusters of n <= 4 dense
         ("overlaps", FERRO3, "sector"),
         ("dynamics", FERRO3 + "\n[dynamics]\ntotal_time = 2.0\ntrajectories = 4\n", "sector"),
         (
@@ -554,7 +564,15 @@ anchors = 00 11
             + "\n[dynamics]\ntotal_time = 2.0\ntrajectories = 4\n",
             "dense",
         ),
-        ("rates", _collective(9, extra="[noise]\nz_noise = 0.01\nx_noise = 0.01\n"), "dense"),
+        ("rates", _collective(9, extra="[noise]\nz_noise = 0.01\nx_noise = 0.01\n"), "sector"),
+        (
+            "rates",
+            _collective(
+                9, " ".join(["0.1"] * 8 + [repr(0.1 + 1e-15)]),
+                "[noise]\nz_noise = 0.01\nx_noise = 0.01\n",
+            ),
+            "dense",
+        ),
     ],
 )
 def test_summaries_name_the_route(tmp_path, capsys, command, text, route):

@@ -9,6 +9,7 @@ import pytest
 
 import lemsim.collective
 import lemsim.spectrum
+import lemsim.sweep
 from lemsim import (
     ClusterParams,
     StrongMixingError,
@@ -116,11 +117,15 @@ def test_sweep_rows_match_the_dicke_oracle():
     assert by_point[14, 0.0025] == pytest.approx(-8.0304e-29, rel=1e-4)
 
 
-def _cli_overlaps(tmp_path, n, c):
+def _cli(tmp_path, command, n, c):
+    # both noise channels at the tunneling amplitude, as in the benchmark's ferromagnets
     cfg = tmp_path / f"n{n}.cfg"
-    cfg.write_text(f"[cluster]\nn = {n}\nj = {J!r}\nbias = {BIAS!r}\ntunneling = {c!r}\n")
+    cfg.write_text(
+        f"[cluster]\nn = {n}\nj = {J!r}\nbias = {BIAS!r}\ntunneling = {c!r}\n"
+        f"[noise]\nz_noise = {c!r}\nx_noise = {c!r}\n"
+    )
     out = tmp_path / f"n{n}.csv"
-    status = main(["overlaps", "--config", str(cfg), "--out", str(out), "--quiet"])
+    status = main([command, "--config", str(cfg), "--out", str(out), "--quiet"])
     return status, out
 
 
@@ -138,7 +143,7 @@ def test_cli_overlaps_match_the_dicke_oracle(tmp_path):
     for n in range(2, 15):
         for ratio in (0.0025, 0.01, 0.05):
             c = ratio * family_a_typ(n)
-            status, out = _cli_overlaps(tmp_path, n, c)
+            status, out = _cli(tmp_path, "overlaps", n, c)
             assert status == 0
             _, ground, lem = dicke_observables(n, J, BIAS, c, c)
             got = _decays(out.read_text())
@@ -150,16 +155,32 @@ def test_cli_overlaps_match_the_dicke_oracle(tmp_path):
                 assert abs(slope / want_slope - 1) <= 1e-12, (n, ratio)
 
 
-def test_n14_cli_overlaps_fit_without_a_dense_budget(tmp_path, monkeypatch):
-    # a dense n=14 eigensystem would need 4.3 GB; the run holds no N^2 array
+@pytest.mark.parametrize("n", [9, 10, 11])
+def test_cli_rates_match_the_dicke_oracle(tmp_path, n):
+    # the benchmark's rates ferromagnets (r = 0.01); their dense elements were
+    # 6.7e-6, 2.4e-4 and 7.0e-3 off
+    c = 0.01 * family_a_typ(n)
+    status, out = _cli(tmp_path, "rates", n, c)
+    assert status == 0
+    rows = [line.split(",") for line in out.read_text().splitlines() if not line.startswith("#")]
+    element = float(rows[1][rows[0].index("matrix_element")])
+    want, _, _ = dicke_observables(n, J, BIAS, c, c)
+    assert abs(element / want - 1) <= 1e-12
+
+
+@pytest.mark.parametrize("command", ["overlaps", "rates"])
+def test_n14_cli_runs_fit_without_a_dense_budget(tmp_path, monkeypatch, command):
+    # a dense n=14 solve would need 2.1 GB for H alone; the run holds no N^2 array
+    calls = count_calls(monkeypatch, lemsim.sweep, "cluster_eigensystem")
     monkeypatch.setattr(lemsim.spectrum, "_available_memory", lambda: 10**8)
     tracemalloc.start()
     try:
-        status, _ = _cli_overlaps(tmp_path, 14, 0.01 * family_a_typ(14))
+        status, _ = _cli(tmp_path, command, 14, 0.01 * family_a_typ(14))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert status == 0
+    assert calls == []
     assert peak < 0.01 * 8 * 4**14
 
 
