@@ -16,11 +16,16 @@ most that many rows (n <= 4) is held dense, both anchors from one
 ``overlaps``, ``rates`` and ``dynamics`` end with the route that dressed
 the pair, ``sector`` or ``dense`` (``ClusterProblem.route``).  ``dynamics``
 refuses a cluster over ``dynamics.MAX_DYNAMICS_SPINS`` before any solve.
+
+The argument parser is built once per process and reused by every ``main``
+call; parsing keeps no state in it, so in-process callers (the benchmark
+harness, the tests) pay for it once.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 
@@ -181,6 +186,7 @@ _HANDLERS = {
 SUBCOMMANDS = tuple(_HANDLERS)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lemsim",

@@ -18,7 +18,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -29,11 +30,11 @@ from .errors import CapacityError, ValidationError
 # available (ROADMAP item 6 moves this cap into the dense solvers)
 MAX_SPINS = 14
 
-# _energy_kernel's intermediates are partial sums: of an entry of s.J, at most
+# _energy_table's intermediates are partial sums: of an entry of s.J, at most
 # sum_i |J_ij|; of s.J.s, at most sum_{i!=j} |J_ij|; of b.s, at most sum |b_i|.
 # Every classical energy lies within sum_{i<j} |J_ij| + sum |b_i| of zero,
 # and the spectrum of H within a further sum |c_i| (Gershgorin).  So the
-# kernel, every energy difference and the spectral spread stay below twice
+# table, every energy difference and the spectral spread stay below twice
 # S = sum_{i<j} |J_ij| + sum |b_i| + sum |c_i|.  Capping S at a quarter of
 # the largest double keeps 2 S finite with a factor 2 to spare for rounding.
 ENERGY_SCALE_LIMIT = np.finfo(float).max / 4
@@ -99,6 +100,21 @@ class ClusterParams:
     def dim(self) -> int:
         return 1 << self.n
 
+    @cached_property
+    def _energies(self) -> np.ndarray:
+        # couplings and bias are read-only, so the table cannot go stale
+        table = _energy_table(self.couplings, self.bias)
+        table.setflags(write=False)
+        return table
+
+    def with_tunneling(self, tunneling) -> ClusterParams:
+        """The same cluster with other tunneling amplitudes.  Tunneling leaves
+        the classical energies unchanged, so a table already built is shared."""
+        other = replace(self, tunneling=tunneling)
+        if "_energies" in vars(self):
+            vars(other)["_energies"] = self._energies
+        return other
+
 
 def uniform_couplings(n: int, j: float) -> np.ndarray:
     """All-pairs coupling matrix with a single strength ``j``."""
@@ -128,24 +144,18 @@ def validate_config(n: int, config: int, what: str = "configuration") -> int:
     return config
 
 
-def spin_values(n: int, configs) -> np.ndarray:
-    """sigma^z eigenvalues (+1/-1) of a configuration, shape (n,), or of an
-    array of configurations, one row each.
+def sign_table(n: int) -> np.ndarray:
+    """(2^n, n) table of sigma^z eigenvalues for every basis configuration.
 
     Filled one spin at a time, so nothing else of the table's size is held.
     """
-    configs = np.asarray(configs, dtype=np.int64)
-    s = np.empty(configs.shape + (n,))
+    configs = np.arange(1 << n, dtype=np.int64)
+    s = np.empty((1 << n, n))
     for i in range(n):
-        s[..., i] = (configs >> i) & 1
+        s[:, i] = (configs >> i) & 1
     s *= 2.0
     s -= 1.0
     return s
-
-
-def sign_table(n: int) -> np.ndarray:
-    """(2^n, n) table of sigma^z eigenvalues for every basis configuration."""
-    return spin_values(n, np.arange(1 << n, dtype=np.int64))
 
 
 def popcounts(values: np.ndarray, n: int) -> np.ndarray:
@@ -160,63 +170,63 @@ def hamming_distance(x: int, y: int) -> int:
     return int(x ^ y).bit_count()
 
 
-_KERNEL_BLOCK = 1 << 14  # entries per block of rows: the kernel's scratch
-
-
-def _energy_kernel(couplings: np.ndarray, bias: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Energies 0.5·(s·J·s) + b·s of the rows of the (m, n) sigma^z table s.
+def _energy_table(couplings: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """Energies 0.5·(s·J·s) + b·s of all 2^n configurations, by basis index.
 
     Every sum runs left to right from 0: each entry of s·J over ascending
-    i, then the quadratic sum over ascending columns, then b·s.  The
-    products s_i·J_ij and s_j·(s·J)_j are exact, and all arithmetic is
-    elementwise across rows, so a row's energy never depends on which rows
-    go through with it.  Rows go in blocks of about 2^14 entries, so the
-    scratch never approaches the size of s.
+    i, then the quadratic sum over ascending columns, then b·s.  A partial
+    sum over spins 0..i-1 depends only on those bits, so it is formed once
+    per 2^i prefix and then doubled: minus row i of J (or b_i) gives the
+    prefixes with bit i down, plus it those with bit i up.  The quadratic
+    pass then subtracts column j of s·J where bit j is 0 and adds it where
+    bit j is 1.  Adding s_i·x with s_i = ±1 is adding or subtracting x, so
+    these are the same roundings as the sums in that order, at O(n·2^n)
+    cost.  The scratch is the (n, 2^n) table of s·J.  Only binary ufuncs
+    with ``out=`` touch the strided half-views: numpy 2.4's in-place
+    ``np.negative`` negates the wrong elements of some of them.
     """
-    m, n = s.shape
-    energies = np.empty(m)
-    rows_per_block = max(1, _KERNEL_BLOCK // n)
-    for start in range(0, m, rows_per_block):
-        st = s[start : start + rows_per_block].T.copy()  # (n, rows): one spin per row
-        rows = st.shape[1]
-        sj = np.zeros(st.shape)
-        term = np.empty(st.shape)
-        for i in range(n):
-            sj += np.multiply(couplings[i][:, None], st[i], out=term)
-        np.multiply(sj, st, out=sj)
-        quad = np.zeros(rows)
-        for j in range(n):
-            quad += sj[j]
-        np.multiply(bias[:, None], st, out=term)
-        lin = np.zeros(rows)
-        for i in range(n):
-            lin += term[i]
-        # couplings has zero diagonal, so 0.5 * s.J.s counts each pair once
-        np.add(np.multiply(0.5, quad, out=quad), lin, out=energies[start : start + rows])
-    return energies
+    n = len(bias)
+    dim = 1 << n
+    sj = np.zeros((n, dim))  # column k of s·J, one row per k
+    lin = np.zeros(dim)
+    for i in range(n):
+        half = 1 << i
+        row = couplings[i][:, None]
+        np.add(sj[:, :half], row, out=sj[:, half : 2 * half])
+        np.subtract(sj[:, :half], row, out=sj[:, :half])
+        np.add(lin[:half], bias[i], out=lin[half : 2 * half])
+        np.subtract(lin[:half], bias[i], out=lin[:half])
+    quad = np.zeros(dim)
+    for j in range(n):
+        q = quad.reshape(-1, 2, 1 << j)
+        col = sj[j].reshape(-1, 2, 1 << j)
+        np.subtract(q[:, 0], col[:, 0], out=q[:, 0])
+        np.add(q[:, 1], col[:, 1], out=q[:, 1])
+    # couplings has zero diagonal, so 0.5 * s.J.s counts each pair once
+    return np.add(np.multiply(0.5, quad, out=quad), lin, out=quad)
 
 
 def classical_energy(params: ClusterParams, config: int) -> float:
     """Diagonal energy sum_{i<j} J_ij s_i s_j + sum_i B_i s_i of one configuration."""
     config = validate_config(params.n, config)
-    return float(configuration_energies(params, [config])[0])
+    return float(classical_energies(params)[config])
 
 
 def configuration_energies(params: ClusterParams, configs) -> np.ndarray:
-    """Classical energies of the given configurations, in one kernel call.
+    """Classical energies of the given configurations, read from the table.
 
     Each entry equals ``classical_energy`` of its configuration bit for bit.
     """
-    return _energy_kernel(params.couplings, params.bias, spin_values(params.n, configs))
+    return classical_energies(params)[np.asarray(configs, dtype=np.int64)]
 
 
 def classical_energies(params: ClusterParams) -> np.ndarray:
     """Classical energies of all 2^n configurations, indexed by basis index.
 
-    One kernel call over ``sign_table``; each entry equals
+    Read-only, and built once per ``ClusterParams``; each entry equals
     ``classical_energy`` of its configuration bit for bit.
     """
-    return _energy_kernel(params.couplings, params.bias, sign_table(params.n))
+    return params._energies
 
 
 def _spread_tolerance(energies: np.ndarray) -> float:

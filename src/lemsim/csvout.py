@@ -33,24 +33,27 @@ def format_value(value) -> str:
     return str(value)
 
 
+def _cells(record: Iterable) -> str:
+    return ",".join(format_value(v) for v in record)
+
+
 def _document(
-    header: Iterable[str], records: Iterable[Iterable], config_text: str, seed: int
+    header: Iterable[str], rows: Iterable[str], config_text: str, seed: int
 ) -> str:
     """The metadata block (version, seed, config echo), the header row and
-    one row per record."""
+    the data rows, each already joined."""
     lines = [f"# lemsim {__version__}", f"# seed = {seed}", "# config-begin"]
     for line in config_text.rstrip("\n").splitlines():
         lines.append(f"# {line}" if line else "#")
     lines += ["# config-end", ",".join(header)]
-    for record in records:
-        lines.append(",".join(format_value(v) for v in record))
+    lines.extend(rows)
     return "\n".join(lines) + "\n"
 
 
 def emit_sweep_rows(rows: list[SweepRow], config_text: str, seed: int) -> str:
     header = SweepRow.columns()
     records = [[getattr(row, col) for col in header] for row in rows]
-    return _document(header, records, config_text, seed)
+    return _document(header, map(_cells, records), config_text, seed)
 
 
 def emit_trace(trace: CoherenceTrace, config_text: str, seed: int) -> str:
@@ -65,11 +68,10 @@ def emit_trace(trace: CoherenceTrace, config_text: str, seed: int) -> str:
         "ensemble_fit_quality",
         "ensemble_rate_is_upper_limit",
     )
-    records = (
+    # the float columns formatted as format_value does; the fit cells are
+    # the same on every row, so they are formatted once
+    tail = _cells(
         (
-            float(t),
-            float(c),
-            float(e),
             trace.fitted_rate,
             trace.fit_quality,
             trace.rate_is_upper_limit,
@@ -77,9 +79,10 @@ def emit_trace(trace: CoherenceTrace, config_text: str, seed: int) -> str:
             trace.ensemble_fit_quality,
             trace.ensemble_rate_is_upper_limit,
         )
-        for t, c, e in zip(trace.times, trace.coherence, trace.ensemble_coherence)
     )
-    return _document(header, records, config_text, seed)
+    columns = zip(trace.times.tolist(), trace.coherence.tolist(), trace.ensemble_coherence.tolist())
+    rows = (f"{t:.16e},{c:.16e},{e:.16e},{tail}" for t, c, e in columns)
+    return _document(header, rows, config_text, seed)
 
 
 def emit_rate_report(report: RateReport, config_text: str, seed: int) -> str:
@@ -94,7 +97,7 @@ def emit_rate_report(report: RateReport, config_text: str, seed: int) -> str:
         + list(report.z_channel)
         + list(report.x_channel)
     )
-    return _document(header, [record], config_text, seed)
+    return _document(header, [_cells(record)], config_text, seed)
 
 
 def emit_landscape(report: LandscapeReport, n: int, config_text: str, seed: int) -> str:
@@ -102,13 +105,13 @@ def emit_landscape(report: LandscapeReport, n: int, config_text: str, seed: int)
     records = [(config_to_bits(report.global_config, n), report.global_energy, 0, True)]
     for m in report.local_minima:
         records.append((config_to_bits(m.config, n), m.energy, m.distance_to_global, False))
-    return _document(header, records, config_text, seed)
+    return _document(header, map(_cells, records), config_text, seed)
 
 
 def emit_eigensystem(values: np.ndarray, config_text: str, seed: int) -> str:
     header = ("index", "eigenvalue")
-    records = [(k, float(v)) for k, v in enumerate(values)]
-    return _document(header, records, config_text, seed)
+    rows = (f"{k},{v:.16e}" for k, v in enumerate(values.tolist()))
+    return _document(header, rows, config_text, seed)
 
 
 def emit_overlap_decay(decays: list[OverlapDecay], n: int, config_text: str, seed: int) -> str:
@@ -117,7 +120,7 @@ def emit_overlap_decay(decays: list[OverlapDecay], n: int, config_text: str, see
     for decay in decays:
         for k, amp in zip(decay.distances, decay.max_amplitudes):
             records.append((config_to_bits(decay.anchor, n), k, amp, decay.slope))
-    return _document(header, records, config_text, seed)
+    return _document(header, map(_cells, records), config_text, seed)
 
 
 def emit_path_sums(
@@ -136,7 +139,7 @@ def emit_path_sums(
         )
         for r in results
     ]
-    return _document(header, records, config_text, seed)
+    return _document(header, map(_cells, records), config_text, seed)
 
 
 def write_output(text: str, destination: str | None) -> None:

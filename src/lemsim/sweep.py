@@ -286,7 +286,7 @@ def uniform_ferromagnet(
     lem = landscape.local_minima[0].config
     a_typ = typical_level_spacing(bare, lem, landscape.tolerance)
     amp = ratio * a_typ
-    params = replace(bare, tunneling=np.full(n, amp))
+    params = bare.with_tunneling(np.full(n, amp))
     coupling = CouplingSpec(
         z_noise=np.full(n, amp),
         x_noise=np.full(n, amp),

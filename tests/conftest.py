@@ -2,6 +2,7 @@
 
 import numpy as np
 
+import lemsim.cluster
 from lemsim import ClusterParams, uniform_couplings
 
 
@@ -30,3 +31,17 @@ def count_calls(monkeypatch, module, name, calls=None):
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def count_table_builds(monkeypatch):
+    """Wrap the energy-table builder so that every build appends its cluster
+    size to the returned list."""
+    builds = []
+    original = lemsim.cluster._energy_table
+
+    def counted(couplings, bias):
+        builds.append(len(bias))
+        return original(couplings, bias)
+
+    monkeypatch.setattr(lemsim.cluster, "_energy_table", counted)
+    return builds

@@ -10,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import lemsim.cli
 import lemsim.perturbation
 import lemsim.spectrum
 import lemsim.sweep
@@ -22,7 +23,7 @@ from lemsim import (
 from lemsim.cli import main
 
 import csv_digests
-from conftest import count_calls
+from conftest import count_calls, count_table_builds
 
 FERRO3 = """
 [cluster]
@@ -479,6 +480,15 @@ def test_pathsum_builds_the_tolerance_at_most_once(tmp_path, monkeypatch):
         assert calls == expected
 
 
+@pytest.mark.parametrize("command", ["landscape", "rates", "overlaps", "pathsum", "dynamics"])
+def test_each_command_builds_the_energy_table_once(tmp_path, monkeypatch, command):
+    builds = count_table_builds(monkeypatch)
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text(FERRO3 + "\n[dynamics]\ntotal_time = 10.0\ntrajectories = 4\n")
+    assert run_cli(command, "--config", cfg, "--out", tmp_path / "out.csv", "--quiet") == 0
+    assert builds == [3]
+
+
 def test_auto_tau_follows_the_a_typ_override(tmp_path):
     # tau = auto is 10 / a_typ, the override included: a_typ = 0.5 runs as tau = 20
     dyn = "\n[dynamics]\ntime_step = 0.002\ntotal_time = 5.0\ntrajectories = 8\n"
@@ -649,6 +659,29 @@ seed = 1
 
 def test_help_exits_zero():
     assert main(["--help"]) == 0
+
+
+def test_parser_is_reused_without_carrying_state(tmp_path, capsys):
+    # one parser serves every call in a process: an exit, an error or an
+    # override of one call must not reach the next, so each CSV equals the
+    # one a fresh process writes
+    cfg = tmp_path / "ferro3.cfg"
+    cfg.write_text(FERRO3.replace("seed = 7", "seed = 3"))
+    assert main(["--version"]) == 0
+    assert main(["--no-such-flag"]) == 1
+    assert main([]) == 1
+    src = os.path.join(csv_digests.ROOT, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    texts = []
+    for name, extra in (("seeded", ["--seed", "7"]), ("plain", [])):
+        here, fresh = tmp_path / f"{name}.csv", tmp_path / f"{name}-fresh.csv"
+        assert run_cli("rates", "--config", cfg, "--out", here, "--quiet", *extra) == 0
+        args = ["rates", "--config", str(cfg), "--out", str(fresh), "--quiet", *extra]
+        subprocess.run([sys.executable, "-m", "lemsim", *args], env=env, check=True)
+        texts.append(here.read_text())
+        assert texts[-1] == fresh.read_text()
+    assert "# seed = 7\n" in texts[0] and "# seed = 3\n" in texts[1]
+    assert lemsim.cli._build_parser.cache_info().currsize == 1
 
 
 def _recorded_digests():

@@ -36,7 +36,7 @@ from lemsim import (
 )
 from lemsim.sweep import CHANNELS
 
-from conftest import count_calls
+from conftest import count_calls, count_table_builds
 
 
 def test_family_construction():
@@ -60,12 +60,14 @@ def test_missing_local_minimum_needs_explicit_anchors():
 
 
 def test_one_row_solves_and_enumerates_once(monkeypatch):
-    # all four channels of a grid point share the point's landscape and its one
-    # dressed pair, both states from the symmetric sector: no eigensystem is solved
+    # all four channels of a grid point share the point's landscape, its one
+    # energy table and its one dressed pair, both states from the symmetric
+    # sector: no eigensystem is solved
     calls = {
         name: count_calls(monkeypatch, lemsim.sweep, name)
         for name in ("cluster_eigensystem", "find_local_minima", "symmetric_dressed", "dress")
     }
+    builds = count_table_builds(monkeypatch)
     grid = SweepGrid(n_values=(3,), ratio_values=(0.3,), channels=CHANNELS, trajectory_count=4)
     rows = run_sweep(grid, master_seed=2)
     assert rows[0].error == ""
@@ -77,6 +79,7 @@ def test_one_row_solves_and_enumerates_once(monkeypatch):
         "symmetric_dressed": 2,
         "dress": 0,
     }
+    assert builds == [3]
 
 
 def test_dense_trajectories_integrate_the_dense_dressed_pair(monkeypatch):
