@@ -13,7 +13,8 @@ The configs cover the seven pipelines on collective and non-collective
 clusters, OU and white noise, the sector and dense routes, explicit
 unpolarized anchors at zero tunneling, both refusals of a dressed state, a
 non-collective 9-spin cluster and a strongly mixed 7-spin one on the dense
-route, a sweep, and every op of the benchmark's toy scale (``perfbench/workloads.py``).
+route, a sweep, a noise-free ``dynamics`` run whose LEM anchor has a zero
+single-flip gap, and every op of the benchmark's toy scale (``perfbench/workloads.py``).
 Every run gets ``--seed 7``.  BLAS runs on one thread unless
 ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS`` say
 otherwise: a dense solve of 512 rows (``THREAD_SENSITIVE``) rounds
@@ -103,6 +104,11 @@ CONFIGS = [
      channels="overlaps rates pathsum")),
     ("sweep-dynamics", ("sweep",), SWEEP.format(n="3", ratios="0.3", channels=ALL_CHANNELS)
      + "[dynamics]\ntrajectories = 4\n"),
+    # no [noise] section, and a zero single-flip gap at the LEM anchor: A_typ
+    # is undefined, and a noise-free run with a given time step never needs it
+    ("noise-free-zero-gap", ("dynamics",), "[cluster]\nn = 2\nj_upper = 0.0\nbias = 0.0 0.4\n"
+     "tunneling = 0.0 0.01\n[dynamics]\nanchors = 00 11\ntime_step = 0.01\ntotal_time = 1.0\n"
+     "trajectories = 2\n"),
 ]
 
 
