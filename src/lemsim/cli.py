@@ -47,7 +47,7 @@ from .errors import SimulationError, ValidationError
 from .perturbation import scaling_exponent
 from .spectrum import WHOLE_SOLVE_ROWS, find_local_minima, overlap_decay
 from .sweep import ClusterProblem, run_sweep
-from .transition import lifetime_extension
+from .transition import coupling_ratio, lifetime_extension
 
 
 def _say(args, message: str) -> None:
@@ -122,9 +122,8 @@ def _cmd_rates(cfg: RunConfig, destination, args) -> None:
     if problem.params.dim <= WHOLE_SOLVE_ROWS:
         problem = replace(problem, symmetric=False)
     report = problem.rates()
-    params, coupling = problem.params, problem.coupling
-    ratio = max(float(abs(params.tunneling).max()), float(coupling.x_noise.max())) / problem.a_typ
-    extension = lifetime_extension(params.n, ratio) if 0 < ratio < 1 else None
+    ratio = coupling_ratio(problem.params, problem.coupling, problem.a_typ)
+    extension = lifetime_extension(problem.params.n, ratio) if 0 < ratio < 1 else None
     _say(
         args,
         f"rates: element={report.matrix_element:.6e} ratio={report.rate_ratio:.6e} "

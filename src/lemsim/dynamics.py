@@ -194,7 +194,8 @@ def evolve_superposition(
     ``ground`` and ``lem`` are the two dressed states, integrated as given.
     The spectrum of ``params`` (``collective.cluster_levels``: the
     total-spin blocks' on a collective cluster) sets only the stability
-    check and the centring shift.  OU noise must carry its correlation time.
+    check and the centring shift.  OU noise with an amplitude
+    (``CouplingSpec.has_noise``) must carry its correlation time.
     ``ClusterProblem.trajectories`` supplies its own dressed pair and the
     default 10 / A_typ.
     """
@@ -205,7 +206,7 @@ def evolve_superposition(
         )
     if tcfg.noise.n != n:
         raise ValidationError(f"noise coupling is for {tcfg.noise.n} spins, cluster has {n}")
-    has_noise = bool(np.any(tcfg.noise.z_noise) or np.any(tcfg.noise.x_noise))
+    has_noise = tcfg.noise.has_noise
     if has_noise and tcfg.noise.kind == "ou" and tcfg.noise.correlation_time is None:
         raise ValidationError("OU noise needs a correlation time")
     if same_eigenstate(ground, lem):

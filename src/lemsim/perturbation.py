@@ -64,20 +64,15 @@ class PathSumResult:
     rate_ratio: float  # amplitude^2 / g_typ^2, dimensionless
 
 
-def multiphoton_path_sum(
-    params: ClusterParams,
-    x_noise,
-    source: int,
-    target: int,
-    tolerance: float | None = None,
-) -> PathSumResult:
+def multiphoton_path_sum(params: ClusterParams, x_noise, source: int, target: int) -> PathSumResult:
     """Sum the d! shortest flip orderings connecting source to target.
 
     Each ordering of the d distinct flips contributes the product of the
     per-spin coupling amplitudes divided by the product of the d-1
     intermediate energy denominators, measured from the source energy.
     Backtracking paths are higher order and excluded.  A degenerate
-    intermediate denominator is a hard error, never regularized.
+    intermediate denominator, one within ``degeneracy_tolerance(params)`` of
+    zero, is a hard error, never regularized.
 
     Args:
         x_noise: length-n sequence of sigma^x channel coupling amplitudes.
@@ -94,8 +89,6 @@ def multiphoton_path_sum(
     d = hamming_distance(source, target)
     if d < 1:
         raise ValidationError("source and target must differ on at least one spin")
-    if tolerance is None:
-        tolerance = degeneracy_tolerance(params)
 
     flips = [i for i in range(params.n) if (source ^ target) >> i & 1]
     # energies of source ^ (the flips in subset S), S a d-bit mask; S = 0 is the source
@@ -105,7 +98,7 @@ def multiphoton_path_sum(
         configs ^= (subsets >> b & 1) << spin
     energies = configuration_energies(params, configs)
     gaps = energies[0] - energies
-    degenerate = np.abs(gaps) <= tolerance
+    degenerate = np.abs(gaps) <= degeneracy_tolerance(params)
     orders = _orderings(d)
     if degenerate[1:-1].any():  # an intermediate: neither the source nor the target
         _raise_first_degenerate(params.n, orders, flips, configs, gaps, degenerate)

@@ -112,7 +112,6 @@ class LandscapeReport:
     global_energy: float
     local_minima: tuple[LocalMinimum, ...]
     degenerate: bool
-    tolerance: float
 
 
 @dataclass(frozen=True)
@@ -378,11 +377,12 @@ def find_local_minima(params: ClusterParams) -> LandscapeReport:
     """Enumerate all 2^n configurations and classify strict single-flip minima.
 
     A configuration is a local minimum iff every single-flip neighbour lies
-    higher in classical energy by more than the degeneracy tolerance.  The
+    higher in classical energy by more than ``degeneracy_tolerance(params)``,
+    and the landscape is ``degenerate`` when two minima lie within it.  The
     global minimum is reported separately and excluded from the local list.
     """
     e = classical_energies(params)
-    tolerance = _spread_tolerance(e)
+    tolerance = degeneracy_tolerance(params)
     idx = np.arange(params.dim)
     is_min = np.ones(params.dim, dtype=bool)
     for i in range(params.n):
@@ -403,7 +403,6 @@ def find_local_minima(params: ClusterParams) -> LandscapeReport:
         global_energy=float(e[g]),
         local_minima=tuple(locals_),
         degenerate=degenerate,
-        tolerance=float(tolerance),
     )
 
 
@@ -493,17 +492,14 @@ def overlap_decay(dressed: DressedState) -> OverlapDecay:
     )
 
 
-def typical_level_spacing(
-    params: ClusterParams, anchor: int, tolerance: float | None = None
-) -> float:
+def typical_level_spacing(params: ClusterParams, anchor: int) -> float:
     """Geometric mean of the n single-flip classical energy gaps at the anchor.
 
     This is the energy scale entering perturbative denominators.  Any gap at
-    or below the degeneracy tolerance is a hard error.
+    or below ``degeneracy_tolerance(params)`` is a hard error.
     """
     anchor = validate_config(params.n, anchor, "anchor")
-    if tolerance is None:
-        tolerance = degeneracy_tolerance(params)
+    tolerance = degeneracy_tolerance(params)
     energies = configuration_energies(params, [anchor] + [anchor ^ (1 << i) for i in range(params.n)])
     gaps = np.abs(energies[1:] - energies[0])
     if np.any(gaps <= tolerance):

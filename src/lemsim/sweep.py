@@ -6,7 +6,9 @@ global and the local minimum, and all couplings are set to a fixed fraction
 of the typical level spacing so a single dimensionless ratio labels each
 grid point.  Per-point failures are recorded inline as error codes; a sweep
 never aborts half way.  Each grid point is a ``ClusterProblem``, the object
-the command line runs its channels on too.
+the command line runs its channels on too.  Each degeneracy check on a point
+computes its tolerance where it is made, from the point's one energy table
+(``ClusterParams`` caches it and ``with_tunneling`` shares it).
 
 The family is permutation symmetric and both anchors are fully polarized,
 so ``uniform_ferromagnet`` marks its problems ``symmetric`` and their dressed
@@ -47,7 +49,6 @@ from .spectrum import (
     DressedState,
     SolvedLevels,
     cluster_eigensystem,
-    degeneracy_tolerance,
     dress,
     find_local_minima,
     overlap_decay,
@@ -68,11 +69,11 @@ CHANNELS = ("overlaps", "rates", "pathsum", "dynamics")
 class ClusterProblem:
     """One cluster, its noise coupling and its ground and local-minimum anchors.
 
-    The typical level spacing ``a_typ`` at the LEM anchor, the degeneracy
-    ``tolerance`` and the two dressed states are computed on first use and
-    kept; a dense solve keeps only the m levels it solved and their columns.
-    A spacing or tolerance already known (an override, a landscape's
-    tolerance) is given as ``known_a_typ``/``known_tolerance``.  A
+    The typical level spacing ``a_typ`` at the LEM anchor and the two
+    dressed states are computed on first use and kept; a dense solve keeps
+    only the m levels it solved and their columns.  A spacing already known
+    (an override, the sweep family's) is given as ``known_a_typ``.  Every
+    degeneracy check reads ``degeneracy_tolerance(params)`` where it is made.  A
     ``symmetric`` problem (a collective cluster) whose anchors are the two
     fully polarized configurations dresses both in the symmetric sector;
     every other problem dresses both states from one dense value-subset
@@ -88,38 +89,28 @@ class ClusterProblem:
     ground_anchor: int
     lem_anchor: int
     known_a_typ: float | None = None
-    known_tolerance: float | None = None
     symmetric: bool = False  # every spin permutation leaves H unchanged
 
     @classmethod
     def anchored(cls, params, coupling, anchors=None, a_typ=None) -> ClusterProblem:
         """The problem on explicit ``(ground, lem)`` bitstrings or, when
         ``anchors`` is None, on the landscape's global and lowest local minimum."""
-        symmetric = collective_form(params) is not None
         if anchors is not None:
             ground, lem = (bits_to_config(bits) for bits in anchors)
-            return cls(params, coupling, ground, lem, a_typ, symmetric=symmetric)
-        landscape = find_local_minima(params)
-        if not landscape.local_minima:
-            raise ValidationError(
-                "landscape has no local minimum; set dynamics.anchors explicitly"
-            )
-        lem = landscape.local_minima[0].config
-        return cls(
-            params, coupling, landscape.global_config, lem, a_typ, landscape.tolerance, symmetric
-        )
-
-    @cached_property
-    def tolerance(self) -> float:
-        if self.known_tolerance is not None:
-            return self.known_tolerance
-        return degeneracy_tolerance(self.params)
+        else:
+            landscape = find_local_minima(params)
+            if not landscape.local_minima:
+                raise ValidationError(
+                    "landscape has no local minimum; set dynamics.anchors explicitly"
+                )
+            ground, lem = landscape.global_config, landscape.local_minima[0].config
+        return cls(params, coupling, ground, lem, a_typ, collective_form(params) is not None)
 
     @cached_property
     def a_typ(self) -> float:
         if self.known_a_typ is not None:
             return self.known_a_typ
-        return typical_level_spacing(self.params, self.lem_anchor, self.tolerance)
+        return typical_level_spacing(self.params, self.lem_anchor)
 
     @cached_property
     def _in_sector(self) -> bool:
@@ -164,9 +155,7 @@ class ClusterProblem:
             if (self.ground_anchor ^ self.lem_anchor) >> i & 1:
                 target ^= 1 << i
                 results.append(
-                    multiphoton_path_sum(
-                        self.params, self.coupling.x_noise, self.ground_anchor, target, self.tolerance
-                    )
+                    multiphoton_path_sum(self.params, self.coupling.x_noise, self.ground_anchor, target)
                 )
         return results
 
@@ -175,7 +164,8 @@ class ClusterProblem:
     ) -> CoherenceTrace:
         """Noisy trajectories of the superposition of the two dressed states.
         ``time_step`` None is 0.01 / A_typ, and OU noise with no correlation
-        time gets 10 / A_typ; A_typ is not evaluated when neither is None.
+        time gets 10 / A_typ; A_typ is not evaluated when neither is needed,
+        and a run without noise needs no correlation time.
         A cluster over ``MAX_DYNAMICS_SPINS`` is refused before anything is
         dressed."""
         if self.params.n > MAX_DYNAMICS_SPINS:
@@ -185,7 +175,7 @@ class ClusterProblem:
             )
         noise = self.coupling
         # A_typ only where it sets something: it is undefined on a zero gap
-        if noise.kind == "ou" and noise.correlation_time is None:
+        if noise.has_noise and noise.kind == "ou" and noise.correlation_time is None:
             noise = replace(noise, correlation_time=10.0 / self.a_typ)
         tcfg = TrajectoryConfig(
             noise=noise,
@@ -284,7 +274,7 @@ def uniform_ferromagnet(
         )
     ground = landscape.global_config
     lem = landscape.local_minima[0].config
-    a_typ = typical_level_spacing(bare, lem, landscape.tolerance)
+    a_typ = typical_level_spacing(bare, lem)
     amp = ratio * a_typ
     params = bare.with_tunneling(np.full(n, amp))
     coupling = CouplingSpec(
@@ -293,9 +283,7 @@ def uniform_ferromagnet(
         kind="ou",
         correlation_time=10.0 / a_typ,
     )
-    # the landscape's tolerance holds for params too: tunneling leaves the
-    # classical energies unchanged
-    return ClusterProblem(params, coupling, ground, lem, a_typ, landscape.tolerance, symmetric=True)
+    return ClusterProblem(params, coupling, ground, lem, a_typ, symmetric=True)
 
 
 def run_sweep(grid: SweepGrid, master_seed: int = 0) -> list[SweepRow]:

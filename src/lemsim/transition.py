@@ -36,7 +36,8 @@ class CouplingSpec:
         kind: "ou" for exponentially correlated unit-variance noise,
             "white" for delta-correlated noise of unit strength.
         correlation_time: correlation time for the "ou" kind; None is
-            10 / A_typ, filled in by ``ClusterProblem.trajectories``.
+            10 / A_typ, filled in by ``ClusterProblem.trajectories`` when
+            there is noise.
     """
 
     z_noise: np.ndarray = field(repr=False)
@@ -66,6 +67,11 @@ class CouplingSpec:
     @property
     def n(self) -> int:
         return len(self.z_noise)
+
+    @property
+    def has_noise(self) -> bool:
+        """Whether either channel has a nonzero amplitude."""
+        return bool(np.any(self.z_noise) or np.any(self.x_noise))
 
 
 @dataclass(frozen=True)
@@ -125,17 +131,13 @@ def matrix_element(
 def check_bound(
     report: RateReport, params: ClusterParams, coupling: CouplingSpec, a_typ: float
 ) -> RateReport:
-    """Fill in the size bound (max(C_typ, g_typ) / A_typ)^n and its verdict.
+    """Fill in the size bound ``coupling_ratio(...) ** n`` and its verdict.
 
-    C_typ is the largest |tunneling| entry, g_typ the largest sigma^x noise
-    amplitude, and ``a_typ`` the typical level spacing A_typ
-    (``ClusterProblem.a_typ``, at the LEM anchor).  The bound is an
-    order-of-magnitude statement, so the verdict allows a factor of
-    ``DEFAULT_SAFETY_FACTOR``; the margin is log10(bound / rate_ratio).
+    The bound is an order-of-magnitude statement, so the verdict allows a
+    factor of ``DEFAULT_SAFETY_FACTOR``; the margin is
+    log10(bound / rate_ratio).
     """
-    c_typ = float(np.abs(params.tunneling).max())
-    g_typ = float(coupling.x_noise.max())
-    bound = (max(c_typ, g_typ) / a_typ) ** params.n
+    bound = coupling_ratio(params, coupling, a_typ) ** params.n
     satisfied = bool(report.rate_ratio <= bound * DEFAULT_SAFETY_FACTOR)
     if report.rate_ratio == 0.0:
         margin = math.inf
@@ -144,6 +146,16 @@ def check_bound(
     else:
         margin = math.log10(bound / report.rate_ratio)
     return replace(report, bound=bound, bound_satisfied=satisfied, bound_margin=margin)
+
+
+def coupling_ratio(params: ClusterParams, coupling: CouplingSpec, a_typ: float) -> float:
+    """max(C_typ, g_typ) / A_typ, the ratio the size bound raises to the n-th power.
+
+    C_typ is the largest |tunneling| entry, g_typ the largest sigma^x noise
+    amplitude, and ``a_typ`` the typical level spacing A_typ
+    (``ClusterProblem.a_typ``, at the LEM anchor).
+    """
+    return max(float(np.abs(params.tunneling).max()), float(coupling.x_noise.max())) / a_typ
 
 
 def lifetime_extension(n: int, ratio: float) -> float:

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 import lemsim.cli
-import lemsim.perturbation
 import lemsim.spectrum
 import lemsim.sweep
 from lemsim import (
@@ -455,38 +454,38 @@ def test_memory_preflight_exit_status(tmp_path, capsys, monkeypatch):
     assert "100000000 bytes of memory available" in err
 
 
-@pytest.mark.parametrize("command", ["rates", "dynamics"])
-def test_landscape_tolerance_is_reused(tmp_path, monkeypatch, command):
-    # the landscape's tolerance reaches typical_level_spacing, so no second table is built
-    def refuse(params):
-        raise AssertionError("degeneracy tolerance recomputed")
-
-    cfg = tmp_path / "short.cfg"
-    cfg.write_text(FERRO3 + "\n[dynamics]\ntotal_time = 10.0\ntrajectories = 4\n")
-    monkeypatch.setattr(lemsim.spectrum, "degeneracy_tolerance", refuse)
-    monkeypatch.setattr(lemsim.sweep, "degeneracy_tolerance", refuse)
-    assert run_cli(command, "--config", cfg, "--out", tmp_path / "out.csv", "--quiet") == 0
-
-
-def test_pathsum_builds_the_tolerance_at_most_once(tmp_path, monkeypatch):
-    calls = count_calls(monkeypatch, lemsim.sweep, "degeneracy_tolerance")
-    for module in (lemsim.spectrum, lemsim.perturbation):
-        count_calls(monkeypatch, module, "degeneracy_tolerance", calls)
-    cfg = tmp_path / "anchored.cfg"
-    for extra, expected in (("", []), ("\n[dynamics]\nanchors = 000 111\n", [3])):
-        cfg.write_text(FERRO3 + extra)
-        calls.clear()
-        assert run_cli("pathsum", "--config", cfg, "--out", tmp_path / "out.csv", "--quiet") == 0
-        assert calls == expected
-
-
-@pytest.mark.parametrize("command", ["landscape", "rates", "overlaps", "pathsum", "dynamics"])
-def test_each_command_builds_the_energy_table_once(tmp_path, monkeypatch, command):
+@pytest.mark.parametrize(
+    "command, anchors",
+    [pytest.param(c, "", id=c) for c in ("landscape", "rates", "overlaps", "pathsum", "dynamics")]
+    # explicit anchors: no landscape runs, and the path sums' tolerances build the table
+    + [pytest.param("pathsum", "anchors = 000 111\n", id="pathsum-anchored")],
+)
+def test_each_command_builds_the_energy_table_once(tmp_path, monkeypatch, command, anchors):
     builds = count_table_builds(monkeypatch)
     cfg = tmp_path / "short.cfg"
-    cfg.write_text(FERRO3 + "\n[dynamics]\ntotal_time = 10.0\ntrajectories = 4\n")
+    cfg.write_text(FERRO3 + "\n[dynamics]\ntotal_time = 10.0\ntrajectories = 4\n" + anchors)
     assert run_cli(command, "--config", cfg, "--out", tmp_path / "out.csv", "--quiet") == 0
     assert builds == [3]
+
+
+# spin 0 has no bias, coupling or tunneling: the single-flip gap on it is zero
+# at every anchor, so A_typ is undefined
+ZERO_GAP2 = (
+    "[cluster]\nn = 2\nj_upper = 0.0\nbias = 0.0 0.4\ntunneling = 0.0 0.01\n"
+    "[dynamics]\nanchors = 00 11\ntime_step = 0.01\ntotal_time = 1.0\ntrajectories = 2\n"
+)
+
+
+def test_noise_free_dynamics_needs_no_a_typ(tmp_path, capsys):
+    # with a time step given and no noise, nothing reads A_typ: not even the
+    # OU correlation time, which only noise needs
+    cfg = tmp_path / "quiet.cfg"
+    cfg.write_text(ZERO_GAP2)
+    assert run_cli("dynamics", "--config", cfg, "--out", tmp_path / "out.csv") == 0
+    assert "trajectories" in capsys.readouterr().err
+    cfg.write_text(ZERO_GAP2 + "[noise]\nz_noise = 0.01\nx_noise = 0.0\nkind = ou\n")
+    assert run_cli("dynamics", "--config", cfg, "--out", tmp_path / "out.csv") == 2
+    assert "single-flip gap on spin 0 at anchor 11 is degenerate" in capsys.readouterr().err
 
 
 def test_auto_tau_follows_the_a_typ_override(tmp_path):

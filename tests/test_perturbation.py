@@ -119,9 +119,8 @@ def test_path_sum_matches_the_per_ordering_loop_bit_for_bit(n):
         source = int(rng.integers(p.dim))
         # every spin flipped on the first trial, a random set on the others
         target = source ^ (p.dim - 1 if trial == 0 else int(rng.integers(1, p.dim)))
-        tolerance = degeneracy_tolerance(p)
-        expected = path_sum_by_orderings(p.couplings, p.bias, g, source, target, tolerance)
-        assert multiphoton_path_sum(p, g, source, target, tolerance).amplitude == expected
+        expected = path_sum_by_orderings(p.couplings, p.bias, g, source, target, degeneracy_tolerance(p))
+        assert multiphoton_path_sum(p, g, source, target).amplitude == expected
         e_src = left_to_right_energy(p.couplings, p.bias, source)
         flips = source ^ target
         signs = {

@@ -9,6 +9,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lemsim.perturbation
 import lemsim.spectrum
 from lemsim import (
     CapacityError,
@@ -28,6 +29,7 @@ from lemsim import (
     dress,
     eigenvalues,
     find_local_minima,
+    multiphoton_path_sum,
     overlap_decay,
     typical_level_spacing,
 )
@@ -936,16 +938,20 @@ def test_one_degeneracy_tolerance_serves_spectrum_and_perturbation():
     # it lives in cluster, so perturbation imports nothing from spectrum, and it
     # stays importable from spectrum, where tracers look it up
     import lemsim.cluster
-    import lemsim.perturbation
 
     tolerance = lemsim.cluster.degeneracy_tolerance
     assert lemsim.spectrum.degeneracy_tolerance is tolerance
     assert lemsim.perturbation.degeneracy_tolerance is tolerance
 
 
-def test_landscape_tolerance_is_the_default_tolerance():
-    rng = np.random.default_rng(31)
-    for n in (2, 5, 9):
-        j, b, _ = _random_cluster(rng, n)
-        p = ClusterParams(n=n, couplings=j, bias=b, tunneling=np.zeros(n))
-        assert find_local_minima(p).tolerance == degeneracy_tolerance(p)
+def test_landscape_spacing_and_path_sum_read_the_one_tolerance(monkeypatch):
+    # a tolerance above every gap: the LEM, A_typ and the path sum all fail
+    p = make_params(3, b=0.1)
+    assert find_local_minima(p).local_minima
+    for module in (lemsim.spectrum, lemsim.perturbation):
+        monkeypatch.setattr(module, "degeneracy_tolerance", lambda params: 1e300)
+    assert find_local_minima(p).local_minima == ()
+    with pytest.raises(DegeneracyError):
+        typical_level_spacing(p, 0b111)
+    with pytest.raises(DegeneracyError):
+        multiphoton_path_sum(p, [0.1] * 3, 0b000, 0b111)

@@ -19,7 +19,7 @@ from lemsim import (
     typical_level_spacing,
 )
 from lemsim.sweep import uniform_ferromagnet
-from lemsim.transition import DEFAULT_SAFETY_FACTOR
+from lemsim.transition import DEFAULT_SAFETY_FACTOR, coupling_ratio
 
 from conftest import make_params
 
@@ -177,6 +177,19 @@ def test_bound_values_for_simple_ratios():
         report = check_bound(report, p, coupling(n, f=0.0, g=c_val), a_typ)
         assert report.bound == pytest.approx(expected, rel=1e-12)
         assert report.bound_satisfied
+
+
+def test_coupling_ratio_takes_the_larger_of_tunneling_and_x_noise():
+    # the z noise does not enter; |tunneling| does
+    p = ClusterParams(n=2, couplings=np.zeros((2, 2)), bias=np.full(2, 2.0), tunneling=np.array([0.01, -0.03]))
+    assert coupling_ratio(p, coupling(2, f=0.5, g=0.02), 2.0) == 0.015
+    assert coupling_ratio(p, coupling(2, f=0.5, g=0.04), 2.0) == 0.02
+
+
+def test_has_noise_reads_both_channels():
+    assert not coupling(3).has_noise
+    assert coupling(3, f=0.1).has_noise
+    assert coupling(3, g=0.1).has_noise
 
 
 def test_bound_trivial_when_couplings_vanish():
