@@ -468,22 +468,19 @@ def test_each_command_builds_the_energy_table_once(tmp_path, monkeypatch, comman
     assert builds == [3]
 
 
-# spin 0 has no bias, coupling or tunneling: the single-flip gap on it is zero
-# at every anchor, so A_typ is undefined
-ZERO_GAP2 = (
-    "[cluster]\nn = 2\nj_upper = 0.0\nbias = 0.0 0.4\ntunneling = 0.0 0.01\n"
-    "[dynamics]\nanchors = 00 11\ntime_step = 0.01\ntotal_time = 1.0\ntrajectories = 2\n"
-)
-
-
 def test_noise_free_dynamics_needs_no_a_typ(tmp_path, capsys):
-    # with a time step given and no noise, nothing reads A_typ: not even the
-    # OU correlation time, which only noise needs
+    # spin 0 has no bias, coupling or tunneling, so its single-flip gap is zero
+    # and A_typ is undefined; with a time step given and no noise nothing reads
+    # it, not even the OU correlation time, which only noise needs
+    text = (
+        "[cluster]\nn = 2\nj_upper = 0.0\nbias = 0.0 0.4\ntunneling = 0.0 0.01\n"
+        "[dynamics]\nanchors = 00 11\ntime_step = 0.01\ntotal_time = 1.0\ntrajectories = 2\n"
+    )
     cfg = tmp_path / "quiet.cfg"
-    cfg.write_text(ZERO_GAP2)
+    cfg.write_text(text)
     assert run_cli("dynamics", "--config", cfg, "--out", tmp_path / "out.csv") == 0
     assert "trajectories" in capsys.readouterr().err
-    cfg.write_text(ZERO_GAP2 + "[noise]\nz_noise = 0.01\nx_noise = 0.0\nkind = ou\n")
+    cfg.write_text(text + "[noise]\nz_noise = 0.01\nx_noise = 0.0\nkind = ou\n")
     assert run_cli("dynamics", "--config", cfg, "--out", tmp_path / "out.csv") == 2
     assert "single-flip gap on spin 0 at anchor 11 is degenerate" in capsys.readouterr().err
 
