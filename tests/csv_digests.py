@@ -10,11 +10,12 @@ output::
     diff parent.txt change.txt
 
 The configs cover the seven pipelines on collective and non-collective
-clusters, OU and white noise, the sector and dense routes, explicit
-unpolarized anchors at zero tunneling, both refusals of a dressed state, a
-non-collective 9-spin cluster and a strongly mixed 7-spin one on the dense
-route, a sweep, a noise-free ``dynamics`` run whose LEM anchor has a zero
-single-flip gap, and every op of the benchmark's toy scale (``perfbench/workloads.py``).
+clusters, OU and white noise (white across five noise blocks on the dense
+route), the sector and dense routes, explicit unpolarized anchors at zero
+tunneling, both refusals of a dressed state, a non-collective 9-spin cluster
+and a strongly mixed 7-spin one on the dense route, a sweep, a noise-free
+``dynamics`` run whose LEM anchor has a zero single-flip gap, and every op of
+the benchmark's toy scale (``perfbench/workloads.py``).
 Every run gets ``--seed 7``.  BLAS runs on one thread unless
 ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS`` say
 otherwise: a dense solve of 512 rows (``THREAD_SENSITIVE``) rounds
@@ -86,6 +87,10 @@ CONFIGS = [
      + DYNAMICS.format(time=2.0)),
     ("glass4-ou", ALL, GLASS4 + NOISE.format(f=0.04, g=0.04, kind="ou")
      + "[dynamics]\nanchors = 0100 1011\ntotal_time = 2.0\ntrajectories = 4\n"),
+    # white noise on the dense route across five noise blocks (603 steps),
+    # on the sigma^z channel only
+    ("glass4-white", ("dynamics",), GLASS4 + NOISE.format(f=0.04, g=0.0, kind="white")
+     + "[dynamics]\nanchors = 0100 1011\ntotal_time = 3.5\ntrajectories = 4\n"),
     ("glass6-white", ALL, GLASS6 + NOISE.format(f="0.03 0.02 0.04 0.01 0.05 0.02", g=0.03,
      kind="white") + DYNAMICS.format(time=1.0)),
     ("ferro3-unpolarized-c0", ("overlaps", "rates", "dynamics"), FERRO3.format(c=0.0)
