@@ -21,7 +21,6 @@ from .config import parse_config, render_config
 from .collective import block_eigenvalues, cluster_levels, collective_form, symmetric_dressed
 from .dynamics import (
     CoherenceTrace,
-    TrajectoryConfig,
     default_time_step,
     evolve_superposition,
 )

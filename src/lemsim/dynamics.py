@@ -28,10 +28,14 @@ Each decay rate is fitted over the samples inside ``FIT_WINDOW``; when the
 window holds too few samples, or its fit does not decay, the rate is the
 endpoint estimate, flagged as an upper limit.
 
-Integration uses a fixed-step classical 4th-order scheme with the noise
-held constant across each step (exact exponential updates for the
-correlated noise) and per-step renormalization of every trajectory.  The
-step is matrix-free: with the noise frozen, H plus noise is a diagonal
+A run is one ``evolve_superposition`` call, which checks its run values
+(time step, total time, trajectory count, seed) first.  Integration uses a
+fixed-step classical 4th-order scheme with the noise held constant across
+each step and per-step renormalization of every trajectory.  Each noise
+value advances by ``decay * value + kick * normal``: OU noise from a
+stationary draw with decay exp(-dt / tau) and kick sqrt(1 - decay^2),
+white noise, which keeps no memory, from zero with decay 0 and kick
+1 / sqrt(dt).  The step is matrix-free: with the noise frozen, H plus noise is a diagonal
 ``E + sum_i f_i xi_i s_i`` plus one bit flip per spin with coefficient
 ``c_i + g_i eta_i``.  sigma^x_i acts on all trajectories at once by
 reversing the middle axis of a ``(dim >> (i+1), 2, 1 << i, ntraj)`` view of
@@ -97,29 +101,6 @@ _UFUNC_BUFFER = 64
 
 
 @dataclass(frozen=True)
-class TrajectoryConfig:
-    """Integration parameters for the stochastic trajectory run."""
-
-    noise: CouplingSpec
-    time_step: float
-    total_time: float | None = None  # None: run up to the step cap
-    trajectory_count: int = 200
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0 < self.time_step < math.inf:
-            raise ValidationError(f"time step must be positive and finite, got {self.time_step!r}")
-        if self.total_time is not None and not 0 < self.total_time < math.inf:
-            raise ValidationError(
-                f"total time must be positive and finite, got {self.total_time!r}"
-            )
-        if not isinstance(self.trajectory_count, (int, np.integer)) or self.trajectory_count < 1:
-            raise ValidationError("trajectory count must be a positive integer")
-        if not isinstance(self.seed, (int, np.integer)) or not 0 <= int(self.seed) < 2**64:
-            raise ValidationError("seed must be an unsigned 64-bit integer")
-
-
-@dataclass(frozen=True)
 class CoherenceTrace:
     """Trajectory-averaged coherence against time plus fitted decay rates."""
 
@@ -132,8 +113,6 @@ class CoherenceTrace:
     ensemble_rate: float
     ensemble_fit_quality: float
     ensemble_rate_is_upper_limit: bool
-    seed: int
-    time_step: float
     trajectory_count: int
     total_steps: int  # steps integrated, fewer than planned after an early stop
     max_drift: float  # largest |norm - 1| of any trajectory before a renormalization
@@ -187,32 +166,50 @@ def evolve_superposition(
     params: ClusterParams,
     ground: DressedState,
     lem: DressedState,
-    tcfg: TrajectoryConfig,
+    noise: CouplingSpec,
+    *,
+    time_step: float,
+    trajectory_count: int,
+    seed: int,
+    total_time: float | None = None,
 ) -> CoherenceTrace:
-    """Integrate noisy trajectories of (|ground'> + |min'>)/sqrt(2).
-
-    ``ground`` and ``lem`` are the two dressed states, integrated as given.
-    The spectrum of ``params`` (``collective.cluster_levels``: the
-    total-spin blocks' on a collective cluster) sets only the stability
-    check and the centring shift.  OU noise with an amplitude
-    (``CouplingSpec.has_noise``) must carry its correlation time.
+    """Integrate ``trajectory_count`` noisy trajectories of
+    (|ground'> + |min'>)/sqrt(2), ``time_step`` apart up to ``total_time``
+    (None: ``MAX_STEPS`` steps), trajectory k drawing its noise from child k
+    of ``np.random.SeedSequence(seed)``; these four are checked first.
+    ``ground`` and ``lem``, two dressed states of ``params``, are integrated
+    as given; the spectrum of ``params`` (``collective.cluster_levels``)
+    sets only the stability check and the centring shift.  OU noise with an
+    amplitude (``CouplingSpec.has_noise``) must carry its correlation time.
     ``ClusterProblem.trajectories`` supplies its own dressed pair and the
-    default 10 / A_typ.
+    default time step and correlation time.
     """
+    if not 0 < time_step < math.inf:
+        raise ValidationError(f"time step must be positive and finite, got {time_step!r}")
+    if total_time is not None and not 0 < total_time < math.inf:
+        raise ValidationError(f"total time must be positive and finite, got {total_time!r}")
+    if not isinstance(trajectory_count, (int, np.integer)) or trajectory_count < 1:
+        raise ValidationError("trajectory count must be a positive integer")
+    if not isinstance(seed, (int, np.integer)) or not 0 <= int(seed) < 2**64:
+        raise ValidationError("seed must be an unsigned 64-bit integer")
     n = params.n
     if n > MAX_DYNAMICS_SPINS:
         raise CapacityError(
             f"trajectory evolution supports up to {MAX_DYNAMICS_SPINS} spins, got n={n}"
         )
-    if tcfg.noise.n != n:
-        raise ValidationError(f"noise coupling is for {tcfg.noise.n} spins, cluster has {n}")
-    has_noise = tcfg.noise.has_noise
-    if has_noise and tcfg.noise.kind == "ou" and tcfg.noise.correlation_time is None:
+    if noise.n != n:
+        raise ValidationError(f"noise coupling is for {noise.n} spins, cluster has {n}")
+    has_noise = noise.has_noise
+    if has_noise and noise.kind == "ou" and noise.correlation_time is None:
         raise ValidationError("OU noise needs a correlation time")
+    dim = params.dim
+    sizes = (len(ground.amplitudes), len(lem.amplitudes))
+    if sizes != (dim, dim):
+        raise ValidationError(f"dressed states have {sizes} amplitudes, the {n}-spin cluster {dim}")
     if same_eigenstate(ground, lem):
         raise ValidationError("both anchors dress to the same eigenstate")
 
-    dt = float(tcfg.time_step)
+    dt = float(time_step)
     levels = cluster_levels(params)
     spread = float(levels[-1] - levels[0])
     if dt * spread > STABILITY_LIMIT:
@@ -220,12 +217,10 @@ def evolve_superposition(
             f"time step {dt:.3e} violates the stability criterion: "
             f"dt * spectral spread = {dt * spread:.3e} > {STABILITY_LIMIT}"
         )
-    total = tcfg.total_time if tcfg.total_time is not None else dt * MAX_STEPS
-    steps = min(MAX_STEPS, max(1, math.ceil(total / dt)))
+    steps = MAX_STEPS if total_time is None else min(MAX_STEPS, max(1, math.ceil(total_time / dt)))
     record_every = max(1, steps // RECORD_SAMPLES)
 
-    dim = params.dim
-    ntraj = int(tcfg.trajectory_count)
+    ntraj = int(trajectory_count)
     chunk = min(_CHUNK_STEPS, steps)
     _require_memory(n, ntraj, chunk if has_noise else 0)
     # centering the spectrum minimizes phase advance per step (global phase only)
@@ -236,17 +231,18 @@ def evolve_superposition(
     # noise state, both channels together: [0] drives sigma^z, [1] sigma^x
     state = np.zeros((2, n, ntraj))
     if has_noise:
-        children = np.random.SeedSequence(int(tcfg.seed)).spawn(ntraj)
+        children = np.random.SeedSequence(int(seed)).spawn(ntraj)
         rngs = [np.random.default_rng(c) for c in children]
-        if tcfg.noise.kind == "ou":
-            ou_decay = math.exp(-dt / tcfg.noise.correlation_time)
-            kick = math.sqrt(1.0 - ou_decay**2)
+        # state = decay * state + kick * normal; white noise keeps no memory
+        if noise.kind == "ou":
+            decay = math.exp(-dt / noise.correlation_time)
+            kick = math.sqrt(1.0 - decay**2)
             state = np.stack([r.standard_normal((2, n)) for r in rngs], axis=-1)
         else:
-            kick = 1.0 / math.sqrt(dt)
+            decay, kick = 0.0, 1.0 / math.sqrt(dt)
         # trajectory-major, so each Generator fills its own contiguous row in place
         block = np.empty((ntraj, chunk, 2, n))
-        amps = np.stack([tcfg.noise.z_noise, tcfg.noise.x_noise])[:, :, None]
+        amps = np.stack([noise.z_noise, noise.x_noise])[:, :, None]
         scaled = np.empty_like(state)
 
     vg = ground.amplitudes
@@ -323,12 +319,8 @@ def evolve_superposition(
                     for t, r in enumerate(rngs):
                         r.standard_normal(out=block[t, :remaining])
                     block[:, :remaining] *= kick
-                kicks = block[:, pos].transpose(1, 2, 0)  # (2, n, ntraj)
-                if tcfg.noise.kind == "ou":
-                    state *= ou_decay
-                    state += kicks
-                else:
-                    np.copyto(state, kicks)
+                state *= decay
+                state += block[:, pos].transpose(1, 2, 0)  # (2, n, ntraj)
                 np.multiply(amps, state, out=scaled)
                 np.matmul(signs, scaled[0], out=field)
                 np.add(e_c, field, out=diag.real)
@@ -381,8 +373,6 @@ def evolve_superposition(
         ensemble_rate=e_rate,
         ensemble_fit_quality=e_quality,
         ensemble_rate_is_upper_limit=e_upper,
-        seed=int(tcfg.seed),
-        time_step=dt,
         trajectory_count=ntraj,
         total_steps=done,
         max_drift=max_drift,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
+from itertools import chain, permutations
 
 import numpy as np
 
@@ -37,17 +38,9 @@ PATH_SUM_MAX_SPINS = 8  # d! path enumeration budget
 @cache
 def _orderings(d: int) -> np.ndarray:
     """All orderings of range(d) as a read-only int8 (d!, d) table, in the
-    order of ``itertools.permutations(range(d))``.
-
-    The orderings of range(k) starting with f are f followed by those of
-    range(k - 1), relabelled onto the other k - 1 labels in ascending order.
-    """
-    table = np.zeros((1, 0), dtype=np.int8)
-    for k in range(1, d + 1):
-        prev, table = table, np.empty((k * len(table), k), dtype=np.int8)
-        for first, block in enumerate(np.split(table, k)):
-            block[:, 0] = first
-            block[:, 1:] = np.delete(np.arange(k, dtype=np.int8), first)[prev]
+    order of ``itertools.permutations(range(d))``."""
+    flat = chain.from_iterable(permutations(range(d)))
+    table = np.fromiter(flat, np.int8, d * math.factorial(d)).reshape(-1, d)
     table.setflags(write=False)
     return table
 

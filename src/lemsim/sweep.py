@@ -38,7 +38,6 @@ from .cluster import MAX_SPINS, ClusterParams, bits_to_config, uniform_couplings
 from .dynamics import (
     MAX_DYNAMICS_SPINS,
     CoherenceTrace,
-    TrajectoryConfig,
     default_time_step,
     evolve_superposition,
 )
@@ -162,12 +161,13 @@ class ClusterProblem:
     def trajectories(
         self, trajectory_count: int, seed: int, time_step=None, total_time=None
     ) -> CoherenceTrace:
-        """Noisy trajectories of the superposition of the two dressed states.
-        ``time_step`` None is 0.01 / A_typ, and OU noise with no correlation
-        time gets 10 / A_typ; A_typ is not evaluated when neither is needed,
-        and a run without noise needs no correlation time.
-        A cluster over ``MAX_DYNAMICS_SPINS`` is refused before anything is
-        dressed."""
+        """Noisy trajectories of the superposition of the two dressed states,
+        one ``evolve_superposition`` call, which checks the run values once
+        both states are dressed.  ``time_step`` None is 0.01 / A_typ, and OU
+        noise with no correlation time gets 10 / A_typ; A_typ is not
+        evaluated when neither is needed, and a run without noise needs no
+        correlation time.  A cluster over ``MAX_DYNAMICS_SPINS`` is refused
+        before anything is dressed."""
         if self.params.n > MAX_DYNAMICS_SPINS:
             raise CapacityError(
                 f"trajectory evolution supports up to {MAX_DYNAMICS_SPINS} spins, "
@@ -177,14 +177,12 @@ class ClusterProblem:
         # A_typ only where it sets something: it is undefined on a zero gap
         if noise.has_noise and noise.kind == "ou" and noise.correlation_time is None:
             noise = replace(noise, correlation_time=10.0 / self.a_typ)
-        tcfg = TrajectoryConfig(
-            noise=noise,
-            time_step=default_time_step(self.a_typ) if time_step is None else time_step,
-            total_time=total_time,
-            trajectory_count=trajectory_count,
-            seed=seed,
+        if time_step is None:
+            time_step = default_time_step(self.a_typ)
+        return evolve_superposition(
+            self.params, self.dressed_ground, self.dressed_lem, noise, time_step=time_step,
+            trajectory_count=trajectory_count, seed=seed, total_time=total_time,
         )
-        return evolve_superposition(self.params, self.dressed_ground, self.dressed_lem, tcfg)
 
 
 @dataclass(frozen=True)

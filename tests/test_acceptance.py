@@ -22,7 +22,6 @@ from lemsim import (
     CouplingSpec,
     RateReport,
     SweepGrid,
-    TrajectoryConfig,
     build_hamiltonian,
     default_time_step,
     diagonalize,
@@ -347,14 +346,16 @@ def test_criterion_7_dynamics_consistency():
         direct = matrix_element(
             dress(eig, fam.ground_anchor), dress(eig, fam.lem_anchor), fam.coupling
         )
-        tcfg = TrajectoryConfig(
-            noise=fam.coupling,
+        trace = evolve_superposition(
+            fam.params,
+            fam.dressed_ground,
+            fam.dressed_lem,
+            fam.coupling,
             time_step=default_time_step(fam.a_typ),
             total_time=total,
             trajectory_count=200,
             seed=42,
         )
-        trace = evolve_superposition(fam.params, fam.dressed_ground, fam.dressed_lem, tcfg)
         # the coherence observable decays when population leaks out of either
         # anchored eigenstate, so the prediction is their mean out-rate
         leak, share = _out_rate_report(fam)
@@ -370,14 +371,16 @@ def test_criterion_7_dynamics_consistency():
     )
 
     fam3 = uniform_ferromagnet(3, 0.05)
-    quiet = TrajectoryConfig(
-        noise=CouplingSpec(z_noise=np.zeros(3), x_noise=np.zeros(3)),
+    flat = evolve_superposition(
+        fam3.params,
+        fam3.dressed_ground,
+        fam3.dressed_lem,
+        CouplingSpec(z_noise=np.zeros(3), x_noise=np.zeros(3)),
         time_step=default_time_step(fam3.a_typ),
         total_time=2000 * default_time_step(fam3.a_typ),
         trajectory_count=8,
         seed=1,
     )
-    flat = evolve_superposition(fam3.params, fam3.dressed_ground, fam3.dressed_lem, quiet)
     flat_ok = float(np.abs(flat.coherence - 0.5).max()) <= 1e-6
 
     calibration_ok = reference.ratio == pytest.approx(1.0)

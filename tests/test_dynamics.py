@@ -14,7 +14,6 @@ from lemsim import (
     ClusterParams,
     CouplingSpec,
     IntegrationError,
-    TrajectoryConfig,
     ValidationError,
     build_hamiltonian,
     cluster_levels,
@@ -46,14 +45,16 @@ def single_spin(b=0.5):
 
 def test_zero_noise_coherence_is_flat():
     fam = uniform_ferromagnet(3, 0.05)
-    tcfg = TrajectoryConfig(
-        noise=zero_noise(3),
+    trace = evolve_superposition(
+        fam.params,
+        fam.dressed_ground,
+        fam.dressed_lem,
+        zero_noise(3),
         time_step=default_time_step(fam.a_typ),
         total_time=2000 * default_time_step(fam.a_typ),
         trajectory_count=4,
         seed=3,
     )
-    trace = evolve_superposition(fam.params, fam.dressed_ground, fam.dressed_lem, tcfg)
     assert np.abs(trace.coherence - 0.5).max() <= 1e-6
     assert np.abs(trace.ensemble_coherence - 0.5).max() <= 1e-6
     assert trace.coherence[0] == pytest.approx(0.5, abs=1e-12)
@@ -61,15 +62,11 @@ def test_zero_noise_coherence_is_flat():
 
 def test_trace_is_bit_reproducible():
     fam = uniform_ferromagnet(2, 0.1)
-    tcfg = TrajectoryConfig(
-        noise=fam.coupling,
-        time_step=default_time_step(fam.a_typ),
-        total_time=30.0,
-        trajectory_count=16,
-        seed=909,
+    run = dict(
+        time_step=default_time_step(fam.a_typ), total_time=30.0, trajectory_count=16, seed=909
     )
-    a = evolve_superposition(fam.params, fam.dressed_ground, fam.dressed_lem, tcfg)
-    b = evolve_superposition(fam.params, fam.dressed_ground, fam.dressed_lem, tcfg)
+    a = evolve_superposition(fam.params, fam.dressed_ground, fam.dressed_lem, fam.coupling, **run)
+    b = evolve_superposition(fam.params, fam.dressed_ground, fam.dressed_lem, fam.coupling, **run)
     assert np.array_equal(a.coherence, b.coherence)
     assert np.array_equal(a.ensemble_coherence, b.ensemble_coherence)
     assert a.fitted_rate == b.fitted_rate
@@ -77,18 +74,10 @@ def test_trace_is_bit_reproducible():
 
 def test_different_seeds_differ():
     fam = uniform_ferromagnet(2, 0.1)
-    kw = dict(
-        noise=fam.coupling,
-        time_step=default_time_step(fam.a_typ),
-        total_time=30.0,
-        trajectory_count=8,
-    )
-    a = evolve_superposition(
-        fam.params, fam.dressed_ground, fam.dressed_lem, TrajectoryConfig(seed=1, **kw)
-    )
-    b = evolve_superposition(
-        fam.params, fam.dressed_ground, fam.dressed_lem, TrajectoryConfig(seed=2, **kw)
-    )
+    args = (fam.params, fam.dressed_ground, fam.dressed_lem, fam.coupling)
+    kw = dict(time_step=default_time_step(fam.a_typ), total_time=30.0, trajectory_count=8)
+    a = evolve_superposition(*args, seed=1, **kw)
+    b = evolve_superposition(*args, seed=2, **kw)
     assert not np.array_equal(a.coherence, b.coherence)
 
 
@@ -99,14 +88,9 @@ def test_single_spin_dephasing_rate_matches_oracle(monkeypatch):
     p = single_spin(b=0.5)
     f = 0.2
     noise = CouplingSpec(z_noise=np.array([f]), x_noise=np.zeros(1), kind="white")
-    tcfg = TrajectoryConfig(
-        noise=noise,
-        time_step=0.01,
-        total_time=40.0,
-        trajectory_count=400,
-        seed=5,
+    trace = evolve_superposition(
+        p, *dense_pair(p), noise, time_step=0.01, total_time=40.0, trajectory_count=400, seed=5
     )
-    trace = evolve_superposition(p, *dense_pair(p), tcfg)
     analytic = 2 * f * f
     assert not trace.ensemble_rate_is_upper_limit
     assert analytic / 2 <= trace.ensemble_rate <= analytic * 2
@@ -124,14 +108,16 @@ def test_step_halving_changes_rate_little(monkeypatch):
     for step in (dt, dt / 2):
         rates = []
         for seed in (301, 302, 303):
-            tcfg = TrajectoryConfig(
-                noise=fam.coupling,
+            trace = evolve_superposition(
+                fam.params,
+                fam.dressed_ground,
+                fam.dressed_lem,
+                fam.coupling,
                 time_step=step,
                 total_time=100.0,
                 trajectory_count=128,
                 seed=seed,
             )
-            trace = evolve_superposition(fam.params, fam.dressed_ground, fam.dressed_lem, tcfg)
             assert not trace.rate_is_upper_limit
             rates.append(trace.fitted_rate)
         means.append(np.mean(rates))
@@ -149,14 +135,10 @@ def test_monte_carlo_error_shrinks_with_ensemble(monkeypatch):
     def batch_means(count, seeds):
         out = []
         for seed in seeds:
-            tcfg = TrajectoryConfig(
-                noise=noise,
-                time_step=0.02,
-                total_time=6.0,
-                trajectory_count=count,
+            tr = evolve_superposition(
+                p, *dense_pair(p), noise, time_step=0.02, total_time=6.0, trajectory_count=count,
                 seed=seed,
             )
-            tr = evolve_superposition(p, *dense_pair(p), tcfg)
             out.append(tr.ensemble_coherence[-1])
         return np.std(out)
 
@@ -169,14 +151,16 @@ def test_monte_carlo_error_shrinks_with_ensemble(monkeypatch):
 
 def test_norm_drift_stays_small_via_renormalization():
     fam = uniform_ferromagnet(2, 0.1)
-    tcfg = TrajectoryConfig(
-        noise=fam.coupling,
+    trace = evolve_superposition(
+        fam.params,
+        fam.dressed_ground,
+        fam.dressed_lem,
+        fam.coupling,
         time_step=default_time_step(fam.a_typ),
         total_time=20.0,
         trajectory_count=8,
         seed=6,
     )
-    trace = evolve_superposition(fam.params, fam.dressed_ground, fam.dressed_lem, tcfg)
     # coherence never exceeds the initial value beyond statistical wiggle
     assert trace.coherence.max() <= 0.5 + 1e-9
 
@@ -185,12 +169,11 @@ def test_norm_drift_guard_raises():
     # strong white tunneling noise: the frozen-noise step leaves the unit sphere
     p = single_spin(b=0.5)
     noise = CouplingSpec(z_noise=np.zeros(1), x_noise=np.array([5.0]), kind="white")
-    tcfg = TrajectoryConfig(
-        noise=noise, time_step=0.01, total_time=1.0, trajectory_count=4, seed=1
-    )
     bufsize = np.getbufsize()
     with pytest.raises(IntegrationError, match=r"norm drift 5\.527e-03 exceeds 0\.001 at t=0\.01"):
-        evolve_superposition(p, *dense_pair(p), tcfg)
+        evolve_superposition(
+            p, *dense_pair(p), noise, time_step=0.01, total_time=1.0, trajectory_count=4, seed=1
+        )
     # the steps' smaller ufunc buffer does not outlive the run
     assert np.getbufsize() == bufsize
 
@@ -201,21 +184,23 @@ def test_total_steps_counts_integrated_steps(monkeypatch):
 
     def run(floor, steps):
         monkeypatch.setattr(dynamics, "EARLY_STOP_FLOOR", floor)
-        tcfg = TrajectoryConfig(
-            noise=fam.coupling,
+        return evolve_superposition(
+            fam.params,
+            fam.dressed_ground,
+            fam.dressed_lem,
+            fam.coupling,
             time_step=dt,
             total_time=(steps - 0.5) * dt,
             trajectory_count=16,
             seed=4,
         )
-        return evolve_superposition(fam.params, fam.dressed_ground, fam.dressed_lem, tcfg)
 
     stopped = run(0.45, 20_000)
     full = run(0.05, 500)
     assert (stopped.total_steps, len(stopped.times)) == (1422, 159)
     assert full.total_steps == 500
     for trace in (stopped, full):
-        assert trace.times[-1] == trace.total_steps * trace.time_step
+        assert trace.times[-1] == trace.total_steps * dt
 
 
 @pytest.mark.parametrize("kind", ["ou", "white"])
@@ -225,12 +210,11 @@ def test_noise_blocks_do_not_change_the_trace(monkeypatch, kind):
         z_noise=fam.coupling.z_noise, x_noise=fam.coupling.x_noise, kind=kind, correlation_time=2.0
     )
     dt = default_time_step(fam.a_typ)
-    tcfg = TrajectoryConfig(
-        noise=noise, time_step=dt, total_time=10.5 * dt, trajectory_count=5, seed=17
-    )
-    default = evolve_superposition(fam.params, fam.dressed_ground, fam.dressed_lem, tcfg)
+    args = (fam.params, fam.dressed_ground, fam.dressed_lem, noise)
+    run = dict(time_step=dt, total_time=10.5 * dt, trajectory_count=5, seed=17)
+    default = evolve_superposition(*args, **run)
     monkeypatch.setattr(dynamics, "_CHUNK_STEPS", 3)  # 11 steps cross four blocks
-    small = evolve_superposition(fam.params, fam.dressed_ground, fam.dressed_lem, tcfg)
+    small = evolve_superposition(*args, **run)
     assert len(small.times) == 12
     assert np.array_equal(default.coherence, small.coherence)
     assert np.array_equal(default.ensemble_coherence, small.ensemble_coherence)
@@ -250,13 +234,12 @@ def test_memory_is_the_buffers_whatever_the_step_count(monkeypatch):
     ntraj, chunk = 200, dynamics._CHUNK_STEPS
 
     def peak(steps):
-        tcfg = TrajectoryConfig(
-            noise=_ou(fam), time_step=dt, total_time=(steps - 0.5) * dt, trajectory_count=ntraj,
-            seed=8,
-        )
         tracemalloc.start()
         try:
-            evolve_superposition(fam.params, fam.dressed_ground, fam.dressed_lem, tcfg)
+            evolve_superposition(
+                fam.params, fam.dressed_ground, fam.dressed_lem, _ou(fam), time_step=dt,
+                total_time=(steps - 0.5) * dt, trajectory_count=ntraj, seed=8,
+            )
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -278,11 +261,10 @@ def test_capacity_preflight_raises_before_any_generator(monkeypatch):
     steps, ntraj = 20, 7
 
     def run(noise):
-        tcfg = TrajectoryConfig(
-            noise=noise, time_step=dt, total_time=(steps - 0.5) * dt, trajectory_count=ntraj,
-            seed=5,
+        return evolve_superposition(
+            fam.params, fam.dressed_ground, fam.dressed_lem, noise, time_step=dt,
+            total_time=(steps - 0.5) * dt, trajectory_count=ntraj, seed=5,
         )
-        return evolve_superposition(fam.params, fam.dressed_ground, fam.dressed_lem, tcfg)
 
     def no_generators(*args):
         raise AssertionError("a Generator was made")
@@ -310,12 +292,11 @@ def test_capacity_preflight_raises_before_any_generator(monkeypatch):
 def test_max_drift_is_the_largest_norm_drift(monkeypatch):
     p = single_spin(b=0.5)
     noise = CouplingSpec(z_noise=np.zeros(1), x_noise=np.array([1.0]), kind="white")
-    tcfg = TrajectoryConfig(
-        noise=noise, time_step=0.01, total_time=1.0, trajectory_count=4, seed=1
-    )
 
     def run():
-        return evolve_superposition(p, *dense_pair(p), tcfg)
+        return evolve_superposition(
+            p, *dense_pair(p), noise, time_step=0.01, total_time=1.0, trajectory_count=4, seed=1
+        )
 
     drift = run().max_drift
     assert 1e-6 < drift < dynamics.NORM_DRIFT_LIMIT
@@ -377,14 +358,15 @@ def test_trajectories_match_kronecker_oracle(monkeypatch, n, kind):
     dt = 0.04 / float(levels[-1] - levels[0])
     steps, ntraj, seed, tau = 25, 6, 2024, 0.7
     noise = CouplingSpec(z_noise=f, x_noise=g, kind=kind, correlation_time=tau)
-    tcfg = TrajectoryConfig(
-        noise=noise,
+    trace = evolve_superposition(
+        params,
+        *pair,
+        noise,
         time_step=dt,
         total_time=(steps - 0.5) * dt,
         trajectory_count=ntraj,
         seed=seed,
     )
-    trace = evolve_superposition(params, *pair, tcfg)
     coherence, ensemble = reference_trajectories(
         j, b, c, f, g, kind, tau, dt, steps, ntraj, seed, ground, lem
     )
@@ -399,20 +381,47 @@ def test_stability_criterion_enforced():
     fam = uniform_ferromagnet(3, 0.05)
     levels = cluster_levels(fam.params)
     spread = float(levels[-1] - levels[0])
-    tcfg = TrajectoryConfig(
-        noise=fam.coupling, time_step=0.06 / spread * 1.2, total_time=1.0, trajectory_count=2, seed=1
-    )
     with pytest.raises(ValidationError, match="stability"):
-        evolve_superposition(fam.params, fam.dressed_ground, fam.dressed_lem, tcfg)
+        evolve_superposition(
+            fam.params, fam.dressed_ground, fam.dressed_lem, fam.coupling,
+            time_step=0.06 / spread * 1.2, total_time=1.0, trajectory_count=2, seed=1,
+        )
 
 
-@pytest.mark.parametrize("value", [np.inf, np.nan])
-@pytest.mark.parametrize("name", ["time_step", "total_time"])
-def test_times_must_be_finite(name, value):
-    times = {"time_step": 0.01, "total_time": 1.0, name: value}
-    message = f"{name.replace('_', ' ')} must be positive and finite"
-    with pytest.raises(ValidationError, match=message):
-        TrajectoryConfig(noise=zero_noise(1), trajectory_count=1, **times)
+RUN_VALUE_REFUSALS = [
+    *(
+        (name, value, f"{name.replace('_', ' ')} must be positive and finite, got {value!r}")
+        for name in ("time_step", "total_time")
+        for value in (0, -1, np.inf, np.nan)
+    ),
+    *(("trajectory_count", v, "trajectory count must be a positive integer") for v in (0, 1.5)),
+    *(("seed", v, "seed must be an unsigned 64-bit integer") for v in (-1, 2**64)),
+]
+
+
+@pytest.mark.parametrize("name, value, message", RUN_VALUE_REFUSALS)
+def test_run_values_are_refused_before_anything_else(name, value, message):
+    # the 9-spin cluster would be refused next, with a CapacityError
+    big = ClusterParams(n=9, couplings=np.zeros((9, 9)), bias=np.ones(9), tunneling=np.zeros(9))
+    fam = uniform_ferromagnet(2, 0.1)
+    run = dict(time_step=0.01, total_time=1.0, trajectory_count=1, seed=0)
+    run[name] = value
+    with pytest.raises(ValidationError) as exc:
+        evolve_superposition(big, fam.dressed_ground, fam.dressed_lem, zero_noise(9), **run)
+    assert str(exc.value) == message
+
+
+def test_dressed_states_of_the_wrong_size_are_refused():
+    three, four = uniform_ferromagnet(3, 0.05), uniform_ferromagnet(4, 0.05)
+    run = dict(time_step=0.01, total_time=1.0, trajectory_count=1, seed=0)
+    pairs = {
+        "(16, 16)": (four.dressed_ground, four.dressed_lem),
+        "(8, 16)": (three.dressed_ground, four.dressed_lem),
+    }
+    for sizes, pair in pairs.items():
+        with pytest.raises(ValidationError) as exc:
+            evolve_superposition(three.params, *pair, zero_noise(3), **run)
+        assert str(exc.value) == f"dressed states have {sizes} amplitudes, the 3-spin cluster 8"
 
 
 def test_one_eigenstate_dressed_by_two_solves_is_refused():
@@ -421,31 +430,34 @@ def test_one_eigenstate_dressed_by_two_solves_is_refused():
     h = build_hamiltonian(fam.params)
     ground = dress(diagonalize(h, (0,)), 0)
     again = dress(diagonalize(h, (0, 31)), 0)
-    tcfg = TrajectoryConfig(noise=zero_noise(5), time_step=0.001, total_time=0.01, trajectory_count=1, seed=0)
+    run = dict(time_step=0.001, total_time=0.01, trajectory_count=1, seed=0)
     with pytest.raises(ValidationError, match="same eigenstate"):
-        evolve_superposition(fam.params, ground, again, tcfg)
+        evolve_superposition(fam.params, ground, again, zero_noise(5), **run)
     lem = dress(diagonalize(h, (31,)), 31)
-    evolve_superposition(fam.params, ground, lem, tcfg)
+    evolve_superposition(fam.params, ground, lem, zero_noise(5), **run)
 
 
 def test_ou_noise_needs_a_correlation_time():
     p = single_spin(b=0.5)
     noise = CouplingSpec(z_noise=np.array([0.1]), x_noise=np.zeros(1), kind="ou")
-    tcfg = TrajectoryConfig(noise=noise, time_step=0.01, total_time=1.0, trajectory_count=1, seed=0)
     with pytest.raises(ValidationError, match="correlation time"):
-        evolve_superposition(p, *dense_pair(p), tcfg)
+        evolve_superposition(
+            p, *dense_pair(p), noise, time_step=0.01, total_time=1.0, trajectory_count=1, seed=0
+        )
 
 
 def test_upper_limit_flag_when_no_decay():
     fam = uniform_ferromagnet(2, 0.01)
-    tcfg = TrajectoryConfig(
-        noise=fam.coupling,
+    trace = evolve_superposition(
+        fam.params,
+        fam.dressed_ground,
+        fam.dressed_lem,
+        fam.coupling,
         time_step=default_time_step(fam.a_typ),
         total_time=5.0,
         trajectory_count=8,
         seed=10,
     )
-    trace = evolve_superposition(fam.params, fam.dressed_ground, fam.dressed_lem, tcfg)
     assert trace.rate_is_upper_limit
     assert trace.fit_quality == 0.0
 
@@ -465,14 +477,16 @@ def test_default_budgets():
 def test_rate_comparison_verdicts():
     fam = uniform_ferromagnet(2, 0.05)
     eig = diagonalize(build_hamiltonian(fam.params), (fam.ground_anchor, fam.lem_anchor))
-    tcfg = TrajectoryConfig(
-        noise=zero_noise(2),
+    flat = evolve_superposition(
+        fam.params,
+        fam.dressed_ground,
+        fam.dressed_lem,
+        zero_noise(2),
         time_step=default_time_step(fam.a_typ),
         total_time=10.0,
         trajectory_count=2,
         seed=0,
     )
-    flat = evolve_superposition(fam.params, fam.dressed_ground, fam.dressed_lem, tcfg)
     from lemsim import CouplingSpec as CS
     from lemsim import matrix_element
 

@@ -24,7 +24,6 @@ from lemsim import (
     StrongMixingError,
     SweepGrid,
     SweepRow,
-    TrajectoryConfig,
     ValidationError,
     cluster_eigensystem,
     cluster_levels,
@@ -97,10 +96,10 @@ def test_dense_trajectories_integrate_the_dense_dressed_pair(monkeypatch):
     assert not problem.symmetric
     trace = problem.trajectories(6, 11, time_step=0.01, total_time=2.0)
     eig = cluster_eigensystem(params, (0b010, 0b101))
-    tcfg = TrajectoryConfig(
-        noise=coupling, time_step=0.01, total_time=2.0, trajectory_count=6, seed=11
+    direct = evolve_superposition(
+        params, dress(eig, 0b010), dress(eig, 0b101), coupling, time_step=0.01, total_time=2.0,
+        trajectory_count=6, seed=11,
     )
-    direct = evolve_superposition(params, dress(eig, 0b010), dress(eig, 0b101), tcfg)
     for field in dataclasses.fields(trace):
         assert np.array_equal(getattr(trace, field.name), getattr(direct, field.name)), field.name
     assert spectra == [3, 3]
