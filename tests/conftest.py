@@ -1,9 +1,21 @@
 """Helpers shared by the test modules."""
 
+import contextlib
+import warnings
+
 import numpy as np
 
 import lemsim.cluster
 from lemsim import ClusterParams, uniform_couplings
+
+# A failing @given example makes hypothesis's pytest plugin import this module,
+# whose libcst import warns DeprecationWarning (mypy_extensions.TypedDict).
+# Under filterwarnings = "error" that warning ends the session with
+# INTERNALERROR and every later test goes unrun; imported once here with the
+# warning ignored, the plugin's import is a cache hit.
+with warnings.catch_warnings(), contextlib.suppress(ImportError):
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 
 def make_params(n, j=-1.0, b=0.0, c=0.0):
