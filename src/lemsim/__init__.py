@@ -49,7 +49,6 @@ from .spectrum import (
 )
 from .sweep import (
     ClusterProblem,
-    SweepGrid,
     SweepRow,
     fit_size_scaling,
     run_sweep,

@@ -43,7 +43,7 @@ from .csvout import (
     emit_trace,
     write_output,
 )
-from .errors import SimulationError, ValidationError
+from .errors import ConfigError, SimulationError, ValidationError
 from .perturbation import scaling_exponent
 from .spectrum import WHOLE_SOLVE_ROWS, find_local_minima, overlap_decay
 from .sweep import ClusterProblem, run_sweep
@@ -166,8 +166,12 @@ def _cmd_dynamics(cfg: RunConfig, destination, args) -> None:
 
 
 def _cmd_sweep(cfg: RunConfig, destination, args) -> None:
-    grid = cfg.sweep_grid()
-    rows = run_sweep(grid, master_seed=cfg.seed)
+    if cfg.sweep_n is None or cfg.sweep_ratios is None:
+        raise ConfigError("configuration has no complete [sweep] section")
+    rows = run_sweep(
+        cfg.sweep_n, cfg.sweep_ratios, cfg.sweep_channels, bias=cfg.sweep_bias,
+        coupling_j=cfg.sweep_j, trajectory_count=cfg.trajectories, master_seed=cfg.seed,
+    )
     failed = sum(1 for r in rows if r.error)
     _say(args, f"sweep: {len(rows)} grid points, {failed} with per-row errors")
     write_output(emit_sweep_rows(rows, render_config(cfg), cfg.seed), destination)

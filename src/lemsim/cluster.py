@@ -27,7 +27,7 @@ from .errors import CapacityError, ValidationError
 
 # bounds the matrix-free routes' 2^n tables, the config's scalar broadcast and
 # the 8^n dense solve time; dense storage is checked against the memory
-# available (ROADMAP item 6 moves this cap into the dense solvers)
+# available (ROADMAP item 7 moves this cap into the dense solvers)
 MAX_SPINS = 14
 
 # _energy_table's intermediates are partial sums: of an entry of s.J, at most
@@ -210,14 +210,6 @@ def classical_energy(params: ClusterParams, config: int) -> float:
     """Diagonal energy sum_{i<j} J_ij s_i s_j + sum_i B_i s_i of one configuration."""
     config = validate_config(params.n, config)
     return float(classical_energies(params)[config])
-
-
-def configuration_energies(params: ClusterParams, configs) -> np.ndarray:
-    """Classical energies of the given configurations, read from the table.
-
-    Each entry equals ``classical_energy`` of its configuration bit for bit.
-    """
-    return classical_energies(params)[np.asarray(configs, dtype=np.int64)]
 
 
 def classical_energies(params: ClusterParams) -> np.ndarray:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .cluster import MAX_SPINS, ClusterParams, uniform_couplings
 from .errors import CapacityError, ConfigError
-from .sweep import CHANNELS, SweepGrid
+from .sweep import CHANNELS
 from .transition import NOISE_KINDS, CouplingSpec
 
 
@@ -70,11 +70,8 @@ class RunConfig:
         n = self.n
         if self.j_upper is not None:
             m = np.zeros((n, n))
-            k = 0
-            for i in range(n):
-                for j in range(i + 1, n):
-                    m[i, j] = m[j, i] = self.j_upper[k]
-                    k += 1
+            upper = np.triu_indices(n, 1)  # row-major, the order j_upper lists
+            m[upper] = m.T[upper] = self.j_upper
         else:
             m = uniform_couplings(n, self.j_uniform or 0.0)
         return ClusterParams(
@@ -92,18 +89,6 @@ class RunConfig:
             x_noise=np.array(self.x_noise if self.x_noise is not None else [0.0] * self.n),
             kind=self.noise_kind,
             correlation_time=self.noise_tau,
-        )
-
-    def sweep_grid(self) -> SweepGrid:
-        if self.sweep_n is None or self.sweep_ratios is None:
-            raise ConfigError("configuration has no complete [sweep] section")
-        return SweepGrid(
-            n_values=self.sweep_n,
-            ratio_values=self.sweep_ratios,
-            channels=self.sweep_channels,
-            bias=self.sweep_bias,
-            coupling_j=self.sweep_j,
-            trajectory_count=self.trajectories,
         )
 
 

@@ -18,8 +18,8 @@ import numpy as np
 
 from .cluster import (
     ClusterParams,
+    classical_energies,
     config_to_bits,
-    configuration_energies,
     degeneracy_tolerance,
     hamming_distance,
     validate_config,
@@ -89,7 +89,7 @@ def multiphoton_path_sum(params: ClusterParams, x_noise, source: int, target: in
     configs = np.full(1 << d, source)
     for b, spin in enumerate(flips):
         configs ^= (subsets >> b & 1) << spin
-    energies = configuration_energies(params, configs)
+    energies = classical_energies(params)[configs]
     gaps = energies[0] - energies
     degenerate = np.abs(gaps) <= degeneracy_tolerance(params)
     orders = _orderings(d)

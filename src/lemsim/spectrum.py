@@ -51,7 +51,6 @@ from .cluster import (
     build_hamiltonian,
     classical_energies,
     config_to_bits,
-    configuration_energies,
     degeneracy_tolerance,
     hamming_distance,
     popcounts,
@@ -73,7 +72,7 @@ REPEATED_LEVEL_WEIGHT = 1e-9  # anchor overlap^2 a repeated level may carry off 
 # most this size dense (cli._cmd_rates): perfbench/test_harness.py finds the
 # toy rates-n4 element (16 rows) by the reference's text, the last digits of
 # dsyevr's whole (MRRR) solve; once that test reads the value from the CSV,
-# both holds go with this constant (ROADMAP item 1a)
+# both holds go with this constant (ROADMAP item 2a)
 WHOLE_SOLVE_ROWS = 16
 
 
@@ -500,7 +499,8 @@ def typical_level_spacing(params: ClusterParams, anchor: int) -> float:
     """
     anchor = validate_config(params.n, anchor, "anchor")
     tolerance = degeneracy_tolerance(params)
-    energies = configuration_energies(params, [anchor] + [anchor ^ (1 << i) for i in range(params.n)])
+    configs = [anchor] + [anchor ^ (1 << i) for i in range(params.n)]
+    energies = classical_energies(params)[configs]
     gaps = np.abs(energies[1:] - energies[0])
     if np.any(gaps <= tolerance):
         i = int(np.argmin(gaps))

@@ -4,11 +4,13 @@ The workhorse family is the fully connected uniform ferromagnet with a
 small uniform bias: the two fully polarized configurations are then the
 global and the local minimum, and all couplings are set to a fixed fraction
 of the typical level spacing so a single dimensionless ratio labels each
-grid point.  Per-point failures are recorded inline as error codes; a sweep
-never aborts half way.  Each grid point is a ``ClusterProblem``, the object
-the command line runs its channels on too.  Each degeneracy check on a point
-computes its tolerance where it is made, from the point's one energy table
-(``ClusterParams`` caches it and ``with_tunneling`` shares it).
+grid point.  ``run_sweep`` checks its grid, channels and seed before the
+first point; after that, per-point failures are recorded inline as error
+codes and a sweep never aborts half way.  Each grid point is a
+``ClusterProblem``, the object the command line runs its channels on too.
+Each degeneracy check on a point computes its tolerance where it is made,
+from the point's one energy table (``ClusterParams`` caches it and
+``with_tunneling`` shares it).
 
 The family is permutation symmetric and both anchors are fully polarized,
 so ``uniform_ferromagnet`` marks its problems ``symmetric`` and their dressed
@@ -186,41 +188,6 @@ class ClusterProblem:
 
 
 @dataclass(frozen=True)
-class SweepGrid:
-    """Grid of cluster sizes and coupling ratios with requested channels.
-
-    A size above ``MAX_SPINS`` raises CapacityError, as ``cluster.n`` does.
-    """
-
-    n_values: tuple[int, ...]
-    ratio_values: tuple[float, ...]
-    channels: tuple[str, ...] = ("overlaps", "rates", "pathsum")
-    bias: float = 0.1
-    coupling_j: float = -1.0
-    trajectory_count: int = 200
-
-    def __post_init__(self):
-        object.__setattr__(self, "n_values", tuple(int(v) for v in self.n_values))
-        object.__setattr__(self, "ratio_values", tuple(float(v) for v in self.ratio_values))
-        object.__setattr__(self, "channels", tuple(self.channels))
-        if not self.n_values:
-            raise ValidationError("sweep grid needs at least one cluster size")
-        if not self.ratio_values:
-            raise ValidationError("sweep grid needs at least one coupling ratio")
-        for n in self.n_values:
-            if n < 1:
-                raise ValidationError(f"cluster size {n} must be at least 1")
-            if n > MAX_SPINS:
-                raise CapacityError(f"cluster size {n} exceeds the limit of {MAX_SPINS} spins")
-        for r in self.ratio_values:
-            if not 0.0 < r < 1.0:
-                raise ValidationError(f"coupling ratio {r} must lie strictly in (0, 1)")
-        for ch in self.channels:
-            if ch not in CHANNELS:
-                raise ValidationError(f"unknown channel {ch!r}; choose from {CHANNELS}")
-
-
-@dataclass(frozen=True)
 class SweepRow:
     """One grid point of results; optional columns stay None on errors."""
 
@@ -284,35 +251,63 @@ def uniform_ferromagnet(
     return ClusterProblem(params, coupling, ground, lem, a_typ, symmetric=True)
 
 
-def run_sweep(grid: SweepGrid, master_seed: int = 0) -> list[SweepRow]:
-    """Evaluate every grid point, recording per-row error codes on failure.
+def run_sweep(
+    n_values, ratio_values, channels=("overlaps", "rates", "pathsum"), *, bias: float = 0.1,
+    coupling_j: float = -1.0, trajectory_count: int = 200, master_seed: int = 0,
+) -> list[SweepRow]:
+    """Evaluate every point of the size x ratio grid of the uniform family,
+    recording per-row error codes on failure.
 
-    Point sub-seeds derive deterministically from the master seed and the
-    grid position, so identical grids and seeds reproduce rows bit for bit.
-    Every channel of a point runs on the point's one ``ClusterProblem``.
+    The grid, the channels and the master seed are checked before the first
+    point is built: an empty grid, a size below 1, a ratio outside (0, 1),
+    an unknown channel or a master seed outside 64 unsigned bits raises
+    ValidationError, and a size above ``MAX_SPINS`` raises CapacityError, as
+    ``cluster.n`` does.  The family and the trajectories check the rest per
+    point.  Point sub-seeds derive deterministically from the master seed
+    and the grid position, so identical grids and seeds reproduce rows bit
+    for bit.  Every channel of a point runs on the point's one
+    ``ClusterProblem``.
     """
+    n_values = tuple(int(v) for v in n_values)
+    ratio_values = tuple(float(v) for v in ratio_values)
+    channels = tuple(channels)
+    if not n_values:
+        raise ValidationError("sweep grid needs at least one cluster size")
+    if not ratio_values:
+        raise ValidationError("sweep grid needs at least one coupling ratio")
+    for n in n_values:
+        if n < 1:
+            raise ValidationError(f"cluster size {n} must be at least 1")
+        if n > MAX_SPINS:
+            raise CapacityError(f"cluster size {n} exceeds the limit of {MAX_SPINS} spins")
+    for r in ratio_values:
+        if not 0.0 < r < 1.0:
+            raise ValidationError(f"coupling ratio {r} must lie strictly in (0, 1)")
+    for ch in channels:
+        if ch not in CHANNELS:
+            raise ValidationError(f"unknown channel {ch!r}; choose from {CHANNELS}")
     if not isinstance(master_seed, (int, np.integer)) or not 0 <= int(master_seed) < 2**64:
         raise ValidationError("master seed must be an unsigned 64-bit integer")
     rows: list[SweepRow] = []
-    points = list(product(grid.n_values, grid.ratio_values))
+    points = list(product(n_values, ratio_values))
     for index, (n, ratio) in enumerate(points):
         child = np.random.SeedSequence(entropy=int(master_seed), spawn_key=(index,))
         point_seed = int(child.generate_state(1, dtype=np.uint64)[0])
         errors: list[str] = []
         row = SweepRow(n=n, ratio=ratio, seed=point_seed)
         try:
-            fam = uniform_ferromagnet(n, ratio, bias=grid.bias, coupling_j=grid.coupling_j)
+            fam = uniform_ferromagnet(n, ratio, bias=bias, coupling_j=coupling_j)
         except SimulationError as exc:
             rows.append(replace(row, error=f"family:{exc.code}"))
             continue
         row = replace(row, a_typ=fam.a_typ)
 
-        if "overlaps" in grid.channels:
+        if "overlaps" in channels:
             try:
                 row = replace(row, overlap_slope=overlap_decay(fam.dressed_ground).slope)
             except SimulationError as exc:
                 errors.append(f"overlaps:{exc.code}")
-        if "rates" in grid.channels:
+        if "rates" in channels:
             try:
                 report = fam.rates()
                 row = replace(
@@ -324,15 +319,15 @@ def run_sweep(grid: SweepGrid, master_seed: int = 0) -> list[SweepRow]:
                 )
             except SimulationError as exc:
                 errors.append(f"rates:{exc.code}")
-        if "pathsum" in grid.channels:
+        if "pathsum" in channels:
             try:
                 points_d = [(r.order, r.amplitude) for r in fam.path_sums()]
                 row = replace(row, pathsum_slope=scaling_exponent(points_d))
             except SimulationError as exc:
                 errors.append(f"pathsum:{exc.code}")
-        if "dynamics" in grid.channels:
+        if "dynamics" in channels:
             try:
-                trace = fam.trajectories(grid.trajectory_count, point_seed)
+                trace = fam.trajectories(trajectory_count, point_seed)
                 if trace.rate_is_upper_limit:  # no decay resolved: not a fitted rate
                     errors.append(f"dynamics:{InsufficientDataError.code}")
                 else:

@@ -21,7 +21,6 @@ import pytest
 from lemsim import (
     CouplingSpec,
     RateReport,
-    SweepGrid,
     build_hamiltonian,
     default_time_step,
     diagonalize,
@@ -67,8 +66,8 @@ def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
 
 
 def test_criterion_1_headline_bound_and_extension():
-    rows5 = run_sweep(SweepGrid(n_values=(5,), ratio_values=(0.01,), channels=("rates",)), 0)
-    rows4 = run_sweep(SweepGrid(n_values=(4,), ratio_values=(0.001,), channels=("rates",)), 0)
+    rows5 = run_sweep((5,), (0.01,), ("rates",), master_seed=0)
+    rows4 = run_sweep((4,), (0.001,), ("rates",), master_seed=0)
     bound5 = rows5[0].rate_bound
     bound4 = rows4[0].rate_bound
     ext5 = lifetime_extension(5, 0.01)
@@ -112,8 +111,7 @@ def _perturbative_element(fam) -> float:
 def test_criterion_2_exponential_size_scaling():
     t0 = time.monotonic()
     sizes = (2, 3, 4, 5, 6)
-    grid = SweepGrid(n_values=sizes, ratio_values=(0.01,), channels=("rates",))
-    rows = run_sweep(grid, 0)
+    rows = run_sweep(sizes, (0.01,), ("rates",), master_seed=0)
     fit = fit_size_scaling(rows, "rate_ratio")
     steps_ok = all(
         b.rate_ratio <= a.rate_ratio / 10.0 for a, b in zip(rows, rows[1:])
@@ -127,7 +125,7 @@ def test_criterion_2_exponential_size_scaling():
     element_dev = [abs(row.matrix_element / m) - 1 for row, m in zip(rows, pert)]
     element_ok = max(abs(d) for d in element_dev) <= 1e-2
     # large-cluster overlap channel stays fast (64x64 rates above, 1024x1024 here)
-    big = run_sweep(SweepGrid(n_values=(10,), ratio_values=(0.01,), channels=("overlaps",)), 0)
+    big = run_sweep((10,), (0.01,), ("overlaps",), master_seed=0)
     overlaps_ok = big[0].error == "" and big[0].overlap_slope < 0
     runtime_ok = time.monotonic() - t0 < 300.0
     ok = slope_ok and element_ok and steps_ok and overlaps_ok and runtime_ok

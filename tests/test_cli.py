@@ -224,6 +224,13 @@ def test_oversize_sweep_size_exits_3(tmp_path, capsys):
     assert run_cli("sweep", "--config", cfg) == 1
 
 
+def test_incomplete_sweep_section_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "ratios_only.cfg"
+    cfg.write_text("[sweep]\nratios = 0.1\n")
+    assert run_cli("sweep", "--config", cfg) == 1
+    assert capsys.readouterr().err == "error [sweep]: configuration has no complete [sweep] section\n"
+
+
 def test_oversize_cluster_fails_at_parse_time(tmp_path, capsys):
     big = tmp_path / "huge.cfg"
     big.write_text(f"[cluster]\nn = {2**64 - 1}\nj = -1.0\nbias = 0.1\n")

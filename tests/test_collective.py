@@ -13,7 +13,6 @@ import lemsim.sweep
 from lemsim import (
     ClusterParams,
     StrongMixingError,
-    SweepGrid,
     ValidationError,
     block_eigenvalues,
     build_hamiltonian,
@@ -99,10 +98,7 @@ def test_dicke_chain_is_the_symmetric_block_of_the_kron_hamiltonian():
 
 
 def test_sweep_rows_match_the_dicke_oracle():
-    grid = SweepGrid(
-        n_values=range(2, 15), ratio_values=(0.0025, 0.01, 0.05), channels=("overlaps", "rates")
-    )
-    rows = run_sweep(grid, master_seed=0)
+    rows = run_sweep(range(2, 15), (0.0025, 0.01, 0.05), ("overlaps", "rates"), master_seed=0)
     assert len(rows) == 39
     for row in rows:
         assert row.error == ""
@@ -205,10 +201,7 @@ def test_halving_r_scales_each_channel_up_to_r_squared(n):
 def test_unbiased_family_rows_print_no_nan():
     # b = 0 makes the polarized states degenerate; where a denominator of the
     # fraction vanishes, the chain's own eigenvector stands in
-    grid = SweepGrid(
-        n_values=(2, 3, 8), ratio_values=(0.01, 0.05), channels=("overlaps", "rates"), bias=0.0
-    )
-    for row in run_sweep(grid, master_seed=0):
+    for row in run_sweep((2, 3, 8), (0.01, 0.05), ("overlaps", "rates"), bias=0.0, master_seed=0):
         for value in (row.matrix_element, row.overlap_slope):
             assert value is None or math.isfinite(value), row
 

@@ -318,7 +318,6 @@ def test_config_error_messages(text, message):
     [
         ("[run]\nseed = 1\n", "cluster_params", "configuration has no [cluster] section"),
         ("[run]\nseed = 1\n", "coupling_spec", "configuration has no [cluster] section"),
-        ("[sweep]\nratios = 0.1\n", "sweep_grid", "configuration has no complete [sweep] section"),
     ],
 )
 def test_missing_section_messages(text, method, message):

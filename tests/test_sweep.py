@@ -22,7 +22,6 @@ from lemsim import (
     NumericalError,
     SimulationError,
     StrongMixingError,
-    SweepGrid,
     SweepRow,
     ValidationError,
     cluster_eigensystem,
@@ -67,8 +66,7 @@ def test_one_row_solves_and_enumerates_once(monkeypatch):
         for name in ("cluster_eigensystem", "find_local_minima", "symmetric_dressed", "dress")
     }
     builds = count_table_builds(monkeypatch)
-    grid = SweepGrid(n_values=(3,), ratio_values=(0.3,), channels=CHANNELS, trajectory_count=4)
-    rows = run_sweep(grid, master_seed=2)
+    rows = run_sweep((3,), (0.3,), CHANNELS, trajectory_count=4, master_seed=2)
     assert rows[0].error == ""
     assert None not in (rows[0].overlap_slope, rows[0].rate_ratio, rows[0].pathsum_slope)
     assert rows[0].fitted_dynamics_rate is not None
@@ -108,8 +106,7 @@ def test_dense_trajectories_integrate_the_dense_dressed_pair(monkeypatch):
 def test_overlaps_and_rates_rows_need_no_eigensystem(monkeypatch):
     # the uniform family's anchors are both polarized: the symmetric sector dresses them
     calls = count_calls(monkeypatch, lemsim.sweep, "cluster_eigensystem")
-    grid = SweepGrid(n_values=(2, 5), ratio_values=(0.01, 0.05), channels=("overlaps", "rates"))
-    rows = run_sweep(grid, master_seed=3)
+    rows = run_sweep((2, 5), (0.01, 0.05), ("overlaps", "rates"), master_seed=3)
     assert [row.error for row in rows] == [""] * 4
     assert calls == []
 
@@ -178,8 +175,7 @@ def test_unresolved_dynamics_rate_is_not_a_fitted_rate(monkeypatch):
     # too few steps for the coherence to reach the fit window: the trace's
     # rate is an upper limit, which the row must not print as a fitted rate
     monkeypatch.setattr(lemsim.dynamics, "MAX_STEPS", 20)
-    grid = SweepGrid(n_values=(2,), ratio_values=(0.3,), channels=("dynamics",), trajectory_count=4)
-    (row,) = run_sweep(grid, master_seed=0)
+    (row,) = run_sweep((2,), (0.3,), ("dynamics",), trajectory_count=4, master_seed=0)
     assert row.fitted_dynamics_rate is None
     assert row.error == "dynamics:insufficient_data"
 
@@ -187,10 +183,9 @@ def test_unresolved_dynamics_rate_is_not_a_fitted_rate(monkeypatch):
 def test_n14_rates_row_fits_without_a_dense_budget(monkeypatch):
     # a dense n=14 eigensystem would need 4.3 GB; the row needs no N^2 array at all
     monkeypatch.setattr(lemsim.spectrum, "_available_memory", lambda: 10**8)
-    grid = SweepGrid(n_values=(14,), ratio_values=(0.01,), channels=("rates",))
     tracemalloc.start()
     try:
-        rows = run_sweep(grid, master_seed=0)
+        rows = run_sweep((14,), (0.01,), ("rates",), master_seed=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -200,25 +195,54 @@ def test_n14_rates_row_fits_without_a_dense_budget(monkeypatch):
 
 
 def test_grid_validation():
-    with pytest.raises(ValidationError):
-        SweepGrid(n_values=(), ratio_values=(0.01,))
-    with pytest.raises(ValidationError):
-        SweepGrid(n_values=(2,), ratio_values=(1.5,))
-    with pytest.raises(ValidationError):
-        SweepGrid(n_values=(2,), ratio_values=(0.01,), channels=("nope",))
+    with pytest.raises(ValidationError, match="sweep grid needs at least one cluster size"):
+        run_sweep((), (0.01,))
+    with pytest.raises(ValidationError, match="sweep grid needs at least one coupling ratio"):
+        run_sweep((2,), ())
+    with pytest.raises(ValidationError, match=r"coupling ratio 1.5 must lie strictly in \(0, 1\)"):
+        run_sweep((2,), (1.5,))
+    with pytest.raises(ValidationError, match="unknown channel 'nope'; choose from"):
+        run_sweep((2,), (0.01,), ("nope",))
+    with pytest.raises(ValidationError, match="master seed must be an unsigned 64-bit integer"):
+        run_sweep((2,), (0.01,), master_seed=-1)
 
 
 def test_grid_size_cap_is_a_capacity_error():
     with pytest.raises(CapacityError, match="cluster size 15 exceeds the limit of 14 spins"):
-        SweepGrid(n_values=(3, 15), ratio_values=(0.01,))
+        run_sweep((3, 15), (0.01,))
     with pytest.raises(ValidationError, match="cluster size 0 must be at least 1"):
-        SweepGrid(n_values=(0, 3), ratio_values=(0.01,))
-    assert SweepGrid(n_values=(1, 14), ratio_values=(0.01,)).n_values == (1, 14)
+        run_sweep((0, 3), (0.01,))
+    # both ends of the size range are accepted: the n=1 row fails in the family
+    rows = run_sweep((1, 14), (0.01,), ())
+    assert [(row.n, row.error) for row in rows] == [(1, "family:validation"), (14, "")]
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [{"ratio_values": (0.01, 0.05, 1.0)}, {"channels": ("rates", "nope")}, {"master_seed": 2**64}],
+    ids=["last-ratio", "unknown-channel", "master-seed"],
+)
+def test_bad_arguments_are_refused_before_any_point(monkeypatch, bad):
+    # run_sweep looks the family up as a module global, where the benchmark's
+    # tracer patches it too
+    points = []
+    family = lemsim.sweep.uniform_ferromagnet
+
+    def counted(n, ratio, **kwargs):
+        points.append(n)
+        return family(n, ratio, **kwargs)
+
+    monkeypatch.setattr(lemsim.sweep, "uniform_ferromagnet", counted)
+    grid = {"n_values": (2, 3), "ratio_values": (0.01,), "channels": ("rates",)}
+    with pytest.raises(ValidationError):
+        run_sweep(**(grid | bad))
+    assert points == []
+    run_sweep(**grid)  # the accepted grid builds both points through the same name
+    assert points == [2, 3]
 
 
 def test_empty_channel_set_populates_mandatory_columns():
-    grid = SweepGrid(n_values=(2, 3), ratio_values=(0.05,), channels=())
-    rows = run_sweep(grid, master_seed=1)
+    rows = run_sweep((2, 3), (0.05,), (), master_seed=1)
     assert len(rows) == 2
     for row in rows:
         assert row.a_typ is not None and row.seed is not None
@@ -228,25 +252,23 @@ def test_empty_channel_set_populates_mandatory_columns():
 
 
 def test_sweep_rows_are_reproducible():
-    grid = SweepGrid(n_values=(2, 3), ratio_values=(0.05, 0.01), channels=("overlaps", "rates"))
-    a = run_sweep(grid, master_seed=33)
-    b = run_sweep(grid, master_seed=33)
+    grid = ((2, 3), (0.05, 0.01), ("overlaps", "rates"))
+    a = run_sweep(*grid, master_seed=33)
+    b = run_sweep(*grid, master_seed=33)
     assert a == b
-    c = run_sweep(grid, master_seed=34)
+    c = run_sweep(*grid, master_seed=34)
     assert [r.seed for r in a] != [r.seed for r in c]
 
 
 def test_headline_bound_point():
-    grid = SweepGrid(n_values=(5,), ratio_values=(0.01,), channels=("rates",))
-    rows = run_sweep(grid, master_seed=0)
+    rows = run_sweep((5,), (0.01,), ("rates",), master_seed=0)
     assert len(rows) == 1
     assert rows[0].rate_bound == pytest.approx(1e-10, rel=1e-12)
     assert rows[0].error == ""
 
 
 def test_rate_ratio_monotone_in_size():
-    grid = SweepGrid(n_values=(2, 3, 4), ratio_values=(0.01,), channels=("rates",))
-    rows = run_sweep(grid, master_seed=0)
+    rows = run_sweep((2, 3, 4), (0.01,), ("rates",), master_seed=0)
     ratios = [row.rate_ratio for row in rows]
     for a, b in zip(ratios, ratios[1:]):
         assert b < a / 10.0
@@ -257,8 +279,7 @@ def test_rate_ratio_monotone_in_size():
 def test_pathsum_insufficient_orders_recorded_inline():
     # n=2 offers only two orders, not enough for a slope; the row records the
     # error code instead of aborting the sweep
-    grid = SweepGrid(n_values=(2, 3), ratio_values=(0.05,), channels=("pathsum",))
-    rows = run_sweep(grid, master_seed=5)
+    rows = run_sweep((2, 3), (0.05,), ("pathsum",), master_seed=5)
     assert rows[0].error == "pathsum:insufficient_data"
     assert rows[0].pathsum_slope is None
     assert rows[1].error == ""
@@ -267,15 +288,13 @@ def test_pathsum_insufficient_orders_recorded_inline():
 
 def test_overlaps_channel_needs_only_the_ground_state():
     # at n=8, ratio 0.275 the LEM mixes strongly but the ground state dresses
-    grid = SweepGrid(n_values=(8,), ratio_values=(0.275,), channels=("overlaps", "rates"))
-    rows = run_sweep(grid, master_seed=0)
+    rows = run_sweep((8,), (0.275,), ("overlaps", "rates"), master_seed=0)
     assert rows[0].overlap_slope is not None
     assert rows[0].error == "rates:strong_mixing"
 
 
 def test_capacity_limited_channels_record_errors():
-    grid = SweepGrid(n_values=(9,), ratio_values=(0.05,), channels=("pathsum", "dynamics"))
-    rows = run_sweep(grid, master_seed=5)
+    rows = run_sweep((9,), (0.05,), ("pathsum", "dynamics"), master_seed=5)
     assert rows[0].error == "pathsum:capacity;dynamics:capacity"
 
 
