@@ -18,7 +18,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import copy
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -76,22 +77,15 @@ class ClusterParams:
             raise ValidationError(f"couplings must have shape ({self.n}, {self.n}), got {j.shape}")
         if b.shape != (self.n,):
             raise ValidationError(f"bias must have length {self.n}, got shape {b.shape}")
-        if c.shape != (self.n,):
-            raise ValidationError(f"tunneling must have length {self.n}, got shape {c.shape}")
+        _check_tunneling_shape(c, self.n)
         for name, arr in (("couplings", j), ("bias", b), ("tunneling", c)):
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise ValidationError(f"{name} contains non-finite entries")
-        if not np.array_equal(j, j.T):
+        if not (j == j.T).all():
             raise ValidationError("couplings matrix must be symmetric")
-        if np.any(np.diag(j) != 0.0):
+        if j.diagonal().any():
             raise ValidationError("couplings matrix must have zero diagonal")
-        with np.errstate(over="ignore"):
-            scale = np.abs(np.triu(j)).sum() + np.abs(b).sum() + np.abs(c).sum()
-        if not scale <= ENERGY_SCALE_LIMIT:
-            raise ValidationError(
-                f"sum of |couplings| (i<j), |bias| and |tunneling| is {scale:.6g}, over the "
-                f"{ENERGY_SCALE_LIMIT:.6g} that keeps energies and their spread finite"
-            )
+        _check_scale(j, b, c)
         object.__setattr__(self, "couplings", j)
         object.__setattr__(self, "bias", b)
         object.__setattr__(self, "tunneling", c)
@@ -108,12 +102,34 @@ class ClusterParams:
         return table
 
     def with_tunneling(self, tunneling) -> ClusterParams:
-        """The same cluster with other tunneling amplitudes.  Tunneling leaves
-        the classical energies unchanged, so a table already built is shared."""
-        other = replace(self, tunneling=tunneling)
-        if "_energies" in vars(self):
-            vars(other)["_energies"] = self._energies
+        """The same cluster with other tunneling amplitudes.  Only the new
+        amplitudes and the energy scale are checked: the couplings and bias
+        are shared as they are, and so is a table already built, since
+        tunneling leaves the classical energies unchanged."""
+        c = _as_readonly(tunneling)
+        _check_tunneling_shape(c, self.n)
+        if not np.isfinite(c).all():
+            raise ValidationError("tunneling contains non-finite entries")
+        _check_scale(self.couplings, self.bias, c)
+        other = copy.copy(self)
+        object.__setattr__(other, "tunneling", c)
         return other
+
+
+def _check_tunneling_shape(c: np.ndarray, n: int) -> None:
+    if c.shape != (n,):
+        raise ValidationError(f"tunneling must have length {n}, got shape {c.shape}")
+
+
+def _check_scale(j: np.ndarray, b: np.ndarray, c: np.ndarray) -> None:
+    """Refuse a cluster whose energy scale breaks ``ENERGY_SCALE_LIMIT``."""
+    with np.errstate(over="ignore"):
+        scale = np.abs(np.triu(j)).sum() + np.abs(b).sum() + np.abs(c).sum()
+    if not scale <= ENERGY_SCALE_LIMIT:
+        raise ValidationError(
+            f"sum of |couplings| (i<j), |bias| and |tunneling| is {scale:.6g}, over the "
+            f"{ENERGY_SCALE_LIMIT:.6g} that keeps energies and their spread finite"
+        )
 
 
 def uniform_couplings(n: int, j: float) -> np.ndarray:

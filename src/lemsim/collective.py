@@ -19,39 +19,57 @@ solve otherwise.
 The S = n/2 block is the symmetric (Dicke) chain.  Its state k, k = 0..n,
 is the normalised sum of the C(n, k) configurations with k up spins, so both
 fully polarized configurations (0 and 2^n - 1) lie in it, and so do the
-exact eigenstates dressed from them.  ``symmetric_dressed`` finds such a
-state.  It takes the chain eigenvalue E whose eigenvector has the largest
-overlap with the anchor, under the strong-mixing rule of ``spectrum.dress``.
-It then builds the amplitudes from continued-fraction ratios run from the
-far chain end toward the anchor,
+exact eigenstates dressed from them.  Its diagonal holds the classical
+energies, one per k, from which ``chain_anchors`` reads the tunneling-free
+landscape, tolerance and A_typ that the 2^n energy table would give.
+``symmetric_chain`` solves the chain once, and ``SymmetricChain.dressed``
+dresses either polarized anchor from that solve (``symmetric_dressed`` does
+both steps for one anchor).  It takes the chain eigenvalue E whose
+eigenvector has the largest overlap with the anchor, under the
+strong-mixing rule of ``spectrum.dress``.  It then builds the amplitudes
+from continued-fraction ratios run from the far chain end toward the
+anchor,
 
     R_k = t_k / (E - D_k - t_{k-1} R_{k-1}),
 
 each a well-conditioned quotient, so every amplitude keeps its relative
 precision however small it is.  (A dense eigensolver carries an absolute
-error of about eps·||H|| in every amplitude.)  The chain amplitudes c_k are
-expanded to the 2^n table as c_k / sqrt(C(n, k)), so ``overlap_decay`` and
-``transition.matrix_element`` work on the result unchanged.
+error of about eps·||H|| in every amplitude.)  The state keeps the n+1 chain
+amplitudes c_k: ``overlap_decay`` reads its maxima and
+``transition.matrix_element`` sums two such states on the chain, and only a
+reader of the 2^n ``amplitudes`` (the trajectories) spreads them over the
+configurations as c_k / sqrt(C(n, k)).
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
-from .cluster import ClusterParams, config_to_bits, popcounts, validate_config
+from .cluster import ClusterParams, _spread_tolerance, config_to_bits, validate_config
 from .errors import ValidationError
-from .spectrum import DressedState, cluster_eigenvalues, require_dominant_overlap
+from .spectrum import (
+    DressedState,
+    _check_info,
+    cluster_eigenvalues,
+    geometric_gap,
+    require_dominant_overlap,
+)
 
 
 def collective_form(params: ClusterParams) -> tuple[float, float, float] | None:
     """``(j, b, c)`` when all pair couplings, all biases and all tunneling
     entries are exactly equal, None otherwise.  A single spin has j = 0."""
-    pairs = params.couplings[~np.eye(params.n, dtype=bool)]
+    n = params.n
+    # the n - 1 rows of n + 1 entries after the first hold the off-diagonal
+    # entries of an n x n matrix, each row ending on a diagonal one
+    pairs = params.couplings.ravel()[1:].reshape(n - 1, n + 1)[:, :-1].ravel()
     for values in (pairs, params.bias, params.tunneling):
-        if np.any(values != values[:1]):
+        if (values != values[:1]).any():
             return None
     j = float(pairs[0]) if pairs.size else 0.0
     return j, float(params.bias[0]), float(params.tunneling[0])
@@ -60,12 +78,17 @@ def collective_form(params: ClusterParams) -> tuple[float, float, float] | None:
 def _block(n: int, twice_s: int, j: float, b: float, c: float) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal and off-diagonal of the total-spin block 2S = ``twice_s``,
     in ascending M = 2m = -2S, -2S + 2, ..., 2S."""
-    big_m = np.arange(-twice_s, twice_s + 1, 2)
-    diagonal = j / 2 * (big_m**2 - n) + b * big_m
     # S(S+1) - m(m+1) = (2S (2S+2) - M (M+2)) / 4, exact in integers
-    lower = big_m[:-1]
+    lower = np.arange(-twice_s, twice_s, 2)
     off = c * np.sqrt((twice_s * (twice_s + 2) - lower * (lower + 2)) / 4)
-    return diagonal, off
+    return _diagonal(n, twice_s, j, b), off
+
+
+def _diagonal(n: int, twice_s: int, j: float, b: float) -> np.ndarray:
+    """The classical energies j/2 (M^2 - n) + b M on the block's diagonal."""
+    big_m = np.arange(-twice_s, twice_s + 1, 2)
+    # M^2 - n is even; halving it, not j, keeps a subnormal j from underflowing
+    return j * ((big_m**2 - n) // 2) + b * big_m
 
 
 def block_eigenvalues(n: int, j: float, b: float, c: float) -> np.ndarray:
@@ -87,59 +110,128 @@ def cluster_levels(params: ClusterParams) -> np.ndarray:
     return cluster_eigenvalues(params) if form is None else block_eigenvalues(params.n, *form)
 
 
-def _chain_amplitudes(diagonal: np.ndarray, off: np.ndarray, energy: float, end: int) -> np.ndarray:
-    """Unit eigenvector of the chain at ``energy``, positive at chain end ``end``.
+def _chain_amplitudes(diagonal: np.ndarray, off: np.ndarray, energy: float, end: int):
+    """Unit eigenvector of the chain at ``energy``, positive at chain end
+    ``end``, or None when a denominator vanishes or an amplitude is not finite.
 
     The chain is turned so the anchor is its last site; then R_k = c_k / c_{k+1}
     follows from row k of (H - E) c = 0 as t_k / (E - D_k - t_{k-1} R_{k-1}),
-    run from site 0, and c_k = R_k c_{k+1} from the anchor's c = 1 down.
+    run from site 0, and c_k = R_k c_{k+1} from the anchor's c = 1 down.  The
+    recursion runs on Python floats, which round as numpy's do.
     """
+    diagonal, off = diagonal.tolist(), off.tolist()
     if end == 0:
-        diagonal, off = diagonal[::-1], off[::-1]
-    ratios = np.empty(len(off))
+        diagonal.reverse()
+        off.reverse()
+    ratios = []
     ratio = 0.0
-    for k in range(len(off)):
-        ratio = off[k] / (energy - diagonal[k] - (off[k - 1] * ratio if k else 0.0))
-        ratios[k] = ratio
-    amps = np.empty(len(diagonal))
-    amps[-1] = 1.0
-    for k in range(len(off) - 1, -1, -1):
-        amps[k] = ratios[k] * amps[k + 1]
-    amps /= math.sqrt(math.fsum(amps**2))
-    return amps[::-1] if end == 0 else amps
+    try:
+        for k, link in enumerate(off):
+            ratio = link / (energy - diagonal[k] - (off[k - 1] * ratio if k else 0.0))
+            ratios.append(ratio)
+    except ZeroDivisionError:
+        return None
+    amps = [1.0]
+    for ratio in reversed(ratios):
+        amps.append(ratio * amps[-1])
+    norm = math.sqrt(math.fsum(a * a for a in amps))
+    chain = np.array(amps if end == 0 else amps[::-1]) / norm
+    return chain if np.isfinite(chain).all() else None
+
+
+def chain_anchors(n: int, j: float, b: float) -> tuple[int, int, float] | None:
+    """``(ground, lem, a_typ)`` of the tunneling-free collective cluster
+    ``(j, b)``, from the n+1 energies of its symmetric chain (the diagonal of
+    ``_block``), or None when the landscape has no local minimum besides the
+    global one.
+
+    Every configuration with k up spins has chain energy E_k, and its
+    single-flip neighbours lie at sites k - 1 and k + 1.  The anchors,
+    tolerance and spacing are those ``spectrum.find_local_minima`` and
+    ``spectrum.typical_level_spacing`` take from the 2^n table when each
+    table entry equals its site's energy: the tolerance is 1e-9 of the
+    chain's spread, the ground is the lowest configuration index at the
+    lowest level, and the LEM the lowest (energy, index) among the other
+    strict minima.  A site's lowest index is 2^k - 1; the global site's
+    own other configurations are minima too, the lowest of them with bit
+    k - 1 moved up to bit k.  A_typ is the geometric mean of the LEM's n
+    single-flip gaps (DegeneracyError when one is within the tolerance).
+    """
+    diagonal = _diagonal(n, n, j, b)
+    tolerance = _spread_tolerance(diagonal)
+    energies = diagonal.tolist()
+    ground_site = energies.index(min(energies))
+    candidates = []
+    for k, energy in enumerate(energies):
+        if k > 0 and not energies[k - 1] - energy > tolerance:
+            continue
+        if k < n and not energies[k + 1] - energy > tolerance:
+            continue
+        if k != ground_site:
+            candidates.append((energy, (1 << k) - 1, k))
+        elif 0 < k < n:
+            candidates.append((energy, ((1 << (k + 1)) - 1) ^ (1 << (k - 1)), k))
+    if not candidates:
+        return None
+    energy, lem, site = min(candidates)
+    gaps = [abs(energies[site - 1 if lem >> i & 1 else site + 1] - energy) for i in range(n)]
+    a_typ = geometric_gap(np.array(gaps), tolerance, config_to_bits(lem, n))
+    return (1 << ground_site) - 1, lem, a_typ
+
+
+_SECTOR_ONLY = "the symmetric sector holds only fully polarized anchors of collective clusters"
+
+
+@dataclass(frozen=True, eq=False)
+class SymmetricChain:
+    """The symmetric (Dicke) chain of a collective cluster, solved once for
+    both fully polarized anchors: the chain's diagonal and off-diagonal
+    (``_block``) and its levels and eigenvectors (LAPACK ``dstevd``)."""
+
+    n: int
+    diagonal: np.ndarray = field(repr=False)
+    off: np.ndarray = field(repr=False)
+    values: np.ndarray = field(repr=False)
+    vectors: np.ndarray = field(repr=False)
+
+    def dressed(self, anchor: int) -> DressedState:
+        """The dressed state of a fully polarized anchor (0 or 2^n - 1).
+
+        Raises StrongMixingError, as ``dress`` does, when the best overlap^2
+        with the anchor is below 0.5.
+        """
+        n = self.n
+        anchor = validate_config(n, anchor, "anchor")
+        if anchor not in (0, (1 << n) - 1):
+            raise ValidationError(_SECTOR_ONLY)
+        end = 0 if anchor == 0 else n
+        index = int(np.argmax(np.abs(self.vectors[end])))
+        require_dominant_overlap(float(self.vectors[end, index] ** 2), config_to_bits(anchor, n))
+        chain = _chain_amplitudes(self.diagonal, self.off, float(self.values[index]), end)
+        if chain is None:
+            # a far site degenerate with the anchor (b = 0) zeroes a denominator;
+            # the chain's own eigenvector stands in
+            chain = self.vectors[:, index] * np.sign(self.vectors[end, index])
+        chain.setflags(write=False)
+        return DressedState(anchor, float(chain[end] ** 2), float(self.values[index]), n, chain)
+
+
+def symmetric_chain(params: ClusterParams) -> SymmetricChain:
+    """The solved symmetric chain of a collective cluster; ValidationError
+    for any other cluster."""
+    form = collective_form(params)
+    if form is None:
+        raise ValidationError(_SECTOR_ONLY)
+    diagonal, off = _block(params.n, params.n, *form)
+    # the LAPACK routine scipy.linalg.eigh_tridiagonal runs on a whole chain, called directly
+    values, vectors, info = lapack.dstevd(diagonal, off, compute_v=1)
+    _check_info("dstevd", info, params.n + 1)
+    return SymmetricChain(params.n, diagonal, off, values, vectors)
 
 
 def symmetric_dressed(params: ClusterParams, anchor: int) -> DressedState:
     """The dressed state of a fully polarized anchor of a collective cluster,
-    solved in the (n+1)-dimensional symmetric sector.
-
-    Raises StrongMixingError, as ``dress`` does, when the best overlap^2 with
-    the anchor is below 0.5.
-    """
-    n = params.n
-    anchor = validate_config(n, anchor, "anchor")
-    form = collective_form(params)
-    if form is None or anchor not in (0, params.dim - 1):
-        raise ValidationError(
-            "the symmetric sector holds only fully polarized anchors of collective clusters"
-        )
-    diagonal, off = _block(n, n, *form)
-    values, vectors = scipy.linalg.eigh_tridiagonal(diagonal, off)
-    end = 0 if anchor == 0 else n
-    index = int(np.argmax(np.abs(vectors[end])))
-    require_dominant_overlap(float(vectors[end, index] ** 2), config_to_bits(anchor, n))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        chain = _chain_amplitudes(diagonal, off, float(values[index]), end)
-    if not np.all(np.isfinite(chain)):
-        # a far site degenerate with the anchor (b = 0) zeroes a denominator;
-        # the chain's own eigenvector stands in
-        chain = vectors[:, index] * np.sign(vectors[end, index])
-    per_config = chain / np.sqrt([math.comb(n, k) for k in range(n + 1)])
-    amps = per_config[popcounts(np.arange(params.dim), n)]
-    amps.setflags(write=False)
-    return DressedState(
-        anchor=anchor,
-        overlap_sq=float(chain[end] ** 2),
-        energy=float(values[index]),
-        amplitudes=amps,
-    )
+    solved in the (n+1)-dimensional symmetric sector
+    (``SymmetricChain.dressed``)."""
+    validate_config(params.n, anchor, "anchor")
+    return symmetric_chain(params).dressed(anchor)

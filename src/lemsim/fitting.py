@@ -23,6 +23,12 @@ def log10_points(xs, values) -> tuple[list, list[float], int]:
     return used, logs, len(values) - len(used)
 
 
+def fit_slope(x, y) -> float:
+    """The least-squares slope of y against x: ``fit_line``'s, bit for bit,
+    without the residuals its R² needs."""
+    return float(np.polyfit(np.asarray(x, dtype=float), np.asarray(y, dtype=float), 1)[0])
+
+
 def fit_line(x, y) -> tuple[float, float, float | None]:
     """Least-squares ``y = slope * x + intercept``: (slope, intercept, R²).
 

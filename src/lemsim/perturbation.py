@@ -30,7 +30,7 @@ from .errors import (
     InsufficientDataError,
     ValidationError,
 )
-from .fitting import fit_line, log10_points
+from .fitting import fit_slope, log10_points
 
 PATH_SUM_MAX_SPINS = 8  # d! path enumeration budget
 
@@ -149,4 +149,4 @@ def scaling_exponent(points) -> float:
             f"scaling fit needs at least 3 distinct orders with nonzero amplitude, "
             f"got {len(set(xs))}"
         )
-    return fit_line(xs, ys)[0]
+    return fit_slope(xs, ys)

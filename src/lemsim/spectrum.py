@@ -40,6 +40,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -63,7 +64,7 @@ from .errors import (
     StrongMixingError,
     ValidationError,
 )
-from .fitting import fit_line, log10_points
+from .fitting import fit_slope, log10_points
 
 OVERLAP_THRESHOLD = 0.5  # below this the anchor label is meaningless
 OVERLAP_ROUNDING = 1e-9  # overlap^2 this close above the threshold is refused too
@@ -113,18 +114,42 @@ class LandscapeReport:
     degenerate: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DressedState:
-    """Exact eigenstate anchored to a classical configuration by maximal overlap."""
+    """Exact eigenstate anchored to a classical configuration by maximal overlap.
+
+    A dense state (``dense``) holds its 2^n ``amplitudes``.  A state of the
+    symmetric sector (``collective.SymmetricChain.dressed``) holds the n+1
+    amplitudes ``chain`` of the Dicke chain, c_k on the normalised sum of the
+    C(n, k) configurations with k up spins; its 2^n ``amplitudes``,
+    c_k / sqrt(C(n, k)) on each of them, are formed on first read.  The sign
+    is fixed so the anchor's amplitude is positive.
+    """
 
     anchor: int
     overlap_sq: float
     energy: float
-    amplitudes: np.ndarray = field(repr=False)  # real, sign fixed so anchor amplitude > 0
+    n: int
+    chain: np.ndarray | None = field(default=None, repr=False)
 
-    @property
-    def n(self) -> int:
-        return len(self.amplitudes).bit_length() - 1
+    @classmethod
+    def dense(cls, anchor: int, overlap_sq: float, energy: float, amplitudes) -> DressedState:
+        """A state of a dense solve, from its 2^n amplitudes."""
+        state = cls(anchor, overlap_sq, energy, len(amplitudes).bit_length() - 1)
+        vars(state)["amplitudes"] = amplitudes
+        return state
+
+    @cached_property
+    def site_amplitudes(self) -> np.ndarray:
+        """c_k / sqrt(C(n, k)), k = 0..n: a sector state's amplitude on each
+        configuration with k up spins."""
+        return self.chain / np.sqrt([math.comb(self.n, k) for k in range(self.n + 1)])
+
+    @cached_property
+    def amplitudes(self) -> np.ndarray:
+        amps = self.site_amplitudes[popcounts(np.arange(1 << self.n), self.n)]
+        amps.setflags(write=False)
+        return amps
 
 
 @dataclass(frozen=True)
@@ -462,12 +487,15 @@ def dress(eig: SolvedLevels, anchor: int) -> DressedState:
     if amps[anchor] < 0:
         np.negative(amps, out=amps)
     amps.setflags(write=False)
-    return DressedState(anchor=anchor, overlap_sq=overlap_sq, energy=energy, amplitudes=amps)
+    return DressedState.dense(anchor, overlap_sq, energy, amps)
 
 
 def same_eigenstate(first: DressedState, second: DressedState) -> bool:
     """Whether two dressed states of one H are the same eigenvector: distinct
-    eigenvectors are orthogonal, whichever solves dressed them."""
+    eigenvectors are orthogonal, whichever solves dressed them.  Two sector
+    states compare their chains."""
+    if first.chain is not None and second.chain is not None:
+        return abs(float(first.chain @ second.chain)) > 0.5
     return abs(float(first.amplitudes @ second.amplitudes)) > 0.5
 
 
@@ -475,14 +503,18 @@ def overlap_decay(dressed: DressedState) -> OverlapDecay:
     """Group dressed amplitudes by Hamming distance from the anchor and fit
     the least-squares slope of log10(max |amplitude|) against distance over
     distances 1..n.  Maxima a log fit cannot use (``fitting.log10_points``)
-    are excluded."""
+    are excluded.  A sector state's maximum at distance d is its one
+    amplitude there, |c_k| / sqrt(C(n, k)) with k the chain site d flips
+    from the anchor, read without spreading the chain."""
     n = dressed.n
-    dist = popcounts(np.arange(len(dressed.amplitudes)) ^ dressed.anchor, n)
-    maxima = []
-    for k in range(n + 1):
-        maxima.append(float(np.abs(dressed.amplitudes[dist == k]).max()))
+    if dressed.chain is not None:
+        sites = np.abs(dressed.site_amplitudes)
+        maxima = (sites if dressed.anchor == 0 else sites[::-1]).tolist()
+    else:
+        dist = popcounts(np.arange(len(dressed.amplitudes)) ^ dressed.anchor, n)
+        maxima = [float(np.abs(dressed.amplitudes[dist == k]).max()) for k in range(n + 1)]
     used, logs, _ = log10_points(range(1, n + 1), maxima[1:])
-    slope = fit_line(used, logs)[0] if len(used) >= 2 else None
+    slope = fit_slope(used, logs) if len(used) >= 2 else None
     return OverlapDecay(
         anchor=dressed.anchor,
         distances=tuple(range(n + 1)),
@@ -498,14 +530,20 @@ def typical_level_spacing(params: ClusterParams, anchor: int) -> float:
     or below ``degeneracy_tolerance(params)`` is a hard error.
     """
     anchor = validate_config(params.n, anchor, "anchor")
-    tolerance = degeneracy_tolerance(params)
     configs = [anchor] + [anchor ^ (1 << i) for i in range(params.n)]
     energies = classical_energies(params)[configs]
     gaps = np.abs(energies[1:] - energies[0])
+    return geometric_gap(gaps, degeneracy_tolerance(params), config_to_bits(anchor, params.n))
+
+
+def geometric_gap(gaps: np.ndarray, tolerance: float, label: str) -> float:
+    """Geometric mean of the single-flip gaps at the anchor named ``label``,
+    one per spin in spin order; DegeneracyError when one is at or below
+    ``tolerance``."""
     if np.any(gaps <= tolerance):
         i = int(np.argmin(gaps))
         raise DegeneracyError(
-            f"single-flip gap on spin {i} at anchor {config_to_bits(anchor, params.n)} "
+            f"single-flip gap on spin {i} at anchor {label} "
             f"is degenerate ({gaps[i]:.3e} <= tol {tolerance:.3e})"
         )
     return float(np.exp(np.mean(np.log(gaps))))

@@ -4,23 +4,25 @@ The workhorse family is the fully connected uniform ferromagnet with a
 small uniform bias: the two fully polarized configurations are then the
 global and the local minimum, and all couplings are set to a fixed fraction
 of the typical level spacing so a single dimensionless ratio labels each
-grid point.  ``run_sweep`` checks its grid, channels and seed before the
-first point; after that, per-point failures are recorded inline as error
-codes and a sweep never aborts half way.  Each grid point is a
-``ClusterProblem``, the object the command line runs its channels on too.
-Each degeneracy check on a point computes its tolerance where it is made,
-from the point's one energy table (``ClusterParams`` caches it and
-``with_tunneling`` shares it).
+grid point.  ``run_sweep`` checks all of its arguments before the first
+point; after that, per-point failures are recorded inline as error codes
+and a sweep never aborts half way.  Each grid point is a ``ClusterProblem``,
+the object the command line runs its channels on too.
 
 The family is permutation symmetric and both anchors are fully polarized,
-so ``uniform_ferromagnet`` marks its problems ``symmetric`` and their dressed
-states come from the (n+1)-dimensional symmetric sector
-(``collective.symmetric_dressed``): no channel solves the 2^n x 2^n
-eigensystem or needs a dense memory budget, and the ``rates`` channel prints
-matrix elements at full relative precision far below the dense eigensolver's
-absolute floor.  The ``dynamics`` channel integrates the same two dressed
-states: independent noise on each spin breaks the symmetry of the
-evolution, which runs on the full 2^n basis, not of the starting states.
+so every configuration with k up spins has one energy, and the n+1 energies
+of the symmetric (Dicke) chain give the family its landscape, tolerance and
+A_typ (``collective.chain_anchors``).  ``uniform_ferromagnet`` marks its
+problems ``symmetric``, and both dressed states come from one solve of the
+chain (``collective.symmetric_chain``), which keeps their n+1 chain
+amplitudes: ``overlaps`` and ``rates`` read them there, so their rows form
+no 2^n array, solve no 2^n x 2^n eigensystem and need no dense memory
+budget, and ``rates`` prints matrix elements at full relative precision far
+below the dense eigensolver's absolute floor.  The energy table is built
+only for the channels that read it, ``pathsum`` and ``dynamics``.  The
+``dynamics`` channel integrates the same two dressed states, spread over
+the 2^n basis: independent noise on each spin breaks the symmetry of the
+evolution, which runs on the full basis, not of the starting states.
 Its spectrum comes from the total-spin blocks (``collective.cluster_levels``).
 ``ClusterProblem.anchored``, the command line's constructor, marks every
 collective cluster symmetric by the same rule as ``lemsim spectrum``.  Any
@@ -30,6 +32,7 @@ other problem dresses both anchors from one dense solve
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from itertools import product
@@ -61,7 +64,7 @@ from .transition import CouplingSpec, RateReport, check_bound, matrix_element
 # here first raises the peak RSS of ``import lemsim.cli`` from 56.6 to
 # 57.0 MB (median of 30 alternating runs on a 2-core Xeon; the import time
 # did not differ beyond the runs' spread)
-from .collective import collective_form, symmetric_dressed
+from .collective import SymmetricChain, chain_anchors, collective_form, symmetric_chain
 
 CHANNELS = ("overlaps", "rates", "pathsum", "dynamics")
 
@@ -76,12 +79,12 @@ class ClusterProblem:
     (an override, the sweep family's) is given as ``known_a_typ``.  Every
     degeneracy check reads ``degeneracy_tolerance(params)`` where it is made.  A
     ``symmetric`` problem (a collective cluster) whose anchors are the two
-    fully polarized configurations dresses both in the symmetric sector;
-    every other problem dresses both states from one dense value-subset
-    solve.  A state that does not dress raises its error on every read, so
-    it fails only the channels that read it.  Every channel reads the same
-    dressed pair, so none learns which route ran; ``route`` names it for the
-    logs.
+    fully polarized configurations dresses both from one solve of the
+    symmetric chain; every other problem dresses both states from one dense
+    value-subset solve.  A state that does not dress raises its error on
+    every read, so it fails only the channels that read it.  Every channel
+    reads the same dressed pair, so none learns which route ran; ``route``
+    names it for the logs.
     ``anchored`` sets ``symmetric`` from ``collective.collective_form``.
     """
 
@@ -129,9 +132,14 @@ class ClusterProblem:
         """The route that dressed the pair: "sector" or "dense"."""
         return "sector" if self._in_sector else "dense"
 
+    @cached_property
+    def _chain(self) -> SymmetricChain:
+        """One chain solve for both anchors."""
+        return symmetric_chain(self.params)
+
     def _dressed(self, anchor: int) -> DressedState:
         if self._in_sector:
-            return symmetric_dressed(self.params, anchor)
+            return self._chain.dressed(anchor)
         return dress(self._solved, anchor)
 
     @cached_property
@@ -222,9 +230,12 @@ def uniform_ferromagnet(
 ) -> ClusterProblem:
     """Fully connected ferromagnet with all couplings a fixed fraction of A_typ.
 
-    The typical level spacing is evaluated at the local-minimum anchor on
-    the tunneling-free landscape (tunneling does not shift the diagonal),
-    then tunneling and both noise channels are set to ratio * A_typ.
+    The anchors and the typical level spacing at the local-minimum anchor
+    come from the tunneling-free landscape (tunneling does not shift the
+    diagonal), read off the n+1 energies of the symmetric chain
+    (``collective.chain_anchors``); then tunneling and both noise channels
+    are set to ratio * A_typ.  No energy table is built: the cluster builds
+    its own when a channel reads it.
     """
     bare = ClusterParams(
         n=n,
@@ -232,22 +243,15 @@ def uniform_ferromagnet(
         bias=np.full(n, float(bias)),
         tunneling=np.zeros(n),
     )
-    landscape = find_local_minima(bare)
-    if not landscape.local_minima:
+    anchors = chain_anchors(n, float(coupling_j), float(bias))
+    if anchors is None:
         raise ValidationError(
             f"uniform family with n={n}, bias={bias}, j={coupling_j} has no local minimum"
         )
-    ground = landscape.global_config
-    lem = landscape.local_minima[0].config
-    a_typ = typical_level_spacing(bare, lem)
-    amp = ratio * a_typ
-    params = bare.with_tunneling(np.full(n, amp))
-    coupling = CouplingSpec(
-        z_noise=np.full(n, amp),
-        x_noise=np.full(n, amp),
-        kind="ou",
-        correlation_time=10.0 / a_typ,
-    )
+    ground, lem, a_typ = anchors
+    amps = np.full(n, ratio * a_typ)  # each of the three keeps its own copy
+    params = bare.with_tunneling(amps)
+    coupling = CouplingSpec(z_noise=amps, x_noise=amps, kind="ou", correlation_time=10.0 / a_typ)
     return ClusterProblem(params, coupling, ground, lem, a_typ, symmetric=True)
 
 
@@ -258,15 +262,15 @@ def run_sweep(
     """Evaluate every point of the size x ratio grid of the uniform family,
     recording per-row error codes on failure.
 
-    The grid, the channels and the master seed are checked before the first
-    point is built: an empty grid, a size below 1, a ratio outside (0, 1),
-    an unknown channel or a master seed outside 64 unsigned bits raises
-    ValidationError, and a size above ``MAX_SPINS`` raises CapacityError, as
-    ``cluster.n`` does.  The family and the trajectories check the rest per
-    point.  Point sub-seeds derive deterministically from the master seed
-    and the grid position, so identical grids and seeds reproduce rows bit
-    for bit.  Every channel of a point runs on the point's one
-    ``ClusterProblem``.
+    Every argument is checked before the first point is built: an empty
+    grid, a size below 1, a ratio outside (0, 1), an unknown channel, a
+    master seed outside 64 unsigned bits, a trajectory count that is not a
+    positive integer or a non-finite bias or coupling raises ValidationError,
+    and a size above ``MAX_SPINS`` raises CapacityError, as ``cluster.n``
+    does.  The family checks the rest per point.  Point sub-seeds derive
+    deterministically from the master seed and the grid position, so
+    identical grids and seeds reproduce rows bit for bit.  Every channel of
+    a point runs on the point's one ``ClusterProblem``.
     """
     n_values = tuple(int(v) for v in n_values)
     ratio_values = tuple(float(v) for v in ratio_values)
@@ -288,30 +292,33 @@ def run_sweep(
             raise ValidationError(f"unknown channel {ch!r}; choose from {CHANNELS}")
     if not isinstance(master_seed, (int, np.integer)) or not 0 <= int(master_seed) < 2**64:
         raise ValidationError("master seed must be an unsigned 64-bit integer")
+    if not isinstance(trajectory_count, (int, np.integer)) or trajectory_count < 1:
+        raise ValidationError("trajectory count must be a positive integer")
+    for name, value in (("bias", bias), ("coupling j", coupling_j)):
+        if not math.isfinite(value):
+            raise ValidationError(f"sweep {name} must be finite, got {value!r}")
     rows: list[SweepRow] = []
     points = list(product(n_values, ratio_values))
     for index, (n, ratio) in enumerate(points):
         child = np.random.SeedSequence(entropy=int(master_seed), spawn_key=(index,))
         point_seed = int(child.generate_state(1, dtype=np.uint64)[0])
         errors: list[str] = []
-        row = SweepRow(n=n, ratio=ratio, seed=point_seed)
         try:
             fam = uniform_ferromagnet(n, ratio, bias=bias, coupling_j=coupling_j)
         except SimulationError as exc:
-            rows.append(replace(row, error=f"family:{exc.code}"))
+            rows.append(SweepRow(n=n, ratio=ratio, seed=point_seed, error=f"family:{exc.code}"))
             continue
-        row = replace(row, a_typ=fam.a_typ)
+        values = {"a_typ": fam.a_typ}
 
         if "overlaps" in channels:
             try:
-                row = replace(row, overlap_slope=overlap_decay(fam.dressed_ground).slope)
+                values["overlap_slope"] = overlap_decay(fam.dressed_ground).slope
             except SimulationError as exc:
                 errors.append(f"overlaps:{exc.code}")
         if "rates" in channels:
             try:
                 report = fam.rates()
-                row = replace(
-                    row,
+                values.update(
                     matrix_element=report.matrix_element,
                     rate_ratio=report.rate_ratio,
                     rate_bound=report.bound,
@@ -322,7 +329,7 @@ def run_sweep(
         if "pathsum" in channels:
             try:
                 points_d = [(r.order, r.amplitude) for r in fam.path_sums()]
-                row = replace(row, pathsum_slope=scaling_exponent(points_d))
+                values["pathsum_slope"] = scaling_exponent(points_d)
             except SimulationError as exc:
                 errors.append(f"pathsum:{exc.code}")
         if "dynamics" in channels:
@@ -331,10 +338,10 @@ def run_sweep(
                 if trace.rate_is_upper_limit:  # no decay resolved: not a fitted rate
                     errors.append(f"dynamics:{InsufficientDataError.code}")
                 else:
-                    row = replace(row, fitted_dynamics_rate=trace.fitted_rate)
+                    values["fitted_dynamics_rate"] = trace.fitted_rate
             except SimulationError as exc:
                 errors.append(f"dynamics:{exc.code}")
-        rows.append(replace(row, error=";".join(errors)))
+        rows.append(SweepRow(n=n, ratio=ratio, seed=point_seed, error=";".join(errors), **values))
     return rows
 
 

@@ -51,9 +51,9 @@ class CouplingSpec:
         if f.ndim != 1 or g.ndim != 1 or f.shape != g.shape:
             raise ValidationError("noise amplitude vectors must be 1-d and equally long")
         for name, arr in (("z_noise", f), ("x_noise", g)):
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise ValidationError(f"{name} contains non-finite entries")
-            if np.any(arr < 0):
+            if (arr < 0).any():
                 raise ValidationError(f"{name} amplitudes must be non-negative")
         if self.kind not in NOISE_KINDS:
             raise ValidationError(f"noise kind must be one of {NOISE_KINDS}, got {self.kind!r}")
@@ -98,9 +98,16 @@ def matrix_element(
     Evaluates <ground| sum_i f_i sigma^z_i + sum_i g_i sigma^x_i |lem> from
     the amplitude tables with unit noise variables; the rate ratio is its
     square.  The per-spin contributions of both channels are reported and
-    sum to the total by construction.
+    sum to the total by construction.  Two symmetric-sector states are
+    summed on their chains G and L: every spin carries 1/n of the
+    collective element, so
+
+        z_i = f_i/n · Σ_k (2k − n) G_k L_k,
+        x_i = g_i/n · Σ_k √((k+1)(n−k)) (G_k L_{k+1} + G_{k+1} L_k),
+
+    the diagonal of M = Σ σ^z and the off-diagonal of 2 S_x on the chain.
     """
-    if len(ground.amplitudes) != len(lem.amplitudes):
+    if ground.n != lem.n:
         raise ValidationError("dressed states live in different Hilbert spaces")
     if same_eigenstate(ground, lem):
         raise ValidationError(
@@ -110,15 +117,24 @@ def matrix_element(
     n = ground.n
     if coupling.n != n:
         raise ValidationError(f"coupling is for {coupling.n} spins, states have {n}")
-    a = ground.amplitudes
-    b = lem.amplitudes
-    signs = sign_table(n)  # (dim, n)
-    prod = a * b
-    z_parts = coupling.z_noise * (prod @ signs)
-    idx = np.arange(1 << n)
-    x_parts = np.array(
-        [coupling.x_noise[i] * float(a[idx ^ (1 << i)] @ b) for i in range(n)]
-    )
+    if ground.chain is not None and lem.chain is not None:
+        g, l = ground.chain.tolist(), lem.chain.tolist()
+        z_sum = math.fsum((2 * k - n) * g[k] * l[k] for k in range(n + 1))
+        x_sum = math.fsum(
+            math.sqrt((k + 1) * (n - k)) * (g[k] * l[k + 1] + g[k + 1] * l[k]) for k in range(n)
+        )
+        z_parts = coupling.z_noise * (z_sum / n)
+        x_parts = coupling.x_noise * (x_sum / n)
+    else:
+        a = ground.amplitudes
+        b = lem.amplitudes
+        signs = sign_table(n)  # (dim, n)
+        prod = a * b
+        z_parts = coupling.z_noise * (prod @ signs)
+        idx = np.arange(1 << n)
+        x_parts = np.array(
+            [coupling.x_noise[i] * float(a[idx ^ (1 << i)] @ b) for i in range(n)]
+        )
     element = math.fsum(z_parts.tolist() + x_parts.tolist())
     return RateReport(
         matrix_element=element,

@@ -6,12 +6,17 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lemsim.collective
 import lemsim.spectrum
 import lemsim.sweep
 from lemsim import (
     ClusterParams,
+    ClusterProblem,
+    CouplingSpec,
+    DegeneracyError,
     StrongMixingError,
     ValidationError,
     block_eigenvalues,
@@ -20,9 +25,11 @@ from lemsim import (
     collective_form,
     dress,
     eigenvalues,
+    find_local_minima,
     overlap_decay,
     run_sweep,
     symmetric_dressed,
+    typical_level_spacing,
     uniform_couplings,
 )
 from lemsim.cli import main
@@ -246,6 +253,118 @@ def test_sector_refuses_what_it_cannot_hold():
     )
     with pytest.raises(ValidationError, match="symmetric sector"):
         symmetric_dressed(uneven, 0)
+
+
+# ------------------------------------------------ the chain against 2^n sums
+
+
+@st.composite
+def _collective_problems(draw):
+    """A collective cluster of 1..8 spins (j of either sign, b possibly 0,
+    c > 0) with per-spin noise amplitudes, anchored on its polarized pair."""
+    n = draw(st.integers(1, 8))
+    j = draw(st.floats(-2.0, 2.0))
+    b = draw(st.one_of(st.just(0.0), st.floats(-1.0, 1.0)))
+    c = draw(st.floats(1e-3, 0.3))
+    f = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    g = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    coupling = CouplingSpec(z_noise=f, x_noise=g)
+    return ClusterProblem(collective(n, j, b, c), coupling, 0, 2**n - 1, 1.0, symmetric=True)
+
+
+def _within(got, terms):
+    # 1e-12 relative, or the rounding of the 2^n sum where its terms cancel;
+    # a product that underflows is off by up to half the least subnormal, so
+    # each term, formed by two products, may be off by one such ulp
+    want = math.fsum(terms)
+    slack = max(1e-12 * abs(want), 64 * EPS * math.fsum(abs(t) for t in terms))
+    return abs(got - want) <= slack + (len(terms) + 1) * math.ulp(0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_collective_problems())
+def test_chain_sums_match_sums_over_the_full_basis(problem):
+    # the maxima and the element the sector reads off its chains, against
+    # sums this test forms itself over the spread 2^n amplitudes
+    assert problem.route == "sector"
+    n = problem.params.n
+    states = []
+    for name in ("dressed_ground", "dressed_lem"):
+        try:
+            state = getattr(problem, name)
+        except StrongMixingError:
+            continue
+        states.append(state)
+        distance = np.array([bin(x ^ state.anchor).count("1") for x in range(2**n)])
+        maxima = [float(np.abs(state.amplitudes[distance == d]).max()) for d in range(n + 1)]
+        assert overlap_decay(state).max_amplitudes == tuple(maxima)
+    if len(states) < 2:
+        return
+    ground, lem = (state.amplitudes for state in states)
+    if abs(float(ground @ lem)) > 0.5:
+        with pytest.raises(ValidationError, match="two distinct eigenstates"):
+            problem.rates()
+        return
+    report = problem.rates()
+    configs = np.arange(2**n)
+    every_term = []
+    for i in range(n):
+        spin = 2.0 * (configs >> i & 1) - 1.0
+        z_terms = (problem.coupling.z_noise[i] * ground * lem * spin).tolist()
+        x_terms = (problem.coupling.x_noise[i] * ground[configs ^ (1 << i)] * lem).tolist()
+        assert _within(report.z_channel[i], z_terms), ("z", i)
+        assert _within(report.x_channel[i], x_terms), ("x", i)
+        every_term += z_terms + x_terms
+    assert _within(report.matrix_element, every_term)
+
+
+def _check_family_against_the_table(n, j, b, rounding):
+    """The chain family's anchors, refusals and A_typ against the 2^n table's,
+    A_typ to 1e-14 relative plus ``rounding``(A_typ)."""
+    bare = ClusterParams(
+        n=n, couplings=uniform_couplings(n, j), bias=np.full(n, b), tunneling=np.zeros(n)
+    )
+    landscape = find_local_minima(bare)
+    if not landscape.local_minima:
+        with pytest.raises(ValidationError, match="has no local minimum"):
+            uniform_ferromagnet(n, 0.01, bias=b, coupling_j=j)
+        return
+    lem = landscape.local_minima[0].config
+    try:
+        a_typ = typical_level_spacing(bare, lem)
+    except DegeneracyError as exc:
+        with pytest.raises(DegeneracyError, match="single-flip gap") as chain:
+            uniform_ferromagnet(n, 0.01, bias=b, coupling_j=j)
+        assert str(chain.value) == str(exc)
+        return
+    family = uniform_ferromagnet(n, 0.01, bias=b, coupling_j=j)
+    assert (family.ground_anchor, family.lem_anchor) == (landscape.global_config, lem)
+    assert abs(family.a_typ - a_typ) <= 1e-14 * a_typ + rounding(a_typ)
+
+
+_SIXTEENTHS = st.integers(-64, 64).map(lambda v: v / 16)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(1, 8), _SIXTEENTHS, _SIXTEENTHS)
+def test_chain_family_matches_the_table_where_the_table_is_exact(n, j, b):
+    # sixteenths keep every table entry exact and equal to its chain site's
+    # energy, so ties break alike: at the lowest index of a level, and an
+    # antiferromagnet's global level holds its other minima too
+    _check_family_against_the_table(n, j, b, lambda a_typ: 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8), st.floats(-2.0, 0.0), st.one_of(st.just(0.0), st.floats(-6.0, 6.0)))
+def test_chain_family_matches_the_table_on_ferromagnets(n, j, b):
+    # any ferromagnet's minima are polarized, one configuration a level, so
+    # the anchors agree whatever the table rounds.  A gap then differs by the
+    # rounding of the table's and the chain's energies, a few eps of the
+    # energy scale, and the geometric mean's logs by a few eps of |ln A_typ|
+    scale = n * (n - 1) / 2 * abs(j) + n * abs(b)
+    _check_family_against_the_table(
+        n, j, b, lambda a_typ: 8 * EPS * (scale + abs(math.log(a_typ)) * a_typ)
+    )
 
 
 # ------------------------------------------------------------- the blocks

@@ -57,13 +57,13 @@ def test_missing_local_minimum_needs_explicit_anchors():
     assert (problem.ground_anchor, problem.lem_anchor) == (0, 1)
 
 
-def test_one_row_solves_and_enumerates_once(monkeypatch):
-    # all four channels of a grid point share the point's landscape, its one
-    # energy table and its one dressed pair, both states from the symmetric
-    # sector: no eigensystem is solved
+def test_one_row_solves_the_chain_once(monkeypatch):
+    # all four channels of a grid point share the point's one chain solve and
+    # its one dressed pair; the family reads its landscape off the chain, and
+    # the energy table is built once, because pathsum and dynamics read it
     calls = {
         name: count_calls(monkeypatch, lemsim.sweep, name)
-        for name in ("cluster_eigensystem", "find_local_minima", "symmetric_dressed", "dress")
+        for name in ("cluster_eigensystem", "find_local_minima", "symmetric_chain", "dress")
     }
     builds = count_table_builds(monkeypatch)
     rows = run_sweep((3,), (0.3,), CHANNELS, trajectory_count=4, master_seed=2)
@@ -72,11 +72,31 @@ def test_one_row_solves_and_enumerates_once(monkeypatch):
     assert rows[0].fitted_dynamics_rate is not None
     assert {name: len(sizes) for name, sizes in calls.items()} == {
         "cluster_eigensystem": 0,
-        "find_local_minima": 1,
-        "symmetric_dressed": 2,
+        "find_local_minima": 0,
+        "symmetric_chain": 1,
         "dress": 0,
     }
     assert builds == [3]
+    # without pathsum and dynamics nothing reads the table
+    rows = run_sweep((3, 4), (0.01, 0.3), ("overlaps", "rates"), master_seed=2)
+    assert [row.error for row in rows] == [""] * 4
+    assert len(calls["symmetric_chain"]) == 5
+    assert builds == [3]
+
+
+def test_n14_overlaps_and_rates_rows_form_no_full_size_array(monkeypatch):
+    # every row runs on the (n+1)-site chain: the peak stays below one
+    # 2^14-entry array of doubles, and no energy table is built
+    builds = count_table_builds(monkeypatch)
+    tracemalloc.start()
+    try:
+        rows = run_sweep((14,), (0.0025, 0.01, 0.05), ("overlaps", "rates"), master_seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [row.error for row in rows] == [""] * 3
+    assert builds == []
+    assert peak < 8 * 2**14
 
 
 def test_dense_trajectories_integrate_the_dense_dressed_pair(monkeypatch):
@@ -219,8 +239,19 @@ def test_grid_size_cap_is_a_capacity_error():
 
 @pytest.mark.parametrize(
     "bad",
-    [{"ratio_values": (0.01, 0.05, 1.0)}, {"channels": ("rates", "nope")}, {"master_seed": 2**64}],
-    ids=["last-ratio", "unknown-channel", "master-seed"],
+    [
+        {"ratio_values": (0.01, 0.05, 1.0)},
+        {"channels": ("rates", "nope")},
+        {"master_seed": 2**64},
+        {"channels": ("rates", "dynamics"), "trajectory_count": 0},
+        {"trajectory_count": 2.5},
+        {"bias": float("nan")},
+        {"coupling_j": float("-inf")},
+    ],
+    ids=[
+        "last-ratio", "unknown-channel", "master-seed", "no-trajectories",
+        "fractional-trajectories", "nan-bias", "infinite-j",
+    ],
 )
 def test_bad_arguments_are_refused_before_any_point(monkeypatch, bad):
     # run_sweep looks the family up as a module global, where the benchmark's
