@@ -13,10 +13,10 @@ The configs cover the seven pipelines on collective and non-collective
 clusters, OU and white noise (white across five noise blocks on the dense
 route), the sector and dense routes, explicit unpolarized anchors at zero
 tunneling, both refusals of a dressed state, a non-collective 9-spin cluster
-and a strongly mixed 7-spin one on the dense route, three sweeps (one with
-every per-row error code), a noise-free ``dynamics`` run whose LEM anchor
-has a zero single-flip gap, and every op of the benchmark's toy scale
-(``perfbench/workloads.py``).
+and a strongly mixed 7-spin one on the dense route, a 16-spin collective
+cluster, four sweeps (one with every per-row error code, one to 150 spins),
+a noise-free ``dynamics`` run whose LEM anchor has a zero single-flip gap,
+and every op of the benchmark's toy scale (``perfbench/workloads.py``).
 Every run gets ``--seed 7``.  BLAS runs on one thread unless
 ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS`` say
 otherwise: a dense solve of 512 rows (``THREAD_SENSITIVE``) rounds
@@ -120,6 +120,14 @@ CONFIGS = [
     ("noise-free-zero-gap", ("dynamics",), "[cluster]\nn = 2\nj_upper = 0.0\nbias = 0.0 0.4\n"
      "tunneling = 0.0 0.01\n[dynamics]\nanchors = 00 11\ntime_step = 0.01\ntotal_time = 1.0\n"
      "trajectories = 2\n"),
+    # past 14 spins: a collective cluster whose 2^16 levels come from the
+    # total-spin blocks and whose pair dresses on the sector, and a sweep of
+    # chain rows up to n = 150, where the smallest ratio leaves the double range
+    ("ferro16-sector", ("spectrum", "landscape", "overlaps", "rates"),
+     "[cluster]\nn = 16\nj = -1.0\nbias = 0.1\ntunneling = 0.3\n"
+     + NOISE.format(f=0.3, g=0.3, kind="ou")),
+    ("sweep-past14", ("sweep",), SWEEP.format(n="15 30 68 150", ratios="0.0025 0.01 0.05",
+     channels="overlaps rates")),
 ]
 
 
