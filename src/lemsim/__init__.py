@@ -18,7 +18,7 @@ from .cluster import (
 from .config import parse_config, render_config
 # after .config, which imports .dynamics first: importing .collective
 # ahead of it raises the start-up peak RSS by 0.3 MB (see .sweep)
-from .collective import block_eigenvalues, cluster_levels, collective_form, symmetric_dressed
+from .collective import block_eigenvalues, cluster_levels, collective_form
 from .dynamics import (
     CoherenceTrace,
     default_time_step,
@@ -33,6 +33,7 @@ from .errors import (
     NumericalError,
     SimulationError,
     StrongMixingError,
+    UnderflowError,
     ValidationError,
 )
 from .perturbation import multiphoton_path_sum, scaling_exponent

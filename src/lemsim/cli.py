@@ -3,8 +3,10 @@
 Subcommands: spectrum, landscape, overlaps, rates, pathsum, dynamics,
 sweep.  Every subcommand reads one sectioned config file, runs the matching
 pipeline and emits CSV to --out (default stdout).  Exit statuses: 0 on
-success, 1 on validation errors, 2 on numerical errors, 3 on capacity
-errors.
+success, 1 on validation errors, 2 on numerical errors (an underflowed
+result among them), 3 on capacity errors: more than ``cluster.MAX_SPINS``
+spins, or 2^n arrays (the energy table, ``spectrum``'s levels and their CSV
+text, a dense solve) that do not fit in memory, refused before allocation.
 
 On a collective cluster (``collective.collective_form``), ``spectrum`` runs
 on the total-spin blocks (``collective.cluster_levels``), and ``overlaps``
@@ -30,7 +32,7 @@ import sys
 from dataclasses import replace
 
 from ._version import __version__
-from .cluster import config_to_bits
+from .cluster import _require_memory, config_to_bits
 from .collective import cluster_levels
 from .config import RunConfig, parse_config, render_config, with_overrides
 from .csvout import (
@@ -48,6 +50,11 @@ from .perturbation import scaling_exponent
 from .spectrum import WHOLE_SOLVE_ROWS, find_local_minima, overlap_decay
 from .sweep import ClusterProblem, run_sweep
 from .transition import coupling_ratio, lifetime_extension
+
+
+# the levels and their CSV text: tracemalloc peaks of 153-155 bytes per
+# level for collective clusters of 16-20 spins
+LEVEL_BYTES = 160
 
 
 def _say(args, message: str) -> None:
@@ -77,6 +84,7 @@ def _problem(cfg: RunConfig) -> ClusterProblem:
 
 def _cmd_spectrum(cfg: RunConfig, destination, args) -> None:
     params = cfg.cluster_params()
+    _require_memory(LEVEL_BYTES * params.dim, f"the spectrum of a {params.n}-spin cluster")
     values = cluster_levels(params)
     _say(args, f"spectrum: {params.dim} levels in [{values[0]:.6g}, {values[-1]:.6g}]")
     write_output(emit_eigensystem(values, render_config(cfg), cfg.seed), destination)

@@ -1,6 +1,7 @@
 """Pseudo-spin cluster model: parameters, number-state basis, classical
-energies and the degeneracy tolerance built from them, Hamming distance and
-dense Hamiltonian assembly.
+energies and the degeneracy tolerance built from them, Hamming distance,
+dense Hamiltonian assembly and the memory pre-flight every route that
+allocates something of size 2^n runs first.
 
 Conventions used throughout the package:
 
@@ -14,11 +15,17 @@ Conventions used throughout the package:
 * The pair interaction energy is ``sum_{i<j} J_ij s_i s_j`` with each pair
   counted once.  Callers holding coefficients from an ordered (i != j)
   double sum must supply entries twice as large.
+
+The one size limit every cluster is held to is ``MAX_SPINS``, set by the
+number format (``require_size``).  Below it, a route that allocates
+something of size 2^n checks what it needs against the memory available
+(``_require_memory``) before it allocates, as the energy table does here.
 """
 
 from __future__ import annotations
 
 import copy
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -26,10 +33,10 @@ import numpy as np
 
 from .errors import CapacityError, ValidationError
 
-# bounds the matrix-free routes' 2^n tables, the config's scalar broadcast and
-# the 8^n dense solve time; dense storage is checked against the memory
-# available (ROADMAP item 7 moves this cap into the dense solvers)
-MAX_SPINS = 14
+# 2^n and every binomial C(n, k) are finite doubles up to here
+# (float(math.comb(1030, 515)) overflows), as the Dicke chain's site
+# amplitudes c_k / sqrt(C(n, k)) need
+MAX_SPINS = 1023
 
 # _energy_table's intermediates are partial sums: of an entry of s.J, at most
 # sum_i |J_ij|; of s.J.s, at most sum_{i!=j} |J_ij|; of b.s, at most sum |b_i|.
@@ -52,7 +59,7 @@ class ClusterParams:
     """Static cluster parameters.
 
     Attributes:
-        n: number of pseudo-spins, 1 <= n <= 14.
+        n: number of pseudo-spins, 1 <= n <= ``MAX_SPINS``.
         couplings: symmetric (n, n) matrix of pairwise sigma^z-sigma^z
             couplings with zero diagonal (energy units).
         bias: length-n vector of on-site energy biases.
@@ -68,8 +75,7 @@ class ClusterParams:
     def __post_init__(self):
         if not isinstance(self.n, (int, np.integer)) or self.n < 1:
             raise ValidationError(f"cluster size must be a positive integer, got {self.n!r}")
-        if self.n > MAX_SPINS:
-            raise CapacityError(f"cluster size {self.n} exceeds the dense budget of {MAX_SPINS} spins")
+        require_size(self.n)
         j = _as_readonly(self.couplings)
         b = _as_readonly(self.bias)
         c = _as_readonly(self.tunneling)
@@ -96,7 +102,9 @@ class ClusterParams:
 
     @cached_property
     def _energies(self) -> np.ndarray:
-        # couplings and bias are read-only, so the table cannot go stale
+        # couplings and bias are read-only, so the table cannot go stale;
+        # its (n, 2^n) scratch and two 2^n sums are checked before they exist
+        _require_memory(8 * (self.n + 2) << self.n, f"the energy table of a {self.n}-spin cluster")
         table = _energy_table(self.couplings, self.bias)
         table.setflags(write=False)
         return table
@@ -114,6 +122,105 @@ class ClusterParams:
         other = copy.copy(self)
         object.__setattr__(other, "tunneling", c)
         return other
+
+
+def require_size(n: int, what: str = "cluster size") -> None:
+    """Raise CapacityError when ``n`` spins exceed ``MAX_SPINS``; ``what``
+    names the value in the message."""
+    if n > MAX_SPINS:
+        raise CapacityError(
+            f"{what} {n} exceeds {MAX_SPINS} spins, the most whose 2^n and binomials C(n, k) "
+            "are finite doubles"
+        )
+
+
+def _read(path: str) -> bytes | None:
+    """A kernel file's bytes (each one read here is far below 64 KiB), or
+    None when it cannot be read.  One ``os.read`` skips the buffered text
+    layer of ``open``, which costs more than the read itself."""
+    try:
+        fd = os.open(path, os.O_RDONLY)
+    except OSError:
+        return None
+    try:
+        return os.read(fd, 65536)
+    except OSError:
+        return None
+    finally:
+        os.close(fd)
+
+
+def _read_int(path: str) -> int | None:
+    """The integer a one-line kernel file starts with; None when the file is
+    unreadable or holds no integer (cgroup v2 writes ``max`` for no limit)."""
+    words = (_read(path) or b"").split()
+    try:
+        return int(words[0])
+    except (ValueError, IndexError):
+        return None
+
+
+def _cgroup_headroom(proc: str, cgroup_fs: str) -> int | None:
+    """Smallest ``limit - usage`` over this process's memory cgroups and their
+    ancestors, or None when none of them sets a readable limit.
+
+    cgroup v2 (``0::path`` in ``/proc/self/cgroup``) is read from
+    ``memory.max``/``memory.current`` under the unified hierarchy, mounted at
+    ``cgroup_fs`` or, on hybrid systems, at ``cgroup_fs/unified``; cgroup v1
+    from ``memory.limit_in_bytes``/``memory.usage_in_bytes`` under
+    ``cgroup_fs/memory``.  Usage counts the page cache, so the headroom errs
+    low.  Usage is read only under a limit: cgroup v1 writes a number of at
+    least 2^62 for no limit.
+    """
+    headroom = None
+    for line in (_read(f"{proc}/self/cgroup") or b"").decode("utf-8", "replace").splitlines():
+        fields = line.split(":", 2)
+        if len(fields) != 3:
+            continue
+        hierarchy, controllers, path = fields
+        if hierarchy == "0" and not controllers:
+            mounts, limit_file, usage_file = ("", "/unified"), "memory.max", "memory.current"
+        elif "memory" in controllers.split(","):
+            mounts, limit_file, usage_file = ("/memory",), "memory.limit_in_bytes", "memory.usage_in_bytes"
+        else:
+            continue
+        parts = [part for part in path.split("/") if part]
+        for mount in mounts:
+            directory = cgroup_fs + mount
+            for part in ["", *parts]:
+                directory = f"{directory}/{part}" if part else directory
+                limit = _read_int(f"{directory}/{limit_file}")
+                if limit is None or limit >= 1 << 62:
+                    continue
+                usage = _read_int(f"{directory}/{usage_file}")
+                if usage is not None:
+                    room = max(0, limit - usage)
+                    headroom = room if headroom is None else min(headroom, room)
+    return headroom
+
+
+def _available_memory(proc: str = "/proc", cgroup_fs: str = "/sys/fs/cgroup") -> int | None:
+    """Bytes this process can still allocate, or None when unknown: the
+    kernel's ``MemAvailable``, lowered to the headroom under any memory
+    cgroup limit."""
+    meminfo = None
+    for line in (_read(f"{proc}/meminfo") or b"").splitlines():
+        if line.startswith(b"MemAvailable:"):
+            try:
+                meminfo = int(line.split()[1]) * 1024
+            except (ValueError, IndexError):
+                pass
+            break
+    figures = [f for f in (meminfo, _cgroup_headroom(proc, cgroup_fs)) if f is not None]
+    return min(figures) if figures else None
+
+
+def _require_memory(needed: int, what: str) -> None:
+    """Raise CapacityError when ``what`` needs more than the memory available.
+    The memory is probed on every call: it changes as the process runs."""
+    available = _available_memory()
+    if available is not None and needed > available:
+        raise CapacityError(f"{what} needs {needed} bytes, {available} bytes of memory available")
 
 
 def _check_tunneling_shape(c: np.ndarray, n: int) -> None:
@@ -232,7 +339,8 @@ def classical_energies(params: ClusterParams) -> np.ndarray:
     """Classical energies of all 2^n configurations, indexed by basis index.
 
     Read-only, and built once per ``ClusterParams``; each entry equals
-    ``classical_energy`` of its configuration bit for bit.
+    ``classical_energy`` of its configuration bit for bit.  Raises
+    CapacityError before the build when its 8·(n+2)·2^n bytes do not fit.
     """
     return params._energies
 

@@ -23,10 +23,9 @@ exact eigenstates dressed from them.  Its diagonal holds the classical
 energies, one per k, from which ``chain_anchors`` reads the tunneling-free
 landscape, tolerance and A_typ that the 2^n energy table would give.
 ``symmetric_chain`` solves the chain once, and ``SymmetricChain.dressed``
-dresses either polarized anchor from that solve (``symmetric_dressed`` does
-both steps for one anchor).  It takes the chain eigenvalue E whose
-eigenvector has the largest overlap with the anchor, under the
-strong-mixing rule of ``spectrum.dress``.  It then builds the amplitudes
+dresses either polarized anchor from that solve.  It takes the chain
+eigenvalue E whose eigenvector has the largest overlap with the anchor,
+under the strong-mixing rule of ``spectrum.dress``.  It then builds the amplitudes
 from continued-fraction ratios run from the far chain end toward the
 anchor,
 
@@ -51,7 +50,7 @@ import scipy.linalg
 from scipy.linalg import lapack
 
 from .cluster import ClusterParams, _spread_tolerance, config_to_bits, validate_config
-from .errors import ValidationError
+from .errors import ValidationError, require_normal
 from .spectrum import (
     DressedState,
     _check_info,
@@ -112,7 +111,9 @@ def cluster_levels(params: ClusterParams) -> np.ndarray:
 
 def _chain_amplitudes(diagonal: np.ndarray, off: np.ndarray, energy: float, end: int):
     """Unit eigenvector of the chain at ``energy``, positive at chain end
-    ``end``, or None when a denominator vanishes or an amplitude is not finite.
+    ``end``, or None when a denominator vanishes or an amplitude is not finite;
+    UnderflowError when an amplitude that is not exactly 0 comes out 0 or
+    subnormal.
 
     The chain is turned so the anchor is its last site; then R_k = c_k / c_{k+1}
     follows from row k of (H - E) c = 0 as t_k / (E - D_k - t_{k-1} R_{k-1}),
@@ -136,7 +137,13 @@ def _chain_amplitudes(diagonal: np.ndarray, off: np.ndarray, energy: float, end:
         amps.append(ratio * amps[-1])
     norm = math.sqrt(math.fsum(a * a for a in amps))
     chain = np.array(amps if end == 0 else amps[::-1]) / norm
-    return chain if np.isfinite(chain).all() else None
+    if not np.isfinite(chain).all():
+        return None
+    # no amplitude between the anchor and the first zero link is exactly 0
+    reach = next((k for k, link in enumerate(reversed(off)) if link == 0), len(off))
+    if reach:
+        require_normal(min(map(abs, amps[1 : reach + 1])) / norm, "a chain amplitude")
+    return chain
 
 
 def chain_anchors(n: int, j: float, b: float) -> tuple[int, int, float] | None:
@@ -228,10 +235,3 @@ def symmetric_chain(params: ClusterParams) -> SymmetricChain:
     _check_info("dstevd", info, params.n + 1)
     return SymmetricChain(params.n, diagonal, off, values, vectors)
 
-
-def symmetric_dressed(params: ClusterParams, anchor: int) -> DressedState:
-    """The dressed state of a fully polarized anchor of a collective cluster,
-    solved in the (n+1)-dimensional symmetric sector
-    (``SymmetricChain.dressed``)."""
-    validate_config(params.n, anchor, "anchor")
-    return symmetric_chain(params).dressed(anchor)

@@ -10,7 +10,8 @@ writes [noise], [dynamics] and [run] always, any other section when one of
 its fields differs from its default, and in each section every field that
 is not None (``auto`` for the three deferred floats), so every parsed key
 is echoed and an output header reproduces the run.  A ``cluster.n`` over
-``MAX_SPINS`` raises ``CapacityError`` as soon as it is read.
+``cluster.MAX_SPINS`` raises ``CapacityError`` as soon as it is read, before
+any vector is broadcast to its length.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .cluster import MAX_SPINS, ClusterParams, uniform_couplings
-from .errors import CapacityError, ConfigError
+from .cluster import ClusterParams, require_size, uniform_couplings
+from .errors import ConfigError
 from .sweep import CHANNELS
 from .transition import NOISE_KINDS, CouplingSpec
 
@@ -133,8 +134,7 @@ def _positive(parse: Parser) -> Parser:
 
 def _cluster_size(raw: str, where: str, values: dict) -> int:
     n = _positive(_int)(raw, where, values)
-    if n > MAX_SPINS:
-        raise CapacityError(f"{where} = {n} exceeds the dense budget of {MAX_SPINS} spins")
+    require_size(n, where)
     return n
 
 

@@ -73,7 +73,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import spectrum
+from . import cluster
 from .cluster import ClusterParams, classical_energies, sign_table
 from .collective import cluster_levels
 from .errors import CapacityError, IntegrationError, ValidationError
@@ -159,7 +159,7 @@ def _require_memory(n: int, ntraj: int, chunk: int) -> None:
     needed = 5 * 16 * (1 << n) * ntraj + 16 * ((1 << n) - 1) * ntraj
     if chunk:
         needed += 8 * ntraj * chunk * 2 * n + _GENERATOR_BYTES * ntraj
-    spectrum._require_memory(needed, f"a run of {ntraj} trajectories of a {n}-spin cluster")
+    cluster._require_memory(needed, f"a run of {ntraj} trajectories of a {n}-spin cluster")
 
 
 def evolve_superposition(

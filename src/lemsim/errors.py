@@ -5,9 +5,13 @@ failures onto a stable set of process exit codes, and a ``code`` that names
 its kind in a sweep row's ``error`` column:
 
     1  validation errors (bad input, bad config, domain violations)
-    2  numerical errors (degeneracies, strong mixing, integrator trouble)
-    3  capacity errors (problem size over the dense-matrix budget)
+    2  numerical errors (degeneracies, strong mixing, integrator trouble,
+       results below the double range)
+    3  capacity errors (more spins than doubles can count, or more memory
+       than is available)
 """
+
+import sys
 
 
 class SimulationError(Exception):
@@ -57,8 +61,22 @@ class IntegrationError(NumericalError):
     """Step-size instability detected during time integration."""
 
 
+class UnderflowError(NumericalError):
+    """A result that is not exactly zero fell below the normal double range."""
+
+    code = "underflow"
+
+
+def require_normal(value: float, what: str) -> None:
+    """Raise UnderflowError when ``value``, which is not exactly zero, came
+    out 0 or subnormal: printed, it would read as data."""
+    if abs(value) < sys.float_info.min:
+        raise UnderflowError(f"{what} underflows the double range: {value!r}")
+
+
 class CapacityError(SimulationError):
-    """Problem size exceeds the configured dense-matrix or path budget."""
+    """Problem size exceeds the spin count doubles can count, a route's spin
+    budget or the memory available."""
 
     exit_status = 3
     code = "capacity"

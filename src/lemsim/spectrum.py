@@ -25,10 +25,10 @@ rows are solved whole.
 
 The cluster solves assemble H once, as scratch LAPACK overwrites.  They
 hold one dim x dim array, 8·4^n bytes, and raise CapacityError before
-assembly when H alone exceeds the memory available (``MemAvailable``,
-lowered to any memory cgroup limit's headroom).  A value range's m columns,
-16·2^n·m bytes with the copy ``dormqr`` works in, are checked once
-bisection has counted them, before they are allocated.  The scratch H is
+assembly when H alone exceeds the memory available
+(``cluster._require_memory``).  A value range's m columns, 16·2^n·m bytes
+with the copy ``dormqr`` works in, are checked once bisection has counted
+them, before they are allocated.  The scratch H is
 symmetric and finite by construction and goes to LAPACK unchecked.
 ``eigenvalues`` and ``diagonalize`` copy a caller's matrix, leaving it
 unmodified, check that the copy is real, square, non-empty, finite and
@@ -38,7 +38,6 @@ symmetric, and agree bit for bit with the cluster solves.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -48,6 +47,7 @@ from scipy.linalg import lapack
 
 from .cluster import (
     ClusterParams,
+    _require_memory,
     _spread_tolerance,
     build_hamiltonian,
     classical_energies,
@@ -58,11 +58,11 @@ from .cluster import (
     validate_config,
 )
 from .errors import (
-    CapacityError,
     DegeneracyError,
     NumericalError,
     StrongMixingError,
     ValidationError,
+    require_normal,
 )
 from .fitting import fit_slope, log10_points
 
@@ -142,8 +142,15 @@ class DressedState:
     @cached_property
     def site_amplitudes(self) -> np.ndarray:
         """c_k / sqrt(C(n, k)), k = 0..n: a sector state's amplitude on each
-        configuration with k up spins."""
-        return self.chain / np.sqrt([math.comb(self.n, k) for k in range(self.n + 1)])
+        configuration with k up spins.  UnderflowError when one whose c_k is
+        not 0 comes out 0 or subnormal."""
+        # binomials as doubles: past n = 67 some exceed 2^64, which numpy
+        # would hold as Python objects
+        sites = self.chain / np.sqrt([float(math.comb(self.n, k)) for k in range(self.n + 1)])
+        live = np.abs(sites[self.chain != 0])
+        if live.size:
+            require_normal(float(live.min()), "an amplitude on one configuration")
+        return sites
 
     @cached_property
     def amplitudes(self) -> np.ndarray:
@@ -160,80 +167,6 @@ class OverlapDecay:
     distances: tuple[int, ...]  # 0..n
     max_amplitudes: tuple[float, ...]
     slope: float | None  # None when fewer than two usable distances
-
-
-def _read_int(path: str) -> int | None:
-    """The integer a one-line kernel file starts with; None when the file is
-    unreadable or holds no integer (cgroup v2 writes ``max`` for no limit)."""
-    try:
-        with open(path, encoding="ascii") as fh:
-            return int(fh.read().split()[0])
-    except (OSError, ValueError, IndexError):
-        return None
-
-
-def _cgroup_headroom(proc: str, cgroup_fs: str) -> int | None:
-    """Smallest ``limit - usage`` over this process's memory cgroups and their
-    ancestors, or None when none of them sets a readable limit.
-
-    cgroup v2 (``0::path`` in ``/proc/self/cgroup``) is read from
-    ``memory.max``/``memory.current`` under the unified hierarchy, mounted at
-    ``cgroup_fs`` or, on hybrid systems, at ``cgroup_fs/unified``; cgroup v1
-    from ``memory.limit_in_bytes``/``memory.usage_in_bytes`` under
-    ``cgroup_fs/memory``.  Usage counts the page cache, so the headroom errs
-    low.
-    """
-    try:
-        with open(os.path.join(proc, "self", "cgroup"), encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError:
-        return None
-    headroom = None
-    for line in lines:
-        fields = line.split(":", 2)
-        if len(fields) != 3:
-            continue
-        hierarchy, controllers, path = fields
-        if hierarchy == "0" and not controllers:
-            mounts, limit_file, usage_file = ("", "unified"), "memory.max", "memory.current"
-        elif "memory" in controllers.split(","):
-            mounts, limit_file, usage_file = ("memory",), "memory.limit_in_bytes", "memory.usage_in_bytes"
-        else:
-            continue
-        parts = [part for part in path.split("/") if part]
-        for mount in mounts:
-            for depth in range(len(parts) + 1):
-                directory = os.path.join(cgroup_fs, mount, *parts[:depth])
-                limit = _read_int(os.path.join(directory, limit_file))
-                usage = _read_int(os.path.join(directory, usage_file))
-                if limit is not None and usage is not None:
-                    room = max(0, limit - usage)
-                    headroom = room if headroom is None else min(headroom, room)
-    return headroom
-
-
-def _available_memory(proc: str = "/proc", cgroup_fs: str = "/sys/fs/cgroup") -> int | None:
-    """Bytes this process can still allocate, or None when unknown: the
-    kernel's ``MemAvailable``, lowered to the headroom under any memory
-    cgroup limit."""
-    meminfo = None
-    try:
-        with open(os.path.join(proc, "meminfo"), encoding="ascii") as fh:
-            for line in fh:
-                if line.startswith("MemAvailable:"):
-                    meminfo = int(line.split()[1]) * 1024
-                    break
-    except (OSError, ValueError, IndexError):
-        pass
-    figures = [f for f in (meminfo, _cgroup_headroom(proc, cgroup_fs)) if f is not None]
-    return min(figures) if figures else None
-
-
-def _require_memory(needed: int, what: str) -> None:
-    """Raise CapacityError when ``what`` needs more than the memory available."""
-    available = _available_memory()
-    if available is not None and needed > available:
-        raise CapacityError(f"{what} needs {needed} bytes, {available} bytes of memory available")
 
 
 class _Scratch(np.ndarray):

@@ -18,7 +18,10 @@ chain (``collective.symmetric_chain``), which keeps their n+1 chain
 amplitudes: ``overlaps`` and ``rates`` read them there, so their rows form
 no 2^n array, solve no 2^n x 2^n eigensystem and need no dense memory
 budget, and ``rates`` prints matrix elements at full relative precision far
-below the dense eigensolver's absolute floor.  The energy table is built
+below the dense eigensolver's absolute floor.  Such rows run at any size up
+to ``cluster.MAX_SPINS``; one whose chain amplitudes, element, rate ratio
+or bound leave the double range records ``underflow`` instead of printing
+0 or a subnormal number.  The energy table is built
 only for the channels that read it, ``pathsum`` and ``dynamics``.  The
 ``dynamics`` channel integrates the same two dressed states, spread over
 the 2^n basis: independent noise on each spin breaks the symmetry of the
@@ -39,7 +42,7 @@ from itertools import product
 
 import numpy as np
 
-from .cluster import MAX_SPINS, ClusterParams, bits_to_config, uniform_couplings
+from .cluster import ClusterParams, bits_to_config, require_size, uniform_couplings
 from .dynamics import (
     MAX_DYNAMICS_SPINS,
     CoherenceTrace,
@@ -266,11 +269,11 @@ def run_sweep(
     grid, a size below 1, a ratio outside (0, 1), an unknown channel, a
     master seed outside 64 unsigned bits, a trajectory count that is not a
     positive integer or a non-finite bias or coupling raises ValidationError,
-    and a size above ``MAX_SPINS`` raises CapacityError, as ``cluster.n``
-    does.  The family checks the rest per point.  Point sub-seeds derive
-    deterministically from the master seed and the grid position, so
-    identical grids and seeds reproduce rows bit for bit.  Every channel of
-    a point runs on the point's one ``ClusterProblem``.
+    and a size above ``cluster.MAX_SPINS`` raises CapacityError, as
+    ``cluster.n`` does.  The family checks the rest per point.  Point
+    sub-seeds derive deterministically from the master seed and the grid
+    position, so identical grids and seeds reproduce rows bit for bit.
+    Every channel of a point runs on the point's one ``ClusterProblem``.
     """
     n_values = tuple(int(v) for v in n_values)
     ratio_values = tuple(float(v) for v in ratio_values)
@@ -282,8 +285,7 @@ def run_sweep(
     for n in n_values:
         if n < 1:
             raise ValidationError(f"cluster size {n} must be at least 1")
-        if n > MAX_SPINS:
-            raise CapacityError(f"cluster size {n} exceeds the limit of {MAX_SPINS} spins")
+        require_size(n)
     for r in ratio_values:
         if not 0.0 < r < 1.0:
             raise ValidationError(f"coupling ratio {r} must lie strictly in (0, 1)")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .cluster import ClusterParams, sign_table
-from .errors import ValidationError
+from .errors import ValidationError, require_normal
 from .spectrum import DressedState, same_eigenstate
 
 DEFAULT_SAFETY_FACTOR = 100.0  # the size bound carries an unspecified prefactor
@@ -106,6 +106,11 @@ def matrix_element(
         x_i = g_i/n · Σ_k √((k+1)(n−k)) (G_k L_{k+1} + G_{k+1} L_k),
 
     the diagonal of M = Σ σ^z and the off-diagonal of 2 S_x on the chain.
+    UnderflowError is raised for an element that comes out subnormal, or 0
+    where a product of nonzero numbers underflowed on the way, and for a
+    rate ratio that comes out 0 or subnormal from a nonzero element.  An
+    element that cancels to 0 (no noise, bare anchors at zero tunneling, or
+    a symmetry) prints 0.
     """
     if ground.n != lem.n:
         raise ValidationError("dressed states live in different Hilbert spaces")
@@ -117,28 +122,37 @@ def matrix_element(
     n = ground.n
     if coupling.n != n:
         raise ValidationError(f"coupling is for {coupling.n} spins, states have {n}")
-    if ground.chain is not None and lem.chain is not None:
-        g, l = ground.chain.tolist(), lem.chain.tolist()
-        z_sum = math.fsum((2 * k - n) * g[k] * l[k] for k in range(n + 1))
-        x_sum = math.fsum(
-            math.sqrt((k + 1) * (n - k)) * (g[k] * l[k + 1] + g[k + 1] * l[k]) for k in range(n)
-        )
-        z_parts = coupling.z_noise * (z_sum / n)
-        x_parts = coupling.x_noise * (x_sum / n)
-    else:
-        a = ground.amplitudes
-        b = lem.amplitudes
-        signs = sign_table(n)  # (dim, n)
-        prod = a * b
-        z_parts = coupling.z_noise * (prod @ signs)
-        idx = np.arange(1 << n)
-        x_parts = np.array(
-            [coupling.x_noise[i] * float(a[idx ^ (1 << i)] @ b) for i in range(n)]
-        )
+    underflows = []  # a product or quotient of nonzero numbers came out 0 or subnormal
+    with np.errstate(under="call", call=lambda *_: underflows.append(True)):
+        if ground.chain is not None and lem.chain is not None:
+            g, l = ground.chain, lem.chain
+            k = np.arange(n)
+            z_terms = (np.arange(n + 1) * 2 - n) * g * l
+            x_terms = np.sqrt((k + 1.0) * (n - k)) * (g[:-1] * l[1:] + g[1:] * l[:-1])
+            # numpy scalars, so that dividing them by n reports an underflow too
+            z_sum, x_sum = (np.float64(math.fsum(t.tolist())) for t in (z_terms, x_terms))
+            z_parts = coupling.z_noise * (z_sum / n)
+            x_parts = coupling.x_noise * (x_sum / n)
+        else:
+            a = ground.amplitudes
+            b = lem.amplitudes
+            signs = sign_table(n)  # (dim, n)
+            prod = a * b
+            z_parts = coupling.z_noise * (prod @ signs)
+            idx = np.arange(1 << n)
+            x_parts = np.array(
+                [coupling.x_noise[i] * float(a[idx ^ (1 << i)] @ b) for i in range(n)]
+            )
     element = math.fsum(z_parts.tolist() + x_parts.tolist())
+    # without noise nothing that underflowed reaches the element
+    if element or (underflows and coupling.has_noise):
+        require_normal(element, "the matrix element")
+    rate_ratio = element**2
+    if element:
+        require_normal(rate_ratio, "the rate ratio")
     return RateReport(
         matrix_element=element,
-        rate_ratio=element**2,
+        rate_ratio=rate_ratio,
         z_channel=tuple(float(v) for v in z_parts),
         x_channel=tuple(float(v) for v in x_parts),
     )
@@ -151,9 +165,16 @@ def check_bound(
 
     The bound is an order-of-magnitude statement, so the verdict allows a
     factor of ``DEFAULT_SAFETY_FACTOR``; the margin is
-    log10(bound / rate_ratio).
+    log10(bound / rate_ratio).  A bound past the largest double is inf; one
+    from a nonzero ratio that comes out 0 or subnormal raises UnderflowError.
     """
-    bound = coupling_ratio(params, coupling, a_typ) ** params.n
+    ratio = coupling_ratio(params, coupling, a_typ)
+    try:
+        bound = ratio**params.n
+    except OverflowError:
+        bound = math.inf
+    if ratio:
+        require_normal(bound, "the size bound")
     satisfied = bool(report.rate_ratio <= bound * DEFAULT_SAFETY_FACTOR)
     if report.rate_ratio == 0.0:
         margin = math.inf

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import lemsim.cli
+import lemsim.cluster
 import lemsim.spectrum
 import lemsim.sweep
 from lemsim import (
@@ -209,19 +210,50 @@ def test_config_error_exit_status(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
-def test_capacity_error_exit_status(tmp_path, capsys):
+def test_capacity_error_exit_status(tmp_path, capsys, monkeypatch):
+    # the energy table's pre-flight refuses a 40-spin landscape before any 2^n array exists
+    monkeypatch.setattr(lemsim.cluster, "_available_memory", lambda: 2**33)
     big = tmp_path / "big.cfg"
-    big.write_text("[cluster]\nn = 15\nj = -1.0\nbias = 0.1\n")
-    assert run_cli("landscape", "--config", big) == 3
+    big.write_text("[cluster]\nn = 40\nj = -1.0\nbias = 0.1\n")
+    tracemalloc.start()
+    try:
+        status = run_cli("landscape", "--config", big)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 3
+    assert peak < 10**6
+    assert capsys.readouterr().err == (
+        f"error [landscape]: the energy table of a 40-spin cluster needs {8 * 42 * 2**40} bytes, "
+        "8589934592 bytes of memory available\n"
+    )
 
 
-def test_oversize_sweep_size_exits_3(tmp_path, capsys):
+def test_oversize_sweep_size_exits_3(tmp_path, capsys, monkeypatch):
+    def no_points(*args, **kwargs):
+        raise AssertionError("a grid point was built")
+
+    monkeypatch.setattr(lemsim.sweep, "uniform_ferromagnet", no_points)
     cfg = tmp_path / "big_sweep.cfg"
-    cfg.write_text(SWEEP.replace("n_values = 2 3 4", "n_values = 3 15"))
+    cfg.write_text(SWEEP.replace("n_values = 2 3 4", "n_values = 3 1024"))
     assert run_cli("sweep", "--config", cfg) == 3
-    assert "cluster size 15 exceeds the limit of 14 spins" in capsys.readouterr().err
+    assert "cluster size 1024 exceeds 1023 spins" in capsys.readouterr().err
     cfg.write_text(SWEEP.replace("n_values = 2 3 4", "n_values = 0 3"))
     assert run_cli("sweep", "--config", cfg) == 1
+
+
+def test_collective_spectrum_is_refused_when_its_levels_do_not_fit(tmp_path, capsys, monkeypatch):
+    # the 2^16 levels and their CSV text need 160 bytes a level
+    monkeypatch.setattr(lemsim.cluster, "_available_memory", lambda: 160 * 2**16 - 1)
+    calls = count_calls(monkeypatch, lemsim.cli, "cluster_levels")
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(_collective(16))
+    assert run_cli("spectrum", "--config", cfg) == 3
+    assert capsys.readouterr().err == (
+        "error [spectrum]: the spectrum of a 16-spin cluster needs 10485760 bytes, "
+        "10485759 bytes of memory available\n"
+    )
+    assert calls == []
 
 
 def test_incomplete_sweep_section_exits_1(tmp_path, capsys):
@@ -409,7 +441,7 @@ def test_oversize_trajectory_count_exits_3_before_any_generator(tmp_path, capsys
         raise AssertionError("a Generator was made")
 
     monkeypatch.setattr(np.random, "SeedSequence", no_generators)
-    monkeypatch.setattr(lemsim.spectrum, "_available_memory", lambda: 2**33)
+    monkeypatch.setattr(lemsim.cluster, "_available_memory", lambda: 2**33)
     cfg = tmp_path / "many.cfg"
     cfg.write_text(FERRO3 + "\n[dynamics]\ntrajectories = 100000000000\n")
     assert run_cli("dynamics", "--config", cfg) == 3
@@ -447,7 +479,7 @@ def test_memory_preflight_exit_status(tmp_path, capsys, monkeypatch):
     nudged = " ".join(["0.1"] * 11 + [repr(math.nextafter(0.1, 1.0))])
     cfg = tmp_path / "ferro12.cfg"
     cfg.write_text(f"[cluster]\nn = 12\nj = -1.0\nbias = {nudged}\ntunneling = 0.01\n")
-    monkeypatch.setattr(lemsim.spectrum, "_available_memory", lambda: 10**8)
+    monkeypatch.setattr(lemsim.cluster, "_available_memory", lambda: 10**8)
     tracemalloc.start()
     try:
         status = run_cli("rates", "--config", cfg)
@@ -578,6 +610,9 @@ anchors = 00 11
             "dense",
         ),
         ("rates", _collective(9, extra="[noise]\nz_noise = 0.01\nx_noise = 0.01\n"), "sector"),
+        # past 14 spins the pair dresses on the sector as below it
+        ("rates", _collective(16, extra="[noise]\nz_noise = 0.3\nx_noise = 0.3\n"), "sector"),
+        ("overlaps", _collective(16), "sector"),
         (
             "rates",
             _collective(

@@ -56,8 +56,8 @@ def test_params_reject_nonfinite():
 
 
 def test_params_over_capacity():
-    with pytest.raises(CapacityError):
-        make_params(15)
+    with pytest.raises(CapacityError, match="cluster size 1024 exceeds 1023 spins"):
+        make_params(1024)
 
 
 def test_params_reject_energy_scale_that_could_overflow():

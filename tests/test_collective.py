@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lemsim.cluster
 import lemsim.collective
-import lemsim.spectrum
 import lemsim.sweep
 from lemsim import (
     ClusterParams,
@@ -18,6 +18,7 @@ from lemsim import (
     CouplingSpec,
     DegeneracyError,
     StrongMixingError,
+    UnderflowError,
     ValidationError,
     block_eigenvalues,
     build_hamiltonian,
@@ -28,11 +29,12 @@ from lemsim import (
     find_local_minima,
     overlap_decay,
     run_sweep,
-    symmetric_dressed,
     typical_level_spacing,
     uniform_couplings,
 )
 from lemsim.cli import main
+from lemsim.collective import symmetric_chain
+from lemsim.spectrum import DressedState
 from lemsim.sweep import uniform_ferromagnet
 
 from conftest import count_calls
@@ -175,7 +177,7 @@ def test_cli_rates_match_the_dicke_oracle(tmp_path, n):
 def test_n14_cli_runs_fit_without_a_dense_budget(tmp_path, monkeypatch, command):
     # a dense n=14 solve would need 2.1 GB for H alone; the run holds no N^2 array
     calls = count_calls(monkeypatch, lemsim.sweep, "cluster_eigensystem")
-    monkeypatch.setattr(lemsim.spectrum, "_available_memory", lambda: 10**8)
+    monkeypatch.setattr(lemsim.cluster, "_available_memory", lambda: 10**8)
     tracemalloc.start()
     try:
         status, _ = _cli(tmp_path, command, 14, 0.01 * family_a_typ(14))
@@ -218,7 +220,7 @@ def test_sector_states_match_dense_states(n, ratio):
     problem = uniform_ferromagnet(n, ratio)
     eig = cluster_eigensystem(problem.params, (problem.ground_anchor, problem.lem_anchor))
     for anchor in (problem.ground_anchor, problem.lem_anchor):
-        sector = symmetric_dressed(problem.params, anchor)
+        sector = symmetric_chain(problem.params).dressed(anchor)
         dense = dress(eig, anchor)
         assert sector.anchor == anchor
         assert sector.amplitudes[anchor] > 0
@@ -237,14 +239,29 @@ def test_sector_strong_mixing_matches_dense():
     with pytest.raises(StrongMixingError) as dense:
         dress(eig, problem.lem_anchor)
     with pytest.raises(StrongMixingError) as sector:
-        symmetric_dressed(problem.params, problem.lem_anchor)
+        symmetric_chain(problem.params).dressed(problem.lem_anchor)
     assert str(sector.value) == str(dense.value)
-    assert symmetric_dressed(problem.params, problem.ground_anchor).overlap_sq >= 0.5
+    assert symmetric_chain(problem.params).dressed(problem.ground_anchor).overlap_sq >= 0.5
+
+
+@pytest.mark.parametrize("n", [100, 1023])
+def test_site_amplitudes_divide_by_binomials_as_doubles(n):
+    # the uniform superposition: c_k = sqrt(C(n, k) / 2^n) puts 2^(-n/2) on
+    # every configuration, though C(n, n/2) exceeds 2^64 from n = 68
+    chain = np.sqrt([math.comb(n, k) / 2**n for k in range(n + 1)])
+    state = DressedState(0, float(chain[0] ** 2), 0.0, n, chain)
+    assert np.allclose(state.site_amplitudes, 2 ** (-n / 2), rtol=1e-13, atol=0)
+    assert overlap_decay(state).slope == pytest.approx(0.0, abs=1e-12)
+    # a normal c_k at k = n/2 that leaves the double range once divided by sqrt(C(n, k))
+    chain = np.zeros(n + 1)
+    chain[0], chain[n // 2] = 1.0, np.finfo(float).tiny * math.sqrt(math.comb(n, n // 2)) / 4
+    with pytest.raises(UnderflowError, match="an amplitude on one configuration underflows"):
+        DressedState(0, 1.0, 0.0, n, chain).site_amplitudes
 
 
 def test_sector_refuses_what_it_cannot_hold():
     with pytest.raises(ValidationError, match="symmetric sector"):
-        symmetric_dressed(collective(3, J, BIAS, 0.1), 0b011)
+        symmetric_chain(collective(3, J, BIAS, 0.1)).dressed(0b011)
     uneven = ClusterParams(
         n=3,
         couplings=uniform_couplings(3, J),
@@ -252,7 +269,7 @@ def test_sector_refuses_what_it_cannot_hold():
         tunneling=np.full(3, 0.1),
     )
     with pytest.raises(ValidationError, match="symmetric sector"):
-        symmetric_dressed(uneven, 0)
+        symmetric_chain(uneven).dressed(0)
 
 
 # ------------------------------------------------ the chain against 2^n sums
@@ -305,16 +322,23 @@ def test_chain_sums_match_sums_over_the_full_basis(problem):
         with pytest.raises(ValidationError, match="two distinct eigenstates"):
             problem.rates()
         return
-    report = problem.rates()
     configs = np.arange(2**n)
-    every_term = []
+    z_terms, x_terms = [], []
     for i in range(n):
         spin = 2.0 * (configs >> i & 1) - 1.0
-        z_terms = (problem.coupling.z_noise[i] * ground * lem * spin).tolist()
-        x_terms = (problem.coupling.x_noise[i] * ground[configs ^ (1 << i)] * lem).tolist()
-        assert _within(report.z_channel[i], z_terms), ("z", i)
-        assert _within(report.x_channel[i], x_terms), ("x", i)
-        every_term += z_terms + x_terms
+        z_terms.append((problem.coupling.z_noise[i] * ground * lem * spin).tolist())
+        x_terms.append((problem.coupling.x_noise[i] * ground[configs ^ (1 << i)] * lem).tolist())
+    every_term = [t for terms in z_terms + x_terms for t in terms]
+    try:
+        report = problem.rates()
+    except UnderflowError:
+        # refused only where the element, and so the rate ratio, leaves the
+        # double range; small noise amplitudes get there
+        assert abs(math.fsum(every_term)) <= (1 + 1e-9) * math.sqrt(np.finfo(float).tiny)
+        return
+    for i in range(n):
+        assert _within(report.z_channel[i], z_terms[i]), ("z", i)
+        assert _within(report.x_channel[i], x_terms[i]), ("x", i)
     assert _within(report.matrix_element, every_term)
 
 

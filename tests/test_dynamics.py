@@ -8,7 +8,7 @@ import pytest
 from calibration import calibrate_rate_constant, rate_vs_prediction
 from oracles import brute_energy, reference_trajectories
 
-import lemsim.spectrum
+import lemsim.cluster
 from lemsim import (
     CapacityError,
     ClusterParams,
@@ -273,7 +273,7 @@ def test_capacity_preflight_raises_before_any_generator(monkeypatch):
     # (7, 20, 2, 3) noise block and seven Generators
     state = 5 * 16 * 8 * ntraj + 16 * 7 * ntraj
     needed = state + 8 * ntraj * steps * 2 * 3 + dynamics._GENERATOR_BYTES * ntraj
-    monkeypatch.setattr(lemsim.spectrum, "_available_memory", lambda: needed - 1)
+    monkeypatch.setattr(lemsim.cluster, "_available_memory", lambda: needed - 1)
     with monkeypatch.context() as m:
         m.setattr(np.random, "SeedSequence", no_generators)
         with pytest.raises(
@@ -283,9 +283,9 @@ def test_capacity_preflight_raises_before_any_generator(monkeypatch):
         ):
             run(_ou(fam))
     # without noise there is no noise block and no Generator
-    monkeypatch.setattr(lemsim.spectrum, "_available_memory", lambda: state)
+    monkeypatch.setattr(lemsim.cluster, "_available_memory", lambda: state)
     assert run(zero_noise(3)).total_steps == steps
-    monkeypatch.setattr(lemsim.spectrum, "_available_memory", lambda: needed)
+    monkeypatch.setattr(lemsim.cluster, "_available_memory", lambda: needed)
     assert run(_ou(fam)).total_steps == steps
 
 

@@ -9,6 +9,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lemsim.cluster
 import lemsim.perturbation
 import lemsim.spectrum
 from lemsim import (
@@ -568,12 +569,12 @@ def test_cluster_solves_hold_at_most_one_dense_array(n):
 def test_capacity_preflight_raises_before_assembly(monkeypatch):
     p = make_params(6, b=0.1, c=0.05)
     # either solve needs one dense array, H, and nothing more before assembly
-    monkeypatch.setattr(lemsim.spectrum, "_available_memory", lambda: 8 * p.dim**2 - 1)
+    monkeypatch.setattr(lemsim.cluster, "_available_memory", lambda: 8 * p.dim**2 - 1)
     with pytest.raises(CapacityError, match="needs 32768 bytes, 32767 bytes of memory available"):
         cluster_eigenvalues(p)
     with pytest.raises(CapacityError, match="eigensystem of a 6-spin cluster needs 32768 bytes"):
         cluster_eigensystem(p, (0,))
-    monkeypatch.setattr(lemsim.spectrum, "_available_memory", lambda: 8 * p.dim**2)
+    monkeypatch.setattr(lemsim.cluster, "_available_memory", lambda: 8 * p.dim**2)
     assert np.array_equal(cluster_eigenvalues(p), eigenvalues(build_hamiltonian(p)))
     cluster_eigensystem(p, (0,))
 
@@ -581,7 +582,7 @@ def test_capacity_preflight_raises_before_assembly(monkeypatch):
 def test_eigensystem_fits_in_little_more_than_one_dense_array(monkeypatch):
     # H and two columns fit in 1.2 matrices
     p = uniform_ferromagnet(10, 0.01).params
-    monkeypatch.setattr(lemsim.spectrum, "_available_memory", lambda: int(1.2 * 8 * p.dim**2))
+    monkeypatch.setattr(lemsim.cluster, "_available_memory", lambda: int(1.2 * 8 * p.dim**2))
     eig = cluster_eigensystem(p, (0, p.dim - 1))
     assert eig.vectors.shape == (p.dim, 2)
 
@@ -594,7 +595,7 @@ def test_window_too_wide_for_its_columns_is_refused_before_they_exist(monkeypatc
     def forbidden(*args, **kwargs):
         raise AssertionError("dstein ran")
 
-    monkeypatch.setattr(lemsim.spectrum, "_available_memory", lambda: 3_000_000)
+    monkeypatch.setattr(lemsim.cluster, "_available_memory", lambda: 3_000_000)
     monkeypatch.setattr(lemsim.spectrum.lapack, "dstein", forbidden)
     with pytest.raises(CapacityError) as err:
         cluster_eigensystem(p, (1, 170))
@@ -617,7 +618,7 @@ def test_window_solve_failures_raise_numerical_error(monkeypatch, routine):
 
 
 def test_unknown_available_memory_skips_the_preflight(monkeypatch):
-    monkeypatch.setattr(lemsim.spectrum, "_available_memory", lambda: None)
+    monkeypatch.setattr(lemsim.cluster, "_available_memory", lambda: None)
     p = make_params(4, b=0.1, c=0.05)
     anchors = (0, p.dim - 1)
     eig, full = cluster_eigensystem(p, anchors), diagonalize(build_hamiltonian(p), anchors)
@@ -626,7 +627,7 @@ def test_unknown_available_memory_skips_the_preflight(monkeypatch):
 
 
 def test_available_memory_probe_reads_a_byte_count_or_nothing():
-    available = lemsim.spectrum._available_memory()
+    available = lemsim.cluster._available_memory()
     assert available is None or (isinstance(available, int) and available > 0)
 
 
@@ -641,7 +642,7 @@ def _fake_kernel(tmp_path, cgroup_lines, files):
         path = cgroup_fs / rel
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text + "\n")
-    return lemsim.spectrum._available_memory(str(proc), str(cgroup_fs))
+    return lemsim.cluster._available_memory(str(proc), str(cgroup_fs))
 
 
 @pytest.mark.parametrize("mount", ["", "unified/"])  # unified-only and hybrid layouts
@@ -670,7 +671,7 @@ def test_available_memory_without_a_cgroup_limit_is_mem_available(tmp_path):
 
 
 def test_available_memory_is_unknown_without_kernel_files(tmp_path):
-    assert lemsim.spectrum._available_memory(str(tmp_path / "proc"), str(tmp_path / "cgroup")) is None
+    assert lemsim.cluster._available_memory(str(tmp_path / "proc"), str(tmp_path / "cgroup")) is None
 
 
 # ---------------------------------------------------------------- landscape

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import lemsim.cluster
 import lemsim.collective
 import lemsim.dynamics
 import lemsim.spectrum
@@ -22,6 +23,7 @@ from lemsim import (
     NumericalError,
     SimulationError,
     StrongMixingError,
+    UnderflowError,
     SweepRow,
     ValidationError,
     cluster_eigensystem,
@@ -202,7 +204,7 @@ def test_unresolved_dynamics_rate_is_not_a_fitted_rate(monkeypatch):
 
 def test_n14_rates_row_fits_without_a_dense_budget(monkeypatch):
     # a dense n=14 eigensystem would need 4.3 GB; the row needs no N^2 array at all
-    monkeypatch.setattr(lemsim.spectrum, "_available_memory", lambda: 10**8)
+    monkeypatch.setattr(lemsim.cluster, "_available_memory", lambda: 10**8)
     tracemalloc.start()
     try:
         rows = run_sweep((14,), (0.01,), ("rates",), master_seed=0)
@@ -228,13 +230,13 @@ def test_grid_validation():
 
 
 def test_grid_size_cap_is_a_capacity_error():
-    with pytest.raises(CapacityError, match="cluster size 15 exceeds the limit of 14 spins"):
-        run_sweep((3, 15), (0.01,))
+    with pytest.raises(CapacityError, match="cluster size 1024 exceeds 1023 spins"):
+        run_sweep((3, 1024), (0.01,))
     with pytest.raises(ValidationError, match="cluster size 0 must be at least 1"):
         run_sweep((0, 3), (0.01,))
     # both ends of the size range are accepted: the n=1 row fails in the family
-    rows = run_sweep((1, 14), (0.01,), ())
-    assert [(row.n, row.error) for row in rows] == [(1, "family:validation"), (14, "")]
+    rows = run_sweep((1, 1023), (0.01,), ())
+    assert [(row.n, row.error) for row in rows] == [(1, "family:validation"), (1023, "")]
 
 
 @pytest.mark.parametrize(
@@ -324,6 +326,35 @@ def test_overlaps_channel_needs_only_the_ground_state():
     assert rows[0].error == "rates:strong_mixing"
 
 
+@pytest.mark.parametrize(
+    "n, ratio, error",
+    [
+        (14, 1e-12, "rates:underflow"),  # the rate ratio would print subnormal
+        (14, 1e-20, "rates:underflow"),  # the rate ratio would print 0
+        (14, 1e-25, "overlaps:underflow;rates:underflow"),  # the far chain amplitude is 0
+        (100, 0.0025, "rates:underflow"),
+        (150, 0.0025, "overlaps:underflow;rates:underflow"),
+    ],
+)
+def test_underflowed_results_are_refused_not_printed(n, ratio, error):
+    (row,) = run_sweep((n,), (ratio,), ("overlaps", "rates"), master_seed=0)
+    assert row.error == error
+    assert row.matrix_element is None and row.rate_ratio is None and row.rate_bound is None
+
+
+def test_chain_rows_past_14_spins_print_normal_numbers():
+    rows = run_sweep((15, 30, 60, 100, 150), (0.0025, 0.01, 0.05), ("overlaps", "rates"))
+    printed = [
+        value
+        for row in rows
+        for value in (row.matrix_element, row.rate_ratio, row.rate_bound, row.overlap_slope)
+        if value is not None
+    ]
+    assert all(abs(value) >= np.finfo(float).tiny for value in printed)
+    failed = [(row.n, row.ratio) for row in rows if row.error]
+    assert failed == [(100, 0.0025), (150, 0.0025), (150, 0.01)]
+
+
 def test_capacity_limited_channels_record_errors():
     rows = run_sweep((9,), (0.05,), ("pathsum", "dynamics"), master_seed=5)
     assert rows[0].error == "pathsum:capacity;dynamics:capacity"
@@ -341,6 +372,7 @@ def test_capacity_limited_channels_record_errors():
         (DegeneracyError, "degeneracy"),
         (StrongMixingError, "strong_mixing"),
         (CapacityError, "capacity"),
+        (UnderflowError, "underflow"),
     ],
 )
 def test_error_classes_carry_row_codes(cls, code):

@@ -1,5 +1,6 @@
 """Transition matrix elements, the size bound, lifetime extension."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,8 +8,10 @@ import pytest
 
 from lemsim import (
     ClusterParams,
+    ClusterProblem,
     CouplingSpec,
     RateReport,
+    UnderflowError,
     ValidationError,
     build_hamiltonian,
     check_bound,
@@ -17,6 +20,7 @@ from lemsim import (
     lifetime_extension,
     matrix_element,
     typical_level_spacing,
+    uniform_couplings,
 )
 from lemsim.sweep import uniform_ferromagnet
 from lemsim.transition import DEFAULT_SAFETY_FACTOR, coupling_ratio
@@ -203,6 +207,42 @@ def test_bound_trivial_when_couplings_vanish():
     assert report.rate_ratio == 0.0
     assert report.bound_satisfied
     assert report.bound_margin == math.inf
+
+
+@pytest.mark.parametrize("c, amp", [(0.3, 0.0), (0.0, 0.3), (0.0, 0.0)])
+def test_exact_zeros_on_the_sector_still_print_as_zero(c, amp):
+    # no noise, or no tunneling (bare anchors), makes the element exactly 0
+    n = 6
+    params = ClusterParams(
+        n=n, couplings=uniform_couplings(n, -1.0), bias=np.full(n, 0.1), tunneling=np.full(n, c)
+    )
+    problem = ClusterProblem.anchored(params, coupling(n, f=amp, g=amp))
+    assert problem.route == "sector"
+    report = problem.rates()
+    assert report.matrix_element == 0.0 and report.rate_ratio == 0.0
+    assert report.bound == (0.0 if c == amp == 0.0 else (0.3 / problem.a_typ) ** n)
+
+
+def test_an_element_lost_to_underflow_is_refused_and_an_exact_zero_is_not():
+    # at n = 20 the family's chain sums are about 1e-29: noise amplitudes of
+    # 1e-300 take every part below the smallest double, which leaves 0
+    fam = uniform_ferromagnet(20, 0.01)
+    faint = dataclasses.replace(fam, coupling=coupling(20, f=1e-300, g=1e-300))
+    with pytest.raises(UnderflowError, match="the matrix element underflows the double range: 0.0"):
+        faint.rates()
+    report = dataclasses.replace(fam, coupling=coupling(20)).rates()
+    assert report.matrix_element == 0.0 and report.rate_ratio == 0.0
+
+
+def test_bound_leaving_the_double_range():
+    p = make_params(3, b=0.1, c=0.1)
+    spec = coupling(3, f=0.1, g=0.1)
+    report = RateReport(matrix_element=1e-3, rate_ratio=1e-6, z_channel=(), x_channel=())
+    with pytest.raises(UnderflowError, match="the size bound underflows the double range: 0.0"):
+        check_bound(report, p, spec, 1e200)
+    # a bound past the largest double is inf, and the verdict holds
+    report = check_bound(report, p, spec, 1e-200)
+    assert report.bound == math.inf and report.bound_satisfied and report.bound_margin == math.inf
 
 
 def test_bound_margin_on_family_points():
