@@ -13,10 +13,10 @@ The configs cover the seven pipelines on collective and non-collective
 clusters, OU and white noise (white across five noise blocks on the dense
 route), the sector and dense routes, explicit unpolarized anchors at zero
 tunneling, both refusals of a dressed state, a non-collective 9-spin cluster
-and a strongly mixed 7-spin one on the dense route, a 16-spin collective
-cluster, four sweeps (one with every per-row error code, one to 150 spins),
-a noise-free ``dynamics`` run whose LEM anchor has a zero single-flip gap,
-and every op of the benchmark's toy scale (``perfbench/workloads.py``).
+and a strongly mixed 7-spin one on the dense route, a 16-spin and a
+40-spin collective cluster, four sweeps (one with every per-row error code,
+one to 150 spins), a noise-free ``dynamics`` run whose LEM anchor has a zero
+single-flip gap, and every op of the benchmark's toy scale (``perfbench/workloads.py``).
 Every run gets ``--seed 7``.  BLAS runs on one thread unless
 ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS`` say
 otherwise: a dense solve of 512 rows (``THREAD_SENSITIVE``) rounds
@@ -128,6 +128,11 @@ CONFIGS = [
      + NOISE.format(f=0.3, g=0.3, kind="ou")),
     ("sweep-past14", ("sweep",), SWEEP.format(n="15 30 68 150", ratios="0.0025 0.01 0.05",
      channels="overlaps rates")),
+    # a collective cluster whose 2^40-entry energy table would not fit in memory:
+    # its anchors and A_typ come from the symmetric chain
+    ("ferro40-sector", ("overlaps", "rates"),
+     "[cluster]\nn = 40\nj = -1.0\nbias = 0.1\ntunneling = 0.3\n"
+     + NOISE.format(f=0.3, g=0.3, kind="ou")),
 ]
 
 
