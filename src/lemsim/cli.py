@@ -16,8 +16,12 @@ route above ``spectrum.WHOLE_SOLVE_ROWS`` rows; a collective cluster of at
 most that many rows (n <= 4) is held dense, both anchors from one
 ``spectrum.diagonalize`` solve.  The stderr summaries of
 ``overlaps``, ``rates`` and ``dynamics`` end with the route that dressed
-the pair, ``sector`` or ``dense`` (``ClusterProblem.route``).  ``dynamics``
-refuses a cluster over ``dynamics.MAX_DYNAMICS_SPINS`` before any solve.
+the pair, ``sector`` or ``dense`` (``ClusterProblem.route``).  Without
+configured anchors, a collective cluster's anchors and A_typ come from its
+n+1 chain energies (``collective.chain_anchors``), so its ``overlaps`` and
+sector ``rates`` build no 2^n energy table.  ``pathsum`` and ``dynamics``
+refuse a cluster over ``perturbation.PATH_SUM_MAX_SPINS`` or
+``dynamics.MAX_DYNAMICS_SPINS`` spins before they look for anchors.
 
 The argument parser is built once per process and reused by every ``main``
 call; parsing keeps no state in it, so in-process callers (the benchmark
@@ -33,7 +37,7 @@ from dataclasses import replace
 
 from ._version import __version__
 from .cluster import _require_memory, config_to_bits
-from .collective import cluster_levels
+from .collective import cluster_levels, collective_form
 from .config import RunConfig, parse_config, render_config, with_overrides
 from .csvout import (
     emit_eigensystem,
@@ -46,7 +50,8 @@ from .csvout import (
     write_output,
 )
 from .errors import ConfigError, SimulationError, ValidationError
-from .perturbation import scaling_exponent
+from .dynamics import require_dynamics_size
+from .perturbation import require_path_sum_size, scaling_exponent
 from .spectrum import WHOLE_SOLVE_ROWS, find_local_minima, overlap_decay
 from .sweep import ClusterProblem, run_sweep
 from .transition import coupling_ratio, lifetime_extension
@@ -87,7 +92,8 @@ def _cmd_spectrum(cfg: RunConfig, destination, args) -> None:
     _require_memory(LEVEL_BYTES * params.dim, f"the spectrum of a {params.n}-spin cluster")
     values = cluster_levels(params)
     _say(args, f"spectrum: {params.dim} levels in [{values[0]:.6g}, {values[-1]:.6g}]")
-    write_output(emit_eigensystem(values, render_config(cfg), cfg.seed), destination)
+    repeated = collective_form(params) is not None  # its total-spin multiplets
+    write_output(emit_eigensystem(values, render_config(cfg), cfg.seed, repeated), destination)
 
 
 def _cmd_landscape(cfg: RunConfig, destination, args) -> None:
@@ -143,6 +149,7 @@ def _cmd_rates(cfg: RunConfig, destination, args) -> None:
 
 
 def _cmd_pathsum(cfg: RunConfig, destination, args) -> None:
+    require_path_sum_size(cfg.cluster_params().n)  # before anchors need a 2^n table
     problem = _problem(cfg)
     results = problem.path_sums()
     try:
@@ -161,6 +168,7 @@ def _cmd_pathsum(cfg: RunConfig, destination, args) -> None:
 
 
 def _cmd_dynamics(cfg: RunConfig, destination, args) -> None:
+    require_dynamics_size(cfg.cluster_params().n)  # before anchors need a 2^n table
     problem = _problem(cfg)
     trace = problem.trajectories(cfg.trajectories, cfg.seed, cfg.time_step, cfg.total_time)
     _say(

@@ -220,7 +220,9 @@ def _require_memory(needed: int, what: str) -> None:
     The memory is probed on every call: it changes as the process runs."""
     available = _available_memory()
     if available is not None and needed > available:
-        raise CapacityError(f"{what} needs {needed} bytes, {available} bytes of memory available")
+        # a count past 64 bits (2^n for n up to MAX_SPINS) is named by its power of two
+        amount = needed if needed < 1 << 64 else f"at least 2^{needed.bit_length() - 1}"
+        raise CapacityError(f"{what} needs {amount} bytes, {available} bytes of memory available")
 
 
 def _check_tunneling_shape(c: np.ndarray, n: int) -> None:

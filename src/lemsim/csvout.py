@@ -10,6 +10,7 @@ byte-identical output.
 from __future__ import annotations
 
 import sys
+from itertools import chain, repeat
 from typing import Iterable
 
 import numpy as np
@@ -108,9 +109,20 @@ def emit_landscape(report: LandscapeReport, n: int, config_text: str, seed: int)
     return _document(header, map(_cells, records), config_text, seed)
 
 
-def emit_eigensystem(values: np.ndarray, config_text: str, seed: int) -> str:
+def emit_eigensystem(values: np.ndarray, config_text: str, seed: int, repeated: bool = False) -> str:
+    """One row per level of the ascending ``values``.  ``repeated`` marks
+    levels that repeat in runs (a collective cluster's multiplets): each run,
+    equal values of one sign bit, is then formatted once."""
     header = ("index", "eigenvalue")
-    rows = (f"{k},{v:.16e}" for k, v in enumerate(values.tolist()))
+    if not repeated:
+        rows = (f"{k},{v:.16e}" for k, v in enumerate(values.tolist()))
+        return _document(header, rows, config_text, seed)
+    starts = np.ones(len(values), dtype=bool)
+    starts[1:] = (values[1:] != values[:-1]) | (np.signbit(values[1:]) != np.signbit(values[:-1]))
+    lengths = np.diff(np.flatnonzero(starts), append=len(values)).tolist()
+    texts = [f"{v:.16e}" for v in values[starts].tolist()]
+    cells = chain.from_iterable(map(repeat, texts, lengths))
+    rows = (f"{k},{text}" for k, text in enumerate(cells))
     return _document(header, rows, config_text, seed)
 
 

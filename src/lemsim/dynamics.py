@@ -162,6 +162,14 @@ def _require_memory(n: int, ntraj: int, chunk: int) -> None:
     cluster._require_memory(needed, f"a run of {ntraj} trajectories of a {n}-spin cluster")
 
 
+def require_dynamics_size(n: int) -> None:
+    """Raise CapacityError for a cluster over ``MAX_DYNAMICS_SPINS`` spins."""
+    if n > MAX_DYNAMICS_SPINS:
+        raise CapacityError(
+            f"trajectory evolution supports up to {MAX_DYNAMICS_SPINS} spins, got n={n}"
+        )
+
+
 def evolve_superposition(
     params: ClusterParams,
     ground: DressedState,
@@ -193,10 +201,7 @@ def evolve_superposition(
     if not isinstance(seed, (int, np.integer)) or not 0 <= int(seed) < 2**64:
         raise ValidationError("seed must be an unsigned 64-bit integer")
     n = params.n
-    if n > MAX_DYNAMICS_SPINS:
-        raise CapacityError(
-            f"trajectory evolution supports up to {MAX_DYNAMICS_SPINS} spins, got n={n}"
-        )
+    require_dynamics_size(n)
     if noise.n != n:
         raise ValidationError(f"noise coupling is for {noise.n} spins, cluster has {n}")
     has_noise = noise.has_noise

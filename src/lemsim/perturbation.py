@@ -35,14 +35,70 @@ from .fitting import fit_slope, log10_points
 PATH_SUM_MAX_SPINS = 8  # d! path enumeration budget
 
 
+def require_path_sum_size(n: int) -> None:
+    """Raise CapacityError for a cluster over ``PATH_SUM_MAX_SPINS`` spins."""
+    if n > PATH_SUM_MAX_SPINS:
+        raise CapacityError(
+            f"path enumeration supports up to {PATH_SUM_MAX_SPINS} spins, got n={n}"
+        )
+
+
+# passes of exact_sum before the residuals go to math.fsum: each pass takes
+# about 53 - log2(N + 2) bits off the largest residual
+EXACT_SUM_PASSES = 8
+
+
+def exact_sum(x: np.ndarray) -> float:
+    """``math.fsum(x)``, bit for bit, of a float64 array, which is spent as scratch.
+
+    Error-free extraction (Rump, Ogita & Oishi, "Accurate floating-point
+    summation", SIAM J. Sci. Comput. 2008): with sigma a power of two at
+    least (N + 2) times every |r_i|, each q_i = (r_i + sigma) - sigma is a
+    multiple of sigma's last bit no larger than sigma / (N + 2), so the array
+    sum of the q_i is exact in any order, and so is r_i - q_i.  Each pass adds
+    its exact total and leaves the residuals r_i - q_i; ``math.fsum`` rounds
+    the few totals once.  Non-finite or all-zero input, a sigma past the
+    double range, or residuals left after ``EXACT_SUM_PASSES`` passes go to
+    ``math.fsum`` as they are.
+    """
+    headroom = (x.size + 1).bit_length()  # 2^headroom >= N + 2
+    scratch = np.empty_like(x)
+    totals = []
+    for _ in range(EXACT_SUM_PASSES):
+        top = max(x.max(), -x.min()) if x.size else 0.0
+        if top == 0.0 and totals:
+            return math.fsum(totals)
+        exponent = math.frexp(top)[1] + headroom  # top < 2^(exponent - headroom)
+        if not math.isfinite(top) or top == 0.0 or exponent > 1022:
+            break  # sigma = 2^exponent would overflow, or r + sigma might
+        sigma = math.ldexp(1.0, exponent)
+        np.add(x, sigma, out=scratch)
+        scratch -= sigma
+        totals.append(float(scratch.sum()))
+        x -= scratch
+    return math.fsum(chain(totals, memoryview(x)))
+
+
 @cache
-def _orderings(d: int) -> np.ndarray:
-    """All orderings of range(d) as a read-only int8 (d!, d) table, in the
-    order of ``itertools.permutations(range(d))``."""
-    flat = chain.from_iterable(permutations(range(d)))
-    table = np.fromiter(flat, np.int8, d * math.factorial(d)).reshape(-1, d)
-    table.setflags(write=False)
-    return table
+def _prefix_tree(d: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The distinct ordering prefixes of d flips, level by level.
+
+    Level L (L = 1..d) holds the d!/(d-L)! prefixes of L flips in the order of
+    ``itertools.permutations(range(d))``: each prefix of level L - 1 followed
+    by its d - L + 1 children, which append the unused flips in increasing
+    order.  A level is the appended flip and the subset mask of the whole
+    prefix, as read-only uint8 arrays (d <= 8).
+    """
+    flips = np.arange(d, dtype=np.uint8)
+    levels = [(flips, np.left_shift(1, flips, dtype=np.uint8))]
+    for width in range(d - 1, 0, -1):
+        masks = levels[-1][1]
+        unused = (masks[:, None] >> flips & 1) == 0
+        child = np.broadcast_to(flips, unused.shape)[unused]
+        levels.append((child, np.repeat(masks, width) | np.left_shift(1, child, dtype=np.uint8)))
+    for a in chain.from_iterable(levels):
+        a.setflags(write=False)
+    return tuple(levels)
 
 
 @dataclass(frozen=True)
@@ -70,10 +126,7 @@ def multiphoton_path_sum(params: ClusterParams, x_noise, source: int, target: in
     Args:
         x_noise: length-n sequence of sigma^x channel coupling amplitudes.
     """
-    if params.n > PATH_SUM_MAX_SPINS:
-        raise CapacityError(
-            f"path enumeration supports up to {PATH_SUM_MAX_SPINS} spins, got n={params.n}"
-        )
+    require_path_sum_size(params.n)
     source = validate_config(params.n, source, "source")
     target = validate_config(params.n, target, "target")
     g = [float(v) for v in x_noise]
@@ -92,22 +145,27 @@ def multiphoton_path_sum(params: ClusterParams, x_noise, source: int, target: in
     energies = classical_energies(params)[configs]
     gaps = energies[0] - energies
     degenerate = np.abs(gaps) <= degeneracy_tolerance(params)
-    orders = _orderings(d)
     if degenerate[1:-1].any():  # an intermediate: neither the source nor the target
-        _raise_first_degenerate(params.n, orders, flips, configs, gaps, degenerate)
+        _raise_first_degenerate(params.n, flips, configs, gaps, degenerate)
 
-    # each ordering's numerator and denominator, multiplied in path order
+    # each ordering's numerator and denominator, multiplied in path order, one
+    # level of shared prefixes at a time: a prefix's products are formed once
+    # and broadcast over its children (``take`` reads uint8 indices at intp speed)
     coupling = np.array([g[spin] for spin in flips])
-    masks = 1 << np.arange(d)
-    numer = coupling[orders[:, 0]]
-    denom = np.ones(len(orders))
-    subset = np.zeros(len(orders), dtype=np.intp)
-    for k in range(1, d):
-        subset |= masks[orders[:, k - 1]]
-        denom *= gaps[subset]  # final state carries no resolvent
-        numer *= coupling[orders[:, k]]
-    np.divide(numer, denom, out=numer)
-    amplitude = math.fsum(memoryview(numer))  # exactly rounded: independent of order
+    levels = _prefix_tree(d)
+    numer = coupling.take(levels[0][0])
+    denom = gaps.take(levels[0][1])
+    for width, (child, masks) in zip(range(d - 1, 0, -1), levels[1:]):
+        step = coupling.take(child).reshape(-1, width)
+        step *= numer[:, None]
+        numer = step.ravel()
+        if width > 1:  # the final state carries no resolvent
+            step = gaps.take(masks).reshape(-1, width)
+            step *= denom[:, None]
+            denom = step.ravel()
+    if d > 1:
+        numer /= denom
+    amplitude = exact_sum(numer)  # exactly rounded, so independent of order
     g_typ = max(abs(v) for v in g)
     rate_ratio = (amplitude / g_typ) ** 2 if g_typ > 0 else 0.0
     return PathSumResult(
@@ -120,13 +178,13 @@ def multiphoton_path_sum(params: ClusterParams, x_noise, source: int, target: in
     )
 
 
-def _raise_first_degenerate(n, orders, flips, configs, gaps, degenerate) -> None:
+def _raise_first_degenerate(n, flips, configs, gaps, degenerate) -> None:
     """Raise DegeneracyError at the first ordering, in enumeration order, that
     passes a degenerate intermediate, and at its first such step."""
-    for order in orders:
+    for order in permutations(range(len(flips))):
         subset = 0
         for b in order[:-1]:
-            subset |= 1 << int(b)
+            subset |= 1 << b
             if degenerate[subset]:
                 raise DegeneracyError(
                     f"degenerate intermediate energy on path {[flips[b] for b in order]} at "

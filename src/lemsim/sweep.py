@@ -28,7 +28,8 @@ the 2^n basis: independent noise on each spin breaks the symmetry of the
 evolution, which runs on the full basis, not of the starting states.
 Its spectrum comes from the total-spin blocks (``collective.cluster_levels``).
 ``ClusterProblem.anchored``, the command line's constructor, marks every
-collective cluster symmetric by the same rule as ``lemsim spectrum``.  Any
+collective cluster symmetric by the same rule as ``lemsim spectrum``, and
+takes its anchors and A_typ from ``chain_anchors`` as the family does.  Any
 other problem dresses both anchors from one dense solve
 (``spectrum.cluster_eigensystem``).
 """
@@ -44,12 +45,12 @@ import numpy as np
 
 from .cluster import ClusterParams, bits_to_config, require_size, uniform_couplings
 from .dynamics import (
-    MAX_DYNAMICS_SPINS,
     CoherenceTrace,
     default_time_step,
     evolve_superposition,
+    require_dynamics_size,
 )
-from .errors import CapacityError, InsufficientDataError, SimulationError, ValidationError
+from .errors import InsufficientDataError, SimulationError, ValidationError
 from .fitting import fit_line, log10_points
 from .perturbation import PathSumResult, multiphoton_path_sum, scaling_exponent
 from .spectrum import (
@@ -101,17 +102,28 @@ class ClusterProblem:
     @classmethod
     def anchored(cls, params, coupling, anchors=None, a_typ=None) -> ClusterProblem:
         """The problem on explicit ``(ground, lem)`` bitstrings or, when
-        ``anchors`` is None, on the landscape's global and lowest local minimum."""
+        ``anchors`` is None, on the landscape's global and lowest local minimum.
+        A collective cluster's landscape and A_typ come from the n+1 energies of
+        its symmetric chain (``collective.chain_anchors``), any other's from
+        the 2^n energy table; an ``a_typ`` given wins."""
+        form = collective_form(params)
         if anchors is not None:
             ground, lem = (bits_to_config(bits) for bits in anchors)
         else:
-            landscape = find_local_minima(params)
-            if not landscape.local_minima:
+            if form is not None:
+                found = chain_anchors(params.n, *form[:2])
+            else:
+                landscape = find_local_minima(params)
+                found = None
+                if landscape.local_minima:
+                    found = (landscape.global_config, landscape.local_minima[0].config, None)
+            if found is None:
                 raise ValidationError(
                     "landscape has no local minimum; set dynamics.anchors explicitly"
                 )
-            ground, lem = landscape.global_config, landscape.local_minima[0].config
-        return cls(params, coupling, ground, lem, a_typ, collective_form(params) is not None)
+            ground, lem, landscape_a_typ = found
+            a_typ = landscape_a_typ if a_typ is None else a_typ
+        return cls(params, coupling, ground, lem, a_typ, form is not None)
 
     @cached_property
     def a_typ(self) -> float:
@@ -181,11 +193,7 @@ class ClusterProblem:
         evaluated when neither is needed, and a run without noise needs no
         correlation time.  A cluster over ``MAX_DYNAMICS_SPINS`` is refused
         before anything is dressed."""
-        if self.params.n > MAX_DYNAMICS_SPINS:
-            raise CapacityError(
-                f"trajectory evolution supports up to {MAX_DYNAMICS_SPINS} spins, "
-                f"got n={self.params.n}"
-            )
+        require_dynamics_size(self.params.n)
         noise = self.coupling
         # A_typ only where it sets something: it is undefined on a zero gap
         if noise.has_noise and noise.kind == "ou" and noise.correlation_time is None:

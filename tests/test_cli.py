@@ -19,8 +19,10 @@ from lemsim import (
     cluster_eigensystem,
     dress,
     parse_config,
+    run_sweep,
 )
 from lemsim.cli import main
+from lemsim.collective import chain_anchors
 
 import csv_digests
 from conftest import count_calls, count_table_builds
@@ -426,16 +428,6 @@ def test_collective_dynamics_take_the_block_spectrum_whatever_the_anchors(
     assert capsys.readouterr().err.endswith(" route=dense\n")
 
 
-def test_oversize_dynamics_is_refused_before_any_solve(tmp_path, capsys, monkeypatch):
-    calls = count_calls(monkeypatch, lemsim.sweep, "cluster_eigensystem")
-    nudged = " ".join(["0.1"] * 9 + [repr(0.1 + 1e-15)])
-    cfg = tmp_path / "ferro10.cfg"
-    cfg.write_text(_collective(10, nudged))
-    assert run_cli("dynamics", "--config", cfg) == 3
-    assert "trajectory evolution supports up to 8 spins, got n=10" in capsys.readouterr().err
-    assert calls == []
-
-
 def test_oversize_trajectory_count_exits_3_before_any_generator(tmp_path, capsys, monkeypatch):
     def no_generators(*args):
         raise AssertionError("a Generator was made")
@@ -494,17 +486,85 @@ def test_memory_preflight_exit_status(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "command, anchors",
-    [pytest.param(c, "", id=c) for c in ("landscape", "rates", "overlaps", "pathsum", "dynamics")]
+    "command, cluster, anchors, expected",
+    [pytest.param(c, FERRO3, "", [3], id=c) for c in ("landscape", "rates", "pathsum", "dynamics")]
     # explicit anchors: no landscape runs, and the path sums' tolerances build the table
-    + [pytest.param("pathsum", "anchors = 000 111\n", id="pathsum-anchored")],
+    + [pytest.param("pathsum", FERRO3, "anchors = 000 111\n", [3], id="pathsum-anchored")]
+    # the symmetric chain gives a collective cluster's anchors and A_typ, and the
+    # sector dresses them: overlaps, and rates past the dense hold of n <= 4, build none
+    + [pytest.param("overlaps", FERRO3, "", [], id="overlaps")]
+    + [pytest.param("rates", _collective(5, extra="[noise]\nz_noise = 0.05\n"), "", [], id="rates-n5")],
 )
-def test_each_command_builds_the_energy_table_once(tmp_path, monkeypatch, command, anchors):
+def test_each_command_builds_the_energy_table_at_most_once(
+    tmp_path, monkeypatch, command, cluster, anchors, expected
+):
     builds = count_table_builds(monkeypatch)
     cfg = tmp_path / "short.cfg"
-    cfg.write_text(FERRO3 + "\n[dynamics]\ntotal_time = 10.0\ntrajectories = 4\n" + anchors)
+    cfg.write_text(cluster + "\n[dynamics]\ntotal_time = 10.0\ntrajectories = 4\n" + anchors)
     assert run_cli(command, "--config", cfg, "--out", tmp_path / "out.csv", "--quiet") == 0
-    assert builds == [3]
+    assert builds == expected
+
+
+def _no_energy_table(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the energy table was built")
+
+    monkeypatch.setattr(lemsim.cluster, "_energy_table", refuse)
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("pathsum", "path enumeration supports up to 8 spins, got n=9"),
+        ("dynamics", "trajectory evolution supports up to 8 spins, got n=9"),
+    ],
+)
+def test_oversize_pathsum_and_dynamics_are_refused_before_the_landscape(
+    tmp_path, capsys, monkeypatch, command, message
+):
+    # a non-collective cluster's landscape reads the 2^n energy table, so the
+    # size is refused before the anchors are found
+    _no_energy_table(monkeypatch)
+    nudged = " ".join(["0.1"] * 8 + [repr(0.1 + 1e-15)])
+    cfg = tmp_path / "ferro9.cfg"
+    cfg.write_text(_collective(9, nudged))
+    assert run_cli(command, "--config", cfg) == 3
+    assert capsys.readouterr().err == f"error [{command}]: {message}\n"
+
+
+def test_collective_overlaps_and_rates_run_past_the_energy_table(tmp_path, capsys, monkeypatch):
+    # a 40-spin table would take 8 * 42 * 2^40 bytes; the anchors and A_typ come
+    # from the symmetric chain, as in the sweep's family, and so do the results
+    _no_energy_table(monkeypatch)
+    ratio = 0.05
+    amp = ratio * chain_anchors(40, -1.0, 0.1)[2]
+    cfg = tmp_path / "ferro40.cfg"
+    cfg.write_text(
+        f"[cluster]\nn = 40\nj = -1.0\nbias = 0.1\ntunneling = {amp!r}\n"
+        f"[noise]\nz_noise = {amp!r}\nx_noise = {amp!r}\n"
+    )
+    out = tmp_path / "out.csv"
+    for command in ("overlaps", "rates"):
+        assert run_cli(command, "--config", cfg, "--out", out) == 0
+        assert capsys.readouterr().err.endswith(" route=sector\n")
+    header, record = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+    cells = dict(zip(header.split(","), record.split(",")))
+    (row,) = run_sweep((40,), (ratio,), ("rates",))
+    assert float(cells["matrix_element"]) == row.matrix_element
+    assert float(cells["rate_bound"]) == row.rate_bound
+
+
+@pytest.mark.parametrize("command", ["landscape", "spectrum"])
+def test_a_capacity_message_names_a_huge_byte_count_by_its_power_of_two(
+    tmp_path, capsys, monkeypatch, command
+):
+    monkeypatch.setattr(lemsim.cluster, "_available_memory", lambda: 2**33)
+    cfg = tmp_path / "ferro1023.cfg"
+    cfg.write_text(_collective(1023))
+    assert run_cli(command, "--config", cfg) == 3
+    err = capsys.readouterr().err
+    assert re.search(r" needs at least 2\^10[0-9]{2} bytes, 8589934592 bytes of memory available\n$", err)
+    assert len(err) < 200
 
 
 def test_noise_free_dynamics_needs_no_a_typ(tmp_path, capsys):

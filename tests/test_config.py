@@ -204,6 +204,19 @@ def test_csv_reals_parse_back_exactly():
     assert parsed == values
 
 
+@pytest.mark.parametrize("repeated", [False, True])
+def test_eigensystem_rows_format_every_level_as_its_own_value(repeated):
+    # with repeated levels each run of equal levels is formatted once: -0.0
+    # and 0.0 compare equal yet print differently, and NaN equals nothing
+    from lemsim.csvout import emit_eigensystem
+
+    values = np.array([-1.5, -1.5, -0.0, -0.0, 0.0, 0.0, -0.0, 2.0**-1074, 1 / 3, 1 / 3, np.inf])
+    for levels in (values, values[:0], values[:1], np.array([np.nan, np.nan, 1.0])):
+        text = emit_eigensystem(levels, "[run]\nseed = 1\n", 1, repeated)
+        rows = [l for l in text.splitlines() if not l.startswith("#")][1:]
+        assert rows == [f"{k},{v:.16e}" for k, v in enumerate(levels.tolist())]
+
+
 CLUSTER = "[cluster]\nn = 3\n"
 
 # One input per ConfigError template, plus inputs with two faults whose

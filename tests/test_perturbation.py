@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lemsim import (
     CapacityError,
@@ -21,7 +23,7 @@ from lemsim import (
 )
 from lemsim.cluster import degeneracy_tolerance
 from lemsim.fitting import LOG_FLOOR, fit_line, log10_points
-from lemsim.perturbation import _orderings
+from lemsim.perturbation import EXACT_SUM_PASSES, _prefix_tree, exact_sum
 from lemsim.sweep import uniform_ferromagnet
 
 from oracles import brute_energy, left_to_right_energy, path_sum_by_orderings, rs_amplitudes
@@ -100,19 +102,11 @@ def test_path_sum_degenerate_intermediate_names_path(bias, source, target):
     assert str(exc.value) == str(ref.value)
 
 
-@pytest.mark.parametrize("d", range(1, 9))
-def test_ordering_table_is_itertools_permutations(d):
-    table = _orderings(d)
-    assert table.dtype == np.int8 and table.shape == (math.factorial(d), d)
-    assert not table.flags.writeable
-    assert list(map(tuple, table.tolist())) == list(itertools.permutations(range(d)))
-
-
-@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_path_sum_matches_the_per_ordering_loop_bit_for_bit(n):
     rng = np.random.default_rng(2000 + n)
     mixed = 0
-    for trial in range(6):
+    for trial in range(2 if n == 8 else 6):
         j = np.triu(rng.normal(size=(n, n)), 1)
         p = ClusterParams(n=n, couplings=j + j.T, bias=rng.normal(size=n), tunneling=np.zeros(n))
         g = list(rng.normal(size=n))
@@ -135,7 +129,7 @@ def test_path_sum_matches_the_per_ordering_loop_bit_for_bit(n):
 
 def test_path_sum_memory_at_eight_spins():
     p = make_params(8, b=0.3, c=0.134)
-    _orderings.cache_clear()  # the table's own construction is counted too
+    _prefix_tree.cache_clear()  # the tree's own construction is counted too
     tracemalloc.start()
     try:
         result = multiphoton_path_sum(p, p.tunneling, 0, 255)
@@ -144,6 +138,80 @@ def test_path_sum_memory_at_eight_spins():
         tracemalloc.stop()
     assert result.path_count == 40320
     assert peak <= 2.5 * (1 << 20)
+
+
+def _same_float(a: float, b: float) -> bool:
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b) or a != a and b != b
+
+
+_SPREAD_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-1e-300, max_value=1e-300),  # subnormals among them
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**100, -(2.0**-100), 1.0, -1.0]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_SPREAD_FLOATS, max_size=60), st.booleans())
+@example([1.0, -1.0], True)  # exact cancellation, negated copies appended below too
+@example([-0.0, -0.0], False)  # all zeros: math.fsum's own sign of zero
+@example([1.7976931348623157e308, 1.7976931348623157e308], False)  # fsum overflows
+@example([2.0**1000, 2.0**-1000, 5e-324, -(2.0**1000)], False)
+def test_exact_sum_is_fsum_bit_for_bit(values, cancel):
+    if cancel:  # each value and its negation: the exact sum is 0
+        values = values + [-v for v in values]
+    try:
+        expected = math.fsum(values)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            exact_sum(np.array(values, dtype=float))
+        return
+    assert _same_float(exact_sum(np.array(values, dtype=float)), expected)
+
+
+def test_exact_sum_is_fsum_bit_for_bit_on_long_arrays():
+    # up to 50,000 terms: the extraction's headroom grows with the length
+    rng = np.random.default_rng(29)
+    for trial in range(120):
+        size = int(rng.integers(1, 50_000)) if trial % 4 else int(rng.integers(1, 300))
+        low, high = [(-1074, 1000), (-1080, -1000), (-60, 60), (-200, 200)][trial % 4]
+        values = rng.normal(size=size) * 2.0 ** rng.integers(low, high, size=size)
+        if trial % 3 == 0:  # cancelling pairs and one small survivor
+            values = np.concatenate([values, -values[: size // 2], [1e-300]])
+            rng.shuffle(values)
+        assert _same_float(exact_sum(values.copy()), math.fsum(values.tolist())), trial
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[math.inf, 1.0], [-math.inf, 2.0**-1074], [math.nan, 0.0], [math.inf, -math.inf]],
+)
+def test_exact_sum_leaves_non_finite_input_to_fsum(values):
+    try:
+        expected = math.fsum(values)
+    except ValueError:
+        with pytest.raises(ValueError):
+            exact_sum(np.array(values))
+        return
+    assert _same_float(exact_sum(np.array(values)), expected)
+
+
+def test_exact_sum_hands_residuals_to_fsum_after_its_passes():
+    # magnitudes 130 bits apart: each pass takes one of them, and 16 exceed the passes
+    values = np.array([(-1) ** k * 2.0 ** (1000 - 130 * k) for k in range(16)] + [3.0])
+    assert len(values) - 1 > EXACT_SUM_PASSES
+    assert _same_float(exact_sum(values.copy()), math.fsum(values.tolist()))
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_prefix_tree_leaves_are_itertools_permutations(d):
+    levels = _prefix_tree(d)
+    paths = [[int(f)] for f in levels[0][0]]
+    for width, (child, masks) in zip(range(d - 1, 0, -1), levels[1:]):
+        paths = [path + [int(f)] for path, f in zip((p for p in paths for _ in range(width)), child)]
+        assert masks.tolist() == [sum(1 << f for f in path) for path in paths]
+    assert paths == list(map(list, itertools.permutations(range(d))))
+    assert all(a.dtype == np.uint8 and not a.flags.writeable for level in levels for a in level)
 
 
 def test_path_sum_capacity():
