@@ -46,8 +46,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import lapack
 
 from .cluster import ClusterParams, _spread_tolerance, config_to_bits, validate_config
 from .errors import ValidationError, require_normal
@@ -56,6 +54,7 @@ from .spectrum import (
     _check_info,
     cluster_eigenvalues,
     geometric_gap,
+    lapack,
     require_dominant_overlap,
 )
 
@@ -92,11 +91,24 @@ def _diagonal(n: int, twice_s: int, j: float, b: float) -> np.ndarray:
 
 def block_eigenvalues(n: int, j: float, b: float, c: float) -> np.ndarray:
     """All 2^n eigenvalues (ascending) of the collective cluster ``(j, b, c)``,
-    each total-spin block's levels repeated by the block's multiplicity."""
+    each total-spin block's levels repeated by the block's multiplicity.
+
+    A block of two or more rows is solved by LAPACK ``dstevd`` without
+    vectors, the call ``scipy.linalg.eigh_tridiagonal(d, e,
+    eigvals_only=True)`` makes, so its levels are that call's bit for bit; a
+    1-row block's level is its diagonal entry, as in scipy's quick exit
+    (f2py refuses an empty off-diagonal).  The blocks go to LAPACK
+    unchecked: ``(j, b, c)`` is a ``ClusterParams``' collective form, and
+    ``cluster.ENERGY_SCALE_LIMIT`` bounds every block entry by its energy
+    scale, so each is finite.
+    """
     levels = []
     for k in range(n // 2 + 1):
         multiplicity = math.comb(n, k) - (math.comb(n, k - 1) if k else 0)
-        values = scipy.linalg.eigh_tridiagonal(*_block(n, n - 2 * k, j, b, c), eigvals_only=True)
+        values, off = _block(n, n - 2 * k, j, b, c)
+        if off.size:  # a 1-row block's diagonal is its level
+            values, _, info = lapack.dstevd(values, off, compute_v=0)
+            _check_info("dstevd", info, len(values))
         levels.append(np.repeat(values, multiplicity))
     return np.sort(np.concatenate(levels))
 
@@ -230,7 +242,7 @@ def symmetric_chain(params: ClusterParams) -> SymmetricChain:
     if form is None:
         raise ValidationError(_SECTOR_ONLY)
     diagonal, off = _block(params.n, params.n, *form)
-    # the LAPACK routine scipy.linalg.eigh_tridiagonal runs on a whole chain, called directly
+    # the LAPACK routine scipy.linalg.eigh_tridiagonal runs on a whole chain
     values, vectors, info = lapack.dstevd(diagonal, off, compute_v=1)
     _check_info("dstevd", info, params.n + 1)
     return SymmetricChain(params.n, diagonal, off, values, vectors)

@@ -6,9 +6,12 @@ those configurations is associated with the exact eigenstate of maximal
 overlap ("dressed" state).  The decay of dressed-state amplitudes with
 Hamming distance from the anchor is measured here as a log-linear fit.
 
-``cluster_eigenvalues(params)`` computes the spectrum alone through
-``eigenvalues``, a values-only ``scipy.linalg.eigh`` (the route of
-``collective.cluster_levels`` off collective clusters).
+Every solve calls LAPACK through scipy's compiled f2py module, which
+``lapack`` holds (``_load_lapack``); scipy's Python wrappers are not
+imported.  ``cluster_eigenvalues(params)`` computes the spectrum alone
+through ``eigenvalues``, a values-only ``dsyevr`` (the route of
+``collective.cluster_levels`` off collective clusters), called as
+``scipy.linalg.eigh(h, eigvals_only=True)`` calls it.
 ``cluster_eigensystem(params, anchors)`` computes what dressing needs
 through ``diagonalize``: the levels whose eigenvector can have overlap² ≥ ½
 with an anchor, and their vectors.  ``diagonalize`` runs the steps ``dsyevr``
@@ -37,13 +40,15 @@ symmetric, and agree bit for bit with the cluster solves.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import lapack
 
 from .cluster import (
     ClusterParams,
@@ -75,6 +80,36 @@ REPEATED_LEVEL_WEIGHT = 1e-9  # anchor overlap^2 a repeated level may carry off 
 # dsyevr's whole (MRRR) solve; once that test reads the value from the CSV,
 # both holds go with this constant (ROADMAP item 2a)
 WHOLE_SOLVE_ROWS = 16
+
+
+def _load_lapack():
+    """scipy's compiled LAPACK module, ``scipy.linalg._flapack``, loaded by
+    itself from scipy's install directory (``importlib.util.find_spec``)
+    without running ``scipy.linalg``'s package, which imports 328 modules
+    more, numpy's testing, f2py, masked-array and random packages among
+    them.  The module is registered in ``sys.modules`` under its own name,
+    so a later ``import scipy.linalg`` reuses it, and ``scipy.linalg.lapack``'s
+    routines are its routines.  ImportError names the directory searched
+    when the extension is not there."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")
+    where = os.path.join(scipy.submodule_search_locations[0], "linalg") if scipy else None
+    loaders = (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES)
+    spec = importlib.machinery.FileFinder(where, loaders).find_spec(name) if where else None
+    if spec is None:
+        raise ImportError(
+            f"scipy's LAPACK extension {name} was not found in {where or 'sys.path (no scipy)'}",
+            name=name,
+        )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+lapack = _load_lapack()
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,15 +240,6 @@ def _checked_symmetric(h: np.ndarray) -> tuple[np.ndarray, float]:
     return a, peak
 
 
-def _eigh(a: np.ndarray, **options):
-    """``scipy.linalg.eigh`` of the lower triangle of ``a``, which it
-    overwrites, with LAPACK's failures raised as NumericalError."""
-    try:
-        return scipy.linalg.eigh(a, overwrite_a=True, check_finite=False, **options)
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
-        raise NumericalError(f"eigensolver failed on a {len(a)}x{len(a)} matrix: {exc}") from exc
-
-
 def _check_info(routine: str, info: int, dim: int) -> None:
     """Raise NumericalError when LAPACK's ``routine`` returned a nonzero ``info``."""
     if info != 0:
@@ -258,9 +284,23 @@ def _solve_window(a: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, np.n
     return values, vectors
 
 
+def _eigh(a: np.ndarray, compute_v: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Every level of ``a``'s lower triangle, which ``dsyevr`` overwrites,
+    ascending, and with ``compute_v`` their eigenvectors as columns: the call
+    ``scipy.linalg.eigh``'s default ``evr`` driver makes, with its workspace
+    sizes, so bit for bit its values and vectors."""
+    dim = len(a)
+    lwork, liwork, _ = lapack.dsyevr_lwork(dim, lower=1)
+    values, vectors, _, _, info = lapack.dsyevr(
+        a, compute_v, lower=1, overwrite_a=1, lwork=int(lwork), liwork=int(liwork)
+    )
+    _check_info("dsyevr", info, dim)
+    return values, vectors
+
+
 def eigenvalues(h: np.ndarray) -> np.ndarray:
     """Eigenvalues (ascending) of a dense real symmetric matrix; ``h`` is left unmodified."""
-    return _eigh(_checked_symmetric(h)[0], eigvals_only=True)
+    return _eigh(_checked_symmetric(h)[0], compute_v=0)[0]
 
 
 def diagonalize(h: np.ndarray, anchors) -> SolvedLevels:
@@ -274,12 +314,12 @@ def diagonalize(h: np.ndarray, anchors) -> SolvedLevels:
     diagonal; the slack, 4·N·eps·‖H‖_F with ‖H‖_F ≥ ‖H‖₂, bounds the
     solver's backward error and the rounding of s.  The tolerance keeps
     every level that repeats the dominant one inside the window.  A matrix
-    of at most ``WHOLE_SOLVE_ROWS`` rows has every level solved by
-    ``scipy.linalg.eigh``.  A value range adds its m solved columns, twice
-    while ``dormqr`` works on them (16·N·m bytes), and raises CapacityError
-    before allocating them when they do not fit.  A caller's ``h`` is
-    checked on a copy and left unmodified; the cluster solves' scratch H is
-    overwritten unchecked.
+    of at most ``WHOLE_SOLVE_ROWS`` rows has every level solved by one
+    ``dsyevr`` call (``_eigh``), as ``scipy.linalg.eigh`` solves it.  A
+    value range adds its m solved columns, twice while ``dormqr`` works on
+    them (16·N·m bytes), and raises CapacityError before allocating them
+    when they do not fit.  A caller's ``h`` is checked on a copy and left
+    unmodified; the cluster solves' scratch H is overwritten unchecked.
     """
     a, peak = _checked_symmetric(h)
     dim, anchors = len(a), tuple(anchors)

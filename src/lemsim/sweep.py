@@ -65,9 +65,9 @@ from .spectrum import (
 from .transition import CouplingSpec, RateReport, check_bound, matrix_element
 
 # after .dynamics, which imports .collective itself: importing .collective
-# here first raises the peak RSS of ``import lemsim.cli`` from 56.6 to
-# 57.0 MB (median of 30 alternating runs on a 2-core Xeon; the import time
-# did not differ beyond the runs' spread)
+# here first raises the peak RSS of ``import lemsim.cli`` from 31.3 to
+# 31.5 MB (medians of 20 and 24 alternating runs on a 2-core Xeon, quartiles
+# 0.06 MB apart or less; the import time did not differ beyond the runs' spread)
 from .collective import SymmetricChain, chain_anchors, collective_form, symmetric_chain
 
 CHANNELS = ("overlaps", "rates", "pathsum", "dynamics")

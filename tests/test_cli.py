@@ -782,6 +782,46 @@ def test_parser_is_reused_without_carrying_state(tmp_path, capsys):
     assert lemsim.cli._build_parser.cache_info().currsize == 1
 
 
+_FOOTPRINT = """
+import sys
+
+import lemsim.cli
+
+for command, config in zip(("spectrum", "rates", "dynamics"), sys.argv[1:]):
+    assert lemsim.cli.main([command, "--config", config, "--out", config + ".csv", "--quiet"]) == 0
+loaded = [name for name in ("scipy.linalg", "numpy.f2py", "numpy.testing") if name in sys.modules]
+assert not loaded, loaded
+
+import scipy.linalg
+
+import lemsim.spectrum
+
+assert scipy.linalg.lapack.dstevd is lemsim.spectrum.lapack.dstevd
+assert scipy.linalg.lapack.dsyevr is lemsim.spectrum.lapack.dsyevr
+"""
+
+
+def test_cli_runs_import_scipys_lapack_module_alone(tmp_path):
+    # a fresh process: the runs load scipy's compiled LAPACK module and none
+    # of scipy.linalg's package; a later import of that package shares it.
+    # spectrum solves a dense H (a nudged bias) with dsyevr, rates solves an
+    # 8-row H whole, dynamics takes its levels from dstevd's blocks
+    configs = []
+    for name, text in (
+        ("spectrum", FERRO3.replace("bias = 0.1", "bias = 0.1 0.1 0.2")),
+        ("rates", FERRO3),
+        ("dynamics", FERRO3 + "[dynamics]\ntotal_time = 1.0\ntrajectories = 2\n"),
+    ):
+        configs.append(tmp_path / f"{name}.cfg")
+        configs[-1].write_text(text)
+    src = os.path.join(csv_digests.ROOT, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT, *map(str, configs)], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+
+
 def _recorded_digests():
     with open(os.path.join(os.path.dirname(__file__), "csv_digests.txt"), encoding="utf-8") as fh:
         return fh.read().splitlines()

@@ -6,17 +6,20 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.linalg
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lemsim.cluster
 import lemsim.collective
+import lemsim.spectrum
 import lemsim.sweep
 from lemsim import (
     ClusterParams,
     ClusterProblem,
     CouplingSpec,
     DegeneracyError,
+    NumericalError,
     StrongMixingError,
     UnderflowError,
     ValidationError,
@@ -300,6 +303,15 @@ def _within(got, terms):
 
 @settings(max_examples=300, deadline=None)
 @given(_collective_problems())
+# an element that cancels to about 1e-160 underflows as a rate ratio, while
+# the 2^n basis products leave 2.7e-20 of rounding in their sum
+@example(
+    ClusterProblem(
+        collective(3, 0.0, 0.5, 0.0625),
+        CouplingSpec(z_noise=[0.0, 0.0, 1.0], x_noise=[0.0, 0.0, 4.5e-226]),
+        0, 7, 1.0, symmetric=True,
+    )
+)
 def test_chain_sums_match_sums_over_the_full_basis(problem):
     # the maxima and the element the sector reads off its chains, against
     # sums this test forms itself over the spread 2^n amplitudes
@@ -333,8 +345,10 @@ def test_chain_sums_match_sums_over_the_full_basis(problem):
         report = problem.rates()
     except UnderflowError:
         # refused only where the element, and so the rate ratio, leaves the
-        # double range; small noise amplitudes get there
-        assert abs(math.fsum(every_term)) <= (1 + 1e-9) * math.sqrt(np.finfo(float).tiny)
+        # double range; small noise amplitudes get there.  The 2^n sum keeps
+        # the rounding _within allows where its terms cancel
+        roundoff = 64 * EPS * math.fsum(abs(t) for t in every_term)
+        assert abs(math.fsum(every_term)) <= (1 + 1e-9) * math.sqrt(np.finfo(float).tiny) + roundoff
         return
     for i in range(n):
         assert _within(report.z_channel[i], z_terms[i]), ("z", i)
@@ -425,6 +439,30 @@ def test_block_spectrum_matches_dense(n):
         assert blocks.shape == (2**n,)
         norm = max(1.0, float(np.abs(dense).max()))
         assert np.max(np.abs(blocks - dense)) <= 100 * EPS * norm, (j, b, c)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 11])  # even n has a 1-row block
+def test_block_levels_are_eigh_tridiagonals_bit_for_bit(n):
+    # each block's levels as scipy's tridiagonal wrapper gives them, repeated
+    # and sorted as block_eigenvalues assembles them
+    rng = np.random.default_rng(200 + n)
+    cases = [(J, BIAS, 0.05), (J, 0.0, 0.3), (J, 0.4, 0.0), (0.0, 0.0, 0.0)]
+    for j, b, c in cases + [tuple(rng.normal(size=3)) for _ in range(3)]:
+        levels = []
+        for k in range(n // 2 + 1):
+            d, e = lemsim.collective._block(n, n - 2 * k, j, b, c)
+            values = scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True)
+            levels.append(np.repeat(values, math.comb(n, k) - (math.comb(n, k - 1) if k else 0)))
+        assert np.array_equal(block_eigenvalues(n, j, b, c), np.sort(np.concatenate(levels)))
+
+
+def test_block_solve_failures_raise_numerical_error(monkeypatch):
+    original = lemsim.spectrum.lapack.dstevd
+    monkeypatch.setattr(
+        lemsim.spectrum.lapack, "dstevd", lambda *args, **kwargs: (*original(*args, **kwargs)[:-1], 1)
+    )
+    with pytest.raises(NumericalError, match="^dstevd failed on a 4x4 matrix: info 1$"):
+        block_eigenvalues(3, J, BIAS, 0.05)
 
 
 def test_block_levels_repeat_by_multiplicity():

@@ -1,6 +1,11 @@
 """Diagonalization, landscape detection, dressed states, overlap decay."""
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -72,11 +77,24 @@ def test_polarized_windows_hold_the_two_lowest_levels_only():
     assert 0 < eig.values[1] - eig.values[0] <= 0.01
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_small_matrices_solve_whole_as_eigh_does(n):
+def _random_symmetric(dim):
+    # max |h_ij| in [1/2, 1), which diagonalize's power-of-two scaling keeps
+    h = np.random.default_rng(dim).normal(size=(dim, dim))
+    h += h.T
+    return np.ldexp(h, -math.frexp(np.abs(h).max())[1])
+
+
+@pytest.mark.parametrize(
+    "h",
+    [build_hamiltonian(make_params(n, b=0.1, c=0.058)) for n in (1, 2, 3, 4, 5)]
+    + [_random_symmetric(dim) for dim in (1, 2, 7, 16, 17)],
+    ids=[str(n) for n in (1, 2, 3, 4, 5)] + [f"random-{dim}" for dim in (1, 2, 7, 16, 17)],
+)
+def test_small_matrices_solve_whole_as_eigh_does(h):
     # up to WHOLE_SOLVE_ROWS rows every level is solved, bit for bit as
-    # eigh's whole (MRRR) solve gives it; past that, a value subset
-    h = build_hamiltonian(make_params(n, b=0.1, c=0.058))
+    # eigh's whole (MRRR) solve gives it; past that, a value subset.
+    # eigenvalues is eigh's values-only solve at every size
+    assert np.array_equal(eigenvalues(h), scipy.linalg.eigh(h, eigvals_only=True))
     eig = diagonalize(h, (0,))
     if len(h) > lemsim.spectrum.WHOLE_SOLVE_ROWS:
         assert len(eig.values) < len(h)
@@ -321,6 +339,8 @@ def test_one_by_one_matches_eigh(entry):
     h = np.array([[entry]])
     eig = diagonalize(h, (0,))
     assert eig.values.tolist() == [entry] == scipy.linalg.eigh(h)[0].tolist()
+    assert eig.vectors.tolist() == [[1.0]] == scipy.linalg.eigh(h)[1].tolist()
+    assert eigenvalues(h).tolist() == [entry]
     assert dress(eig, 0).amplitudes.tolist() == [1.0]
 
 
@@ -605,16 +625,41 @@ def test_window_too_wide_for_its_columns_is_refused_before_they_exist(monkeypatc
     )
 
 
-@pytest.mark.parametrize("routine", ["dsytrd", "dstebz", "dstein", "dormqr"])
-def test_window_solve_failures_raise_numerical_error(monkeypatch, routine):
+def _failing(monkeypatch, routine):
+    """Make LAPACK's ``routine`` return info 1."""
     original = getattr(lemsim.spectrum.lapack, routine)
 
     def failing(*args, **kwargs):
         return (*original(*args, **kwargs)[:-1], 1)
 
     monkeypatch.setattr(lemsim.spectrum.lapack, routine, failing)
+
+
+@pytest.mark.parametrize("routine", ["dsytrd", "dstebz", "dstein", "dormqr"])
+def test_window_solve_failures_raise_numerical_error(monkeypatch, routine):
+    _failing(monkeypatch, routine)
     with pytest.raises(NumericalError, match=f"^{routine} failed on a 32x32 matrix: info 1$"):
         cluster_eigensystem(make_params(5, b=0.1, c=0.05), (0, 31))
+
+
+@pytest.mark.parametrize(
+    "solve", [lambda p: cluster_eigensystem(p, (0,)), cluster_eigenvalues], ids=["eigensystem", "eigenvalues"]
+)
+def test_whole_solve_failures_raise_numerical_error(monkeypatch, solve):
+    _failing(monkeypatch, "dsyevr")
+    with pytest.raises(NumericalError, match="^dsyevr failed on a 16x16 matrix: info 1$"):
+        solve(make_params(4, b=0.1, c=0.05))
+
+
+def test_a_missing_lapack_extension_names_the_directory_searched(monkeypatch, tmp_path):
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    scipy = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    scipy.submodule_search_locations = [str(tmp_path)]
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: scipy)
+    where = os.path.join(tmp_path, "linalg")
+    with pytest.raises(ImportError, match=f"^scipy's LAPACK extension .* was not found in {re.escape(where)}$"):
+        lemsim.spectrum._load_lapack()
+    assert "scipy.linalg._flapack" not in sys.modules
 
 
 def test_unknown_available_memory_skips_the_preflight(monkeypatch):
