@@ -24,7 +24,6 @@ something of size 2^n checks what it needs against the memory available
 
 from __future__ import annotations
 
-import copy
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -83,7 +82,8 @@ class ClusterParams:
             raise ValidationError(f"couplings must have shape ({self.n}, {self.n}), got {j.shape}")
         if b.shape != (self.n,):
             raise ValidationError(f"bias must have length {self.n}, got shape {b.shape}")
-        _check_tunneling_shape(c, self.n)
+        if c.shape != (self.n,):
+            raise ValidationError(f"tunneling must have length {self.n}, got shape {c.shape}")
         for name, arr in (("couplings", j), ("bias", b), ("tunneling", c)):
             if not np.isfinite(arr).all():
                 raise ValidationError(f"{name} contains non-finite entries")
@@ -91,7 +91,8 @@ class ClusterParams:
             raise ValidationError("couplings matrix must be symmetric")
         if j.diagonal().any():
             raise ValidationError("couplings matrix must have zero diagonal")
-        _check_scale(j, b, c)
+        with np.errstate(over="ignore"):
+            require_scale(np.abs(np.triu(j)).sum() + np.abs(b).sum() + np.abs(c).sum())
         object.__setattr__(self, "couplings", j)
         object.__setattr__(self, "bias", b)
         object.__setattr__(self, "tunneling", c)
@@ -108,20 +109,6 @@ class ClusterParams:
         table = _energy_table(self.couplings, self.bias)
         table.setflags(write=False)
         return table
-
-    def with_tunneling(self, tunneling) -> ClusterParams:
-        """The same cluster with other tunneling amplitudes.  Only the new
-        amplitudes and the energy scale are checked: the couplings and bias
-        are shared as they are, and so is a table already built, since
-        tunneling leaves the classical energies unchanged."""
-        c = _as_readonly(tunneling)
-        _check_tunneling_shape(c, self.n)
-        if not np.isfinite(c).all():
-            raise ValidationError("tunneling contains non-finite entries")
-        _check_scale(self.couplings, self.bias, c)
-        other = copy.copy(self)
-        object.__setattr__(other, "tunneling", c)
-        return other
 
 
 def require_size(n: int, what: str = "cluster size") -> None:
@@ -225,15 +212,9 @@ def _require_memory(needed: int, what: str) -> None:
         raise CapacityError(f"{what} needs {amount} bytes, {available} bytes of memory available")
 
 
-def _check_tunneling_shape(c: np.ndarray, n: int) -> None:
-    if c.shape != (n,):
-        raise ValidationError(f"tunneling must have length {n}, got shape {c.shape}")
-
-
-def _check_scale(j: np.ndarray, b: np.ndarray, c: np.ndarray) -> None:
-    """Refuse a cluster whose energy scale breaks ``ENERGY_SCALE_LIMIT``."""
-    with np.errstate(over="ignore"):
-        scale = np.abs(np.triu(j)).sum() + np.abs(b).sum() + np.abs(c).sum()
+def require_scale(scale: float) -> None:
+    """Refuse a cluster whose energy scale S, the sum of |couplings| (i<j),
+    |bias| and |tunneling|, breaks ``ENERGY_SCALE_LIMIT``."""
     if not scale <= ENERGY_SCALE_LIMIT:
         raise ValidationError(
             f"sum of |couplings| (i<j), |bias| and |tunneling| is {scale:.6g}, over the "

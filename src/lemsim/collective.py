@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cluster import ClusterParams, _spread_tolerance, config_to_bits, validate_config
+from .cluster import ClusterParams, _spread_tolerance, config_to_bits, require_scale, validate_config
 from .errors import ValidationError, require_normal
 from .spectrum import (
     DressedState,
@@ -175,7 +175,11 @@ def chain_anchors(n: int, j: float, b: float) -> tuple[int, int, float] | None:
     own other configurations are minima too, the lowest of them with bit
     k - 1 moved up to bit k.  A_typ is the geometric mean of the LEM's n
     single-flip gaps (DegeneracyError when one is within the tolerance).
+    A cluster whose energy scale |j| n(n-1)/2 + |b| n breaks
+    ``cluster.ENERGY_SCALE_LIMIT`` raises ValidationError, as its
+    ``ClusterParams`` would, before an energy overflows.
     """
+    require_scale(abs(j) * (n * (n - 1) // 2) + abs(b) * n)
     diagonal = _diagonal(n, n, j, b)
     tolerance = _spread_tolerance(diagonal)
     energies = diagonal.tolist()

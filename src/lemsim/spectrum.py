@@ -193,6 +193,16 @@ class DressedState:
         amps.setflags(write=False)
         return amps
 
+    def spins(self) -> int:
+        """n, once a dense state is checked to hold 2^n amplitudes: the solve
+        of a matrix of any other size dresses no state of n spins."""
+        if self.chain is None and len(self.amplitudes) != 1 << self.n:
+            raise ValidationError(
+                f"a dressed state of {len(self.amplitudes)} amplitudes is no state of n spins, "
+                "which has 2^n"
+            )
+        return self.n
+
 
 @dataclass(frozen=True)
 class OverlapDecay:
@@ -479,7 +489,7 @@ def overlap_decay(dressed: DressedState) -> OverlapDecay:
     are excluded.  A sector state's maximum at distance d is its one
     amplitude there, |c_k| / sqrt(C(n, k)) with k the chain site d flips
     from the anchor, read without spreading the chain."""
-    n = dressed.n
+    n = dressed.spins()
     if dressed.chain is not None:
         sites = np.abs(dressed.site_amplitudes)
         maxima = (sites if dressed.anchor == 0 else sites[::-1]).tolist()

@@ -9,12 +9,18 @@ point; after that, per-point failures are recorded inline as error codes
 and a sweep never aborts half way.  Each grid point is a ``ClusterProblem``,
 the object the command line runs its channels on too.
 
+A problem works out its own route.  When its cluster is collective
+(``collective.collective_form``) and its anchors are the two fully
+polarized configurations, both dressed states come from one solve of the
+symmetric (Dicke) chain (``collective.symmetric_chain``); every other
+problem, and one built with ``dense=True``, dresses both anchors from one
+dense solve (``spectrum.cluster_eigensystem``).
+
 The family is permutation symmetric and both anchors are fully polarized,
 so every configuration with k up spins has one energy, and the n+1 energies
-of the symmetric (Dicke) chain give the family its landscape, tolerance and
-A_typ (``collective.chain_anchors``).  ``uniform_ferromagnet`` marks its
-problems ``symmetric``, and both dressed states come from one solve of the
-chain (``collective.symmetric_chain``), which keeps their n+1 chain
+of the chain give the family its landscape, tolerance and A_typ
+(``collective.chain_anchors``) before its one cluster is built; its rows
+take the sector route.  The chain-dressed states keep their n+1 chain
 amplitudes: ``overlaps`` and ``rates`` read them there, so their rows form
 no 2^n array, solve no 2^n x 2^n eigensystem and need no dense memory
 budget, and ``rates`` prints matrix elements at full relative precision far
@@ -27,11 +33,9 @@ only for the channels that read it, ``pathsum`` and ``dynamics``.  The
 the 2^n basis: independent noise on each spin breaks the symmetry of the
 evolution, which runs on the full basis, not of the starting states.
 Its spectrum comes from the total-spin blocks (``collective.cluster_levels``).
-``ClusterProblem.anchored``, the command line's constructor, marks every
-collective cluster symmetric by the same rule as ``lemsim spectrum``, and
-takes its anchors and A_typ from ``chain_anchors`` as the family does.  Any
-other problem dresses both anchors from one dense solve
-(``spectrum.cluster_eigensystem``).
+``ClusterProblem.anchored``, the command line's constructor, takes a
+collective cluster's anchors and A_typ from ``chain_anchors`` as the family
+does.
 """
 
 from __future__ import annotations
@@ -81,15 +85,15 @@ class ClusterProblem:
     dressed states are computed on first use and kept; a dense solve keeps
     only the m levels it solved and their columns.  A spacing already known
     (an override, the sweep family's) is given as ``known_a_typ``.  Every
-    degeneracy check reads ``degeneracy_tolerance(params)`` where it is made.  A
-    ``symmetric`` problem (a collective cluster) whose anchors are the two
-    fully polarized configurations dresses both from one solve of the
-    symmetric chain; every other problem dresses both states from one dense
-    value-subset solve.  A state that does not dress raises its error on
-    every read, so it fails only the channels that read it.  Every channel
-    reads the same dressed pair, so none learns which route ran; ``route``
-    names it for the logs.
-    ``anchored`` sets ``symmetric`` from ``collective.collective_form``.
+    degeneracy check reads ``degeneracy_tolerance(params)`` where it is made.
+    The route follows from the problem: a collective cluster
+    (``collective.collective_form``) whose anchors are the two fully
+    polarized configurations dresses both from one solve of the symmetric
+    chain, and every other problem, or one built with ``dense=True``,
+    dresses both from one dense value-subset solve.  A state that does not
+    dress raises its error on every read, so it fails only the channels
+    that read it.  Every channel reads the same dressed pair, so none learns
+    which route ran; ``route`` names it for the logs.
     """
 
     params: ClusterParams
@@ -97,7 +101,7 @@ class ClusterProblem:
     ground_anchor: int
     lem_anchor: int
     known_a_typ: float | None = None
-    symmetric: bool = False  # every spin permutation leaves H unchanged
+    dense: bool = False  # the dense route even where the sector holds the pair
 
     @classmethod
     def anchored(cls, params, coupling, anchors=None, a_typ=None) -> ClusterProblem:
@@ -123,7 +127,7 @@ class ClusterProblem:
                 )
             ground, lem, landscape_a_typ = found
             a_typ = landscape_a_typ if a_typ is None else a_typ
-        return cls(params, coupling, ground, lem, a_typ, form is not None)
+        return cls(params, coupling, ground, lem, a_typ)
 
     @cached_property
     def a_typ(self) -> float:
@@ -135,7 +139,9 @@ class ClusterProblem:
     def _in_sector(self) -> bool:
         # both anchors in the symmetric sector, or both dense: never one of each
         polarized = {0, self.params.dim - 1}
-        return self.symmetric and {self.ground_anchor, self.lem_anchor} == polarized
+        if self.dense or {self.ground_anchor, self.lem_anchor} != polarized:
+            return False
+        return collective_form(self.params) is not None
 
     @cached_property
     def _solved(self) -> SolvedLevels:
@@ -244,16 +250,10 @@ def uniform_ferromagnet(
     The anchors and the typical level spacing at the local-minimum anchor
     come from the tunneling-free landscape (tunneling does not shift the
     diagonal), read off the n+1 energies of the symmetric chain
-    (``collective.chain_anchors``); then tunneling and both noise channels
-    are set to ratio * A_typ.  No energy table is built: the cluster builds
-    its own when a channel reads it.
+    (``collective.chain_anchors``); then the one cluster is built with
+    tunneling and both noise channels at ratio * A_typ.  No energy table is
+    built: the cluster builds its own when a channel reads it.
     """
-    bare = ClusterParams(
-        n=n,
-        couplings=uniform_couplings(n, coupling_j),
-        bias=np.full(n, float(bias)),
-        tunneling=np.zeros(n),
-    )
     anchors = chain_anchors(n, float(coupling_j), float(bias))
     if anchors is None:
         raise ValidationError(
@@ -261,9 +261,11 @@ def uniform_ferromagnet(
         )
     ground, lem, a_typ = anchors
     amps = np.full(n, ratio * a_typ)  # each of the three keeps its own copy
-    params = bare.with_tunneling(amps)
+    params = ClusterParams(
+        n=n, couplings=uniform_couplings(n, coupling_j), bias=np.full(n, float(bias)), tunneling=amps
+    )
     coupling = CouplingSpec(z_noise=amps, x_noise=amps, kind="ou", correlation_time=10.0 / a_typ)
-    return ClusterProblem(params, coupling, ground, lem, a_typ, symmetric=True)
+    return ClusterProblem(params, coupling, ground, lem, a_typ)
 
 
 def run_sweep(
@@ -274,7 +276,8 @@ def run_sweep(
     recording per-row error codes on failure.
 
     Every argument is checked before the first point is built: an empty
-    grid, a size below 1, a ratio outside (0, 1), an unknown channel, a
+    grid, a size that is not an integer (a bool included) or is below 1, a
+    ratio outside (0, 1), an unknown channel, a
     master seed outside 64 unsigned bits, a trajectory count that is not a
     positive integer or a non-finite bias or coupling raises ValidationError,
     and a size above ``cluster.MAX_SPINS`` raises CapacityError, as
@@ -283,7 +286,7 @@ def run_sweep(
     position, so identical grids and seeds reproduce rows bit for bit.
     Every channel of a point runs on the point's one ``ClusterProblem``.
     """
-    n_values = tuple(int(v) for v in n_values)
+    n_values = tuple(n_values)
     ratio_values = tuple(float(v) for v in ratio_values)
     channels = tuple(channels)
     if not n_values:
@@ -291,9 +294,12 @@ def run_sweep(
     if not ratio_values:
         raise ValidationError("sweep grid needs at least one coupling ratio")
     for n in n_values:
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise ValidationError(f"cluster size {n!r} must be an integer")
         if n < 1:
             raise ValidationError(f"cluster size {n} must be at least 1")
         require_size(n)
+    n_values = tuple(map(int, n_values))
     for r in ratio_values:
         if not 0.0 < r < 1.0:
             raise ValidationError(f"coupling ratio {r} must lie strictly in (0, 1)")

@@ -112,14 +112,14 @@ def matrix_element(
     element that cancels to 0 (no noise, bare anchors at zero tunneling, or
     a symmetry) prints 0.
     """
-    if ground.n != lem.n:
+    n = ground.spins()
+    if lem.spins() != n:
         raise ValidationError("dressed states live in different Hilbert spaces")
     if same_eigenstate(ground, lem):
         raise ValidationError(
             f"both dressed states are the eigenstate at {ground.energy:.8f}; "
             "the transition element needs two distinct eigenstates"
         )
-    n = ground.n
     if coupling.n != n:
         raise ValidationError(f"coupling is for {coupling.n} spins, states have {n}")
     underflows = []  # a product or quotient of nonzero numbers came out 0 or subnormal

@@ -57,3 +57,17 @@ def count_table_builds(monkeypatch):
 
     monkeypatch.setattr(lemsim.cluster, "_energy_table", counted)
     return builds
+
+
+def count_cluster_builds(monkeypatch):
+    """Wrap ``ClusterParams`` validation so that every cluster constructed
+    appends its size to the returned list."""
+    builds = []
+    original = lemsim.cluster.ClusterParams.__post_init__
+
+    def counted(params):
+        builds.append(params.n)
+        original(params)
+
+    monkeypatch.setattr(lemsim.cluster.ClusterParams, "__post_init__", counted)
+    return builds

@@ -21,11 +21,11 @@ from lemsim import (
     parse_config,
     run_sweep,
 )
-from lemsim.cli import main
+from lemsim.cli import SUBCOMMANDS, main
 from lemsim.collective import chain_anchors
 
 import csv_digests
-from conftest import count_calls, count_table_builds
+from conftest import count_calls, count_cluster_builds, count_table_builds
 
 FERRO3 = """
 [cluster]
@@ -503,6 +503,36 @@ def test_each_command_builds_the_energy_table_at_most_once(
     cfg.write_text(cluster + "\n[dynamics]\ntotal_time = 10.0\ntrajectories = 4\n" + anchors)
     assert run_cli(command, "--config", cfg, "--out", tmp_path / "out.csv", "--quiet") == 0
     assert builds == expected
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_each_command_builds_its_cluster_once_and_main_alone_prints(
+    tmp_path, monkeypatch, capsys, command
+):
+    # the handler returns its summary and CSV text; --quiet drops only the summary
+    builds = count_cluster_builds(monkeypatch)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(
+        FERRO3 + "[dynamics]\ntotal_time = 10.0\ntrajectories = 4\n"
+        "[sweep]\nn_values = 2 3\nratios = 0.01\nchannels = rates\n"
+    )
+    quiet, loud = tmp_path / "quiet.csv", tmp_path / "loud.csv"
+    assert run_cli(command, "--config", cfg, "--out", quiet, "--quiet") == 0
+    assert builds == ([2, 3] if command == "sweep" else [3])
+    assert capsys.readouterr() == ("", "")
+    assert run_cli(command, "--config", cfg, "--out", loud) == 0
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"{command}: ") and err.count("\n") == 1
+    assert loud.read_text() == quiet.read_text()
+
+
+def test_python_dash_m_lemsim_prints_the_version():
+    src = os.path.join(csv_digests.ROOT, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, "-m", "lemsim", "--version"], env=env, capture_output=True, text=True
+    )
+    assert (run.returncode, run.stdout) == (0, "lemsim 0.1.0\n")
 
 
 def _no_energy_table(monkeypatch):

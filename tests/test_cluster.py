@@ -155,11 +155,6 @@ def test_energy_table_is_built_once_and_read_only(monkeypatch):
     assert classical_energy(p, 3) == table[3]
     assert build_hamiltonian(p).diagonal().tobytes() == table.tobytes()
     assert builds == [5]
-    # tunneling leaves the energies unchanged, so the table carries over
-    q = p.with_tunneling(np.full(5, 0.2))
-    assert classical_energies(q) is table
-    assert np.array_equal(q.tunneling, np.full(5, 0.2))
-    assert builds == [5]
     classical_energies(make_params(5, b=0.1))
     assert builds == [5, 5]
 

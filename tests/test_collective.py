@@ -289,7 +289,7 @@ def _collective_problems(draw):
     f = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
     g = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
     coupling = CouplingSpec(z_noise=f, x_noise=g)
-    return ClusterProblem(collective(n, j, b, c), coupling, 0, 2**n - 1, 1.0, symmetric=True)
+    return ClusterProblem(collective(n, j, b, c), coupling, 0, 2**n - 1, 1.0)
 
 
 def _within(got, terms):
@@ -309,7 +309,7 @@ def _within(got, terms):
     ClusterProblem(
         collective(3, 0.0, 0.5, 0.0625),
         CouplingSpec(z_noise=[0.0, 0.0, 1.0], x_noise=[0.0, 0.0, 4.5e-226]),
-        0, 7, 1.0, symmetric=True,
+        0, 7, 1.0,
     )
 )
 def test_chain_sums_match_sums_over_the_full_basis(problem):

@@ -20,6 +20,7 @@ import lemsim.spectrum
 from lemsim import (
     CapacityError,
     ClusterParams,
+    CouplingSpec,
     DegeneracyError,
     NumericalError,
     StrongMixingError,
@@ -35,6 +36,7 @@ from lemsim import (
     dress,
     eigenvalues,
     find_local_minima,
+    matrix_element,
     multiphoton_path_sum,
     overlap_decay,
     typical_level_spacing,
@@ -816,6 +818,22 @@ def test_anchors_of_matrices_without_2n_rows_are_named_by_index(dim, message):
     with pytest.raises(StrongMixingError) as err:
         dress(diagonalize(_star(dim), (dim - 1,)), dim - 1)
     assert str(err.value) == message
+
+
+def test_states_of_matrices_without_2n_rows_are_no_spin_states():
+    # a 7-row solve dresses (its anchors are named by index), but its state
+    # would pass for one of 2 spins: the decay would group 7 amplitudes by
+    # 2-bit distances and the element would multiply them by 4-row tables
+    rng = np.random.default_rng(7)
+    noise = rng.normal(scale=0.05, size=(7, 7))
+    eig = diagonalize(np.diag(np.arange(7.0)) + noise + noise.T, (0, 1))
+    ground, excited = dress(eig, 0), dress(eig, 1)
+    message = "a dressed state of 7 amplitudes is no state of n spins"
+    with pytest.raises(ValidationError, match=message):
+        overlap_decay(ground)
+    coupling = CouplingSpec(z_noise=np.full(2, 0.1), x_noise=np.full(2, 0.1))
+    with pytest.raises(ValidationError, match=message):
+        matrix_element(ground, excited, coupling)
 
 
 @pytest.mark.parametrize("n, overlap", [(2, "0.500000"), (3, "0.375")])

@@ -36,7 +36,7 @@ from lemsim import (
 )
 from lemsim.sweep import CHANNELS
 
-from conftest import count_calls, count_table_builds
+from conftest import count_calls, count_cluster_builds, count_table_builds, make_params
 
 
 def test_family_construction():
@@ -48,6 +48,35 @@ def test_family_construction():
     assert np.allclose(fam.coupling.x_noise, 0.01 * fam.a_typ)
     assert np.allclose(fam.coupling.z_noise, 0.01 * fam.a_typ)
     assert fam.coupling.correlation_time == pytest.approx(10.0 / fam.a_typ)
+
+
+def test_family_builds_one_cluster_after_its_chain_anchors(monkeypatch):
+    # the anchors and A_typ come from the chain, so the cluster is built once,
+    # with its tunneling, and a sweep row builds no other
+    builds = count_cluster_builds(monkeypatch)
+    uniform_ferromagnet(5, 0.01)
+    assert builds == [5]
+    run_sweep((2, 3), (0.01,), ("overlaps", "rates"))
+    assert builds == [5, 2, 3]
+
+
+def test_the_route_follows_from_the_cluster_and_its_anchors(monkeypatch):
+    # a collective cluster's polarized pair takes the sector; dense=True, or a
+    # bias an ulp off (a cluster no longer collective), takes the dense route
+    calls = count_calls(monkeypatch, lemsim.sweep, "cluster_eigensystem")
+    params = make_params(3, j=-1.0, b=0.1, c=0.04)
+    coupling = CouplingSpec(z_noise=np.full(3, 0.04), x_noise=np.full(3, 0.04))
+    problem = ClusterProblem(params, coupling, 0, 7)
+    assert problem.route == "sector"
+    problem.rates()
+    assert calls == []
+    assert dataclasses.replace(problem, dense=True).route == "dense"
+    bias = params.bias.copy()
+    bias[2] = np.nextafter(bias[2], 1.0)
+    nudged = ClusterParams(3, params.couplings, bias, params.tunneling)
+    assert ClusterProblem(nudged, coupling, 0, 7).route == "dense"
+    # one anchor off the polarized pair: both are dressed densely
+    assert ClusterProblem(params, coupling, 0, 3).route == "dense"
 
 
 def test_missing_local_minimum_needs_explicit_anchors():
@@ -113,7 +142,7 @@ def test_dense_trajectories_integrate_the_dense_dressed_pair(monkeypatch):
     )
     coupling = CouplingSpec(z_noise=np.full(3, 0.04), x_noise=np.full(3, 0.04), correlation_time=2.0)
     problem = ClusterProblem.anchored(params, coupling, anchors=("010", "101"))
-    assert not problem.symmetric
+    assert problem.route == "dense"
     trace = problem.trajectories(6, 11, time_step=0.01, total_time=2.0)
     eig = cluster_eigensystem(params, (0b010, 0b101))
     direct = evolve_superposition(
@@ -136,7 +165,7 @@ def test_overlaps_and_rates_rows_need_no_eigensystem(monkeypatch):
 def test_symmetric_problem_with_unpolarized_anchors_dresses_densely(monkeypatch):
     calls = count_calls(monkeypatch, lemsim.sweep, "cluster_eigensystem")
     family = uniform_ferromagnet(3, 0.05)
-    assert family.symmetric
+    assert family.route == "sector"
     problem = dataclasses.replace(family, lem_anchor=0b011)
     eig = cluster_eigensystem(problem.params, (0, 0b011))
     assert np.array_equal(problem.dressed_ground.amplitudes, dress(eig, 0).amplitudes)
@@ -163,7 +192,7 @@ def test_dense_problem_solves_once_for_both_anchors(monkeypatch):
 
     monkeypatch.setattr(lemsim.spectrum, "diagonalize", counted)
     calls = count_calls(monkeypatch, lemsim.sweep, "cluster_eigensystem")
-    problem = dataclasses.replace(uniform_ferromagnet(10, 0.01), symmetric=False)
+    problem = dataclasses.replace(uniform_ferromagnet(10, 0.01), dense=True)
     problem.rates()
     assert problem.route == "dense"
     assert calls == [10]
@@ -176,7 +205,7 @@ def test_dense_problem_keeps_only_its_solved_columns(lem_anchor):
     # one-flip LEM mixes strongly with its degenerate partners, so its
     # window holds more columns
     family = uniform_ferromagnet(9, 0.05)
-    problem = dataclasses.replace(family, lem_anchor=lem_anchor, symmetric=False)
+    problem = dataclasses.replace(family, lem_anchor=lem_anchor, dense=True)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -239,6 +268,26 @@ def test_grid_size_cap_is_a_capacity_error():
     assert [(row.n, row.error) for row in rows] == [(1, "family:validation"), (1023, "")]
 
 
+_MIXED = "overlaps:strong_mixing;rates:strong_mixing"
+_FAMILY = "family:validation"
+
+
+@pytest.mark.parametrize(
+    "j, b, codes",
+    [
+        (-1e306, 0.1, [_MIXED, _MIXED, _FAMILY]),
+        (-3e307, 0.1, [_MIXED, _FAMILY, _FAMILY]),
+        (-1e308, 0.1, [_FAMILY] * 3),
+        (-1e306, 1e307, [_FAMILY] * 3),
+    ],
+)
+def test_family_error_codes_at_the_energy_scale_edge(j, b, codes):
+    # a cluster whose energy scale overflows is refused before its chain
+    # energies would, and one whose landscape has no LEM is refused too
+    rows = run_sweep((2, 3, 50), (0.01,), ("overlaps", "rates"), bias=b, coupling_j=j)
+    assert [row.error for row in rows] == codes
+
+
 @pytest.mark.parametrize(
     "bad",
     [
@@ -249,10 +298,13 @@ def test_grid_size_cap_is_a_capacity_error():
         {"trajectory_count": 2.5},
         {"bias": float("nan")},
         {"coupling_j": float("-inf")},
+        # neither may run as the integer it truncates to, n=2 or n=1
+        {"n_values": (2, 2.7)},
+        {"n_values": (2, True)},
     ],
     ids=[
         "last-ratio", "unknown-channel", "master-seed", "no-trajectories",
-        "fractional-trajectories", "nan-bias", "infinite-j",
+        "fractional-trajectories", "nan-bias", "infinite-j", "fractional-size", "bool-size",
     ],
 )
 def test_bad_arguments_are_refused_before_any_point(monkeypatch, bad):
