@@ -18,7 +18,7 @@ from .cluster import (
 from .config import parse_config, render_config
 # after .config, which imports .dynamics first: importing .collective
 # ahead of it raises the start-up peak RSS by 0.3 MB (see .sweep)
-from .collective import block_eigenvalues, cluster_levels, collective_form
+from .collective import block_eigenvalues, cluster_levels
 from .dynamics import (
     CoherenceTrace,
     default_time_step,

@@ -8,7 +8,7 @@ result among them), 3 on capacity errors: more than ``cluster.MAX_SPINS``
 spins, or 2^n arrays (the energy table, ``spectrum``'s levels and their CSV
 text, a dense solve) that do not fit in memory, refused before allocation.
 
-On a collective cluster (``collective.collective_form``), ``spectrum`` runs
+On a collective cluster (``ClusterParams.collective``), ``spectrum`` runs
 on the total-spin blocks (``collective.cluster_levels``).  ``overlaps``,
 ``rates`` and ``dynamics`` run on a ``sweep.ClusterProblem``, which dresses
 a collective cluster's two fully polarized anchors in the symmetric sector
@@ -41,7 +41,7 @@ from dataclasses import replace
 
 from ._version import __version__
 from .cluster import ClusterParams, _require_memory, config_to_bits
-from .collective import cluster_levels, collective_form
+from .collective import cluster_levels
 from .config import RunConfig, parse_config, render_config, with_overrides
 from .csvout import (
     emit_eigensystem,
@@ -90,10 +90,9 @@ def _cmd_spectrum(cfg: RunConfig) -> tuple[str, str]:
     params = cfg.cluster_params()
     _require_memory(LEVEL_BYTES * params.dim, f"the spectrum of a {params.n}-spin cluster")
     values = cluster_levels(params)
-    repeated = collective_form(params) is not None  # its total-spin multiplets
     return (
         f"spectrum: {params.dim} levels in [{values[0]:.6g}, {values[-1]:.6g}]",
-        emit_eigensystem(values, render_config(cfg), cfg.seed, repeated),
+        emit_eigensystem(values, render_config(cfg), cfg.seed),
     )
 
 

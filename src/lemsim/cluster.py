@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CapacityError, ValidationError
+from .errors import CapacityError, ValidationError, is_integer
 
 # 2^n and every binomial C(n, k) are finite doubles up to here
 # (float(math.comb(1030, 515)) overflows), as the Dicke chain's site
@@ -72,7 +72,7 @@ class ClusterParams:
     tunneling: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
+        if not is_integer(self.n) or self.n < 1:
             raise ValidationError(f"cluster size must be a positive integer, got {self.n!r}")
         require_size(self.n)
         j = _as_readonly(self.couplings)
@@ -100,6 +100,22 @@ class ClusterParams:
     @property
     def dim(self) -> int:
         return 1 << self.n
+
+    @cached_property
+    def collective(self) -> tuple[float, float, float] | None:
+        """``(j, b, c)`` when all pair couplings, all biases and all tunneling
+        entries are exactly equal, None otherwise; a single spin has j = 0.
+        The one scan of the couplings: every route that asks whether the
+        cluster is collective reads it here."""
+        n = self.n
+        # the n - 1 rows of n + 1 entries after the first hold the off-diagonal
+        # entries of an n x n matrix, each row ending on a diagonal one
+        pairs = self.couplings.ravel()[1:].reshape(n - 1, n + 1)[:, :-1].ravel()
+        for values in (pairs, self.bias, self.tunneling):
+            if (values != values[:1]).any():
+                return None
+        j = float(pairs[0]) if pairs.size else 0.0
+        return j, float(self.bias[0]), float(self.tunneling[0])
 
     @cached_property
     def _energies(self) -> np.ndarray:
@@ -242,7 +258,7 @@ def bits_to_config(bits: str) -> int:
 
 
 def validate_config(n: int, config: int, what: str = "configuration") -> int:
-    if not isinstance(config, (int, np.integer)):
+    if not is_integer(config):
         raise ValidationError(f"{what} must be an integer, got {type(config).__name__}")
     config = int(config)
     if config < 0 or config >> n:

@@ -1,8 +1,9 @@
 """Exact solves of collective clusters in their total-spin blocks.
 
 A cluster is collective when every pair coupling equals one ``j``, every
-bias one ``b`` and every tunneling entry one ``c``.  With M = sum_i s_i =
-2 S_z its Hamiltonian is
+bias one ``b`` and every tunneling entry one ``c``; ``ClusterParams.collective``
+holds that ``(j, b, c)``, found by one scan of the couplings per cluster, and
+every function here reads it.  With M = sum_i s_i = 2 S_z its Hamiltonian is
 
     H = j/2 (M^2 - n) + b M + 2 c S_x,
 
@@ -59,20 +60,6 @@ from .spectrum import (
 )
 
 
-def collective_form(params: ClusterParams) -> tuple[float, float, float] | None:
-    """``(j, b, c)`` when all pair couplings, all biases and all tunneling
-    entries are exactly equal, None otherwise.  A single spin has j = 0."""
-    n = params.n
-    # the n - 1 rows of n + 1 entries after the first hold the off-diagonal
-    # entries of an n x n matrix, each row ending on a diagonal one
-    pairs = params.couplings.ravel()[1:].reshape(n - 1, n + 1)[:, :-1].ravel()
-    for values in (pairs, params.bias, params.tunneling):
-        if (values != values[:1]).any():
-            return None
-    j = float(pairs[0]) if pairs.size else 0.0
-    return j, float(params.bias[0]), float(params.tunneling[0])
-
-
 def _block(n: int, twice_s: int, j: float, b: float, c: float) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal and off-diagonal of the total-spin block 2S = ``twice_s``,
     in ascending M = 2m = -2S, -2S + 2, ..., 2S."""
@@ -98,7 +85,7 @@ def block_eigenvalues(n: int, j: float, b: float, c: float) -> np.ndarray:
     eigvals_only=True)`` makes, so its levels are that call's bit for bit; a
     1-row block's level is its diagonal entry, as in scipy's quick exit
     (f2py refuses an empty off-diagonal).  The blocks go to LAPACK
-    unchecked: ``(j, b, c)`` is a ``ClusterParams``' collective form, and
+    unchecked: ``(j, b, c)`` is a ``ClusterParams.collective``, and
     ``cluster.ENERGY_SCALE_LIMIT`` bounds every block entry by its energy
     scale, so each is finite.
     """
@@ -117,7 +104,7 @@ def cluster_levels(params: ClusterParams) -> np.ndarray:
     """All 2^n eigenvalues (ascending) of the cluster: from the total-spin
     blocks when it is collective, from ``spectrum.cluster_eigenvalues``
     otherwise."""
-    form = collective_form(params)
+    form = params.collective
     return cluster_eigenvalues(params) if form is None else block_eigenvalues(params.n, *form)
 
 
@@ -242,7 +229,7 @@ class SymmetricChain:
 def symmetric_chain(params: ClusterParams) -> SymmetricChain:
     """The solved symmetric chain of a collective cluster; ValidationError
     for any other cluster."""
-    form = collective_form(params)
+    form = params.collective
     if form is None:
         raise ValidationError(_SECTOR_ONLY)
     diagonal, off = _block(params.n, params.n, *form)

@@ -109,14 +109,11 @@ def emit_landscape(report: LandscapeReport, n: int, config_text: str, seed: int)
     return _document(header, map(_cells, records), config_text, seed)
 
 
-def emit_eigensystem(values: np.ndarray, config_text: str, seed: int, repeated: bool = False) -> str:
-    """One row per level of the ascending ``values``.  ``repeated`` marks
-    levels that repeat in runs (a collective cluster's multiplets): each run,
-    equal values of one sign bit, is then formatted once."""
+def emit_eigensystem(values: np.ndarray, config_text: str, seed: int) -> str:
+    """One row per level of the ascending ``values``.  Each run of equal
+    levels of one sign bit (a collective cluster's multiplets) is formatted
+    once; a distinct level is a run of one."""
     header = ("index", "eigenvalue")
-    if not repeated:
-        rows = (f"{k},{v:.16e}" for k, v in enumerate(values.tolist()))
-        return _document(header, rows, config_text, seed)
     starts = np.ones(len(values), dtype=bool)
     starts[1:] = (values[1:] != values[:-1]) | (np.signbit(values[1:]) != np.signbit(values[:-1]))
     lengths = np.diff(np.flatnonzero(starts), append=len(values)).tolist()

@@ -76,7 +76,7 @@ import numpy as np
 from . import cluster
 from .cluster import ClusterParams, classical_energies, sign_table
 from .collective import cluster_levels
-from .errors import CapacityError, IntegrationError, ValidationError
+from .errors import CapacityError, IntegrationError, ValidationError, is_integer
 from .fitting import fit_line
 from .spectrum import DressedState, same_eigenstate
 from .transition import CouplingSpec
@@ -196,9 +196,9 @@ def evolve_superposition(
         raise ValidationError(f"time step must be positive and finite, got {time_step!r}")
     if total_time is not None and not 0 < total_time < math.inf:
         raise ValidationError(f"total time must be positive and finite, got {total_time!r}")
-    if not isinstance(trajectory_count, (int, np.integer)) or trajectory_count < 1:
+    if not is_integer(trajectory_count) or trajectory_count < 1:
         raise ValidationError("trajectory count must be a positive integer")
-    if not isinstance(seed, (int, np.integer)) or not 0 <= int(seed) < 2**64:
+    if not is_integer(seed) or not 0 <= int(seed) < 2**64:
         raise ValidationError("seed must be an unsigned 64-bit integer")
     n = params.n
     require_dynamics_size(n)

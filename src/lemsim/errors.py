@@ -13,6 +13,8 @@ its kind in a sweep row's ``error`` column:
 
 import sys
 
+import numpy as np
+
 
 class SimulationError(Exception):
     """Base class for all errors raised by this package."""
@@ -72,6 +74,12 @@ def require_normal(value: float, what: str) -> None:
     out 0 or subnormal: printed, it would read as data."""
     if abs(value) < sys.float_info.min:
         raise UnderflowError(f"{what} underflows the double range: {value!r}")
+
+
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer, Python's or numpy's, and not a bool,
+    which Python counts as one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 class CapacityError(SimulationError):

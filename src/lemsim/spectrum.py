@@ -20,11 +20,13 @@ the m solved columns, then its selection sort), so its levels and vectors
 are ``scipy.linalg.eigh(h, subset_by_value=...)``'s bit for bit, without the
 dim x dim eigenvector array scipy's wrapper allocates for a value range.
 ``dress`` picks an anchor's state from them and refuses strong mixing and a
-shared repeated level.  For u = e_a and
-ρ = h_aa, ‖(H − ρ)u‖² = Σ_k (v_kᵀu)² (λ_k − ρ)², so such a level lies within
-√2·s of ρ, s the norm of row a off the diagonal (Parlett, *The Symmetric
-Eigenvalue Problem*, §4 and §11).  Matrices of at most ``WHOLE_SOLVE_ROWS``
-rows are solved whole.
+shared repeated level; it refuses a matrix whose row count is not a power
+of two outright, so every dressed state is a state of n spins, while
+``diagonalize`` and ``eigenvalues`` solve any real symmetric matrix.  For
+u = e_a and ρ = h_aa, ‖(H − ρ)u‖² = Σ_k (v_kᵀu)² (λ_k − ρ)², so such a
+level lies within √2·s of ρ, s the norm of row a off the diagonal (Parlett,
+*The Symmetric Eigenvalue Problem*, §4 and §11).  Matrices of at most
+``WHOLE_SOLVE_ROWS`` rows are solved whole.
 
 The cluster solves assemble H once, as scratch LAPACK overwrites.  They
 hold one dim x dim array, 8·4^n bytes, and raise CapacityError before
@@ -67,6 +69,7 @@ from .errors import (
     NumericalError,
     StrongMixingError,
     ValidationError,
+    is_integer,
     require_normal,
 )
 from .fitting import fit_slope, log10_points
@@ -123,13 +126,6 @@ class SolvedLevels:
     vectors: np.ndarray = field(repr=False)
     anchors: tuple[int, ...]
     tolerance: float
-
-    def label(self, anchor: int) -> str:
-        """The anchor's configuration bitstring when H has 2^n rows, its
-        basis index otherwise."""
-        dim = len(self.vectors)
-        n = dim.bit_length() - 1
-        return config_to_bits(anchor, n) if dim == 1 << n else str(anchor)
 
 
 @dataclass(frozen=True)
@@ -192,16 +188,6 @@ class DressedState:
         amps = self.site_amplitudes[popcounts(np.arange(1 << self.n), self.n)]
         amps.setflags(write=False)
         return amps
-
-    def spins(self) -> int:
-        """n, once a dense state is checked to hold 2^n amplitudes: the solve
-        of a matrix of any other size dresses no state of n spins."""
-        if self.chain is None and len(self.amplitudes) != 1 << self.n:
-            raise ValidationError(
-                f"a dressed state of {len(self.amplitudes)} amplitudes is no state of n spins, "
-                "which has 2^n"
-            )
-        return self.n
 
 
 @dataclass(frozen=True)
@@ -336,7 +322,7 @@ def diagonalize(h: np.ndarray, anchors) -> SolvedLevels:
     if not anchors:
         raise ValidationError("no anchor to solve for")
     for anchor in anchors:
-        if not isinstance(anchor, (int, np.integer)) or not 0 <= anchor < dim:
+        if not is_integer(anchor) or not 0 <= anchor < dim:
             raise ValidationError(f"anchor {anchor!r} is not a basis index of a {dim}x{dim} matrix")
     tolerance = _spread_tolerance(np.diagonal(a))
     exponent = math.frexp(peak)[1]
@@ -428,7 +414,9 @@ def require_dominant_overlap(overlap_sq: float, label: str) -> None:
 
 def dress(eig: SolvedLevels, anchor: int) -> DressedState:
     """Return the solved eigenstate with maximal overlap on the anchor
-    configuration, one of the anchors ``eig`` was solved for.
+    configuration, one of the anchors ``eig`` was solved for.  A solve of
+    a matrix whose row count is not a power of two is refused with
+    ValidationError first: it dresses no state of n spins.
 
     Of the levels solved, it takes the one whose eigenvector has the largest
     overlap with the anchor (the lowest level on a tie); a vector with
@@ -448,13 +436,18 @@ def dress(eig: SolvedLevels, anchor: int) -> DressedState:
     An anchor whose weight lies all on one vector, as at zero tunneling,
     dresses.  ``same_eigenstate`` compares dressed states.
     """
+    dim = len(eig.vectors)
+    n = dim.bit_length() - 1
+    if dim != 1 << n:
+        raise ValidationError(f"a solve of {dim} rows dresses no state of n spins, which has 2^n rows")
     if anchor not in eig.anchors:
         raise ValidationError(f"anchor {anchor!r} is not one the eigensystem was solved for")
     anchor = int(anchor)
+    label = config_to_bits(anchor, n)
     overlaps = eig.vectors[anchor]
     k = int(np.argmax(np.abs(overlaps)))
     overlap_sq = float(overlaps[k] ** 2)
-    require_dominant_overlap(overlap_sq, eig.label(anchor))
+    require_dominant_overlap(overlap_sq, label)
     energy = float(eig.values[k])
     repeated = np.flatnonzero(np.abs(eig.values - energy) <= eig.tolerance)
     if len(repeated) > 1:
@@ -462,7 +455,7 @@ def dress(eig: SolvedLevels, anchor: int) -> DressedState:
         rest = float(weights @ weights) - overlap_sq
         if rest > REPEATED_LEVEL_WEIGHT:
             raise DegeneracyError(
-                f"anchor {eig.label(anchor)} dresses onto a level at "
+                f"anchor {label} dresses onto a level at "
                 f"{energy:.8f} of multiplicity {len(repeated)} within tol {eig.tolerance:.3e}; "
                 f"the rest of that eigenspace carries overlap^2 {rest:.6f}"
             )
@@ -489,7 +482,7 @@ def overlap_decay(dressed: DressedState) -> OverlapDecay:
     are excluded.  A sector state's maximum at distance d is its one
     amplitude there, |c_k| / sqrt(C(n, k)) with k the chain site d flips
     from the anchor, read without spreading the chain."""
-    n = dressed.spins()
+    n = dressed.n
     if dressed.chain is not None:
         sites = np.abs(dressed.site_amplitudes)
         maxima = (sites if dressed.anchor == 0 else sites[::-1]).tolist()

@@ -10,7 +10,7 @@ and a sweep never aborts half way.  Each grid point is a ``ClusterProblem``,
 the object the command line runs its channels on too.
 
 A problem works out its own route.  When its cluster is collective
-(``collective.collective_form``) and its anchors are the two fully
+(``ClusterParams.collective``) and its anchors are the two fully
 polarized configurations, both dressed states come from one solve of the
 symmetric (Dicke) chain (``collective.symmetric_chain``); every other
 problem, and one built with ``dense=True``, dresses both anchors from one
@@ -54,7 +54,7 @@ from .dynamics import (
     evolve_superposition,
     require_dynamics_size,
 )
-from .errors import InsufficientDataError, SimulationError, ValidationError
+from .errors import InsufficientDataError, SimulationError, ValidationError, is_integer
 from .fitting import fit_line, log10_points
 from .perturbation import PathSumResult, multiphoton_path_sum, scaling_exponent
 from .spectrum import (
@@ -72,7 +72,7 @@ from .transition import CouplingSpec, RateReport, check_bound, matrix_element
 # here first raises the peak RSS of ``import lemsim.cli`` from 31.3 to
 # 31.5 MB (medians of 20 and 24 alternating runs on a 2-core Xeon, quartiles
 # 0.06 MB apart or less; the import time did not differ beyond the runs' spread)
-from .collective import SymmetricChain, chain_anchors, collective_form, symmetric_chain
+from .collective import SymmetricChain, chain_anchors, symmetric_chain
 
 CHANNELS = ("overlaps", "rates", "pathsum", "dynamics")
 
@@ -87,7 +87,7 @@ class ClusterProblem:
     (an override, the sweep family's) is given as ``known_a_typ``.  Every
     degeneracy check reads ``degeneracy_tolerance(params)`` where it is made.
     The route follows from the problem: a collective cluster
-    (``collective.collective_form``) whose anchors are the two fully
+    (``ClusterParams.collective``) whose anchors are the two fully
     polarized configurations dresses both from one solve of the symmetric
     chain, and every other problem, or one built with ``dense=True``,
     dresses both from one dense value-subset solve.  A state that does not
@@ -110,12 +110,11 @@ class ClusterProblem:
         A collective cluster's landscape and A_typ come from the n+1 energies of
         its symmetric chain (``collective.chain_anchors``), any other's from
         the 2^n energy table; an ``a_typ`` given wins."""
-        form = collective_form(params)
         if anchors is not None:
             ground, lem = (bits_to_config(bits) for bits in anchors)
         else:
-            if form is not None:
-                found = chain_anchors(params.n, *form[:2])
+            if params.collective is not None:
+                found = chain_anchors(params.n, *params.collective[:2])
             else:
                 landscape = find_local_minima(params)
                 found = None
@@ -138,10 +137,8 @@ class ClusterProblem:
     @cached_property
     def _in_sector(self) -> bool:
         # both anchors in the symmetric sector, or both dense: never one of each
-        polarized = {0, self.params.dim - 1}
-        if self.dense or {self.ground_anchor, self.lem_anchor} != polarized:
-            return False
-        return collective_form(self.params) is not None
+        polarized = {self.ground_anchor, self.lem_anchor} == {0, self.params.dim - 1}
+        return not self.dense and polarized and self.params.collective is not None
 
     @cached_property
     def _solved(self) -> SolvedLevels:
@@ -294,7 +291,7 @@ def run_sweep(
     if not ratio_values:
         raise ValidationError("sweep grid needs at least one coupling ratio")
     for n in n_values:
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        if not is_integer(n):
             raise ValidationError(f"cluster size {n!r} must be an integer")
         if n < 1:
             raise ValidationError(f"cluster size {n} must be at least 1")
@@ -306,9 +303,9 @@ def run_sweep(
     for ch in channels:
         if ch not in CHANNELS:
             raise ValidationError(f"unknown channel {ch!r}; choose from {CHANNELS}")
-    if not isinstance(master_seed, (int, np.integer)) or not 0 <= int(master_seed) < 2**64:
+    if not is_integer(master_seed) or not 0 <= int(master_seed) < 2**64:
         raise ValidationError("master seed must be an unsigned 64-bit integer")
-    if not isinstance(trajectory_count, (int, np.integer)) or trajectory_count < 1:
+    if not is_integer(trajectory_count) or trajectory_count < 1:
         raise ValidationError("trajectory count must be a positive integer")
     for name, value in (("bias", bias), ("coupling j", coupling_j)):
         if not math.isfinite(value):

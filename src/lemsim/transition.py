@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .cluster import ClusterParams, sign_table
-from .errors import ValidationError, require_normal
+from .errors import ValidationError, is_integer, require_normal
 from .spectrum import DressedState, same_eigenstate
 
 DEFAULT_SAFETY_FACTOR = 100.0  # the size bound carries an unspecified prefactor
@@ -112,8 +112,8 @@ def matrix_element(
     element that cancels to 0 (no noise, bare anchors at zero tunneling, or
     a symmetry) prints 0.
     """
-    n = ground.spins()
-    if lem.spins() != n:
+    n = ground.n
+    if lem.n != n:
         raise ValidationError("dressed states live in different Hilbert spaces")
     if same_eigenstate(ground, lem):
         raise ValidationError(
@@ -197,7 +197,7 @@ def coupling_ratio(params: ClusterParams, coupling: CouplingSpec, a_typ: float) 
 
 def lifetime_extension(n: int, ratio: float) -> float:
     """Orders of magnitude of lifetime gained by an n-spin cluster: n*log10(1/ratio)."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if not is_integer(n) or n < 1:
         raise ValidationError(f"cluster size must be a positive integer, got {n!r}")
     if not 0.0 < ratio < 1.0:
         raise ValidationError(

@@ -1,6 +1,7 @@
 """Helpers shared by the test modules."""
 
 import contextlib
+import functools
 import warnings
 
 import numpy as np
@@ -71,3 +72,19 @@ def count_cluster_builds(monkeypatch):
 
     monkeypatch.setattr(lemsim.cluster.ClusterParams, "__post_init__", counted)
     return builds
+
+
+def count_collective_scans(monkeypatch):
+    """Wrap the scan behind ``ClusterParams.collective`` so that every
+    evaluation appends its cluster to the returned list."""
+    scans = []
+    original = lemsim.cluster.ClusterParams.collective.func
+
+    def counted(params):
+        scans.append(params)
+        return original(params)
+
+    scan = functools.cached_property(counted)
+    scan.__set_name__(lemsim.cluster.ClusterParams, "collective")
+    monkeypatch.setattr(lemsim.cluster.ClusterParams, "collective", scan)
+    return scans

@@ -6,12 +6,14 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 import lemsim.cli
 import lemsim.cluster
+import lemsim.dynamics
 import lemsim.spectrum
 import lemsim.sweep
 from lemsim import (
@@ -25,7 +27,7 @@ from lemsim.cli import SUBCOMMANDS, main
 from lemsim.collective import chain_anchors
 
 import csv_digests
-from conftest import count_calls, count_cluster_builds, count_table_builds
+from conftest import count_calls, count_cluster_builds, count_collective_scans, count_table_builds
 
 FERRO3 = """
 [cluster]
@@ -526,6 +528,24 @@ def test_each_command_builds_its_cluster_once_and_main_alone_prints(
     assert loud.read_text() == quiet.read_text()
 
 
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_each_command_scans_each_cluster_it_builds_once(tmp_path, monkeypatch, command):
+    # the collective form is found once per cluster, however many readers
+    # ask (the anchors, the route, the chain, the levels); landscape asks none
+    builds = count_cluster_builds(monkeypatch)
+    scans = count_collective_scans(monkeypatch)
+    monkeypatch.setattr(lemsim.dynamics, "MAX_STEPS", 20)  # the sweep rows' trajectories
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(
+        _collective(5, extra="[noise]\nz_noise = 0.05\nx_noise = 0.05\n")
+        + "[dynamics]\ntotal_time = 10.0\ntrajectories = 4\n"
+        "[sweep]\nn_values = 2 3\nratios = 0.01\nchannels = overlaps rates pathsum dynamics\n"
+    )
+    assert run_cli(command, "--config", cfg, "--out", tmp_path / "out.csv", "--quiet") == 0
+    assert [params.n for params in scans] == ([] if command == "landscape" else builds)
+    assert builds == ([2, 3] if command == "sweep" else [5])
+
+
 def test_python_dash_m_lemsim_prints_the_version():
     src = os.path.join(csv_digests.ROOT, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -533,6 +553,17 @@ def test_python_dash_m_lemsim_prints_the_version():
         [sys.executable, "-m", "lemsim", "--version"], env=env, capture_output=True, text=True
     )
     assert (run.returncode, run.stdout) == (0, "lemsim 0.1.0\n")
+
+
+def test_pyproject_reads_its_version_from_the_package():
+    from setuptools.config.pyprojecttoml import read_configuration
+
+    with warnings.catch_warnings():
+        # setuptools before 68.1 calls its [tool.setuptools] table beta
+        warnings.filterwarnings("ignore", r"Support for .\[tool\.setuptools\]. .* is still \*beta\*")
+        project = read_configuration(os.path.join(csv_digests.ROOT, "pyproject.toml"), expand=True)["project"]
+    assert project["dynamic"] == ["version"]
+    assert project["version"] == lemsim.__version__
 
 
 def _no_energy_table(monkeypatch):

@@ -8,17 +8,22 @@ import pytest
 from lemsim import (
     CapacityError,
     ClusterParams,
+    CouplingSpec,
     ValidationError,
     bits_to_config,
     build_hamiltonian,
     classical_energies,
     classical_energy,
     config_to_bits,
+    diagonalize,
+    evolve_superposition,
     hamming_distance,
+    lifetime_extension,
+    run_sweep,
     uniform_couplings,
 )
 
-from lemsim.cluster import sign_table
+from lemsim.cluster import sign_table, validate_config
 
 from oracles import brute_energy, left_to_right_energy
 
@@ -73,6 +78,49 @@ def test_params_reject_energy_scale_that_could_overflow():
     assert np.all(np.isfinite(energies))
     assert np.isfinite(energies.max() - energies.min())
     assert np.all(np.isfinite(build_hamiltonian(params)))
+
+
+def _evolve(trajectory_count, seed):
+    noise = CouplingSpec(z_noise=np.zeros(2), x_noise=np.zeros(2))
+    # the count and the seed are checked before the states are read
+    return evolve_superposition(
+        make_params(2), None, None, noise, time_step=0.1, trajectory_count=trajectory_count, seed=seed
+    )
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: ClusterParams(n=True, couplings=np.zeros((1, 1)), bias=np.zeros(1), tunneling=np.zeros(1)),
+            "cluster size must be a positive integer, got True",
+            id="cluster",
+        ),
+        pytest.param(lambda: validate_config(2, True), "configuration must be an integer, got bool", id="config"),
+        pytest.param(
+            lambda: diagonalize(np.eye(2), (True,)), "anchor True is not a basis index of a 2x2 matrix", id="anchor"
+        ),
+        pytest.param(lambda: _evolve(True, 0), "trajectory count must be a positive integer", id="dynamics-count"),
+        pytest.param(lambda: _evolve(1, True), "seed must be an unsigned 64-bit integer", id="dynamics-seed"),
+        pytest.param(
+            lambda: run_sweep((2,), (0.3,), ("dynamics",), trajectory_count=True),
+            "trajectory count must be a positive integer",
+            id="sweep-count",
+        ),
+        pytest.param(
+            lambda: run_sweep((2,), (0.3,), master_seed=True),
+            "master seed must be an unsigned 64-bit integer",
+            id="sweep-seed",
+        ),
+        pytest.param(
+            lambda: lifetime_extension(True, 0.1), "cluster size must be a positive integer, got True", id="extension"
+        ),
+    ],
+)
+def test_a_bool_is_refused_where_an_integer_is_asked(call, message):
+    with pytest.raises(ValidationError) as err:
+        call()
+    assert str(err.value) == message
 
 
 # ---------------------------------------------------------- classical energy

@@ -26,7 +26,6 @@ from lemsim import (
     block_eigenvalues,
     build_hamiltonian,
     cluster_eigensystem,
-    collective_form,
     dress,
     eigenvalues,
     find_local_minima,
@@ -409,11 +408,11 @@ def test_chain_family_matches_the_table_on_ferromagnets(n, j, b):
 
 
 def test_collective_form():
-    assert collective_form(collective(4, -1.5, 0.2, 0.03)) == (-1.5, 0.2, 0.03)
+    assert collective(4, -1.5, 0.2, 0.03).collective == (-1.5, 0.2, 0.03)
     one = ClusterParams(
         n=1, couplings=np.zeros((1, 1)), bias=np.array([0.3]), tunneling=np.array([0.4])
     )
-    assert collective_form(one) == (0.0, 0.3, 0.4)
+    assert one.collective == (0.0, 0.3, 0.4)
     for field in ("couplings", "bias", "tunneling"):
         p = collective(4, -1.0, 0.1, 0.05)
         values = getattr(p, field).copy()
@@ -422,7 +421,7 @@ def test_collective_form():
         else:
             values[2] += 1e-15
         nudged = ClusterParams(**{**vars(p), field: values})
-        assert collective_form(nudged) is None, field
+        assert nudged.collective is None, field
 
 
 @pytest.mark.parametrize("n", range(1, 10))
@@ -432,7 +431,7 @@ def test_block_spectrum_matches_dense(n):
     cases += [tuple(rng.normal(size=3)) for _ in range(3)]
     for j, b, c in cases:
         p = collective(n, j, b, c)
-        form = collective_form(p)
+        form = p.collective
         assert form == (j if n > 1 else 0.0, b, c)
         dense = eigenvalues(build_hamiltonian(p))
         blocks = block_eigenvalues(n, *form)

@@ -204,17 +204,34 @@ def test_csv_reals_parse_back_exactly():
     assert parsed == values
 
 
-@pytest.mark.parametrize("repeated", [False, True])
-def test_eigensystem_rows_format_every_level_as_its_own_value(repeated):
-    # with repeated levels each run of equal levels is formatted once: -0.0
-    # and 0.0 compare equal yet print differently, and NaN equals nothing
+# runs of 1-4 equal levels, drawn among signed zeros and subnormals as often
+# as among other floats; sorting leaves equal 0.0 and -0.0 in drawn order
+_ASCENDING_LEVELS = st.lists(
+    st.tuples(
+        st.one_of(
+            st.sampled_from([0.0, -0.0, 2.0**-1074, -(2.0**-1074), 2.0**-1030, -(2.0**-1023)]),
+            st.floats(allow_nan=False),
+        ),
+        st.integers(1, 4),
+    ),
+    max_size=12,
+).map(lambda runs: np.array(sorted(v for v, count in runs for _ in range(count)), dtype=float))
+_LEVELS = np.array([-1.5, -1.5, -0.0, -0.0, 0.0, 0.0, -0.0, 2.0**-1074, 1 / 3, 1 / 3, np.inf])
+
+
+@given(_ASCENDING_LEVELS)
+@example(_LEVELS)
+@example(_LEVELS[:0])
+@example(_LEVELS[:1])
+@example(np.array([np.nan, np.nan, 1.0]))
+def test_eigensystem_rows_format_every_level_as_its_own_value(levels):
+    # each run of equal levels is formatted once: -0.0 and 0.0 compare equal
+    # yet print differently, and NaN equals nothing
     from lemsim.csvout import emit_eigensystem
 
-    values = np.array([-1.5, -1.5, -0.0, -0.0, 0.0, 0.0, -0.0, 2.0**-1074, 1 / 3, 1 / 3, np.inf])
-    for levels in (values, values[:0], values[:1], np.array([np.nan, np.nan, 1.0])):
-        text = emit_eigensystem(levels, "[run]\nseed = 1\n", 1, repeated)
-        rows = [l for l in text.splitlines() if not l.startswith("#")][1:]
-        assert rows == [f"{k},{v:.16e}" for k, v in enumerate(levels.tolist())]
+    text = emit_eigensystem(levels, "[run]\nseed = 1\n", 1)
+    rows = [l for l in text.splitlines() if not l.startswith("#")][1:]
+    assert rows == [f"{k},{v:.16e}" for k, v in enumerate(levels.tolist())]
 
 
 CLUSTER = "[cluster]\nn = 3\n"

@@ -20,7 +20,6 @@ import lemsim.spectrum
 from lemsim import (
     CapacityError,
     ClusterParams,
-    CouplingSpec,
     DegeneracyError,
     NumericalError,
     StrongMixingError,
@@ -36,7 +35,6 @@ from lemsim import (
     dress,
     eigenvalues,
     find_local_minima,
-    matrix_element,
     multiphoton_path_sum,
     overlap_decay,
     typical_level_spacing,
@@ -330,8 +328,8 @@ def test_scaled_matrices_dress_within_davis_kahan_of_eigh(scale):
     # H is scaled by a power of two into [1/2, 1) before the solve, so no
     # scaling inside dsyevr touches it
     rng = np.random.default_rng(3)
-    a = rng.normal(size=(24, 24))
-    assert _assert_davis_kahan("random", np.diag(np.arange(24.0)) + 0.1 * (a + a.T), range(24), scale)
+    a = rng.normal(size=(32, 32))
+    assert _assert_davis_kahan("random", np.diag(np.arange(32.0)) + 0.1 * (a + a.T), range(32), scale)
     h = build_hamiltonian(uniform_ferromagnet(9, 0.01).params)
     assert _assert_davis_kahan("ferromagnet n=9", h, (0, h.shape[0] - 1), scale) == 2
 
@@ -394,7 +392,9 @@ def _diagonal_heavy_matrices(draw):
     off-diagonal part, so some basis states dominate an eigenvector and some
     do not; a few exactly repeated diagonal entries.  Returns the matrix and
     a scale to solve it at."""
-    dim = draw(st.integers(1, 32))  # past WHOLE_SOLVE_ROWS, windows decide
+    # past WHOLE_SOLVE_ROWS, windows decide; half the draws have 2^n rows,
+    # the only ones dress takes
+    dim = draw(st.one_of(st.integers(1, 32), st.sampled_from([1, 2, 4, 8, 16, 32])))
     diagonal = draw(st.lists(st.integers(-4, 4), min_size=dim, max_size=dim))
     seed = draw(st.integers(0, 2**32 - 1))
     strength = draw(st.sampled_from([0.0, 1e-9, 0.01, 0.1, 0.5, 2.0]))
@@ -409,7 +409,7 @@ def test_every_dominant_eigh_vector_lies_inside_the_window(case):
     # each basis state solved on its own: the level of any eigh vector it
     # dominates, by more than the Davis–Kahan bound, is solved, and dress
     # finds that vector, or refuses it as a level repeated within the
-    # solve's tolerance
+    # solve's tolerance; a solve without 2^n rows dresses nothing
     h, scale = case
     values, vectors = scipy.linalg.eigh(h)
     gaps = _gaps(values)
@@ -421,6 +421,10 @@ def test_every_dominant_eigh_vector_lies_inside_the_window(case):
             continue
         eig = diagonalize(h * scale, (index,))
         assert _nearest([values[k]], eig.values / scale)[0] <= DAVIS_KAHAN * EPS * norm
+        if h.shape[0] & (h.shape[0] - 1):
+            with pytest.raises(ValidationError, match="dresses no state of n spins"):
+                dress(eig, index)
+            continue
         try:
             state = dress(eig, index)
         except DegeneracyError:
@@ -807,33 +811,24 @@ def _star(dim):
     return h
 
 
-@pytest.mark.parametrize(
-    "dim, message",
-    [
-        (3, "anchor 2 mixes strongly: best overlap^2 = 0.494056 < 0.5"),
-        (5, "anchor 4 mixes strongly: best overlap^2 = 0.497362 < 0.5"),
-    ],
-)
-def test_anchors_of_matrices_without_2n_rows_are_named_by_index(dim, message):
-    with pytest.raises(StrongMixingError) as err:
-        dress(diagonalize(_star(dim), (dim - 1,)), dim - 1)
-    assert str(err.value) == message
+def _seven_levels():
+    """Seven well-separated levels: every basis state dresses."""
+    noise = np.random.default_rng(7).normal(scale=0.05, size=(7, 7))
+    return np.diag(np.arange(7.0)) + noise + noise.T
 
 
-def test_states_of_matrices_without_2n_rows_are_no_spin_states():
-    # a 7-row solve dresses (its anchors are named by index), but its state
-    # would pass for one of 2 spins: the decay would group 7 amplitudes by
-    # 2-bit distances and the element would multiply them by 4-row tables
-    rng = np.random.default_rng(7)
-    noise = rng.normal(scale=0.05, size=(7, 7))
-    eig = diagonalize(np.diag(np.arange(7.0)) + noise + noise.T, (0, 1))
-    ground, excited = dress(eig, 0), dress(eig, 1)
-    message = "a dressed state of 7 amplitudes is no state of n spins"
-    with pytest.raises(ValidationError, match=message):
-        overlap_decay(ground)
-    coupling = CouplingSpec(z_noise=np.full(2, 0.1), x_noise=np.full(2, 0.1))
-    with pytest.raises(ValidationError, match=message):
-        matrix_element(ground, excited, coupling)
+@pytest.mark.parametrize("dim", [3, 5, 7])
+def test_dress_refuses_solves_without_2n_rows(dim):
+    # a 3- or 5-row star mixes strongly and a 7-row matrix dresses cleanly,
+    # but none has 2^n rows: each is refused before any mixing check, so no
+    # state that would pass for one of n spins exists
+    h = _seven_levels() if dim == 7 else _star(dim)
+    eig = diagonalize(h, (0, dim - 1))
+    assert len(eig.vectors) == dim  # diagonalize solves any symmetric matrix
+    for anchor in (0, dim - 1):
+        with pytest.raises(ValidationError) as err:
+            dress(eig, anchor)
+        assert str(err.value) == f"a solve of {dim} rows dresses no state of n spins, which has 2^n rows"
 
 
 @pytest.mark.parametrize("n, overlap", [(2, "0.500000"), (3, "0.375")])
@@ -850,9 +845,9 @@ def test_dress_strong_mixing_error_reports_overlap(n, overlap):
 @pytest.mark.parametrize("coupling", [1.0, 3.0])
 def test_an_exactly_half_mixed_anchor_is_refused_on_a_value_subset(coupling):
     # basis states 0 and 1, both at energy 0, mix half and half, far from
-    # the other 22 levels; rounding leaves overlap² just under ½ at one
+    # the other 30 levels; rounding leaves overlap² just under ½ at one
     # coupling and just over it at the other
-    h = np.diag(np.concatenate([[0.0, 0.0], np.arange(1.0, 23.0) * 10]))
+    h = np.diag(np.concatenate([[0.0, 0.0], np.arange(1.0, 31.0) * 10]))
     h[0, 1] = h[1, 0] = coupling
     eig = diagonalize(h, (0,))
     assert len(eig.values) == 2
