@@ -53,9 +53,10 @@ def _as_readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClusterParams:
-    """Static cluster parameters.
+    """Static cluster parameters.  Two clusters compare equal, and hash,
+    by identity: their fields are arrays.
 
     Attributes:
         n: number of pseudo-spins, 1 <= n <= ``MAX_SPINS``.
@@ -72,8 +73,7 @@ class ClusterParams:
     tunneling: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if not is_integer(self.n) or self.n < 1:
-            raise ValidationError(f"cluster size must be a positive integer, got {self.n!r}")
+        require_spin_count(self.n)
         require_size(self.n)
         j = _as_readonly(self.couplings)
         b = _as_readonly(self.bias)
@@ -125,6 +125,12 @@ class ClusterParams:
         table = _energy_table(self.couplings, self.bias)
         table.setflags(write=False)
         return table
+
+
+def require_spin_count(n) -> None:
+    """Raise ValidationError unless ``n`` is a positive integer and not a bool."""
+    if not is_integer(n) or n < 1:
+        raise ValidationError(f"cluster size must be a positive integer, got {n!r}")
 
 
 def require_size(n: int, what: str = "cluster size") -> None:
@@ -239,7 +245,9 @@ def require_scale(scale: float) -> None:
 
 
 def uniform_couplings(n: int, j: float) -> np.ndarray:
-    """All-pairs coupling matrix with a single strength ``j``."""
+    """All-pairs coupling matrix with a single strength ``j``; ValidationError
+    unless ``n`` is a positive integer."""
+    require_spin_count(n)
     m = np.full((n, n), float(j))
     np.fill_diagonal(m, 0.0)
     return m

@@ -80,11 +80,10 @@ def block_eigenvalues(n: int, j: float, b: float, c: float) -> np.ndarray:
     """All 2^n eigenvalues (ascending) of the collective cluster ``(j, b, c)``,
     each total-spin block's levels repeated by the block's multiplicity.
 
-    A block of two or more rows is solved by LAPACK ``dstevd`` without
-    vectors, the call ``scipy.linalg.eigh_tridiagonal(d, e,
-    eigvals_only=True)`` makes, so its levels are that call's bit for bit; a
-    1-row block's level is its diagonal entry, as in scipy's quick exit
-    (f2py refuses an empty off-diagonal).  The blocks go to LAPACK
+    Each block is solved by LAPACK ``dstevd`` without vectors, the call
+    ``scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True)`` makes, so its
+    levels are that call's bit for bit; a 1-row block's level is its
+    diagonal entry, which LAPACK returns unchanged.  The blocks go to LAPACK
     unchecked: ``(j, b, c)`` is a ``ClusterParams.collective``, and
     ``cluster.ENERGY_SCALE_LIMIT`` bounds every block entry by its energy
     scale, so each is finite.
@@ -92,10 +91,8 @@ def block_eigenvalues(n: int, j: float, b: float, c: float) -> np.ndarray:
     levels = []
     for k in range(n // 2 + 1):
         multiplicity = math.comb(n, k) - (math.comb(n, k - 1) if k else 0)
-        values, off = _block(n, n - 2 * k, j, b, c)
-        if off.size:  # a 1-row block's diagonal is its level
-            values, _, info = lapack.dstevd(values, off, compute_v=0)
-            _check_info("dstevd", info, len(values))
+        values, _, info = lapack.dstevd(*_block(n, n - 2 * k, j, b, c), compute_v=0)
+        _check_info("dstevd", info, len(values))
         levels.append(np.repeat(values, multiplicity))
     return np.sort(np.concatenate(levels))
 

@@ -6,9 +6,11 @@ those configurations is associated with the exact eigenstate of maximal
 overlap ("dressed" state).  The decay of dressed-state amplitudes with
 Hamming distance from the anchor is measured here as a log-linear fit.
 
-Every solve calls LAPACK through scipy's compiled f2py module, which
-``lapack`` holds (``_load_lapack``); scipy's Python wrappers are not
-imported.  ``cluster_eigenvalues(params)`` computes the spectrum alone
+Every solve calls LAPACK in numpy's own OpenBLAS through ``lapack``
+(``lemsim._lapack``, a ctypes binding); no scipy module is imported.  The
+scipy calls named below give the same bits in scipy's own OpenBLAS on one
+BLAS thread; on more, each build splits a blocked routine's work its own way.
+``cluster_eigenvalues(params)`` computes the spectrum alone
 through ``eigenvalues``, a values-only ``dsyevr`` (the route of
 ``collective.cluster_levels`` off collective clusters), called as
 ``scipy.linalg.eigh(h, eigvals_only=True)`` calls it.
@@ -31,8 +33,8 @@ level lies within √2·s of ρ, s the norm of row a off the diagonal (Parlett,
 The cluster solves assemble H once, as scratch LAPACK overwrites.  They
 hold one dim x dim array, 8·4^n bytes, and raise CapacityError before
 assembly when H alone exceeds the memory available
-(``cluster._require_memory``).  A value range's m columns, 16·2^n·m bytes
-with the copy ``dormqr`` works in, are checked once bisection has counted
+(``cluster._require_memory``).  A value range's m columns, 8·2^n·m bytes,
+which ``dormqr`` turns in place, are checked once bisection has counted
 them, before they are allocated.  The scratch H is
 symmetric and finite by construction and goes to LAPACK unchecked.
 ``eigenvalues`` and ``diagonalize`` copy a caller's matrix, leaving it
@@ -42,16 +44,13 @@ symmetric, and agree bit for bit with the cluster solves.
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
 import math
-import os
-import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
+from . import _lapack as lapack
 from .cluster import (
     ClusterParams,
     _require_memory,
@@ -83,36 +82,6 @@ REPEATED_LEVEL_WEIGHT = 1e-9  # anchor overlap^2 a repeated level may carry off 
 # dsyevr's whole (MRRR) solve; once that test reads the value from the CSV,
 # both holds go with this constant (ROADMAP item 2a)
 WHOLE_SOLVE_ROWS = 16
-
-
-def _load_lapack():
-    """scipy's compiled LAPACK module, ``scipy.linalg._flapack``, loaded by
-    itself from scipy's install directory (``importlib.util.find_spec``)
-    without running ``scipy.linalg``'s package, which imports 328 modules
-    more, numpy's testing, f2py, masked-array and random packages among
-    them.  The module is registered in ``sys.modules`` under its own name,
-    so a later ``import scipy.linalg`` reuses it, and ``scipy.linalg.lapack``'s
-    routines are its routines.  ImportError names the directory searched
-    when the extension is not there."""
-    name = "scipy.linalg._flapack"
-    if name in sys.modules:
-        return sys.modules[name]
-    scipy = importlib.util.find_spec("scipy")
-    where = os.path.join(scipy.submodule_search_locations[0], "linalg") if scipy else None
-    loaders = (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES)
-    spec = importlib.machinery.FileFinder(where, loaders).find_spec(name) if where else None
-    if spec is None:
-        raise ImportError(
-            f"scipy's LAPACK extension {name} was not found in {where or 'sys.path (no scipy)'}",
-            name=name,
-        )
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-lapack = _load_lapack()
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,28 +217,26 @@ def _solve_window(a: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, np.n
     range: bit for bit ``scipy.linalg.eigh(a, subset_by_value=(lo, hi))``.
 
     ``a``'s lower triangle is reduced in place, and its Householder
-    reflectors are applied to the m columns alone.  The columns, 16·dim·m
-    bytes with ``dormqr``'s copy of them, are checked against the memory
-    available before ``dstein`` allocates them.
+    reflectors are applied to the m columns alone, in place.  The columns,
+    8·dim·m bytes, are checked against the memory available before
+    ``dstein`` allocates them.
     """
     dim = len(a)
     # dsyevr's workspace, shared out as dsyevr does: another size changes
     # dsytrd's block size, and with it the bits
-    lwork = int(lapack.dsyevr_lwork(dim, lower=1)[0])
-    a, d, e, tau, info = lapack.dsytrd(a, lower=1, lwork=lwork - 5 * dim, overwrite_a=1)
+    lwork = lapack.dsyevr_lwork(dim)[0]
+    a, d, e, tau, info = lapack.dsytrd(a, lwork - 5 * dim)
     _check_info("dsytrd", info, dim)
-    m, values, block, split, info = lapack.dstebz(d, e, 1, lo, hi, 0, 0, 0.0, "B")
+    m, values, block, split, info = lapack.dstebz(d, e, lo, hi)
     _check_info("dstebz", info, dim)
-    _require_memory(16 * dim * m, f"a window of {m} eigenvectors of a {dim}x{dim} matrix")
+    _require_memory(8 * dim * m, f"a window of {m} eigenvectors of a {dim}x{dim} matrix")
     values = values[:m]
     vectors, info = lapack.dstein(d, e, values, block, split)
     _check_info("dstein", info, dim)
-    # the reflectors below row 1, addressed in H's buffer with leading
-    # dimension dim: f2py would copy a sliced view
-    reflectors = a.reshape(-1, order="F")[1 : 1 + dim * (dim - 1)].reshape((dim, dim - 1), order="F")
-    rest, _, info = lapack.dormqr("L", "N", reflectors, tau, vectors[1:], lwork - 2 * dim, overwrite_c=1)
+    # Q below row 1, as dsyevr's dormtr applies it: the reflectors below the
+    # subdiagonal, on the columns' rows 1.., both addressed in place
+    _, info = lapack.dormqr(a[1:, :-1], tau, vectors[1:], lwork - 2 * dim)
     _check_info("dormqr", info, dim)
-    vectors[1:] = rest
     # dsyevr's closing selection sort: strict <, so exactly repeated levels
     # keep bisection's order, and the columns move with their levels
     for j in range(m - 1):
@@ -280,16 +247,14 @@ def _solve_window(a: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, np.n
     return values, vectors
 
 
-def _eigh(a: np.ndarray, compute_v: int = 1) -> tuple[np.ndarray, np.ndarray]:
+def _eigh(a: np.ndarray, compute_v: int = 1) -> tuple[np.ndarray, np.ndarray | None]:
     """Every level of ``a``'s lower triangle, which ``dsyevr`` overwrites,
     ascending, and with ``compute_v`` their eigenvectors as columns: the call
     ``scipy.linalg.eigh``'s default ``evr`` driver makes, with its workspace
     sizes, so bit for bit its values and vectors."""
     dim = len(a)
-    lwork, liwork, _ = lapack.dsyevr_lwork(dim, lower=1)
-    values, vectors, _, _, info = lapack.dsyevr(
-        a, compute_v, lower=1, overwrite_a=1, lwork=int(lwork), liwork=int(liwork)
-    )
+    lwork, liwork, _ = lapack.dsyevr_lwork(dim)
+    values, vectors, info = lapack.dsyevr(a, compute_v, lwork, liwork)
     _check_info("dsyevr", info, dim)
     return values, vectors
 
@@ -312,9 +277,9 @@ def diagonalize(h: np.ndarray, anchors) -> SolvedLevels:
     every level that repeats the dominant one inside the window.  A matrix
     of at most ``WHOLE_SOLVE_ROWS`` rows has every level solved by one
     ``dsyevr`` call (``_eigh``), as ``scipy.linalg.eigh`` solves it.  A
-    value range adds its m solved columns, twice while ``dormqr`` works on
-    them (16·N·m bytes), and raises CapacityError before allocating them
-    when they do not fit.  A caller's ``h`` is checked on a copy and left
+    value range adds its m solved columns (8·N·m bytes), which ``dormqr``
+    turns in place, and raises CapacityError before allocating them when
+    they do not fit.  A caller's ``h`` is checked on a copy and left
     unmodified; the cluster solves' scratch H is overwritten unchecked.
     """
     a, peak = _checked_symmetric(h)
@@ -358,7 +323,7 @@ def cluster_eigensystem(params: ClusterParams, anchors) -> SolvedLevels:
 
     Equal bit for bit to ``diagonalize(build_hamiltonian(params), anchors)``,
     but the only dim x dim array it holds is the Hamiltonian, which LAPACK
-    overwrites unchecked; the solved columns add 16·dim·m bytes.  Raises
+    overwrites unchecked; the solved columns add 8·dim·m bytes.  Raises
     CapacityError before assembly when H alone, 8·4^n bytes, does not fit in
     memory, and before the columns are allocated when they do not.
     """

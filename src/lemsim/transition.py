@@ -15,8 +15,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cluster import ClusterParams, sign_table
-from .errors import ValidationError, is_integer, require_normal
+from .cluster import ClusterParams, require_spin_count, sign_table
+from .errors import ValidationError, require_normal
 from .spectrum import DressedState, same_eigenstate
 
 DEFAULT_SAFETY_FACTOR = 100.0  # the size bound carries an unspecified prefactor
@@ -197,8 +197,7 @@ def coupling_ratio(params: ClusterParams, coupling: CouplingSpec, a_typ: float) 
 
 def lifetime_extension(n: int, ratio: float) -> float:
     """Orders of magnitude of lifetime gained by an n-spin cluster: n*log10(1/ratio)."""
-    if not is_integer(n) or n < 1:
-        raise ValidationError(f"cluster size must be a positive integer, got {n!r}")
+    require_spin_count(n)
     if not 0.0 < ratio < 1.0:
         raise ValidationError(
             f"coupling ratio must lie strictly between 0 and 1, got {ratio!r} "

@@ -1,7 +1,9 @@
 """Helpers shared by the test modules."""
 
 import contextlib
+import ctypes
 import functools
+import os
 import warnings
 
 import numpy as np
@@ -88,3 +90,34 @@ def count_collective_scans(monkeypatch):
     scan.__set_name__(lemsim.cluster.ClusterParams, "collective")
     monkeypatch.setattr(lemsim.cluster.ClusterParams, "collective", scan)
     return scans
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with every OpenBLAS mapped into the process on one
+    thread, and restore each one's thread count after it.
+
+    lemsim calls LAPACK in numpy's OpenBLAS and scipy in its own, another
+    build.  On one thread both run LAPACK's reference arithmetic, so a
+    comparison of their bits holds; on more, each build splits a large
+    dgemm (``dormqr``'s update of a few hundred rows) its own way, and the
+    last bits differ.  Where the process map cannot be read, the block runs
+    on the libraries' own thread counts."""
+    libraries = []
+    if os.path.exists("/proc/self/maps"):
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.rsplit("/", 1)[-1]})
+        for path in paths:
+            library = ctypes.CDLL(path)
+            for suffix in ("64_", ""):
+                get = getattr(library, f"scipy_openblas_get_num_threads{suffix}", None)
+                if get is not None:
+                    libraries.append((getattr(library, f"scipy_openblas_set_num_threads{suffix}"), get()))
+                    break
+    for set_threads, _ in libraries:
+        set_threads(1)
+    try:
+        yield
+    finally:
+        for set_threads, threads in libraries:
+            set_threads(threads)

@@ -12,17 +12,20 @@ output::
 The configs cover the seven pipelines on collective and non-collective
 clusters, OU and white noise (white across five noise blocks on the dense
 route), the sector and dense routes, explicit unpolarized anchors at zero
-tunneling, both refusals of a dressed state, a non-collective 9-spin cluster
-and a strongly mixed 7-spin one on the dense route, a 16-spin and a
-40-spin collective cluster, four sweeps (one with every per-row error code,
-one to 150 spins), a noise-free ``dynamics`` run whose LEM anchor has a zero
-single-flip gap, and every op of the benchmark's toy scale (``perfbench/workloads.py``).
+tunneling, both refusals of a dressed state, two non-collective 9-spin
+clusters (one with a 90-level window) and a strongly mixed 7-spin one on
+the dense route, a 16-spin and a 40-spin collective cluster, four sweeps
+(one with every per-row error code, one to 150 spins), a noise-free
+``dynamics`` run whose LEM anchor has a zero single-flip gap, and every op
+of the benchmark's toy scale (``perfbench/workloads.py``).
 Every run gets ``--seed 7``.  BLAS runs on one thread unless
 ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS`` say
 otherwise: a dense solve of 512 rows (``THREAD_SENSITIVE``) rounds
-differently on two threads, and the recorded digests are those of one.  Every
-other line is the same on any thread count.  Pytest does not collect this
-file.
+differently on two threads, and the recorded digests are those of one.
+Every other line is the same on any thread count.  On two threads
+``glass9-wide`` also rounds differently from a run that calls LAPACK in
+scipy's OpenBLAS, whose dgemm splits the back-transform's work another
+way.  Pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -62,8 +65,18 @@ GLASS9 = (
     "bias = -0.12 0.15 0.13 -0.17 0.2 0.09 0.11 0.19 -0.04\n"
     "tunneling = 0.044 0.047 0.028 0.046 0.035 0.037 0.029 0.042 0.032\n"
 )
+# a weakly coupled 9-spin glass, its anchors configured: their window
+# holds 90 levels of a dense spectrum, and both anchors dress
+GLASS9_WIDE = (
+    "[cluster]\nn = 9\n"
+    "j_upper = 0.121 -0.13 0.052 -0.008 0.053 -0.138 -0.135 -0.097 0.144 -0.059 0.027 0.145 0.062 "
+    "-0.087 -0.023 -0.119 -0.065 -0.059 -0.144 0.103 0.119 0.005 0.041 0.029 0.048 0.148 0.023 "
+    "-0.107 0.058 0.057 0.106 0.054 -0.053 -0.138 -0.016 0.038\n"
+    "bias = -0.347 -0.334 0.32 0.321 -0.247 0.279 0.284 -0.208 0.39\n"
+    "tunneling = 0.052 0.086 0.033 0.068 0.098 0.071 0.086 0.069 0.087\n"
+)
 # configs whose dense solve rounds differently on one and on two BLAS threads
-THREAD_SENSITIVE = ("glass9-dense",)
+THREAD_SENSITIVE = ("glass9-dense", "glass9-wide")
 # tunneling near half the couplings: the anchors' overlap^2 is 0.55 and 0.60,
 # and their windows hold 18 levels
 GLASS7_MIXED = (
@@ -105,6 +118,8 @@ CONFIGS = [
      "tunneling = 0.06\na_typ = 4.0\n" + NOISE.format(f=0.06, g=0.06, kind="ou")
      + DYNAMICS.format(time=2.0)),
     ("glass9-dense", ("overlaps", "rates"), GLASS9 + NOISE.format(f=0.03, g=0.03, kind="ou")),
+    ("glass9-wide", ("overlaps", "rates"), GLASS9_WIDE + NOISE.format(f=0.03, g=0.03, kind="ou")
+     + "[dynamics]\nanchors = 010010011 110110011\n"),
     ("glass7-mixed", ("overlaps", "rates"), GLASS7_MIXED + NOISE.format(f=0.1, g=0.1, kind="ou")),
     ("sweep", ("sweep",), SWEEP.format(n="2 3 4 5 6", ratios="0.01 0.05 0.3",
      channels="overlaps rates pathsum")),

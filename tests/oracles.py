@@ -7,11 +7,13 @@ summation order, to pin its bits), path sums one ordering at a time,
 landscape detection via direct neighbour comparison, perturbative
 amplitudes by a recursion over distance shells, golden-rule rates from
 ``numpy.linalg.eigh``, noisy trajectories by a dense Kronecker Hamiltonian
-per step, and the uniform ferromagnet's dressed states by a
-Brillouin-Wigner iteration on its symmetric chain.
+per step, the uniform ferromagnet's dressed states by a
+Brillouin-Wigner iteration on its symmetric chain, and a value-range
+eigensolve by LAPACK's own ``dsyevr`` in the OpenBLAS the package calls.
 Tests freeze expected values computed from these.
 """
 
+import ctypes
 import functools
 import itertools
 import math
@@ -285,3 +287,35 @@ def dicke_observables(n: int, j: float, b: float, c: float, noise: float):
         slope = np.polyfit(distances[1:], np.log10(maxima[1:]), 1)[0]
         decays.append((maxima, float(slope)))
     return math.fsum(terms), decays[0], decays[1]
+
+
+def dsyevr_window(a: np.ndarray, lo: float, hi: float):
+    """The levels of the symmetric ``a`` in (lo, hi], ascending, and their
+    eigenvectors as columns: one ``dsyevr`` call (RANGE = 'V', lower
+    triangle, abstol 0, the workspace of its query), as
+    ``scipy.linalg.eigh(a, subset_by_value=(lo, hi))`` makes it, but in the
+    OpenBLAS numpy bundles, whose ``dsyevr`` symbol ``lemsim._lapack``
+    has looked up.  ``dsyevr`` takes its own steps to the columns, on
+    however many BLAS threads the library runs."""
+    from lemsim._lapack import _call
+
+    n = len(a)
+    i64, f64 = ctypes.c_int64, ctypes.c_double
+    work, iwork, m, info = f64(), i64(), i64(), i64()
+    a = np.array(a, dtype=np.float64, order="F")
+    w, z, isuppz = np.empty(n), np.empty((n, n), order="F"), np.empty(2 * n, np.int64)
+
+    def call(lwork, liwork, work, iwork):
+        _call["dsyevr"](
+            b"V", b"V", b"L", ctypes.byref(i64(n)), a.ctypes.data, ctypes.byref(i64(n)),
+            ctypes.byref(f64(lo)), ctypes.byref(f64(hi)), ctypes.byref(i64(0)), ctypes.byref(i64(0)),
+            ctypes.byref(f64(0.0)), ctypes.byref(m), w.ctypes.data, z.ctypes.data, ctypes.byref(i64(n)),
+            isuppz.ctypes.data, work, ctypes.byref(i64(lwork)), iwork, ctypes.byref(i64(liwork)),
+            ctypes.byref(info), 1, 1, 1,
+        )
+
+    call(-1, -1, ctypes.addressof(work), ctypes.addressof(iwork))
+    work, iwork = np.empty(int(work.value)), np.empty(iwork.value, np.int64)
+    call(len(work), len(iwork), work.ctypes.data, iwork.ctypes.data)
+    assert info.value == 0, info.value
+    return w[: m.value].copy(), z[:, : m.value].copy()

@@ -33,6 +33,20 @@ from conftest import count_table_builds, make_params
 # ---------------------------------------------------------------- parameters
 
 
+def test_params_compare_and_hash_by_identity():
+    p = make_params(3, b=0.1, c=0.05)
+    copy = ClusterParams(n=p.n, couplings=p.couplings, bias=p.bias, tunneling=p.tunneling)
+    assert p == p and not p == copy and p != copy
+    assert {p: 1, copy: 2}[p] == 1
+
+
+@pytest.mark.parametrize("n", [True, 2.5, 0, -1, "3"])
+def test_uniform_couplings_refuse_a_size_that_is_not_a_positive_integer(n):
+    with pytest.raises(ValidationError) as err:
+        uniform_couplings(n, -1.0)
+    assert str(err.value) == f"cluster size must be a positive integer, got {n!r}"
+
+
 def test_params_reject_asymmetric_couplings():
     j = np.zeros((2, 2))
     j[0, 1] = 1.0

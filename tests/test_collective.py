@@ -455,6 +455,19 @@ def test_block_levels_are_eigh_tridiagonals_bit_for_bit(n):
         assert np.array_equal(block_eigenvalues(n, j, b, c), np.sort(np.concatenate(levels)))
 
 
+@pytest.mark.parametrize("j", [-0.7, 0.0, 5e-324, 1e300])
+def test_a_one_row_block_is_its_diagonal_entry(j):
+    # the singlet of two spins is a 1-row block at -j: LAPACK returns its
+    # diagonal entry unchanged, as scipy's eigh_tridiagonal does by its quick exit
+    d, e = lemsim.collective._block(2, 0, j, 0.1, 0.3)
+    assert d.tolist() == [-j] and e.size == 0
+    values, _, info = lemsim.spectrum.lapack.dstevd(d, e, compute_v=0)
+    assert values.tolist() == [-j] and info == 0
+    values, vectors, info = lemsim.spectrum.lapack.dstevd(d, e, compute_v=1)
+    assert values.tolist() == [-j] and vectors.tolist() == [[1.0]] and info == 0
+    assert -j in block_eigenvalues(2, j, 0.1, 0.3).tolist()
+
+
 def test_block_solve_failures_raise_numerical_error(monkeypatch):
     original = lemsim.spectrum.lapack.dstevd
     monkeypatch.setattr(

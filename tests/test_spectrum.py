@@ -1,11 +1,6 @@
 """Diagonalization, landscape detection, dressed states, overlap decay."""
 
-import importlib.machinery
-import importlib.util
 import math
-import os
-import re
-import sys
 import tracemalloc
 
 import numpy as np
@@ -14,6 +9,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lemsim._lapack
 import lemsim.cluster
 import lemsim.perturbation
 import lemsim.spectrum
@@ -41,7 +37,7 @@ from lemsim import (
 )
 from lemsim.sweep import uniform_ferromagnet
 
-from oracles import brute_landscape, kron_hamiltonian, rs_amplitudes
+from oracles import brute_landscape, dsyevr_window, kron_hamiltonian, rs_amplitudes
 
 from conftest import make_params
 
@@ -477,14 +473,16 @@ def _window_cases():
             yield name, p, anchors
 
 
-def test_window_solve_is_eighs_value_subset_bit_for_bit(monkeypatch):
-    # the same scaled matrix and window handed to scipy.linalg.eigh: the
-    # levels, and the columns of exactly repeated levels too, are its bits
+def test_window_solve_is_dsyevrs_value_range_bit_for_bit(monkeypatch):
+    # the same scaled matrix and window handed to LAPACK's own dsyevr in
+    # the same OpenBLAS (oracles.dsyevr_window), on however many BLAS
+    # threads the process runs: the levels, and the columns of exactly
+    # repeated levels too, are its bits
     solve_window = lemsim.spectrum._solve_window
     widths, repeats = [], 0
 
     def compared(a, lo, hi):
-        values, vectors = scipy.linalg.eigh(a.copy(order="F"), subset_by_value=(lo, hi))
+        values, vectors = dsyevr_window(a, lo, hi)
         got = solve_window(a, lo, hi)
         assert np.array_equal(got[0], values), name
         assert np.array_equal(got[1], vectors), name
@@ -615,19 +613,27 @@ def test_eigensystem_fits_in_little_more_than_one_dense_array(monkeypatch):
 
 def test_window_too_wide_for_its_columns_is_refused_before_they_exist(monkeypatch):
     # the n=9 ferromagnet's anchors 1 and 170 span a window of 501 levels:
-    # H (2097152 bytes) fits, the columns (16·512·501) do not
+    # H (2097152 bytes) fits in 3000000 bytes, and once H holds its share
+    # the columns (8·512·501, dormqr turns them in place) do not
     p = uniform_ferromagnet(9, 0.01).params
+    available = [3_000_000]
+
+    def assemble(params):
+        h = build_hamiltonian(params)
+        available[0] -= h.nbytes
+        return h
 
     def forbidden(*args, **kwargs):
         raise AssertionError("dstein ran")
 
-    monkeypatch.setattr(lemsim.cluster, "_available_memory", lambda: 3_000_000)
+    monkeypatch.setattr(lemsim.cluster, "_available_memory", lambda: available[0])
+    monkeypatch.setattr(lemsim.spectrum, "build_hamiltonian", assemble)
     monkeypatch.setattr(lemsim.spectrum.lapack, "dstein", forbidden)
     with pytest.raises(CapacityError) as err:
         cluster_eigensystem(p, (1, 170))
     assert str(err.value) == (
-        "a window of 501 eigenvectors of a 512x512 matrix needs 4104192 bytes, "
-        "3000000 bytes of memory available"
+        "a window of 501 eigenvectors of a 512x512 matrix needs 2052096 bytes, "
+        "902848 bytes of memory available"
     )
 
 
@@ -657,15 +663,29 @@ def test_whole_solve_failures_raise_numerical_error(monkeypatch, solve):
         solve(make_params(4, b=0.1, c=0.05))
 
 
-def test_a_missing_lapack_extension_names_the_directory_searched(monkeypatch, tmp_path):
-    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
-    scipy = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
-    scipy.submodule_search_locations = [str(tmp_path)]
-    monkeypatch.setattr(importlib.util, "find_spec", lambda name: scipy)
-    where = os.path.join(tmp_path, "linalg")
-    with pytest.raises(ImportError, match=f"^scipy's LAPACK extension .* was not found in {re.escape(where)}$"):
-        lemsim.spectrum._load_lapack()
-    assert "scipy.linalg._flapack" not in sys.modules
+def test_a_missing_openblas_names_the_place_searched(monkeypatch, tmp_path):
+    place = str(tmp_path / "numpy.libs")
+    monkeypatch.setattr(lemsim._lapack, "_PLACE", place)
+    with pytest.raises(ImportError) as err:
+        lemsim._lapack._load()
+    assert str(err.value) == (
+        f"numpy's OpenBLAS, libscipy_openblas64_, was not found in {place}: "
+        "lemsim needs numpy >= 2.0 installed from its PyPI wheel for Linux"
+    )
+
+
+def test_a_missing_routine_names_the_library(monkeypatch):
+    monkeypatch.setattr(lemsim._lapack, "_ROUTINES", {"dsyevr": (21, 3), "dnosuch": (1, 0)})
+    with pytest.raises(ImportError, match=r"^/.*scipy_openblas64_.* exports no scipy_dnosuch_64_$"):
+        lemsim._lapack._load()
+
+
+@pytest.mark.parametrize("lo, hi, levels", [(0.0, 1.0, [0.75]), (0.75, 1.0, [])])
+def test_window_solve_of_one_row(lo, hi, levels):
+    # the window is (lo, hi]: bisection finds 0.75 in (0, 1] and not in (0.75, 1]
+    values, vectors = lemsim.spectrum._solve_window(np.array([[0.75]], order="F"), lo, hi)
+    assert values.tolist() == levels
+    assert vectors.tolist() == [[1.0] * len(levels)]
 
 
 def test_unknown_available_memory_skips_the_preflight(monkeypatch):
