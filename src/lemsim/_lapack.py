@@ -6,10 +6,15 @@ ILP64 OpenBLAS whose routines are exported as ``scipy_<routine>_64_``, in
 it through ctypes.  A numpy built or packaged otherwise (conda-forge, a
 distribution's package, a source build, the macOS wheels that link
 Accelerate) ships no such library, and importing this module raises
-ImportError.  Each routine here takes the arguments lemsim varies and
-returns what the f2py routine of the same name in ``scipy.linalg.lapack``
-returns, with ``info`` last: bit for bit for the same workspace sizes on
-one BLAS thread, where both OpenBLAS builds run LAPACK's reference
+ImportError.
+
+Each routine here takes only the arguments lemsim varies and returns only
+its outputs.  It sizes its own workspace, and a nonzero ``info`` raises
+NumericalError, "<routine> failed on a NxN matrix: info K", N the
+routine's row count.  Its outputs are those of the f2py routine of the
+same name in ``scipy.linalg.lapack`` (scipy wraps no ``dormtr``: it is
+``dormqr`` on the rows below the first) bit for bit for the same workspace
+sizes on one BLAS thread, where both OpenBLAS builds run LAPACK's reference
 arithmetic.  On several threads each build splits a large dgemm its own
 way, and a blocked routine on a few hundred rows may differ in the last
 bits.
@@ -29,15 +34,17 @@ import os
 
 import numpy as np
 
+from .errors import NumericalError
+
 # where auditwheel puts the libraries a numpy wheel bundles
 _PLACE = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
-# each routine's arguments: the pointers, then one length per character argument
+# each routine's arguments: the pointers, info last, then one length per character argument
 _ROUTINES = {
     "dsyevr": (21, 3),
     "dsytrd": (10, 1),
     "dstebz": (18, 2),
     "dstein": (13, 0),
-    "dormqr": (13, 2),
+    "dormtr": (13, 3),
     "dstevd": (11, 1),
 }
 
@@ -81,7 +88,9 @@ def _float(value: float = 0.0) -> ctypes._CArgObject:
 def _at(x: np.ndarray) -> int:
     """The address of ``x``'s first element: read from its buffer when ``x``
     is contiguous, non-empty and writable, at a third of the cost of
-    ``ndarray.ctypes``, which reads it otherwise."""
+    ``ndarray.ctypes``, which reads it otherwise.  The address is bare: an
+    array not held by a name across the call is freed before LAPACK
+    writes into it."""
     try:
         return ctypes.addressof(ctypes.c_char.from_buffer(x if x.flags.c_contiguous else x.T))
     except (TypeError, ValueError, BufferError):
@@ -96,103 +105,114 @@ def _matrix(x: np.ndarray) -> tuple[int, ctypes._CArgObject]:
     return _at(x), _int(max(x.strides[1] // 8 if cols > 1 else rows, 1))
 
 
-def dsyevr_lwork(n: int) -> tuple[int, int, int]:
-    """``(lwork, liwork, info)``: the workspace sizes ``dsyevr`` asks for an
-    n x n matrix, from its query (lwork = liwork = -1)."""
-    work, iwork, info = ctypes.c_double(), _INT(), _INT()
+def _run(routine: str, n: int, *args) -> None:
+    """Call LAPACK's ``routine`` on ``args``, then its ``info`` and one
+    length per character argument; NumericalError names the routine, its
+    n x n matrix and the code when ``info`` is not 0."""
+    info = _INT()
+    _call[routine](*args, ctypes.byref(info), *[1] * _ROUTINES[routine][1])
+    if info.value:
+        raise NumericalError(f"{routine} failed on a {n}x{n} matrix: info {info.value}")
+
+
+def dsyevr_lwork(n: int) -> tuple[int, int]:
+    """``(lwork, liwork)``: the workspace sizes ``dsyevr`` asks for an n x n
+    matrix, from its query (lwork = liwork = -1)."""
+    work, iwork = ctypes.c_double(), _INT()
     none = _float()  # the one element of every array the query does not read
-    _call["dsyevr"](
-        b"N", b"A", b"L", _int(n), none, _int(max(n, 1)), none, none, _int(), _int(), none, _int(), none,
-        none, _int(1), _int(), ctypes.byref(work), _int(-1), ctypes.byref(iwork), _int(-1),
-        ctypes.byref(info), 1, 1, 1,
+    _run(
+        "dsyevr", n, b"N", b"A", b"L", _int(n), none, _int(max(n, 1)), none, none, _int(), _int(), none,
+        _int(), none, none, _int(1), _int(), ctypes.byref(work), _int(-1), ctypes.byref(iwork), _int(-1),
     )
-    return int(work.value), iwork.value, info.value
+    return int(work.value), iwork.value
 
 
-def dsyevr(a: np.ndarray, compute_v: int, lwork: int, liwork: int):
-    """``(w, z, info)``: every level of ``a``'s lower triangle, ascending,
-    and with ``compute_v`` their eigenvectors as the columns of ``z`` (else
-    None).  ``a`` is overwritten."""
+def dsyevr(a: np.ndarray, compute_v: int):
+    """``(w, z)``: every level of ``a``'s lower triangle, ascending, and
+    with ``compute_v`` their eigenvectors as the columns of ``z`` (else
+    None), in the workspace of ``dsyevr``'s query.  ``a`` is overwritten."""
     n = len(a)
+    lwork, liwork = dsyevr_lwork(n)
     w, isuppz = np.empty(n), np.empty(2 * n, np.int64)
     z = np.empty((n, n), order="F") if compute_v else np.empty((1, 1))
-    work, iwork, info = np.empty(lwork), np.empty(liwork, np.int64), _INT()
-    _call["dsyevr"](
-        b"V" if compute_v else b"N", b"A", b"L", _int(n), *_matrix(a), _float(), _float(), _int(), _int(),
-        _float(), _int(), _at(w), *_matrix(z), _at(isuppz), _at(work), _int(lwork), _at(iwork), _int(liwork),
-        ctypes.byref(info), 1, 1, 1,
+    work, iwork = np.empty(lwork), np.empty(liwork, np.int64)
+    _run(
+        "dsyevr", n, b"V" if compute_v else b"N", b"A", b"L", _int(n), *_matrix(a), _float(), _float(),
+        _int(), _int(), _float(), _int(), _at(w), *_matrix(z), _at(isuppz), _at(work), _int(lwork),
+        _at(iwork), _int(liwork),
     )
-    return w, z if compute_v else None, info.value
+    return w, z if compute_v else None
 
 
-def dsytrd(a: np.ndarray, lwork: int):
-    """``(a, d, e, tau, info)``: ``a``'s lower triangle reduced in place to
-    the tridiagonal ``(d, e)``, its Householder reflectors below the
-    subdiagonal with factors ``tau``."""
+def dsytrd(a: np.ndarray):
+    """``(d, e, tau)``: ``a``'s lower triangle reduced in place to the
+    tridiagonal ``(d, e)``, its Householder reflectors below the subdiagonal
+    with factors ``tau``, in the share of ``dsyevr``'s workspace that
+    ``dsyevr`` gives it: another size changes the block size, and with it
+    the bits."""
     n = len(a)
     d, e, tau = np.empty(n), np.empty(max(n - 1, 0)), np.empty(max(n - 1, 0))
-    work, info = np.empty(lwork), _INT()
-    _call["dsytrd"](
-        b"L", _int(n), *_matrix(a), _at(d), _at(e), _at(tau), _at(work), _int(lwork), ctypes.byref(info), 1
-    )
-    return a, d, e, tau, info.value
+    lwork = dsyevr_lwork(n)[0] - 5 * n
+    work = np.empty(lwork)
+    _run("dsytrd", n, b"L", _int(n), *_matrix(a), _at(d), _at(e), _at(tau), _at(work), _int(lwork))
+    return d, e, tau
 
 
 def dstebz(d: np.ndarray, e: np.ndarray, vl: float, vu: float):
-    """``(m, w, iblock, isplit, info)``: the m levels of the tridiagonal
-    ``(d, e)`` in (vl, vu] by bisection, ``w[:m]``, ordered by split-off
-    block (ORDER = 'B'), with their block numbers and the blocks' ends."""
+    """``(w, iblock, isplit)``: the levels of the tridiagonal ``(d, e)`` in
+    (vl, vu] by bisection, ordered by split-off block (ORDER = 'B'), with
+    their block numbers and the blocks' ends."""
     n = len(d)
     # zeroed, as f2py's are: LAPACK writes none past the m levels and the blocks' ends
     w, iblock, isplit = np.zeros(n), np.zeros(n, np.int64), np.zeros(n, np.int64)
-    work, iwork, m, info = np.empty(4 * n), np.empty(3 * n, np.int64), _INT(), _INT()
-    _call["dstebz"](
-        b"V", b"B", _int(n), _float(vl), _float(vu), _int(), _int(), _float(), _at(d), _at(e),
-        ctypes.byref(m), _int(), _at(w), _at(iblock), _at(isplit), _at(work), _at(iwork), ctypes.byref(info),
-        1, 1,
+    work, iwork, m = np.empty(4 * n), np.empty(3 * n, np.int64), _INT()
+    _run(
+        "dstebz", n, b"V", b"B", _int(n), _float(vl), _float(vu), _int(), _int(), _float(), _at(d), _at(e),
+        ctypes.byref(m), _int(), _at(w), _at(iblock), _at(isplit), _at(work), _at(iwork),
     )
-    return m.value, w, iblock, isplit, info.value
+    return w[: m.value], iblock, isplit
 
 
 def dstein(d: np.ndarray, e: np.ndarray, w: np.ndarray, iblock: np.ndarray, isplit: np.ndarray):
-    """``(z, info)``: the eigenvectors of the tridiagonal ``(d, e)`` at its
-    levels ``w``, as ``dstebz`` returned them, the columns of a
-    column-major n x m ``z``."""
+    """The eigenvectors of the tridiagonal ``(d, e)`` at its levels ``w``,
+    as ``dstebz`` returned them, the columns of a column-major n x m array."""
     n, m = len(d), len(w)
     z, work = np.empty((n, m), order="F"), np.empty(5 * n)
-    iwork, ifail, info = np.empty(n, np.int64), np.empty(m, np.int64), _INT()
-    _call["dstein"](
-        _int(n), _at(d), _at(e), _int(m), _at(w), _at(iblock), _at(isplit), *_matrix(z), _at(work),
-        _at(iwork), _at(ifail), ctypes.byref(info),
+    iwork, ifail = np.empty(n, np.int64), np.empty(m, np.int64)
+    _run(
+        "dstein", n, _int(n), _at(d), _at(e), _int(m), _at(w), _at(iblock), _at(isplit), *_matrix(z), _at(work),
+        _at(iwork), _at(ifail),
     )
-    return z, info.value
+    return z
 
 
-def dormqr(a: np.ndarray, tau: np.ndarray, c: np.ndarray, lwork: int):
-    """``(c, info)``: ``c`` overwritten by Q c, Q the product of the
-    Householder reflectors stored in ``a``'s columns with factors ``tau``
-    (SIDE = 'L', TRANS = 'N')."""
-    work, info = np.empty(lwork), _INT()
-    _call["dormqr"](
-        b"L", b"N", _int(c.shape[0]), _int(c.shape[1]), _int(len(tau)), *_matrix(a), _at(tau), *_matrix(c),
-        _at(work), _int(lwork), ctypes.byref(info), 1, 1,
+def dormtr(a: np.ndarray, tau: np.ndarray, c: np.ndarray) -> None:
+    """Overwrite ``c``, n x m, by Q c (SIDE = 'L', UPLO = 'L', TRANS = 'N'),
+    Q the orthogonal matrix of ``dsytrd``'s reduction of ``a``, n x n, with
+    factors ``tau``, in the share of ``dsyevr``'s workspace that ``dsyevr``
+    gives it."""
+    n = len(a)
+    lwork = dsyevr_lwork(n)[0] - 2 * n
+    work = np.empty(lwork)
+    _run(
+        "dormtr", n, b"L", b"L", b"N", _int(c.shape[0]), _int(c.shape[1]), *_matrix(a), _at(tau), *_matrix(c),
+        _at(work), _int(lwork),
     )
-    return c, info.value
 
 
 def dstevd(d: np.ndarray, e: np.ndarray, compute_v: int):
-    """``(w, z, info)``: the levels of the tridiagonal ``(d, e)``, n >= 1
-    rows, ascending, and with ``compute_v`` their eigenvectors as the
-    columns of ``z`` (else None), with LAPACK's least workspace.  ``d`` and
-    ``e`` are left unmodified: LAPACK works on copies."""
+    """``(w, z)``: the levels of the tridiagonal ``(d, e)``, n >= 1 rows,
+    ascending, and with ``compute_v`` their eigenvectors as the columns of
+    ``z`` (else None), with LAPACK's least workspace.  ``d`` and ``e`` are
+    left unmodified: LAPACK works on copies."""
     n = len(d)
     lwork, liwork = (1 + 4 * n + n * n, 3 + 5 * n) if compute_v else (1, 1)
     # d's copy becomes the levels, e's is scratch
     w, off = np.array(d, dtype=np.float64), np.array(e, dtype=np.float64)
     z = np.empty((n, n) if compute_v else (1, 1), order="F")
-    work, iwork, info = np.empty(lwork), np.empty(liwork, np.int64), _INT()
-    _call["dstevd"](
-        b"V" if compute_v else b"N", _int(n), _at(w), _at(off), *_matrix(z), _at(work), _int(lwork),
-        _at(iwork), _int(liwork), ctypes.byref(info), 1,
+    work, iwork = np.empty(lwork), np.empty(liwork, np.int64)
+    _run(
+        "dstevd", n, b"V" if compute_v else b"N", _int(n), _at(w), _at(off), *_matrix(z), _at(work), _int(lwork),
+        _at(iwork), _int(liwork),
     )
-    return w, z if compute_v else None, info.value
+    return w, z if compute_v else None

@@ -48,16 +48,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _lapack as lapack
 from .cluster import ClusterParams, _spread_tolerance, config_to_bits, require_scale, validate_config
 from .errors import ValidationError, require_normal
-from .spectrum import (
-    DressedState,
-    _check_info,
-    cluster_eigenvalues,
-    geometric_gap,
-    lapack,
-    require_dominant_overlap,
-)
+from .spectrum import DressedState, cluster_eigenvalues, geometric_gap, require_dominant_overlap
 
 
 def _block(n: int, twice_s: int, j: float, b: float, c: float) -> tuple[np.ndarray, np.ndarray]:
@@ -86,13 +80,13 @@ def block_eigenvalues(n: int, j: float, b: float, c: float) -> np.ndarray:
     diagonal entry, which LAPACK returns unchanged.  The blocks go to LAPACK
     unchecked: ``(j, b, c)`` is a ``ClusterParams.collective``, and
     ``cluster.ENERGY_SCALE_LIMIT`` bounds every block entry by its energy
-    scale, so each is finite.
+    scale, so each is finite.  NumericalError when ``dstevd`` fails on a
+    block.
     """
     levels = []
     for k in range(n // 2 + 1):
         multiplicity = math.comb(n, k) - (math.comb(n, k - 1) if k else 0)
-        values, _, info = lapack.dstevd(*_block(n, n - 2 * k, j, b, c), compute_v=0)
-        _check_info("dstevd", info, len(values))
+        values = lapack.dstevd(*_block(n, n - 2 * k, j, b, c), compute_v=0)[0]
         levels.append(np.repeat(values, multiplicity))
     return np.sort(np.concatenate(levels))
 
@@ -225,13 +219,12 @@ class SymmetricChain:
 
 def symmetric_chain(params: ClusterParams) -> SymmetricChain:
     """The solved symmetric chain of a collective cluster; ValidationError
-    for any other cluster."""
+    for any other cluster, NumericalError when ``dstevd`` fails on it."""
     form = params.collective
     if form is None:
         raise ValidationError(_SECTOR_ONLY)
     diagonal, off = _block(params.n, params.n, *form)
     # the LAPACK routine scipy.linalg.eigh_tridiagonal runs on a whole chain
-    values, vectors, info = lapack.dstevd(diagonal, off, compute_v=1)
-    _check_info("dstevd", info, params.n + 1)
+    values, vectors = lapack.dstevd(diagonal, off, compute_v=1)
     return SymmetricChain(params.n, diagonal, off, values, vectors)
 

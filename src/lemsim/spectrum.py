@@ -7,17 +7,18 @@ overlap ("dressed" state).  The decay of dressed-state amplitudes with
 Hamming distance from the anchor is measured here as a log-linear fit.
 
 Every solve calls LAPACK in numpy's own OpenBLAS through ``lapack``
-(``lemsim._lapack``, a ctypes binding); no scipy module is imported.  The
-scipy calls named below give the same bits in scipy's own OpenBLAS on one
-BLAS thread; on more, each build splits a blocked routine's work its own way.
-``cluster_eigenvalues(params)`` computes the spectrum alone
-through ``eigenvalues``, a values-only ``dsyevr`` (the route of
+(``lemsim._lapack``, a ctypes binding that sizes each routine's workspace
+and raises NumericalError on its failure code); no scipy module is
+imported.  The scipy calls named below give the same bits in scipy's own
+OpenBLAS on one BLAS thread; on more, each build splits a blocked routine's
+work its own way.  ``cluster_eigenvalues(params)`` computes the spectrum
+alone through ``eigenvalues``, a values-only ``dsyevr`` (the route of
 ``collective.cluster_levels`` off collective clusters), called as
 ``scipy.linalg.eigh(h, eigvals_only=True)`` calls it.
 ``cluster_eigensystem(params, anchors)`` computes what dressing needs
 through ``diagonalize``: the levels whose eigenvector can have overlap² ≥ ½
 with an anchor, and their vectors.  ``diagonalize`` runs the steps ``dsyevr``
-takes for a value range (``dsytrd``, ``dstebz``, ``dstein``, ``dormqr`` on
+takes for a value range (``dsytrd``, ``dstebz``, ``dstein``, ``dormtr`` on
 the m solved columns, then its selection sort), so its levels and vectors
 are ``scipy.linalg.eigh(h, subset_by_value=...)``'s bit for bit, without the
 dim x dim eigenvector array scipy's wrapper allocates for a value range.
@@ -34,7 +35,7 @@ The cluster solves assemble H once, as scratch LAPACK overwrites.  They
 hold one dim x dim array, 8·4^n bytes, and raise CapacityError before
 assembly when H alone exceeds the memory available
 (``cluster._require_memory``).  A value range's m columns, 8·2^n·m bytes,
-which ``dormqr`` turns in place, are checked once bisection has counted
+which ``dormtr`` turns in place, are checked once bisection has counted
 them, before they are allocated.  The scratch H is
 symmetric and finite by construction and goes to LAPACK unchecked.
 ``eigenvalues`` and ``diagonalize`` copy a caller's matrix, leaving it
@@ -65,7 +66,6 @@ from .cluster import (
 )
 from .errors import (
     DegeneracyError,
-    NumericalError,
     StrongMixingError,
     ValidationError,
     is_integer,
@@ -205,12 +205,6 @@ def _checked_symmetric(h: np.ndarray) -> tuple[np.ndarray, float]:
     return a, peak
 
 
-def _check_info(routine: str, info: int, dim: int) -> None:
-    """Raise NumericalError when LAPACK's ``routine`` returned a nonzero ``info``."""
-    if info != 0:
-        raise NumericalError(f"{routine} failed on a {dim}x{dim} matrix: info {info}")
-
-
 def _solve_window(a: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
     """The levels of ``a`` in (lo, hi], ascending, and their eigenvectors as
     the columns of a dim x m array, by the steps ``dsyevr`` takes for a value
@@ -222,21 +216,12 @@ def _solve_window(a: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, np.n
     ``dstein`` allocates them.
     """
     dim = len(a)
-    # dsyevr's workspace, shared out as dsyevr does: another size changes
-    # dsytrd's block size, and with it the bits
-    lwork = lapack.dsyevr_lwork(dim)[0]
-    a, d, e, tau, info = lapack.dsytrd(a, lwork - 5 * dim)
-    _check_info("dsytrd", info, dim)
-    m, values, block, split, info = lapack.dstebz(d, e, lo, hi)
-    _check_info("dstebz", info, dim)
+    d, e, tau = lapack.dsytrd(a)
+    values, block, split = lapack.dstebz(d, e, lo, hi)
+    m = len(values)
     _require_memory(8 * dim * m, f"a window of {m} eigenvectors of a {dim}x{dim} matrix")
-    values = values[:m]
-    vectors, info = lapack.dstein(d, e, values, block, split)
-    _check_info("dstein", info, dim)
-    # Q below row 1, as dsyevr's dormtr applies it: the reflectors below the
-    # subdiagonal, on the columns' rows 1.., both addressed in place
-    _, info = lapack.dormqr(a[1:, :-1], tau, vectors[1:], lwork - 2 * dim)
-    _check_info("dormqr", info, dim)
+    vectors = lapack.dstein(d, e, values, block, split)
+    lapack.dormtr(a, tau, vectors)
     # dsyevr's closing selection sort: strict <, so exactly repeated levels
     # keep bisection's order, and the columns move with their levels
     for j in range(m - 1):
@@ -247,21 +232,9 @@ def _solve_window(a: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, np.n
     return values, vectors
 
 
-def _eigh(a: np.ndarray, compute_v: int = 1) -> tuple[np.ndarray, np.ndarray | None]:
-    """Every level of ``a``'s lower triangle, which ``dsyevr`` overwrites,
-    ascending, and with ``compute_v`` their eigenvectors as columns: the call
-    ``scipy.linalg.eigh``'s default ``evr`` driver makes, with its workspace
-    sizes, so bit for bit its values and vectors."""
-    dim = len(a)
-    lwork, liwork, _ = lapack.dsyevr_lwork(dim)
-    values, vectors, info = lapack.dsyevr(a, compute_v, lwork, liwork)
-    _check_info("dsyevr", info, dim)
-    return values, vectors
-
-
 def eigenvalues(h: np.ndarray) -> np.ndarray:
     """Eigenvalues (ascending) of a dense real symmetric matrix; ``h`` is left unmodified."""
-    return _eigh(_checked_symmetric(h)[0], compute_v=0)[0]
+    return lapack.dsyevr(_checked_symmetric(h)[0], 0)[0]
 
 
 def diagonalize(h: np.ndarray, anchors) -> SolvedLevels:
@@ -276,14 +249,18 @@ def diagonalize(h: np.ndarray, anchors) -> SolvedLevels:
     solver's backward error and the rounding of s.  The tolerance keeps
     every level that repeats the dominant one inside the window.  A matrix
     of at most ``WHOLE_SOLVE_ROWS`` rows has every level solved by one
-    ``dsyevr`` call (``_eigh``), as ``scipy.linalg.eigh`` solves it.  A
-    value range adds its m solved columns (8·N·m bytes), which ``dormqr``
-    turns in place, and raises CapacityError before allocating them when
-    they do not fit.  A caller's ``h`` is checked on a copy and left
-    unmodified; the cluster solves' scratch H is overwritten unchecked.
+    ``dsyevr`` call, as ``scipy.linalg.eigh`` solves it.  A value range
+    adds its m solved columns (8·N·m bytes), which ``dormtr`` turns in
+    place, and raises CapacityError before allocating them when they do not
+    fit.  A caller's ``h`` is checked on a copy and left unmodified; the
+    cluster solves' scratch H is overwritten unchecked.
     """
     a, peak = _checked_symmetric(h)
-    dim, anchors = len(a), tuple(anchors)
+    dim = len(a)
+    try:
+        anchors = tuple(anchors)
+    except TypeError:
+        raise ValidationError(f"anchors must be an iterable of basis indices, got {anchors!r}") from None
     if not anchors:
         raise ValidationError("no anchor to solve for")
     for anchor in anchors:
@@ -301,7 +278,7 @@ def diagonalize(h: np.ndarray, anchors) -> SolvedLevels:
         row[anchor] = 0.0
         radius = math.sqrt(2.0) * float(np.linalg.norm(row)) + slack + math.ldexp(tolerance, -exponent)
         lo, hi = min(lo, rho - radius), max(hi, rho + radius)
-    values, vectors = _eigh(a) if dim <= WHOLE_SOLVE_ROWS else _solve_window(a, lo, hi)
+    values, vectors = lapack.dsyevr(a, 1) if dim <= WHOLE_SOLVE_ROWS else _solve_window(a, lo, hi)
     return SolvedLevels(np.ldexp(values, exponent), vectors, tuple(map(int, anchors)), tolerance)
 
 
@@ -405,7 +382,7 @@ def dress(eig: SolvedLevels, anchor: int) -> DressedState:
     n = dim.bit_length() - 1
     if dim != 1 << n:
         raise ValidationError(f"a solve of {dim} rows dresses no state of n spins, which has 2^n rows")
-    if anchor not in eig.anchors:
+    if not is_integer(anchor) or anchor not in eig.anchors:
         raise ValidationError(f"anchor {anchor!r} is not one the eigensystem was solved for")
     anchor = int(anchor)
     label = config_to_bits(anchor, n)

@@ -190,8 +190,11 @@ def coupling_ratio(params: ClusterParams, coupling: CouplingSpec, a_typ: float) 
 
     C_typ is the largest |tunneling| entry, g_typ the largest sigma^x noise
     amplitude, and ``a_typ`` the typical level spacing A_typ
-    (``ClusterProblem.a_typ``, at the LEM anchor).
+    (``ClusterProblem.a_typ``, at the LEM anchor), which must be positive
+    and finite (ValidationError).
     """
+    if not 0.0 < a_typ < math.inf:
+        raise ValidationError(f"typical level spacing A_typ must be positive and finite, got {a_typ!r}")
     return max(float(np.abs(params.tunneling).max()), float(coupling.x_noise.max())) / a_typ
 
 

@@ -3,11 +3,13 @@
 import contextlib
 import ctypes
 import functools
+import itertools
 import os
 import warnings
 
 import numpy as np
 
+import lemsim._lapack
 import lemsim.cluster
 from lemsim import ClusterParams, uniform_couplings
 
@@ -46,6 +48,21 @@ def count_calls(monkeypatch, module, name, calls=None):
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def report_info_1(monkeypatch, routine, skip=0):
+    """Make LAPACK's ``routine`` report info 1 on each of its calls after the
+    first ``skip``: the call runs, then its ``info``, passed by reference
+    before the character lengths, is set to 1."""
+    original, lengths = lemsim._lapack._call[routine], lemsim._lapack._ROUTINES[routine][1]
+    calls = itertools.count()
+
+    def failing(*args):
+        original(*args)
+        if next(calls) >= skip:
+            args[-1 - lengths]._obj.value = 1
+
+    monkeypatch.setitem(lemsim._lapack._call, routine, failing)
 
 
 def count_table_builds(monkeypatch):

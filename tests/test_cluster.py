@@ -16,6 +16,7 @@ from lemsim import (
     classical_energy,
     config_to_bits,
     diagonalize,
+    dress,
     evolve_superposition,
     hamming_distance,
     lifetime_extension,
@@ -113,6 +114,11 @@ def _evolve(trajectory_count, seed):
         pytest.param(lambda: validate_config(2, True), "configuration must be an integer, got bool", id="config"),
         pytest.param(
             lambda: diagonalize(np.eye(2), (True,)), "anchor True is not a basis index of a 2x2 matrix", id="anchor"
+        ),
+        pytest.param(
+            lambda: dress(diagonalize(np.diag([0.0, 1.0]), (1,)), True),
+            "anchor True is not one the eigensystem was solved for",
+            id="dress",
         ),
         pytest.param(lambda: _evolve(True, 0), "trajectory count must be a positive integer", id="dynamics-count"),
         pytest.param(lambda: _evolve(1, True), "seed must be an unsigned 64-bit integer", id="dynamics-seed"),

@@ -12,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from lemsim import NumericalError
 from lemsim import _lapack as lapack
 
-from conftest import one_blas_thread
+from conftest import one_blas_thread, report_info_1
 
 ENTRIES = st.floats(-100.0, 100.0, allow_nan=False)
 
@@ -45,45 +46,40 @@ def _same(got, want):
 
 @pytest.mark.parametrize("n", [*range(0, 41), 64, 512, 1000])
 def test_workspace_query_is_scipys(n):
-    assert lapack.dsyevr_lwork(n) == tuple(map(int, f2py.dsyevr_lwork(n, lower=1)))
+    assert lapack.dsyevr_lwork(n) == tuple(map(int, f2py.dsyevr_lwork(n, lower=1)[:2]))
 
 
 def _check_dsyevr(h):
-    lwork, liwork, _ = lapack.dsyevr_lwork(len(h))
+    lwork, liwork = lapack.dsyevr_lwork(len(h))
     for compute_v in (0, 1):
-        a = np.array(h, order="F")
-        w, z, info = lapack.dsyevr(a, compute_v, lwork, liwork)
+        w, z = lapack.dsyevr(np.array(h, order="F"), compute_v)
         want = f2py.dsyevr(h, compute_v, lower=1, lwork=lwork, liwork=liwork)
-        assert np.array_equal(w, want[0]) and info == want[-1] == 0
+        assert want[-1] == 0 and np.array_equal(w, want[0])
         assert np.array_equal(z, want[1]) if compute_v else z is None
 
 
 def _check_window(h, lo, hi, back_transform_threads=contextlib.nullcontext):
-    """The steps of a value-range solve, each against scipy's: ``dsytrd``,
-    ``dstebz`` on (lo, hi], ``dstein`` and ``dormqr`` on rows 1.. of the
-    columns, which the binding turns in place; both ``dormqr`` calls run
-    inside ``back_transform_threads()``."""
+    """The steps of a value-range solve, each against scipy's with the
+    workspace shares of dsyevr's query: ``dsytrd``, ``dstebz`` on (lo, hi],
+    ``dstein``, and ``dormtr`` against ``dormqr`` on rows 1.. of the
+    columns; both back-transforms run inside ``back_transform_threads()``."""
     n = len(h)
     lwork = lapack.dsyevr_lwork(n)[0]
     a = np.array(h, order="F")
-    reduced = lapack.dsytrd(a, lwork - 5 * n)
-    want = f2py.dsytrd(h, lower=1, lwork=lwork - 5 * n)
-    _same(reduced, want)
-    assert reduced[0] is a
-    _, d, e, tau, _ = reduced
+    d, e, tau = lapack.dsytrd(a)
+    _same((a, d, e, tau, 0), f2py.dsytrd(h, lower=1, lwork=lwork - 5 * n))
     if n == 1:  # f2py refuses an empty off-diagonal
         return
-    m, w, iblock, isplit, info = found = lapack.dstebz(d, e, lo, hi)
-    _same(found, f2py.dstebz(d, e, 1, lo, hi, 0, 0, 0.0, "B"))
-    z, info = lapack.dstein(d, e, w[:m], iblock, isplit)
-    want = f2py.dstein(d, e, w[:m], iblock.astype(np.int32), isplit.astype(np.int32))
-    _same((z, info), want)
-    rows = z[1:]
+    w, iblock, isplit = lapack.dstebz(d, e, lo, hi)
+    m, *want, info = f2py.dstebz(d, e, 1, lo, hi, 0, 0, 0.0, "B")
+    _same((w, iblock, isplit, 0), (want[0][:m], *want[1:], info))
+    z = lapack.dstein(d, e, w, iblock, isplit)
+    _same((z, 0), f2py.dstein(d, e, w, iblock.astype(np.int32), isplit.astype(np.int32)))
+    first = z[0].copy()
     with back_transform_threads():
-        turned = f2py.dormqr("L", "N", a[1:, :-1], tau, rows, lwork - 2 * n)
-        c, info = lapack.dormqr(a[1:, :-1], tau, rows, lwork - 2 * n)
-    assert c is rows  # a view of z, turned in place
-    assert np.array_equal(c, turned[0]) and info == turned[-1] == 0
+        turned, *_, info = f2py.dormqr("L", "N", a[1:, :-1], tau, z[1:], lwork - 2 * n)
+        assert lapack.dormtr(a, tau, z) is None  # z is turned in place
+    assert info == 0 and np.array_equal(z[1:], turned) and np.array_equal(z[0], first)
 
 
 @settings(max_examples=150, deadline=None)
@@ -97,13 +93,13 @@ def test_symmetric_solves_are_scipys(h, centre, width):
 
 @pytest.mark.parametrize("n", [64, 512])
 def test_blocked_reductions_are_scipys(n):
-    # from 64 rows on, dsytrd reduces in blocks.  At 512 rows dormqr's
-    # blocked update of the 86 columns is a dgemm of 511 rows that numpy's
-    # OpenBLAS (0.3.31) and scipy's (0.3.30) split over several threads each
-    # their own way, and the last bits differ: that call compares on one
-    # thread, where both builds run the same arithmetic.  test_spectrum
-    # checks the window solve against dsyevr's own in numpy's OpenBLAS on
-    # any thread count.
+    # from 64 rows on, dsytrd reduces in blocks.  At 512 rows the
+    # back-transform's blocked update of the 86 columns (dormqr's, under
+    # dormtr) is a dgemm of 511 rows that numpy's OpenBLAS (0.3.31) and
+    # scipy's (0.3.30) split over several threads each their own way, and
+    # the last bits differ: that call compares on one thread, where both
+    # builds run the same arithmetic.  test_spectrum checks the window
+    # solve against dsyevr's own in numpy's OpenBLAS on any thread count.
     h = _random_symmetric(n, n)
     _check_dsyevr(h)
     levels = np.linalg.eigvalsh(h)
@@ -116,10 +112,10 @@ def test_tridiagonal_solves_are_scipys(chain):
     d, e = chain
     kept = d.copy(), e.copy()
     for compute_v in (0, 1):
-        w, z, info = lapack.dstevd(d, e, compute_v)
+        w, z = lapack.dstevd(d, e, compute_v)
         # f2py asks for an off-diagonal of at least one entry
         want = f2py.dstevd(d, e if len(d) > 1 else np.zeros(1), compute_v=compute_v)
-        assert np.array_equal(w, want[0]) and info == want[-1] == 0
+        assert want[-1] == 0 and np.array_equal(w, want[0])
         assert np.array_equal(z, want[1]) if compute_v else z is None
         # the levels own their n entries, not a view of LAPACK's workspace
         assert w.base is None and w.shape == (len(d),)
@@ -129,6 +125,48 @@ def test_tridiagonal_solves_are_scipys(chain):
 def test_a_matrix_without_contiguous_columns_is_refused():
     a = np.eye(4)
     with pytest.raises(ValueError, match="float64 matrix with contiguous columns"):
-        lapack.dsytrd(a[::2, ::2], 1)
+        lapack.dsytrd(a[::2, ::2])
     with pytest.raises(ValueError, match="float64 matrix with contiguous columns"):
-        lapack.dsytrd(np.eye(4, dtype=np.float32), 1)
+        lapack.dsytrd(np.eye(4, dtype=np.float32))
+
+
+def _four_rows():
+    """A 4 x 4 symmetric matrix, column-major, that LAPACK may overwrite."""
+    return np.array(_random_symmetric(4, 4), order="F")
+
+
+def _chain():
+    return np.arange(4.0), np.ones(3)
+
+
+def _levels(d, e):
+    """``dstein``'s arguments for every level of the tridiagonal ``(d, e)``."""
+    return (d, e, *lapack.dstebz(d, e, -100.0, 100.0))
+
+
+def _turned():
+    a = _four_rows()
+    d, e, tau = lapack.dsytrd(a)
+    lapack.dormtr(a, tau, lapack.dstein(*_levels(d, e)))
+
+
+@pytest.mark.parametrize(
+    "routine, skip, call",
+    [
+        pytest.param("dsyevr", 0, lambda: lapack.dsyevr_lwork(4), id="dsyevr_lwork"),
+        # the first dsyevr call is the binding's workspace query
+        pytest.param("dsyevr", 1, lambda: lapack.dsyevr(_four_rows(), 0), id="dsyevr-values"),
+        pytest.param("dsyevr", 1, lambda: lapack.dsyevr(_four_rows(), 1), id="dsyevr-vectors"),
+        pytest.param("dsytrd", 0, lambda: lapack.dsytrd(_four_rows()), id="dsytrd"),
+        pytest.param("dstebz", 0, lambda: lapack.dstebz(*_chain(), -100.0, 100.0), id="dstebz"),
+        pytest.param("dstein", 0, lambda: lapack.dstein(*_levels(*_chain())), id="dstein"),
+        pytest.param("dormtr", 0, _turned, id="dormtr"),
+        pytest.param("dstevd", 0, lambda: lapack.dstevd(*_chain(), 0), id="dstevd-values"),
+        pytest.param("dstevd", 0, lambda: lapack.dstevd(*_chain(), 1), id="dstevd-vectors"),
+    ],
+)
+def test_a_failure_code_raises_numerical_error(monkeypatch, routine, skip, call):
+    call()  # runs clean
+    report_info_1(monkeypatch, routine, skip)
+    with pytest.raises(NumericalError, match=f"^{routine} failed on a 4x4 matrix: info 1$"):
+        call()

@@ -190,6 +190,21 @@ def test_coupling_ratio_takes_the_larger_of_tunneling_and_x_noise():
     assert coupling_ratio(p, coupling(2, f=0.5, g=0.04), 2.0) == 0.02
 
 
+@pytest.mark.parametrize("a_typ", [0.0, -1.0, math.nan, math.inf])
+def test_a_level_spacing_that_is_not_positive_and_finite_is_refused(a_typ):
+    p = make_params(2, b=0.1, c=0.01)
+    report = RateReport(matrix_element=1e-3, rate_ratio=1e-6, z_channel=(), x_channel=())
+    message = f"typical level spacing A_typ must be positive and finite, got {a_typ!r}"
+    for call in (
+        lambda: coupling_ratio(p, coupling(2, g=0.02), a_typ),
+        lambda: check_bound(report, p, coupling(2, g=0.02), a_typ),
+        lambda: ClusterProblem(p, coupling(2, g=0.02), 0b00, 0b11, known_a_typ=a_typ).rates(),
+    ):
+        with pytest.raises(ValidationError) as err:
+            call()
+        assert str(err.value) == message
+
+
 def test_has_noise_reads_both_channels():
     assert not coupling(3).has_noise
     assert coupling(3, f=0.1).has_noise
