@@ -19,7 +19,8 @@ Conventions used throughout the package:
 The one size limit every cluster is held to is ``MAX_SPINS``, set by the
 number format (``require_size``).  Below it, a route that allocates
 something of size 2^n checks what it needs against the memory available
-(``_require_memory``) before it allocates, as the energy table does here.
+(``_require_memory``) before it allocates, as the energy table and
+``build_hamiltonian`` do here for every caller.
 """
 
 from __future__ import annotations
@@ -288,13 +289,6 @@ def sign_table(n: int) -> np.ndarray:
     return s
 
 
-def popcounts(values: np.ndarray, n: int) -> np.ndarray:
-    """Number of set bits for each entry of an integer array (width n)."""
-    v = np.asarray(values, dtype=np.int64)
-    bits = (v[..., None] >> np.arange(n)) & 1
-    return bits.sum(axis=-1)
-
-
 def hamming_distance(x: int, y: int) -> int:
     """Number of spins on which two configurations differ."""
     return int(x ^ y).bit_count()
@@ -366,9 +360,12 @@ def build_hamiltonian(params: ClusterParams) -> np.ndarray:
 
     The diagonal holds the classical energies; the entry between two
     configurations differing only on spin i is the tunneling amplitude of
-    spin i; all other entries vanish.
+    spin i; all other entries vanish.  Raises CapacityError before anything
+    is built, the energy table included, when H alone, 8·4^n bytes, does not
+    fit in the memory available.
     """
     dim = params.dim
+    _require_memory(8 * dim**2, f"the Hamiltonian of a {params.n}-spin cluster")
     energies = classical_energies(params)  # its scratch is gone before H exists
     h = np.zeros((dim, dim))
     idx = np.arange(dim)

@@ -32,11 +32,11 @@ level lies within √2·s of ρ, s the norm of row a off the diagonal (Parlett,
 ``WHOLE_SOLVE_ROWS`` rows are solved whole.
 
 The cluster solves assemble H once, as scratch LAPACK overwrites.  They
-hold one dim x dim array, 8·4^n bytes, and raise CapacityError before
-assembly when H alone exceeds the memory available
-(``cluster._require_memory``).  A value range's m columns, 8·2^n·m bytes,
-which ``dormtr`` turns in place, are checked once bisection has counted
-them, before they are allocated.  The scratch H is
+hold one dim x dim array, 8·4^n bytes, which ``cluster.build_hamiltonian``
+checks against the memory available (``cluster._require_memory``) before
+assembly, raising CapacityError when it does not fit.  A value range's m
+columns, 8·2^n·m bytes, which ``dormtr`` turns in place, are checked once
+bisection has counted them, before they are allocated.  The scratch H is
 symmetric and finite by construction and goes to LAPACK unchecked.
 ``eigenvalues`` and ``diagonalize`` copy a caller's matrix, leaving it
 unmodified, check that the copy is real, square, non-empty, finite and
@@ -61,7 +61,6 @@ from .cluster import (
     config_to_bits,
     degeneracy_tolerance,
     hamming_distance,
-    popcounts,
     validate_config,
 )
 from .errors import (
@@ -154,7 +153,7 @@ class DressedState:
 
     @cached_property
     def amplitudes(self) -> np.ndarray:
-        amps = self.site_amplitudes[popcounts(np.arange(1 << self.n), self.n)]
+        amps = self.site_amplitudes[np.bitwise_count(np.arange(1 << self.n))]
         amps.setflags(write=False)
         return amps
 
@@ -287,10 +286,9 @@ def cluster_eigenvalues(params: ClusterParams) -> np.ndarray:
 
     Equal bit for bit to ``eigenvalues(build_hamiltonian(params))``, but the
     only dim x dim array it holds is the Hamiltonian, which LAPACK overwrites
-    unchecked.  Raises CapacityError before assembly when H alone, 8·4^n
-    bytes, does not fit in memory.
+    unchecked.  ``build_hamiltonian`` raises CapacityError before assembly
+    when H alone, 8·4^n bytes, does not fit in memory.
     """
-    _require_memory(8 * params.dim**2, f"dense eigenvalues of a {params.n}-spin cluster")
     return eigenvalues(build_hamiltonian(params).view(_Scratch))
 
 
@@ -300,11 +298,11 @@ def cluster_eigensystem(params: ClusterParams, anchors) -> SolvedLevels:
 
     Equal bit for bit to ``diagonalize(build_hamiltonian(params), anchors)``,
     but the only dim x dim array it holds is the Hamiltonian, which LAPACK
-    overwrites unchecked; the solved columns add 8·dim·m bytes.  Raises
-    CapacityError before assembly when H alone, 8·4^n bytes, does not fit in
-    memory, and before the columns are allocated when they do not.
+    overwrites unchecked; the solved columns add 8·dim·m bytes.
+    ``build_hamiltonian`` raises CapacityError before assembly when H alone,
+    8·4^n bytes, does not fit in memory, and ``diagonalize`` before the
+    columns are allocated when they do not.
     """
-    _require_memory(8 * params.dim**2, f"dense eigensystem of a {params.n}-spin cluster")
     return diagonalize(build_hamiltonian(params).view(_Scratch), anchors)
 
 
@@ -429,7 +427,7 @@ def overlap_decay(dressed: DressedState) -> OverlapDecay:
         sites = np.abs(dressed.site_amplitudes)
         maxima = (sites if dressed.anchor == 0 else sites[::-1]).tolist()
     else:
-        dist = popcounts(np.arange(len(dressed.amplitudes)) ^ dressed.anchor, n)
+        dist = np.bitwise_count(np.arange(len(dressed.amplitudes)) ^ dressed.anchor)
         maxima = [float(np.abs(dressed.amplitudes[dist == k]).max()) for k in range(n + 1)]
     used, logs, _ = log10_points(range(1, n + 1), maxima[1:])
     slope = fit_slope(used, logs) if len(used) >= 2 else None

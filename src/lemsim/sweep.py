@@ -7,14 +7,19 @@ of the typical level spacing so a single dimensionless ratio labels each
 grid point.  ``run_sweep`` checks all of its arguments before the first
 point; after that, per-point failures are recorded inline as error codes
 and a sweep never aborts half way.  Each grid point is a ``ClusterProblem``,
-the object the command line runs its channels on too.
+the object the command line runs its channels on too.  The sweep's channels
+are one table, ``_CHANNELS``, whose keys are ``CHANNELS``: each entry maps a
+point's problem, trajectory count and seed to its ``SweepRow`` columns, and a
+row runs the channels it was asked for in table order.
 
-A problem works out its own route.  When its cluster is collective
-(``ClusterParams.collective``) and its anchors are the two fully
-polarized configurations, both dressed states come from one solve of the
-symmetric (Dicke) chain (``collective.symmetric_chain``); every other
-problem, and one built with ``dense=True``, dresses both anchors from one
-dense solve (``spectrum.cluster_eigensystem``).
+A problem decides its route once (``ClusterProblem.route``).  When its
+cluster is collective (``ClusterParams.collective``) and its anchors are
+the two fully polarized configurations, the route is "sector" and both
+dressed states come from one solve of the symmetric (Dicke) chain
+(``collective.symmetric_chain``); every other problem, and one built with
+``dense=True``, takes the "dense" route and dresses both anchors from one
+dense solve (``spectrum.cluster_eigensystem``).  One solver, built from that
+solve on first use, dresses both anchors.
 
 The family is permutation symmetric and both anchors are fully polarized,
 so every configuration with k up spins has one energy, and the n+1 energies
@@ -41,13 +46,14 @@ does.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from itertools import product
 
 import numpy as np
 
-from .cluster import ClusterParams, bits_to_config, require_size, uniform_couplings
+from .cluster import ClusterParams, bits_to_config, require_size, require_spin_count, uniform_couplings
 from .dynamics import (
     CoherenceTrace,
     default_time_step,
@@ -59,22 +65,19 @@ from .fitting import fit_line, log10_points
 from .perturbation import PathSumResult, multiphoton_path_sum, scaling_exponent
 from .spectrum import (
     DressedState,
-    SolvedLevels,
     cluster_eigensystem,
     dress,
     find_local_minima,
     overlap_decay,
     typical_level_spacing,
 )
-from .transition import CouplingSpec, RateReport, check_bound, matrix_element
+from .transition import CouplingSpec, RateReport, check_bound, matrix_element, require_level_spacing
 
 # after .dynamics, which imports .collective itself: importing .collective
 # here first raises the peak RSS of ``import lemsim.cli`` from 31.3 to
 # 31.5 MB (medians of 20 and 24 alternating runs on a 2-core Xeon, quartiles
 # 0.06 MB apart or less; the import time did not differ beyond the runs' spread)
-from .collective import SymmetricChain, chain_anchors, symmetric_chain
-
-CHANNELS = ("overlaps", "rates", "pathsum", "dynamics")
+from .collective import chain_anchors, symmetric_chain
 
 
 @dataclass(eq=False)
@@ -84,16 +87,19 @@ class ClusterProblem:
     The typical level spacing ``a_typ`` at the LEM anchor and the two
     dressed states are computed on first use and kept; a dense solve keeps
     only the m levels it solved and their columns.  A spacing already known
-    (an override, the sweep family's) is given as ``known_a_typ``.  Every
-    degeneracy check reads ``degeneracy_tolerance(params)`` where it is made.
-    The route follows from the problem: a collective cluster
+    (an override, the sweep family's) is given as ``known_a_typ``; one that
+    is not positive and finite raises ValidationError when ``a_typ`` is read,
+    as ``transition.coupling_ratio`` does.  Every degeneracy check reads
+    ``degeneracy_tolerance(params)`` where it is made.
+    The route is decided once, in ``route``: a collective cluster
     (``ClusterParams.collective``) whose anchors are the two fully
-    polarized configurations dresses both from one solve of the symmetric
-    chain, and every other problem, or one built with ``dense=True``,
-    dresses both from one dense value-subset solve.  A state that does not
-    dress raises its error on every read, so it fails only the channels
-    that read it.  Every channel reads the same dressed pair, so none learns
-    which route ran; ``route`` names it for the logs.
+    polarized configurations takes the sector, and every other problem, or
+    one built with ``dense=True``, the dense route.  Both anchors are
+    dressed by one solver, built on first use from the route's one solve:
+    the symmetric chain's, or one dense value-subset solve for the pair.  A
+    solve or a state that fails raises its error on every read, so it fails
+    only the channels that read it.  Every channel reads the same dressed
+    pair, so none learns which route ran; ``route`` names it for the logs.
     """
 
     params: ClusterParams
@@ -130,43 +136,40 @@ class ClusterProblem:
 
     @cached_property
     def a_typ(self) -> float:
-        if self.known_a_typ is not None:
-            return self.known_a_typ
-        return typical_level_spacing(self.params, self.lem_anchor)
+        if self.known_a_typ is None:
+            return typical_level_spacing(self.params, self.lem_anchor)
+        require_level_spacing(self.known_a_typ)
+        return self.known_a_typ
 
     @cached_property
-    def _in_sector(self) -> bool:
-        # both anchors in the symmetric sector, or both dense: never one of each
-        polarized = {self.ground_anchor, self.lem_anchor} == {0, self.params.dim - 1}
-        return not self.dense and polarized and self.params.collective is not None
-
-    @cached_property
-    def _solved(self) -> SolvedLevels:
-        """One dense solve for both anchors."""
-        return cluster_eigensystem(self.params, (self.ground_anchor, self.lem_anchor))
-
-    @property
     def route(self) -> str:
-        """The route that dressed the pair: "sector" or "dense"."""
-        return "sector" if self._in_sector else "dense"
+        """The route that dresses the pair: "sector" when the cluster is
+        collective, its anchors are the two fully polarized configurations
+        and ``dense`` is false, "dense" otherwise."""
+        polarized = {self.ground_anchor, self.lem_anchor} == {0, self.params.dim - 1}
+        if polarized and not self.dense and self.params.collective is not None:
+            return "sector"
+        return "dense"
 
     @cached_property
-    def _chain(self) -> SymmetricChain:
-        """One chain solve for both anchors."""
-        return symmetric_chain(self.params)
-
-    def _dressed(self, anchor: int) -> DressedState:
-        if self._in_sector:
-            return self._chain.dressed(anchor)
-        return dress(self._solved, anchor)
+    def _dress(self) -> Callable[[int], DressedState]:
+        """Dresses either anchor from the route's one solve: the symmetric
+        chain's, or one dense solve for both anchors.  ``symmetric_chain``,
+        ``cluster_eigensystem`` and ``dress`` are read as module globals at
+        call time, where the benchmark's tracer and the tests' counters
+        patch them."""
+        if self.route == "sector":
+            return symmetric_chain(self.params).dressed
+        solved = cluster_eigensystem(self.params, (self.ground_anchor, self.lem_anchor))
+        return lambda anchor: dress(solved, anchor)
 
     @cached_property
     def dressed_ground(self) -> DressedState:
-        return self._dressed(self.ground_anchor)
+        return self._dress(self.ground_anchor)
 
     @cached_property
     def dressed_lem(self) -> DressedState:
-        return self._dressed(self.lem_anchor)
+        return self._dress(self.lem_anchor)
 
     def rates(self) -> RateReport:
         """Golden-rule matrix element between the dressed anchors, with the size bound."""
@@ -265,6 +268,37 @@ def uniform_ferromagnet(
     return ClusterProblem(params, coupling, ground, lem, a_typ)
 
 
+def _overlaps(problem: ClusterProblem, trajectory_count: int, seed: int) -> dict:
+    return {"overlap_slope": overlap_decay(problem.dressed_ground).slope}
+
+
+def _rates(problem: ClusterProblem, trajectory_count: int, seed: int) -> dict:
+    report = problem.rates()
+    return {
+        "matrix_element": report.matrix_element,
+        "rate_ratio": report.rate_ratio,
+        "rate_bound": report.bound,
+        "bound_margin": report.bound_margin,
+    }
+
+
+def _pathsum(problem: ClusterProblem, trajectory_count: int, seed: int) -> dict:
+    return {"pathsum_slope": scaling_exponent([(r.order, r.amplitude) for r in problem.path_sums()])}
+
+
+def _dynamics(problem: ClusterProblem, trajectory_count: int, seed: int) -> dict:
+    trace = problem.trajectories(trajectory_count, seed)
+    if trace.rate_is_upper_limit:
+        raise InsufficientDataError("no decay resolved in the fit window: the rate is an upper limit")
+    return {"fitted_dynamics_rate": trace.fitted_rate}
+
+
+# each channel's SweepRow columns from a grid point's problem, its trajectory
+# count and its seed; a row's channels run, and name their errors, in this order
+_CHANNELS = {"overlaps": _overlaps, "rates": _rates, "pathsum": _pathsum, "dynamics": _dynamics}
+CHANNELS = tuple(_CHANNELS)
+
+
 def run_sweep(
     n_values, ratio_values, channels=("overlaps", "rates", "pathsum"), *, bias: float = 0.1,
     coupling_j: float = -1.0, trajectory_count: int = 200, master_seed: int = 0,
@@ -272,16 +306,20 @@ def run_sweep(
     """Evaluate every point of the size x ratio grid of the uniform family,
     recording per-row error codes on failure.
 
-    Every argument is checked before the first point is built: an empty
-    grid, a size that is not an integer (a bool included) or is below 1, a
-    ratio outside (0, 1), an unknown channel, a
-    master seed outside 64 unsigned bits, a trajectory count that is not a
-    positive integer or a non-finite bias or coupling raises ValidationError,
-    and a size above ``cluster.MAX_SPINS`` raises CapacityError, as
-    ``cluster.n`` does.  The family checks the rest per point.  Point
-    sub-seeds derive deterministically from the master seed and the grid
-    position, so identical grids and seeds reproduce rows bit for bit.
-    Every channel of a point runs on the point's one ``ClusterProblem``.
+    Every argument is checked before the first point is built.  Each size
+    is held to the rule ``ClusterParams`` applies: one that is not a
+    positive integer (a bool included) raises ValidationError, and one above
+    ``cluster.MAX_SPINS`` raises CapacityError.  An empty grid, a ratio
+    outside (0, 1), an unknown channel, a master seed outside 64 unsigned
+    bits, a trajectory count that is not a positive integer or a non-finite
+    bias or coupling raises ValidationError.  The family checks the rest per
+    point.  Point sub-seeds derive deterministically from the master seed
+    and the grid position, so identical grids and seeds reproduce rows bit
+    for bit.  Every channel of a point runs on the point's one
+    ``ClusterProblem``, in ``CHANNELS`` order whatever order ``channels``
+    lists, so a row's error string names its failed channels in that order;
+    a ``dynamics`` rate that is only an upper limit records
+    ``dynamics:insufficient_data``.
     """
     n_values = tuple(n_values)
     ratio_values = tuple(float(v) for v in ratio_values)
@@ -291,10 +329,7 @@ def run_sweep(
     if not ratio_values:
         raise ValidationError("sweep grid needs at least one coupling ratio")
     for n in n_values:
-        if not is_integer(n):
-            raise ValidationError(f"cluster size {n!r} must be an integer")
-        if n < 1:
-            raise ValidationError(f"cluster size {n} must be at least 1")
+        require_spin_count(n)
         require_size(n)
     n_values = tuple(map(int, n_values))
     for r in ratio_values:
@@ -322,38 +357,12 @@ def run_sweep(
             rows.append(SweepRow(n=n, ratio=ratio, seed=point_seed, error=f"family:{exc.code}"))
             continue
         values = {"a_typ": fam.a_typ}
-
-        if "overlaps" in channels:
-            try:
-                values["overlap_slope"] = overlap_decay(fam.dressed_ground).slope
-            except SimulationError as exc:
-                errors.append(f"overlaps:{exc.code}")
-        if "rates" in channels:
-            try:
-                report = fam.rates()
-                values.update(
-                    matrix_element=report.matrix_element,
-                    rate_ratio=report.rate_ratio,
-                    rate_bound=report.bound,
-                    bound_margin=report.bound_margin,
-                )
-            except SimulationError as exc:
-                errors.append(f"rates:{exc.code}")
-        if "pathsum" in channels:
-            try:
-                points_d = [(r.order, r.amplitude) for r in fam.path_sums()]
-                values["pathsum_slope"] = scaling_exponent(points_d)
-            except SimulationError as exc:
-                errors.append(f"pathsum:{exc.code}")
-        if "dynamics" in channels:
-            try:
-                trace = fam.trajectories(trajectory_count, point_seed)
-                if trace.rate_is_upper_limit:  # no decay resolved: not a fitted rate
-                    errors.append(f"dynamics:{InsufficientDataError.code}")
-                else:
-                    values["fitted_dynamics_rate"] = trace.fitted_rate
-            except SimulationError as exc:
-                errors.append(f"dynamics:{exc.code}")
+        for name, channel in _CHANNELS.items():
+            if name in channels:
+                try:
+                    values.update(channel(fam, trajectory_count, point_seed))
+                except SimulationError as exc:
+                    errors.append(f"{name}:{exc.code}")
         rows.append(SweepRow(n=n, ratio=ratio, seed=point_seed, error=";".join(errors), **values))
     return rows
 

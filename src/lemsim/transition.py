@@ -193,9 +193,15 @@ def coupling_ratio(params: ClusterParams, coupling: CouplingSpec, a_typ: float) 
     (``ClusterProblem.a_typ``, at the LEM anchor), which must be positive
     and finite (ValidationError).
     """
+    require_level_spacing(a_typ)
+    return max(float(np.abs(params.tunneling).max()), float(coupling.x_noise.max())) / a_typ
+
+
+def require_level_spacing(a_typ: float) -> None:
+    """Raise ValidationError unless the typical level spacing ``a_typ`` is
+    positive and finite."""
     if not 0.0 < a_typ < math.inf:
         raise ValidationError(f"typical level spacing A_typ must be positive and finite, got {a_typ!r}")
-    return max(float(np.abs(params.tunneling).max()), float(coupling.x_noise.max())) / a_typ
 
 
 def lifetime_extension(n: int, ratio: float) -> float:

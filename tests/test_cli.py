@@ -483,7 +483,7 @@ def test_memory_preflight_exit_status(tmp_path, capsys, monkeypatch):
     assert status == 3
     assert peak < 0.01 * 8 * 4096**2
     err = capsys.readouterr().err
-    assert "eigensystem of a 12-spin cluster needs" in err
+    assert "the Hamiltonian of a 12-spin cluster needs" in err
     assert "100000000 bytes of memory available" in err
 
 

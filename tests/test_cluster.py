@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import lemsim.cluster
 from lemsim import (
     CapacityError,
     ClusterParams,
@@ -128,6 +129,9 @@ def _evolve(trajectory_count, seed):
             id="sweep-count",
         ),
         pytest.param(
+            lambda: run_sweep((True,), (0.3,)), "cluster size must be a positive integer, got True", id="sweep-size"
+        ),
+        pytest.param(
             lambda: run_sweep((2,), (0.3,), master_seed=True),
             "master seed must be an unsigned 64-bit integer",
             id="sweep-seed",
@@ -225,6 +229,28 @@ def test_energy_table_is_built_once_and_read_only(monkeypatch):
     assert builds == [5]
     classical_energies(make_params(5, b=0.1))
     assert builds == [5, 5]
+
+
+def test_hamiltonian_is_refused_before_anything_is_built(monkeypatch):
+    # H of 10 spins needs 8 MB; with 1 MB available neither H nor the
+    # energy table (0.1 MB, which fits) is built
+    builds = count_table_builds(monkeypatch)
+    monkeypatch.setattr(lemsim.cluster, "_available_memory", lambda: 2**20)
+    p = make_params(10, b=0.1, c=0.05)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError) as err:
+            build_hamiltonian(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == (
+        "the Hamiltonian of a 10-spin cluster needs 8388608 bytes, 1048576 bytes of memory available"
+    )
+    assert builds == []
+    assert peak < 0.01 * 8 * p.dim**2
+    monkeypatch.setattr(lemsim.cluster, "_available_memory", lambda: 8 * p.dim**2)
+    assert build_hamiltonian(p).shape == (p.dim, p.dim)
 
 
 def test_classical_energy_rejects_wide_config():

@@ -603,7 +603,7 @@ def test_capacity_preflight_raises_before_assembly(monkeypatch):
     monkeypatch.setattr(lemsim.cluster, "_available_memory", lambda: 8 * p.dim**2 - 1)
     with pytest.raises(CapacityError, match="needs 32768 bytes, 32767 bytes of memory available"):
         cluster_eigenvalues(p)
-    with pytest.raises(CapacityError, match="eigensystem of a 6-spin cluster needs 32768 bytes"):
+    with pytest.raises(CapacityError, match="the Hamiltonian of a 6-spin cluster needs 32768 bytes"):
         cluster_eigensystem(p, (0,))
     monkeypatch.setattr(lemsim.cluster, "_available_memory", lambda: 8 * p.dim**2)
     assert np.array_equal(cluster_eigenvalues(p), eigenvalues(build_hamiltonian(p)))

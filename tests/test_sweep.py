@@ -261,7 +261,7 @@ def test_grid_validation():
 def test_grid_size_cap_is_a_capacity_error():
     with pytest.raises(CapacityError, match="cluster size 1024 exceeds 1023 spins"):
         run_sweep((3, 1024), (0.01,))
-    with pytest.raises(ValidationError, match="cluster size 0 must be at least 1"):
+    with pytest.raises(ValidationError, match="cluster size must be a positive integer, got 0"):
         run_sweep((0, 3), (0.01,))
     # both ends of the size range are accepted: the n=1 row fails in the family
     rows = run_sweep((1, 1023), (0.01,), ())
@@ -410,6 +410,20 @@ def test_chain_rows_past_14_spins_print_normal_numbers():
 def test_capacity_limited_channels_record_errors():
     rows = run_sweep((9,), (0.05,), ("pathsum", "dynamics"), master_seed=5)
     assert rows[0].error == "pathsum:capacity;dynamics:capacity"
+
+
+def test_channels_run_in_table_order_whatever_order_is_asked():
+    # the n=9 row fails every channel, the n=3 row none; listing the channels
+    # backwards changes neither row, nor the order the errors are named in
+    grid = ((9, 3), (0.3,))
+    kwargs = {"bias": 0.3, "coupling_j": -0.8, "trajectory_count": 4, "master_seed": 7}
+    rows = run_sweep(*grid, CHANNELS, **kwargs)
+    assert rows == run_sweep(*grid, tuple(reversed(CHANNELS)), **kwargs)
+    assert [row.error for row in rows] == [
+        "overlaps:strong_mixing;rates:strong_mixing;pathsum:capacity;dynamics:capacity",
+        "",
+    ]
+    assert CHANNELS == ("overlaps", "rates", "pathsum", "dynamics")
 
 
 @pytest.mark.parametrize(

@@ -199,6 +199,8 @@ def test_a_level_spacing_that_is_not_positive_and_finite_is_refused(a_typ):
         lambda: coupling_ratio(p, coupling(2, g=0.02), a_typ),
         lambda: check_bound(report, p, coupling(2, g=0.02), a_typ),
         lambda: ClusterProblem(p, coupling(2, g=0.02), 0b00, 0b11, known_a_typ=a_typ).rates(),
+        # the trajectories read A_typ for their time step and correlation time
+        lambda: ClusterProblem(p, coupling(2, f=0.02, g=0.02), 0b00, 0b11, known_a_typ=a_typ).trajectories(4, 1),
     ):
         with pytest.raises(ValidationError) as err:
             call()
