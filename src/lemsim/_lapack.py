@@ -11,13 +11,15 @@ ImportError.
 Each routine here takes only the arguments lemsim varies and returns only
 its outputs.  It sizes its own workspace, and a nonzero ``info`` raises
 NumericalError, "<routine> failed on a NxN matrix: info K", N the
-routine's row count.  Its outputs are those of the f2py routine of the
-same name in ``scipy.linalg.lapack`` (scipy wraps no ``dormtr``: it is
-``dormqr`` on the rows below the first) bit for bit for the same workspace
-sizes on one BLAS thread, where both OpenBLAS builds run LAPACK's reference
-arithmetic.  On several threads each build splits a large dgemm its own
-way, and a blocked routine on a few hundred rows may differ in the last
-bits.
+routine's row count.  A call on at most ``ONE_THREAD_ROWS`` rows runs on
+one thread of this OpenBLAS, whose count is restored after it, so its bits
+do not depend on the process's BLAS thread count; a larger call runs on
+that count, where a blocked routine's dgemm splits its work by thread and
+the last bits may move.  On one thread the outputs are those of the f2py
+routine of the same name in ``scipy.linalg.lapack`` (scipy wraps no
+``dormtr``: it is ``dormqr`` on the rows below the first) bit for bit for
+the same workspace sizes: both OpenBLAS builds run LAPACK's reference
+arithmetic there.
 
 The calls follow gfortran's convention: every argument is passed by
 reference, every integer is an int64, and each character argument adds its
@@ -38,6 +40,8 @@ from .errors import NumericalError
 
 # where auditwheel puts the libraries a numpy wheel bundles
 _PLACE = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+# the largest row count whose calls run on one BLAS thread: 2^9, a 9-spin H
+ONE_THREAD_ROWS = 512
 # each routine's arguments: the pointers, info last, then one length per character argument
 _ROUTINES = {
     "dsyevr": (21, 3),
@@ -50,9 +54,10 @@ _ROUTINES = {
 
 
 def _load():
-    """numpy's OpenBLAS routines by name, their argument types declared;
-    ImportError names the place searched when the library is not there, and
-    the library when a routine is missing from it."""
+    """numpy's OpenBLAS routines by name, their argument types declared, and
+    the library's thread-count getter and setter; ImportError names the
+    place searched when the library is not there, and the library when a
+    routine or a thread-count function is missing from it."""
     paths = sorted(glob.glob(os.path.join(_PLACE, "*scipy_openblas64_*")))
     if not paths:
         raise ImportError(
@@ -60,18 +65,25 @@ def _load():
             "lemsim needs numpy >= 2.0 installed from its PyPI wheel for Linux"
         )
     library = ctypes.CDLL(paths[0])
-    routines = {}
-    for name, (pointers, lengths) in _ROUTINES.items():
+
+    def symbol(name, argtypes, restype):
         try:
-            routine = routines[name] = getattr(library, f"scipy_{name}_64_")
+            function = getattr(library, name)
         except AttributeError:
-            raise ImportError(f"{paths[0]} exports no scipy_{name}_64_") from None
-        routine.argtypes = [ctypes.c_void_p] * pointers + [ctypes.c_size_t] * lengths
-        routine.restype = None
-    return routines
+            raise ImportError(f"{paths[0]} exports no {name}") from None
+        function.argtypes, function.restype = argtypes, restype
+        return function
+
+    routines = {
+        name: symbol(f"scipy_{name}_64_", [ctypes.c_void_p] * pointers + [ctypes.c_size_t] * lengths, None)
+        for name, (pointers, lengths) in _ROUTINES.items()
+    }
+    get_threads = symbol("scipy_openblas_get_num_threads64_", [], ctypes.c_int)
+    set_threads = symbol("scipy_openblas_set_num_threads64_", [ctypes.c_int], None)
+    return routines, get_threads, set_threads
 
 
-_call = _load()
+_call, _get_threads, _set_threads = _load()
 _INT = ctypes.c_int64
 
 
@@ -107,10 +119,18 @@ def _matrix(x: np.ndarray) -> tuple[int, ctypes._CArgObject]:
 
 def _run(routine: str, n: int, *args) -> None:
     """Call LAPACK's ``routine`` on ``args``, then its ``info`` and one
-    length per character argument; NumericalError names the routine, its
-    n x n matrix and the code when ``info`` is not 0."""
+    length per character argument, on one BLAS thread when n is at most
+    ``ONE_THREAD_ROWS``; NumericalError names the routine, its n x n matrix
+    and the code when ``info`` is not 0."""
     info = _INT()
-    _call[routine](*args, ctypes.byref(info), *[1] * _ROUTINES[routine][1])
+    threads = _get_threads() if n <= ONE_THREAD_ROWS else 1
+    if threads > 1:
+        _set_threads(1)
+    try:
+        _call[routine](*args, ctypes.byref(info), *[1] * _ROUTINES[routine][1])
+    finally:
+        if threads > 1:
+            _set_threads(threads)
     if info.value:
         raise NumericalError(f"{routine} failed on a {n}x{n} matrix: info {info.value}")
 

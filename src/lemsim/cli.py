@@ -19,8 +19,10 @@ both anchors from one ``spectrum.diagonalize`` solve.  The stderr summaries
 of ``overlaps``, ``rates`` and ``dynamics`` end with the route that dressed
 the pair, ``sector`` or ``dense`` (``ClusterProblem.route``).  Without
 configured anchors, a collective cluster's anchors and A_typ come from its
-n+1 chain energies (``collective.chain_anchors``), so its ``overlaps`` and
-sector ``rates`` build no 2^n energy table.  ``pathsum`` and ``dynamics``
+n+1 chain energies (``collective.chain_anchors``); a configured polarized
+pair on the sector takes its A_typ from them too
+(``collective.chain_spacing``).  So its ``overlaps`` and sector ``rates``
+build no 2^n energy table.  ``pathsum`` and ``dynamics``
 refuse a cluster over ``perturbation.PATH_SUM_MAX_SPINS`` or
 ``dynamics.MAX_DYNAMICS_SPINS`` spins before they look for anchors.  Each
 subcommand's handler builds its cluster once and returns its stderr summary

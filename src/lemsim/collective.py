@@ -22,7 +22,8 @@ is the normalised sum of the C(n, k) configurations with k up spins, so both
 fully polarized configurations (0 and 2^n - 1) lie in it, and so do the
 exact eigenstates dressed from them.  Its diagonal holds the classical
 energies, one per k, from which ``chain_anchors`` reads the tunneling-free
-landscape, tolerance and A_typ that the 2^n energy table would give.
+landscape and tolerance, and ``chain_spacing`` the A_typ, that the 2^n
+energy table would give.
 ``symmetric_chain`` solves the chain once, and ``SymmetricChain.dressed``
 dresses either polarized anchor from that solve.  It takes the chain
 eigenvalue E whose eigenvector has the largest overlap with the anchor,
@@ -151,8 +152,7 @@ def chain_anchors(n: int, j: float, b: float) -> tuple[int, int, float] | None:
     lowest level, and the LEM the lowest (energy, index) among the other
     strict minima.  A site's lowest index is 2^k - 1; the global site's
     own other configurations are minima too, the lowest of them with bit
-    k - 1 moved up to bit k.  A_typ is the geometric mean of the LEM's n
-    single-flip gaps (DegeneracyError when one is within the tolerance).
+    k - 1 moved up to bit k.  A_typ is ``chain_spacing`` at the LEM.
     A cluster whose energy scale |j| n(n-1)/2 + |b| n breaks
     ``cluster.ENERGY_SCALE_LIMIT`` raises ValidationError, as its
     ``ClusterParams`` would, before an energy overflows.
@@ -174,10 +174,21 @@ def chain_anchors(n: int, j: float, b: float) -> tuple[int, int, float] | None:
             candidates.append((energy, ((1 << (k + 1)) - 1) ^ (1 << (k - 1)), k))
     if not candidates:
         return None
-    energy, lem, site = min(candidates)
-    gaps = [abs(energies[site - 1 if lem >> i & 1 else site + 1] - energy) for i in range(n)]
-    a_typ = geometric_gap(np.array(gaps), tolerance, config_to_bits(lem, n))
-    return (1 << ground_site) - 1, lem, a_typ
+    lem = min(candidates)[1]
+    return (1 << ground_site) - 1, lem, chain_spacing(n, j, b, lem)
+
+
+def chain_spacing(n: int, j: float, b: float, anchor: int) -> float:
+    """A_typ at ``anchor`` of the collective cluster ``(j, b)``: the geometric
+    mean of its n single-flip gaps, read from the symmetric chain's energies
+    as ``spectrum.typical_level_spacing`` reads them from the 2^n table.
+    The anchor's site is its popcount k, and flipping one of its up spins
+    lands on site k - 1, one of its down spins on site k + 1.
+    DegeneracyError when a gap is within 1e-9 of the chain's spread."""
+    diagonal = _diagonal(n, n, j, b)
+    energies, site = diagonal.tolist(), anchor.bit_count()
+    gaps = [abs(energies[site - 1 if anchor >> i & 1 else site + 1] - energies[site]) for i in range(n)]
+    return geometric_gap(np.array(gaps), _spread_tolerance(diagonal), config_to_bits(anchor, n))
 
 
 _SECTOR_ONLY = "the symmetric sector holds only fully polarized anchors of collective clusters"

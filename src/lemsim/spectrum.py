@@ -9,9 +9,12 @@ Hamming distance from the anchor is measured here as a log-linear fit.
 Every solve calls LAPACK in numpy's own OpenBLAS through ``lapack``
 (``lemsim._lapack``, a ctypes binding that sizes each routine's workspace
 and raises NumericalError on its failure code); no scipy module is
-imported.  The scipy calls named below give the same bits in scipy's own
-OpenBLAS on one BLAS thread; on more, each build splits a blocked routine's
-work its own way.  ``cluster_eigenvalues(params)`` computes the spectrum
+imported.  The binding runs every call on a matrix of at most
+``lapack.ONE_THREAD_ROWS`` rows (512, n <= 9) on one BLAS thread, so such a
+solve has the same bits on any thread count; above that the thread count
+and the OpenBLAS build may move the last bits.  The scipy calls named below
+give the same bits in scipy's own OpenBLAS on one BLAS thread.
+``cluster_eigenvalues(params)`` computes the spectrum
 alone through ``eigenvalues``, a values-only ``dsyevr`` (the route of
 ``collective.cluster_levels`` off collective clusters), called as
 ``scipy.linalg.eigh(h, eigvals_only=True)`` calls it.

@@ -77,7 +77,7 @@ from .transition import CouplingSpec, RateReport, check_bound, matrix_element, r
 # here first raises the peak RSS of ``import lemsim.cli`` from 31.3 to
 # 31.5 MB (medians of 20 and 24 alternating runs on a 2-core Xeon, quartiles
 # 0.06 MB apart or less; the import time did not differ beyond the runs' spread)
-from .collective import chain_anchors, symmetric_chain
+from .collective import chain_anchors, chain_spacing, symmetric_chain
 
 
 @dataclass(eq=False)
@@ -86,7 +86,10 @@ class ClusterProblem:
 
     The typical level spacing ``a_typ`` at the LEM anchor and the two
     dressed states are computed on first use and kept; a dense solve keeps
-    only the m levels it solved and their columns.  A spacing already known
+    only the m levels it solved and their columns.  The spacing is read from
+    the symmetric chain's energies on the sector route
+    (``collective.chain_spacing``), from the 2^n energy table on the dense
+    one.  A spacing already known
     (an override, the sweep family's) is given as ``known_a_typ``; one that
     is not positive and finite raises ValidationError when ``a_typ`` is read,
     as ``transition.coupling_ratio`` does.  Every degeneracy check reads
@@ -136,10 +139,12 @@ class ClusterProblem:
 
     @cached_property
     def a_typ(self) -> float:
-        if self.known_a_typ is None:
-            return typical_level_spacing(self.params, self.lem_anchor)
-        require_level_spacing(self.known_a_typ)
-        return self.known_a_typ
+        if self.known_a_typ is not None:
+            require_level_spacing(self.known_a_typ)
+            return self.known_a_typ
+        if self.route == "sector":
+            return chain_spacing(self.params.n, *self.params.collective[:2], self.lem_anchor)
+        return typical_level_spacing(self.params, self.lem_anchor)
 
     @cached_property
     def route(self) -> str:

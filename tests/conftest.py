@@ -115,11 +115,15 @@ def one_blas_thread():
     thread, and restore each one's thread count after it.
 
     lemsim calls LAPACK in numpy's OpenBLAS and scipy in its own, another
-    build.  On one thread both run LAPACK's reference arithmetic, so a
-    comparison of their bits holds; on more, each build splits a large
-    dgemm (``dormqr``'s update of a few hundred rows) its own way, and the
-    last bits differ.  Where the process map cannot be read, the block runs
-    on the libraries' own thread counts."""
+    build.  lemsim runs its calls of at most ``lemsim._lapack.ONE_THREAD_ROWS``
+    rows on one thread of its library, and on one thread both builds run
+    LAPACK's reference arithmetic, so a comparison of their bits holds.  On
+    more, each build splits the blocked updates of a few hundred rows
+    (``dsytrd``'s, ``dormtr``'s dgemm) its own way, and the last bits
+    differ.  A call made past ``lemsim._lapack._run``, as the oracle
+    ``dsyevr_window`` makes it, runs on its library's count unless this
+    block sets it.  Where the process map cannot be read, the block runs on
+    the libraries' own thread counts."""
     libraries = []
     if os.path.exists("/proc/self/maps"):
         with open("/proc/self/maps", encoding="utf-8") as fh:

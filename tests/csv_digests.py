@@ -18,14 +18,10 @@ the dense route, a 16-spin and a 40-spin collective cluster, four sweeps
 (one with every per-row error code, one to 150 spins), a noise-free
 ``dynamics`` run whose LEM anchor has a zero single-flip gap, and every op
 of the benchmark's toy scale (``perfbench/workloads.py``).
-Every run gets ``--seed 7``.  BLAS runs on one thread unless
-``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS`` say
-otherwise: a dense solve of 512 rows (``THREAD_SENSITIVE``) rounds
-differently on two threads, and the recorded digests are those of one.
-Every other line is the same on any thread count.  On two threads
-``glass9-wide`` also rounds differently from a run that calls LAPACK in
-scipy's OpenBLAS, whose dgemm splits the back-transform's work another
-way.  Pytest does not collect this file.
+Every run gets ``--seed 7``.  Every line is the same on any BLAS thread
+count: no config solves a matrix of more than 512 rows densely, and
+``lemsim._lapack`` runs every LAPACK call up to that size on one thread.
+Pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -75,8 +71,6 @@ GLASS9_WIDE = (
     "bias = -0.347 -0.334 0.32 0.321 -0.247 0.279 0.284 -0.208 0.39\n"
     "tunneling = 0.052 0.086 0.033 0.068 0.098 0.071 0.086 0.069 0.087\n"
 )
-# configs whose dense solve rounds differently on one and on two BLAS threads
-THREAD_SENSITIVE = ("glass9-dense", "glass9-wide")
 # tunneling near half the couplings: the anchors' overlap^2 is 0.55 and 0.60,
 # and their windows hold 18 levels
 GLASS7_MIXED = (
@@ -189,6 +183,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    for var in THREAD_VARS:  # before numpy loads BLAS
-        os.environ.setdefault(var, "1")
     main()

@@ -296,7 +296,8 @@ def dsyevr_window(a: np.ndarray, lo: float, hi: float):
     ``scipy.linalg.eigh(a, subset_by_value=(lo, hi))`` makes it, but in the
     OpenBLAS numpy bundles, whose ``dsyevr`` symbol ``lemsim._lapack``
     has looked up.  ``dsyevr`` takes its own steps to the columns, on
-    however many BLAS threads the library runs."""
+    however many BLAS threads the library runs: the call is made past
+    ``lemsim._lapack``'s one-thread pin."""
     from lemsim._lapack import _call
 
     n = len(a)

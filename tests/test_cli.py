@@ -615,6 +615,24 @@ def test_collective_overlaps_and_rates_run_past_the_energy_table(tmp_path, capsy
     assert float(cells["rate_bound"]) == row.rate_bound
 
 
+def test_named_polarized_anchors_rate_a_collective_cluster_on_its_chain(tmp_path, capsys, monkeypatch):
+    # naming the pair the chain would find changes nothing: A_typ comes from
+    # the chain's energies on the sector route, not from the 2^n table
+    _no_energy_table(monkeypatch)
+    text = (
+        "[cluster]\nn = 40\nj = -1.0\nbias = 0.1\ntunneling = 0.3\n"
+        "[noise]\nz_noise = 0.3\nx_noise = 0.3\n"
+    )
+    rows = []
+    for anchors in ("", f"[dynamics]\nanchors = {'0' * 40} {'1' * 40}\n"):
+        cfg, out = tmp_path / "ferro40.cfg", tmp_path / "out.csv"
+        cfg.write_text(text + anchors)
+        assert run_cli("rates", "--config", cfg, "--out", out) == 0
+        assert capsys.readouterr().err.endswith(" route=sector\n")
+        rows.append([l for l in out.read_text().splitlines() if not l.startswith("#")])
+    assert rows[0] == rows[1]
+
+
 @pytest.mark.parametrize("command", ["landscape", "spectrum"])
 def test_a_capacity_message_names_a_huge_byte_count_by_its_power_of_two(
     tmp_path, capsys, monkeypatch, command
@@ -886,25 +904,19 @@ def _recorded_digests():
         return fh.read().splitlines()
 
 
-def _thread_independent(lines):
-    return [line for line in lines if line.split()[0] not in csv_digests.THREAD_SENSITIVE]
-
-
 def test_cli_outputs_match_the_recorded_digests(capsys):
     # a change that moves an output re-records the file and names the moved
-    # lines; in this process BLAS runs on however many threads it started
-    # with, so only the lines that hold on any thread count are compared
+    # lines; BLAS runs on however many threads this process started with
     csv_digests.main()
-    got = capsys.readouterr().out.splitlines()
-    assert _thread_independent(got) == _thread_independent(_recorded_digests())
+    assert capsys.readouterr().out.splitlines() == _recorded_digests()
 
 
-def test_cli_outputs_match_the_recorded_digests_on_one_blas_thread():
-    # every line, in a fresh process so that BLAS starts on the one thread
-    # the digests were recorded on
+def test_cli_outputs_match_the_recorded_digests_on_two_blas_threads():
+    # every line again, in a fresh process whose BLAS starts on two threads,
+    # even where this one runs on one
     src = os.path.join(csv_digests.ROOT, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    env.update({var: "1" for var in csv_digests.THREAD_VARS})
+    env.update({var: "2" for var in csv_digests.THREAD_VARS})
     run = subprocess.run([sys.executable, csv_digests.__file__], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines() == _recorded_digests()

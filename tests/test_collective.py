@@ -35,7 +35,7 @@ from lemsim import (
     uniform_couplings,
 )
 from lemsim.cli import main
-from lemsim.collective import symmetric_chain
+from lemsim.collective import chain_spacing, symmetric_chain
 from lemsim.spectrum import DressedState
 from lemsim.sweep import uniform_ferromagnet
 
@@ -389,6 +389,25 @@ def test_chain_family_matches_the_table_where_the_table_is_exact(n, j, b):
     # energy, so ties break alike: at the lowest index of a level, and an
     # antiferromagnet's global level holds its other minima too
     _check_family_against_the_table(n, j, b, lambda a_typ: 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8), _SIXTEENTHS, _SIXTEENTHS, st.integers(0, 255))
+def test_chain_spacing_is_the_tables_where_the_table_is_exact(n, j, b, draw):
+    # at any anchor, its refusal too: the sector route's A_typ when the
+    # config names a polarized pair
+    bare = ClusterParams(
+        n=n, couplings=uniform_couplings(n, j), bias=np.full(n, b), tunneling=np.zeros(n)
+    )
+    anchor = draw % bare.dim
+    try:
+        a_typ = typical_level_spacing(bare, anchor)
+    except DegeneracyError as exc:
+        with pytest.raises(DegeneracyError, match="single-flip gap") as chain:
+            chain_spacing(n, j, b, anchor)
+        assert str(chain.value) == str(exc)
+        return
+    assert chain_spacing(n, j, b, anchor) == a_typ
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,8 +1,9 @@
 """The LAPACK binding (``lemsim._lapack``) against scipy's f2py wrappers of the
 same routines, bit for bit, or, where f2py reports LAPACK's failure code, a
 NumericalError naming that code.  scipy is imported here alone, as an oracle
-that calls LAPACK in its own OpenBLAS, on however many BLAS threads the
-process runs, except where noted."""
+that calls LAPACK in its own OpenBLAS, which the binding's one-thread pin
+does not reach: it runs on however many BLAS threads the process runs,
+except where noted."""
 
 import contextlib
 
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from lemsim import NumericalError
+from lemsim import NumericalError, diagonalize
 from lemsim import _lapack as lapack
 
 from conftest import one_blas_thread, report_info_1
@@ -74,12 +75,12 @@ def _check_dsyevr(h):
         _agree("dsyevr", n, lambda: lapack.dsyevr(np.array(h, order="F"), compute_v), want)
 
 
-def _check_window(h, lo, hi, back_transform_threads=contextlib.nullcontext):
+def _check_window(h, lo, hi):
     """The steps of a value-range solve, each against scipy's with the
     workspace shares of dsyevr's query: ``dsytrd``, ``dstebz`` on (lo, hi],
     ``dstein``, and ``dormtr`` against ``dormqr`` on rows 1.. of the
-    columns; both back-transforms run inside ``back_transform_threads()``.
-    The first step whose f2py call reports a failure ends the comparison."""
+    columns.  The first step whose f2py call reports a failure ends the
+    comparison."""
     n = len(h)
     lwork = lapack.dsyevr_lwork(n)[0]
     a = np.array(h, order="F")
@@ -102,9 +103,8 @@ def _check_window(h, lo, hi, back_transform_threads=contextlib.nullcontext):
         assert lapack.dormtr(a, tau, z) is None  # z is turned in place
         return z[1:], z[0]
 
-    with back_transform_threads():
-        turned, _, info = f2py.dormqr("L", "N", a[1:, :-1], tau, z[1:], lwork - 2 * n)
-        _agree("dormtr", n, turn, (turned, first, info))
+    turned, _, info = f2py.dormqr("L", "N", a[1:, :-1], tau, z[1:], lwork - 2 * n)
+    _agree("dormtr", n, turn, (turned, first, info))
 
 
 # a draw on whose window of three levels, two of them equal to rounding,
@@ -125,17 +125,17 @@ def test_symmetric_solves_are_scipys(h, centre, width):
 
 @pytest.mark.parametrize("n", [64, 512])
 def test_blocked_reductions_are_scipys(n):
-    # from 64 rows on, dsytrd reduces in blocks.  At 512 rows the
-    # back-transform's blocked update of the 86 columns (dormqr's, under
-    # dormtr) is a dgemm of 511 rows that numpy's OpenBLAS (0.3.31) and
-    # scipy's (0.3.30) split over several threads each their own way, and
-    # the last bits differ: that call compares on one thread, where both
+    # from 64 rows on, dsytrd reduces in blocks.  The binding runs these
+    # sizes on one thread, and on more scipy's OpenBLAS would split the
+    # blocked updates of 512 rows (dsytrd's, and dormqr's dgemm under
+    # dormtr) its own way; so scipy runs on one thread too, where both
     # builds run the same arithmetic.  test_spectrum checks the window
-    # solve against dsyevr's own in numpy's OpenBLAS on any thread count.
+    # solve against dsyevr's own in numpy's OpenBLAS.
     h = _random_symmetric(n, n)
-    _check_dsyevr(h)
-    levels = np.linalg.eigvalsh(h)
-    _check_window(h, levels[n // 3], levels[n // 2], one_blas_thread if n == 512 else contextlib.nullcontext)
+    with one_blas_thread():
+        _check_dsyevr(h)
+        levels = np.linalg.eigvalsh(h)
+        _check_window(h, levels[n // 3], levels[n // 2])
 
 
 @settings(max_examples=150, deadline=None)
@@ -200,3 +200,50 @@ def test_a_failure_code_raises_numerical_error(monkeypatch, routine, skip, call)
     report_info_1(monkeypatch, routine, skip)
     with pytest.raises(NumericalError, match=f"^{routine} failed on a 4x4 matrix: info 1$"):
         call()
+
+
+@contextlib.contextmanager
+def _threads(count):
+    """numpy's OpenBLAS on ``count`` threads inside the block, on its own
+    count again after it."""
+    before = lapack._get_threads()
+    lapack._set_threads(count)
+    try:
+        yield
+    finally:
+        lapack._set_threads(before)
+
+
+def test_a_512_row_solve_has_the_same_bits_on_one_and_two_threads():
+    h = _random_symmetric(512, 512)
+    solves = []
+    for count in (1, 2):
+        with _threads(count):
+            solves.append(diagonalize(h, (0, 300)))
+    first, second = solves
+    assert len(first.values) > 400
+    assert np.array_equal(first.values, second.values)
+    assert np.array_equal(first.vectors, second.vectors)
+
+
+@pytest.mark.parametrize("n, during", [(512, 1), (513, 2)])
+def test_calls_of_at_most_512_rows_run_on_one_thread(monkeypatch, n, during):
+    seen, original = [], lapack._call["dsytrd"]
+
+    def recorded(*args):
+        seen.append(lapack._get_threads())
+        original(*args)
+
+    monkeypatch.setitem(lapack._call, "dsytrd", recorded)
+    with _threads(2):
+        lapack.dsytrd(np.array(_random_symmetric(n, n), order="F"))
+        assert lapack._get_threads() == 2
+    assert seen == [during]
+
+
+def test_a_failing_call_restores_the_thread_count(monkeypatch):
+    report_info_1(monkeypatch, "dsytrd")
+    with _threads(2):
+        with pytest.raises(NumericalError, match="^dsytrd failed"):
+            lapack.dsytrd(_four_rows())
+        assert lapack._get_threads() == 2

@@ -1,5 +1,6 @@
 """Diagonalization, landscape detection, dressed states, overlap decay."""
 
+import contextlib
 import math
 import tracemalloc
 
@@ -39,7 +40,7 @@ from lemsim.sweep import uniform_ferromagnet
 
 from oracles import brute_landscape, dsyevr_window, kron_hamiltonian, rs_amplitudes
 
-from conftest import make_params, report_info_1
+from conftest import make_params, one_blas_thread, report_info_1
 
 
 # ------------------------------------------------------------- diagonalize
@@ -482,14 +483,16 @@ def _window_cases():
 
 def test_window_solve_is_dsyevrs_value_range_bit_for_bit(monkeypatch):
     # the same scaled matrix and window handed to LAPACK's own dsyevr in
-    # the same OpenBLAS (oracles.dsyevr_window), on however many BLAS
-    # threads the process runs: the levels, and the columns of exactly
-    # repeated levels too, are its bits
+    # the same OpenBLAS (oracles.dsyevr_window): the levels, and the columns
+    # of exactly repeated levels too, are its bits.  The oracle calls
+    # dsyevr past the binding's one-thread pin, so it runs on one thread
+    # where the binding does, and on the process's count above
     solve_window = lemsim.spectrum._solve_window
     widths, repeats = [], 0
 
     def compared(a, lo, hi):
-        values, vectors = dsyevr_window(a, lo, hi)
+        with one_blas_thread() if len(a) <= lemsim._lapack.ONE_THREAD_ROWS else contextlib.nullcontext():
+            values, vectors = dsyevr_window(a, lo, hi)
         got = solve_window(a, lo, hi)
         assert np.array_equal(got[0], values), name
         assert np.array_equal(got[1], vectors), name
