@@ -29,41 +29,59 @@ window holds too few samples, or its fit does not decay, the rate is the
 endpoint estimate, flagged as an upper limit.
 
 A run is one ``evolve_superposition`` call, which checks its run values
-(time step, total time, trajectory count, seed) first.  Integration uses a
-fixed-step classical 4th-order scheme with the noise held constant across
-each step and per-step renormalization of every trajectory.  Each noise
-value advances by ``decay * value + kick * normal``: OU noise from a
-stationary draw with decay exp(-dt / tau) and kick sqrt(1 - decay^2),
-white noise, which keeps no memory, from zero with decay 0 and kick
-1 / sqrt(dt).  The step is matrix-free: with the noise frozen, H plus noise is a diagonal
-``E + sum_i f_i xi_i s_i`` plus one bit flip per spin with coefficient
-``c_i + g_i eta_i``.  sigma^x_i acts on all trajectories at once by
-reversing the middle axis of a ``(dim >> (i+1), 2, 1 << i, ntraj)`` view of
-the state, so no dim x dim matrix is ever built.  The flip coefficients
-live in one ``(dim - 1, ntraj)`` buffer in which coefficient i fills the
-``1 << i`` rows from ``(1 << i) - 1``, so the flipped view is multiplied
-by a ``(1 << i, ntraj)`` block whose rows run contiguously, not by a
-broadcast ``(ntraj,)`` row.  The noise rewrites only the real parts of the
-diagonal and the coefficients, and the renormalization multiplies every
-real and imaginary part by a ``(ntraj, 2)`` row holding each 1 / norm
-twice.  The steps run under a ``_UFUNC_BUFFER``-element numpy ufunc buffer,
-restored when the run ends, so numpy reads these operands in place instead
-of copying them through its buffer.  Each of these forms does the same
-products and sums as the plain one, so the trace is unchanged bit for bit.
+(time step, total time, trajectory count, seed) first, then the stability,
+the step count and the memory, and hands a basis to one driver.  The driver,
+``_integrate``, knows nothing of the basis format.  It owns the noise
+stream, the step, the renormalization, the records, the early stop and the
+fits.  The basis, ``_SpinBasis`` for the 2^n configurations, owns the
+format.  A basis provides:
 
-A run holds a fixed set of buffers, allocated before the first step: five
-dim x ntraj complex arrays (the state, the Horner accumulator, the
-Hamiltonian product, its scratch and the noisy diagonal), the
-``(dim - 1) x ntraj`` complex flip coefficients and one
-trajectory-major noise block ``(ntraj, _CHUNK_STEPS, 2, n)``.  Every
-``_CHUNK_STEPS`` steps each trajectory's Generator refills its own row of
-the block in place, and a step reads its normals as a ``(2, n, ntraj)``
-view, so each trajectory's stream is the same whatever the block size.  The
-norm, the renormalization and the sigma^z field are computed into these
-buffers, so a step allocates nothing of size dim x ntraj and the memory does
-not grow with the step count.  ``evolve_superposition`` raises
-``CapacityError`` before the first Generator exists when that footprint
-exceeds the memory available.
+* ``states``: two state buffers of one shape ``(rows, ntraj)``, complex and
+  C-contiguous, the first holding the start state
+  (|ground> + |lem>)/sqrt(2) in every column;
+* ``set_noise(scaled)``: fold one step's noise, ``(2, n, ntraj)`` already
+  times its amplitudes, into H;
+* ``apply(src)``: (H + noise) src for src one of ``states``, in a buffer
+  that the driver may use as scratch until the next call;
+* ``project(psi)``: each trajectory's amplitudes on the dressed ground and
+  LEM.
+
+Integration uses a fixed-step classical 4th-order scheme with the noise
+held constant across each step and per-step renormalization of every
+trajectory.  Each noise value advances by ``decay * value + kick * normal``:
+OU noise from a stationary draw with decay exp(-dt / tau) and kick
+sqrt(1 - decay^2), white noise, which keeps no memory, from zero with decay
+0 and kick 1 / sqrt(dt).  In the 2^n basis the step is matrix-free: with the
+noise frozen, H plus noise is a diagonal ``E + sum_i f_i xi_i s_i`` plus one
+bit flip per spin with coefficient ``c_i + g_i eta_i``.  sigma^x_i acts on
+all trajectories at once by reversing the middle axis of a
+``(dim >> (i+1), 2, 1 << i, ntraj)`` view of the state, so no dim x dim
+matrix is ever built.  The flip coefficients live in one ``(dim - 1, ntraj)``
+buffer in which coefficient i fills the ``1 << i`` rows from
+``(1 << i) - 1``, so the flipped view is multiplied by a ``(1 << i, ntraj)``
+block whose rows run contiguously, not by a broadcast ``(ntraj,)`` row.  The
+noise rewrites only the real parts of the diagonal and the coefficients, and
+the renormalization multiplies every real and imaginary part by a
+``(ntraj, 2)`` row holding each 1 / norm twice.  The steps run under a
+``_UFUNC_BUFFER``-element numpy ufunc buffer, restored when the run ends, so
+numpy reads these operands in place instead of copying them through its
+buffer.  Each of these forms does the same products and sums as the plain
+one, so the trace is unchanged bit for bit.
+
+A run holds a fixed set of buffers, allocated before the first step.  The
+2^n basis holds five dim x ntraj complex arrays (the two state buffers,
+which the driver uses as the state and the Horner accumulator, the
+Hamiltonian product, its scratch and the noisy diagonal) and the
+``(dim - 1) x ntraj`` complex flip coefficients.  The driver holds the noise
+state, the per-trajectory norms and one trajectory-major noise block
+``(ntraj, _CHUNK_STEPS, 2, n)``.  Every ``_CHUNK_STEPS`` steps each
+trajectory's Generator refills its own row of the block in place, and a
+step reads its normals as a ``(2, n, ntraj)`` view, so each trajectory's
+stream is the same whatever the block size.  The norm, the renormalization
+and the sigma^z field are computed into these buffers, so a step allocates
+nothing of size dim x ntraj and the memory does not grow with the step
+count.  ``evolve_superposition`` raises ``CapacityError`` before the first
+Generator exists when that footprint exceeds the memory available.
 """
 
 from __future__ import annotations
@@ -222,21 +240,93 @@ def evolve_superposition(
             f"time step {dt:.3e} violates the stability criterion: "
             f"dt * spectral spread = {dt * spread:.3e} > {STABILITY_LIMIT}"
         )
-    steps = MAX_STEPS if total_time is None else min(MAX_STEPS, max(1, math.ceil(total_time / dt)))
-    record_every = max(1, steps // RECORD_SAMPLES)
-
+    # the cap comes before the ceiling, which cannot take an infinite quotient
+    planned = math.inf if total_time is None else total_time / dt
+    steps = MAX_STEPS if planned >= MAX_STEPS else max(1, math.ceil(planned))
     ntraj = int(trajectory_count)
-    chunk = min(_CHUNK_STEPS, steps)
-    _require_memory(n, ntraj, chunk if has_noise else 0)
+    _require_memory(n, ntraj, min(_CHUNK_STEPS, steps) if has_noise else 0)
     # centering the spectrum minimizes phase advance per step (global phase only)
-    e_c = (classical_energies(params) - 0.5 * (levels[0] + levels[-1]))[:, None]
-    c_amp = params.tunneling[:, None]
-    signs = sign_table(n)  # (dim, n)
+    basis = _SpinBasis(params, ground, lem, 0.5 * (levels[0] + levels[-1]), ntraj)
+    return _integrate(basis, noise, dt, steps, int(seed))
 
+
+class _SpinBasis:
+    """The 2^n configurations of an n-spin cluster as a trajectory basis.
+
+    H plus the noise frozen across a step is the diagonal
+    E_c + sum_i f_i xi_i s_i plus one bit flip per spin with coefficient
+    c_i + g_i eta_i, coefficient i repeated over the 1 << i rows of
+    ``coef_rows[i]``; the noise rewrites only their real parts, so the
+    imaginary parts stay 0.
+    """
+
+    def __init__(self, params: ClusterParams, ground: DressedState, lem: DressedState,
+                 shift: float, ntraj: int) -> None:
+        n, dim = params.n, params.dim
+        self.e_c = (classical_energies(params) - shift)[:, None]
+        self.c_amp = c_amp = params.tunneling[:, None]
+        self.signs = sign_table(n)  # (dim, n)
+        vg, vl = self.anchors = ground.amplitudes, lem.amplitudes
+        psi = np.repeat(((vg + vl) / math.sqrt(2.0)).astype(complex)[:, None], ntraj, axis=1)
+        self.states = psi, np.empty_like(psi)
+        self.diag = np.broadcast_to(self.e_c, (dim, ntraj)).astype(complex)
+        rows = np.repeat(
+            np.broadcast_to(c_amp, (n, ntraj)).astype(complex), [1 << i for i in range(n)], axis=0
+        )
+        self.coef_rows = [rows[(1 << i) - 1 : (2 << i) - 1] for i in range(n)]
+        # the product's buffer and its scratch
+        self.out, self.tmp = np.empty_like(psi), np.empty_like(psi)
+        # between applies the first half of tmp's bytes hold the sigma^z field
+        self.field = self.tmp.reshape(-1).view(float)[: dim * ntraj].reshape(dim, ntraj)
+
+        def bit_views(buf):
+            # (high bits, bit i, low bits, trajectory): reversing axis 1 applies sigma^x_i
+            return [buf.reshape(dim >> (i + 1), 2, 1 << i, ntraj) for i in range(n)]
+
+        self.flipped = {id(buf): [v[:, ::-1] for v in bit_views(buf)] for buf in self.states}
+        self.tmp_views = bit_views(self.tmp)
+
+    def set_noise(self, scaled: np.ndarray) -> None:
+        """Fold one step's noise times its amplitudes, ``(2, n, ntraj)`` with
+        [0] on sigma^z and [1] on sigma^x, into the diagonal and the flip
+        coefficients.  Overwrites ``scaled[1]``."""
+        np.matmul(self.signs, scaled[0], out=self.field)
+        np.add(self.e_c, self.field, out=self.diag.real)
+        coef = np.add(self.c_amp, scaled[1], out=scaled[1])
+        for i, coef_row in enumerate(self.coef_rows):
+            np.copyto(coef_row.real, coef[i])
+
+    def apply(self, src: np.ndarray) -> np.ndarray:
+        """(H + noise) src, into a buffer of the basis's own that stays free
+        until the next call."""
+        np.multiply(self.diag, src, out=self.out)
+        for i, src_flip in enumerate(self.flipped[id(src)]):
+            np.multiply(src_flip, self.coef_rows[i], out=self.tmp_views[i])
+            np.add(self.out, self.tmp, out=self.out)
+        return self.out
+
+    def project(self, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each trajectory's amplitudes <ground|psi> and <lem|psi>."""
+        return self.anchors[0] @ psi, self.anchors[1] @ psi
+
+
+def _integrate(basis, noise: CouplingSpec, dt: float, steps: int, seed: int) -> CoherenceTrace:
+    """Integrate the trajectories of ``basis`` from its start state, ``steps``
+    steps of ``dt``, trajectory k drawing its noise from child k of
+    ``np.random.SeedSequence(seed)``; record, stop early and fit.
+
+    ``basis`` is a ``_SpinBasis`` or any object with its ``states``,
+    ``set_noise`` (called only when ``noise.has_noise``), ``apply`` and
+    ``project``.
+    """
+    psi, acc = basis.states
+    n, ntraj = noise.n, psi.shape[1]
+    has_noise = noise.has_noise
+    record_every = max(1, steps // RECORD_SAMPLES)
     # noise state, both channels together: [0] drives sigma^z, [1] sigma^x
     state = np.zeros((2, n, ntraj))
     if has_noise:
-        children = np.random.SeedSequence(int(seed)).spawn(ntraj)
+        children = np.random.SeedSequence(seed).spawn(ntraj)
         rngs = [np.random.default_rng(c) for c in children]
         # state = decay * state + kick * normal; white noise keeps no memory
         if noise.kind == "ou":
@@ -246,48 +336,14 @@ def evolve_superposition(
         else:
             decay, kick = 0.0, 1.0 / math.sqrt(dt)
         # trajectory-major, so each Generator fills its own contiguous row in place
-        block = np.empty((ntraj, chunk, 2, n))
+        block = np.empty((ntraj, min(_CHUNK_STEPS, steps), 2, n))
         amps = np.stack([noise.z_noise, noise.x_noise])[:, :, None]
         scaled = np.empty_like(state)
-
-    vg = ground.amplitudes
-    vl = lem.amplitudes
-    psi = np.repeat(((vg + vl) / math.sqrt(2.0)).astype(complex)[:, None], ntraj, axis=1)
-
-    # H + noise, frozen across a step, is a diagonal plus one bit flip per spin:
-    # diag = E_c + sum_i f_i xi_i s_i and flip coefficients c_i + g_i eta_i,
-    # coefficient i repeated over the 1 << i rows of coef_rows[i]; the noise
-    # rewrites only their real parts, so the imaginary parts stay 0
-    diag = np.broadcast_to(e_c, (dim, ntraj)).astype(complex)
-    rows = np.repeat(
-        np.broadcast_to(c_amp, (n, ntraj)).astype(complex), [1 << i for i in range(n)], axis=0
-    )
-    coef_rows = [rows[(1 << i) - 1 : (2 << i) - 1] for i in range(n)]
-    acc = np.empty_like(psi)
-    k_buf = np.empty_like(psi)
-    tmp = np.empty_like(psi)
-    # between steps k_buf and tmp are free: k_buf holds the norm's products and
-    # the first half of tmp's bytes the sigma^z field
-    field = tmp.reshape(-1).view(float)[: dim * ntraj].reshape(dim, ntraj)
     norms = np.empty(ntraj)
     # each trajectory's value twice, once for the real and once for the imaginary part
     pairs = np.empty((ntraj, 2))
-
-    def bit_views(buf):
-        # (high bits, bit i, low bits, trajectory): reversing axis 1 applies sigma^x_i
-        return [buf.reshape(dim >> (i + 1), 2, 1 << i, ntraj) for i in range(n)]
-
-    flipped = {id(buf): [v[:, ::-1] for v in bit_views(buf)] for buf in (psi, acc)}
-    # (dim, ntraj, 2) float views: a trajectory's real and imaginary parts side by side
-    planes = {id(buf): buf.view(float).reshape(dim, ntraj, 2) for buf in (psi, acc)}
-    tmp_views = bit_views(tmp)
-
-    def apply_hamiltonian(src):
-        # k_buf = (H + noise) src
-        np.multiply(diag, src, out=k_buf)
-        for i, src_flip in enumerate(flipped[id(src)]):
-            np.multiply(src_flip, coef_rows[i], out=tmp_views[i])
-            np.add(k_buf, tmp, out=k_buf)
+    # (rows, ntraj, 2) float views: a trajectory's real and imaginary parts side by side
+    planes = {id(buf): buf.view(float).reshape(*buf.shape, 2) for buf in (psi, acc)}
 
     times: list[float] = []
     coh: list[float] = []
@@ -295,8 +351,7 @@ def evolve_superposition(
 
     def record(step_index: int) -> bool:
         t = step_index * dt
-        a_g = vg @ psi
-        a_l = vl @ psi
+        a_g, a_l = basis.project(psi)
         z = a_g * np.conj(a_l)
         c = _mean(np.abs(z))
         # |mean z| is invariant under the deterministic splitting-frequency
@@ -327,21 +382,17 @@ def evolve_superposition(
                 state *= decay
                 state += block[:, pos].transpose(1, 2, 0)  # (2, n, ntraj)
                 np.multiply(amps, state, out=scaled)
-                np.matmul(signs, scaled[0], out=field)
-                np.add(e_c, field, out=diag.real)
-                coef = np.add(c_amp, scaled[1], out=scaled[1])
-                for i, coef_row in enumerate(coef_rows):
-                    np.copyto(coef_row.real, coef[i])
+                basis.set_noise(scaled)
             # the generator is linear and frozen across the step, so the classical
             # 4-stage scheme collapses to its 4th-order polynomial (Horner form)
             src = psi
             for scale in horner_scales:
-                apply_hamiltonian(src)
+                k_buf = basis.apply(src)
                 np.multiply(k_buf, scale, out=acc)
                 acc += psi
                 src = acc
             psi, acc = acc, psi
-            # np.linalg.norm(psi, axis=0) in its own steps:
+            # np.linalg.norm(psi, axis=0) in its own steps, in apply's free buffer:
             # sqrt(add.reduce(real(conj(psi) * psi)))
             np.conjugate(psi, out=k_buf)
             k_buf *= psi
@@ -349,10 +400,11 @@ def evolve_superposition(
             np.sqrt(norms, out=norms)
             np.subtract(norms[:, None], 1.0, out=pairs)  # |norms - 1| first, then 1 / norms
             drift = float(np.abs(pairs, out=pairs).max())
-            if drift > NORM_DRIFT_LIMIT:
+            # written so that a NaN drift fails it too; only an overflow makes it NaN or inf
+            if not drift <= NORM_DRIFT_LIMIT:
                 raise IntegrationError(
                     f"norm drift {drift:.3e} exceeds {NORM_DRIFT_LIMIT} at t={step * dt:.4g}; "
-                    "reduce the time step"
+                    f"{'reduce the time step' if math.isfinite(drift) else 'overflow: check the noise amplitudes'}"
                 )
             max_drift = max(max_drift, drift)
             # numpy divides a complex by a real b as (re, im) * (1 / b): psi /= norms

@@ -23,6 +23,7 @@ from lemsim import (
     evolve_superposition,
 )
 from lemsim import dynamics
+from lemsim.collective import symmetric_chain
 from lemsim.sweep import uniform_ferromagnet
 
 
@@ -170,12 +171,41 @@ def test_norm_drift_guard_raises():
     p = single_spin(b=0.5)
     noise = CouplingSpec(z_noise=np.zeros(1), x_noise=np.array([5.0]), kind="white")
     bufsize = np.getbufsize()
-    with pytest.raises(IntegrationError, match=r"norm drift 5\.527e-03 exceeds 0\.001 at t=0\.01"):
+    with pytest.raises(IntegrationError, match=r"norm drift 5\.527e-03 exceeds 0\.001 at t=0\.01; reduce the time step$"):
         evolve_superposition(
             p, *dense_pair(p), noise, time_step=0.01, total_time=1.0, trajectory_count=4, seed=1
         )
     # the steps' smaller ufunc buffer does not outlive the run
     assert np.getbufsize() == bufsize
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.parametrize("z", [1e100, 1e308])
+def test_norm_drift_guard_raises_on_nan(z):
+    # the noise overflows the state, whose norm drift is then NaN
+    fam = uniform_ferromagnet(2, 0.05)
+    noise = CouplingSpec(
+        z_noise=np.full(2, z), x_noise=np.zeros(2), kind="ou", correlation_time=1.0
+    )
+    with pytest.raises(
+        IntegrationError,
+        match=r"^norm drift nan exceeds 0\.001 at t=0; overflow: check the noise amplitudes$",
+    ):
+        evolve_superposition(
+            fam.params, fam.dressed_ground, fam.dressed_lem, noise, time_step=0.01,
+            total_time=0.05, trajectory_count=4, seed=1,
+        )
+
+
+def test_step_count_is_capped_before_it_overflows(monkeypatch):
+    # total_time / time_step is inf, which math.ceil cannot take
+    monkeypatch.setattr(dynamics, "MAX_STEPS", 5)
+    fam = uniform_ferromagnet(2, 0.05)
+    trace = evolve_superposition(
+        fam.params, fam.dressed_ground, fam.dressed_lem, zero_noise(2), time_step=1e-300,
+        total_time=1e300, trajectory_count=2, seed=1,
+    )
+    assert trace.total_steps == 5 and len(trace.times) == 6
 
 
 def test_total_steps_counts_integrated_steps(monkeypatch):
@@ -375,6 +405,48 @@ def test_trajectories_match_kronecker_oracle(monkeypatch, n, kind):
     assert np.abs(trace.ensemble_coherence - ensemble).max() <= 1e-12
     # the noise moves the observables well beyond the tolerance
     assert np.ptp(coherence) > 1e-6 and np.ptp(ensemble) > 1e-4
+
+
+class ChainBasis:
+    """The symmetric (Dicke) chain of a collective cluster as a basis for
+    ``dynamics._integrate``, noise-free runs only: a state is its n + 1 chain
+    amplitudes, and H is the chain's tridiagonal."""
+
+    def __init__(self, params, ground, lem, ntraj):
+        chain = symmetric_chain(params)
+        levels = cluster_levels(params)
+        self.diag = (chain.diagonal - 0.5 * (levels[0] + levels[-1]))[:, None]
+        self.off = chain.off[:, None]
+        self.anchors = ground.chain, lem.chain
+        start = ((ground.chain + lem.chain) / np.sqrt(2.0)).astype(complex)[:, None]
+        self.states = np.repeat(start, ntraj, axis=1), np.empty((params.n + 1, ntraj), complex)
+
+    def apply(self, src):
+        out = self.diag * src
+        out[:-1] += self.off * src[1:]
+        out[1:] += self.off * src[:-1]
+        return out
+
+    def project(self, psi):
+        return self.anchors[0] @ psi, self.anchors[1] @ psi
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_driver_integrates_a_chain_basis_as_the_spin_basis(n):
+    fam = uniform_ferromagnet(n, 0.1)
+    ground, lem = fam.dressed_ground, fam.dressed_lem
+    assert ground.chain is not None and lem.chain is not None  # the sector route's pair
+    dt = default_time_step(fam.a_typ)
+    steps, ntraj, seed = 1000, 3, 5
+    spins = evolve_superposition(
+        fam.params, ground, lem, zero_noise(n), time_step=dt, total_time=(steps - 0.5) * dt,
+        trajectory_count=ntraj, seed=seed,
+    )
+    basis = ChainBasis(fam.params, ground, lem, ntraj)
+    chain = dynamics._integrate(basis, zero_noise(n), dt, steps, seed)
+    assert chain.total_steps == spins.total_steps == steps
+    assert np.abs(chain.coherence - spins.coherence).max() <= 1e-12
+    assert np.abs(chain.ensemble_coherence - spins.ensemble_coherence).max() <= 1e-12
 
 
 def test_stability_criterion_enforced():
