@@ -38,7 +38,8 @@ format.  A basis provides:
 
 * ``states``: two state buffers of one shape ``(rows, ntraj)``, complex and
   C-contiguous, the first holding the start state
-  (|ground> + |lem>)/sqrt(2) in every column;
+  (|ground> + |lem>)/sqrt(2) in every column and then the state throughout,
+  the second the driver's scratch;
 * ``set_noise(scaled)``: fold one step's noise, ``(2, n, ntraj)`` already
   times its amplitudes, into H;
 * ``apply(src)``: (H + noise) src for src one of ``states``, in a buffer
@@ -69,24 +70,27 @@ buffer.  Each of these forms does the same products and sums as the plain
 one, so the trace is unchanged bit for bit.
 
 A run holds a fixed set of buffers, allocated before the first step.  The
-2^n basis holds five dim x ntraj complex arrays (the two state buffers,
-which the driver uses as the state and the Horner accumulator, the
+2^n basis holds five dim x ntraj complex arrays (the two state buffers, the
 Hamiltonian product, its scratch and the noisy diagonal) and the
-``(dim - 1) x ntraj`` complex flip coefficients.  The driver holds the noise
-state, the per-trajectory norms and one trajectory-major noise block
-``(ntraj, _CHUNK_STEPS, 2, n)``.  Every ``_CHUNK_STEPS`` steps each
-trajectory's Generator refills its own row of the block in place, and a
-step reads its normals as a ``(2, n, ntraj)`` view, so each trajectory's
-stream is the same whatever the block size.  The norm, the renormalization
-and the sigma^z field are computed into these buffers, so a step allocates
-nothing of size dim x ntraj and the memory does not grow with the step
-count.  ``evolve_superposition`` raises ``CapacityError`` before the first
-Generator exists when that footprint exceeds the memory available.
+``(dim - 1) x ntraj`` complex flip coefficients.  The first state buffer
+holds the state throughout: the second is the Horner accumulator of the
+first three stages, and the fourth writes the new state over the old.  The
+driver holds the noise state, the per-trajectory norms and one
+trajectory-major noise block ``(ntraj, _CHUNK_STEPS, 2, n)``.  Every
+``_CHUNK_STEPS`` steps each trajectory's Generator refills its own row of
+the block in place, and a step reads its normals as a ``(2, n, ntraj)``
+view, so each trajectory's stream is the same whatever the block size.
+The norm, the renormalization and the sigma^z field are computed into these
+buffers, so a step allocates nothing of size dim x ntraj and the memory does
+not grow with the step count.  ``evolve_superposition`` raises
+``CapacityError`` before the first Generator exists when that footprint
+exceeds the memory available.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -159,11 +163,6 @@ def _fit_log_decay(times: np.ndarray, values: np.ndarray) -> tuple[float, float,
     if values[0] > 0 and values[-1] > 0 and values[-1] < values[0] and times[-1] > times[0]:
         rate = math.log(values[0] / values[-1]) / float(times[-1] - times[0])
     return rate, 0.0, True
-
-
-def _mean(values: np.ndarray) -> float:
-    # compensated summation: the average is independent of trajectory order
-    return math.fsum(values.tolist()) / len(values)
 
 
 def _require_memory(n: int, ntraj: int, chunk: int) -> None:
@@ -317,7 +316,8 @@ def _integrate(basis, noise: CouplingSpec, dt: float, steps: int, seed: int) -> 
 
     ``basis`` is a ``_SpinBasis`` or any object with its ``states``,
     ``set_noise`` (called only when ``noise.has_noise``), ``apply`` and
-    ``project``.
+    ``project``.  The state stays in ``states[0]``, which every ``project``
+    call receives; ``states[1]`` accumulates the first three Horner stages.
     """
     psi, acc = basis.states
     n, ntraj = noise.n, psi.shape[1]
@@ -340,10 +340,10 @@ def _integrate(basis, noise: CouplingSpec, dt: float, steps: int, seed: int) -> 
         amps = np.stack([noise.z_noise, noise.x_noise])[:, :, None]
         scaled = np.empty_like(state)
     norms = np.empty(ntraj)
-    # each trajectory's value twice, once for the real and once for the imaginary part
+    # each trajectory's 1 / norm twice, once for the real and once for the imaginary part
     pairs = np.empty((ntraj, 2))
-    # (rows, ntraj, 2) float views: a trajectory's real and imaginary parts side by side
-    planes = {id(buf): buf.view(float).reshape(*buf.shape, 2) for buf in (psi, acc)}
+    # (rows, ntraj, 2) float view: a trajectory's real and imaginary parts side by side
+    planes = psi.view(float).reshape(*psi.shape, 2)
 
     times: list[float] = []
     coh: list[float] = []
@@ -353,7 +353,8 @@ def _integrate(basis, noise: CouplingSpec, dt: float, steps: int, seed: int) -> 
         t = step_index * dt
         a_g, a_l = basis.project(psi)
         z = a_g * np.conj(a_l)
-        c = _mean(np.abs(z))
+        # compensated summation: the averages are independent of trajectory order
+        c = math.fsum(np.abs(z).tolist()) / ntraj
         # |mean z| is invariant under the deterministic splitting-frequency
         # rotation, which therefore needs no explicit removal
         e = abs(complex(math.fsum(z.real.tolist()), math.fsum(z.imag.tolist()))) / ntraj
@@ -362,58 +363,61 @@ def _integrate(basis, noise: CouplingSpec, dt: float, steps: int, seed: int) -> 
         ens.append(e)
         return c <= EARLY_STOP_FLOOR and e <= EARLY_STOP_FLOOR
 
-    # Horner stage m: acc = psi + (-i dt / m) (H + noise) src, for m = 4, 3, 2, 1
-    horner_scales = [-1j * dt / m for m in (4, 3, 2, 1)]
+    # Horner stage m: dst = psi + (-i dt / m) (H + noise) src, for m = 4, 3, 2, 1;
+    # the last stage writes psi in place, so psi stays in its buffer
+    stages = [(psi, -1j * dt / 4, acc), (acc, -1j * dt / 3, acc), (acc, -1j * dt / 2, acc),
+              (acc, -1j * dt, psi)]
     done = steps  # steps actually integrated
     max_drift = 0.0
-    old_bufsize = np.setbufsize(_UFUNC_BUFFER)
-    try:
-        for step in range(steps):
-            if step % record_every == 0 and record(step):
-                done = step
-                break
-            if has_noise:
-                pos = step % _CHUNK_STEPS
-                if pos == 0:
-                    remaining = min(_CHUNK_STEPS, steps - step)
-                    for t, r in enumerate(rngs):
-                        r.standard_normal(out=block[t, :remaining])
-                    block[:, :remaining] *= kick
-                state *= decay
-                state += block[:, pos].transpose(1, 2, 0)  # (2, n, ntraj)
-                np.multiply(amps, state, out=scaled)
-                basis.set_noise(scaled)
-            # the generator is linear and frozen across the step, so the classical
-            # 4-stage scheme collapses to its 4th-order polynomial (Horner form)
-            src = psi
-            for scale in horner_scales:
-                k_buf = basis.apply(src)
-                np.multiply(k_buf, scale, out=acc)
-                acc += psi
-                src = acc
-            psi, acc = acc, psi
-            # np.linalg.norm(psi, axis=0) in its own steps, in apply's free buffer:
-            # sqrt(add.reduce(real(conj(psi) * psi)))
-            np.conjugate(psi, out=k_buf)
-            k_buf *= psi
-            np.add.reduce(k_buf.real, axis=0, out=norms)
-            np.sqrt(norms, out=norms)
-            np.subtract(norms[:, None], 1.0, out=pairs)  # |norms - 1| first, then 1 / norms
-            drift = float(np.abs(pairs, out=pairs).max())
-            # written so that a NaN drift fails it too; only an overflow makes it NaN or inf
-            if not drift <= NORM_DRIFT_LIMIT:
-                raise IntegrationError(
-                    f"norm drift {drift:.3e} exceeds {NORM_DRIFT_LIMIT} at t={step * dt:.4g}; "
-                    f"{'reduce the time step' if math.isfinite(drift) else 'overflow: check the noise amplitudes'}"
-                )
-            max_drift = max(max_drift, drift)
-            # numpy divides a complex by a real b as (re, im) * (1 / b): psi /= norms
-            np.divide(1.0, norms[:, None], out=pairs)
-            planes[id(psi)] *= pairs
-        else:
-            record(steps)
-    finally:
-        np.setbufsize(old_bufsize)
+    with warnings.catch_warnings():
+        # an overflow shows as the drift guard's error alone, not as numpy's warnings first
+        warnings.filterwarnings("ignore", r"(overflow|invalid value) encountered", RuntimeWarning)
+        old_bufsize = np.setbufsize(_UFUNC_BUFFER)
+        try:
+            for step in range(steps):
+                if step % record_every == 0 and record(step):
+                    done = step
+                    break
+                if has_noise:
+                    pos = step % _CHUNK_STEPS
+                    if pos == 0:
+                        remaining = min(_CHUNK_STEPS, steps - step)
+                        for t, r in enumerate(rngs):
+                            r.standard_normal(out=block[t, :remaining])
+                        block[:, :remaining] *= kick
+                    state *= decay
+                    state += block[:, pos].transpose(1, 2, 0)  # (2, n, ntraj)
+                    np.multiply(amps, state, out=scaled)
+                    basis.set_noise(scaled)
+                # the generator is linear and frozen across the step, so the classical
+                # 4-stage scheme collapses to its 4th-order polynomial (Horner form)
+                for src, scale, dst in stages:
+                    k_buf = basis.apply(src)
+                    k_buf *= scale
+                    np.add(k_buf, psi, out=dst)
+                # np.linalg.norm(psi, axis=0) in its own steps, in apply's free buffer:
+                # sqrt(add.reduce(real(conj(psi) * psi)))
+                np.conjugate(psi, out=k_buf)
+                k_buf *= psi
+                np.add.reduce(k_buf.real, axis=0, out=norms)
+                np.sqrt(norms, out=norms)
+                # max |norms - 1|: nu - 1 is exact for nu in [1/2, 2] and rounds monotonically
+                # outside, and max and min carry a NaN or an inf
+                drift = max(float(norms.max()) - 1.0, 1.0 - float(norms.min()))
+                # written so that a NaN drift fails it too; only an overflow makes it NaN or inf
+                if not drift <= NORM_DRIFT_LIMIT:
+                    raise IntegrationError(
+                        f"norm drift {drift:.3e} exceeds {NORM_DRIFT_LIMIT} at t={step * dt:.4g}; "
+                        f"{'reduce the time step' if math.isfinite(drift) else 'overflow: check the noise amplitudes'}"
+                    )
+                max_drift = max(max_drift, drift)
+                # numpy divides a complex by a real b as (re, im) * (1 / b): psi /= norms
+                np.divide(1.0, norms[:, None], out=pairs)
+                planes *= pairs
+            else:
+                record(steps)
+        finally:
+            np.setbufsize(old_bufsize)
 
     times_a = np.asarray(times)
     coh_a = np.asarray(coh)

@@ -467,6 +467,19 @@ def test_dynamics_summary_reports_the_largest_norm_drift(tmp_path, capsys):
     assert "drift" not in out.read_text()
 
 
+def test_overflowing_noise_prints_only_the_drift_guards_error(tmp_path, capsys):
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text(
+        "[cluster]\nn = 2\nj = -1\nbias = 0.1\ntunneling = 0.01\n"
+        "[noise]\nz_noise = 1e100\nx_noise = 0\nkind = ou\ntau = 1\n"
+        "[dynamics]\ntime_step = 0.01\ntotal_time = 0.05\n"
+    )
+    assert run_cli("dynamics", "--config", cfg) == 2
+    assert capsys.readouterr().err == (
+        "error [dynamics]: norm drift nan exceeds 0.001 at t=0; overflow: check the noise amplitudes\n"
+    )
+
+
 def test_memory_preflight_exit_status(tmp_path, capsys, monkeypatch):
     # the solve is refused before H is assembled: nothing near one n=12 matrix is
     # allocated; one bias an ulp off keeps the cluster off the symmetric sector

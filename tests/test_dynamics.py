@@ -179,10 +179,10 @@ def test_norm_drift_guard_raises():
     assert np.getbufsize() == bufsize
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
 @pytest.mark.parametrize("z", [1e100, 1e308])
 def test_norm_drift_guard_raises_on_nan(z):
-    # the noise overflows the state, whose norm drift is then NaN
+    # the noise overflows the state, whose norm drift is then NaN; numpy's
+    # overflow warnings stay inside the run, so only the error is raised
     fam = uniform_ferromagnet(2, 0.05)
     noise = CouplingSpec(
         z_noise=np.full(2, z), x_noise=np.zeros(2), kind="ou", correlation_time=1.0
@@ -254,6 +254,30 @@ def _ou(fam):
     return CouplingSpec(
         z_noise=fam.coupling.z_noise, x_noise=fam.coupling.x_noise, kind="ou", correlation_time=2.0
     )
+
+
+class StateCheckingBasis(dynamics._SpinBasis):
+    """The 2^n basis, asserting that the driver projects the state in the
+    first of its two buffers."""
+
+    projections = 0
+
+    def project(self, psi):
+        assert psi is self.states[0]
+        self.projections += 1
+        return super().project(psi)
+
+
+def test_the_state_stays_in_the_first_buffer():
+    fam = uniform_ferromagnet(3, 0.1)
+    levels = cluster_levels(fam.params)
+    basis = StateCheckingBasis(
+        fam.params, fam.dressed_ground, fam.dressed_lem, 0.5 * (levels[0] + levels[-1]), 4
+    )
+    steps = 2 * dynamics._CHUNK_STEPS  # two noise blocks, a record every step
+    trace = dynamics._integrate(basis, _ou(fam), default_time_step(fam.a_typ), steps, 9)
+    assert trace.total_steps == steps
+    assert basis.projections == steps + 1
 
 
 def test_memory_is_the_buffers_whatever_the_step_count(monkeypatch):
