@@ -30,6 +30,7 @@ so a view such as ``c[1:]`` of a column-major ``c`` is passed in place.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import glob
 import os
@@ -117,20 +118,29 @@ def _matrix(x: np.ndarray) -> tuple[int, ctypes._CArgObject]:
     return _at(x), _int(max(x.strides[1] // 8 if cols > 1 else rows, 1))
 
 
+@contextlib.contextmanager
+def one_thread():
+    """Run the block on one thread of numpy's OpenBLAS, the library these
+    routines and numpy's matmul call, and restore the process's thread
+    count after it."""
+    threads = _get_threads()
+    if threads > 1:
+        _set_threads(1)
+    try:
+        yield
+    finally:
+        if threads > 1:
+            _set_threads(threads)
+
+
 def _run(routine: str, n: int, *args) -> None:
     """Call LAPACK's ``routine`` on ``args``, then its ``info`` and one
     length per character argument, on one BLAS thread when n is at most
     ``ONE_THREAD_ROWS``; NumericalError names the routine, its n x n matrix
     and the code when ``info`` is not 0."""
     info = _INT()
-    threads = _get_threads() if n <= ONE_THREAD_ROWS else 1
-    if threads > 1:
-        _set_threads(1)
-    try:
+    with one_thread() if n <= ONE_THREAD_ROWS else contextlib.nullcontext():
         _call[routine](*args, ctypes.byref(info), *[1] * _ROUTINES[routine][1])
-    finally:
-        if threads > 1:
-            _set_threads(threads)
     if info.value:
         raise NumericalError(f"{routine} failed on a {n}x{n} matrix: info {info.value}")
 

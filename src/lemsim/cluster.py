@@ -170,28 +170,23 @@ def _read_int(path: str) -> int | None:
         return None
 
 
-def _cgroup_headroom(proc: str, cgroup_fs: str) -> int | None:
-    """Smallest ``limit - usage`` over this process's memory cgroups and their
-    ancestors, or None when none of them sets a readable limit.
+def _cgroup_dirs(controller: str, proc: str, cgroup_fs: str):
+    """Yield ``(v2, directory)`` for this process's cgroup under
+    ``controller`` and each of its ancestors, root first.
 
-    cgroup v2 (``0::path`` in ``/proc/self/cgroup``) is read from
-    ``memory.max``/``memory.current`` under the unified hierarchy, mounted at
-    ``cgroup_fs`` or, on hybrid systems, at ``cgroup_fs/unified``; cgroup v1
-    from ``memory.limit_in_bytes``/``memory.usage_in_bytes`` under
-    ``cgroup_fs/memory``.  Usage counts the page cache, so the headroom errs
-    low.  Usage is read only under a limit: cgroup v1 writes a number of at
-    least 2^62 for no limit.
+    cgroup v2 (``0::path`` in ``/proc/self/cgroup``) is read under the
+    unified hierarchy, mounted at ``cgroup_fs`` or, on hybrid systems, at
+    ``cgroup_fs/unified``; cgroup v1 under ``cgroup_fs/<controller>``.
     """
-    headroom = None
     for line in (_read(f"{proc}/self/cgroup") or b"").decode("utf-8", "replace").splitlines():
         fields = line.split(":", 2)
         if len(fields) != 3:
             continue
         hierarchy, controllers, path = fields
         if hierarchy == "0" and not controllers:
-            mounts, limit_file, usage_file = ("", "/unified"), "memory.max", "memory.current"
-        elif "memory" in controllers.split(","):
-            mounts, limit_file, usage_file = ("/memory",), "memory.limit_in_bytes", "memory.usage_in_bytes"
+            v2, mounts = True, ("", "/unified")
+        elif controller in controllers.split(","):
+            v2, mounts = False, (f"/{controller}",)
         else:
             continue
         parts = [part for part in path.split("/") if part]
@@ -199,14 +194,53 @@ def _cgroup_headroom(proc: str, cgroup_fs: str) -> int | None:
             directory = cgroup_fs + mount
             for part in ["", *parts]:
                 directory = f"{directory}/{part}" if part else directory
-                limit = _read_int(f"{directory}/{limit_file}")
-                if limit is None or limit >= 1 << 62:
-                    continue
-                usage = _read_int(f"{directory}/{usage_file}")
-                if usage is not None:
-                    room = max(0, limit - usage)
-                    headroom = room if headroom is None else min(headroom, room)
+                yield v2, directory
+
+
+def _cgroup_headroom(proc: str, cgroup_fs: str) -> int | None:
+    """Smallest ``limit - usage`` over this process's memory cgroups and their
+    ancestors, or None when none of them sets a readable limit: v2's
+    ``memory.max`` and ``memory.current``, v1's ``memory.limit_in_bytes``
+    and ``memory.usage_in_bytes``.  Usage counts the page cache, so the
+    headroom errs low.  Usage is read only under a limit: cgroup v1 writes a
+    number of at least 2^62 for no limit.
+    """
+    headroom = None
+    for v2, directory in _cgroup_dirs("memory", proc, cgroup_fs):
+        limit_file, usage_file = (
+            ("memory.max", "memory.current") if v2 else ("memory.limit_in_bytes", "memory.usage_in_bytes")
+        )
+        limit = _read_int(f"{directory}/{limit_file}")
+        if limit is None or limit >= 1 << 62:
+            continue
+        usage = _read_int(f"{directory}/{usage_file}")
+        if usage is not None:
+            room = max(0, limit - usage)
+            headroom = room if headroom is None else min(headroom, room)
     return headroom
+
+
+def _usable_cpus(proc: str = "/proc", cgroup_fs: str = "/sys/fs/cgroup") -> int:
+    """CPUs this process can keep busy at once: its affinity set, capped by
+    the smallest CPU quota of its cgroups and their ancestors (v2's
+    ``cpu.max``, v1's ``cpu.cfs_quota_us`` over ``cpu.cfs_period_us``),
+    rounded down and at least 1."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    for v2, directory in _cgroup_dirs("cpu", proc, cgroup_fs):
+        if v2:  # "quota period", or "max period" for none
+            words = (_read(f"{directory}/cpu.max") or b"").split()
+        else:  # a quota of -1 for none
+            words = [_read(f"{directory}/cpu.cfs_{name}_us") or b"" for name in ("quota", "period")]
+        try:
+            quota, period = int(words[0]), int(words[1])
+        except (ValueError, IndexError):
+            continue
+        if quota > 0 and period > 0:
+            cpus = min(cpus, quota // period)
+    return max(1, cpus)
 
 
 def _available_memory(proc: str = "/proc", cgroup_fs: str = "/sys/fs/cgroup") -> int | None:

@@ -8,6 +8,7 @@ import os
 import warnings
 
 import numpy as np
+import pytest
 
 import lemsim._lapack
 import lemsim.cluster
@@ -142,3 +143,17 @@ def one_blas_thread():
     finally:
         for set_threads, threads in libraries:
             set_threads(threads)
+
+
+@pytest.fixture
+def no_child_process():
+    """Fail the test when a child process of this one outlives it: a
+    trajectory run reaps every worker it forks, also when it fails.
+    ``os.waitpid(-1, WNOHANG)`` raises ChildProcessError only when the
+    process has no child, running or exited."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"a child process outlived the test ({f'pid {pid}, exited' if pid else 'running'})")

@@ -14,13 +14,15 @@ clusters, OU and white noise (white across five noise blocks on the dense
 route), the sector and dense routes, explicit unpolarized anchors at zero
 tunneling, both refusals of a dressed state, two non-collective 9-spin
 clusters (one with a 90-level window) and a strongly mixed 7-spin one on
-the dense route, a 16-spin and a 40-spin collective cluster, four sweeps
+the dense route, a 16-spin and a 40-spin collective cluster, a 203-trajectory
+``dynamics`` run that splits its trajectories over processes, four sweeps
 (one with every per-row error code, one to 150 spins), a noise-free
 ``dynamics`` run whose LEM anchor has a zero single-flip gap, and every op
 of the benchmark's toy scale (``perfbench/workloads.py``).
 Every run gets ``--seed 7``.  Every line is the same on any BLAS thread
-count: no config solves a matrix of more than 512 rows densely, and
-``lemsim._lapack`` runs every LAPACK call up to that size on one thread.
+count: no config solves a matrix of more than 512 rows densely,
+``lemsim._lapack`` runs every LAPACK call up to that size on one thread,
+and a ``dynamics`` run holds numpy's OpenBLAS at one thread for its steps.
 Pytest does not collect this file.
 """
 
@@ -137,6 +139,10 @@ CONFIGS = [
      + NOISE.format(f=0.3, g=0.3, kind="ou")),
     ("sweep-past14", ("sweep",), SWEEP.format(n="15 30 68 150", ratios="0.0025 0.01 0.05",
      channels="overlaps rates")),
+    # OU trajectories enough for a split over processes (203 of 6 spins, 392
+    # steps): the trace is the bits of one process on one BLAS thread
+    ("ferro6-sharded", ("dynamics",), "[cluster]\nn = 6\nj = -1.0\nbias = 0.1\ntunneling = 0.49\n"
+     + NOISE.format(f=0.49, g=0.49, kind="ou") + "[dynamics]\ntotal_time = 0.4\ntrajectories = 203\n"),
     # a collective cluster whose 2^40-entry energy table would not fit in memory:
     # its anchors and A_typ come from the symmetric chain
     ("ferro40-sector", ("overlaps", "rates"),

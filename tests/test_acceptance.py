@@ -42,6 +42,9 @@ from lemsim.cluster import ClusterParams, uniform_couplings
 from calibration import calibrate_rate_constant, rate_vs_prediction
 from oracles import brute_landscape, golden_rule_rates, kron_hamiltonian, rs_amplitudes
 
+# every test ends with no child process left, above all the trajectory workers
+pytestmark = pytest.mark.usefixtures("no_child_process")
+
 
 def _anchored_rs(fam, anchor: int) -> np.ndarray:
     p = fam.params

@@ -1,5 +1,10 @@
 """Trajectory evolution: determinism, conservation laws, rate fitting."""
 
+import contextlib
+import os
+import re
+import signal
+import threading
 import tracemalloc
 
 import numpy as np
@@ -8,6 +13,7 @@ import pytest
 from calibration import calibrate_rate_constant, rate_vs_prediction
 from oracles import brute_energy, reference_trajectories
 
+import lemsim._lapack
 import lemsim.cluster
 from lemsim import (
     CapacityError,
@@ -25,6 +31,9 @@ from lemsim import (
 from lemsim import dynamics
 from lemsim.collective import symmetric_chain
 from lemsim.sweep import uniform_ferromagnet
+
+# every test ends with no child process left, above all the trajectory workers
+pytestmark = pytest.mark.usefixtures("no_child_process")
 
 
 def zero_noise(n):
@@ -275,12 +284,15 @@ def test_the_state_stays_in_the_first_buffer():
         fam.params, fam.dressed_ground, fam.dressed_lem, 0.5 * (levels[0] + levels[-1]), 4
     )
     steps = 2 * dynamics._CHUNK_STEPS  # two noise blocks, a record every step
-    trace = dynamics._integrate(basis, _ou(fam), default_time_step(fam.a_typ), steps, 9)
+    trace = dynamics._integrate(
+        lambda width: basis, [0, 4], _ou(fam), default_time_step(fam.a_typ), steps, 9
+    )
     assert trace.total_steps == steps
     assert basis.projections == steps + 1
 
 
 def test_memory_is_the_buffers_whatever_the_step_count(monkeypatch):
+    monkeypatch.setattr(lemsim.cluster, "_usable_cpus", lambda: 1)  # all buffers in this process
     monkeypatch.setattr(dynamics, "RECORD_SAMPLES", 1)  # record the first and last states only
     monkeypatch.setattr(dynamics, "EARLY_STOP_FLOOR", -1.0)  # no early stop
     fam = uniform_ferromagnet(6, 0.02)
@@ -360,6 +372,250 @@ def test_max_drift_is_the_largest_norm_drift(monkeypatch):
     monkeypatch.setattr(dynamics, "NORM_DRIFT_LIMIT", np.nextafter(drift, 0.0))
     with pytest.raises(IntegrationError, match=f"^norm drift {drift:.3e} exceeds"):
         run()
+
+
+def _shard(monkeypatch, cpus, sync_records=5):
+    """Let runs fork up to ``cpus - 1`` workers however small they are,
+    the shards meeting every ``sync_records`` records."""
+    monkeypatch.setattr(lemsim.cluster, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(dynamics, "_SHARD_WIDTH", 1)
+    monkeypatch.setattr(dynamics, "_SHARD_WORK", 1)
+    monkeypatch.setattr(dynamics, "_SYNC_RECORDS", sync_records)
+
+
+def _same_trace(a, b):
+    for name in ("times", "coherence", "ensemble_coherence"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    for name in ("total_steps", "max_drift", "fitted_rate", "ensemble_rate"):
+        assert getattr(a, name) == getattr(b, name), name
+
+
+@pytest.mark.parametrize("ntraj", [16, 48, 200, 203])
+@pytest.mark.parametrize("n", [2, 3, 6, 8])
+@pytest.mark.parametrize("kind", ["ou", "white"])
+def test_sharded_traces_are_the_unsharded_bits(monkeypatch, kind, n, ntraj):
+    # 12 steps, a record after each: three meetings of the shards and three noise blocks
+    monkeypatch.setattr(dynamics, "_CHUNK_STEPS", 5)
+    fam = uniform_ferromagnet(n, 0.1)
+    noise = CouplingSpec(
+        z_noise=fam.coupling.z_noise, x_noise=fam.coupling.x_noise, kind=kind, correlation_time=2.0
+    )
+    dt, steps = default_time_step(fam.a_typ), 12
+    traces = []
+    for workers in (1, 2, 3)[: ntraj // dynamics._SHARD_ALIGN]:
+        _shard(monkeypatch, workers)
+        assert len(dynamics._shard_bounds(fam.params.dim, ntraj, steps)) == workers + 1
+        traces.append(evolve_superposition(
+            fam.params, fam.dressed_ground, fam.dressed_lem, noise, time_step=dt,
+            total_time=(steps - 0.5) * dt, trajectory_count=ntraj, seed=901,
+        ))
+    assert traces[0].total_steps == steps and len(traces[0].times) == steps + 1
+    for trace in traces[1:]:
+        _same_trace(traces[0], trace)
+
+
+def test_shard_bounds_fall_on_multiples_of_eight(monkeypatch):
+    monkeypatch.setattr(lemsim.cluster, "_usable_cpus", lambda: 3)
+    # 200 trajectories of 6 spins: 3 processes from 492 steps, 2 from 328
+    assert dynamics._shard_bounds(64, 200, 492) == [0, 64, 128, 200]
+    assert dynamics._shard_bounds(64, 200, 491) == [0, 96, 200]
+    assert dynamics._shard_bounds(64, 203, 328) == [0, 96, 203]
+    assert dynamics._shard_bounds(64, 200, 327) == [0, 200]
+    # eight trajectories per process, and 768 of dim x ntraj
+    assert dynamics._shard_bounds(256, 16, 10**6) == [0, 8, 16]
+    assert dynamics._shard_bounds(256, 15, 10**6) == [0, 15]
+    assert dynamics._shard_bounds(8, 191, 10**6) == [0, 191]
+    assert dynamics._shard_bounds(8, 192, 10**6) == [0, 96, 192]
+    monkeypatch.setattr(lemsim.cluster, "_usable_cpus", lambda: 1)
+    assert dynamics._shard_bounds(64, 200, 10**6) == [0, 200]
+
+
+def test_a_run_beside_another_python_thread_forks_nothing(monkeypatch):
+    monkeypatch.setattr(lemsim.cluster, "_usable_cpus", lambda: 2)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        assert dynamics._shard_bounds(64, 200, 10**6) == [0, 200]
+    finally:
+        release.set()
+        other.join()
+    assert dynamics._shard_bounds(64, 200, 10**6) == [0, 96, 200]
+
+
+def test_an_early_stop_inside_a_meeting_interval_keeps_the_trace(monkeypatch):
+    monkeypatch.setattr(dynamics, "EARLY_STOP_FLOOR", 0.45)
+    fam = uniform_ferromagnet(2, 0.12)
+    dt = default_time_step(fam.a_typ)
+    traces = []
+    for workers in (1, 2, 3):
+        _shard(monkeypatch, workers, sync_records=64)
+        traces.append(evolve_superposition(
+            fam.params, fam.dressed_ground, fam.dressed_lem, fam.coupling, time_step=dt,
+            total_time=19_999.5 * dt, trajectory_count=24, seed=4,
+        ))
+    stopped = traces[0]
+    # the run stops at record 72, the ninth of the second interval between meetings
+    assert (stopped.total_steps, len(stopped.times)) == (648, 73)
+    assert (len(stopped.times) - 1) % 64 not in (0, 63)
+    for trace in traces[1:]:
+        _same_trace(stopped, trace)
+
+
+def _drift_failure(monkeypatch, workers, run):
+    _shard(monkeypatch, workers)
+    with pytest.raises(IntegrationError) as failure:
+        run()
+    assert failure.value.exit_status == 2
+    return str(failure.value)
+
+
+def test_white_noise_drift_fails_alike_on_any_shard_count(monkeypatch):
+    p = single_spin(b=0.5)
+    noise = CouplingSpec(z_noise=np.zeros(1), x_noise=np.array([5.0]), kind="white")
+    pair = dense_pair(p)
+
+    def run():
+        evolve_superposition(
+            p, *pair, noise, time_step=0.01, total_time=1.0, trajectory_count=24, seed=1
+        )
+
+    messages = {_drift_failure(monkeypatch, workers, run) for workers in (1, 2, 3)}
+    assert len(messages) == 1
+    assert re.fullmatch(r"norm drift \S+ exceeds 0\.001 at t=\S+; reduce the time step", *messages)
+
+
+def test_overflowing_noise_fails_alike_on_any_shard_count(monkeypatch):
+    fam = uniform_ferromagnet(2, 0.05)
+    noise = CouplingSpec(
+        z_noise=np.full(2, 1e100), x_noise=np.zeros(2), kind="ou", correlation_time=1.0
+    )
+
+    def run():
+        evolve_superposition(
+            fam.params, fam.dressed_ground, fam.dressed_lem, noise, time_step=0.01,
+            total_time=0.05, trajectory_count=24, seed=1,
+        )
+
+    for workers in (1, 2, 3):
+        assert _drift_failure(monkeypatch, workers, run) == (
+            "norm drift nan exceeds 0.001 at t=0; overflow: check the noise amplitudes"
+        )
+
+
+def _worker_basis(fam, change):
+    """A basis maker for ``dynamics._integrate``: the 2^n basis, which
+    ``change(basis)`` alters in forked workers alone."""
+    levels = cluster_levels(fam.params)
+    shift, parent = 0.5 * (levels[0] + levels[-1]), os.getpid()
+
+    def basis_of(width):
+        basis = dynamics._SpinBasis(fam.params, fam.dressed_ground, fam.dressed_lem, shift, width)
+        if os.getpid() != parent:
+            change(basis)
+        return basis
+
+    return basis_of
+
+
+def test_a_drift_failure_in_a_worker_fails_the_run(monkeypatch):
+    # the workers' states grow by exp(dt) per step, this process's stay unit
+    _shard(monkeypatch, 3)
+    fam = uniform_ferromagnet(3, 0.1)
+    basis_of = _worker_basis(fam, lambda basis: basis.diag.__iadd__(1j))
+    with pytest.raises(IntegrationError, match=r"^norm drift 8\.940e-03 exceeds 0\.001 at t=0; reduce"):
+        dynamics._integrate(basis_of, [0, 8, 16, 24], zero_noise(3), 0.0089, 10, 1)
+    # in this process alone the same steps pass
+    trace = dynamics._integrate(basis_of, [0, 24], zero_noise(3), 0.0089, 10, 1)
+    assert trace.total_steps == 10 and trace.max_drift < 1e-12
+
+
+@contextlib.contextmanager
+def _within(seconds):
+    """Fail the block with TimeoutError when it runs past ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_a_killed_worker_fails_the_run_without_hanging(monkeypatch):
+    _shard(monkeypatch, 3)
+    fam = uniform_ferromagnet(3, 0.1)
+    basis_of = _worker_basis(fam, lambda basis: os.kill(os.getpid(), signal.SIGKILL))
+    with _within(60), pytest.raises(
+        ChildProcessError, match=r"^trajectory worker \d+ was killed by signal 9 before its records$"
+    ):
+        dynamics._integrate(basis_of, [0, 8, 16, 24], _ou(fam), 0.001, 400, 1)
+
+
+def test_a_worker_that_raises_fails_the_run(monkeypatch, capfd):
+    _shard(monkeypatch, 2)
+    fam = uniform_ferromagnet(3, 0.1)
+
+    def fail(basis):
+        raise MemoryError("no room for the basis")
+
+    with _within(60), pytest.raises(
+        ChildProcessError, match=r"^trajectory worker \d+ exited with status 1 before its records$"
+    ):
+        dynamics._integrate(_worker_basis(fam, fail), [0, 8, 16], _ou(fam), 0.001, 400, 1)
+    # the worker's traceback goes to the shared stderr
+    assert "MemoryError: no room for the basis" in capfd.readouterr().err
+
+
+def test_capacity_error_comes_before_any_fork(monkeypatch):
+    _shard(monkeypatch, 2, sync_records=64)
+    fam = uniform_ferromagnet(3, 0.05)
+    dt = default_time_step(fam.a_typ)
+    steps, ntraj = 20, 16
+
+    def no_fork():
+        raise AssertionError("a worker was forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    # the 2^n buffers, noise blocks and Generators of both shards, then the
+    # shared records: 64 rows of 16 complex coherences and each shard's 64
+    # drifts and failure
+    needed = (5 * 16 * 8 * ntraj + 16 * 7 * ntraj + 8 * ntraj * steps * 2 * 3
+              + dynamics._GENERATOR_BYTES * ntraj + 8 * (2 * 64 * ntraj + 2 * (64 + 2)))
+    monkeypatch.setattr(lemsim.cluster, "_available_memory", lambda: needed - 1)
+    with pytest.raises(CapacityError, match=f"^a run of 16 trajectories of a 3-spin cluster needs {needed} bytes"):
+        evolve_superposition(
+            fam.params, fam.dressed_ground, fam.dressed_lem, _ou(fam), time_step=dt,
+            total_time=(steps - 0.5) * dt, trajectory_count=ntraj, seed=5,
+        )
+
+
+def test_the_steps_run_on_one_blas_thread_and_restore_the_count():
+    fam = uniform_ferromagnet(3, 0.1)
+    seen = []
+
+    class CountingBasis(dynamics._SpinBasis):
+        def project(self, psi):
+            seen.append(lemsim._lapack._get_threads())
+            return super().project(psi)
+
+    levels = cluster_levels(fam.params)
+    shift = 0.5 * (levels[0] + levels[-1])
+    before = lemsim._lapack._get_threads()
+    lemsim._lapack._set_threads(2)
+    try:
+        dynamics._integrate(
+            lambda width: CountingBasis(fam.params, fam.dressed_ground, fam.dressed_lem, shift, width),
+            [0, 8], _ou(fam), default_time_step(fam.a_typ), 5, 3,
+        )
+        assert lemsim._lapack._get_threads() == 2
+    finally:
+        lemsim._lapack._set_threads(before)
+    assert seen == [1] * 6
 
 
 # non-uniform clusters: every spin has its own couplings, bias, tunneling and
@@ -466,8 +722,10 @@ def test_driver_integrates_a_chain_basis_as_the_spin_basis(n):
         fam.params, ground, lem, zero_noise(n), time_step=dt, total_time=(steps - 0.5) * dt,
         trajectory_count=ntraj, seed=seed,
     )
-    basis = ChainBasis(fam.params, ground, lem, ntraj)
-    chain = dynamics._integrate(basis, zero_noise(n), dt, steps, seed)
+    chain = dynamics._integrate(
+        lambda width: ChainBasis(fam.params, ground, lem, width), [0, ntraj], zero_noise(n), dt,
+        steps, seed,
+    )
     assert chain.total_steps == spins.total_steps == steps
     assert np.abs(chain.coherence - spins.coherence).max() <= 1e-12
     assert np.abs(chain.ensemble_coherence - spins.ensemble_coherence).max() <= 1e-12

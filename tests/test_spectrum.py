@@ -2,6 +2,7 @@
 
 import contextlib
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -702,9 +703,10 @@ def test_available_memory_probe_reads_a_byte_count_or_nothing():
     assert available is None or (isinstance(available, int) and available > 0)
 
 
-def _fake_kernel(tmp_path, cgroup_lines, files):
-    """A /proc and a cgroup mount under tmp_path: MemAvailable of 1000 kB,
-    the given /proc/self/cgroup lines and cgroup files {relative path: text}."""
+def _fake_kernel(tmp_path, cgroup_lines, files, probe=lemsim.cluster._available_memory):
+    """``probe`` of a /proc and a cgroup mount under tmp_path: MemAvailable
+    of 1000 kB, the given /proc/self/cgroup lines and cgroup files
+    {relative path: text}."""
     proc, cgroup_fs = tmp_path / "proc", tmp_path / "cgroup"
     (proc / "self").mkdir(parents=True)
     (proc / "meminfo").write_text("MemTotal:  4000 kB\nMemAvailable:  1000 kB\n")
@@ -713,7 +715,7 @@ def _fake_kernel(tmp_path, cgroup_lines, files):
         path = cgroup_fs / rel
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text + "\n")
-    return lemsim.cluster._available_memory(str(proc), str(cgroup_fs))
+    return probe(str(proc), str(cgroup_fs))
 
 
 @pytest.mark.parametrize("mount", ["", "unified/"])  # unified-only and hybrid layouts
@@ -743,6 +745,27 @@ def test_available_memory_without_a_cgroup_limit_is_mem_available(tmp_path):
 
 def test_available_memory_is_unknown_without_kernel_files(tmp_path):
     assert lemsim.cluster._available_memory(str(tmp_path / "proc"), str(tmp_path / "cgroup")) is None
+
+
+@pytest.mark.parametrize(
+    "lines, files, cpus",
+    [
+        # v2 quotas of 2.5 CPUs on the job and 3 on its parent, in both layouts
+        (["0::/a/job"], {"a/cpu.max": "300000 100000", "a/job/cpu.max": "250000 100000"}, 2),
+        (["0::/job"], {"unified/job/cpu.max": "150000 100000"}, 1),
+        (["0::/job"], {"job/cpu.max": "max 100000"}, 4),
+        # v1 on an ancestor; -1 for no quota
+        (["3:cpu,cpuacct:/a/b", "0::/"],
+         {"cpu/a/cpu.cfs_quota_us": "200000", "cpu/a/cpu.cfs_period_us": "100000",
+          "cpu/a/b/cpu.cfs_quota_us": "-1", "cpu/a/b/cpu.cfs_period_us": "100000"}, 2),
+        # a quota under one CPU still leaves one
+        (["0::/job"], {"job/cpu.max": "50000 100000"}, 1),
+        ([], {}, 4),
+    ],
+)
+def test_usable_cpus_are_the_affinity_set_under_a_cgroup_quota(tmp_path, monkeypatch, lines, files, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    assert _fake_kernel(tmp_path, lines, files, lemsim.cluster._usable_cpus) == cpus
 
 
 # ---------------------------------------------------------------- landscape
